@@ -15,7 +15,6 @@ from .groups import (
     diagonal_embedding,
     direct_power,
     generated_order,
-    group_from_generators,
     intermediate_subgroups,
     is_normal_subgroup,
     minimal_normal_subgroups,
@@ -40,8 +39,7 @@ from .cosets import (
     action_fixed_points,
     build_coset_poset,
     build_relative_poset,
-    is_antichain,
-    translation_fixed_points,
+    fixed_cosets,
 )
 from .complexes import (
     BettiVector,

@@ -22,6 +22,7 @@ from .cosets import (
     ActionTriple,
     OvergroupAutomorphism,
     build_relative_poset,
+    fixed_cosets,
 )
 from .groups import (
     PermutationGroup,
@@ -31,7 +32,6 @@ from .groups import (
     embed_in_power,
     generated_order,
     intermediate_subgroups,
-    is_normal_subgroup,
     minimal_normal_subgroups,
     symmetric_group,
     sylow_subgroup,
@@ -299,47 +299,21 @@ def build_smith_spec(ambient: str = "A7") -> SmithActionSpec:
 def smith_fixed_point_check(spec: SmithActionSpec) -> dict:
     """Fixed cosets of C(G, N) under P x K, then additionally under theta.
 
-    Fixed cosets Hx satisfy <P, K^(x^-1)> <= H, so only the overgroups of P
-    can carry them; those are enumerated directly.
+    theta fixes a translation-fixed coset Hr iff H^theta = H and
+    r^theta r^-1 lies in H.
     """
-    G, N = spec.G, spec.N
-    if not is_normal_subgroup(G, N):
-        raise ValueError("N is not normal in G")
-    elems = G.element_bytes()
-    index = {b: i for i, b in enumerate(elems)}
-    n_set = frozenset(index[b] for b in N.element_bytes())
-    census = intermediate_subgroups(G, spec.P)
-    k_gens = [g._b for g in spec.K.generators]
-    theta_b = spec.theta.conjugator._b
-    theta_bi = _inv_bytes(theta_b)
+    elems = spec.G.element_bytes()
+    theta = spec.theta.conjugator
     translation_fixed = []
     fully_fixed = []
-    for rec in census:
-        if rec.order == G.order:
-            continue
-        h_set = rec.elements
-        if len(h_set) * len(n_set) // len(h_set & n_set) != G.order:
-            continue
-        h_bytes = [elems[i] for i in h_set]
-        assigned = bytearray(len(elems))
-        for xi in range(len(elems)):
-            if assigned[xi]:
-                continue
-            coset = [index[_mul_bytes(hb, elems[xi])] for hb in h_bytes]
-            for c in coset:
-                assigned[c] = 1
-            r = elems[min(coset)]
-            ri = _inv_bytes(r)
-            if not all(index[_mul_bytes(_mul_bytes(r, kg), ri)] in h_set
-                       for kg in k_gens):
-                continue
-            vertex = (rec.order, cycle_string(Permutation._from_bytes(r)))
-            translation_fixed.append(vertex)
-            h_image = frozenset(index[_mul_bytes(_mul_bytes(theta_bi, elems[i]), theta_b)]
-                                for i in h_set)
-            r_image = _mul_bytes(_mul_bytes(theta_bi, r), theta_b)
-            if h_image == h_set and index[_mul_bytes(r_image, ri)] in h_set:
-                fully_fixed.append(vertex)
+    for rec, r in fixed_cosets(spec.G, spec.N, spec.P, spec.K):
+        x = Permutation._from_bytes(elems[r])
+        vertex = (rec.order, cycle_string(x))
+        translation_fixed.append(vertex)
+        h_set = frozenset(elems[i] for i in rec.elements)
+        if (_conjugate_set(h_set, theta._b) == h_set
+                and ((x ** theta) * x.inverse())._b in h_set):
+            fully_fixed.append(vertex)
     return {
         "translation_fixed": sorted(translation_fixed),
         "fully_fixed": sorted(fully_fixed),

@@ -8,7 +8,7 @@ import sys
 from .catalog import catalog_group, load_catalog
 from .complexes import order_complex, poset_f_vector, reduced_betti
 from .cosets import build_coset_poset, build_relative_poset
-from .groups import PermutationGroup
+from .groups import BudgetExceededError, PermutationGroup
 from .lattice import enumerate_subgroups, lattice_dump, moebius_to_top
 from .perm import parse_permutation_list
 from .suite import ALL_SUITES, SuiteConfig, run_suite
@@ -57,7 +57,16 @@ def main(argv: list[str] | None = None) -> int:
                               "poset to cosets Hx with HN = G")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, KeyError, OSError, BudgetExceededError) as exc:
+        # KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"cosetposets: error: {message}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "verify":
         config = SuiteConfig(
             catalog_path=args.catalog,
@@ -98,9 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"moebius-hat of the coset poset = {poset_moebius_hat(poset)}")
         return 0
     if args.what == "homology":
-        f_vec = poset_f_vector(poset)
-        print(f"f-vector (from dim -1): {f_vec}")
         betti = reduced_betti(order_complex(poset), args.prime)
+        print(f"f-vector (from dim -1): {poset_f_vector(poset)}")
         print(f"reduced Betti numbers over GF({args.prime}):")
         if betti.is_zero():
             print("  all zero (acyclic)")

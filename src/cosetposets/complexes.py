@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .groups import _is_prime
 from .posets import FinitePoset
 
 
@@ -187,17 +188,6 @@ class BettiVector:
     def __repr__(self) -> str:
         body = ", ".join(f"b{k}={v}" for k, v in self.values) or "0"
         return f"<Betti GF({self.prime}): {body}>"
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:

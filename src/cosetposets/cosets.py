@@ -9,9 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import PermutationGroup
+from .groups import (
+    PermutationGroup,
+    SubgroupRecord,
+    intermediate_subgroups,
+    is_normal_subgroup,
+)
 from .lattice import SubgroupLattice
-from .perm import Permutation, cycle_string
+from .perm import Permutation, _inv_bytes, _mul_bytes, cycle_string
 from .posets import FinitePoset
 
 
@@ -156,31 +161,40 @@ def build_relative_poset(G: PermutationGroup, N: PermutationGroup,
     return CosetPoset(lat, ids, normal_subgroup_id=ni)
 
 
-def _subgroup_ids_of(lat: SubgroupLattice, H: PermutationGroup) -> frozenset[int]:
-    return frozenset(lat.index[b] for b in H.element_bytes())
+def fixed_cosets(G: PermutationGroup, N: PermutationGroup, P: PermutationGroup,
+                 K: PermutationGroup) -> list[tuple[SubgroupRecord, int]]:
+    """Cosets Hx of C(G, N) fixed by P x K acting by left and right translation.
 
-
-def translation_fixed_points(poset: CosetPoset, P: PermutationGroup,
-                             K: PermutationGroup) -> list[int]:
-    """Vertices Hx fixed by P x K acting by left and right translation.
-
-    Uses the containment criterion: Hx is fixed iff <P, K^(x^-1)> <= H.
+    Hx is fixed iff <P, K^(x^-1)> <= H, so only the proper overgroups H of P
+    with HN = G can carry one; pass N = G for C(G). Each coset is returned as
+    (H, r) with r the least index in G.element_bytes() of an element of Hx.
     """
-    lat = poset.lattice
-    if not P.is_subgroup_of(lat.group) or not K.is_subgroup_of(lat.group):
-        raise ValueError("P and K must be subgroups of the poset's group")
-    p_fs = _subgroup_ids_of(lat, P)
-    k_gens = [lat.index[g._b] for g in K.generators]
-    contains_p = {hi: p_fs <= lat.subgroups[hi].elements for hi in poset.subgroup_ids}
+    if not is_normal_subgroup(G, N):
+        raise ValueError("N is not normal in G")
+    if not K.is_subgroup_of(G):
+        raise ValueError("K is not a subgroup of G")
+    elems = G.element_bytes()
+    index = {b: i for i, b in enumerate(elems)}
+    n_set = frozenset(index[b] for b in N.element_bytes())
+    k_gens = [g._b for g in K.generators]
     out = []
-    for v, (hi, r) in enumerate(poset.vertices):
-        if not contains_p[hi]:
+    for rec in intermediate_subgroups(G, P):
+        h_set = rec.elements
+        if rec.order == G.order or rec.order * len(n_set) // len(h_set & n_set) != G.order:
             continue
-        h_fs = lat.subgroups[hi].elements
-        ri = lat.inv[r]
-        # K^(x^-1) = x K x^-1
-        if all(lat.mul[lat.mul[r][k]][ri] in h_fs for k in k_gens):
-            out.append(v)
+        h_bytes = [elems[i] for i in h_set]
+        assigned = bytearray(len(elems))
+        for r in range(len(elems)):
+            if assigned[r]:
+                continue
+            # r is the least unassigned index, hence the least in its coset
+            for hb in h_bytes:
+                assigned[index[_mul_bytes(hb, elems[r])]] = 1
+            ri = _inv_bytes(elems[r])
+            # K^(x^-1) = x K x^-1
+            if all(index[_mul_bytes(_mul_bytes(elems[r], kg), ri)] in h_set
+                   for kg in k_gens):
+                out.append((rec, r))
     return out
 
 
@@ -244,7 +258,3 @@ def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
         ti = sub_image[si]
         out.append(poset.vertex_index[(ti, poset.coset_rep[ti][elem_map(r)])])
     return out
-
-
-def is_antichain(poset: CosetPoset) -> bool:
-    return poset.is_antichain()

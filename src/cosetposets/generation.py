@@ -22,8 +22,6 @@ from .groups import (
     direct_power,
     diagonal_embedding,
     embed_in_power,
-    intermediate_subgroups,
-    is_normal_subgroup,
     sylow_subgroup,
 )
 from .lattice import SubgroupLattice, maximal_subgroups
@@ -220,39 +218,3 @@ def imprimitive_parity_identity(n: int, d: int) -> tuple[int, str]:
         assert d % 2 == 1
         assert d * comb(2 * d - 1, d - 1) == (2 * d - 1) * 2 * comb(2 * d - 3, d - 1)
     return lhs, "even" if lhs % 2 == 0 else "odd"
-
-
-def relative_fixed_cosets_by_criterion(G: PermutationGroup, N: PermutationGroup,
-                                       P: PermutationGroup,
-                                       K: PermutationGroup) -> list[dict]:
-    """Witnesses for fixed points of P x K on C(G, N), without the poset.
-
-    A coset Hx is fixed iff <P, K^(x^-1)> <= H, so the fixed-point set is
-    empty iff no proper H with HN = G contains <P, K^(x^-1)> for any x.
-    Returns one witness per conjugate of K admitting such an H.
-    """
-    if not is_normal_subgroup(G, N):
-        raise ValueError("N is not normal in G")
-    if not P.is_subgroup_of(G) or not K.is_subgroup_of(G):
-        raise ValueError("P and K must be subgroups of G")
-    p_gens = [g._b for g in P.generators]
-    n_elems = frozenset(N.element_bytes())
-    witnesses = []
-    for conj_gens, g in _distinct_conjugates(G, K):
-        joined = _generated_order(list(conj_gens) + p_gens, G.degree, stop_at=G.order)
-        if joined == G.order:
-            continue
-        J = PermutationGroup(
-            [Permutation._from_bytes(b) for b in list(conj_gens) + p_gens], G.degree)
-        candidates = [r for r in intermediate_subgroups(G, J) if r.order < G.order]
-        g_elems = G.element_bytes()
-        for rec in candidates:
-            h_elems = frozenset(g_elems[i] for i in rec.elements)
-            product_size = len(h_elems) * len(n_elems) // len(h_elems & n_elems)
-            if product_size == G.order:
-                witnesses.append({
-                    "conjugator": cycle_string(Permutation._from_bytes(g)),
-                    "subgroup_order": rec.order,
-                })
-                break
-    return witnesses

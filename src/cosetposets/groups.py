@@ -279,10 +279,6 @@ class PermutationGroup:
         return f"<group of order {self._order} on {self._degree} points: {gens}>"
 
 
-def group_from_generators(gens: Sequence[Permutation], degree: int | None = None) -> PermutationGroup:
-    return PermutationGroup(gens, degree)
-
-
 def generated_order(gens: Sequence[Permutation], degree: int | None = None,
                     stop_at: int | None = None) -> int:
     """Order of <gens>, stopping early once ``stop_at`` is certified.

@@ -21,18 +21,18 @@ from .complexes import (
     poset_reduced_euler_characteristic,
     reduced_betti,
 )
-from .cosets import build_coset_poset, build_relative_poset
+from .cosets import build_coset_poset, build_relative_poset, fixed_cosets
 from .generation import (
     check_alternating_claims,
     check_diagonal_universal,
     imprimitive_parity_identity,
-    relative_fixed_cosets_by_criterion,
     sylow2_fixed_point_free_element,
     univ_gen_via_maximal_indices,
     universally_p_generates,
 )
 from .groups import (
     PermutationGroup,
+    _is_prime,
     alternating_group,
     minimal_normal_subgroups,
     quotient_representation,
@@ -392,18 +392,14 @@ def _identities_records(ws: _Workspace, config: SuiteConfig) -> list[dict]:
             P = PermutationGroup(
                 [embed_in_power(g, b, t) for b in range(t)
                  for g in sylow_subgroup(A5, 2).generators], 5 * t)
-            witnesses = relative_fixed_cosets_by_criterion(N, N, P, Kd)
-            values[f"t={t}_fixed_cosets"] = len(witnesses)
-            ok = ok and not witnesses
+            fixed = fixed_cosets(N, N, P, Kd)
+            values[f"t={t}_fixed_cosets"] = len(fixed)
+            ok = ok and not fixed
         return ok, values, []
 
     out.append(_record("identities", "diagonal universal generation for A5 powers",
                        diagonal_check))
     return out
-
-
-def _is_prime(p: int) -> bool:
-    return p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 _SUITE_FUNCTIONS = {

@@ -27,17 +27,17 @@ from cosetposets.complexes import (
     poset_reduced_euler_characteristic,
     reduced_betti,
 )
-from cosetposets.cosets import build_coset_poset, build_relative_poset
+from cosetposets.cosets import build_coset_poset, build_relative_poset, fixed_cosets
 from cosetposets.generation import (
     check_alternating_claims,
     check_diagonal_universal,
     imprimitive_parity_identity,
-    relative_fixed_cosets_by_criterion,
     univ_gen_via_maximal_indices,
     universally_p_generates,
 )
 from cosetposets.groups import (
     PermutationGroup,
+    _is_prime,
     alternating_group,
     diagonal_embedding,
     direct_power,
@@ -46,8 +46,9 @@ from cosetposets.groups import (
     quotient_representation,
     sylow_subgroup,
 )
-from cosetposets.lattice import LATTICE_ORDER_BOUND, enumerate_subgroups, moebius_to_top
+from cosetposets.lattice import LATTICE_ORDER_BOUND, enumerate_subgroups
 from cosetposets.perm import parse_permutation_list
+from cosetposets.suite import _Workspace
 from cosetposets.zeta import (
     TUPLE_BUDGET,
     brute_force_generation_probability,
@@ -59,42 +60,19 @@ from cosetposets.zeta import (
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
 
-class _Workspace:
-    def __init__(self):
-        self.entries = load_catalog(verify=False)
-        self._groups = {}
-        self._lattices = {}
-        self._posets = {}
-        self._betti = {}
-
-    def group(self, name):
-        if name not in self._groups:
-            entry = next(e for e in self.entries if e.name == name)
-            self._groups[name] = entry.build()
-        return self._groups[name]
-
-    def lattice(self, name):
-        if name not in self._lattices:
-            lat = enumerate_subgroups(self.group(name))
-            self._lattices[name] = (lat, moebius_to_top(lat))
-        return self._lattices[name]
-
-    def poset(self, name):
-        if name not in self._posets:
-            lat, _ = self.lattice(name)
-            self._posets[name] = build_coset_poset(self.group(name), lat)
-        return self._posets[name]
-
-    def betti(self, name, p=2):
-        key = (name, p)
-        if key not in self._betti:
-            self._betti[key] = reduced_betti(order_complex(self.poset(name)), p)
-        return self._betti[key]
-
-
 @pytest.fixture(scope="module")
 def ws():
-    return _Workspace()
+    return _Workspace(load_catalog(verify=False))
+
+
+_BETTI = {}
+
+
+def _betti(ws, name):
+    """Reduced GF(2) Betti numbers of C(G), memoized across criteria."""
+    if name not in _BETTI:
+        _BETTI[name] = reduced_betti(order_complex(ws.coset_poset(name)), 2)
+    return _BETTI[name]
 
 
 def _report(criterion, ok, detail):
@@ -111,7 +89,7 @@ def test_criterion_1_reciprocity(ws):
             continue
         lat, mu = ws.lattice(entry.name)
         poly = hall_polynomial(lat, mu)
-        poset = ws.poset(entry.name)
+        poset = ws.coset_poset(entry.name)
         chi = poset_reduced_euler_characteristic(poset)
         hat = poset_moebius_hat(poset)
         value = evaluate(poly, -1)
@@ -124,16 +102,16 @@ def test_criterion_1_reciprocity(ws):
 
 
 def test_criterion_2_worked_values(ws):
-    s3_chi = poset_reduced_euler_characteristic(ws.poset("S3"))
-    s3_betti = ws.betti("S3")
+    s3_chi = poset_reduced_euler_characteristic(ws.coset_poset("S3"))
+    s3_betti = _betti(ws, "S3")
     lat3, mu3 = ws.lattice("S3")
     s3_p = evaluate(hall_polynomial(lat3, mu3), -1)
 
-    v4_chi = poset_reduced_euler_characteristic(ws.poset("C2xC2"))
-    v4_betti = ws.betti("C2xC2")
+    v4_chi = poset_reduced_euler_characteristic(ws.coset_poset("C2xC2"))
+    v4_betti = _betti(ws, "C2xC2")
 
-    z4_chi = poset_reduced_euler_characteristic(ws.poset("C4"))
-    z4_betti = ws.betti("C4")
+    z4_chi = poset_reduced_euler_characteristic(ws.coset_poset("C4"))
+    z4_betti = _betti(ws, "C4")
     Z4 = ws.group("C4")
     lat4, _ = ws.lattice("C4")
     Z2 = PermutationGroup(parse_permutation_list("(1,3)(2,4)", 4), 4)
@@ -158,7 +136,7 @@ def test_criterion_3_main_theorem_desk_scale(ws):
     for entry in ws.entries:
         if not 1 < entry.expected_order <= 60:
             continue
-        betti = ws.betti(entry.name)
+        betti = _betti(ws, entry.name)
         assert not betti.is_zero(), f"{entry.name}: C(G) is GF(2)-acyclic"
         G = ws.group(entry.name)
         lat, _ = ws.lattice(entry.name)
@@ -184,7 +162,7 @@ def test_criterion_4_brown_join_kunneth(ws):
         G = ws.group(name)
         lat, _ = ws.lattice(name)
         N = PermutationGroup(parse_permutation_list(normal_text, G.degree), G.degree)
-        whole = ws.betti(name)
+        whole = _betti(ws, name)
         rel = reduced_betti(order_complex(build_relative_poset(G, N, lat)), 2)
         Q = quotient_representation(G, N).group
         quot = reduced_betti(order_complex(build_coset_poset(Q, enumerate_subgroups(Q))), 2)
@@ -299,7 +277,7 @@ def test_criterion_10_universal_generation_instances(ws):
         P = PermutationGroup(
             [embed_in_power(g, b, t) for b in range(t)
              for g in sylow_subgroup(A5, 2).generators], 5 * t)
-        ok = ok and relative_fixed_cosets_by_criterion(N, N, P, Kd) == []
+        ok = ok and fixed_cosets(N, N, P, Kd) == []
 
     pairs = 0
     for entry in ws.entries:
@@ -319,7 +297,3 @@ def test_criterion_10_universal_generation_instances(ws):
     _report(10, ok and pairs >= 60,
             f"A5 diagonal instances true with empty fixed sets (t=1,2); "
             f"maximal-index equivalence on {pairs} prime pairs in {elapsed:.1f}s")
-
-
-def _is_prime(p):
-    return p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))

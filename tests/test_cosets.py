@@ -1,5 +1,9 @@
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cosetposets.catalog import load_catalog
 from cosetposets.cosets import (
     ActionGroup,
     ActionTriple,
@@ -7,13 +11,14 @@ from cosetposets.cosets import (
     action_fixed_points,
     build_coset_poset,
     build_relative_poset,
+    fixed_cosets,
     translation_action_group,
-    translation_fixed_points,
 )
 from cosetposets.groups import (
     PermutationGroup,
     alternating_group,
     cyclic_group,
+    is_normal_subgroup,
     symmetric_group,
 )
 from cosetposets.lattice import enumerate_subgroups
@@ -119,23 +124,27 @@ def test_relative_membership_is_conjugation_invariant():
             assert lat.subgroup_index[image] in qualifying
 
 
-def test_translation_fixed_points_z2():
+def _fixed_vertices(poset, fixed):
+    """Poset vertex ids of the (SubgroupRecord, r) pairs from fixed_cosets."""
+    lat = poset.lattice
+    return [poset.vertex_index[(lat.subgroup_index[rec.elements], r)] for rec, r in fixed]
+
+
+def test_fixed_cosets_z2():
     Z2 = cyclic_group(2)
-    poset = _poset(Z2)
     trivial = PermutationGroup([], degree=2)
-    assert translation_fixed_points(poset, Z2, trivial) == []
+    assert fixed_cosets(Z2, Z2, Z2, trivial) == []
 
 
-def test_translation_fixed_points_s3_c3():
+def test_fixed_cosets_s3_c3():
     S3 = symmetric_group(3)
-    poset = _poset(S3)
     C3 = _group("(1,2,3)", degree=3)
-    fixed = translation_fixed_points(poset, C3, C3)
+    fixed = fixed_cosets(S3, S3, C3, C3)
     assert len(fixed) == 2
-    assert all(poset.lattice.subgroups[poset.vertices[v][0]].order == 3 for v in fixed)
+    assert all(rec.order == 3 for rec, _ in fixed)
 
 
-def test_translation_fixed_points_agree_with_action_orbit():
+def test_fixed_cosets_agree_with_action_orbit():
     """Containment criterion vs the definitional translation action."""
     S4 = symmetric_group(4)
     poset = _poset(S4)
@@ -146,9 +155,32 @@ def test_translation_fixed_points_agree_with_action_orbit():
         (_group("(1,2,3,4)", degree=4), _group("(1,3)(2,4)", degree=4)),
     ]
     for P, K in picks:
-        by_criterion = translation_fixed_points(poset, P, K)
+        by_criterion = _fixed_vertices(poset, fixed_cosets(S4, S4, P, K))
         by_action = action_fixed_points(poset, translation_action_group(P, K))
         assert by_criterion == by_action
+
+
+_SMALL_ENTRIES = {e.name: e for e in load_catalog(verify=False) if e.expected_order <= 24}
+
+
+@lru_cache(maxsize=None)
+def _small_lattice(name):
+    G = _SMALL_ENTRIES[name].build()
+    lat = enumerate_subgroups(G)
+    normal = [i for i in range(len(lat)) if is_normal_subgroup(G, lat.subgroup_as_group(i))]
+    return G, lat, normal
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_fixed_cosets_match_action_fixed_points(data):
+    G, lat, normal = _small_lattice(data.draw(st.sampled_from(list(_SMALL_ENTRIES))))
+    P = lat.subgroup_as_group(data.draw(st.integers(0, len(lat) - 1)))
+    K = lat.subgroup_as_group(data.draw(st.integers(0, len(lat) - 1)))
+    N = lat.subgroup_as_group(data.draw(st.sampled_from(normal)))
+    poset = build_relative_poset(G, N, lat)
+    by_action = action_fixed_points(poset, translation_action_group(P, K))
+    assert _fixed_vertices(poset, fixed_cosets(G, N, P, K)) == by_action
 
 
 def test_action_fixed_points_identity_triple():

@@ -4,13 +4,19 @@ from cosetposets.generation import (
     check_alternating_claims,
     check_diagonal_universal,
     imprimitive_parity_identity,
-    relative_fixed_cosets_by_criterion,
     sylow2_fixed_point_free_element,
     univ_gen_via_maximal_indices,
     universally_p_generates,
 )
+from cosetposets.cosets import (
+    action_fixed_points,
+    build_relative_poset,
+    fixed_cosets,
+    translation_action_group,
+)
 from cosetposets.groups import (
     PermutationGroup,
+    _is_prime,
     alternating_group,
     cyclic_group,
     symmetric_group,
@@ -90,10 +96,6 @@ def test_remark_equivalence_sweep():
                 assert univ_gen_via_maximal_indices(G, r, p, lat) == direct
 
 
-def _is_prime(p):
-    return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 def test_alternating_claims_small():
     assert check_alternating_claims(5).verdict
     assert check_alternating_claims(6).verdict
@@ -167,25 +169,22 @@ def test_relative_fixed_cosets_empty_for_a5():
     A5 = alternating_group(5)
     K = _group("(1,2,3,4,5)", degree=5)
     P = sylow_subgroup(A5, 2)
-    assert relative_fixed_cosets_by_criterion(A5, A5, P, K) == []
+    assert fixed_cosets(A5, A5, P, K) == []
 
 
 def test_relative_fixed_cosets_nonempty_example():
-    # C3 x C3 on C(S3): the two cosets of A3 are fixed, so witnesses exist
+    # C3 x C3 on C(S3): exactly the two cosets of A3 are fixed
     S3 = symmetric_group(3)
     C3 = _group("(1,2,3)", degree=3)
-    witnesses = relative_fixed_cosets_by_criterion(S3, S3, C3, C3)
-    assert witnesses
-    assert all(w["subgroup_order"] == 3 for w in witnesses)
+    fixed = fixed_cosets(S3, S3, C3, C3)
+    assert len(fixed) == 2
+    assert all(rec.order == 3 for rec, _ in fixed)
 
 
 def test_universal_generation_forces_empty_fixed_sets_on_posets():
     """When K universally p-generates N and N is normal in G, the
     translation action of sylow(N, p) x K leaves no coset of C(G, N) fixed;
     checked on materialized posets."""
-    from cosetposets.cosets import build_relative_poset, translation_fixed_points
-    from cosetposets.lattice import enumerate_subgroups
-
     cases = [
         (symmetric_group(3), symmetric_group(3), _group("(1,2,3)", degree=3)),
         (alternating_group(5), alternating_group(5), _group("(1,2,3,4,5)", degree=5)),
@@ -198,5 +197,7 @@ def test_universal_generation_forces_empty_fixed_sets_on_posets():
         P = sylow_subgroup(N, 2)
         lat = enumerate_subgroups(G)
         rel = build_relative_poset(G, N, lat)
-        assert translation_fixed_points(rel, P, K) == []
-        assert relative_fixed_cosets_by_criterion(G, N, P, K) == []
+        by_action = action_fixed_points(rel, translation_action_group(P, K))
+        by_criterion = [rel.vertex_index[(lat.subgroup_index[rec.elements], r)]
+                        for rec, r in fixed_cosets(G, N, P, K)]
+        assert by_criterion == by_action == []

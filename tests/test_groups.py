@@ -2,10 +2,12 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetposets.groups import (
     BudgetExceededError,
     PermutationGroup,
+    _closure,
     alternating_group,
     cyclic_group,
     diagonal_embedding,
@@ -247,3 +249,13 @@ def test_element_budget_guard():
     big = symmetric_group(11)
     with pytest.raises(BudgetExceededError):
         big.element_bytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))))
+def test_generated_order_matches_closure(case):
+    """Schreier-Sims order against breadth-first closure."""
+    n, images = case
+    gens = [Permutation(p) for p in images]
+    assert generated_order(gens, n) == len(_closure([g._b for g in gens], n))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetposets.perm import (
     Permutation,
@@ -110,3 +111,18 @@ def test_all_cycles_of_length_counts():
     # 8! distinct 9-cycles on 9 points, anchored at the smallest point
     assert sum(1 for _ in all_cycles_of_length(range(1, 6), 5)) == 24
     assert sum(1 for _ in all_cycles_of_length(range(1, 5), 3)) == 8
+
+
+@st.composite
+def _permutation_lists(draw):
+    n = draw(st.integers(1, 8))
+    images = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    return n, [Permutation(p) for p in images]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_permutation_lists())
+def test_parse_permutation_list_round_trips_cycle_string(case):
+    n, perms = case
+    text = ",".join(cycle_string(p) for p in perms)
+    assert parse_permutation_list(text, n) == perms

@@ -125,3 +125,21 @@ def test_cli_compute_lattice(capsys):
 def test_cli_requires_group_or_gens():
     with pytest.raises(SystemExit):
         main(["compute", "zeta"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "zeta", "--group", "NOPE"],
+    ["compute", "zeta", "--gens", "(1,2"],
+    ["compute", "zeta", "--gens", "(1,2),(1,9)", "--degree", "3"],
+    ["verify", "--prime", "4"],
+    ["compute", "homology", "--group", "S3", "--prime", "4"],
+    ["compute", "poset", "--group", "S3", "--relative-to", "(1,2)"],
+    ["verify", "--catalog", "/nonexistent"],
+    ["compute", "lattice", "--group", "A7"],
+])
+def test_cli_input_error_is_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cosetposets: error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
