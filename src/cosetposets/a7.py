@@ -28,11 +28,15 @@ from .groups import (
     PermutationGroup,
     SubgroupRecord,
     alternating_group,
+    conjugacy_orbit_of_subgroup,
+    conjugate_indices,
+    cyclic_subgroups,
     diagonal_embedding,
     embed_in_power,
     generated_order,
     intermediate_subgroups,
     minimal_normal_subgroups,
+    subgroup_indices,
     symmetric_group,
     sylow_subgroup,
 )
@@ -53,11 +57,6 @@ class A7Environment:
         return PermutationGroup([self.seven_cycle], 7)
 
 
-def _conjugate_set(elems: frozenset[bytes], g: bytes) -> frozenset[bytes]:
-    gi = _inv_bytes(g)
-    return frozenset(_mul_bytes(_mul_bytes(gi, x), g) for x in elems)
-
-
 @lru_cache(maxsize=1)
 def build_environment() -> A7Environment:
     """Fixed Sylow 2- and 7-subgroups of A_7, both normalized by phi.
@@ -71,29 +70,24 @@ def build_environment() -> A7Environment:
     phi = OvergroupAutomorphism(group=A7, overgroup=S7, conjugator=x)
 
     P0 = sylow_subgroup(A7, 2)
-    p_set = frozenset(P0.element_bytes())
+    p_set = subgroup_indices(A7, P0)
     chosen_p = None
-    seen: set[frozenset[bytes]] = set()
+    seen: set[frozenset[int]] = set()
     for g in A7.element_bytes():
-        conj = _conjugate_set(p_set, g)
+        conj = conjugate_indices(A7, p_set, g)
         if conj in seen:
             continue
         seen.add(conj)
-        if _conjugate_set(conj, x._b) == conj:
-            gens = [Permutation._from_bytes(b) ** Permutation._from_bytes(g)
-                    for b in (gen._b for gen in P0.generators)]
-            chosen_p = PermutationGroup(gens, 7)
+        if conjugate_indices(A7, conj, x._b) == conj:
+            g_perm = Permutation._from_bytes(g)
+            chosen_p = PermutationGroup([gen ** g_perm for gen in P0.generators], 7)
             break
     assert chosen_p is not None, "no phi-invariant Sylow 2-subgroup found"
 
     chosen_h = None
-    for b in A7.element_bytes():
-        p = Permutation._from_bytes(b)
-        if p.cycle_type() != (7,):
-            continue
-        subgroup = frozenset((p ** k)._b for k in range(1, 8))
-        if _conjugate_set(subgroup, x._b) == subgroup:
-            chosen_h = p
+    for fs, gens in cyclic_subgroups(A7).items():
+        if len(fs) == 7 and conjugate_indices(A7, fs, x._b) == fs:
+            chosen_h = Permutation._from_bytes(A7.element_bytes()[gens[0]])
             break
     assert chosen_h is not None, "no phi-invariant Sylow 7-subgroup found"
 
@@ -128,44 +122,16 @@ def pgl_overgroups(env: A7Environment) -> list[SubgroupRecord]:
     return out
 
 
-def conjugacy_orbit_of_subgroup(G: PermutationGroup,
-                                members: frozenset[int]) -> set[frozenset[int]]:
-    """Orbit of a subgroup (as element indices) under conjugation by G."""
-    elems = G.element_bytes()
-    index = {b: i for i, b in enumerate(elems)}
-    gens = [g._b for g in G.generators]
-    orbit = {members}
-    stack = [members]
-    while stack:
-        fs = stack.pop()
-        for g in gens:
-            gi = _inv_bytes(g)
-            image = frozenset(index[_mul_bytes(_mul_bytes(gi, elems[i]), g)] for i in fs)
-            if image not in orbit:
-                orbit.add(image)
-                stack.append(image)
-    return orbit
-
-
-def subgroup_image_under(env: A7Environment, members: frozenset[int],
-                         conjugator: Permutation) -> frozenset[int]:
-    elems = env.A7.element_bytes()
-    index = {b: i for i, b in enumerate(elems)}
-    c = conjugator._b
-    ci = _inv_bytes(c)
-    return frozenset(index[_mul_bytes(_mul_bytes(ci, elems[i]), c)] for i in members)
-
-
 def check_phi_properties(env: A7Environment) -> dict:
     """Facts about phi and the two special subgroup classes, verified directly."""
-    x = env.phi.conjugator
-    p_set = frozenset(env.P.element_bytes())
-    k_set = frozenset((env.seven_cycle ** k)._b for k in range(1, 8))
+    x = env.phi.conjugator._b
+    p_set = subgroup_indices(env.A7, env.P)
+    k_set = subgroup_indices(env.A7, env.K)
     pgls = pgl_overgroups(env)
     report = {
         "phi_squares_to_identity": env.phi.squares_to_identity(),
-        "phi_normalizes_P": _conjugate_set(p_set, x._b) == p_set,
-        "phi_normalizes_seven_cycle_subgroup": _conjugate_set(k_set, x._b) == k_set,
+        "phi_normalizes_P": conjugate_indices(env.A7, p_set, x) == p_set,
+        "phi_normalizes_seven_cycle_subgroup": conjugate_indices(env.A7, k_set, x) == k_set,
         "pgl_count": len(pgls),
         "pgl_orders": sorted(rec.order for rec in pgls),
         "pgl_indices": sorted(env.A7.order // rec.order for rec in pgls),
@@ -176,14 +142,13 @@ def check_phi_properties(env: A7Environment) -> dict:
         orbit2 = conjugacy_orbit_of_subgroup(env.A7, second)
         report["classes_disjoint"] = second not in orbit1
         report["class_sizes"] = (len(orbit1), len(orbit2))
-        image1 = {subgroup_image_under(env, fs, x) for fs in orbit1}
+        image1 = {conjugate_indices(env.A7, fs, x) for fs in orbit1}
         report["phi_swaps_classes"] = (image1 == orbit2)
     return report
 
 
 def check_pgl_strong_generation(env: A7Environment, rec: SubgroupRecord) -> bool:
     """<P^r : r in R> = K for a Sylow 2-subgroup P and Sylow 7-subgroup R of K."""
-    elems = env.A7.element_bytes()
     K = PermutationGroup([Permutation._from_bytes(b) for b in rec.gens], 7)
     assert K.order == rec.order
     P_K = sylow_subgroup(K, 2)
@@ -210,14 +175,14 @@ def check_rho_on_power(t: int) -> dict:
     env = build_environment()
     report: dict = {"t": t}
     sevens = _seven_cycle_indices(env.A7)
-    h_index = env.A7.element_bytes().index(env.seven_cycle._b)
+    h_index = env.A7.element_index()[env.seven_cycle._b]
     assert h_index in sevens
     x = env.phi.conjugator
     invariant_overgroups = []
     for rec in overgroups_of_sylow2(env):
         if h_index not in rec.elements:
             continue
-        if subgroup_image_under(env, rec.elements, x) == rec.elements:
+        if conjugate_indices(env.A7, rec.elements, x._b) == rec.elements:
             invariant_overgroups.append(rec.order)
     report["invariant_overgroups_with_seven_cycle"] = sorted(invariant_overgroups)
     report["factor_property_3"] = invariant_overgroups == [env.A7.order]
@@ -302,7 +267,7 @@ def smith_fixed_point_check(spec: SmithActionSpec) -> dict:
     theta fixes a translation-fixed coset Hr iff H^theta = H and
     r^theta r^-1 lies in H.
     """
-    elems = spec.G.element_bytes()
+    elems, index = spec.G.element_bytes(), spec.G.element_index()
     theta = spec.theta.conjugator
     translation_fixed = []
     fully_fixed = []
@@ -310,9 +275,9 @@ def smith_fixed_point_check(spec: SmithActionSpec) -> dict:
         x = Permutation._from_bytes(elems[r])
         vertex = (rec.order, cycle_string(x))
         translation_fixed.append(vertex)
-        h_set = frozenset(elems[i] for i in rec.elements)
-        if (_conjugate_set(h_set, theta._b) == h_set
-                and ((x ** theta) * x.inverse())._b in h_set):
+        h_set = rec.elements
+        if (conjugate_indices(spec.G, h_set, theta._b) == h_set
+                and index[((x ** theta) * x.inverse())._b] in h_set):
             fully_fixed.append(vertex)
     return {
         "translation_fixed": sorted(translation_fixed),

@@ -54,6 +54,12 @@ def parse_catalog(text: str) -> list[GroupCatalogEntry]:
             expected = int(order_s)
         except ValueError:
             raise CatalogError(f"line {lineno}: degree and order must be integers") from None
+        if not name:
+            raise CatalogError(f"line {lineno}: empty name")
+        if not 1 <= degree <= 255:
+            raise CatalogError(f"line {lineno}: degree {degree} outside 1..255")
+        if expected < 1:
+            raise CatalogError(f"line {lineno}: expected order {expected} below 1")
         if name in names:
             raise CatalogError(f"line {lineno}: duplicate name {name!r}")
         names.add(name)

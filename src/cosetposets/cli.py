@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import catalog_group, load_catalog
+from .catalog import catalog_group
 from .complexes import order_complex, poset_f_vector, reduced_betti
 from .cosets import build_coset_poset, build_relative_poset
 from .groups import BudgetExceededError, PermutationGroup
@@ -28,7 +28,7 @@ def _resolve_group(args) -> PermutationGroup:
     if args.gens:
         gens = parse_permutation_list(args.gens, args.degree)
         return PermutationGroup(gens, args.degree or gens[0].degree)
-    raise SystemExit("specify --group NAME or --gens CYCLES [--degree N]")
+    raise ValueError("specify --group NAME or --gens CYCLES [--degree N]")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,6 +14,7 @@ from .groups import (
     SubgroupRecord,
     intermediate_subgroups,
     is_normal_subgroup,
+    subgroup_indices,
 )
 from .lattice import SubgroupLattice
 from .perm import Permutation, _inv_bytes, _mul_bytes, cycle_string
@@ -134,19 +135,13 @@ def build_coset_poset(G: PermutationGroup, lat: SubgroupLattice) -> CosetPoset:
     return CosetPoset(lat, proper)
 
 
-def _normal_in_parent(lat: SubgroupLattice, ni: int) -> bool:
-    fs = lat.subgroups[ni].elements
-    gen_ids = [lat.index[g._b] for g in lat.group.generators]
-    return all(lat.conj_element(x, g) in fs for g in gen_ids for x in fs)
-
-
 def build_relative_poset(G: PermutationGroup, N: PermutationGroup,
                          lat: SubgroupLattice) -> CosetPoset:
     """C(G, N): cosets Hx of proper subgroups with HN = G, for N normal in G."""
     if lat.group is not G and not (lat.group == G):
         raise ValueError("lattice does not belong to the given group")
     ni = lat.find(N)
-    if not _normal_in_parent(lat, ni):
+    if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
     n_fs = lat.subgroups[ni].elements
     total = len(lat.elements)
@@ -173,9 +168,8 @@ def fixed_cosets(G: PermutationGroup, N: PermutationGroup, P: PermutationGroup,
         raise ValueError("N is not normal in G")
     if not K.is_subgroup_of(G):
         raise ValueError("K is not a subgroup of G")
-    elems = G.element_bytes()
-    index = {b: i for i, b in enumerate(elems)}
-    n_set = frozenset(index[b] for b in N.element_bytes())
+    elems, index = G.element_bytes(), G.element_index()
+    n_set = subgroup_indices(G, N)
     k_gens = [g._b for g in K.generators]
     out = []
     for rec in intermediate_subgroups(G, P):

@@ -19,9 +19,11 @@ from .groups import (
     PermutationGroup,
     _generated_order,
     alternating_group,
+    conjugate_indices,
     direct_power,
     diagonal_embedding,
     embed_in_power,
+    subgroup_indices,
     sylow_subgroup,
 )
 from .lattice import SubgroupLattice, maximal_subgroups
@@ -40,25 +42,31 @@ class GenerationReport:
         return self.witnesses[0] if self.witnesses else None
 
 
-def _distinct_conjugates(G: PermutationGroup, K: PermutationGroup,
-                         max_witnesses: int = 4):
-    """(conjugate generator tuples, conjugator) for each distinct K^g, g in G."""
+def _conjugate_sweep(report: GenerationReport, G: PermutationGroup, K: PermutationGroup,
+                     p_gens: list[bytes]) -> None:
+    """Test <K^g, P> = G once for each distinct conjugate K^g, g in G, with P
+    given by its generators; the first four failures become witnesses."""
     if G.order > ENUMERATION_BOUND:
         raise BudgetExceededError(
             f"conjugate sweep needs element enumeration; |G| = {G.order}")
-    k_elems = K.element_bytes()
-    k_gens = [g._b for g in K.generators]
-    seen: set[frozenset[bytes]] = set()
-    out = []
+    k_set = subgroup_indices(G, K)
+    seen: set[frozenset[int]] = set()
     for g in G.element_bytes():
-        gi = _inv_bytes(g)
-        conj_set = frozenset(_mul_bytes(_mul_bytes(gi, x), g) for x in k_elems)
+        conj_set = conjugate_indices(G, k_set, g)
         if conj_set in seen:
             continue
         seen.add(conj_set)
-        conj_gens = tuple(_mul_bytes(_mul_bytes(gi, x), g) for x in k_gens)
-        out.append((conj_gens, g))
-    return out
+        gi = _inv_bytes(g)
+        conj_gens = [_mul_bytes(_mul_bytes(gi, x), g) for x in K._gens_bytes()]
+        report.tests += 1
+        got = _generated_order(conj_gens + p_gens, G.degree, stop_at=G.order)
+        if got != G.order:
+            report.verdict = False
+            if len(report.witnesses) < 4:
+                report.witnesses.append({
+                    "conjugator": cycle_string(Permutation._from_bytes(g)),
+                    "generated_order": got,
+                })
 
 
 def universally_p_generates(G: PermutationGroup, K: PermutationGroup,
@@ -77,16 +85,7 @@ def universally_p_generates(G: PermutationGroup, K: PermutationGroup,
     report = GenerationReport(
         subject=f"universal {p}-generation of order-{G.order} group by order-{K.order} subgroup",
         verdict=True)
-    for conj_gens, g in _distinct_conjugates(G, K):
-        report.tests += 1
-        got = _generated_order(list(conj_gens) + p_gens, G.degree, stop_at=G.order)
-        if got != G.order:
-            report.verdict = False
-            if len(report.witnesses) < 4:
-                report.witnesses.append({
-                    "conjugator": cycle_string(Permutation._from_bytes(g)),
-                    "generated_order": got,
-                })
+    _conjugate_sweep(report, G, K, p_gens)
     report.millis = (time.perf_counter() - start) * 1000
     return report
 
@@ -156,16 +155,7 @@ def check_diagonal_universal(L: PermutationGroup, K: PermutationGroup,
                f"the direct power of order {N.order}")
     report = GenerationReport(subject=subject, verdict=True)
     if N.order <= ENUMERATION_BOUND:
-        for conj_gens, g in _distinct_conjugates(N, Kd):
-            report.tests += 1
-            got = _generated_order(list(conj_gens) + p_gens, N.degree, stop_at=N.order)
-            if got != N.order:
-                report.verdict = False
-                if len(report.witnesses) < 4:
-                    report.witnesses.append({
-                        "conjugator": cycle_string(Permutation._from_bytes(g)),
-                        "generated_order": got,
-                    })
+        _conjugate_sweep(report, N, Kd, p_gens)
         report.millis = (time.perf_counter() - start) * 1000
         return report
     kd_gens = [g._b for g in Kd.generators]

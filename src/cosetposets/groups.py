@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Sequence
 
-from .perm import Permutation, _ID256, _inv_bytes, _mul_bytes
+from .perm import Permutation, _ID256, _check_degree, _inv_bytes, _mul_bytes
 
 ENUMERATION_BOUND = 10**6
 
@@ -138,37 +138,37 @@ def _generated_order(raw_gens: Iterable[bytes], degree: int,
     return _chain_order(_build_chain(raw_gens, degree, stop_at=stop_at))
 
 
-def _closure(raw_gens: Sequence[bytes], degree: int,
-             abort_above: int | None = None) -> set[bytes] | None:
-    """Element set of the generated subgroup by breadth-first products.
+def _transversal_products(levels: list[_Level], degree: int) -> list[bytes]:
+    """Every element of the chain's group, once each, as a product of
+    transversal elements (unsorted)."""
+    elems = [_ID256[:degree]]
+    for lv in reversed(levels):
+        transversal = [lv.orbit[p] for p in sorted(lv.orbit)]
+        elems = [_mul_bytes(e, u) for e in elems for u in transversal]
+    return elems
 
-    Returns None if the closure exceeds ``abort_above`` elements.
+
+def _closure(raw_gens: Sequence[bytes], degree: int,
+             abort_above: int | None = None) -> list[bytes] | None:
+    """Elements of the generated subgroup, read off its stabilizer chain.
+
+    Returns None if the subgroup has more than ``abort_above`` elements.
     """
-    ident = _ID256[:degree]
-    out = {ident}
-    queue = [ident]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for g in raw_gens:
-            y = _mul_bytes(x, g)
-            if y not in out:
-                if abort_above is not None and len(out) >= abort_above:
-                    return None
-                out.add(y)
-                queue.append(y)
-    return out
+    levels = _build_chain(raw_gens, degree)
+    if abort_above is not None and _chain_order(levels) > abort_above:
+        return None
+    return _transversal_products(levels, degree)
 
 
 class PermutationGroup:
     """A finite permutation group defined by generators.
 
     Immutable after construction; the stabilizer chain gives exact order
-    and membership.
+    and membership. The sorted element table and its index are built on
+    first use and shared by every caller from then on.
     """
 
-    __slots__ = ("_degree", "_gens", "_levels", "_order")
+    __slots__ = ("_degree", "_gens", "_levels", "_order", "_elements", "_index")
 
     def __init__(self, generators: Sequence[Permutation], degree: int | None = None):
         gens = list(generators)
@@ -176,12 +176,15 @@ class PermutationGroup:
             if not gens:
                 raise ValueError("degree is required for an empty generator list")
             degree = gens[0].degree
+        _check_degree(degree)
         if any(g.degree != degree for g in gens):
             raise ValueError("degree mismatch among generators")
         self._degree = degree
         self._gens = tuple(gens)
         self._levels = _build_chain([g._b for g in gens], degree)
         self._order = _chain_order(self._levels)
+        self._elements: tuple[bytes, ...] | None = None
+        self._index: dict[bytes, int] | None = None
 
     @property
     def degree(self) -> int:
@@ -242,17 +245,26 @@ class PermutationGroup:
     def _gens_bytes(self) -> list[bytes]:
         return [g._b for g in self._gens]
 
-    def element_bytes(self) -> list[bytes]:
-        """All elements as image tables, sorted; the canonical enumeration."""
-        if self._order > ENUMERATION_BOUND:
-            raise BudgetExceededError(
-                f"group of order {self._order} exceeds the enumeration bound {ENUMERATION_BOUND}")
-        elems = [_ID256[: self._degree]]
-        for lv in reversed(self._levels):
-            transversal = [lv.orbit[p] for p in sorted(lv.orbit)]
-            elems = [_mul_bytes(e, u) for e in elems for u in transversal]
-        elems.sort()
-        return elems
+    def element_bytes(self) -> tuple[bytes, ...]:
+        """All elements as image tables, sorted; the canonical enumeration.
+
+        Computed once; the identity sorts first, at index 0.
+        """
+        if self._elements is None:
+            if self._order > ENUMERATION_BOUND:
+                raise BudgetExceededError(
+                    f"group of order {self._order} exceeds the enumeration bound "
+                    f"{ENUMERATION_BOUND}")
+            elems = _transversal_products(self._levels, self._degree)
+            elems.sort()
+            self._elements = tuple(elems)
+        return self._elements
+
+    def element_index(self) -> dict[bytes, int]:
+        """Position of each element in ``element_bytes()``; built once, read-only."""
+        if self._index is None:
+            self._index = {b: i for i, b in enumerate(self.element_bytes())}
+        return self._index
 
     def elements(self) -> list[Permutation]:
         return [Permutation._from_bytes(b) for b in self.element_bytes()]
@@ -430,35 +442,28 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
         if q._b not in seen:
             seen.add(q._b)
             p_elems.append(q._b)
-    current_gens = [p_elems[0]]
-    current_set = _closure(current_gens, n)
-    while len(current_set) < pe:
+    current = PermutationGroup([Permutation._from_bytes(p_elems[0])], n)
+    while current.order < pe:
         for cand in p_elems:
-            if cand in current_set:
+            if current._contains_bytes(cand):
                 continue
             ci = _inv_bytes(cand)
-            if all(_mul_bytes(_mul_bytes(ci, g), cand) in current_set for g in current_gens):
-                current_gens.append(cand)
-                current_set = _closure(current_gens, n)
+            if all(current._contains_bytes(_mul_bytes(_mul_bytes(ci, g), cand))
+                   for g in current._gens_bytes()):
+                current = PermutationGroup([*current.generators,
+                                            Permutation._from_bytes(cand)], n)
                 break
         else:  # pragma: no cover - impossible by Sylow theory
             raise RuntimeError("failed to extend p-subgroup")
-    return PermutationGroup([Permutation._from_bytes(g) for g in current_gens], n)
+    return current
 
 
 def direct_power(L: PermutationGroup, t: int) -> PermutationGroup:
     """The direct product of t disjoint copies of L, on t * degree points."""
     if t < 1:
         raise ValueError("t must be positive")
-    n = L.degree
-    gens = []
-    for block in range(t):
-        for g in L.generators:
-            images = list(range(n * t))
-            for i, x in enumerate(g._b):
-                images[block * n + i] = block * n + x
-            gens.append(Permutation(images))
-    G = PermutationGroup(gens, n * t)
+    G = PermutationGroup([embed_in_power(g, block, t)
+                          for block in range(t) for g in L.generators], L.degree * t)
     assert G.order == L.order ** t
     return G
 
@@ -567,26 +572,12 @@ def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
     if G.order > ENUMERATION_BOUND:
         raise BudgetExceededError(
             f"minimal_normal_subgroups needs element enumeration; order {G.order} exceeds bound")
-    ident = _ID256[: G.degree]
-    cyclic_reps: list[bytes] = []
-    seen_cyclic: set[frozenset[bytes]] = set()
-    for b in G.element_bytes():
-        if b == ident:
-            continue
-        powers = {b}
-        x = b
-        while True:
-            x = _mul_bytes(x, b)
-            if x == ident:
-                break
-            powers.add(x)
-        key = frozenset(powers)
-        if key not in seen_cyclic:
-            seen_cyclic.add(key)
-            cyclic_reps.append(b)
+    elems = G.element_bytes()
     closures: dict[frozenset[bytes], PermutationGroup] = {}
-    for b in cyclic_reps:
-        cl = normal_closure(G, [Permutation._from_bytes(b)])
+    for generators in cyclic_subgroups(G).values():
+        if generators[0] == 0:  # the trivial subgroup
+            continue
+        cl = normal_closure(G, [Permutation._from_bytes(elems[generators[0]])])
         key = frozenset(cl.element_bytes())
         closures.setdefault(key, cl)
     keys = list(closures)
@@ -594,6 +585,57 @@ def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
                if not any(other < k for other in keys if other != k)]
     minimal.sort(key=lambda k: (len(k), sorted(k)))
     return [closures[k] for k in minimal]
+
+
+def cyclic_subgroups(G: PermutationGroup) -> dict[frozenset[int], list[int]]:
+    """Every cyclic subgroup <g> of G, the trivial one included, as element
+    indices, mapped to the indices of its generators in increasing order.
+
+    Keys come in order of their least generator.
+    """
+    elems = G.element_bytes()
+    index = G.element_index()
+    out: dict[frozenset[int], list[int]] = {}
+    for i, b in enumerate(elems):
+        members = {0, i}
+        x = _mul_bytes(b, b)
+        while x != elems[0]:
+            members.add(index[x])
+            x = _mul_bytes(x, b)
+        out.setdefault(frozenset(members), []).append(i)
+    return out
+
+
+def subgroup_indices(G: PermutationGroup, H: PermutationGroup) -> frozenset[int]:
+    """The elements of a subgroup H of G as indices into G's element table.
+
+    Raises KeyError if H is not inside G.
+    """
+    index = G.element_index()
+    return frozenset(index[b] for b in H.element_bytes())
+
+
+def conjugate_indices(G: PermutationGroup, members: Iterable[int], g: bytes) -> frozenset[int]:
+    """{x^g = g^-1 x g : x in members} for index sets into G's element
+    table, with g in G or normalizing G."""
+    elems, index = G.element_bytes(), G.element_index()
+    gi = _inv_bytes(g)
+    return frozenset(index[_mul_bytes(_mul_bytes(gi, elems[i]), g)] for i in members)
+
+
+def conjugacy_orbit_of_subgroup(G: PermutationGroup,
+                                members: frozenset[int]) -> set[frozenset[int]]:
+    """Orbit of a subgroup (as element indices) under conjugation by G."""
+    orbit = {members}
+    stack = [members]
+    while stack:
+        fs = stack.pop()
+        for g in G._gens_bytes():
+            image = conjugate_indices(G, fs, g)
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -617,7 +659,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
         raise BudgetExceededError(
             f"intermediate_subgroups needs element enumeration; order {G.order} exceeds bound")
     elems = G.element_bytes()
-    index = {b: i for i, b in enumerate(elems)}
+    index = G.element_index()
     n_g = len(elems)
 
     def record_from(gens: Sequence[bytes]) -> SubgroupRecord:

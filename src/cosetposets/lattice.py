@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import BudgetExceededError, PermutationGroup
+from .groups import BudgetExceededError, PermutationGroup, cyclic_subgroups, subgroup_indices
 from .perm import Permutation, _inv_bytes, _mul_bytes
 
 LATTICE_ORDER_BOUND = 1000
@@ -32,8 +32,8 @@ class SubgroupLattice:
             raise BudgetExceededError(
                 f"subgroup lattice needs |G| <= {bound}, got {group.order}")
         self.group = group
-        self.elements: list[bytes] = group.element_bytes()
-        self.index: dict[bytes, int] = {b: i for i, b in enumerate(self.elements)}
+        self.elements: tuple[bytes, ...] = group.element_bytes()
+        self.index: dict[bytes, int] = group.element_index()
         n = len(self.elements)
         assert self.elements[0] == bytes(range(group.degree)), "identity must sort first"
         self.mul: list[list[int]] = [
@@ -49,17 +49,6 @@ class SubgroupLattice:
         self.below, self.above = self._inclusion()
 
     # -- construction -----------------------------------------------------
-
-    def _cyclic_subgroups(self) -> dict[frozenset[int], int]:
-        out: dict[frozenset[int], int] = {}
-        for i in range(1, len(self.elements)):
-            members = {0, i}
-            j = self.mul[i][i]
-            while j != 0:
-                members.add(j)
-                j = self.mul[j][i]
-            out.setdefault(frozenset(members), i)
-        return out
 
     def _span(self, gens: tuple[int, ...]) -> frozenset[int]:
         seen = {0}
@@ -78,11 +67,11 @@ class SubgroupLattice:
     def _enumerate(self) -> list[SubgroupEntry]:
         records: list[tuple[frozenset[int], tuple[int, ...]]] = [(frozenset({0}), ())]
         by_fs: set[frozenset[int]] = {records[0][0]}
-        for fs, gen in sorted(self._cyclic_subgroups().items(),
-                              key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+        for fs, gens in sorted(cyclic_subgroups(self.group).items(),
+                               key=lambda kv: (len(kv[0]), sorted(kv[0]))):
             if fs not in by_fs:
                 by_fs.add(fs)
-                records.append((fs, (gen,)))
+                records.append((fs, (gens[0],)))
         qi = 1  # trivial subgroup joins to nothing new
         while qi < len(records):
             fa, ga = records[qi]
@@ -129,7 +118,7 @@ class SubgroupLattice:
         if H.degree != self.group.degree:
             raise ValueError("degree mismatch")
         try:
-            fs = frozenset(self.index[b] for b in H.element_bytes())
+            fs = subgroup_indices(self.group, H)
         except KeyError:
             raise ValueError("H is not a subgroup of the lattice's group") from None
         return self.subgroup_index[fs]

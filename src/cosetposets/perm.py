@@ -16,6 +16,12 @@ _ID256 = bytes(range(256))
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\)")
 
 
+def _check_degree(degree: int) -> None:
+    # image tables are bytes, so points stop at 255; check before allocating
+    if degree > 255:
+        raise ValueError(f"degree {degree} exceeds the maximum 255")
+
+
 def _mul_bytes(p: bytes, q: bytes) -> bytes:
     # apply p, then q; q padded to the 256-entry table translate() expects
     return p.translate(q + _ID256[len(q):])
@@ -54,6 +60,7 @@ class Permutation:
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
         """Build from disjoint 1-based cycles, e.g. [(1, 2, 3), (4, 5)]."""
+        _check_degree(degree)
         cycle_list = [tuple(c) for c in cycles]
         seen = [False] * degree
         for cycle in cycle_list:
@@ -193,6 +200,8 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
             cycles.append(tuple(int(t) for t in body.split(",")))
         pos = m.end()
     maxpt = max((max(c) for c in cycles), default=1)
+    if maxpt > 255:
+        raise ValueError(f"point {maxpt} exceeds the maximum degree 255 in {text!r}")
     if degree is None:
         degree = maxpt
     elif maxpt > degree:
@@ -236,6 +245,7 @@ def extend_degree(p: Permutation, degree: int) -> Permutation:
     """Reinterpret p on a larger point set, fixing the new points."""
     if degree < p.degree:
         raise ValueError(f"cannot shrink degree {p.degree} to {degree}")
+    _check_degree(degree)
     if degree == p.degree:
         return p
     return Permutation._from_bytes(p._b + _ID256[p.degree: degree])

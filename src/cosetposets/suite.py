@@ -34,6 +34,9 @@ from .groups import (
     PermutationGroup,
     _is_prime,
     alternating_group,
+    diagonal_embedding,
+    direct_power,
+    embed_in_power,
     minimal_normal_subgroups,
     quotient_representation,
     sylow_subgroup,
@@ -386,7 +389,6 @@ def _identities_records(ws: _Workspace, config: SuiteConfig) -> list[dict]:
             report = check_diagonal_universal(A5, K, 2, t)
             values[f"t={t}"] = report.verdict
             ok = ok and report.verdict
-            from .groups import diagonal_embedding, direct_power, embed_in_power
             N = direct_power(A5, t)
             Kd = diagonal_embedding(K, t)
             P = PermutationGroup(

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .groups import BudgetExceededError, PermutationGroup, _generated_order
+from .complexes import _as_poset
+from .groups import BudgetExceededError, PermutationGroup, _generated_order, cyclic_subgroups
 from .lattice import MoebiusTable, SubgroupLattice
-from .perm import _mul_bytes, _ID256
 
 TUPLE_BUDGET = 10**7
 
@@ -76,32 +76,19 @@ def brute_force_generation_probability(G: PermutationGroup, k: int,
             f"|G|^k = {G.order**k} exceeds the tuple budget {budget}")
     elems = G.element_bytes()
     n = len(elems)
-    degree = G.degree
-    ident = _ID256[:degree]
-    cyc_ids: list[int] = []
-    cyc_rep: list[bytes] = []
-    cyc_key: dict[frozenset[bytes], int] = {}
-    for b in elems:
-        powers = {b}
-        x = b
-        while x != ident:
-            x = _mul_bytes(x, b)
-            powers.add(x)
-        key = frozenset(powers)
-        cid = cyc_key.get(key)
-        if cid is None:
-            cid = len(cyc_key)
-            cyc_key[key] = cid
-            cyc_rep.append(b)
-        cyc_ids.append(cid)
+    # each element stands for the least generator of its cyclic subgroup
+    cyc_rep = [0] * n
+    for generators in cyclic_subgroups(G).values():
+        for i in generators:
+            cyc_rep[i] = generators[0]
     memo: dict[frozenset[int], bool] = {}
     count = 0
     for tup in product(range(n), repeat=k):
-        key = frozenset(cyc_ids[i] for i in tup)
+        key = frozenset(cyc_rep[i] for i in tup)
         hit = memo.get(key)
         if hit is None:
-            gens = [cyc_rep[c] for c in key]
-            hit = _generated_order(gens, degree, stop_at=G.order) == G.order
+            gens = [elems[c] for c in key]
+            hit = _generated_order(gens, G.degree, stop_at=G.order) == G.order
             memo[key] = hit
         if hit:
             count += 1
@@ -110,5 +97,4 @@ def brute_force_generation_probability(G: PermutationGroup, k: int,
 
 def poset_moebius_hat(poset) -> int:
     """mu(0-hat, 1-hat) of the poset extended by a minimum and a maximum."""
-    p = poset.poset if hasattr(poset, "poset") else poset
-    return p.moebius_bottom_to_top()
+    return _as_poset(poset).moebius_bottom_to_top()

@@ -7,7 +7,6 @@ from cosetposets.a7 import (
     check_pgl_strong_generation,
     check_phi_properties,
     check_rho_on_power,
-    conjugacy_orbit_of_subgroup,
     overgroups_of_sylow2,
     pgl_overgroups,
     smith_fixed_point_check,
@@ -15,6 +14,7 @@ from cosetposets.a7 import (
 from cosetposets.groups import (
     PermutationGroup,
     alternating_group,
+    conjugacy_orbit_of_subgroup,
     cyclic_group,
     generated_order,
     sylow_subgroup,

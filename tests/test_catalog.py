@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetposets.catalog import (
     CatalogError,
@@ -34,6 +35,54 @@ def test_order_mismatch_names_entry():
     entries = parse_catalog("C2;2;(1,2);3")
     with pytest.raises(CatalogError, match="C2"):
         entries[0].build()
+
+
+@pytest.mark.parametrize("line, message", [
+    (";3;(1,2);2", "line 1: empty name"),
+    ("X;300;(1,2);2", "line 1: degree 300 outside 1..255"),
+    ("X;0;;1", "line 1: degree 0 outside 1..255"),
+    ("X;3;(1,2);0", "line 1: expected order 0 below 1"),
+    ("X;3;(1,2);-2", "line 1: expected order -2 below 1"),
+    ("X;3;(1,1000000);2", "line 1: point 1000000 exceeds"),
+])
+def test_invalid_fields_report_line_number(line, message):
+    with pytest.raises(CatalogError, match=message.replace("(", r"\(")):
+        parse_catalog(line)
+
+
+_FIELD_CHARS = "0123456789-+ ,()#;abcXS\t"
+
+
+@st.composite
+def _catalog_lines(draw):
+    """Lines that are mostly well formed, with any one field garbled."""
+    def field(well_formed):
+        garbled = draw(st.integers(0, 5)) == 0
+        return draw(st.text(_FIELD_CHARS, max_size=12) if garbled else well_formed)
+
+    def numbers(usual, low, high):
+        return st.one_of(st.integers(1, usual), st.integers(low, high)).map(str)
+
+    cycles = st.lists(st.lists(numbers(8, -1, 10**6), min_size=1, max_size=4),
+                      max_size=3).map(lambda cs: "".join(f"({','.join(c)})" for c in cs))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(_FIELD_CHARS, max_size=40))
+    return ";".join([field(st.sampled_from(["S3", "", " ", "C2", "#x"])),
+                     field(numbers(8, -3, 300)),
+                     field(st.lists(cycles, max_size=3).map(",".join)),
+                     field(numbers(30, -3, 30))])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_catalog_lines())
+def test_fuzzed_line_parses_or_names_line_one(line):
+    try:
+        entries = parse_catalog(line)
+    except CatalogError as exc:
+        assert str(exc).startswith("line 1:")
+        return
+    for entry in entries:
+        assert entry.name and 1 <= entry.degree <= 255 and entry.expected_order >= 1
 
 
 def test_duplicate_names_rejected():

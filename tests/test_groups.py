@@ -10,6 +10,7 @@ from cosetposets.groups import (
     _closure,
     alternating_group,
     cyclic_group,
+    cyclic_subgroups,
     diagonal_embedding,
     direct_power,
     embed_in_power,
@@ -22,7 +23,8 @@ from cosetposets.groups import (
     symmetric_group,
     sylow_subgroup,
 )
-from cosetposets.perm import Permutation, parse_permutation
+from cosetposets.catalog import load_catalog
+from cosetposets.perm import Permutation, _ID256, _mul_bytes, parse_permutation
 
 
 def perms(*texts, degree):
@@ -255,7 +257,58 @@ def test_element_budget_guard():
 @given(st.integers(1, 6).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))))
 def test_generated_order_matches_closure(case):
-    """Schreier-Sims order against breadth-first closure."""
+    """Schreier-Sims order and chain-built closure against breadth-first products."""
     n, images = case
-    gens = [Permutation(p) for p in images]
-    assert generated_order(gens, n) == len(_closure([g._b for g in gens], n))
+    perms = [Permutation(p) for p in images]
+    gens = [g._b for g in perms]
+    expected = _bfs_closure(gens, n)
+    assert generated_order(perms, n) == len(expected)
+    assert set(_closure(gens, n)) == expected
+
+
+def _bfs_closure(gens, degree):
+    """Oracle: the generated subgroup by breadth-first right multiplication."""
+    out = {_ID256[:degree]}
+    queue = list(out)
+    for x in queue:
+        for g in gens:
+            y = _mul_bytes(x, g)
+            if y not in out:
+                out.add(y)
+                queue.append(y)
+    return out
+
+
+def test_closure_aborts_above_bound():
+    gens = [g._b for g in symmetric_group(4).generators]
+    assert _closure(gens, 4, abort_above=23) is None
+    assert len(_closure(gens, 4, abort_above=24)) == 24
+
+
+def test_element_table_is_built_once():
+    G = symmetric_group(4)
+    elems = G.element_bytes()
+    assert isinstance(elems, tuple) and G.element_bytes() is elems
+    assert list(elems) == sorted(elems) and elems[0] == _ID256[:4]
+    index = G.element_index()
+    assert G.element_index() is index
+    assert all(index[b] == i for i, b in enumerate(elems))
+
+
+def test_cyclic_subgroups_match_power_loop():
+    for entry in load_catalog(verify=False):
+        if entry.expected_order > 60:
+            continue
+        G = entry.build()
+        elems = G.element_bytes()
+        ident = elems[0]
+        by_subgroup = {}
+        for i, b in enumerate(elems):
+            powers, x = {ident}, b
+            while x != ident:
+                powers.add(x)
+                x = _mul_bytes(x, b)
+            by_subgroup.setdefault(frozenset(elems.index(y) for y in powers), []).append(i)
+        got = cyclic_subgroups(G)
+        assert got == by_subgroup, entry.name
+        assert list(got) == list(by_subgroup), entry.name

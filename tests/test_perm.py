@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosetposets.groups import PermutationGroup
 from cosetposets.perm import (
     Permutation,
     all_cycles_of_length,
@@ -105,6 +106,25 @@ def test_extend_degree_fixes_new_points():
     q = extend_degree(p, 5)
     assert q.degree == 5
     assert q.fixed_points() == (3, 4, 5)
+
+
+@pytest.mark.parametrize("degree", [256, 300, 10**6])
+def test_degrees_and_points_above_255_rejected(degree):
+    with pytest.raises(ValueError, match=f"degree {degree} exceeds the maximum 255"):
+        extend_degree(parse_permutation("(1,2)", 2), degree)
+    with pytest.raises(ValueError, match=f"degree {degree} exceeds the maximum 255"):
+        Permutation.from_cycles([(1, 2)], degree)
+    with pytest.raises(ValueError, match=f"point {degree} exceeds the maximum degree 255"):
+        parse_permutation(f"(1,{degree})")
+    with pytest.raises(ValueError, match=f"point {degree} exceeds"):
+        parse_permutation_list(f"(1,2),(3,{degree})", 5)
+    with pytest.raises(ValueError, match=f"degree {degree} exceeds the maximum 255"):
+        PermutationGroup([], degree=degree)
+
+
+def test_degree_255_accepted():
+    assert extend_degree(parse_permutation("(1,2)", 2), 255).degree == 255
+    assert parse_permutation("(1,255)").degree == 255
 
 
 def test_all_cycles_of_length_counts():

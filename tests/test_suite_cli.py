@@ -122,11 +122,6 @@ def test_cli_compute_lattice(capsys):
     assert out.splitlines()[0] == "1;0;0"  # trivial subgroup, mu(1, C4) = 0
 
 
-def test_cli_requires_group_or_gens():
-    with pytest.raises(SystemExit):
-        main(["compute", "zeta"])
-
-
 @pytest.mark.parametrize("argv", [
     ["compute", "zeta", "--group", "NOPE"],
     ["compute", "zeta", "--gens", "(1,2"],
@@ -136,6 +131,8 @@ def test_cli_requires_group_or_gens():
     ["compute", "poset", "--group", "S3", "--relative-to", "(1,2)"],
     ["verify", "--catalog", "/nonexistent"],
     ["compute", "lattice", "--group", "A7"],
+    ["compute", "zeta"],
+    ["compute", "zeta", "--gens", "(1,2)", "--degree", "300"],
 ])
 def test_cli_input_error_is_one_line(argv, capsys):
     assert main(argv) == 2
