@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, gcd
+from operator import itemgetter
 
 from .groups import (
     ENUMERATION_BOUND,
@@ -27,7 +28,7 @@ from .groups import (
     sylow_subgroup,
 )
 from .lattice import SubgroupLattice, maximal_subgroups
-from .perm import Permutation, _inv_bytes, _mul_bytes, all_cycles_of_length, cycle_string
+from .perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
 
 
 @dataclass
@@ -36,6 +37,7 @@ class GenerationReport:
     verdict: bool
     witnesses: list[dict] = field(default_factory=list)
     tests: int = 0
+    cycles: int = 0
     millis: float = 0.0
 
     def first_witness(self) -> dict | None:
@@ -103,9 +105,67 @@ def univ_gen_via_maximal_indices(G: PermutationGroup, r: int, p: int,
     return True
 
 
+def _long_cycle_rank(cyc: bytes, n: int) -> int:
+    """Position of a cycle on 0-based points, of length n or n - 1, in the
+    enumeration order of all such cycles: the point set (by the omitted
+    point, n - 1 first), then the Lehmer code of the tail that follows the
+    smallest point."""
+    m = len(cyc)
+    anchor = min(cyc)
+    i = cyc.index(anchor)
+    tail = cyc[i + 1:] + cyc[:i]
+    points = (1 << n) - 1
+    rank = 0
+    if m < n:
+        omitted = n * (n - 1) // 2 - sum(cyc)
+        rank, points = n - 1 - omitted, points ^ (1 << omitted)
+    mask = points ^ (1 << anchor)  # the tail's points, as bits
+    for k, x in enumerate(tail):
+        bit = 1 << x
+        rank = rank * (m - 1 - k) + (mask & (bit - 1)).bit_count()
+        mask ^= bit
+    return rank
+
+
+def _long_cycle_unrank(rank: int, n: int, m: int) -> bytes:
+    """Inverse of :func:`_long_cycle_rank` for cycles of length m."""
+    set_index, code = divmod(rank, factorial(m - 1))
+    points = [x for x in range(n) if m == n or x != n - 1 - set_index]
+    digits = []
+    for radix in range(1, m):
+        code, d = divmod(code, radix)
+        digits.append(d)
+    rest = points[1:]
+    return bytes([points[0]] + [rest.pop(d) for d in reversed(digits)])
+
+
+def _cycle_permutation(cyc: bytes, n: int) -> Permutation:
+    return Permutation.from_cycles([[x + 1 for x in cyc]], n)
+
+
+def _unit_generators(m: int) -> list[int]:
+    """A generating set of the unit group (Z/m)^*, chosen greedily."""
+    gens: list[int] = []
+    reached = {1}
+    for u in range(2, m):
+        if gcd(u, m) == 1 and u not in reached:
+            gens.append(u)
+            while new := {x * g % m for x in reached for g in gens} - reached:
+                reached |= new
+    return gens
+
+
 def check_alternating_claims(n: int) -> GenerationReport:
     """Sweep all n-cycles (n odd) or (n-1)-cycles (n even) of A_n against
-    one fixed Sylow 2-subgroup; report whether every pair generates A_n."""
+    one fixed Sylow 2-subgroup P; report whether every pair generates A_n.
+
+    <c^g, P> = <c, P>^g for g in P, and <c^u, P> = <c, P> for u prime to
+    the cycle length, so one test decides each orbit of P x Aut(<c>) on the
+    cycles. Cycles are walked by rank; each orbit is flooded from its least
+    member through a seen-table, and the orbit sizes must add up to the
+    number of cycles. Witnesses are the first four failing cycles in
+    enumeration order.
+    """
     if n < 5:
         raise ValueError("n must be at least 5")
     start = time.perf_counter()
@@ -117,17 +177,42 @@ def check_alternating_claims(n: int) -> GenerationReport:
     report = GenerationReport(
         subject=f"cyclic subgroup of a {length}-cycle universally 2-generates A_{n}",
         verdict=True)
-    for cyc in all_cycles_of_length(range(1, n + 1), length):
-        c = Permutation.from_cycles([cyc], n)
+    conjugations = [g + _ID256[n:] for g in p_gens]
+    powers = [itemgetter(*(k * u % length for k in range(length)))
+              for u in _unit_generators(length)]
+    total = (1 if length == n else n) * factorial(length - 1)
+    seen = bytearray(total)
+    failing: list[tuple[int, int]] = []
+    for r in range(total):
+        if seen[r]:
+            continue
+        seen[r] = 1
+        rep = _long_cycle_unrank(r, n, length)
+        members, stack = [r], [rep]
+        while stack:
+            cyc = stack.pop()
+            images = [cyc.translate(t) for t in conjugations]
+            images += [bytes(power(cyc)) for power in powers]
+            for img in images:
+                s = _long_cycle_rank(img, n)
+                if not seen[s]:
+                    seen[s] = 1
+                    members.append(s)
+                    stack.append(img)
         report.tests += 1
-        got = _generated_order([c._b] + p_gens, n, stop_at=target)
+        report.cycles += len(members)
+        got = _generated_order([_cycle_permutation(rep, n)._b] + p_gens, n, stop_at=target)
         if got != target:
             report.verdict = False
-            if len(report.witnesses) < 4:
-                report.witnesses.append({
-                    "cycle": cycle_string(c),
-                    "generated_order": got,
-                })
+            failing += [(s, got) for s in members]
+    expected = comb(n, length) * factorial(length - 1)
+    if report.cycles != expected:
+        raise RuntimeError(f"orbit sizes add up to {report.cycles}, not {expected} cycles")
+    failing.sort()
+    report.witnesses = [
+        {"cycle": cycle_string(_cycle_permutation(_long_cycle_unrank(s, n, length), n)),
+         "generated_order": got}
+        for s, got in failing[:4]]
     report.millis = (time.perf_counter() - start) * 1000
     return report
 

@@ -32,28 +32,37 @@ def _min_moved(g: bytes) -> int:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit")
+    """One level of a stabilizer chain: a base point, its generators, and
+    the transversal ``orbit`` (point p -> u_p with base^u_p = p) beside its
+    inverses ``inverse`` (p -> u_p^-1)."""
+
+    __slots__ = ("base", "gens", "orbit", "inverse")
 
     def __init__(self, base: int, gens: list[bytes]):
         self.base = base
         self.gens = gens
         self.orbit: dict[int, bytes] = {}
+        self.inverse: dict[int, bytes] = {}
 
     def recompute_orbit(self, degree: int) -> None:
         ident = _ID256[:degree]
         orbit = {self.base: ident}
+        inverse = {self.base: ident}
+        gens = [(s, _inv_bytes(s)) for s in self.gens]
         queue = [self.base]
         qi = 0
         while qi < len(queue):
             p = queue[qi]
             qi += 1
-            u = orbit[p]
-            for s in self.gens:
+            u, u_inv = orbit[p], inverse[p]
+            for s, s_inv in gens:
                 q = s[p]
                 if q not in orbit:
                     orbit[q] = _mul_bytes(u, s)
+                    inverse[q] = _mul_bytes(s_inv, u_inv)  # (u s)^-1 = s^-1 u^-1
                     queue.append(q)
         self.orbit = orbit
+        self.inverse = inverse
 
 
 def _strip(g: bytes, levels: list[_Level], start: int) -> tuple[bytes, int]:
@@ -62,10 +71,10 @@ def _strip(g: bytes, levels: list[_Level], start: int) -> tuple[bytes, int]:
         x = g[lv.base]
         if x == lv.base:
             continue
-        u = lv.orbit.get(x)
-        if u is None:
+        u_inv = lv.inverse.get(x)
+        if u_inv is None:
             return g, idx
-        g = _mul_bytes(g, _inv_bytes(u))
+        g = _mul_bytes(g, u_inv)
     return g, len(levels)
 
 
@@ -112,7 +121,7 @@ def _build_chain(raw_gens: Iterable[bytes], degree: int,
             u_p = lv.orbit[p]
             for s in lv.gens:
                 q = s[p]
-                schreier = _mul_bytes(_mul_bytes(u_p, s), _inv_bytes(lv.orbit[q]))
+                schreier = _mul_bytes(_mul_bytes(u_p, s), lv.inverse[q])
                 if schreier == ident:
                     continue
                 h, j = _strip(schreier, levels, i + 1)

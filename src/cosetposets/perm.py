@@ -9,7 +9,7 @@ Points are 1-based in cycle notation and 0-based internally.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 _ID256 = bytes(range(256))
 
@@ -20,6 +20,8 @@ def _check_degree(degree: int) -> None:
     # image tables are bytes, so points stop at 255; check before allocating
     if degree > 255:
         raise ValueError(f"degree {degree} exceeds the maximum 255")
+    if degree < 1:
+        raise ValueError(f"degree {degree} is below the minimum 1")
 
 
 def _mul_bytes(p: bytes, q: bytes) -> bytes:
@@ -41,6 +43,7 @@ class Permutation:
 
     def __init__(self, images: Sequence[int]):
         b = bytes(images)
+        _check_degree(len(b))
         if sorted(b) != list(range(len(b))):
             raise ValueError("images are not a bijection of 0..degree-1")
         self._b = b
@@ -249,16 +252,3 @@ def extend_degree(p: Permutation, degree: int) -> Permutation:
     if degree == p.degree:
         return p
     return Permutation._from_bytes(p._b + _ID256[p.degree: degree])
-
-
-def all_cycles_of_length(points: Sequence[int], length: int) -> Iterator[tuple[int, ...]]:
-    """All distinct cyclic orderings of `length` points drawn from `points`.
-
-    Each cycle is yielded once, anchored at its smallest chosen point.
-    """
-    from itertools import combinations, permutations
-
-    for chosen in combinations(points, length):
-        first, rest = chosen[0], chosen[1:]
-        for tail in permutations(rest):
-            yield (first, *tail)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from math import comb, factorial
 
 from . import a7 as a7mod
 from .catalog import GroupCatalogEntry, load_catalog
@@ -245,9 +246,12 @@ def _altgen_records(ws: _Workspace, config: SuiteConfig) -> list[dict]:
         def check(n=n):
             report = check_alternating_claims(n)
             expected = ALTGEN_EXPECTED[n]
+            length = n if n % 2 == 1 else n - 1
             values = {"computed": report.verdict, "expected": expected,
-                      "tests": report.tests}
-            return report.verdict == expected, values, report.witnesses[:2]
+                      "tests": report.tests, "cycles": report.cycles}
+            ok = (report.verdict == expected
+                  and report.cycles == comb(n, length) * factorial(length - 1))
+            return ok, values, report.witnesses[:2]
 
         out.append(_record("altgen", f"A_{n} long-cycle sweep", check))
 

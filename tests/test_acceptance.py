@@ -198,15 +198,15 @@ def test_criterion_6_alternating_claims():
     r9 = check_alternating_claims(9)
     elapsed9 = time.perf_counter() - start
     r7 = check_alternating_claims(7)
-    ok = (r9.verdict and r9.tests == 40320 and elapsed9 < 600
+    ok = (r9.verdict and r9.cycles == 40320 and r9.tests == 122 and elapsed9 < 600
           and not r7.verdict
           and r7.first_witness()["generated_order"] == 168)
-    detail = (f"n=9 true over {r9.tests} cycles in {elapsed9:.1f}s; "
-              f"n=7 false with order-168 witness")
+    detail = (f"n=9 true over {r9.cycles} cycles in {r9.tests} orbit tests "
+              f"in {elapsed9:.1f}s; n=7 false with order-168 witness")
     if RUN_SLOW:
         r10 = check_alternating_claims(10)
-        ok = ok and r10.verdict and r10.tests == 403200
-        detail += f"; n=10 true over {r10.tests} cycles"
+        ok = ok and r10.verdict and r10.cycles == 403200
+        detail += f"; n=10 true over {r10.cycles} cycles in {r10.tests} orbit tests"
     else:
         detail += "; n=10 skipped (set RUN_SLOW=1)"
     _report(6, ok, detail)

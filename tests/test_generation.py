@@ -1,6 +1,11 @@
+from itertools import combinations, permutations
+from math import factorial
+
 import pytest
 
 from cosetposets.generation import (
+    _long_cycle_rank,
+    _long_cycle_unrank,
     check_alternating_claims,
     check_diagonal_universal,
     imprimitive_parity_identity,
@@ -18,16 +23,52 @@ from cosetposets.groups import (
     PermutationGroup,
     _is_prime,
     alternating_group,
+    generated_order,
     cyclic_group,
     symmetric_group,
     sylow_subgroup,
 )
 from cosetposets.lattice import enumerate_subgroups
-from cosetposets.perm import parse_permutation
+from cosetposets.perm import Permutation, cycle_string, parse_permutation
 
 
 def _group(*texts, degree):
     return PermutationGroup([parse_permutation(t, degree) for t in texts], degree)
+
+
+def all_cycles_of_length(points, length):
+    """All distinct cyclic orderings of `length` points drawn from `points`.
+
+    Each cycle is yielded once, anchored at its smallest chosen point.
+    """
+    for chosen in combinations(points, length):
+        first, rest = chosen[0], chosen[1:]
+        for tail in permutations(rest):
+            yield (first, *tail)
+
+
+def _brute_sweep(n):
+    """Reference for check_alternating_claims: one generation test per long
+    cycle, in enumeration order. Returns (verdict, witnesses, tests)."""
+    L = alternating_group(n)
+    P = sylow_subgroup(L, 2)
+    length = n if n % 2 == 1 else n - 1
+    verdict, witnesses, tests = True, [], 0
+    for cyc in all_cycles_of_length(range(1, n + 1), length):
+        c = Permutation.from_cycles([cyc], n)
+        tests += 1
+        got = generated_order([c, *P.generators], n, stop_at=L.order)
+        if got != L.order:
+            verdict = False
+            if len(witnesses) < 4:
+                witnesses.append({"cycle": cycle_string(c), "generated_order": got})
+    return verdict, witnesses, tests
+
+
+def test_all_cycles_of_length_counts():
+    # (k-1)! distinct k-cycles on k points, anchored at the smallest point
+    assert sum(1 for _ in all_cycles_of_length(range(1, 6), 5)) == 24
+    assert sum(1 for _ in all_cycles_of_length(range(1, 5), 3)) == 8
 
 
 def test_five_cycle_universally_2_generates_a5():
@@ -101,10 +142,32 @@ def test_alternating_claims_small():
     assert check_alternating_claims(6).verdict
     report7 = check_alternating_claims(7)
     assert not report7.verdict
-    assert report7.tests == 720
+    assert report7.cycles == 720
+    assert report7.tests == 15
     assert {w["generated_order"] for w in report7.witnesses} == {168}
     with pytest.raises(ValueError):
         check_alternating_claims(4)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_orbit_sweep_matches_brute_sweep(n):
+    verdict, witnesses, tests = _brute_sweep(n)
+    report = check_alternating_claims(n)
+    assert report.verdict == verdict
+    assert report.witnesses == witnesses
+    assert report.cycles == tests
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_long_cycle_rank_is_enumeration_order(n):
+    length = n if n % 2 == 1 else n - 1
+    cycles = all_cycles_of_length(range(n), length)
+    for rank, cyc in enumerate(cycles):
+        cyc = bytes(cyc)
+        assert _long_cycle_rank(cyc, n) == rank
+        assert _long_cycle_rank(cyc[2:] + cyc[:2], n) == rank  # any rotation
+        assert _long_cycle_unrank(rank, n, length) == cyc
+    assert rank + 1 == factorial(length - 1) * (n if length < n else 1)
 
 
 def test_diagonal_universal_a5():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from cosetposets.groups import PermutationGroup
 from cosetposets.perm import (
     Permutation,
-    all_cycles_of_length,
     cycle_string,
     extend_degree,
     parse_permutation,
@@ -122,15 +121,18 @@ def test_degrees_and_points_above_255_rejected(degree):
         PermutationGroup([], degree=degree)
 
 
+def test_degree_0_rejected():
+    with pytest.raises(ValueError, match="degree 0 is below the minimum 1"):
+        Permutation([])
+    with pytest.raises(ValueError, match="degree 0 is below the minimum 1"):
+        Permutation.from_cycles([], 0)
+    with pytest.raises(ValueError, match="degree 0 is below the minimum 1"):
+        PermutationGroup([], degree=0)
+
+
 def test_degree_255_accepted():
     assert extend_degree(parse_permutation("(1,2)", 2), 255).degree == 255
     assert parse_permutation("(1,255)").degree == 255
-
-
-def test_all_cycles_of_length_counts():
-    # 8! distinct 9-cycles on 9 points, anchored at the smallest point
-    assert sum(1 for _ in all_cycles_of_length(range(1, 6), 5)) == 24
-    assert sum(1 for _ in all_cycles_of_length(range(1, 5), 3)) == 8
 
 
 @st.composite
