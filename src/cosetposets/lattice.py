@@ -1,10 +1,14 @@
 """Complete subgroup lattices of small groups, with Moebius values.
 
-Every subgroup is the join of the cyclic subgroups it contains, so closing
-the set of cyclic subgroups under pairwise join enumerates the whole
-lattice. Subgroups are stored as frozensets of indices into the canonical
-(sorted) element enumeration of the parent group, which makes containment
-a subset test and identity canonical.
+Every subgroup is the join of its cyclic subgroups of prime-power order, and
+if K = <H^g, z> then K^(g^-1) = <H, z^(g^-1)>. So the lattice is built one
+conjugacy class at a time: starting from the trivial subgroup, each class
+representative H is joined with every prime-power cyclic subgroup <z> not in
+H, <H, z> is grown from H as a union of right cosets of H (Dimino's
+algorithm), and each new subgroup's class is filled at once by conjugating
+it with the generators of the group. Subgroups are stored as frozensets of
+indices into the canonical (sorted) element enumeration of the parent group,
+which makes containment a subset test and identity canonical.
 """
 
 from __future__ import annotations
@@ -15,6 +19,15 @@ from .groups import BudgetExceededError, PermutationGroup, cyclic_subgroups, sub
 from .perm import Permutation, _inv_bytes, _mul_bytes
 
 LATTICE_ORDER_BOUND = 1000
+
+
+def _is_prime_power(n: int) -> bool:
+    for p in range(2, n + 1):
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+    return False
 
 
 @dataclass(frozen=True)
@@ -50,42 +63,56 @@ class SubgroupLattice:
 
     # -- construction -----------------------------------------------------
 
-    def _span(self, gens: tuple[int, ...]) -> frozenset[int]:
-        seen = {0}
-        stack = [0]
+    def _span(self, gens: tuple[int, ...],
+              start: frozenset[int] = frozenset({0})) -> frozenset[int]:
+        """<gens>, grown from ``start``, a subgroup of <gens>, as a union of
+        right cosets start·r: one membership test per coset and generator,
+        then each new coset is added whole (Dimino)."""
         mul = self.mul
-        while stack:
-            x = stack.pop()
-            row = mul[x]
+        base = tuple(start)
+        seen = set(start)
+        reps = [0]
+        for r in reps:  # grows while it is walked
+            row = mul[r]
             for g in gens:
-                y = row[g]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+                t = row[g]
+                if t not in seen:
+                    seen.update([mul[h][t] for h in base])
+                    reps.append(t)
         return frozenset(seen)
 
     def _enumerate(self) -> list[SubgroupEntry]:
-        records: list[tuple[frozenset[int], tuple[int, ...]]] = [(frozenset({0}), ())]
-        by_fs: set[frozenset[int]] = {records[0][0]}
-        for fs, gens in sorted(cyclic_subgroups(self.group).items(),
-                               key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-            if fs not in by_fs:
-                by_fs.add(fs)
-                records.append((fs, (gens[0],)))
-        qi = 1  # trivial subgroup joins to nothing new
-        while qi < len(records):
-            fa, ga = records[qi]
-            for b in range(1, qi):
-                fb, gb = records[b]
-                if fa <= fb or fb <= fa:
+        n = len(self.elements)
+        conj_rows = [[self.conj_element(x, self.index[g]) for x in range(n)]
+                     for g in self.group._gens_bytes()]
+        zs = [gens[0] for fs, gens in cyclic_subgroups(self.group).items()
+              if _is_prime_power(len(fs))]
+        found: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
+        reps = [frozenset({0})]
+        for H in reps:  # grows while it is walked
+            h_gens = found[H]
+            for z in zs:
+                if z in H:
                     continue
-                gens = ga + tuple(g for g in gb if g not in ga)
-                joined = self._span(gens)
-                if joined not in by_fs:
-                    by_fs.add(joined)
-                    records.append((joined, gens))
-            qi += 1
-        records.sort(key=lambda r: (len(r[0]), sorted(r[0])))
+                gens = h_gens + (z,)
+                K = self._span(gens, H)
+                if K in found:
+                    continue
+                found[K] = gens
+                reps.append(K)
+                orbit = [K]
+                for fs in orbit:  # grows while it is walked
+                    fs_gens = found[fs]
+                    for row in conj_rows:
+                        image = frozenset([row[x] for x in fs])
+                        if image not in found:
+                            found[image] = tuple(row[x] for x in fs_gens)
+                            orbit.append(image)
+                if (n // len(K)) % len(orbit):  # |class| = |G : N_G(K)|, K <= N_G(K)
+                    raise RuntimeError(
+                        f"class of a subgroup of order {len(K)} has {len(orbit)} "
+                        f"members, which does not divide |G : K| = {n // len(K)}")
+        records = sorted(found.items(), key=lambda r: (len(r[0]), sorted(r[0])))
         return [SubgroupEntry(len(fs), fs, gens) for fs, gens in records]
 
     def _inclusion(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:

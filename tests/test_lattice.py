@@ -1,12 +1,16 @@
+import random
 from itertools import combinations
 
 import pytest
 
+from cosetposets.catalog import load_catalog
 from cosetposets.groups import (
     BudgetExceededError,
     PermutationGroup,
     alternating_group,
+    conjugacy_orbit_of_subgroup,
     cyclic_group,
+    cyclic_subgroups,
     symmetric_group,
 )
 from cosetposets.lattice import (
@@ -16,7 +20,9 @@ from cosetposets.lattice import (
     maximal_subgroups,
     moebius_to_top,
 )
-from cosetposets.perm import parse_permutation
+from cosetposets.perm import Permutation, parse_permutation
+
+CATALOG = {e.name: e for e in load_catalog(verify=False)}
 
 
 def brute_force_subgroups(G):
@@ -31,6 +37,79 @@ def brute_force_subgroups(G):
             if all(table[(i, j)] in s for i in s for j in s):
                 out.append(frozenset(combo))
     return out
+
+
+def _closure(mul, gens):
+    """<gens> by breadth-first search from the identity, one element at a time."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        row = mul[stack.pop()]
+        for g in gens:
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
+
+
+def pairwise_join_subgroups(lat):
+    """Close the cyclic subgroups under pairwise join, each join a fresh
+    closure; the reference for the class-by-class enumeration."""
+    records = [(frozenset({0}), ())]
+    by_fs = {records[0][0]}
+    for fs, gens in cyclic_subgroups(lat.group).items():
+        if fs not in by_fs:
+            by_fs.add(fs)
+            records.append((fs, (gens[0],)))
+    qi = 1  # trivial subgroup joins to nothing new
+    while qi < len(records):
+        fa, ga = records[qi]
+        for b in range(1, qi):
+            fb, gb = records[b]
+            if fa <= fb or fb <= fa:
+                continue
+            gens = ga + tuple(g for g in gb if g not in ga)
+            joined = _closure(lat.mul, gens)
+            if joined not in by_fs:
+                by_fs.add(joined)
+                records.append((joined, gens))
+        qi += 1
+    return by_fs
+
+
+@pytest.mark.parametrize("name", [e.name for e in CATALOG.values() if e.expected_order <= 60]
+                         + ["S5", "PSL(2,7)"])
+def test_class_enumeration_matches_pairwise_join_oracle(name):
+    lat = enumerate_subgroups(CATALOG[name].build())
+    assert set(lat.subgroup_index) == pairwise_join_subgroups(lat)
+    for e in lat.subgroups:
+        assert lat._span(e.generators) == e.elements
+
+
+def _relabelled(G, seed):
+    points = list(range(G.degree))
+    random.Random(seed).shuffle(points)
+    return G.conjugate_by(Permutation(points))
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("name,subgroups,classes", [
+    ("S4", 30, 11), ("A5", 59, 9), ("S5", 156, 19), ("PSL(2,7)", 179, 15), ("A6", 501, 22)])
+def test_known_subgroup_and_class_counts(name, subgroups, classes, relabel):
+    G = CATALOG[name].build()
+    if relabel:
+        G = _relabelled(G, seed=7)
+    lat = enumerate_subgroups(G)
+    assert len(lat) == subgroups
+    unclassed = set(lat.subgroup_index)
+    orbits = 0
+    while unclassed:
+        orbit = conjugacy_orbit_of_subgroup(G, next(iter(unclassed)))
+        assert orbit <= unclassed
+        unclassed -= orbit
+        orbits += 1
+    assert orbits == classes
 
 
 def test_cyclic_prime_has_two_subgroups():
