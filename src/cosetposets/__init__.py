@@ -32,11 +32,8 @@ from .lattice import (
     moebius_to_top,
 )
 from .cosets import (
-    ActionGroup,
-    ActionTriple,
     CosetPoset,
     OvergroupAutomorphism,
-    action_fixed_points,
     build_coset_poset,
     build_relative_poset,
     fixed_cosets,

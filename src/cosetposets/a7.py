@@ -16,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import order_complex, reduced_betti
-from .cosets import (
-    ActionGroup,
-    ActionTriple,
-    OvergroupAutomorphism,
-    build_relative_poset,
-    fixed_cosets,
-)
+from .cosets import OvergroupAutomorphism, fixed_cosets
 from .groups import (
     PermutationGroup,
     SubgroupRecord,
@@ -35,12 +28,10 @@ from .groups import (
     embed_in_power,
     generated_order,
     intermediate_subgroups,
-    minimal_normal_subgroups,
     subgroup_indices,
     symmetric_group,
     sylow_subgroup,
 )
-from .lattice import enumerate_subgroups
 from .perm import Permutation, _inv_bytes, _mul_bytes, cycle_string, parse_permutation
 
 
@@ -149,7 +140,8 @@ def check_phi_properties(env: A7Environment) -> dict:
 
 def check_pgl_strong_generation(env: A7Environment, rec: SubgroupRecord) -> bool:
     """<P^r : r in R> = K for a Sylow 2-subgroup P and Sylow 7-subgroup R of K."""
-    K = PermutationGroup([Permutation._from_bytes(b) for b in rec.gens], 7)
+    elems = env.A7.element_bytes()
+    K = PermutationGroup([Permutation._from_bytes(elems[i]) for i in rec.generators], 7)
     assert K.order == rec.order
     P_K = sylow_subgroup(K, 2)
     R = sylow_subgroup(K, 7)
@@ -222,17 +214,6 @@ class SmithActionSpec:
     K: PermutationGroup
     theta: OvergroupAutomorphism
 
-    def action_group(self) -> ActionGroup:
-        """Generators of the action: left P, right K, and theta.
-
-        theta normalizing P and K (see shape_report) witnesses closure of
-        the generated set of triples.
-        """
-        triples = [ActionTriple(left=g) for g in self.P.generators]
-        triples += [ActionTriple(right=g) for g in self.K.generators]
-        triples.append(ActionTriple(automorphism=self.theta))
-        return ActionGroup(tuple(triples))
-
     def shape_report(self) -> dict:
         """Structural facts putting the action group in Smith-theory shape:
         a 2-group times a cyclic group, extended by an order-2 part."""
@@ -283,23 +264,4 @@ def smith_fixed_point_check(spec: SmithActionSpec) -> dict:
         "translation_fixed": sorted(translation_fixed),
         "fully_fixed": sorted(fully_fixed),
         "shape": spec.shape_report(),
-    }
-
-
-def abelian_antichain_check(G: PermutationGroup, N: PermutationGroup) -> dict:
-    """For abelian minimal normal N: C(G, N) is an antichain of size
-    divisible by |N|, hence its complex is disconnected or just {emptyset}."""
-    if not N.is_abelian():
-        raise ValueError("N is not abelian")
-    if not any(N == M for M in minimal_normal_subgroups(G)):
-        raise ValueError("N is not a minimal normal subgroup of G")
-    lat = enumerate_subgroups(G)
-    rel = build_relative_poset(G, N, lat)
-    betti = reduced_betti(order_complex(rel), 2)
-    return {
-        "antichain": rel.is_antichain(),
-        "size": len(rel),
-        "size_divisible_by_N": len(rel) % N.order == 0,
-        "low_dimensional_homology": betti.get(-1) + betti.get(0) > 0,
-        "betti": betti.as_dict(),
     }

@@ -32,24 +32,6 @@ class SimplicialComplex:
                 self.faces[k] = sorted(faces)
         self.n_vertices = n_vertices
 
-    @classmethod
-    def from_faces(cls, faces, n_vertices: int | None = None) -> "SimplicialComplex":
-        """Close the given faces downward; vertices are the points mentioned."""
-        by_dim: dict[int, set[tuple[int, ...]]] = {}
-        stack = [tuple(sorted(set(f))) for f in faces]
-        seen = set(stack)
-        while stack:
-            f = stack.pop()
-            by_dim.setdefault(len(f) - 1, set()).add(f)
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1:]
-                if sub not in seen:
-                    seen.add(sub)
-                    stack.append(sub)
-        if n_vertices is None:
-            n_vertices = 1 + max((v for f in by_dim.get(0, ()) for v in f), default=-1)
-        return cls({k: sorted(v) for k, v in by_dim.items()}, n_vertices)
-
     @property
     def dimension(self) -> int:
         return max(self.faces)
@@ -245,19 +227,3 @@ def kunneth_join_betti(bX: BettiVector, bY: BettiVector) -> BettiVector:
             k = i + j + 1
             out[k] = out.get(k, 0) + a * b
     return BettiVector.from_dict(bX.prime, out)
-
-
-def boundary_square_is_zero(X: SimplicialComplex, p: int) -> bool:
-    """Check that applying the boundary twice kills every face, over GF(p)."""
-    for k in range(1, X.dimension + 1):
-        for f in X.faces.get(k, ()):
-            acc: dict[tuple[int, ...], int] = {}
-            for i in range(len(f)):
-                facet = f[:i] + f[i + 1:]
-                sign_i = (-1) ** i
-                for j in range(len(facet)):
-                    sub = facet[:j] + facet[j + 1:]
-                    acc[sub] = (acc.get(sub, 0) + sign_i * (-1) ** j) % p
-            if any(v % p for v in acc.values()):
-                return False
-    return True

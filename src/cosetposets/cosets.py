@@ -1,4 +1,5 @@
-"""Coset posets C(G) and relative coset posets C(G, N), with group actions.
+"""Coset posets C(G) and relative coset posets C(G, N), and the cosets of
+C(G, N) fixed by P x K acting by left and right translation.
 
 Vertices are right cosets Hx of proper subgroups, keyed by the lattice
 index of H and the minimal element id of the coset. Hx <= Ky holds iff
@@ -45,24 +46,6 @@ class OvergroupAutomorphism:
 
     def squares_to_identity(self) -> bool:
         return all(self.apply(self.apply(g)) == g for g in self.group.generators)
-
-
-@dataclass(frozen=True)
-class ActionTriple:
-    """(g, h, alpha): maps Hx to (g^-1 H x h)^alpha."""
-    left: Permutation | None = None
-    right: Permutation | None = None
-    automorphism: OvergroupAutomorphism | None = None
-
-
-@dataclass(frozen=True)
-class ActionGroup:
-    """Generators of a group acting on a coset poset.
-
-    Fixed-point scans only consult the generators; callers assert that the
-    generated set is closed (see the structural checks in the a7 module).
-    """
-    generators: tuple[ActionTriple, ...]
 
 
 class CosetPoset:
@@ -116,9 +99,6 @@ class CosetPoset:
         rep = Permutation._from_bytes(self.lattice.elements[r])
         return f"{self.lattice.subgroups[hi].order}:{cycle_string(rep)}"
 
-    def is_antichain(self) -> bool:
-        return self.poset.is_antichain()
-
     def dump(self) -> str:
         """One vertex per line, then cover pairs; stable ordering."""
         lines = [self.vertex_label(v) for v in range(len(self.vertices))]
@@ -129,30 +109,26 @@ class CosetPoset:
 
 def build_coset_poset(G: PermutationGroup, lat: SubgroupLattice) -> CosetPoset:
     """The poset of all cosets of all proper subgroups of G."""
-    if lat.group is not G and not (lat.group == G):
-        raise ValueError("lattice does not belong to the given group")
+    lat.check_group(G)
     proper = [i for i in range(len(lat.subgroups)) if i != lat.index_of_parent]
     return CosetPoset(lat, proper)
+
+
+def _proper_supplement(rec: SubgroupRecord, n_set: frozenset[int], order: int) -> bool:
+    """H < G with HN = G, read off |HN| = |H| |N| / |H n N|."""
+    return rec.order < order and rec.order * len(n_set) // len(rec.elements & n_set) == order
 
 
 def build_relative_poset(G: PermutationGroup, N: PermutationGroup,
                          lat: SubgroupLattice) -> CosetPoset:
     """C(G, N): cosets Hx of proper subgroups with HN = G, for N normal in G."""
-    if lat.group is not G and not (lat.group == G):
-        raise ValueError("lattice does not belong to the given group")
+    lat.check_group(G)
     ni = lat.find(N)
     if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
-    n_fs = lat.subgroups[ni].elements
-    total = len(lat.elements)
-    ids = []
-    for i in range(len(lat.subgroups)):
-        if i == lat.index_of_parent:
-            continue
-        h_fs = lat.subgroups[i].elements
-        product_size = len(h_fs) * len(n_fs) // len(h_fs & n_fs)
-        if product_size == total:
-            ids.append(i)
+    n_set = lat.subgroups[ni].elements
+    ids = [i for i, rec in enumerate(lat.subgroups)
+           if _proper_supplement(rec, n_set, G.order)]
     return CosetPoset(lat, ids, normal_subgroup_id=ni)
 
 
@@ -173,9 +149,9 @@ def fixed_cosets(G: PermutationGroup, N: PermutationGroup, P: PermutationGroup,
     k_gens = [g._b for g in K.generators]
     out = []
     for rec in intermediate_subgroups(G, P):
-        h_set = rec.elements
-        if rec.order == G.order or rec.order * len(n_set) // len(h_set & n_set) != G.order:
+        if not _proper_supplement(rec, n_set, G.order):
             continue
+        h_set = rec.elements
         h_bytes = [elems[i] for i in h_set]
         assigned = bytearray(len(elems))
         for r in range(len(elems)):
@@ -189,66 +165,4 @@ def fixed_cosets(G: PermutationGroup, N: PermutationGroup, P: PermutationGroup,
             if all(index[_mul_bytes(_mul_bytes(elems[r], kg), ri)] in h_set
                    for kg in k_gens):
                 out.append((rec, r))
-    return out
-
-
-def translation_action_group(P: PermutationGroup, K: PermutationGroup) -> ActionGroup:
-    triples = [ActionTriple(left=g) for g in P.generators]
-    triples += [ActionTriple(right=g) for g in K.generators]
-    return ActionGroup(tuple(triples))
-
-
-def action_fixed_points(poset: CosetPoset, action: ActionGroup) -> list[int]:
-    """Vertices fixed by every generator of the action.
-
-    Raises ValueError if some generator does not map the poset to itself.
-    """
-    fixed = list(range(len(poset.vertices)))
-    for triple in action.generators:
-        mapping = vertex_action_map(poset, triple)
-        fixed = [v for v in fixed if mapping[v] == v]
-    return fixed
-
-
-def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
-    """Image vertex of each vertex under one action triple."""
-    lat = poset.lattice
-    n = len(lat.elements)
-    g = triple.left
-    h = triple.right
-    gi = lat.index[g._b] if g is not None else 0
-    hi_id = lat.index[h._b] if h is not None else 0
-    g_inv = lat.inv[gi]
-    if triple.automorphism is not None:
-        conj = triple.automorphism.conjugator
-        alpha = []
-        for b in lat.elements:
-            img = Permutation._from_bytes(b) ** conj
-            j = lat.index.get(img._b)
-            if j is None:
-                raise ValueError("automorphism does not preserve the group")
-            alpha.append(j)
-    else:
-        alpha = None
-
-    def elem_map(x: int) -> int:
-        y = lat.mul[lat.mul[g_inv][x]][hi_id]
-        return alpha[y] if alpha is not None else y
-
-    def subgroup_conj(x: int) -> int:
-        y = lat.mul[lat.mul[g_inv][x]][gi]
-        return alpha[y] if alpha is not None else y
-
-    sub_image: dict[int, int] = {}
-    for si in poset.subgroup_ids:
-        fs = frozenset(subgroup_conj(x) for x in lat.subgroups[si].elements)
-        target = lat.subgroup_index[fs]
-        if target not in poset.coset_rep:
-            raise ValueError("action does not preserve the poset")
-        sub_image[si] = target
-
-    out = []
-    for (si, r) in poset.vertices:
-        ti = sub_image[si]
-        out.append(poset.vertex_index[(ti, poset.coset_rep[ti][elem_map(r)])])
     return out

@@ -96,8 +96,7 @@ def univ_gen_via_maximal_indices(G: PermutationGroup, r: int, p: int,
                                  lat: SubgroupLattice) -> bool:
     """Sylow-r universally p-generates G iff every maximal subgroup of G
     has index divisible by p or by r."""
-    if lat.group is not G and not (lat.group == G):
-        raise ValueError("lattice does not belong to the given group")
+    lat.check_group(G)
     for m in maximal_subgroups(lat):
         index = lat.index_in_group(m)
         if index % p != 0 and index % r != 0:

@@ -12,7 +12,9 @@ the public surface speaks :class:`~cosetposets.perm.Permutation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial
+from operator import mul
 from typing import Iterable, Sequence
 
 from .perm import Permutation, _ID256, _check_degree, _inv_bytes, _mul_bytes
@@ -212,21 +214,6 @@ class PermutationGroup:
         """Base points, 1-based."""
         return tuple(lv.base + 1 for lv in self._levels)
 
-    @property
-    def strong_generators(self) -> tuple[Permutation, ...]:
-        out: list[bytes] = []
-        seen = set()
-        for lv in self._levels:
-            for g in lv.gens:
-                if g not in seen:
-                    seen.add(g)
-                    out.append(g)
-        return tuple(Permutation._from_bytes(g) for g in out)
-
-    @property
-    def fundamental_orbit_sizes(self) -> tuple[int, ...]:
-        return tuple(len(lv.orbit) for lv in self._levels)
-
     def contains(self, p: Permutation) -> bool:
         if p.degree != self._degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self._degree}")
@@ -238,9 +225,6 @@ class PermutationGroup:
     def _contains_bytes(self, b: bytes) -> bool:
         residue, _ = _strip(b, self._levels, 0)
         return residue == _ID256[: self._degree]
-
-    def is_trivial(self) -> bool:
-        return self._order == 1
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         if self._degree != other._degree:
@@ -490,15 +474,10 @@ def diagonal_embedding(K: PermutationGroup, t: int) -> PermutationGroup:
     """The diagonal copy {(k, ..., k)} of K inside the t-fold direct power."""
     if t < 1:
         raise ValueError("t must be positive")
-    n = K.degree
-    gens = []
-    for g in K.generators:
-        images = list(range(n * t))
-        for block in range(t):
-            for i, x in enumerate(g._b):
-                images[block * n + i] = block * n + x
-        gens.append(Permutation(images))
-    G = PermutationGroup(gens, n * t)
+    # the copies on disjoint blocks commute; their product acts on every block
+    gens = [reduce(mul, (embed_in_power(g, block, t) for block in range(t)))
+            for g in K.generators]
+    G = PermutationGroup(gens, K.degree * t)
     assert G.order == K.order
     return G
 
@@ -649,10 +628,11 @@ def conjugacy_orbit_of_subgroup(G: PermutationGroup,
 
 @dataclass(frozen=True)
 class SubgroupRecord:
-    """A subgroup of an ambient group, as indices into its element enumeration."""
-    elements: frozenset[int]
-    gens: tuple[bytes, ...]
+    """A subgroup of an ambient group: its elements and generators that
+    witness it, both as indices into the ambient group's element table."""
     order: int
+    elements: frozenset[int]
+    generators: tuple[int, ...]
 
 
 def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[SubgroupRecord]:
@@ -671,15 +651,16 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     index = G.element_index()
     n_g = len(elems)
 
-    def record_from(gens: Sequence[bytes]) -> SubgroupRecord:
-        closure = _closure(gens, G.degree, abort_above=n_g // 2)
+    def record_from(gens: tuple[int, ...]) -> SubgroupRecord:
+        closure = _closure([elems[i] for i in gens], G.degree, abort_above=n_g // 2)
         if closure is None:
             # index < 2 forces the whole group
-            return SubgroupRecord(frozenset(range(n_g)), tuple(G._gens_bytes()), n_g)
+            return SubgroupRecord(n_g, frozenset(range(n_g)),
+                                  tuple(index[b] for b in G._gens_bytes()))
         fs = frozenset(index[b] for b in closure)
-        return SubgroupRecord(fs, tuple(gens), len(fs))
+        return SubgroupRecord(len(fs), fs, gens)
 
-    start = record_from(tuple(g._b for g in H.generators))
+    start = record_from(tuple(index[g._b] for g in H.generators))
     found: dict[frozenset[int], SubgroupRecord] = {start.elements: start}
     frontier = [start]
     full = frozenset(range(n_g))
@@ -687,7 +668,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
         rec = frontier.pop(0)
         if rec.elements == full:
             continue
-        gens_b = rec.gens
+        gens_b = [elems[i] for i in rec.generators]
         seen = bytearray(n_g)
         for i in rec.elements:
             seen[i] = 1
@@ -705,7 +686,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
                         if not seen[j]:
                             seen[j] = 1
                             stack.append(y)
-            new_rec = record_from(tuple(gens_b) + (elems[i],))
+            new_rec = record_from(rec.generators + (i,))
             if new_rec.elements not in found:
                 found[new_rec.elements] = new_rec
                 frontier.append(new_rec)

@@ -15,35 +15,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import BudgetExceededError, PermutationGroup, cyclic_subgroups, subgroup_indices
-from .perm import Permutation, _inv_bytes, _mul_bytes
+from .groups import (
+    BudgetExceededError,
+    PermutationGroup,
+    SubgroupRecord,
+    _is_prime,
+    _p_part,
+    cyclic_subgroups,
+    subgroup_indices,
+)
+from .perm import _inv_bytes, _mul_bytes
 
 LATTICE_ORDER_BOUND = 1000
-
-
-def _is_prime_power(n: int) -> bool:
-    for p in range(2, n + 1):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return False
-
-
-@dataclass(frozen=True)
-class SubgroupEntry:
-    order: int
-    elements: frozenset[int]
-    generators: tuple[int, ...]  # element indices witnessing generation
 
 
 class SubgroupLattice:
     """All subgroups of a small group, ordered by inclusion."""
 
-    def __init__(self, group: PermutationGroup, bound: int = LATTICE_ORDER_BOUND):
-        if group.order > bound:
+    def __init__(self, group: PermutationGroup):
+        if group.order > LATTICE_ORDER_BOUND:
             raise BudgetExceededError(
-                f"subgroup lattice needs |G| <= {bound}, got {group.order}")
+                f"subgroup lattice needs |G| <= {LATTICE_ORDER_BOUND}, got {group.order}")
         self.group = group
         self.elements: tuple[bytes, ...] = group.element_bytes()
         self.index: dict[bytes, int] = group.element_index()
@@ -53,7 +45,7 @@ class SubgroupLattice:
             [self.index[_mul_bytes(a, b)] for b in self.elements] for a in self.elements
         ]
         self.inv: list[int] = [self.index[_inv_bytes(a)] for a in self.elements]
-        self.subgroups: list[SubgroupEntry] = self._enumerate()
+        self.subgroups: list[SubgroupRecord] = self._enumerate()
         self.subgroup_index: dict[frozenset[int], int] = {
             e.elements: i for i, e in enumerate(self.subgroups)
         }
@@ -81,12 +73,14 @@ class SubgroupLattice:
                     reps.append(t)
         return frozenset(seen)
 
-    def _enumerate(self) -> list[SubgroupEntry]:
+    def _enumerate(self) -> list[SubgroupRecord]:
         n = len(self.elements)
         conj_rows = [[self.conj_element(x, self.index[g]) for x in range(n)]
                      for g in self.group._gens_bytes()]
+        # generators of the cyclic subgroups of prime-power order
         zs = [gens[0] for fs, gens in cyclic_subgroups(self.group).items()
-              if _is_prime_power(len(fs))]
+              if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
+                     for p in range(2, len(fs) + 1))]
         found: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
         reps = [frozenset({0})]
         for H in reps:  # grows while it is walked
@@ -113,7 +107,7 @@ class SubgroupLattice:
                         f"class of a subgroup of order {len(K)} has {len(orbit)} "
                         f"members, which does not divide |G : K| = {n // len(K)}")
         records = sorted(found.items(), key=lambda r: (len(r[0]), sorted(r[0])))
-        return [SubgroupEntry(len(fs), fs, gens) for fs, gens in records]
+        return [SubgroupRecord(len(fs), fs, gens) for fs, gens in records]
 
     def _inclusion(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         count = len(self.subgroups)
@@ -135,11 +129,6 @@ class SubgroupLattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
-    def subgroup_as_group(self, i: int) -> PermutationGroup:
-        entry = self.subgroups[i]
-        gens = [Permutation._from_bytes(self.elements[g]) for g in entry.generators]
-        return PermutationGroup(gens, self.group.degree)
-
     def find(self, H: PermutationGroup) -> int:
         """Lattice index of a subgroup given as a group."""
         if H.degree != self.group.degree:
@@ -150,6 +139,11 @@ class SubgroupLattice:
             raise ValueError("H is not a subgroup of the lattice's group") from None
         return self.subgroup_index[fs]
 
+    def check_group(self, G: PermutationGroup) -> None:
+        """Raise ValueError unless this is the lattice of G."""
+        if self.group is not G and not (self.group == G):
+            raise ValueError("lattice does not belong to the given group")
+
     def conj_element(self, x: int, g: int) -> int:
         """Index of x^g = g^-1 x g."""
         return self.mul[self.mul[self.inv[g]][x]][g]
@@ -158,8 +152,8 @@ class SubgroupLattice:
         return self.group.order // self.subgroups[i].order
 
 
-def enumerate_subgroups(G: PermutationGroup, bound: int = LATTICE_ORDER_BOUND) -> SubgroupLattice:
-    return SubgroupLattice(G, bound=bound)
+def enumerate_subgroups(G: PermutationGroup) -> SubgroupLattice:
+    return SubgroupLattice(G)
 
 
 @dataclass(frozen=True)

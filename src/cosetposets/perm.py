@@ -56,8 +56,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        if degree <= 0 or degree > 255:
-            raise ValueError(f"degree must be in 1..255, got {degree}")
+        _check_degree(degree)
         return cls._from_bytes(_ID256[:degree])
 
     @classmethod

@@ -30,12 +30,6 @@ class FinitePoset:
                 if not below_sets[u] <= below_sets[v]:
                     raise ValueError("strict relation is not transitively closed")
 
-    def is_antichain(self) -> bool:
-        return all(not b for b in self.below)
-
-    def relation_pairs(self) -> list[tuple[int, int]]:
-        return [(u, v) for v in range(self.n) for u in self.below[v]]
-
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Pairs u < v with nothing strictly between."""
         out = []

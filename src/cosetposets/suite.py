@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, factorial
 
 from . import a7 as a7mod
@@ -95,7 +95,8 @@ class VerificationReport:
 
     @property
     def overall(self) -> str:
-        return "pass" if all(r["verdict"] for r in self.records) else "fail"
+        """pass iff there is at least one record and every record passes."""
+        return "pass" if self.records and all(r["verdict"] for r in self.records) else "fail"
 
     def to_json(self) -> str:
         body = {
@@ -423,6 +424,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     if not _is_prime(config.prime):
         raise ValueError(f"--prime must be prime, got {config.prime}")
+    if config.max_order is not None and config.max_order < 1:
+        raise ValueError(f"--max-order must be at least 1, got {config.max_order}")
+    # a suite named twice runs once, in first-seen order
+    config = replace(config, suites=tuple(dict.fromkeys(config.suites)))
     for name in config.suites:
         if name not in _SUITE_FUNCTIONS:
             raise ValueError(f"unknown suite {name!r}; choose from {ALL_SUITES}")

@@ -61,8 +61,7 @@ def evaluate(poly: DirichletPolynomial, k: int) -> Fraction:
     return poly.evaluate(k)
 
 
-def brute_force_generation_probability(G: PermutationGroup, k: int,
-                                       budget: int = TUPLE_BUDGET) -> Fraction:
+def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
     """Exact generating-tuple count over all |G|^k tuples.
 
     Independent of the subgroup lattice: the generation test is a
@@ -71,9 +70,9 @@ def brute_force_generation_probability(G: PermutationGroup, k: int,
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if G.order**k > budget:
+    if G.order**k > TUPLE_BUDGET:
         raise BudgetExceededError(
-            f"|G|^k = {G.order**k} exceeds the tuple budget {budget}")
+            f"|G|^k = {G.order**k} exceeds the tuple budget {TUPLE_BUDGET}")
     elems = G.element_bytes()
     n = len(elems)
     # each element stands for the least generator of its cyclic subgroup

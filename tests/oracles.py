@@ -1,0 +1,143 @@
+"""Slow reference paths the tests compare the library against.
+
+The action engine here applies a group action to every vertex of a
+materialized coset poset and reads off the fixed vertices by definition;
+``cosets.fixed_cosets`` answers the same question from the containment
+criterion <P, K^(x^-1)> <= H without building the poset.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from cosetposets.complexes import SimplicialComplex
+from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
+from cosetposets.groups import PermutationGroup
+from cosetposets.perm import Permutation
+
+
+@dataclass(frozen=True)
+class ActionTriple:
+    """(g, h, alpha): maps Hx to (g^-1 H x h)^alpha."""
+    left: Permutation | None = None
+    right: Permutation | None = None
+    automorphism: OvergroupAutomorphism | None = None
+
+
+@dataclass(frozen=True)
+class ActionGroup:
+    """Generators of a group acting on a coset poset; a vertex is fixed by
+    the group iff every generator fixes it."""
+    generators: tuple[ActionTriple, ...]
+
+
+def translation_action_group(P: PermutationGroup, K: PermutationGroup) -> ActionGroup:
+    triples = [ActionTriple(left=g) for g in P.generators]
+    triples += [ActionTriple(right=g) for g in K.generators]
+    return ActionGroup(tuple(triples))
+
+
+def smith_action_group(spec) -> ActionGroup:
+    """Left P, right K and theta of an ``a7.SmithActionSpec``."""
+    triples = translation_action_group(spec.P, spec.K).generators
+    return ActionGroup(triples + (ActionTriple(automorphism=spec.theta),))
+
+
+def action_fixed_points(poset: CosetPoset, action: ActionGroup) -> list[int]:
+    """Vertices fixed by every generator of the action.
+
+    Raises ValueError if some generator does not map the poset to itself.
+    """
+    fixed = list(range(len(poset.vertices)))
+    for triple in action.generators:
+        mapping = vertex_action_map(poset, triple)
+        fixed = [v for v in fixed if mapping[v] == v]
+    return fixed
+
+
+def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
+    """Image vertex of each vertex under one action triple."""
+    lat = poset.lattice
+    g = triple.left
+    h = triple.right
+    gi = lat.index[g._b] if g is not None else 0
+    hi_id = lat.index[h._b] if h is not None else 0
+    g_inv = lat.inv[gi]
+    if triple.automorphism is not None:
+        conj = triple.automorphism.conjugator
+        alpha = []
+        for b in lat.elements:
+            img = Permutation._from_bytes(b) ** conj
+            j = lat.index.get(img._b)
+            if j is None:
+                raise ValueError("automorphism does not preserve the group")
+            alpha.append(j)
+    else:
+        alpha = None
+
+    def elem_map(x: int) -> int:
+        y = lat.mul[lat.mul[g_inv][x]][hi_id]
+        return alpha[y] if alpha is not None else y
+
+    def subgroup_conj(x: int) -> int:
+        y = lat.mul[lat.mul[g_inv][x]][gi]
+        return alpha[y] if alpha is not None else y
+
+    sub_image: dict[int, int] = {}
+    for si in poset.subgroup_ids:
+        fs = frozenset(subgroup_conj(x) for x in lat.subgroups[si].elements)
+        target = lat.subgroup_index[fs]
+        if target not in poset.coset_rep:
+            raise ValueError("action does not preserve the poset")
+        sub_image[si] = target
+
+    out = []
+    for (si, r) in poset.vertices:
+        ti = sub_image[si]
+        out.append(poset.vertex_index[(ti, poset.coset_rep[ti][elem_map(r)])])
+    return out
+
+
+def relation_pairs(poset) -> list[tuple[int, int]]:
+    """Every strict pair u < v of a FinitePoset."""
+    return [(u, v) for v in range(poset.n) for u in poset.below[v]]
+
+
+def subgroup_as_group(lat, i: int) -> PermutationGroup:
+    """The i-th subgroup of a lattice, rebuilt from its generator indices."""
+    gens = [Permutation._from_bytes(lat.elements[g]) for g in lat.subgroups[i].generators]
+    return PermutationGroup(gens, lat.group.degree)
+
+
+def complex_from_faces(faces, n_vertices: int | None = None) -> SimplicialComplex:
+    """Close the given faces downward; vertices are the points mentioned."""
+    by_dim: dict[int, set[tuple[int, ...]]] = {}
+    stack = [tuple(sorted(set(f))) for f in faces]
+    seen = set(stack)
+    while stack:
+        f = stack.pop()
+        by_dim.setdefault(len(f) - 1, set()).add(f)
+        for i in range(len(f)):
+            sub = f[:i] + f[i + 1:]
+            if sub not in seen:
+                seen.add(sub)
+                stack.append(sub)
+    if n_vertices is None:
+        n_vertices = 1 + max((v for f in by_dim.get(0, ()) for v in f), default=-1)
+    return SimplicialComplex({k: sorted(v) for k, v in by_dim.items()}, n_vertices)
+
+
+def boundary_square_is_zero(X: SimplicialComplex, p: int) -> bool:
+    """Check that applying the boundary twice kills every face, over GF(p)."""
+    for k in range(1, X.dimension + 1):
+        for f in X.faces.get(k, ()):
+            acc: dict[tuple[int, ...], int] = {}
+            for i in range(len(f)):
+                facet = f[:i] + f[i + 1:]
+                sign_i = (-1) ** i
+                for j in range(len(facet)):
+                    sub = facet[:j] + facet[j + 1:]
+                    acc[sub] = (acc.get(sub, 0) + sign_i * (-1) ** j) % p
+            if any(v % p for v in acc.values()):
+                return False
+    return True

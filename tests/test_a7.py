@@ -1,7 +1,6 @@
 import pytest
 
 from cosetposets.a7 import (
-    abelian_antichain_check,
     build_environment,
     build_smith_spec,
     check_pgl_strong_generation,
@@ -11,16 +10,21 @@ from cosetposets.a7 import (
     pgl_overgroups,
     smith_fixed_point_check,
 )
+from cosetposets.complexes import order_complex, reduced_betti
+from cosetposets.cosets import build_relative_poset
 from cosetposets.groups import (
     PermutationGroup,
     alternating_group,
     conjugacy_orbit_of_subgroup,
     cyclic_group,
     generated_order,
+    minimal_normal_subgroups,
     sylow_subgroup,
     symmetric_group,
 )
+from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, parse_permutation
+from oracles import action_fixed_points, relation_pairs, smith_action_group
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +62,9 @@ def test_exactly_two_proper_overgroups_with_seven_cycle(env):
 def test_pgl_simplicity_fingerprint(env):
     """Both overgroups are nonabelian and have no nontrivial proper normal
     subgroup reachable as a normal closure, matching the simple-group shape."""
-    from cosetposets.groups import minimal_normal_subgroups
-
+    elems = env.A7.element_bytes()
     for rec in pgl_overgroups(env):
-        K = PermutationGroup([Permutation._from_bytes(b) for b in rec.gens], 7)
+        K = PermutationGroup([Permutation._from_bytes(elems[i]) for i in rec.generators], 7)
         assert not K.is_abelian()
         assert [m.order for m in minimal_normal_subgroups(K)] == [168]
 
@@ -159,10 +162,29 @@ def test_smith_fixed_set_invariant_under_conjugate_spec(env):
     assert conj["fully_fixed"] == base["fully_fixed"] == []
 
 
+def _abelian_minimal_normal(G, N):
+    return N.is_abelian() and any(N == M for M in minimal_normal_subgroups(G))
+
+
+def _abelian_antichain_report(G, N):
+    """C(G, N) for an abelian minimal normal N: an antichain of size
+    divisible by |N|, so its complex is disconnected or just {emptyset}."""
+    rel = build_relative_poset(G, N, enumerate_subgroups(G))
+    betti = reduced_betti(order_complex(rel), 2)
+    return {
+        "antichain": relation_pairs(rel.poset) == [],
+        "size": len(rel),
+        "size_divisible_by_N": len(rel) % N.order == 0,
+        "low_dimensional_homology": betti.get(-1) + betti.get(0) > 0,
+        "betti": betti.as_dict(),
+    }
+
+
 def test_abelian_antichain_checks():
     S3 = symmetric_group(3)
     A3 = PermutationGroup([parse_permutation("(1,2,3)", 3)])
-    report = abelian_antichain_check(S3, A3)
+    assert _abelian_minimal_normal(S3, A3)
+    report = _abelian_antichain_report(S3, A3)
     assert report["antichain"] and report["size"] == 9
     assert report["size_divisible_by_N"]
     assert report["low_dimensional_homology"]
@@ -170,32 +192,34 @@ def test_abelian_antichain_checks():
     S4 = symmetric_group(4)
     V4 = PermutationGroup([parse_permutation("(1,2)(3,4)", 4),
                            parse_permutation("(1,3)(2,4)", 4)])
-    report = abelian_antichain_check(S4, V4)
+    assert _abelian_minimal_normal(S4, V4)
+    report = _abelian_antichain_report(S4, V4)
     assert report["antichain"]
     assert report["size"] % 4 == 0
     assert report["low_dimensional_homology"]
 
     Z4 = cyclic_group(4)
     Z2 = PermutationGroup([parse_permutation("(1,3)(2,4)", 4)])
-    report = abelian_antichain_check(Z4, Z2)
+    assert _abelian_minimal_normal(Z4, Z2)
+    report = _abelian_antichain_report(Z4, Z2)
     assert report["antichain"] and report["size"] == 0
     assert report["betti"] == {-1: 1}
     assert report["low_dimensional_homology"]
 
 
 def test_abelian_antichain_rejects_nonminimal():
-    S4 = symmetric_group(4)
-    with pytest.raises(ValueError):
-        abelian_antichain_check(S4, alternating_group(4))
+    """A_4 is normal in S_4 but neither abelian nor minimal, and C(S_4, A_4)
+    is no antichain: <(1,2)> < <(1,2), (3,4)> are both supplements of A_4."""
+    S4, A4 = symmetric_group(4), alternating_group(4)
+    assert not _abelian_minimal_normal(S4, A4)
+    assert not _abelian_antichain_report(S4, A4)["antichain"]
 
 
 def test_smith_criterion_agrees_with_poset_action_on_small_group():
     """The overgroup-based fixed-point scan equals the materialized
     poset action scan, checked where both are feasible."""
     from cosetposets.a7 import SmithActionSpec
-    from cosetposets.cosets import (OvergroupAutomorphism, action_fixed_points,
-                                    build_coset_poset)
-    from cosetposets.lattice import enumerate_subgroups
+    from cosetposets.cosets import OvergroupAutomorphism, build_coset_poset
     from cosetposets.perm import cycle_string
 
     S3 = symmetric_group(3)
@@ -207,7 +231,7 @@ def test_smith_criterion_agrees_with_poset_action_on_small_group():
 
     lat = enumerate_subgroups(S3)
     poset = build_coset_poset(S3, lat)
-    fixed = action_fixed_points(poset, spec.action_group())
+    fixed = action_fixed_points(poset, smith_action_group(spec))
     by_action = sorted(
         (lat.subgroups[hi].order,
          cycle_string(Permutation._from_bytes(lat.elements[r])))

@@ -5,7 +5,6 @@ import pytest
 from cosetposets.complexes import (
     BettiVector,
     SimplicialComplex,
-    boundary_square_is_zero,
     is_acyclic,
     join,
     kunneth_join_betti,
@@ -22,6 +21,7 @@ from cosetposets.groups import PermutationGroup, cyclic_group, symmetric_group
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import parse_permutation
 from cosetposets.posets import FinitePoset
+from oracles import boundary_square_is_zero, complex_from_faces
 
 
 def _coset_complex(G):
@@ -119,7 +119,7 @@ def test_betti_of_empty_face_complex():
 
 
 def test_full_simplex_is_acyclic():
-    X = SimplicialComplex.from_faces([(0, 1, 2)])
+    X = complex_from_faces([(0, 1, 2)])
     assert is_acyclic(X, 2)
     assert is_acyclic(X, 3)
 
@@ -129,14 +129,14 @@ def test_coset_complex_s3_not_acyclic():
 
 
 def test_circle_betti_all_primes():
-    circle = SimplicialComplex.from_faces([(0, 1), (1, 2), (0, 2)])
+    circle = complex_from_faces([(0, 1), (1, 2), (0, 2)])
     for p in (2, 3, 5):
         assert reduced_betti(circle, p).as_dict() == {1: 1}
 
 
 def test_projective_plane_distinguishes_characteristic():
     # minimal 6-vertex triangulation; GF(2) sees homology, GF(3) does not
-    rp2 = SimplicialComplex.from_faces(
+    rp2 = complex_from_faces(
         [(0, 1, 3), (0, 3, 4), (0, 4, 2), (0, 2, 5), (0, 5, 1),
          (1, 2, 3), (2, 3, 5), (3, 5, 4), (4, 5, 1), (1, 2, 4)])
     assert reduced_betti(rp2, 2).as_dict() == {1: 1, 2: 1}
@@ -174,7 +174,7 @@ def _random_complex(rng, n_vertices):
     for _ in range(rng.randrange(1, 6)):
         size = rng.randrange(1, min(4, n_vertices) + 1)
         faces.append(tuple(rng.sample(range(n_vertices), size)))
-    return SimplicialComplex.from_faces(faces, n_vertices)
+    return complex_from_faces(faces, n_vertices)
 
 
 def test_euler_poincare_and_boundary_square():

@@ -13,12 +13,7 @@ from cosetposets.generation import (
     univ_gen_via_maximal_indices,
     universally_p_generates,
 )
-from cosetposets.cosets import (
-    action_fixed_points,
-    build_relative_poset,
-    fixed_cosets,
-    translation_action_group,
-)
+from cosetposets.cosets import build_relative_poset, fixed_cosets
 from cosetposets.groups import (
     PermutationGroup,
     _is_prime,
@@ -30,6 +25,7 @@ from cosetposets.groups import (
 )
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, cycle_string, parse_permutation
+from oracles import action_fixed_points, translation_action_group
 
 
 def _group(*texts, degree):

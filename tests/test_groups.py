@@ -46,8 +46,8 @@ def test_a9_order_with_orbit_product_crosscheck():
     G = PermutationGroup(perms("(1,2,3)", "(1,2,3,4,5,6,7,8,9)", degree=9))
     assert G.order == 181440
     prod = 1
-    for size in G.fundamental_orbit_sizes:
-        prod *= size
+    for lv in G._levels:
+        prod *= len(lv.orbit)
     assert prod == G.order
 
 
@@ -84,7 +84,7 @@ def test_deterministic_construction():
     G1 = PermutationGroup(gens)
     G2 = PermutationGroup(gens)
     assert G1.base == G2.base
-    assert G1.strong_generators == G2.strong_generators
+    assert [lv.gens for lv in G1._levels] == [lv.gens for lv in G2._levels]
     assert [b for b in G1.element_bytes()] == [b for b in G2.element_bytes()]
 
 

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from cosetposets.cli import main
-from cosetposets.suite import SuiteConfig, run_suite
+from cosetposets.suite import SuiteConfig, VerificationReport, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,24 @@ def test_exit_code_matches_overall(small_catalog, tmp_path, capsys):
     assert body["overall"] == "pass"
     assert body["config"]["suites"] == ["reciprocity"]
     assert {r["suite"] for r in body["records"]} == {"reciprocity"}
+
+
+def test_repeated_suite_runs_once(small_catalog, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["verify", "--suite", "join", "--suite", "reciprocity", "--suite", "join",
+                 "--catalog", small_catalog, "--out", str(out)])
+    assert code == 0
+    body = json.loads(out.read_text())
+    assert body["config"]["suites"] == ["join", "reciprocity"]
+    assert [r["suite"] for r in body["records"]].count("join") == 5
+
+
+def test_report_without_records_fails(small_catalog):
+    assert VerificationReport(version="0", timestamp="-", config={}).overall == "fail"
+    # no catalog group has order <= 1, so reciprocity makes no records
+    report = run_suite(SuiteConfig(catalog_path=small_catalog, suites=("reciprocity",),
+                                   max_order=1))
+    assert report.records == [] and report.overall == "fail"
 
 
 def test_report_records_capture_errors_without_aborting(tmp_path):
@@ -133,6 +151,8 @@ def test_cli_compute_lattice(capsys):
     ["compute", "lattice", "--group", "A7"],
     ["compute", "zeta"],
     ["compute", "zeta", "--gens", "(1,2)", "--degree", "300"],
+    ["verify", "--max-order", "0"],
+    ["verify", "--max-order", "-3", "--suite", "reciprocity"],
 ])
 def test_cli_input_error_is_one_line(argv, capsys):
     assert main(argv) == 2

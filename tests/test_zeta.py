@@ -71,7 +71,7 @@ def test_brute_force_probabilities():
 
 def test_brute_force_budget():
     with pytest.raises(BudgetExceededError):
-        brute_force_generation_probability(symmetric_group(6), 3, budget=10**6)
+        brute_force_generation_probability(symmetric_group(6), 3)
 
 
 def test_formula_matches_brute_force():
