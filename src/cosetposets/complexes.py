@@ -2,14 +2,15 @@
 
 All complexes are augmented: the empty face sits in dimension -1, so the
 one-face complex {0} (written {emptyset}) has Betti number 1 in dimension
--1 and is not acyclic. GF(2) boundary ranks run on int bitsets; odd primes
-use dense rows, which only the small complexes ever need.
+-1 and is not acyclic. Boundary ranks come from one top-down reduction with
+clearing: int-bitset rows over GF(2), sparse {column: value} rows over odd
+primes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .groups import _is_prime
 from .posets import FinitePoset
@@ -102,41 +103,48 @@ def reduced_euler_characteristic(X: SimplicialComplex) -> int:
     return chi
 
 
-def rank_gf2(rows: list[int]) -> int:
-    """Rank over GF(2) of rows given as int bitsets."""
+def rank_gf2(rows: Iterable[int]) -> set[int]:
+    """Pivot columns of rows given as int bitsets, reduced over GF(2).
+
+    A row's pivot is its highest set bit; the number of pivots is the rank.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
-            bit = (row & -row).bit_length() - 1
+            bit = row.bit_length() - 1
             pivot = pivots.get(bit)
             if pivot is None:
                 pivots[bit] = row
-                rank += 1
                 break
             row ^= pivot
-    return rank
+    return set(pivots)
 
 
-def rank_gfp(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by Gaussian elimination on dense rows."""
-    pivots: dict[int, list[int]] = {}
-    rank = 0
+def rank_gfp(rows: Iterable[dict[int, int]], p: int) -> set[int]:
+    """Pivot columns of sparse rows {column: value}, reduced over GF(p).
+
+    Values lie in 1..p-1 and each row is reduced in place. A row's pivot is
+    its largest column; the number of pivots is the rank.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = [x % p for x in row]
-        while True:
-            lead = next((i for i, x in enumerate(row) if x), None)
-            if lead is None:
-                break
+        while row:
+            lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 inv = pow(row[lead], -1, p)
-                pivots[lead] = [x * inv % p for x in row]
-                rank += 1
+                for col in row:
+                    row[col] = row[col] * inv % p
+                pivots[lead] = row
                 break
             c = row[lead]
-            row = [(x - c * y) % p for x, y in zip(row, pivot)]
-    return rank
+            for col, y in pivot.items():
+                x = (row.get(col, 0) - c * y) % p
+                if x:
+                    row[col] = x
+                else:
+                    row.pop(col, None)
+    return set(pivots)
 
 
 @dataclass(frozen=True)
@@ -173,31 +181,30 @@ class BettiVector:
 
 
 def _boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:
-    """rank of the boundary map C_k -> C_{k-1} for k = 0..dim."""
+    """rank of the boundary map C_k -> C_{k-1} for k = 0..dim.
+
+    The maps are reduced from the top dimension down. Each pivot column of
+    the reduced map from C_{k+1} is a k-face that leads a boundary, and a
+    boundary is a cycle, so that face's row is a combination of the rows of
+    lower k-faces. Those rows are skipped ("clearing", Chen and Kerber,
+    2011), which leaves every rank unchanged.
+    """
     ranks: dict[int, int] = {}
-    for k in range(0, X.dimension + 1):
+    cleared: set[int] = set()
+    for k in range(X.dimension, -1, -1):
         faces_k = X.faces.get(k, [])
-        if not faces_k:
-            ranks[k] = 0
-            continue
-        lower_index = {f: i for i, f in enumerate(X.faces[k - 1])}
+        lower_index = {f: i for i, f in enumerate(X.faces.get(k - 1, []))}
+        kept = (f for j, f in enumerate(faces_k) if j not in cleared)
         if p == 2:
-            rows = []
-            for f in faces_k:
-                bits = 0
-                for i in range(len(f)):
-                    bits |= 1 << lower_index[f[:i] + f[i + 1:]]
-                rows.append(bits)
-            ranks[k] = rank_gf2(rows)
+            cleared = rank_gf2(
+                sum(1 << lower_index[f[:i] + f[i + 1:]] for i in range(len(f)))
+                for f in kept)
         else:
-            width = len(X.faces[k - 1])
-            rows = []
-            for f in faces_k:
-                row = [0] * width
-                for i in range(len(f)):
-                    row[lower_index[f[:i] + f[i + 1:]]] += (-1) ** i
-                rows.append(row)
-            ranks[k] = rank_gfp(rows, p)
+            signs = (1, p - 1)
+            cleared = rank_gfp(
+                ({lower_index[f[:i] + f[i + 1:]]: signs[i & 1] for i in range(len(f))}
+                 for f in kept), p)
+        ranks[k] = len(cleared)
     return ranks
 
 

@@ -1,5 +1,9 @@
 """Slow reference paths the tests compare the library against.
 
+The dense boundary ranks here reduce every boundary map bottom-up, row by
+dense row, with no clearing; ``complexes._boundary_ranks`` reduces sparse
+rows from the top dimension down and skips the cleared ones.
+
 The action engine here applies a group action to every vertex of a
 materialized coset poset and reads off the fixed vertices by definition;
 ``cosets.fixed_cosets`` answers the same question from the containment
@@ -141,3 +145,39 @@ def boundary_square_is_zero(X: SimplicialComplex, p: int) -> bool:
             if any(v % p for v in acc.values()):
                 return False
     return True
+
+
+def dense_rank_gfp(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) by Gaussian elimination on dense rows."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        row = [x % p for x in row]
+        lead = 0
+        while True:
+            lead = next((i for i in range(lead, len(row)) if row[i]), None)
+            if lead is None:
+                break
+            pivot = pivots.get(lead)  # its entries from column lead on
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = [x * inv % p for x in row[lead:]]
+                break
+            c = row[lead]
+            row[lead:] = [(x - c * y) % p for x, y in zip(row[lead:], pivot)]
+    return len(pivots)
+
+
+def dense_boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:
+    """rank of the boundary map C_k -> C_{k-1} for k = 0..dim, each map
+    reduced on its own from dense signed rows."""
+    ranks: dict[int, int] = {}
+    for k in range(0, X.dimension + 1):
+        lower_index = {f: i for i, f in enumerate(X.faces.get(k - 1, []))}
+        rows = []
+        for f in X.faces.get(k, []):
+            row = [0] * len(lower_index)
+            for i in range(len(f)):
+                row[lower_index[f[:i] + f[i + 1:]]] += (-1) ** i
+            rows.append(row)
+        ranks[k] = dense_rank_gfp(rows, p)
+    return ranks

@@ -68,11 +68,11 @@ def ws():
 _BETTI = {}
 
 
-def _betti(ws, name):
-    """Reduced GF(2) Betti numbers of C(G), memoized across criteria."""
-    if name not in _BETTI:
-        _BETTI[name] = reduced_betti(order_complex(ws.coset_poset(name)), 2)
-    return _BETTI[name]
+def _betti(ws, name, p=2):
+    """Reduced GF(p) Betti numbers of C(G), memoized across criteria."""
+    if (name, p) not in _BETTI:
+        _BETTI[name, p] = reduced_betti(order_complex(ws.coset_poset(name)), p)
+    return _BETTI[name, p]
 
 
 def _report(criterion, ok, detail):
@@ -150,6 +150,29 @@ def test_criterion_3_main_theorem_desk_scale(ws):
     _report(3, checked >= 44 and elapsed < 600,
             f"{checked} groups and {relatives} minimal normal subgroups "
             f"in {elapsed:.1f}s")
+
+
+def test_criterion_3_main_theorem_every_prime(ws):
+    """Nonzero reduced GF(p) homology of C(G) for every prime p dividing |G|,
+    over all catalog groups of order 2..60; the Euler characteristic of each
+    Betti vector must equal -P(-1)."""
+    start = time.perf_counter()
+    computed = []
+    for entry in ws.entries:
+        if not 1 < entry.expected_order <= 60:
+            continue
+        lat, mu = ws.lattice(entry.name)
+        p_at_minus_one = evaluate(hall_polynomial(lat, mu), -1)
+        order = entry.expected_order
+        for p in (q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)):
+            betti = _betti(ws, entry.name, p)
+            assert not betti.is_zero(), f"{entry.name}: C(G) is GF({p})-acyclic"
+            assert betti.euler() == -p_at_minus_one, f"{entry.name}: GF({p})"
+            computed.append(f"{entry.name}@{p}")
+    elapsed = time.perf_counter() - start
+    _report(3, len(computed) >= 60,
+            f"{len(computed)} (group, prime) pairs with nonzero homology and "
+            f"Euler characteristic -P(-1) in {elapsed:.1f}s")
 
 
 def test_criterion_4_brown_join_kunneth(ws):

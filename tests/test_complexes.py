@@ -1,10 +1,14 @@
+import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cosetposets.catalog import catalog_group, load_catalog
 from cosetposets.complexes import (
     BettiVector,
     SimplicialComplex,
+    _boundary_ranks,
     is_acyclic,
     join,
     kunneth_join_betti,
@@ -16,12 +20,20 @@ from cosetposets.complexes import (
     reduced_betti,
     reduced_euler_characteristic,
 )
-from cosetposets.cosets import build_coset_poset
-from cosetposets.groups import PermutationGroup, cyclic_group, symmetric_group
+from cosetposets.cosets import build_coset_poset, build_relative_poset
+from cosetposets.groups import (
+    PermutationGroup,
+    _is_prime,
+    cyclic_group,
+    minimal_normal_subgroups,
+    symmetric_group,
+)
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import parse_permutation
 from cosetposets.posets import FinitePoset
-from oracles import boundary_square_is_zero, complex_from_faces
+from oracles import boundary_square_is_zero, complex_from_faces, dense_boundary_ranks
+
+RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
 
 def _coset_complex(G):
@@ -206,8 +218,37 @@ def test_join_betti_matches_kunneth_on_samples():
 
 
 def test_rank_helpers():
-    assert rank_gf2([0b011, 0b110, 0b101]) == 2
-    assert rank_gf2([]) == 0
-    assert rank_gfp([[1, 2], [2, 4]], 5) == 1
-    assert rank_gfp([[1, 2], [2, 4]], 3) == 1
-    assert rank_gfp([[1, 1], [1, 2]], 3) == 2
+    assert rank_gf2([0b011, 0b110, 0b101]) == {1, 2}
+    assert rank_gf2([]) == set()
+    assert rank_gfp([{0: 1, 1: 2}, {0: 2, 1: 4}], 5) == {1}
+    assert rank_gfp([{0: 1, 1: 2}, {0: 2, 1: 1}], 3) == {1}
+    assert rank_gfp([{0: 1, 1: 1}, {0: 1, 1: 2}], 3) == {0, 1}
+
+
+def _catalog_oracle_cases():
+    # the dense reduction of C(C2^4) (16,046 faces) alone takes over a minute
+    slow = pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+    return [pytest.param(e.name, marks=slow) if e.name == "C2^4" else e.name
+            for e in load_catalog(verify=False) if 1 < e.expected_order <= 24]
+
+
+@pytest.mark.parametrize("name", _catalog_oracle_cases())
+def test_boundary_ranks_match_dense_oracle_on_catalog(name):
+    """C(G) and every C(G, N), N minimal normal, over every prime dividing |G|."""
+    G = catalog_group(name)
+    lat = enumerate_subgroups(G)
+    posets = [build_coset_poset(G, lat)]
+    posets += [build_relative_poset(G, N, lat) for N in minimal_normal_subgroups(G)]
+    for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and _is_prime(q)):
+        for poset in posets:
+            X = order_complex(poset)
+            assert _boundary_ranks(X, p) == dense_boundary_ranks(X, p), (name, p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(faces=st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5),
+                      min_size=1, max_size=12),
+       p=st.sampled_from([2, 3, 5, 7]))
+def test_boundary_ranks_match_dense_oracle_on_random_complexes(faces, p):
+    X = complex_from_faces(faces)
+    assert _boundary_ranks(X, p) == dense_boundary_ranks(X, p)

@@ -134,6 +134,12 @@ def test_cli_compute_homology_inline_gens(capsys):
     assert "dim 1: 3" in out
 
 
+def test_cli_compute_homology_odd_prime_a5(capsys):
+    assert main(["compute", "homology", "--group", "A5", "--prime", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "dim 2: 1560" in out
+
+
 def test_cli_compute_lattice(capsys):
     assert main(["compute", "lattice", "--group", "C4"]) == 0
     out = capsys.readouterr().out
