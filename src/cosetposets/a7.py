@@ -180,10 +180,10 @@ def check_rho_on_power(t: int) -> dict:
     report["factor_property_3"] = invariant_overgroups == [env.A7.order]
     if t == 1:
         phi_report = check_phi_properties(env)
-        report["normalizes_factors"] = True
+        report["normalizes_factors"] = all(g ** x in env.A7 for g in env.A7.generators)
         report["normalizes_P_product"] = phi_report["phi_normalizes_P"]
         report["normalizes_K"] = phi_report["phi_normalizes_seven_cycle_subgroup"]
-        report["rho_order"] = 2
+        report["rho_order"] = x.order()
         return report
     rho = diagonal_embedding(PermutationGroup([x], 7), t).generators[0]
     report["rho_order"] = rho.order()

@@ -169,9 +169,6 @@ class BettiVector:
         d = dict(self.values)
         return [d.get(k, 0) for k in range(-1, top + 1)]
 
-    def euler(self) -> int:
-        return sum(v if k % 2 == 0 else -v for k, v in self.values)
-
     def is_zero(self) -> bool:
         return not self.values
 

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from .groups import (
     PermutationGroup,
     SubgroupRecord,
+    conjugate_indices,
     intermediate_subgroups,
     is_normal_subgroup,
+    right_coset_reps,
     subgroup_indices,
 )
 from .lattice import SubgroupLattice
-from .perm import Permutation, _inv_bytes, _mul_bytes, cycle_string
+from .perm import Permutation, _inv_bytes, cycle_string
 from .posets import FinitePoset
 
 
@@ -51,28 +53,16 @@ class OvergroupAutomorphism:
 class CosetPoset:
     """Cosets Hx of the included proper subgroups, ordered by inclusion."""
 
-    def __init__(self, lattice: SubgroupLattice, subgroup_ids: list[int],
-                 normal_subgroup_id: int | None = None):
+    def __init__(self, lattice: SubgroupLattice, subgroup_ids: list[int]):
         self.lattice = lattice
         self.subgroup_ids = tuple(sorted(subgroup_ids))
-        self.normal_subgroup_id = normal_subgroup_id
         lat = lattice
-        n = len(lat.elements)
-        self.coset_rep: dict[int, list[int]] = {}
-        for hi in self.subgroup_ids:
-            members = sorted(lat.subgroups[hi].elements)
-            rep = [-1] * n
-            for x in range(n):
-                if rep[x] == -1:
-                    coset = [lat.mul[h][x] for h in members]
-                    r = min(coset)
-                    for m in coset:
-                        rep[m] = r
-            self.coset_rep[hi] = rep
-        self.vertices: list[tuple[int, int]] = []
-        for hi in self.subgroup_ids:
-            rep = self.coset_rep[hi]
-            self.vertices.extend((hi, x) for x in range(n) if rep[x] == x)
+        self.coset_rep: dict[int, list[int]] = {
+            hi: right_coset_reps(lat.group, lat.subgroups[hi].elements)
+            for hi in self.subgroup_ids}
+        self.vertices: list[tuple[int, int]] = [
+            (hi, x) for hi in self.subgroup_ids
+            for x, r in enumerate(self.coset_rep[hi]) if r == x]
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         included = set(self.subgroup_ids)
         pairs = []
@@ -80,9 +70,8 @@ class CosetPoset:
             smaller = [hi for hi in lat.below[kj] if hi in included]
             rep_k = self.coset_rep[kj]
             for hi in smaller:
-                rep_h = self.coset_rep[hi]
-                for x in range(n):
-                    if rep_h[x] == x:
+                for x, r in enumerate(self.coset_rep[hi]):
+                    if r == x:
                         pairs.append((self.vertex_index[(hi, x)],
                                       self.vertex_index[(kj, rep_k[x])]))
         self.poset = FinitePoset(len(self.vertices), pairs)
@@ -129,7 +118,7 @@ def build_relative_poset(G: PermutationGroup, N: PermutationGroup,
     n_set = lat.subgroups[ni].elements
     ids = [i for i, rec in enumerate(lat.subgroups)
            if _proper_supplement(rec, n_set, G.order)]
-    return CosetPoset(lat, ids, normal_subgroup_id=ni)
+    return CosetPoset(lat, ids)
 
 
 def fixed_cosets(G: PermutationGroup, N: PermutationGroup, P: PermutationGroup,
@@ -146,23 +135,13 @@ def fixed_cosets(G: PermutationGroup, N: PermutationGroup, P: PermutationGroup,
         raise ValueError("K is not a subgroup of G")
     elems, index = G.element_bytes(), G.element_index()
     n_set = subgroup_indices(G, N)
-    k_gens = [g._b for g in K.generators]
+    k_gens = [index[g._b] for g in K.generators]
     out = []
     for rec in intermediate_subgroups(G, P):
         if not _proper_supplement(rec, n_set, G.order):
             continue
-        h_set = rec.elements
-        h_bytes = [elems[i] for i in h_set]
-        assigned = bytearray(len(elems))
-        for r in range(len(elems)):
-            if assigned[r]:
-                continue
-            # r is the least unassigned index, hence the least in its coset
-            for hb in h_bytes:
-                assigned[index[_mul_bytes(hb, elems[r])]] = 1
-            ri = _inv_bytes(elems[r])
-            # K^(x^-1) = x K x^-1
-            if all(index[_mul_bytes(_mul_bytes(elems[r], kg), ri)] in h_set
-                   for kg in k_gens):
+        for r, rep in enumerate(right_coset_reps(G, rec.elements)):
+            # K^(x^-1) = x K x^-1, with x = r the least element of Hx
+            if rep == r and conjugate_indices(G, k_gens, _inv_bytes(elems[r])) <= rec.elements:
                 out.append((rec, r))
     return out

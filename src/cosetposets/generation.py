@@ -40,9 +40,6 @@ class GenerationReport:
     cycles: int = 0
     millis: float = 0.0
 
-    def first_witness(self) -> dict | None:
-        return self.witnesses[0] if self.witnesses else None
-
 
 def _conjugate_sweep(report: GenerationReport, G: PermutationGroup, K: PermutationGroup,
                      p_gens: list[bytes]) -> None:

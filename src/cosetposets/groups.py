@@ -6,13 +6,16 @@ are always chosen as the smallest moved point, so a group built twice from
 the same generator sequence is identical, byte for byte.
 
 Internally permutations are image tables of type ``bytes`` (0-based);
-the public surface speaks :class:`~cosetposets.perm.Permutation`.
+the public surface speaks :class:`~cosetposets.perm.Permutation`. Subgroups
+and cosets are index sets into a group's element table (``_closure``,
+``right_coset_reps``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, repeat
 from math import factorial
 from operator import mul
 from typing import Iterable, Sequence
@@ -149,28 +152,6 @@ def _generated_order(raw_gens: Iterable[bytes], degree: int,
     return _chain_order(_build_chain(raw_gens, degree, stop_at=stop_at))
 
 
-def _transversal_products(levels: list[_Level], degree: int) -> list[bytes]:
-    """Every element of the chain's group, once each, as a product of
-    transversal elements (unsorted)."""
-    elems = [_ID256[:degree]]
-    for lv in reversed(levels):
-        transversal = [lv.orbit[p] for p in sorted(lv.orbit)]
-        elems = [_mul_bytes(e, u) for e in elems for u in transversal]
-    return elems
-
-
-def _closure(raw_gens: Sequence[bytes], degree: int,
-             abort_above: int | None = None) -> list[bytes] | None:
-    """Elements of the generated subgroup, read off its stabilizer chain.
-
-    Returns None if the subgroup has more than ``abort_above`` elements.
-    """
-    levels = _build_chain(raw_gens, degree)
-    if abort_above is not None and _chain_order(levels) > abort_above:
-        return None
-    return _transversal_products(levels, degree)
-
-
 class PermutationGroup:
     """A finite permutation group defined by generators.
 
@@ -231,10 +212,6 @@ class PermutationGroup:
             raise ValueError("degree mismatch")
         return all(other._contains_bytes(g) for g in self._gens_bytes())
 
-    def is_abelian(self) -> bool:
-        gens = self._gens_bytes()
-        return all(_mul_bytes(a, b) == _mul_bytes(b, a) for a in gens for b in gens)
-
     def _gens_bytes(self) -> list[bytes]:
         return [g._b for g in self._gens]
 
@@ -248,7 +225,11 @@ class PermutationGroup:
                 raise BudgetExceededError(
                     f"group of order {self._order} exceeds the enumeration bound "
                     f"{ENUMERATION_BOUND}")
-            elems = _transversal_products(self._levels, self._degree)
+            # every element once, as a product of transversal elements
+            elems = [_ID256[: self._degree]]
+            for lv in reversed(self._levels):
+                transversal = [lv.orbit[p] for p in sorted(lv.orbit)]
+                elems = [_mul_bytes(e, u) for e in elems for u in transversal]
             elems.sort()
             self._elements = tuple(elems)
         return self._elements
@@ -506,51 +487,49 @@ def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> Quotien
     """Realize G/N as a permutation group on the [G:N] cosets of N."""
     if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
-    index = G.order // N.order
-    ident = _ID256[: G.degree]
-    reps: list[bytes] = [ident]
-    gens_b = G._gens_bytes()
-
-    def coset_of(x: bytes) -> int | None:
-        for j, r in enumerate(reps):
-            if N._contains_bytes(_mul_bytes(x, _inv_bytes(r))):
-                return j
-        return None
-
-    qi = 0
-    while qi < len(reps):
-        r = reps[qi]
-        qi += 1
-        for g in gens_b:
-            x = _mul_bytes(r, g)
-            if coset_of(x) is None:
+    elems, index = G.element_bytes(), G.element_index()
+    label = right_coset_reps(G, subgroup_indices(G, N))
+    pads = [g + _ID256[G.degree:] for g in G._gens_bytes()]
+    reps = [0]
+    position = {0: 0}  # coset label -> position of its representative in reps
+    for r in reps:  # grows while it is walked
+        for pad in pads:
+            x = index[elems[r].translate(pad)]
+            if label[x] not in position:
+                position[label[x]] = len(reps)
                 reps.append(x)
-    assert len(reps) == index
-    images = []
-    for g in gens_b:
-        img = [coset_of(_mul_bytes(r, g)) for r in reps]
-        images.append(Permutation(img))
-    Q = PermutationGroup(images, index)
+    assert len(reps) == G.order // N.order
+    images = [Permutation([position[label[index[elems[r].translate(pad)]]] for r in reps])
+              for pad in pads]
+    Q = PermutationGroup(images, len(reps))
     assert Q.order * N.order == G.order
-    return QuotientRepresentation(Q, tuple(Permutation._from_bytes(r) for r in reps))
+    return QuotientRepresentation(Q, tuple(Permutation._from_bytes(elems[r]) for r in reps))
 
 
-def normal_closure(G: PermutationGroup, seeds: Sequence[Permutation]) -> PermutationGroup:
-    """Smallest normal subgroup of G containing the seed elements."""
-    gens = [s._b for s in seeds]
-    group = PermutationGroup([Permutation._from_bytes(b) for b in gens], G.degree)
+def _normal_closure(G: PermutationGroup, gens: list[int],
+                    conj_rows: list[list[int]]) -> tuple[frozenset[int], list[int]]:
+    """The normal closure of <gens> as element indices, and its generators:
+    ``gens`` extended by each conjugate, under G's generators, that is not
+    yet inside."""
+    members = _closure(G, gens)
     changed = True
     while changed:
         changed = False
-        for g in G._gens_bytes():
-            gi = _inv_bytes(g)
+        for row in conj_rows:
             for x in list(gens):
-                y = _mul_bytes(_mul_bytes(gi, x), g)
-                if not group._contains_bytes(y):
-                    gens.append(y)
-                    group = PermutationGroup([Permutation._from_bytes(b) for b in gens], G.degree)
+                if row[x] not in members:
+                    gens.append(row[x])
+                    members = _closure(G, gens, members)
                     changed = True
-    return group
+    return members, gens
+
+
+def normal_closure(G: PermutationGroup, seeds: Sequence[Permutation]) -> PermutationGroup:
+    """Smallest normal subgroup of G containing the seed elements of G."""
+    index = G.element_index()
+    _, gens = _normal_closure(G, [index[s._b] for s in seeds], _conjugation_rows(G))
+    return PermutationGroup([Permutation._from_bytes(G.element_bytes()[i]) for i in gens],
+                            G.degree)
 
 
 def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
@@ -561,18 +540,19 @@ def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
         raise BudgetExceededError(
             f"minimal_normal_subgroups needs element enumeration; order {G.order} exceeds bound")
     elems = G.element_bytes()
-    closures: dict[frozenset[bytes], PermutationGroup] = {}
+    conj_rows = _conjugation_rows(G)
+    closures: dict[frozenset[int], list[int]] = {}
     for generators in cyclic_subgroups(G).values():
         if generators[0] == 0:  # the trivial subgroup
             continue
-        cl = normal_closure(G, [Permutation._from_bytes(elems[generators[0]])])
-        key = frozenset(cl.element_bytes())
-        closures.setdefault(key, cl)
+        members, gens = _normal_closure(G, [generators[0]], conj_rows)
+        closures.setdefault(members, gens)
     keys = list(closures)
     minimal = [k for k in keys
                if not any(other < k for other in keys if other != k)]
     minimal.sort(key=lambda k: (len(k), sorted(k)))
-    return [closures[k] for k in minimal]
+    return [PermutationGroup([Permutation._from_bytes(elems[i]) for i in closures[k]], G.degree)
+            for k in minimal]
 
 
 def cyclic_subgroups(G: PermutationGroup) -> dict[frozenset[int], list[int]]:
@@ -583,13 +563,15 @@ def cyclic_subgroups(G: PermutationGroup) -> dict[frozenset[int], list[int]]:
     """
     elems = G.element_bytes()
     index = G.element_index()
+    tail = _ID256[G._degree:]
     out: dict[frozenset[int], list[int]] = {}
     for i, b in enumerate(elems):
         members = {0, i}
-        x = _mul_bytes(b, b)
+        pad = b + tail
+        x = b.translate(pad)
         while x != elems[0]:
             members.add(index[x])
-            x = _mul_bytes(x, b)
+            x = x.translate(pad)
         out.setdefault(frozenset(members), []).append(i)
     return out
 
@@ -601,6 +583,58 @@ def subgroup_indices(G: PermutationGroup, H: PermutationGroup) -> frozenset[int]
     """
     index = G.element_index()
     return frozenset(index[b] for b in H.element_bytes())
+
+
+def _closure(G: PermutationGroup, gens: Sequence[int],
+             start: frozenset[int] = frozenset({0}),
+             abort_above: int | None = None) -> frozenset[int] | None:
+    """<gens> as indices into G's element table, grown from ``start``, a
+    subgroup of <gens>, as a union of right cosets start·t: one membership
+    test per coset and generator, then each new coset is added whole
+    (Dimino). None once it has more than ``abort_above`` elements."""
+    elems, index = G.element_bytes(), G.element_index()
+    tail = _ID256[G._degree:]
+    limit = len(elems) if abort_above is None else abort_above
+    base = [elems[h] for h in start]
+    pads = [elems[g] + tail for g in gens]
+    seen = set(start)
+    reps = [elems[0]]
+    for r in reps:  # grows while it is walked
+        if len(seen) > limit:
+            return None
+        for pad in pads:
+            t = r.translate(pad)
+            if index[t] not in seen:
+                seen.update(map(index.__getitem__, map(bytes.translate, base, repeat(t + tail))))
+                reps.append(t)
+    return frozenset(seen)
+
+
+def right_coset_reps(G: PermutationGroup, members: Iterable[int]) -> list[int]:
+    """For each index x into G's element table, the least index in the right
+    coset Hx, with the subgroup H given by its element indices."""
+    elems, index = G.element_bytes(), G.element_index()
+    tail = _ID256[G._degree:]
+    base = [elems[h] for h in members]
+    rep = [-1] * len(elems)
+    for x, xb in enumerate(elems):
+        if rep[x] < 0:
+            # x is the least index not yet labelled, hence the least in Hx
+            for y in map(index.__getitem__, map(bytes.translate, base, repeat(xb + tail))):
+                rep[y] = x
+    return rep
+
+
+def _conjugation_rows(G: PermutationGroup) -> list[list[int]]:
+    """For each generator g of G, the map x -> x^g = g^-1 x g on indices
+    into G's element table, as a list."""
+    elems, index = G.element_bytes(), G.element_index()
+    tail = _ID256[G._degree:]
+    rows = []
+    for g in G._gens_bytes():
+        gi, g_pad = _inv_bytes(g), g + tail
+        rows.append([index[gi.translate(x + tail).translate(g_pad)] for x in elems])
+    return rows
 
 
 def conjugate_indices(G: PermutationGroup, members: Iterable[int], g: bytes) -> frozenset[int]:
@@ -649,15 +683,16 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
             f"intermediate_subgroups needs element enumeration; order {G.order} exceeds bound")
     elems = G.element_bytes()
     index = G.element_index()
+    tail = _ID256[G._degree:]
     n_g = len(elems)
 
-    def record_from(gens: tuple[int, ...]) -> SubgroupRecord:
-        closure = _closure([elems[i] for i in gens], G.degree, abort_above=n_g // 2)
-        if closure is None:
+    def record_from(gens: tuple[int, ...],
+                    start: frozenset[int] = frozenset({0})) -> SubgroupRecord:
+        fs = _closure(G, gens, start, abort_above=n_g // 2)
+        if fs is None:
             # index < 2 forces the whole group
             return SubgroupRecord(n_g, frozenset(range(n_g)),
                                   tuple(index[b] for b in G._gens_bytes()))
-        fs = frozenset(index[b] for b in closure)
         return SubgroupRecord(len(fs), fs, gens)
 
     start = record_from(tuple(index[g._b] for g in H.generators))
@@ -669,6 +704,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
         if rec.elements == full:
             continue
         gens_b = [elems[i] for i in rec.generators]
+        pads = [kb + tail for kb in gens_b]
         seen = bytearray(n_g)
         for i in rec.elements:
             seen[i] = 1
@@ -680,15 +716,15 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
             seen[i] = 1
             while stack:
                 x = stack.pop()
-                for kb in gens_b:
-                    for y in (_mul_bytes(kb, x), _mul_bytes(x, kb)):
-                        j = index[y]
-                        if not seen[j]:
-                            seen[j] = 1
-                            stack.append(y)
-            new_rec = record_from(rec.generators + (i,))
+                # k x and x k for each generator k of K
+                for y in chain(map(bytes.translate, gens_b, repeat(x + tail)),
+                               map(x.translate, pads)):
+                    j = index[y]
+                    if not seen[j]:
+                        seen[j] = 1
+                        stack.append(y)
+            new_rec = record_from(rec.generators + (i,), rec.elements)
             if new_rec.elements not in found:
                 found[new_rec.elements] = new_rec
                 frontier.append(new_rec)
-    out = sorted(found.values(), key=lambda r: (r.order, sorted(r.elements)))
-    return out
+    return sorted(found.values(), key=lambda r: (r.order, sorted(r.elements)))

@@ -19,12 +19,13 @@ from .groups import (
     BudgetExceededError,
     PermutationGroup,
     SubgroupRecord,
+    _closure,
+    _conjugation_rows,
     _is_prime,
     _p_part,
     cyclic_subgroups,
     subgroup_indices,
 )
-from .perm import _inv_bytes, _mul_bytes
 
 LATTICE_ORDER_BOUND = 1000
 
@@ -41,10 +42,6 @@ class SubgroupLattice:
         self.index: dict[bytes, int] = group.element_index()
         n = len(self.elements)
         assert self.elements[0] == bytes(range(group.degree)), "identity must sort first"
-        self.mul: list[list[int]] = [
-            [self.index[_mul_bytes(a, b)] for b in self.elements] for a in self.elements
-        ]
-        self.inv: list[int] = [self.index[_inv_bytes(a)] for a in self.elements]
         self.subgroups: list[SubgroupRecord] = self._enumerate()
         self.subgroup_index: dict[frozenset[int], int] = {
             e.elements: i for i, e in enumerate(self.subgroups)
@@ -57,26 +54,12 @@ class SubgroupLattice:
 
     def _span(self, gens: tuple[int, ...],
               start: frozenset[int] = frozenset({0})) -> frozenset[int]:
-        """<gens>, grown from ``start``, a subgroup of <gens>, as a union of
-        right cosets start·r: one membership test per coset and generator,
-        then each new coset is added whole (Dimino)."""
-        mul = self.mul
-        base = tuple(start)
-        seen = set(start)
-        reps = [0]
-        for r in reps:  # grows while it is walked
-            row = mul[r]
-            for g in gens:
-                t = row[g]
-                if t not in seen:
-                    seen.update([mul[h][t] for h in base])
-                    reps.append(t)
-        return frozenset(seen)
+        """<gens>, grown from ``start``, a subgroup of <gens> (Dimino)."""
+        return _closure(self.group, gens, start)
 
     def _enumerate(self) -> list[SubgroupRecord]:
         n = len(self.elements)
-        conj_rows = [[self.conj_element(x, self.index[g]) for x in range(n)]
-                     for g in self.group._gens_bytes()]
+        conj_rows = _conjugation_rows(self.group)
         # generators of the cyclic subgroups of prime-power order
         zs = [gens[0] for fs, gens in cyclic_subgroups(self.group).items()
               if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
@@ -143,10 +126,6 @@ class SubgroupLattice:
         """Raise ValueError unless this is the lattice of G."""
         if self.group is not G and not (self.group == G):
             raise ValueError("lattice does not belong to the given group")
-
-    def conj_element(self, x: int, g: int) -> int:
-        """Index of x^g = g^-1 x g."""
-        return self.mul[self.mul[self.inv[g]][x]][g]
 
     def index_in_group(self, i: int) -> int:
         return self.group.order // self.subgroups[i].order

@@ -8,11 +8,16 @@ The action engine here applies a group action to every vertex of a
 materialized coset poset and reads off the fixed vertices by definition;
 ``cosets.fixed_cosets`` answers the same question from the containment
 criterion <P, K^(x^-1)> <= H without building the poset.
+
+Products of elements here come from ``product_table``, which composes the
+image tables of G's element table point by point, so the oracles share no
+arithmetic with the library beyond the element table itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cosetposets.complexes import SimplicialComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
@@ -59,14 +64,65 @@ def action_fixed_points(poset: CosetPoset, action: ActionGroup) -> list[int]:
     return fixed
 
 
+@lru_cache(maxsize=8)
+def _product_table(elems: tuple[bytes, ...]) -> tuple[tuple[tuple[int, ...], ...],
+                                                    tuple[int, ...]]:
+    index = {b: i for i, b in enumerate(elems)}
+    # a * b applies a, then b: point x goes to b[a[x]]
+    mul = tuple(tuple(index[bytes(b[x] for x in a)] for b in elems) for a in elems)
+    return mul, tuple(row.index(0) for row in mul)
+
+
+def product_table(G: PermutationGroup) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(mul, inv) on G's element table: mul[i][j] is the index of
+    elems[i] * elems[j] and inv[i] that of elems[i]^-1."""
+    return _product_table(G.element_bytes())
+
+
+def conj_element(G: PermutationGroup, x: int, g: int) -> int:
+    """Index of x^g = g^-1 x g, from the product table."""
+    mul, inv = product_table(G)
+    return mul[mul[inv[g]][x]][g]
+
+
+def chain_normal_closure(G: PermutationGroup, seeds) -> PermutationGroup:
+    """Normal closure by stabilizer chains: add each conjugate, under G's
+    generators, that the current group does not contain, and rebuild."""
+    gens = [s._b for s in seeds]
+    group = PermutationGroup([Permutation._from_bytes(b) for b in gens], G.degree)
+    changed = True
+    while changed:
+        changed = False
+        for g in G.generators:
+            for x in list(gens):
+                y = (Permutation._from_bytes(x) ** g)._b
+                if Permutation._from_bytes(y) not in group:
+                    gens.append(y)
+                    group = PermutationGroup([Permutation._from_bytes(b) for b in gens],
+                                             G.degree)
+                    changed = True
+    return group
+
+
+def is_abelian(G: PermutationGroup) -> bool:
+    gens = [g._b for g in G.generators]
+    return all(bytes(b[x] for x in a) == bytes(a[x] for x in b) for a in gens for b in gens)
+
+
+def betti_euler(betti) -> int:
+    """Reduced Euler characteristic of a ``complexes.BettiVector``."""
+    return sum(v if k % 2 == 0 else -v for k, v in betti.values)
+
+
 def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
     """Image vertex of each vertex under one action triple."""
     lat = poset.lattice
+    mul, inv = product_table(lat.group)
     g = triple.left
     h = triple.right
     gi = lat.index[g._b] if g is not None else 0
     hi_id = lat.index[h._b] if h is not None else 0
-    g_inv = lat.inv[gi]
+    g_inv = inv[gi]
     if triple.automorphism is not None:
         conj = triple.automorphism.conjugator
         alpha = []
@@ -80,11 +136,11 @@ def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
         alpha = None
 
     def elem_map(x: int) -> int:
-        y = lat.mul[lat.mul[g_inv][x]][hi_id]
+        y = mul[mul[g_inv][x]][hi_id]
         return alpha[y] if alpha is not None else y
 
     def subgroup_conj(x: int) -> int:
-        y = lat.mul[lat.mul[g_inv][x]][gi]
+        y = mul[mul[g_inv][x]][gi]
         return alpha[y] if alpha is not None else y
 
     sub_image: dict[int, int] = {}

@@ -23,6 +23,7 @@ from oracles import (
     ActionGroup,
     ActionTriple,
     action_fixed_points,
+    conj_element,
     relation_pairs,
     subgroup_as_group,
     translation_action_group,
@@ -124,7 +125,7 @@ def test_relative_membership_is_conjugation_invariant():
     for g in S4.generators:
         gi = lat.index[g._b]
         for hi in qualifying:
-            image = frozenset(lat.conj_element(x, gi)
+            image = frozenset(conj_element(S4, x, gi)
                               for x in lat.subgroups[hi].elements)
             assert lat.subgroup_index[image] in qualifying
 

@@ -80,7 +80,7 @@ def test_seven_cycle_fails_in_a7():
     K = _group("(1,2,3,4,5,6,7)", degree=7)
     report = universally_p_generates(A7, K, 2)
     assert not report.verdict
-    assert report.first_witness()["generated_order"] == 168
+    assert report.witnesses[0]["generated_order"] == 168
 
 
 def test_c3_universally_2_generates_z6():
@@ -178,7 +178,7 @@ def test_diagonal_universal_a7_power_fails():
     K = _group("(1,2,3,4,5,6,7)", degree=7)
     report = check_diagonal_universal(A7, K, 2, 2)
     assert not report.verdict
-    witness = report.first_witness()
+    witness = report.witnesses[0]
     assert witness["generated_order"] < 2520 ** 2
     assert (2520 ** 2) % witness["generated_order"] == 0
 

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -20,15 +21,31 @@ from cosetposets.groups import (
     minimal_normal_subgroups,
     normal_closure,
     quotient_representation,
+    right_coset_reps,
     symmetric_group,
     sylow_subgroup,
 )
 from cosetposets.catalog import load_catalog
 from cosetposets.perm import Permutation, _ID256, _mul_bytes, parse_permutation
+from cosetposets.lattice import enumerate_subgroups
+from oracles import chain_normal_closure, is_abelian, product_table
 
 
 def perms(*texts, degree):
     return [parse_permutation(t, degree) for t in texts]
+
+
+SMALL_CATALOG = {e.name: e for e in load_catalog(verify=False) if e.expected_order <= 60}
+
+
+@lru_cache(maxsize=None)
+def _catalog_group(name):
+    return SMALL_CATALOG[name].build()
+
+
+@lru_cache(maxsize=None)
+def _symmetric(n):
+    return symmetric_group(n)
 
 
 def test_empty_generators_give_trivial_group():
@@ -178,7 +195,7 @@ def test_quotient_representation():
     V4 = PermutationGroup(perms("(1,2)(3,4)", "(1,3)(2,4)", degree=4))
     q = quotient_representation(S4, V4)
     assert q.group.order == 6 and q.group.degree == 6
-    assert not q.group.is_abelian()
+    assert not is_abelian(q.group)
     assert q.group.order * V4.order == S4.order
 
 
@@ -212,6 +229,19 @@ def test_normal_closure_and_normality():
     V4 = normal_closure(S4, [v])
     assert V4.order == 4
     assert is_normal_subgroup(S4, V4)
+
+
+def test_normal_closure_matches_chain_oracle():
+    """Same generators, hence the same group, as the stabilizer-chain closure,
+    for every cyclic subgroup of every catalog group of order <= 60."""
+    for entry in SMALL_CATALOG.values():
+        G = _catalog_group(entry.name)
+        for gens in cyclic_subgroups(G).values():
+            seed = [Permutation._from_bytes(G.element_bytes()[gens[0]])]
+            expected = chain_normal_closure(G, seed)
+            got = normal_closure(G, seed)
+            assert got.generators == expected.generators, entry.name
+            assert got.order == expected.order and is_normal_subgroup(G, got)
 
 
 def test_minimal_normal_subgroups():
@@ -257,13 +287,16 @@ def test_element_budget_guard():
 @given(st.integers(1, 6).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))))
 def test_generated_order_matches_closure(case):
-    """Schreier-Sims order and chain-built closure against breadth-first products."""
+    """Schreier-Sims order and the coset closure in S_n against breadth-first
+    products."""
     n, images = case
     perms = [Permutation(p) for p in images]
     gens = [g._b for g in perms]
     expected = _bfs_closure(gens, n)
     assert generated_order(perms, n) == len(expected)
-    assert set(_closure(gens, n)) == expected
+    Sn = _symmetric(n)
+    index = Sn.element_index()
+    assert _closure(Sn, [index[g] for g in gens]) == {index[b] for b in expected}
 
 
 def _bfs_closure(gens, degree):
@@ -280,9 +313,39 @@ def _bfs_closure(gens, degree):
 
 
 def test_closure_aborts_above_bound():
-    gens = [g._b for g in symmetric_group(4).generators]
-    assert _closure(gens, 4, abort_above=23) is None
-    assert len(_closure(gens, 4, abort_above=24)) == 24
+    S4 = symmetric_group(4)
+    gens = [S4.element_index()[g._b] for g in S4.generators]
+    assert _closure(S4, gens, abort_above=23) is None
+    assert len(_closure(S4, gens, abort_above=24)) == 24
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_closure_from_subgroup_matches_breadth_first(data):
+    """<gens> grown from <gens[:k]> in a catalog group, against breadth-first
+    products; abort_above gives None exactly when <gens> is larger."""
+    G = _catalog_group(data.draw(st.sampled_from(sorted(SMALL_CATALOG))))
+    elems, index = G.element_bytes(), G.element_index()
+    gens = data.draw(st.lists(st.integers(0, len(elems) - 1), max_size=4))
+    k = data.draw(st.integers(0, len(gens)))
+    start = frozenset(index[b] for b in _bfs_closure([elems[i] for i in gens[:k]], G.degree))
+    expected = {index[b] for b in _bfs_closure([elems[i] for i in gens], G.degree)}
+    assert _closure(G, gens, start) == expected
+    bound = data.draw(st.integers(0, len(elems)))
+    assert _closure(G, gens, start, bound) == (None if len(expected) > bound else expected)
+
+
+def test_right_coset_reps_match_sorted_cosets():
+    """Each element's label is the first entry of its sorted coset Hx, for
+    every subgroup of every catalog group of order <= 24."""
+    for entry in SMALL_CATALOG.values():
+        if entry.expected_order > 24:
+            continue
+        G = entry.build()
+        mul = product_table(G)[0]
+        for rec in enumerate_subgroups(G).subgroups:
+            expected = [sorted(mul[h][x] for h in rec.elements)[0] for x in range(G.order)]
+            assert right_coset_reps(G, rec.elements) == expected, (entry.name, rec.order)
 
 
 def test_element_table_is_built_once():

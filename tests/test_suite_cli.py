@@ -1,10 +1,14 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from cosetposets.cli import main
 from cosetposets.suite import SuiteConfig, VerificationReport, run_suite
+from normalize_report import normalize
+
+VERIFY_GOLDEN = Path(__file__).parent / "verify_report.golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +60,17 @@ def test_exit_code_matches_overall(small_catalog, tmp_path, capsys):
     assert body["overall"] == "pass"
     assert body["config"]["suites"] == ["reciprocity"]
     assert {r["suite"] for r in body["records"]} == {"reciprocity"}
+
+
+def test_reciprocity_records_match_verify_golden(tmp_path):
+    """The committed golden holds what a reciprocity run on the bundled
+    catalog writes now, once normalized; CI compares the full report."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "reciprocity", "--out", str(out)]) == 0
+    records = normalize(json.loads(out.read_text()))["records"]
+    golden = json.loads(VERIFY_GOLDEN.read_text())
+    assert len(golden["records"]) == 203
+    assert records == [r for r in golden["records"] if r["suite"] == "reciprocity"]
 
 
 def test_repeated_suite_runs_once(small_catalog, tmp_path):
