@@ -100,14 +100,17 @@ def overgroups_of_sylow2(env: A7Environment) -> list[SubgroupRecord]:
     return _overgroup_census("A7")
 
 
-def _seven_cycle_indices(G: PermutationGroup) -> frozenset[int]:
-    return frozenset(i for i, b in enumerate(G.element_bytes())
+@lru_cache(maxsize=1)
+def _seven_cycle_indices() -> frozenset[int]:
+    """The 7-cycles of A_7, as indices into its element table."""
+    elems = build_environment().A7.element_bytes()
+    return frozenset(i for i, b in enumerate(elems)
                      if Permutation._from_bytes(b).cycle_type() == (7,))
 
 
 def pgl_overgroups(env: A7Environment) -> list[SubgroupRecord]:
     """The proper overgroups of P that contain a 7-cycle."""
-    sevens = _seven_cycle_indices(env.A7)
+    sevens = _seven_cycle_indices()
     out = [rec for rec in overgroups_of_sylow2(env)
            if rec.order < env.A7.order and rec.elements & sevens]
     return out
@@ -166,7 +169,7 @@ def check_rho_on_power(t: int) -> dict:
         raise ValueError("t must be 1 or 2")
     env = build_environment()
     report: dict = {"t": t}
-    sevens = _seven_cycle_indices(env.A7)
+    sevens = _seven_cycle_indices()
     h_index = env.A7.element_index()[env.seven_cycle._b]
     assert h_index in sevens
     x = env.phi.conjugator

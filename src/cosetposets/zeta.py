@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .complexes import _as_poset
-from .groups import BudgetExceededError, PermutationGroup, _generated_order, cyclic_subgroups
+from .groups import (BudgetExceededError, PermutationGroup, _conjugation_rows, _generated_order,
+                     cyclic_subgroups)
 from .lattice import MoebiusTable, SubgroupLattice
 
 TUPLE_BUDGET = 10**7
@@ -62,11 +64,15 @@ def evaluate(poly: DirichletPolynomial, k: int) -> Fraction:
 
 
 def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
-    """Exact generating-tuple count over all |G|^k tuples.
+    """Exact fraction of the |G|^k tuples that generate G.
 
-    Independent of the subgroup lattice: the generation test is a
-    stabilizer-chain order computation, memoized on the set of cyclic
-    subgroups spanned by the tuple.
+    Independent of the subgroup lattice. A tuple generates G exactly when
+    the cyclic subgroups of its entries do, so the loop runs over tuples of
+    cyclic subgroups, each standing for its phi(|C|) generators and weighted
+    by that count. The generation test is a stabilizer-chain order
+    computation, memoized on the set of cyclic subgroups spanned; a tuple
+    generates exactly when its conjugates do, so one test settles the whole
+    conjugacy orbit of that set, walked under G's generators.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -74,24 +80,34 @@ def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
         raise BudgetExceededError(
             f"|G|^k = {G.order**k} exceeds the tuple budget {TUPLE_BUDGET}")
     elems = G.element_bytes()
-    n = len(elems)
     # each element stands for the least generator of its cyclic subgroup
-    cyc_rep = [0] * n
+    cyc_rep = [0] * len(elems)
+    reps, weights = [], []
     for generators in cyclic_subgroups(G).values():
         for i in generators:
             cyc_rep[i] = generators[0]
+        reps.append(generators[0])
+        weights.append(len(generators))
+    conj_rows = [[cyc_rep[x] for x in row] for row in _conjugation_rows(G)]
     memo: dict[frozenset[int], bool] = {}
     count = 0
-    for tup in product(range(n), repeat=k):
-        key = frozenset(cyc_rep[i] for i in tup)
+    for tup, tup_weights in zip(product(reps, repeat=k), product(weights, repeat=k)):
+        key = frozenset(tup)
         hit = memo.get(key)
         if hit is None:
             gens = [elems[c] for c in key]
             hit = _generated_order(gens, G.degree, stop_at=G.order) == G.order
             memo[key] = hit
+            orbit = [key]
+            for s in orbit:  # grows while it is walked
+                for row in conj_rows:
+                    image = frozenset(row[c] for c in s)
+                    if image not in memo:
+                        memo[image] = hit
+                        orbit.append(image)
         if hit:
-            count += 1
-    return Fraction(count, n**k)
+            count += prod(tup_weights)
+    return Fraction(count, len(elems)**k)
 
 
 def poset_moebius_hat(poset) -> int:

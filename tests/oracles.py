@@ -12,16 +12,24 @@ criterion <P, K^(x^-1)> <= H without building the poset.
 Products of elements here come from ``product_table``, which composes the
 image tables of G's element table point by point, so the oracles share no
 arithmetic with the library beyond the element table itself.
+
+The tuple oracle here walks every one of the |G|^k element tuples and makes
+one stabilizer-chain test per set of cyclic subgroups spanned, with the
+library's own chain; ``zeta.brute_force_generation_probability`` walks
+tuples of cyclic subgroups and settles a whole conjugacy orbit of such sets
+with one test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from cosetposets.complexes import SimplicialComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
-from cosetposets.groups import PermutationGroup
+from cosetposets.groups import PermutationGroup, _generated_order, cyclic_subgroups
 from cosetposets.perm import Permutation
 
 
@@ -83,6 +91,29 @@ def conj_element(G: PermutationGroup, x: int, g: int) -> int:
     """Index of x^g = g^-1 x g, from the product table."""
     mul, inv = product_table(G)
     return mul[mul[inv[g]][x]][g]
+
+
+def tuple_generation_probability(G: PermutationGroup, k: int) -> Fraction:
+    """Fraction of the |G|^k element tuples that generate G, one tuple at a
+    time, memoized on the set of cyclic subgroups the tuple spans."""
+    elems = G.element_bytes()
+    n = len(elems)
+    cyc_rep = [0] * n
+    for generators in cyclic_subgroups(G).values():
+        for i in generators:
+            cyc_rep[i] = generators[0]
+    memo: dict[frozenset[int], bool] = {}
+    count = 0
+    for tup in product(range(n), repeat=k):
+        key = frozenset(cyc_rep[i] for i in tup)
+        hit = memo.get(key)
+        if hit is None:
+            gens = [elems[c] for c in key]
+            hit = _generated_order(gens, G.degree, stop_at=G.order) == G.order
+            memo[key] = hit
+        if hit:
+            count += 1
+    return Fraction(count, n**k)
 
 
 def chain_normal_closure(G: PermutationGroup, seeds) -> PermutationGroup:

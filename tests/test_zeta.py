@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from cosetposets import zeta
+from cosetposets.catalog import load_catalog
 from cosetposets.complexes import poset_reduced_euler_characteristic
 from cosetposets.cosets import build_coset_poset
 from cosetposets.groups import (
@@ -20,6 +23,9 @@ from cosetposets.zeta import (
     hall_polynomial,
     poset_moebius_hat,
 )
+from oracles import conj_element, product_table, tuple_generation_probability
+
+CATALOG = {e.name: e for e in load_catalog(verify=False)}
 
 
 def _hall(G):
@@ -83,6 +89,46 @@ def test_formula_matches_brute_force():
         poly, _ = _hall(G)
         for k in (1, 2):
             assert evaluate(poly, k) == brute_force_generation_probability(G, k)
+
+
+@pytest.mark.parametrize("name,k", [(e.name, k) for e in CATALOG.values() for k in (1, 2, 3)
+                                     if e.expected_order <= (24 if k == 3 else 60)])
+def test_orbit_oracle_matches_per_tuple_oracle(name, k):
+    G = CATALOG[name].build()
+    assert brute_force_generation_probability(G, k) == tuple_generation_probability(G, k)
+
+
+def _orbits_of_spanned_cyclic_sets(G, k):
+    """G-orbits, under conjugation by every element, of the sets of cyclic
+    subgroups spanned by k-tuples of elements."""
+    mul, _ = product_table(G)
+
+    def cyclic(x):
+        members, y = {0}, x
+        while y:
+            members.add(y)
+            y = mul[y][x]
+        return frozenset(members)
+
+    subgroups = {cyclic(x) for x in range(G.order)}
+    spanned = {frozenset(tup) for tup in product(subgroups, repeat=k)}
+    return {frozenset(frozenset(frozenset(conj_element(G, x, g) for x in C) for C in key)
+                      for g in range(G.order))
+            for key in spanned}
+
+
+@pytest.mark.parametrize("G", [symmetric_group(4), alternating_group(5)], ids=["S4", "A5"])
+def test_one_chain_test_per_conjugacy_orbit(G, monkeypatch):
+    calls = []
+    real = zeta._generated_order
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "_generated_order", counting)
+    brute_force_generation_probability(G, 2)
+    assert len(calls) == len(_orbits_of_spanned_cyclic_sets(G, 2))
 
 
 def test_poset_moebius_hat_small():
