@@ -13,7 +13,7 @@ containment criterion applied to the overgroups of the fixed Sylow
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cosets import OvergroupAutomorphism, fixed_cosets
@@ -118,14 +118,12 @@ def pgl_overgroups(env: A7Environment) -> list[SubgroupRecord]:
 
 def check_phi_properties(env: A7Environment) -> dict:
     """Facts about phi and the two special subgroup classes, verified directly."""
-    x = env.phi.conjugator._b
-    p_set = subgroup_indices(env.A7, env.P)
-    k_set = subgroup_indices(env.A7, env.K)
+    x = env.phi.conjugator
     pgls = pgl_overgroups(env)
     report = {
         "phi_squares_to_identity": env.phi.squares_to_identity(),
-        "phi_normalizes_P": conjugate_indices(env.A7, p_set, x) == p_set,
-        "phi_normalizes_seven_cycle_subgroup": conjugate_indices(env.A7, k_set, x) == k_set,
+        "phi_normalizes_P": env.P.is_normalized_by(x),
+        "phi_normalizes_seven_cycle_subgroup": env.K.is_normalized_by(x),
         "pgl_count": len(pgls),
         "pgl_orders": sorted(rec.order for rec in pgls),
         "pgl_indices": sorted(env.A7.order // rec.order for rec in pgls),
@@ -136,7 +134,7 @@ def check_phi_properties(env: A7Environment) -> dict:
         orbit2 = conjugacy_orbit_of_subgroup(env.A7, second)
         report["classes_disjoint"] = second not in orbit1
         report["class_sizes"] = (len(orbit1), len(orbit2))
-        image1 = {conjugate_indices(env.A7, fs, x) for fs in orbit1}
+        image1 = {conjugate_indices(env.A7, fs, x._b) for fs in orbit1}
         report["phi_swaps_classes"] = (image1 == orbit2)
     return report
 
@@ -183,7 +181,7 @@ def check_rho_on_power(t: int) -> dict:
     report["factor_property_3"] = invariant_overgroups == [env.A7.order]
     if t == 1:
         phi_report = check_phi_properties(env)
-        report["normalizes_factors"] = all(g ** x in env.A7 for g in env.A7.generators)
+        report["normalizes_factors"] = env.A7.is_normalized_by(x)
         report["normalizes_P_product"] = phi_report["phi_normalizes_P"]
         report["normalizes_K"] = phi_report["phi_normalizes_seven_cycle_subgroup"]
         report["rho_order"] = x.order()
@@ -192,30 +190,30 @@ def check_rho_on_power(t: int) -> dict:
     report["rho_order"] = rho.order()
     factors = [PermutationGroup([embed_in_power(g, b, t) for g in env.A7.generators])
                for b in range(t)]
-    report["normalizes_factors"] = all(
-        all(g ** rho in Li for g in Li.generators) for Li in factors)
+    report["normalizes_factors"] = all(Li.is_normalized_by(rho) for Li in factors)
     P_prod = PermutationGroup(
         [embed_in_power(g, b, t) for b in range(t) for g in env.P.generators])
     assert P_prod.order == env.P.order ** t
-    report["normalizes_P_product"] = all(g ** rho in P_prod for g in P_prod.generators)
+    report["normalizes_P_product"] = P_prod.is_normalized_by(rho)
     K_diag = diagonal_embedding(env.K, t)
-    report["normalizes_K"] = all(g ** rho in K_diag for g in K_diag.generators)
+    report["normalizes_K"] = K_diag.is_normalized_by(rho)
     per_factor = []
     for b in range(t):
         P_b = PermutationGroup([embed_in_power(q, b, t) for q in env.P.generators])
-        per_factor.append(all(g ** rho in P_b for g in P_b.generators))
+        per_factor.append(P_b.is_normalized_by(rho))
     report["normalizes_each_factor_sylow2"] = all(per_factor)
     return report
 
 
 @dataclass(frozen=True)
 class SmithActionSpec:
-    """The extended action (P x K) with theta adjoined, on C(G, N)."""
+    """The extended action (P x K) with theta adjoined, on C(G, N), and P's overgroups in G."""
     G: PermutationGroup
     N: PermutationGroup
     P: PermutationGroup
     K: PermutationGroup
     theta: OvergroupAutomorphism
+    overgroups: tuple[SubgroupRecord, ...] = field(repr=False)
 
     def shape_report(self) -> dict:
         """Structural facts putting the action group in Smith-theory shape:
@@ -230,9 +228,9 @@ class SmithActionSpec:
             "K_is_cyclic": cyclic,
             "theta_order_2": self.theta.squares_to_identity()
                 and not self.theta.fixes_group_elementwise(),
-            "theta_normalizes_P": all(g ** theta_c in self.P for g in self.P.generators),
-            "theta_normalizes_K": all(g ** theta_c in self.K for g in self.K.generators),
-            "theta_normalizes_N": all(g ** theta_c in self.N for g in self.N.generators),
+            "theta_normalizes_P": self.P.is_normalized_by(theta_c),
+            "theta_normalizes_K": self.K.is_normalized_by(theta_c),
+            "theta_normalizes_N": self.N.is_normalized_by(theta_c),
         }
 
 
@@ -242,7 +240,8 @@ def build_smith_spec(ambient: str = "A7") -> SmithActionSpec:
     G = env.A7 if ambient == "A7" else env.S7
     theta = OvergroupAutomorphism(group=G, overgroup=env.S7,
                                   conjugator=env.phi.conjugator)
-    return SmithActionSpec(G=G, N=env.A7, P=env.P, K=env.K, theta=theta)
+    return SmithActionSpec(G=G, N=env.A7, P=env.P, K=env.K, theta=theta,
+                           overgroups=tuple(_overgroup_census(ambient)))
 
 
 def smith_fixed_point_check(spec: SmithActionSpec) -> dict:
@@ -255,7 +254,7 @@ def smith_fixed_point_check(spec: SmithActionSpec) -> dict:
     theta = spec.theta.conjugator
     translation_fixed = []
     fully_fixed = []
-    for rec, r in fixed_cosets(spec.G, spec.N, spec.P, spec.K):
+    for rec, r in fixed_cosets(spec.G, spec.N, spec.overgroups, spec.K):
         x = Permutation._from_bytes(elems[r])
         vertex = (rec.order, cycle_string(x))
         translation_fixed.append(vertex)

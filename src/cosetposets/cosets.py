@@ -9,12 +9,12 @@ H <= K in the lattice and x y^-1 lies in K; both tests are index lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .groups import (
     PermutationGroup,
     SubgroupRecord,
     conjugate_indices,
-    intermediate_subgroups,
     is_normal_subgroup,
     right_coset_reps,
     subgroup_indices,
@@ -36,9 +36,8 @@ class OvergroupAutomorphism:
             raise ValueError("group is not inside the overgroup")
         if self.conjugator not in self.overgroup:
             raise ValueError("conjugator is not in the overgroup")
-        for g in self.group.generators:
-            if g ** self.conjugator not in self.group:
-                raise ValueError("conjugator does not normalize the group")
+        if not self.group.is_normalized_by(self.conjugator):
+            raise ValueError("conjugator does not normalize the group")
 
     def apply(self, p: Permutation) -> Permutation:
         return p ** self.conjugator
@@ -121,13 +120,14 @@ def build_relative_poset(G: PermutationGroup, N: PermutationGroup,
     return CosetPoset(lat, ids)
 
 
-def fixed_cosets(G: PermutationGroup, N: PermutationGroup, P: PermutationGroup,
+def fixed_cosets(G: PermutationGroup, N: PermutationGroup,
+                 overgroups: Iterable[SubgroupRecord],
                  K: PermutationGroup) -> list[tuple[SubgroupRecord, int]]:
     """Cosets Hx of C(G, N) fixed by P x K acting by left and right translation.
 
     Hx is fixed iff <P, K^(x^-1)> <= H, so only the proper overgroups H of P
-    with HN = G can carry one; pass N = G for C(G). Each coset is returned as
-    (H, r) with r the least index in G.element_bytes() of an element of Hx.
+    (``overgroups``, from ``intermediate_subgroups(G, P)``) with HN = G can
+    carry one; pass N = G for C(G). Each coset is (H, r), r its least index.
     """
     if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
@@ -137,7 +137,7 @@ def fixed_cosets(G: PermutationGroup, N: PermutationGroup, P: PermutationGroup,
     n_set = subgroup_indices(G, N)
     k_gens = [index[g._b] for g in K.generators]
     out = []
-    for rec in intermediate_subgroups(G, P):
+    for rec in overgroups:
         if not _proper_supplement(rec, n_set, G.order):
             continue
         for r, rep in enumerate(right_coset_reps(G, rec.elements)):

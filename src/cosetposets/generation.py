@@ -18,9 +18,10 @@ from .groups import (
     ENUMERATION_BOUND,
     BudgetExceededError,
     PermutationGroup,
+    _conjugation_rows,
     _generated_order,
+    _orbit,
     alternating_group,
-    conjugate_indices,
     direct_power,
     diagonal_embedding,
     embed_in_power,
@@ -43,18 +44,16 @@ class GenerationReport:
 
 def _conjugate_sweep(report: GenerationReport, G: PermutationGroup, K: PermutationGroup,
                      p_gens: list[bytes]) -> None:
-    """Test <K^g, P> = G once for each distinct conjugate K^g, g in G, with P
-    given by its generators; the first four failures become witnesses."""
+    """Test <K^g, P> = G once per conjugate K^g, walked under G's generators
+    s (K^c gives K^(cs)); the first four failures become witnesses."""
     if G.order > ENUMERATION_BOUND:
         raise BudgetExceededError(
             f"conjugate sweep needs element enumeration; |G| = {G.order}")
-    k_set = subgroup_indices(G, K)
-    seen: set[frozenset[int]] = set()
-    for g in G.element_bytes():
-        conj_set = conjugate_indices(G, k_set, g)
-        if conj_set in seen:
-            continue
-        seen.add(conj_set)
+    gens = G._gens_bytes()
+    conjugators: list[bytes] = []
+    for _, parent, r in _orbit(subgroup_indices(G, K), _conjugation_rows(G)):
+        g = _ID256[:G.degree] if parent < 0 else _mul_bytes(conjugators[parent], gens[r])
+        conjugators.append(g)
         gi = _inv_bytes(g)
         conj_gens = [_mul_bytes(_mul_bytes(gi, x), g) for x in K._gens_bytes()]
         report.tests += 1

@@ -212,6 +212,14 @@ class PermutationGroup:
             raise ValueError("degree mismatch")
         return all(other._contains_bytes(g) for g in self._gens_bytes())
 
+    def is_normalized_by(self, c: Permutation) -> bool:
+        """Whether c^-1 H c = H, for a permutation c of the same degree."""
+        if c.degree != self._degree:
+            raise ValueError("degree mismatch")
+        ci = _inv_bytes(c._b)
+        return all(self._contains_bytes(_mul_bytes(_mul_bytes(ci, g), c._b))
+                   for g in self._gens_bytes())
+
     def _gens_bytes(self) -> list[bytes]:
         return [g._b for g in self._gens]
 
@@ -421,11 +429,9 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
         for cand in p_elems:
             if current._contains_bytes(cand):
                 continue
-            ci = _inv_bytes(cand)
-            if all(current._contains_bytes(_mul_bytes(_mul_bytes(ci, g), cand))
-                   for g in current._gens_bytes()):
-                current = PermutationGroup([*current.generators,
-                                            Permutation._from_bytes(cand)], n)
+            c = Permutation._from_bytes(cand)
+            if current.is_normalized_by(c):
+                current = PermutationGroup([*current.generators, c], n)
                 break
         else:  # pragma: no cover - impossible by Sylow theory
             raise RuntimeError("failed to extend p-subgroup")
@@ -468,8 +474,7 @@ def is_normal_subgroup(G: PermutationGroup, N: PermutationGroup) -> bool:
         raise ValueError("degree mismatch")
     if not N.is_subgroup_of(G):
         raise ValueError("N is not a subgroup of G")
-    return all(N._contains_bytes(_mul_bytes(_mul_bytes(_inv_bytes(g), x), g))
-               for g in G._gens_bytes() for x in N._gens_bytes())
+    return all(N.is_normalized_by(g) for g in G.generators)
 
 
 @dataclass(frozen=True)
@@ -637,6 +642,21 @@ def _conjugation_rows(G: PermutationGroup) -> list[list[int]]:
     return rows
 
 
+def _orbit(seed: frozenset[int],
+           rows: Sequence[Sequence[int]]) -> list[tuple[frozenset[int], int, int]]:
+    """The orbit of an index set under the maps ``rows``, breadth first: each
+    image once, as (image, position of the member it was first reached from,
+    index of the row that reached it), starting with (seed, -1, -1)."""
+    orbit, seen = [(seed, -1, -1)], {seed}
+    for pos, (members, _, _) in enumerate(orbit):  # grows while it is walked
+        for r, row in enumerate(rows):
+            image = frozenset([row[x] for x in members])
+            if image not in seen:
+                seen.add(image)
+                orbit.append((image, pos, r))
+    return orbit
+
+
 def conjugate_indices(G: PermutationGroup, members: Iterable[int], g: bytes) -> frozenset[int]:
     """{x^g = g^-1 x g : x in members} for index sets into G's element
     table, with g in G or normalizing G."""
@@ -648,16 +668,7 @@ def conjugate_indices(G: PermutationGroup, members: Iterable[int], g: bytes) -> 
 def conjugacy_orbit_of_subgroup(G: PermutationGroup,
                                 members: frozenset[int]) -> set[frozenset[int]]:
     """Orbit of a subgroup (as element indices) under conjugation by G."""
-    orbit = {members}
-    stack = [members]
-    while stack:
-        fs = stack.pop()
-        for g in G._gens_bytes():
-            image = conjugate_indices(G, fs, g)
-            if image not in orbit:
-                orbit.add(image)
-                stack.append(image)
-    return orbit
+    return {image for image, _, _ in _orbit(members, _conjugation_rows(G))}
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .groups import (
     _closure,
     _conjugation_rows,
     _is_prime,
+    _orbit,
     _p_part,
     cyclic_subgroups,
     subgroup_indices,
@@ -77,14 +78,10 @@ class SubgroupLattice:
                     continue
                 found[K] = gens
                 reps.append(K)
-                orbit = [K]
-                for fs in orbit:  # grows while it is walked
-                    fs_gens = found[fs]
-                    for row in conj_rows:
-                        image = frozenset([row[x] for x in fs])
-                        if image not in found:
-                            found[image] = tuple(row[x] for x in fs_gens)
-                            orbit.append(image)
+                # K's class is new as a whole: found holds whole classes only
+                orbit = _orbit(K, conj_rows)
+                for image, parent, r in orbit[1:]:
+                    found[image] = tuple(conj_rows[r][x] for x in found[orbit[parent][0]])
                 if (n // len(K)) % len(orbit):  # |class| = |G : N_G(K)|, K <= N_G(K)
                     raise RuntimeError(
                         f"class of a subgroup of order {len(K)} has {len(orbit)} "

@@ -38,6 +38,7 @@ from .groups import (
     diagonal_embedding,
     direct_power,
     embed_in_power,
+    intermediate_subgroups,
     minimal_normal_subgroups,
     quotient_representation,
     sylow_subgroup,
@@ -399,7 +400,7 @@ def _identities_records(ws: _Workspace, config: SuiteConfig) -> list[dict]:
             P = PermutationGroup(
                 [embed_in_power(g, b, t) for b in range(t)
                  for g in sylow_subgroup(A5, 2).generators], 5 * t)
-            fixed = fixed_cosets(N, N, P, Kd)
+            fixed = fixed_cosets(N, N, intermediate_subgroups(N, P), Kd)
             values[f"t={t}_fixed_cosets"] = len(fixed)
             ok = ok and not fixed
         return ok, values, []

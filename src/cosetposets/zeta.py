@@ -15,7 +15,7 @@ from math import prod
 
 from .complexes import _as_poset
 from .groups import (BudgetExceededError, PermutationGroup, _conjugation_rows, _generated_order,
-                     cyclic_subgroups)
+                     _orbit, cyclic_subgroups)
 from .lattice import MoebiusTable, SubgroupLattice
 
 TUPLE_BUDGET = 10**7
@@ -97,14 +97,7 @@ def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
         if hit is None:
             gens = [elems[c] for c in key]
             hit = _generated_order(gens, G.degree, stop_at=G.order) == G.order
-            memo[key] = hit
-            orbit = [key]
-            for s in orbit:  # grows while it is walked
-                for row in conj_rows:
-                    image = frozenset(row[c] for c in s)
-                    if image not in memo:
-                        memo[image] = hit
-                        orbit.append(image)
+            memo.update((image, hit) for image, _, _ in _orbit(key, conj_rows))
         if hit:
             count += prod(tup_weights)
     return Fraction(count, len(elems)**k)

@@ -18,6 +18,10 @@ one stabilizer-chain test per set of cyclic subgroups spanned, with the
 library's own chain; ``zeta.brute_force_generation_probability`` walks
 tuples of cyclic subgroups and settles a whole conjugacy orbit of such sets
 with one test.
+
+The conjugate-sweep oracle here conjugates K by every element of G, in the
+order of G's element table, and tests each distinct conjugate once;
+``generation._conjugate_sweep`` walks the class of K under G's generators.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from itertools import product
 
 from cosetposets.complexes import SimplicialComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
-from cosetposets.groups import PermutationGroup, _generated_order, cyclic_subgroups
-from cosetposets.perm import Permutation
+from cosetposets.generation import GenerationReport
+from cosetposets.groups import (PermutationGroup, _generated_order, conjugate_indices,
+                                cyclic_subgroups, subgroup_indices, sylow_subgroup)
+from cosetposets.perm import Permutation, _inv_bytes, _mul_bytes, cycle_string
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,34 @@ def tuple_generation_probability(G: PermutationGroup, k: int) -> Fraction:
         if hit:
             count += 1
     return Fraction(count, n**k)
+
+
+def scan_conjugate_sweep(G: PermutationGroup, K: PermutationGroup,
+                         p: int) -> GenerationReport:
+    """``universally_p_generates`` by a scan of every g in G: <K^g, P> = G is
+    tested once per distinct conjugate K^g, P the library's Sylow p-subgroup;
+    the first four failures become witnesses."""
+    p_gens = [g._b for g in sylow_subgroup(G, p).generators]
+    report = GenerationReport(subject="scan", verdict=True)
+    k_set = subgroup_indices(G, K)
+    seen: set[frozenset[int]] = set()
+    for g in G.element_bytes():
+        conj_set = conjugate_indices(G, k_set, g)
+        if conj_set in seen:
+            continue
+        seen.add(conj_set)
+        gi = _inv_bytes(g)
+        conj_gens = [_mul_bytes(_mul_bytes(gi, x), g) for x in K._gens_bytes()]
+        report.tests += 1
+        got = _generated_order(conj_gens + p_gens, G.degree, stop_at=G.order)
+        if got != G.order:
+            report.verdict = False
+            if len(report.witnesses) < 4:
+                report.witnesses.append({
+                    "conjugator": cycle_string(Permutation._from_bytes(g)),
+                    "generated_order": got,
+                })
+    return report
 
 
 def chain_normal_closure(G: PermutationGroup, seeds) -> PermutationGroup:

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from cosetposets import a7, groups
 from cosetposets.a7 import (
     build_environment,
     build_smith_spec,
@@ -18,6 +21,7 @@ from cosetposets.groups import (
     conjugacy_orbit_of_subgroup,
     cyclic_group,
     generated_order,
+    intermediate_subgroups,
     minimal_normal_subgroups,
     sylow_subgroup,
     symmetric_group,
@@ -141,6 +145,30 @@ def test_smith_check_s7(env):
     assert all(result["shape"].values())
 
 
+def test_each_overgroup_census_runs_once(env, monkeypatch):
+    """The census item, both Smith checks and both rho checks build the
+    overgroups of P in A_7 and in S_7 once each."""
+    calls = []
+
+    def counting(G, H):
+        calls.append(G.order)
+        return original(G, H)
+
+    original = groups.intermediate_subgroups
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cosetposets" and hasattr(module, "intermediate_subgroups"):
+            monkeypatch.setattr(module, "intermediate_subgroups", counting)
+    a7._overgroup_census.cache_clear()
+    check_phi_properties(env)
+    for rec in pgl_overgroups(env):
+        check_pgl_strong_generation(env, rec)
+    for ambient in ("A7", "S7"):
+        smith_fixed_point_check(build_smith_spec(ambient))
+    for t in (1, 2):
+        check_rho_on_power(t)
+    assert sorted(calls) == [2520, 5040]
+
+
 def test_smith_fixed_set_invariant_under_conjugate_spec(env):
     """Replacing P, K, theta by a conjugate triple gives the same counts."""
     from cosetposets.cosets import OvergroupAutomorphism
@@ -148,13 +176,15 @@ def test_smith_fixed_set_invariant_under_conjugate_spec(env):
 
     g = parse_permutation("(1,2,3,4,5)", 7)
     spec = build_smith_spec("A7")
+    P = spec.P.conjugate_by(g)
     conj_spec = SmithActionSpec(
         G=spec.G,
         N=spec.N,
-        P=spec.P.conjugate_by(g),
+        P=P,
         K=spec.K.conjugate_by(g),
         theta=OvergroupAutomorphism(group=spec.G, overgroup=env.S7,
                                     conjugator=spec.theta.conjugator ** g),
+        overgroups=tuple(intermediate_subgroups(spec.G, P)),
     )
     base = smith_fixed_point_check(spec)
     conj = smith_fixed_point_check(conj_spec)
@@ -226,7 +256,8 @@ def test_smith_criterion_agrees_with_poset_action_on_small_group():
     C3 = PermutationGroup([parse_permutation("(1,2,3)", 3)])
     theta = OvergroupAutomorphism(group=S3, overgroup=S3,
                                   conjugator=parse_permutation("(1,2)", 3))
-    spec = SmithActionSpec(G=S3, N=S3, P=C3, K=C3, theta=theta)
+    spec = SmithActionSpec(G=S3, N=S3, P=C3, K=C3, theta=theta,
+                           overgroups=tuple(intermediate_subgroups(S3, C3)))
     by_criterion = smith_fixed_point_check(spec)
 
     lat = enumerate_subgroups(S3)

@@ -42,6 +42,7 @@ from cosetposets.groups import (
     diagonal_embedding,
     direct_power,
     embed_in_power,
+    intermediate_subgroups,
     minimal_normal_subgroups,
     quotient_representation,
     sylow_subgroup,
@@ -301,7 +302,7 @@ def test_criterion_10_universal_generation_instances(ws):
         P = PermutationGroup(
             [embed_in_power(g, b, t) for b in range(t)
              for g in sylow_subgroup(A5, 2).generators], 5 * t)
-        ok = ok and fixed_cosets(N, N, P, Kd) == []
+        ok = ok and fixed_cosets(N, N, intermediate_subgroups(N, P), Kd) == []
 
     pairs = 0
     for entry in ws.entries:

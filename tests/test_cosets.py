@@ -14,6 +14,7 @@ from cosetposets.groups import (
     PermutationGroup,
     alternating_group,
     cyclic_group,
+    intermediate_subgroups,
     is_normal_subgroup,
     symmetric_group,
 )
@@ -139,13 +140,13 @@ def _fixed_vertices(poset, fixed):
 def test_fixed_cosets_z2():
     Z2 = cyclic_group(2)
     trivial = PermutationGroup([], degree=2)
-    assert fixed_cosets(Z2, Z2, Z2, trivial) == []
+    assert fixed_cosets(Z2, Z2, intermediate_subgroups(Z2, Z2), trivial) == []
 
 
 def test_fixed_cosets_s3_c3():
     S3 = symmetric_group(3)
     C3 = _group("(1,2,3)", degree=3)
-    fixed = fixed_cosets(S3, S3, C3, C3)
+    fixed = fixed_cosets(S3, S3, intermediate_subgroups(S3, C3), C3)
     assert len(fixed) == 2
     assert all(rec.order == 3 for rec, _ in fixed)
 
@@ -161,7 +162,8 @@ def test_fixed_cosets_agree_with_action_orbit():
         (_group("(1,2,3,4)", degree=4), _group("(1,3)(2,4)", degree=4)),
     ]
     for P, K in picks:
-        by_criterion = _fixed_vertices(poset, fixed_cosets(S4, S4, P, K))
+        fixed = fixed_cosets(S4, S4, intermediate_subgroups(S4, P), K)
+        by_criterion = _fixed_vertices(poset, fixed)
         by_action = action_fixed_points(poset, translation_action_group(P, K))
         assert by_criterion == by_action
 
@@ -186,7 +188,8 @@ def test_fixed_cosets_match_action_fixed_points(data):
     N = subgroup_as_group(lat, data.draw(st.sampled_from(normal)))
     poset = build_relative_poset(G, N, lat)
     by_action = action_fixed_points(poset, translation_action_group(P, K))
-    assert _fixed_vertices(poset, fixed_cosets(G, N, P, K)) == by_action
+    fixed = fixed_cosets(G, N, intermediate_subgroups(G, P), K)
+    assert _fixed_vertices(poset, fixed) == by_action
 
 
 def test_action_fixed_points_identity_triple():

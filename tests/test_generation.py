@@ -20,12 +20,14 @@ from cosetposets.groups import (
     alternating_group,
     generated_order,
     cyclic_group,
+    intermediate_subgroups,
     symmetric_group,
     sylow_subgroup,
 )
+from cosetposets.catalog import load_catalog
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, cycle_string, parse_permutation
-from oracles import action_fixed_points, translation_action_group
+from oracles import action_fixed_points, scan_conjugate_sweep, translation_action_group
 
 
 def _group(*texts, degree):
@@ -81,6 +83,30 @@ def test_seven_cycle_fails_in_a7():
     report = universally_p_generates(A7, K, 2)
     assert not report.verdict
     assert report.witnesses[0]["generated_order"] == 168
+
+
+@pytest.mark.parametrize("entry", [e for e in load_catalog(verify=False)
+                                   if e.expected_order <= 360], ids=lambda e: e.name)
+def test_conjugate_sweep_matches_element_scan(entry):
+    """Walking the class of K under G's generators makes as many tests and
+    reaches the same verdict as conjugating K by every element of G, for K
+    a Sylow r-subgroup and every prime pair (p, r); each witness conjugator
+    g gives <K^g, P> of the order it reports."""
+    G = entry.build()
+    primes = [p for p in range(2, G.order + 1) if G.order % p == 0 and _is_prime(p)]
+    for p in primes:
+        P = sylow_subgroup(G, p)
+        for r in primes:
+            K = sylow_subgroup(G, r)
+            report = universally_p_generates(G, K, p)
+            scan = scan_conjugate_sweep(G, K, p)
+            assert (report.verdict, report.tests, len(report.witnesses)) == (
+                scan.verdict, scan.tests, len(scan.witnesses)), (p, r)
+            for w in report.witnesses:
+                g = parse_permutation(w["conjugator"], G.degree)
+                assert g in G
+                got = generated_order([*K.conjugate_by(g).generators, *P.generators])
+                assert got == w["generated_order"] < G.order, (p, r, w)
 
 
 def test_c3_universally_2_generates_z6():
@@ -228,14 +254,14 @@ def test_relative_fixed_cosets_empty_for_a5():
     A5 = alternating_group(5)
     K = _group("(1,2,3,4,5)", degree=5)
     P = sylow_subgroup(A5, 2)
-    assert fixed_cosets(A5, A5, P, K) == []
+    assert fixed_cosets(A5, A5, intermediate_subgroups(A5, P), K) == []
 
 
 def test_relative_fixed_cosets_nonempty_example():
     # C3 x C3 on C(S3): exactly the two cosets of A3 are fixed
     S3 = symmetric_group(3)
     C3 = _group("(1,2,3)", degree=3)
-    fixed = fixed_cosets(S3, S3, C3, C3)
+    fixed = fixed_cosets(S3, S3, intermediate_subgroups(S3, C3), C3)
     assert len(fixed) == 2
     assert all(rec.order == 3 for rec, _ in fixed)
 
@@ -258,5 +284,5 @@ def test_universal_generation_forces_empty_fixed_sets_on_posets():
         rel = build_relative_poset(G, N, lat)
         by_action = action_fixed_points(rel, translation_action_group(P, K))
         by_criterion = [rel.vertex_index[(lat.subgroup_index[rec.elements], r)]
-                        for rec, r in fixed_cosets(G, N, P, K)]
+                        for rec, r in fixed_cosets(G, N, intermediate_subgroups(G, P), K)]
         assert by_criterion == by_action == []

@@ -113,6 +113,21 @@ def test_known_subgroup_and_class_counts(name, subgroups, classes, relabel):
     assert orbits == classes
 
 
+def test_conjugacy_orbit_matches_conjugation_by_every_element():
+    """The class walk under G's generators gives {H^g : g in G}, with H^g
+    from the product table, for every subgroup of every catalog group of
+    order <= 24."""
+    for entry in CATALOG.values():
+        if entry.expected_order > 24:
+            continue
+        G = entry.build()
+        for rec in enumerate_subgroups(G).subgroups:
+            expected = {frozenset(conj_element(G, x, g) for x in rec.elements)
+                        for g in range(G.order)}
+            assert conjugacy_orbit_of_subgroup(G, rec.elements) == expected, (
+                entry.name, rec.order)
+
+
 def test_cyclic_prime_has_two_subgroups():
     assert len(enumerate_subgroups(cyclic_group(5))) == 2
     assert len(enumerate_subgroups(cyclic_group(7))) == 2
