@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import repeat
 from math import factorial
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .perm import Permutation, _ID256, _check_degree, _inv_bytes, _mul_bytes
 
@@ -411,22 +411,32 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
     if G.order > ENUMERATION_BOUND:
         raise BudgetExceededError(
             f"sylow_subgroup needs element enumeration; order {G.order} exceeds bound")
-    elems = G.element_bytes()
-    # deduplicated p-elements, in canonical order
+    rest = iter(G.element_bytes())
+    # deduplicated p-elements, in canonical order, found as far as a scan needs
     p_elems: list[bytes] = []
     seen = set()
-    for b in elems:
-        m = Permutation._from_bytes(b).order()
-        mp = _p_part(m, p)
-        if mp == 1:
-            continue
-        q = Permutation._from_bytes(b) ** (m // mp)
-        if q._b not in seen:
-            seen.add(q._b)
-            p_elems.append(q._b)
-    current = PermutationGroup([Permutation._from_bytes(p_elems[0])], n)
+
+    def candidates() -> Iterable[bytes]:
+        k = 0
+        while True:
+            while k == len(p_elems):
+                b = next(rest, None)
+                if b is None:
+                    return
+                m = Permutation._from_bytes(b).order()
+                mp = _p_part(m, p)
+                if mp == 1:
+                    continue
+                q = (Permutation._from_bytes(b) ** (m // mp))._b
+                if q not in seen:
+                    seen.add(q)
+                    p_elems.append(q)
+            yield p_elems[k]
+            k += 1
+
+    current = PermutationGroup([Permutation._from_bytes(next(candidates()))], n)
     while current.order < pe:
-        for cand in p_elems:
+        for cand in candidates():
             if current._contains_bytes(cand):
                 continue
             c = Permutation._from_bytes(cand)
@@ -642,6 +652,15 @@ def _conjugation_rows(G: PermutationGroup) -> list[list[int]]:
     return rows
 
 
+def _conjugator(G: PermutationGroup, g: bytes) -> Callable[[int], int]:
+    """x -> x^g = g^-1 x g on indices into G's element table, with g in G or
+    normalizing G; computed per call rather than as a whole row."""
+    elems, index = G.element_bytes(), G.element_index()
+    tail = _ID256[G._degree:]
+    gi, g_pad = _inv_bytes(g), g + tail
+    return lambda x: index[gi.translate(elems[x] + tail).translate(g_pad)]
+
+
 def _orbit(seed: frozenset[int],
            rows: Sequence[Sequence[int]]) -> list[tuple[frozenset[int], int, int]]:
     """The orbit of an index set under the maps ``rows``, breadth first: each
@@ -660,9 +679,33 @@ def _orbit(seed: frozenset[int],
 def conjugate_indices(G: PermutationGroup, members: Iterable[int], g: bytes) -> frozenset[int]:
     """{x^g = g^-1 x g : x in members} for index sets into G's element
     table, with g in G or normalizing G."""
+    return frozenset(map(_conjugator(G, g), members))
+
+
+def _normalizer(G: PermutationGroup, members: frozenset[int], gens: Sequence[int],
+                order: int) -> tuple[frozenset[int], tuple[int, ...]]:
+    """N_G(H) for a subgroup H given by its element indices and generator
+    indices, with |N_G(H)| = ``order`` known (|G| over the size of H's
+    class): grown from H by ``_closure``, adding each element that
+    normalizes H in table order until N has that order. Returns N's element
+    indices and generators (``gens`` and the elements added; G's own when
+    H is normal)."""
     elems, index = G.element_bytes(), G.element_index()
-    gi = _inv_bytes(g)
-    return frozenset(index[_mul_bytes(_mul_bytes(gi, elems[i]), g)] for i in members)
+    if order == len(elems):
+        return frozenset(range(len(elems))), tuple(index[g] for g in G._gens_bytes())
+    tail = _ID256[G._degree:]
+    pads = [elems[h] + tail for h in gens]
+    N, n_gens = members, tuple(gens)
+    for x, xb in enumerate(elems):
+        if len(N) == order:
+            break
+        if x in N:
+            continue
+        xi, x_pad = _inv_bytes(xb), xb + tail
+        if all(index[xi.translate(pad).translate(x_pad)] in members for pad in pads):
+            n_gens += (x,)
+            N = _closure(G, n_gens, N)
+    return N, n_gens
 
 
 def conjugacy_orbit_of_subgroup(G: PermutationGroup,
@@ -696,6 +739,20 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     index = G.element_index()
     tail = _ID256[G._degree:]
     n_g = len(elems)
+    # unsigned two-byte rows while the indices fit, four-byte above
+    code, size = ("H", 2) if n_g <= 1 << 16 else ("I", 4)
+    rows: dict[int, tuple[memoryview, memoryview]] = {}
+
+    def rows_of(k: int) -> tuple[memoryview, memoryview]:
+        """x -> k x and x -> x k on element indices, built once per generator."""
+        if k not in rows:
+            kb, k_pad = elems[k], elems[k] + tail
+            left, right = (memoryview(bytearray(size * n_g)).cast(code) for _ in range(2))
+            for x, xb in enumerate(elems):
+                left[x] = index[kb.translate(xb + tail)]
+                right[x] = index[xb.translate(k_pad)]
+            rows[k] = left, right
+        return rows[k]
 
     def record_from(gens: tuple[int, ...],
                     start: frozenset[int] = frozenset({0})) -> SubgroupRecord:
@@ -714,8 +771,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
         rec = frontier.pop(0)
         if rec.elements == full:
             continue
-        gens_b = [elems[i] for i in rec.generators]
-        pads = [kb + tail for kb in gens_b]
+        k_rows = [row for k in rec.generators for row in rows_of(k)]
         seen = bytearray(n_g)
         for i in rec.elements:
             seen[i] = 1
@@ -723,17 +779,15 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
             if seen[i]:
                 continue
             # mark the double coset K g K and keep g as its representative
-            stack = [elems[i]]
+            stack = [i]
             seen[i] = 1
             while stack:
                 x = stack.pop()
-                # k x and x k for each generator k of K
-                for y in chain(map(bytes.translate, gens_b, repeat(x + tail)),
-                               map(x.translate, pads)):
-                    j = index[y]
+                for row in k_rows:
+                    j = row[x]
                     if not seen[j]:
                         seen[j] = 1
-                        stack.append(y)
+                        stack.append(j)
             new_rec = record_from(rec.generators + (i,), rec.elements)
             if new_rec.elements not in found:
                 found[new_rec.elements] = new_rec

@@ -3,12 +3,17 @@
 Every subgroup is the join of its cyclic subgroups of prime-power order, and
 if K = <H^g, z> then K^(g^-1) = <H, z^(g^-1)>. So the lattice is built one
 conjugacy class at a time: starting from the trivial subgroup, each class
-representative H is joined with every prime-power cyclic subgroup <z> not in
-H, <H, z> is grown from H as a union of right cosets of H (Dimino's
+representative H is joined with prime-power cyclic subgroups <z> not in H,
+<H, z> is grown from H as a union of right cosets of H (Dimino's
 algorithm), and each new subgroup's class is filled at once by conjugating
-it with the generators of the group. Subgroups are stored as frozensets of
-indices into the canonical (sorted) element enumeration of the parent group,
-which makes containment a subset test and identity canonical.
+it with the generators of the group. No join is made whose result is
+already known: <H, z^m> = <H, z>^m for m in N_G(H), so only the first z of
+each orbit of N_G(H) is joined (``groups._normalizer`` grows N_G(H) to the
+order the class size gives), and a closure that passes half of G is G.
+Subgroups are stored as frozensets of indices into the canonical (sorted)
+element enumeration of the parent group, which makes identity canonical;
+inclusion is read off one int mask per element, the set of subgroups that
+contain it, by ANDing the masks of a subgroup's generators.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from .groups import (
     SubgroupRecord,
     _closure,
     _conjugation_rows,
+    _conjugator,
     _is_prime,
+    _normalizer,
     _orbit,
     _p_part,
     cyclic_subgroups,
@@ -43,43 +50,70 @@ class SubgroupLattice:
         self.index: dict[bytes, int] = group.element_index()
         n = len(self.elements)
         assert self.elements[0] == bytes(range(group.degree)), "identity must sort first"
+        self._full = frozenset(range(n))
         self.subgroups: list[SubgroupRecord] = self._enumerate()
         self.subgroup_index: dict[frozenset[int], int] = {
             e.elements: i for i, e in enumerate(self.subgroups)
         }
         self.index_of_trivial = self.subgroup_index[frozenset({0})]
-        self.index_of_parent = self.subgroup_index[frozenset(range(n))]
+        self.index_of_parent = self.subgroup_index[self._full]
         self.below, self.above = self._inclusion()
 
     # -- construction -----------------------------------------------------
 
     def _span(self, gens: tuple[int, ...],
               start: frozenset[int] = frozenset({0})) -> frozenset[int]:
-        """<gens>, grown from ``start``, a subgroup of <gens> (Dimino)."""
-        return _closure(self.group, gens, start)
+        """<gens>, grown from ``start``, a subgroup of <gens> (Dimino); a
+        closure past half of G is G."""
+        K = _closure(self.group, gens, start, abort_above=len(self.elements) // 2)
+        return self._full if K is None else K
 
     def _enumerate(self) -> list[SubgroupRecord]:
+        G = self.group
         n = len(self.elements)
-        conj_rows = _conjugation_rows(self.group)
-        # generators of the cyclic subgroups of prime-power order
-        zs = [gens[0] for fs, gens in cyclic_subgroups(self.group).items()
-              if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
-                     for p in range(2, len(fs) + 1))]
+        conj_rows = _conjugation_rows(G)
+        # each element's least generator of its cyclic subgroup; the joins
+        # try those of prime-power order
+        cyc_rep = [0] * n
+        zs = []
+        for fs, gens in cyclic_subgroups(G).items():
+            for x in gens:
+                cyc_rep[x] = gens[0]
+            if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
+                   for p in range(2, len(fs) + 1)):
+                zs.append(gens[0])
         found: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
-        reps = [frozenset({0})]
-        for H in reps:  # grows while it is walked
+        reps = [(frozenset({0}), 1)]  # class representatives and class sizes
+        for H, size in reps:  # grows while it is walked
             h_gens = found[H]
+            N, n_gens = _normalizer(G, H, h_gens, n // size)
+            if len(N) == n:
+                conjugators = [row.__getitem__ for row in conj_rows]
+            else:
+                conjugators = [_conjugator(G, self.elements[g]) for g in n_gens]
+            tried: set[int] = set()
             for z in zs:
-                if z in H:
+                if z in H or z in tried:
                     continue
+                # <H, z^m> = <H, z>^m for m in N_G(H): its class is found
+                # with that of <H, z>, so one z per orbit of N_G(H) is joined
+                tried.add(z)
+                stack = [z]
+                while stack:
+                    c = stack.pop()
+                    for conj in conjugators:
+                        d = cyc_rep[conj(c)]
+                        if d not in tried:
+                            tried.add(d)
+                            stack.append(d)
                 gens = h_gens + (z,)
                 K = self._span(gens, H)
                 if K in found:
                     continue
                 found[K] = gens
-                reps.append(K)
                 # K's class is new as a whole: found holds whole classes only
                 orbit = _orbit(K, conj_rows)
+                reps.append((K, len(orbit)))
                 for image, parent, r in orbit[1:]:
                     found[image] = tuple(conj_rows[r][x] for x in found[orbit[parent][0]])
                 if (n // len(K)) % len(orbit):  # |class| = |G : N_G(K)|, K <= N_G(K)
@@ -90,19 +124,30 @@ class SubgroupLattice:
         return [SubgroupRecord(len(fs), fs, gens) for fs, gens in records]
 
     def _inclusion(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """below/above from one mask per element: bit j of ``masks[x]`` says
+        that subgroup j contains x, so the subgroups containing H are the
+        AND of the masks of H's generators."""
         count = len(self.subgroups)
+        masks = [0] * len(self.elements)
+        for j, rec in enumerate(self.subgroups):
+            bit = 1 << j
+            for x in rec.elements:
+                masks[x] |= bit
         below: list[list[int]] = [[] for _ in range(count)]
-        above: list[list[int]] = [[] for _ in range(count)]
-        for j in range(count):
-            ej = self.subgroups[j]
-            for i in range(j):
-                ei = self.subgroups[i]
-                if ei.order == ej.order or ej.order % ei.order != 0:
-                    continue
-                if ei.elements <= ej.elements:
-                    below[j].append(i)
-                    above[i].append(j)
-        return ([tuple(b) for b in below], [tuple(a) for a in above])
+        above = []
+        for i, rec in enumerate(self.subgroups):
+            m = (1 << count) - 1 - (1 << i)
+            for g in rec.generators:
+                m &= masks[g]
+            bits = bin(m)[:1:-1]  # bit j at position j
+            js = []
+            j = bits.find("1")
+            while j >= 0:
+                js.append(j)
+                below[j].append(i)
+                j = bits.find("1", j + 1)
+            above.append(tuple(js))
+        return ([tuple(b) for b in below], above)
 
     # -- queries -----------------------------------------------------------
 

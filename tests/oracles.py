@@ -22,6 +22,20 @@ with one test.
 The conjugate-sweep oracle here conjugates K by every element of G, in the
 order of G's element table, and tests each distinct conjugate once;
 ``generation._conjugate_sweep`` walks the class of K under G's generators.
+
+The flat lattice enumeration here joins each class representative with
+every prime-power cyclic subgroup and grows each join to the end; the
+library joins one cyclic subgroup per orbit of the representative's
+normalizer and stops a closure once it passes half of G. The pairwise
+inclusion here tests every pair of subgroups; the library ANDs one mask per
+element.
+
+The double-coset marking here steps with ``bytes.translate`` and an index
+lookup; ``groups.intermediate_subgroups`` steps on cached multiplication
+rows of element indices.
+
+The Sylow scan here computes the p-part of every element before it extends
+P; ``groups.sylow_subgroup`` computes them as far as its scans need.
 """
 
 from __future__ import annotations
@@ -29,14 +43,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product, repeat
 
 from cosetposets.complexes import SimplicialComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
 from cosetposets.generation import GenerationReport
-from cosetposets.groups import (PermutationGroup, _generated_order, conjugate_indices,
-                                cyclic_subgroups, subgroup_indices, sylow_subgroup)
-from cosetposets.perm import Permutation, _inv_bytes, _mul_bytes, cycle_string
+from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _conjugation_rows,
+                                _generated_order, _is_prime, _orbit, _p_part,
+                                conjugate_indices, cyclic_subgroups, subgroup_indices,
+                                sylow_subgroup)
+from cosetposets.perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
 
 
 @dataclass(frozen=True)
@@ -302,3 +318,152 @@ def dense_boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:
             rows.append(row)
         ranks[k] = dense_rank_gfp(rows, p)
     return ranks
+
+
+def flat_subgroup_records(G: PermutationGroup) -> list[SubgroupRecord]:
+    """Every subgroup of G, class by class: each class representative H is
+    joined with every prime-power cyclic subgroup <z> not in it, each join
+    grown to the end, and each new class is filled under G's generators."""
+    return flat_enumeration(G)[0]
+
+
+def flat_enumeration(G: PermutationGroup) -> tuple[list[SubgroupRecord], list[frozenset[int]]]:
+    """``flat_subgroup_records`` and the class representatives, in the
+    order they were found."""
+    n = G.order
+    conj_rows = _conjugation_rows(G)
+    zs = [gens[0] for fs, gens in cyclic_subgroups(G).items()
+          if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
+                 for p in range(2, len(fs) + 1))]
+    found: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
+    reps = [frozenset({0})]
+    for H in reps:  # grows while it is walked
+        h_gens = found[H]
+        for z in zs:
+            if z in H:
+                continue
+            gens = h_gens + (z,)
+            K = _closure(G, gens, H)
+            if K in found:
+                continue
+            found[K] = gens
+            reps.append(K)
+            orbit = _orbit(K, conj_rows)
+            for image, parent, r in orbit[1:]:
+                found[image] = tuple(conj_rows[r][x] for x in found[orbit[parent][0]])
+            assert (n // len(K)) % len(orbit) == 0
+    records = sorted(found.items(), key=lambda r: (len(r[0]), sorted(r[0])))
+    return [SubgroupRecord(len(fs), fs, gens) for fs, gens in records], reps
+
+
+def normalizer_orbit_count(G: PermutationGroup, H: frozenset[int]) -> int:
+    """The number of orbits of N_G(H) = {g : H^g = H}, found by conjugating
+    H by every element of G, on the cyclic subgroups of prime-power order
+    not in H."""
+    n = G.order
+    normalizer = [g for g in range(n)
+                  if frozenset(conj_element(G, x, g) for x in H) == H]
+    cyclic = [frozenset(fs) for fs in cyclic_subgroups(G)
+              if len(fs) > 1 and not fs <= H
+              and any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
+                      for p in range(2, len(fs) + 1))]
+    orbits = {frozenset(frozenset(conj_element(G, x, g) for x in C) for g in normalizer)
+              for C in cyclic}
+    return len(orbits)
+
+
+def pairwise_inclusion(subgroups) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(below, above) of subgroup records sorted by order, from a subset
+    test on every pair of distinct orders that divide."""
+    count = len(subgroups)
+    below: list[list[int]] = [[] for _ in range(count)]
+    above: list[list[int]] = [[] for _ in range(count)]
+    for j in range(count):
+        ej = subgroups[j]
+        for i in range(j):
+            ei = subgroups[i]
+            if ei.order == ej.order or ej.order % ei.order != 0:
+                continue
+            if ei.elements <= ej.elements:
+                below[j].append(i)
+                above[i].append(j)
+    return ([tuple(b) for b in below], [tuple(a) for a in above])
+
+
+def translate_intermediate_subgroups(G: PermutationGroup,
+                                     H: PermutationGroup) -> list[SubgroupRecord]:
+    """``groups.intermediate_subgroups`` with each double coset K g K marked
+    by translating image tables, one index lookup per step."""
+    elems = G.element_bytes()
+    index = G.element_index()
+    tail = _ID256[G.degree:]
+    n_g = len(elems)
+
+    def record_from(gens, start=frozenset({0})):
+        fs = _closure(G, gens, start, abort_above=n_g // 2)
+        if fs is None:
+            return SubgroupRecord(n_g, frozenset(range(n_g)),
+                                  tuple(index[g._b] for g in G.generators))
+        return SubgroupRecord(len(fs), fs, gens)
+
+    start = record_from(tuple(index[g._b] for g in H.generators))
+    found = {start.elements: start}
+    frontier = [start]
+    full = frozenset(range(n_g))
+    while frontier:
+        rec = frontier.pop(0)
+        if rec.elements == full:
+            continue
+        gens_b = [elems[i] for i in rec.generators]
+        pads = [kb + tail for kb in gens_b]
+        seen = bytearray(n_g)
+        for i in rec.elements:
+            seen[i] = 1
+        for i in range(n_g):
+            if seen[i]:
+                continue
+            stack = [elems[i]]
+            seen[i] = 1
+            while stack:
+                x = stack.pop()
+                for y in chain(map(bytes.translate, gens_b, repeat(x + tail)),
+                               map(x.translate, pads)):
+                    j = index[y]
+                    if not seen[j]:
+                        seen[j] = 1
+                        stack.append(y)
+            new_rec = record_from(rec.generators + (i,), rec.elements)
+            if new_rec.elements not in found:
+                found[new_rec.elements] = new_rec
+                frontier.append(new_rec)
+    return sorted(found.values(), key=lambda r: (r.order, sorted(r.elements)))
+
+
+def full_scan_sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
+    """A Sylow p-subgroup from the deduplicated p-parts of every element,
+    in table order: start with the first, and extend by the first one that
+    normalizes the current group without lying in it, rescanning each time."""
+    pe = _p_part(G.order, p)
+    if pe == 1:
+        return PermutationGroup([], degree=G.degree)
+    p_elems: list[bytes] = []
+    seen = set()
+    for b in G.element_bytes():
+        m = Permutation._from_bytes(b).order()
+        mp = _p_part(m, p)
+        if mp == 1:
+            continue
+        q = Permutation._from_bytes(b) ** (m // mp)
+        if q._b not in seen:
+            seen.add(q._b)
+            p_elems.append(q._b)
+    current = PermutationGroup([Permutation._from_bytes(p_elems[0])], G.degree)
+    while current.order < pe:
+        for cand in p_elems:
+            c = Permutation._from_bytes(cand)
+            if c not in current and current.is_normalized_by(c):
+                current = PermutationGroup([*current.generators, c], G.degree)
+                break
+        else:
+            raise AssertionError("no p-element extends the p-subgroup")
+    return current

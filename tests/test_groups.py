@@ -25,17 +25,20 @@ from cosetposets.groups import (
     symmetric_group,
     sylow_subgroup,
 )
+from cosetposets import a7
 from cosetposets.catalog import load_catalog
 from cosetposets.perm import Permutation, _ID256, _mul_bytes, parse_permutation
 from cosetposets.lattice import enumerate_subgroups
-from oracles import chain_normal_closure, is_abelian, product_table
+from oracles import (chain_normal_closure, full_scan_sylow_subgroup, is_abelian, product_table,
+                     translate_intermediate_subgroups)
 
 
 def perms(*texts, degree):
     return [parse_permutation(t, degree) for t in texts]
 
 
-SMALL_CATALOG = {e.name: e for e in load_catalog(verify=False) if e.expected_order <= 60}
+CATALOG = {e.name: e for e in load_catalog(verify=False)}
+SMALL_CATALOG = {name: e for name, e in CATALOG.items() if e.expected_order <= 60}
 
 
 @lru_cache(maxsize=None)
@@ -275,6 +278,38 @@ def test_intermediate_subgroups_of_v4_in_s4():
     overgroups = intermediate_subgroups(S4, V4)
     # V4 < A4 < S4 and V4 < D8 (three copies) < S4
     assert sorted(r.order for r in overgroups) == [4, 8, 8, 8, 12, 24]
+
+
+def _census_case(case):
+    if case == "S4/V4":
+        return symmetric_group(4), PermutationGroup(perms("(1,2)(3,4)", "(1,3)(2,4)", degree=4))
+    if case == "A5/P":
+        A5 = alternating_group(5)
+        return A5, sylow_subgroup(A5, 2)
+    env = a7.build_environment()
+    return env.A7, env.P
+
+
+@pytest.mark.parametrize("case", ["S4/V4", "A5/P", "A7/P"])
+def test_intermediate_subgroups_match_translate_oracle(case):
+    """Double cosets marked on multiplication rows give the same records,
+    generators included, as marking them by translated image tables."""
+    G, H = _census_case(case)
+    assert intermediate_subgroups(G, H) == translate_intermediate_subgroups(G, H)
+
+
+@pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
+                                  if e.expected_order > 1])
+def test_sylow_subgroup_matches_full_scan(name):
+    """The lazy p-element scan extends P by the same elements as a scan of
+    the p-parts of the whole element table, for every prime of |G|."""
+    G = CATALOG[name].build()
+    for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and _prime(q)):
+        assert sylow_subgroup(G, p).generators == full_scan_sylow_subgroup(G, p).generators
+
+
+def _prime(q):
+    return all(q % d for d in range(2, q))
 
 
 def test_element_budget_guard():

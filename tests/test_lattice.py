@@ -1,8 +1,11 @@
+import os
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from cosetposets import a7, lattice
 from cosetposets.catalog import load_catalog
 from cosetposets.groups import (
     BudgetExceededError,
@@ -11,7 +14,9 @@ from cosetposets.groups import (
     conjugacy_orbit_of_subgroup,
     cyclic_group,
     cyclic_subgroups,
+    intermediate_subgroups,
     symmetric_group,
+    sylow_subgroup,
 )
 from cosetposets.lattice import (
     SubgroupLattice,
@@ -21,9 +26,12 @@ from cosetposets.lattice import (
     moebius_to_top,
 )
 from cosetposets.perm import Permutation, parse_permutation
-from oracles import conj_element, product_table
+from cosetposets.zeta import brute_force_generation_probability, hall_polynomial
+from oracles import (conj_element, flat_enumeration, flat_subgroup_records,
+                     normalizer_orbit_count, pairwise_inclusion, product_table)
 
 CATALOG = {e.name: e for e in load_catalog(verify=False)}
+RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
 
 def brute_force_subgroups(G):
@@ -92,6 +100,78 @@ def _relabelled(G, seed):
     points = list(range(G.degree))
     random.Random(seed).shuffle(points)
     return G.conjugate_by(Permutation(points))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", [e.name for e in CATALOG.values() if e.expected_order <= 360])
+def test_lattice_matches_flat_enumeration_and_pairwise_inclusion(name, seed):
+    """Joins by normalizer orbits, stopped at half of G, give the records of
+    joining every cyclic subgroup to the end, generators included; the
+    inclusion masks give the relation of the pairwise subset test."""
+    G = _relabelled(CATALOG[name].build(), seed)
+    lat = enumerate_subgroups(G)
+    assert lat.subgroups == flat_subgroup_records(G)
+    assert (lat.below, lat.above) == pairwise_inclusion(lat.subgroups)
+
+
+@pytest.mark.parametrize("name", [e.name for e in CATALOG.values() if e.expected_order <= 168])
+def test_one_join_per_normalizer_orbit(name, monkeypatch):
+    """The enumeration joins each class representative H with one cyclic
+    subgroup per orbit of N_G(H), the orbits counted by conjugating with
+    every element of G."""
+    G = CATALOG[name].build()
+    joins = []
+    span = SubgroupLattice._span
+    monkeypatch.setattr(SubgroupLattice, "_span",
+                        lambda self, *args: joins.append(args) or span(self, *args))
+    enumerate_subgroups(G)
+    _, reps = flat_enumeration(G)
+    assert len(joins) == sum(normalizer_orbit_count(G, H) for H in reps)
+
+
+def _interval_above(lat, H):
+    i = lat.find(H)
+    return {lat.subgroups[j].elements for j in (i, *lat.above[i])}
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S5", "PSL(2,7)", "A6"])
+def test_interval_above_sylow_matches_overgroup_census(name):
+    """The two subgroup searches agree: the lattice interval above each
+    Sylow subgroup P is the overgroup census of P."""
+    G = CATALOG[name].build()
+    lat = enumerate_subgroups(G)
+    for p in (q for q in range(2, G.order + 1) if G.order % q == 0
+              and all(q % d for d in range(2, q))):
+        P = sylow_subgroup(G, p)
+        assert _interval_above(lat, P) == {
+            r.elements for r in intermediate_subgroups(G, P)}, (name, p)
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+def test_a7_lattice_certificates(monkeypatch):
+    """The A7 lattice: 3,786 subgroups in 40 classes, each class size
+    dividing |G : K|; the interval above the fixed Sylow 2-subgroup is the
+    A_7 census; P(2) is the tuple oracle's 229/315."""
+    monkeypatch.setattr(lattice, "LATTICE_ORDER_BOUND", 2520)
+    env = a7.build_environment()
+    G = env.A7
+    lat = SubgroupLattice(G)
+    assert len(lat) == 3786
+    unclassed = set(lat.subgroup_index)
+    classes = 0
+    while unclassed:
+        K = next(iter(unclassed))
+        orbit = conjugacy_orbit_of_subgroup(G, K)
+        assert (G.order // len(K)) % len(orbit) == 0
+        unclassed -= orbit
+        classes += 1
+    assert classes == 40
+    census = a7._overgroup_census("A7")
+    assert len(census) == 12
+    assert _interval_above(lat, env.P) == {r.elements for r in census}
+    poly = hall_polynomial(lat, moebius_to_top(lat))
+    assert poly.evaluate(2) == brute_force_generation_probability(G, 2) == Fraction(229, 315)
+    assert poly.evaluate(-1) == -1377600
 
 
 @pytest.mark.parametrize("relabel", [False, True])
