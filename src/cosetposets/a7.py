@@ -96,7 +96,14 @@ def _overgroup_census(ambient: str) -> list[SubgroupRecord]:
 
 
 def overgroups_of_sylow2(env: A7Environment) -> list[SubgroupRecord]:
-    """All subgroups H with P <= H <= A_7, as element-index sets."""
+    """All subgroups H with P <= H <= A_7, as element-index sets.
+
+    The census is cached for the P of ``build_environment()`` only, so any
+    other environment is refused rather than given that P's overgroups.
+    """
+    if env is not build_environment():
+        raise ValueError("overgroups_of_sylow2 takes the environment of build_environment(); "
+                         "its cached census is for that environment's P only")
     return _overgroup_census("A7")
 
 

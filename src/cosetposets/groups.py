@@ -643,13 +643,8 @@ def right_coset_reps(G: PermutationGroup, members: Iterable[int]) -> list[int]:
 def _conjugation_rows(G: PermutationGroup) -> list[list[int]]:
     """For each generator g of G, the map x -> x^g = g^-1 x g on indices
     into G's element table, as a list."""
-    elems, index = G.element_bytes(), G.element_index()
-    tail = _ID256[G._degree:]
-    rows = []
-    for g in G._gens_bytes():
-        gi, g_pad = _inv_bytes(g), g + tail
-        rows.append([index[gi.translate(x + tail).translate(g_pad)] for x in elems])
-    return rows
+    xs = range(len(G.element_bytes()))
+    return [[*map(_conjugator(G, g), xs)] for g in G._gens_bytes()]
 
 
 def _conjugator(G: PermutationGroup, g: bytes) -> Callable[[int], int]:
@@ -693,16 +688,13 @@ def _normalizer(G: PermutationGroup, members: frozenset[int], gens: Sequence[int
     elems, index = G.element_bytes(), G.element_index()
     if order == len(elems):
         return frozenset(range(len(elems))), tuple(index[g] for g in G._gens_bytes())
-    tail = _ID256[G._degree:]
-    pads = [elems[h] + tail for h in gens]
     N, n_gens = members, tuple(gens)
     for x, xb in enumerate(elems):
         if len(N) == order:
             break
         if x in N:
             continue
-        xi, x_pad = _inv_bytes(xb), xb + tail
-        if all(index[xi.translate(pad).translate(x_pad)] in members for pad in pads):
+        if all(h in members for h in map(_conjugator(G, xb), gens)):
             n_gens += (x,)
             N = _closure(G, n_gens, N)
     return N, n_gens
@@ -729,6 +721,9 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     Breadth-first closure of {H} under single-element extensions <K, g>,
     with g ranging over representatives of the double cosets K\\G/K; any
     subgroup between H and G is reached through a chain of such extensions.
+    A double coset K g K is the orbit of the right coset K g under K acting
+    by right multiplication, so each is found on the labels of
+    ``right_coset_reps``, and its representative g is its least element.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
@@ -739,20 +734,6 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     index = G.element_index()
     tail = _ID256[G._degree:]
     n_g = len(elems)
-    # unsigned two-byte rows while the indices fit, four-byte above
-    code, size = ("H", 2) if n_g <= 1 << 16 else ("I", 4)
-    rows: dict[int, tuple[memoryview, memoryview]] = {}
-
-    def rows_of(k: int) -> tuple[memoryview, memoryview]:
-        """x -> k x and x -> x k on element indices, built once per generator."""
-        if k not in rows:
-            kb, k_pad = elems[k], elems[k] + tail
-            left, right = (memoryview(bytearray(size * n_g)).cast(code) for _ in range(2))
-            for x, xb in enumerate(elems):
-                left[x] = index[kb.translate(xb + tail)]
-                right[x] = index[xb.translate(k_pad)]
-            rows[k] = left, right
-        return rows[k]
 
     def record_from(gens: tuple[int, ...],
                     start: frozenset[int] = frozenset({0})) -> SubgroupRecord:
@@ -771,24 +752,23 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
         rec = frontier.pop(0)
         if rec.elements == full:
             continue
-        k_rows = [row for k in rec.generators for row in rows_of(k)]
-        seen = bytearray(n_g)
-        for i in rec.elements:
-            seen[i] = 1
-        for i in range(n_g):
-            if seen[i]:
+        label = right_coset_reps(G, rec.elements)
+        pads = [elems[k] + tail for k in rec.generators]
+        marked = {0}  # coset labels already in a double coset walked
+        for g, least in enumerate(label):
+            if least != g or g in marked:
                 continue
-            # mark the double coset K g K and keep g as its representative
-            stack = [i]
-            seen[i] = 1
-            while stack:
-                x = stack.pop()
-                for row in k_rows:
-                    j = row[x]
-                    if not seen[j]:
-                        seen[j] = 1
-                        stack.append(j)
-            new_rec = record_from(rec.generators + (i,), rec.elements)
+            # Kg is the first coset of K g K in table order, so g is its least
+            # element: mark the orbit of Kg and keep g as the representative
+            marked.add(g)
+            orbit = [g]
+            for x in orbit:  # grows while it is walked
+                for pad in pads:
+                    y = label[index[elems[x].translate(pad)]]
+                    if y not in marked:
+                        marked.add(y)
+                        orbit.append(y)
+            new_rec = record_from(rec.generators + (g,), rec.elements)
             if new_rec.elements not in found:
                 found[new_rec.elements] = new_rec
                 frontier.append(new_rec)

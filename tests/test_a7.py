@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -54,6 +55,19 @@ def test_census_contains_p_itself_without_seven_cycle(env):
     elems = env.A7.element_bytes()
     assert all(Permutation._from_bytes(elems[i]).cycle_type() != (7,)
                for i in smallest.elements)
+
+
+def test_census_refuses_an_environment_with_another_p(env):
+    """The cached census belongs to the P of build_environment(); a
+    conjugate P must not silently get that P's overgroups."""
+    c = parse_permutation("(1,2,7)", 7)
+    Pc = PermutationGroup([g ** c for g in env.P.generators], 7)
+    assert Pc.is_subgroup_of(env.A7) and not env.P.is_normalized_by(c)
+    other = dataclasses.replace(env, P=Pc)
+    with pytest.raises(ValueError, match="build_environment"):
+        overgroups_of_sylow2(other)
+    with pytest.raises(ValueError, match="build_environment"):
+        pgl_overgroups(other)
 
 
 def test_exactly_two_proper_overgroups_with_seven_cycle(env):

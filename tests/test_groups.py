@@ -25,10 +25,11 @@ from cosetposets.groups import (
     symmetric_group,
     sylow_subgroup,
 )
-from cosetposets import a7
+from cosetposets import a7, groups
 from cosetposets.catalog import load_catalog
 from cosetposets.perm import Permutation, _ID256, _mul_bytes, parse_permutation
 from cosetposets.lattice import enumerate_subgroups
+import oracles
 from oracles import (chain_normal_closure, full_scan_sylow_subgroup, is_abelian, product_table,
                      translate_intermediate_subgroups)
 
@@ -43,7 +44,7 @@ SMALL_CATALOG = {name: e for name, e in CATALOG.items() if e.expected_order <= 6
 
 @lru_cache(maxsize=None)
 def _catalog_group(name):
-    return SMALL_CATALOG[name].build()
+    return CATALOG[name].build()
 
 
 @lru_cache(maxsize=None)
@@ -280,22 +281,63 @@ def test_intermediate_subgroups_of_v4_in_s4():
     assert sorted(r.order for r in overgroups) == [4, 8, 8, 8, 12, 24]
 
 
+def _prime(q):
+    return all(q % d for d in range(2, q))
+
+
+def _census_cases():
+    """The named cases, then every catalog group of order 2..360 over each
+    of its Sylow subgroups, and over the trivial subgroup up to order 60."""
+    cases = ["S4/V4", "A5/P", "A7/P", "S7/P", "A5^2/P"]
+    for e in CATALOG.values():
+        n = e.expected_order
+        if 1 < n <= 360:
+            cases += [f"{e.name}/Sylow{p}" for p in range(2, n + 1) if n % p == 0 and _prime(p)]
+            if n <= 60:
+                cases.append(f"{e.name}/1")
+    return cases
+
+
 def _census_case(case):
     if case == "S4/V4":
         return symmetric_group(4), PermutationGroup(perms("(1,2)(3,4)", "(1,3)(2,4)", degree=4))
     if case == "A5/P":
         A5 = alternating_group(5)
         return A5, sylow_subgroup(A5, 2)
-    env = a7.build_environment()
-    return env.A7, env.P
+    if case in ("A7/P", "S7/P"):
+        env = a7.build_environment()
+        return (env.A7 if case == "A7/P" else env.S7), env.P
+    if case == "A5^2/P":
+        # the suite's diagonal check: a Sylow 2-subgroup of A5 on each block
+        A5 = alternating_group(5)
+        return direct_power(A5, 2), PermutationGroup(
+            [embed_in_power(g, b, 2) for b in range(2) for g in sylow_subgroup(A5, 2).generators],
+            10)
+    name, sub = case.rsplit("/", 1)
+    G = _catalog_group(name)
+    if sub == "1":
+        return G, PermutationGroup([], degree=G.degree)
+    return G, sylow_subgroup(G, int(sub.removeprefix("Sylow")))
 
 
-@pytest.mark.parametrize("case", ["S4/V4", "A5/P", "A7/P"])
-def test_intermediate_subgroups_match_translate_oracle(case):
-    """Double cosets marked on multiplication rows give the same records,
-    generators included, as marking them by translated image tables."""
+@pytest.mark.parametrize("case", _census_cases())
+def test_intermediate_subgroups_match_translate_oracle(case, monkeypatch):
+    """Double cosets found as orbits of K on its right cosets give the same
+    records, generators included, as marking them by translated image
+    tables, with one join per double coset as there."""
     G, H = _census_case(case)
+    joins = {}
+
+    def counting(name, closure):
+        def counted(*args, **kwargs):
+            joins[name] = joins.get(name, 0) + 1
+            return closure(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(groups, "_closure", counting("census", groups._closure))
+    monkeypatch.setattr(oracles, "_closure", counting("oracle", oracles._closure))
     assert intermediate_subgroups(G, H) == translate_intermediate_subgroups(G, H)
+    assert joins["census"] == joins["oracle"]
 
 
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
@@ -306,10 +348,6 @@ def test_sylow_subgroup_matches_full_scan(name):
     G = CATALOG[name].build()
     for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and _prime(q)):
         assert sylow_subgroup(G, p).generators == full_scan_sylow_subgroup(G, p).generators
-
-
-def _prime(q):
-    return all(q % d for d in range(2, q))
 
 
 def test_element_budget_guard():
