@@ -27,6 +27,8 @@ def _resolve_group(args) -> PermutationGroup:
         return catalog_group(args.group, getattr(args, "catalog", None))
     if args.gens:
         gens = parse_permutation_list(args.gens, args.degree)
+        if not gens:
+            raise ValueError(f"--gens {args.gens!r} lists no generators")
         return PermutationGroup(gens, args.degree or gens[0].degree)
     raise ValueError("specify --group NAME or --gens CYCLES [--degree N]")
 

@@ -20,6 +20,7 @@ from .groups import (
     PermutationGroup,
     _conjugation_rows,
     _generated_order,
+    _on_sets,
     _orbit,
     alternating_group,
     direct_power,
@@ -46,12 +47,9 @@ def _conjugate_sweep(report: GenerationReport, G: PermutationGroup, K: Permutati
                      p_gens: list[bytes]) -> None:
     """Test <K^g, P> = G once per conjugate K^g, walked under G's generators
     s (K^c gives K^(cs)); the first four failures become witnesses."""
-    if G.order > ENUMERATION_BOUND:
-        raise BudgetExceededError(
-            f"conjugate sweep needs element enumeration; |G| = {G.order}")
     gens = G._gens_bytes()
     conjugators: list[bytes] = []
-    for _, parent, r in _orbit(subgroup_indices(G, K), _conjugation_rows(G)):
+    for _, parent, r in _orbit(subgroup_indices(G, K), _on_sets(_conjugation_rows(G))):
         g = _ID256[:G.degree] if parent < 0 else _mul_bytes(conjugators[parent], gens[r])
         conjugators.append(g)
         gi = _inv_bytes(g)
@@ -156,10 +154,10 @@ def check_alternating_claims(n: int) -> GenerationReport:
 
     <c^g, P> = <c, P>^g for g in P, and <c^u, P> = <c, P> for u prime to
     the cycle length, so one test decides each orbit of P x Aut(<c>) on the
-    cycles. Cycles are walked by rank; each orbit is flooded from its least
-    member through a seen-table, and the orbit sizes must add up to the
-    number of cycles. Witnesses are the first four failing cycles in
-    enumeration order.
+    cycles. Cycles are walked by rank; each orbit is walked by ``_orbit``
+    from its least member, each member is ranked once into a seen-table,
+    and the orbit sizes must add up to the number of cycles. Witnesses are
+    the first four failing cycles in enumeration order.
     """
     if n < 5:
         raise ValueError("n must be at least 5")
@@ -175,25 +173,24 @@ def check_alternating_claims(n: int) -> GenerationReport:
     conjugations = [g + _ID256[n:] for g in p_gens]
     powers = [itemgetter(*(k * u % length for k in range(length)))
               for u in _unit_generators(length)]
+
+    def step(cyc: bytes) -> list[bytes]:
+        # a cycle is written from its least point, so it is one bytes value;
+        # a power c^u of such a cycle already starts there
+        images = [cyc.translate(t) for t in conjugations]
+        images = [img[i:] + img[:i] for img in images for i in [img.index(min(img))]]
+        return images + [bytes(power(cyc)) for power in powers]
+
     total = (1 if length == n else n) * factorial(length - 1)
     seen = bytearray(total)
     failing: list[tuple[int, int]] = []
     for r in range(total):
         if seen[r]:
             continue
-        seen[r] = 1
         rep = _long_cycle_unrank(r, n, length)
-        members, stack = [r], [rep]
-        while stack:
-            cyc = stack.pop()
-            images = [cyc.translate(t) for t in conjugations]
-            images += [bytes(power(cyc)) for power in powers]
-            for img in images:
-                s = _long_cycle_rank(img, n)
-                if not seen[s]:
-                    seen[s] = 1
-                    members.append(s)
-                    stack.append(img)
+        members = [_long_cycle_rank(cyc, n) for cyc, _, _ in _orbit(rep, step)]
+        for s in members:
+            seen[s] = 1
         report.tests += 1
         report.cycles += len(members)
         got = _generated_order([_cycle_permutation(rep, n)._b] + p_gens, n, stop_at=target)

@@ -18,11 +18,13 @@ from functools import reduce
 from itertools import repeat
 from math import factorial
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .perm import Permutation, _ID256, _check_degree, _inv_bytes, _mul_bytes
 
 ENUMERATION_BOUND = 10**6
+
+_Point = TypeVar("_Point", bound=Hashable)
 
 
 class BudgetExceededError(RuntimeError):
@@ -50,22 +52,17 @@ class _Level:
         self.inverse: dict[int, bytes] = {}
 
     def recompute_orbit(self, degree: int) -> None:
-        ident = _ID256[:degree]
-        orbit = {self.base: ident}
-        inverse = {self.base: ident}
-        gens = [(s, _inv_bytes(s)) for s in self.gens]
-        queue = [self.base]
-        qi = 0
-        while qi < len(queue):
-            p = queue[qi]
-            qi += 1
-            u, u_inv = orbit[p], inverse[p]
-            for s, s_inv in gens:
-                q = s[p]
-                if q not in orbit:
-                    orbit[q] = _mul_bytes(u, s)
-                    inverse[q] = _mul_bytes(s_inv, u_inv)  # (u s)^-1 = s^-1 u^-1
-                    queue.append(q)
+        ident, tail = _ID256[:degree], _ID256[degree:]
+        gens = self.gens
+        pads = [s + tail for s in gens]
+        inverses = [_inv_bytes(s) for s in gens]
+        orbit, inverse = {self.base: ident}, {self.base: ident}
+        walk = _orbit(self.base, [*zip(*gens)].__getitem__)  # p -> (s[p] for each s)
+        for q, parent, r in walk[1:]:
+            p = walk[parent][0]
+            # u_q = u_p s and u_q^-1 = s^-1 u_p^-1, as in _mul_bytes
+            orbit[q] = orbit[p].translate(pads[r])
+            inverse[q] = inverses[r].translate(inverse[p] + tail)
         self.orbit = orbit
         self.inverse = inverse
 
@@ -408,9 +405,6 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
         P = PermutationGroup([Permutation._from_bytes(g) for g in gens], n)
         assert P.order == pe, "wreath Sylow construction produced the wrong order"
         return P
-    if G.order > ENUMERATION_BOUND:
-        raise BudgetExceededError(
-            f"sylow_subgroup needs element enumeration; order {G.order} exceeds bound")
     rest = iter(G.element_bytes())
     # deduplicated p-elements, in canonical order, found as far as a scan needs
     p_elems: list[bytes] = []
@@ -492,33 +486,32 @@ class QuotientRepresentation:
     """G acting on the right cosets of a normal subgroup N.
 
     ``group.generators[i]`` is the image of ``G.generators[i]``, and
-    ``coset_reps[j]`` is an element of the coset labelled j.
+    ``coset_reps[j]`` is the least element, in G's element table, of the
+    coset labelled j.
     """
     group: PermutationGroup
     coset_reps: tuple[Permutation, ...]
 
 
 def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> QuotientRepresentation:
-    """Realize G/N as a permutation group on the [G:N] cosets of N."""
+    """Realize G/N as a permutation group on the [G:N] cosets of N, labelled
+    in the order a breadth-first walk from N under G's generators meets them."""
     if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
     elems, index = G.element_bytes(), G.element_index()
     label = right_coset_reps(G, subgroup_indices(G, N))
     pads = [g + _ID256[G.degree:] for g in G._gens_bytes()]
-    reps = [0]
-    position = {0: 0}  # coset label -> position of its representative in reps
-    for r in reps:  # grows while it is walked
-        for pad in pads:
-            x = index[elems[r].translate(pad)]
-            if label[x] not in position:
-                position[label[x]] = len(reps)
-                reps.append(x)
+
+    def step(x: int) -> list[int]:
+        return [label[index[elems[x].translate(pad)]] for pad in pads]
+
+    reps = [x for x, _, _ in _orbit(0, step)]
     assert len(reps) == G.order // N.order
-    images = [Permutation([position[label[index[elems[r].translate(pad)]]] for r in reps])
-              for pad in pads]
+    position = {x: j for j, x in enumerate(reps)}
+    images = [Permutation([position[y] for y in column]) for column in zip(*map(step, reps))]
     Q = PermutationGroup(images, len(reps))
     assert Q.order * N.order == G.order
-    return QuotientRepresentation(Q, tuple(Permutation._from_bytes(elems[r]) for r in reps))
+    return QuotientRepresentation(Q, tuple(Permutation._from_bytes(elems[x]) for x in reps))
 
 
 def _normal_closure(G: PermutationGroup, gens: list[int],
@@ -551,9 +544,6 @@ def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
     """All minimal nontrivial normal subgroups, via closures of cyclic subgroups."""
     if G.order <= 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
-    if G.order > ENUMERATION_BOUND:
-        raise BudgetExceededError(
-            f"minimal_normal_subgroups needs element enumeration; order {G.order} exceeds bound")
     elems = G.element_bytes()
     conj_rows = _conjugation_rows(G)
     closures: dict[frozenset[int], list[int]] = {}
@@ -656,19 +646,27 @@ def _conjugator(G: PermutationGroup, g: bytes) -> Callable[[int], int]:
     return lambda x: index[gi.translate(elems[x] + tail).translate(g_pad)]
 
 
-def _orbit(seed: frozenset[int],
-           rows: Sequence[Sequence[int]]) -> list[tuple[frozenset[int], int, int]]:
-    """The orbit of an index set under the maps ``rows``, breadth first: each
-    image once, as (image, position of the member it was first reached from,
-    index of the row that reached it), starting with (seed, -1, -1)."""
+def _orbit(seed: _Point,
+           step: Callable[[_Point], Sequence[_Point]]) -> list[tuple[_Point, int, int]]:
+    """The orbit of a point under some maps, breadth first; ``step(x)`` lists
+    x's image under each map, in a fixed order of the maps. Points are any
+    hashable values: base points, coset labels, cycles, index sets. Each
+    image comes once, as (image, position of the member it was first reached
+    from, index of the map that reached it), starting with (seed, -1, -1),
+    so a word in the maps that carries the seed to each member is read back
+    along the parent positions."""
     orbit, seen = [(seed, -1, -1)], {seed}
-    for pos, (members, _, _) in enumerate(orbit):  # grows while it is walked
-        for r, row in enumerate(rows):
-            image = frozenset([row[x] for x in members])
+    for pos, (x, _, _) in enumerate(orbit):  # grows while it is walked
+        for r, image in enumerate(step(x)):
             if image not in seen:
                 seen.add(image)
                 orbit.append((image, pos, r))
     return orbit
+
+
+def _on_sets(rows: Sequence[Sequence[int]]) -> Callable[[frozenset[int]], list[frozenset[int]]]:
+    """The step for ``_orbit`` on index sets: a set's image under each row."""
+    return lambda members: [frozenset([row[x] for x in members]) for row in rows]
 
 
 def conjugate_indices(G: PermutationGroup, members: Iterable[int], g: bytes) -> frozenset[int]:
@@ -703,7 +701,7 @@ def _normalizer(G: PermutationGroup, members: frozenset[int], gens: Sequence[int
 def conjugacy_orbit_of_subgroup(G: PermutationGroup,
                                 members: frozenset[int]) -> set[frozenset[int]]:
     """Orbit of a subgroup (as element indices) under conjugation by G."""
-    return {image for image, _, _ in _orbit(members, _conjugation_rows(G))}
+    return {image for image, _, _ in _orbit(members, _on_sets(_conjugation_rows(G)))}
 
 
 @dataclass(frozen=True)
@@ -727,9 +725,6 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    if G.order > ENUMERATION_BOUND:
-        raise BudgetExceededError(
-            f"intermediate_subgroups needs element enumeration; order {G.order} exceeds bound")
     elems = G.element_bytes()
     index = G.element_index()
     tail = _ID256[G._degree:]
@@ -746,30 +741,29 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
 
     start = record_from(tuple(index[g._b] for g in H.generators))
     found: dict[frozenset[int], SubgroupRecord] = {start.elements: start}
-    frontier = [start]
-    full = frozenset(range(n_g))
-    while frontier:
-        rec = frontier.pop(0)
-        if rec.elements == full:
-            continue
-        label = right_coset_reps(G, rec.elements)
+
+    def extensions(K: frozenset[int]) -> list[frozenset[int]]:
+        if len(K) == n_g:
+            return []
+        rec = found[K]
+        label = right_coset_reps(G, K)
         pads = [elems[k] + tail for k in rec.generators]
+
+        def step(x: int) -> list[int]:
+            return [label[index[elems[x].translate(pad)]] for pad in pads]
+
         marked = {0}  # coset labels already in a double coset walked
+        out = []
         for g, least in enumerate(label):
             if least != g or g in marked:
                 continue
             # Kg is the first coset of K g K in table order, so g is its least
             # element: mark the orbit of Kg and keep g as the representative
-            marked.add(g)
-            orbit = [g]
-            for x in orbit:  # grows while it is walked
-                for pad in pads:
-                    y = label[index[elems[x].translate(pad)]]
-                    if y not in marked:
-                        marked.add(y)
-                        orbit.append(y)
-            new_rec = record_from(rec.generators + (g,), rec.elements)
-            if new_rec.elements not in found:
-                found[new_rec.elements] = new_rec
-                frontier.append(new_rec)
+            marked.update(y for y, _, _ in _orbit(g, step))
+            new_rec = record_from(rec.generators + (g,), K)
+            # the set found first, so that a repeated join is freed at once
+            out.append(found.setdefault(new_rec.elements, new_rec).elements)
+        return out
+
+    _orbit(start.elements, extensions)
     return sorted(found.values(), key=lambda r: (r.order, sorted(r.elements)))

@@ -29,6 +29,7 @@ from .groups import (
     _conjugator,
     _is_prime,
     _normalizer,
+    _on_sets,
     _orbit,
     _p_part,
     cyclic_subgroups,
@@ -72,6 +73,7 @@ class SubgroupLattice:
         G = self.group
         n = len(self.elements)
         conj_rows = _conjugation_rows(G)
+        on_sets = _on_sets(conj_rows)
         # each element's least generator of its cyclic subgroup; the joins
         # try those of prime-power order
         cyc_rep = [0] * n
@@ -91,28 +93,24 @@ class SubgroupLattice:
                 conjugators = [row.__getitem__ for row in conj_rows]
             else:
                 conjugators = [_conjugator(G, self.elements[g]) for g in n_gens]
+            # each z not in H, mapped to its images under the generators of
+            # N_G(H); N_G(H) fixes H, so they are again not in H
+            step = {z: [cyc_rep[conj(z)] for conj in conjugators]
+                    for z in zs if z not in H}.__getitem__
             tried: set[int] = set()
             for z in zs:
                 if z in H or z in tried:
                     continue
                 # <H, z^m> = <H, z>^m for m in N_G(H): its class is found
                 # with that of <H, z>, so one z per orbit of N_G(H) is joined
-                tried.add(z)
-                stack = [z]
-                while stack:
-                    c = stack.pop()
-                    for conj in conjugators:
-                        d = cyc_rep[conj(c)]
-                        if d not in tried:
-                            tried.add(d)
-                            stack.append(d)
+                tried.update(c for c, _, _ in _orbit(z, step))
                 gens = h_gens + (z,)
                 K = self._span(gens, H)
                 if K in found:
                     continue
                 found[K] = gens
                 # K's class is new as a whole: found holds whole classes only
-                orbit = _orbit(K, conj_rows)
+                orbit = _orbit(K, on_sets)
                 reps.append((K, len(orbit)))
                 for image, parent, r in orbit[1:]:
                     found[image] = tuple(conj_rows[r][x] for x in found[orbit[parent][0]])

@@ -15,7 +15,7 @@ from math import prod
 
 from .complexes import _as_poset
 from .groups import (BudgetExceededError, PermutationGroup, _conjugation_rows, _generated_order,
-                     _orbit, cyclic_subgroups)
+                     _on_sets, _orbit, cyclic_subgroups)
 from .lattice import MoebiusTable, SubgroupLattice
 
 TUPLE_BUDGET = 10**7
@@ -88,7 +88,7 @@ def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
             cyc_rep[i] = generators[0]
         reps.append(generators[0])
         weights.append(len(generators))
-    conj_rows = [[cyc_rep[x] for x in row] for row in _conjugation_rows(G)]
+    on_sets = _on_sets([[cyc_rep[x] for x in row] for row in _conjugation_rows(G)])
     memo: dict[frozenset[int], bool] = {}
     count = 0
     for tup, tup_weights in zip(product(reps, repeat=k), product(weights, repeat=k)):
@@ -97,7 +97,7 @@ def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
         if hit is None:
             gens = [elems[c] for c in key]
             hit = _generated_order(gens, G.degree, stop_at=G.order) == G.order
-            memo.update((image, hit) for image, _, _ in _orbit(key, conj_rows))
+            memo.update((image, hit) for image, _, _ in _orbit(key, on_sets))
         if hit:
             count += prod(tup_weights)
     return Fraction(count, len(elems)**k)

@@ -30,9 +30,10 @@ normalizer and stops a closure once it passes half of G. The pairwise
 inclusion here tests every pair of subgroups; the library ANDs one mask per
 element.
 
-The double-coset marking here steps with ``bytes.translate`` and an index
-lookup; ``groups.intermediate_subgroups`` steps on cached multiplication
-rows of element indices.
+The double-coset marking here walks each double coset K g K element by
+element, under left and right multiplication by K's generators;
+``groups.intermediate_subgroups`` walks right-coset labels of
+``groups.right_coset_reps`` under right multiplication, with ``groups._orbit``.
 
 The Sylow scan here computes the p-part of every element before it extends
 P; ``groups.sylow_subgroup`` computes them as far as its scans need.
@@ -49,7 +50,7 @@ from cosetposets.complexes import SimplicialComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
 from cosetposets.generation import GenerationReport
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _conjugation_rows,
-                                _generated_order, _is_prime, _orbit, _p_part,
+                                _generated_order, _is_prime, _on_sets, _orbit, _p_part,
                                 conjugate_indices, cyclic_subgroups, subgroup_indices,
                                 sylow_subgroup)
 from cosetposets.perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
@@ -348,7 +349,7 @@ def flat_enumeration(G: PermutationGroup) -> tuple[list[SubgroupRecord], list[fr
                 continue
             found[K] = gens
             reps.append(K)
-            orbit = _orbit(K, conj_rows)
+            orbit = _orbit(K, _on_sets(conj_rows))
             for image, parent, r in orbit[1:]:
                 found[image] = tuple(conj_rows[r][x] for x in found[orbit[parent][0]])
             assert (n // len(K)) % len(orbit) == 0

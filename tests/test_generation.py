@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from cosetposets import generation
 from cosetposets.generation import (
     _long_cycle_rank,
     _long_cycle_unrank,
@@ -178,6 +179,19 @@ def test_orbit_sweep_matches_brute_sweep(n):
     assert report.verdict == verdict
     assert report.witnesses == witnesses
     assert report.cycles == tests
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_flood_ranks_each_cycle_once(n, monkeypatch):
+    ranked = []
+
+    def counting_rank(cyc, n):
+        ranked.append(cyc)
+        return _long_cycle_rank(cyc, n)
+
+    monkeypatch.setattr(generation, "_long_cycle_rank", counting_rank)
+    report = check_alternating_claims(n)
+    assert len(ranked) == report.cycles
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])

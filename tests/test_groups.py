@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 import pytest
@@ -27,6 +28,7 @@ from cosetposets.groups import (
 )
 from cosetposets import a7, groups
 from cosetposets.catalog import load_catalog
+from cosetposets.generation import universally_p_generates
 from cosetposets.perm import Permutation, _ID256, _mul_bytes, parse_permutation
 from cosetposets.lattice import enumerate_subgroups
 import oracles
@@ -211,20 +213,29 @@ def test_quotient_requires_normality():
 
 
 def test_quotient_generator_images_respect_multiplication():
-    S4 = symmetric_group(4)
-    V4 = PermutationGroup(perms("(1,2)(3,4)", "(1,3)(2,4)", degree=4))
-    q = quotient_representation(S4, V4)
-    a, b = S4.generators
-    qa, qb = q.group.generators
-    prod = quotient_representation(S4, V4)  # same deterministic labelling
-    assert prod.group.generators == (qa, qb)
-    # the image of a product is the product of images on coset labels
-    reps = [r for r in q.coset_reps]
-    ab = a * b
-    for j, r in enumerate(reps):
-        target = r * ab
-        k = (qa * qb)(j + 1) - 1
-        assert V4.contains(target * reps[k].inverse())
+    """For each catalog group of order <= 60 and each minimal normal N != G:
+    coset_reps[j] is the least element of the coset labelled j, and the image
+    of each generator, and of each product of two, maps N r to N r g."""
+    for entry in SMALL_CATALOG.values():
+        G = _catalog_group(entry.name)
+        if G.order == 1:
+            continue
+        index = G.element_index()
+        for N in minimal_normal_subgroups(G):
+            if N.order == G.order:
+                continue
+            q = quotient_representation(G, N)
+            # same deterministic labelling
+            assert quotient_representation(G, N).group.generators == q.group.generators
+            reps = q.coset_reps
+            cosets = [{index[(m * r)._b] for m in N.elements()} for r in reps]
+            assert len({frozenset(c) for c in cosets}) == G.order // N.order
+            assert [index[r._b] for r in reps] == [min(c) for c in cosets], entry.name
+            pairs = list(zip(G.generators, q.group.generators))
+            for (a, qa), (b, qb) in product(pairs, repeat=2):
+                for g, qg in ((a, qa), (a * b, qa * qb)):
+                    for j, r in enumerate(reps):
+                        assert N.contains(r * g * reps[qg(j + 1) - 1].inverse()), entry.name
 
 
 def test_normal_closure_and_normality():
@@ -354,6 +365,21 @@ def test_element_budget_guard():
     big = symmetric_group(11)
     with pytest.raises(BudgetExceededError):
         big.element_bytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, c: sylow_subgroup(G, 3),
+    lambda G, c: minimal_normal_subgroups(G),
+    lambda G, c: intermediate_subgroups(G, c),
+    lambda G, c: universally_p_generates(G, c, 2),
+], ids=["sylow_subgroup", "minimal_normal_subgroups", "intermediate_subgroups",
+        "universally_p_generates"])
+def test_enumerating_calls_exceed_the_element_budget(call):
+    """Each call that lists the elements of S_11 fails in element_bytes."""
+    G = _symmetric(11)
+    cycle = PermutationGroup([Permutation.from_cycles([tuple(range(1, 12))], 11)])
+    with pytest.raises(BudgetExceededError):
+        call(G, cycle)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -174,6 +174,7 @@ def test_cli_compute_lattice(capsys):
     ["compute", "zeta", "--gens", "(1,2)", "--degree", "300"],
     ["verify", "--max-order", "0"],
     ["verify", "--max-order", "-3", "--suite", "reciprocity"],
+    ["compute", "homology", "--gens", " "],
 ])
 def test_cli_input_error_is_one_line(argv, capsys):
     assert main(argv) == 2
