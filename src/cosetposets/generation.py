@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 from math import comb, factorial, gcd
 from operator import itemgetter
+from typing import Sequence
 
 from .groups import (
     ENUMERATION_BOUND,
@@ -120,32 +122,41 @@ def _long_cycle_rank(cyc: bytes, n: int) -> int:
     return rank
 
 
-def _long_cycle_unrank(rank: int, n: int, m: int) -> bytes:
-    """Inverse of :func:`_long_cycle_rank` for cycles of length m."""
-    set_index, code = divmod(rank, factorial(m - 1))
-    points = [x for x in range(n) if m == n or x != n - 1 - set_index]
-    digits = []
-    for radix in range(1, m):
-        code, d = divmod(code, radix)
-        digits.append(d)
-    rest = points[1:]
-    return bytes([points[0]] + [rest.pop(d) for d in reversed(digits)])
-
-
 def _cycle_permutation(cyc: bytes, n: int) -> Permutation:
     return Permutation.from_cycles([[x + 1 for x in cyc]], n)
 
 
-def _unit_generators(m: int) -> list[int]:
-    """A generating set of the unit group (Z/m)^*, chosen greedily."""
-    gens: list[int] = []
-    reached = {1}
-    for u in range(2, m):
-        if gcd(u, m) == 1 and u not in reached:
-            gens.append(u)
-            while new := {x * g % m for x in reached for g in gens} - reached:
-                reached |= new
-    return gens
+class _CycleGenerators:
+    """The generators c^u of <c>, for u prime to m, of cycles c of length m.
+    Written from c's least point, c^u lists c's points at positions 0, u,
+    2u, ... mod m, so it starts at the same point. Their second points c[u]
+    differ, and the one whose second point is least has the least rank:
+    <c>'s canonical generator."""
+
+    def __init__(self, m: int):
+        units = [u for u in range(1, m) if gcd(u, m) == 1]
+        self.count = len(units)  # Euler phi of m
+        # for c written with its least point at position i: the second point
+        # of each c^u, and each c^u written from that least point
+        self._rotations = [(itemgetter(*((i + u) % m for u in units)),
+                            [itemgetter(*((i + k * u) % m for k in range(m))) for u in units])
+                           for i in range(m)]
+        self._tail_seconds = itemgetter(*(u - 1 for u in units))
+
+    def all(self, cyc: bytes) -> list[bytes]:
+        """The generators of <cyc>, for cyc written from its least point."""
+        return [bytes(power(cyc)) for power in self._rotations[0][1]]
+
+    def canonical(self, cyc: bytes) -> bytes:
+        """The canonical generator of <cyc>, for cyc written from any point."""
+        seconds, powers = self._rotations[cyc.index(min(cyc))]
+        s = seconds(cyc)
+        return bytes(powers[s.index(min(s))](cyc))
+
+    def is_canonical(self, tail: Sequence[int]) -> bool:
+        """Is the cycle whose points after its least point are ``tail``
+        its subgroup's canonical generator?"""
+        return tail[0] == min(self._tail_seconds(tail))
 
 
 def check_alternating_claims(n: int) -> GenerationReport:
@@ -153,58 +164,66 @@ def check_alternating_claims(n: int) -> GenerationReport:
     one fixed Sylow 2-subgroup P; report whether every pair generates A_n.
 
     <c^g, P> = <c, P>^g for g in P, and <c^u, P> = <c, P> for u prime to
-    the cycle length, so one test decides each orbit of P x Aut(<c>) on the
-    cycles. Cycles are walked by rank; each orbit is walked by ``_orbit``
-    from its least member, each member is ranked once into a seen-table,
-    and the orbit sizes must add up to the number of cycles. Witnesses are
-    the first four failing cycles in enumeration order.
+    the cycle length m, so one test decides each orbit of P x Aut(<c>) on
+    the cycles, which is the set of generators of one P-orbit of cyclic
+    subgroups <c>. So the sweep walks cyclic subgroups, each written as its
+    canonical generator: cycles are scanned in rank order, skipping those
+    seen or not canonical; each P-orbit is walked by ``_orbit`` from its
+    first such cycle, and each member is ranked once into a seen-table. The
+    orbit sizes times phi(m) must add up to the number of cycles. Only a
+    failing orbit has its members' generators ranked: witnesses are the
+    first four failing cycles in enumeration order. Raises
+    BudgetExceededError, before any work, past ENUMERATION_BOUND cyclic
+    subgroups.
     """
     if n < 5:
         raise ValueError("n must be at least 5")
+    length = n if n % 2 == 1 else n - 1
+    gens = _CycleGenerators(length)
+    block = factorial(length - 1)
+    total = comb(n, length) * block
+    if total // gens.count > ENUMERATION_BOUND:
+        raise BudgetExceededError(
+            f"A_{n} has {total // gens.count} cyclic subgroups of {length}-cycles, "
+            f"over the enumeration budget {ENUMERATION_BOUND}")
     start = time.perf_counter()
     L = alternating_group(n)
     target = L.order
     P = sylow_subgroup(L, 2)
     p_gens = [g._b for g in P.generators]
-    length = n if n % 2 == 1 else n - 1
     report = GenerationReport(
         subject=f"cyclic subgroup of a {length}-cycle universally 2-generates A_{n}",
         verdict=True)
     conjugations = [g + _ID256[n:] for g in p_gens]
-    powers = [itemgetter(*(k * u % length for k in range(length)))
-              for u in _unit_generators(length)]
+    canonical, is_canonical = gens.canonical, gens.is_canonical
 
     def step(cyc: bytes) -> list[bytes]:
-        # a cycle is written from its least point, so it is one bytes value;
-        # a power c^u of such a cycle already starts there
-        images = [cyc.translate(t) for t in conjugations]
-        images = [img[i:] + img[:i] for img in images for i in [img.index(min(img))]]
-        return images + [bytes(power(cyc)) for power in powers]
+        return [canonical(cyc.translate(t)) for t in conjugations]
 
-    total = (1 if length == n else n) * factorial(length - 1)
     seen = bytearray(total)
-    failing: list[tuple[int, int]] = []
-    for r in range(total):
-        if seen[r]:
-            continue
-        rep = _long_cycle_unrank(r, n, length)
-        members = [_long_cycle_rank(cyc, n) for cyc, _, _ in _orbit(rep, step)]
-        for s in members:
-            seen[s] = 1
-        report.tests += 1
-        report.cycles += len(members)
-        got = _generated_order([_cycle_permutation(rep, n)._b] + p_gens, n, stop_at=target)
-        if got != target:
-            report.verdict = False
-            failing += [(s, got) for s in members]
-    expected = comb(n, length) * factorial(length - 1)
-    if report.cycles != expected:
-        raise RuntimeError(f"orbit sizes add up to {report.cycles}, not {expected} cycles")
+    failing: list[tuple[int, bytes, int]] = []
+    for s, points in enumerate(combinations(range(n), length)):
+        anchor = points[:1]
+        for r, tail in enumerate(permutations(points[1:]), s * block):
+            if seen[r] or not is_canonical(tail):
+                continue
+            rep = bytes(anchor + tail)
+            members = [cyc for cyc, _, _ in _orbit(rep, step)]
+            for cyc in members:
+                seen[_long_cycle_rank(cyc, n)] = 1
+            report.tests += 1
+            report.cycles += gens.count * len(members)
+            got = _generated_order([_cycle_permutation(rep, n)._b] + p_gens, n, stop_at=target)
+            if got != target:
+                report.verdict = False
+                failing += [(_long_cycle_rank(g, n), g, got)
+                            for cyc in members for g in gens.all(cyc)]
+    if report.cycles != total:
+        raise RuntimeError(f"orbit sizes add up to {report.cycles}, not {total} cycles")
     failing.sort()
     report.witnesses = [
-        {"cycle": cycle_string(_cycle_permutation(_long_cycle_unrank(s, n, length), n)),
-         "generated_order": got}
-        for s, got in failing[:4]]
+        {"cycle": cycle_string(_cycle_permutation(cyc, n)), "generated_order": got}
+        for _, cyc, got in failing[:4]]
     report.millis = (time.perf_counter() - start) * 1000
     return report
 

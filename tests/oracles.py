@@ -23,6 +23,12 @@ The conjugate-sweep oracle here conjugates K by every element of G, in the
 order of G's element table, and tests each distinct conjugate once;
 ``generation._conjugate_sweep`` walks the class of K under G's generators.
 
+The long-cycle flood here walks the orbits of P x Aut(<c>) on the cycles
+themselves, under P's conjugations and a generating set of (Z/m)^*, and
+ranks every cycle; ``generation.check_alternating_claims`` walks P-orbits
+of cyclic subgroups <c>, each written as its canonical generator, and
+ranks one cycle per subgroup.
+
 The flat lattice enumeration here joins each class representative with
 every prime-power cyclic subgroup and grows each join to the end; the
 library joins one cyclic subgroup per orbit of the representative's
@@ -45,14 +51,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product, repeat
+from math import comb, factorial, gcd
+from operator import itemgetter
 
 from cosetposets.complexes import SimplicialComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
-from cosetposets.generation import GenerationReport
+from cosetposets.generation import GenerationReport, _cycle_permutation, _long_cycle_rank
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _conjugation_rows,
                                 _generated_order, _is_prime, _on_sets, _orbit, _p_part,
                                 conjugate_indices, cyclic_subgroups, subgroup_indices,
-                                sylow_subgroup)
+                                alternating_group, sylow_subgroup)
 from cosetposets.perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
 
 
@@ -164,6 +172,77 @@ def scan_conjugate_sweep(G: PermutationGroup, K: PermutationGroup,
                     "conjugator": cycle_string(Permutation._from_bytes(g)),
                     "generated_order": got,
                 })
+    return report
+
+
+def _long_cycle_unrank(rank: int, n: int, m: int) -> bytes:
+    """Inverse of ``generation._long_cycle_rank`` for cycles of length m."""
+    set_index, code = divmod(rank, factorial(m - 1))
+    points = [x for x in range(n) if m == n or x != n - 1 - set_index]
+    digits = []
+    for radix in range(1, m):
+        code, d = divmod(code, radix)
+        digits.append(d)
+    rest = points[1:]
+    return bytes([points[0]] + [rest.pop(d) for d in reversed(digits)])
+
+
+def _unit_generators(m: int) -> list[int]:
+    """A generating set of the unit group (Z/m)^*, chosen greedily."""
+    gens: list[int] = []
+    reached = {1}
+    for u in range(2, m):
+        if gcd(u, m) == 1 and u not in reached:
+            gens.append(u)
+            while new := {x * g % m for x in reached for g in gens} - reached:
+                reached |= new
+    return gens
+
+
+def cycle_flood_sweep(n: int) -> GenerationReport:
+    """``check_alternating_claims`` by a flood over the cycles: each orbit of
+    P x Aut(<c>) on the long cycles is walked by ``_orbit`` from its
+    least-ranked cycle, under P's conjugations and the powers c -> c^u for a
+    generating set of units u, and every member is ranked; one generation
+    test per orbit, and the first four failing cycles in enumeration order
+    are the witnesses."""
+    L = alternating_group(n)
+    target = L.order
+    p_gens = [g._b for g in sylow_subgroup(L, 2).generators]
+    length = n if n % 2 == 1 else n - 1
+    report = GenerationReport(subject="cycle flood", verdict=True)
+    conjugations = [g + _ID256[n:] for g in p_gens]
+    powers = [itemgetter(*(k * u % length for k in range(length)))
+              for u in _unit_generators(length)]
+
+    def step(cyc: bytes) -> list[bytes]:
+        # a cycle is written from its least point, so it is one bytes value;
+        # a power c^u of such a cycle already starts there
+        images = [cyc.translate(t) for t in conjugations]
+        images = [img[i:] + img[:i] for img in images for i in [img.index(min(img))]]
+        return images + [bytes(power(cyc)) for power in powers]
+
+    total = comb(n, length) * factorial(length - 1)
+    seen = bytearray(total)
+    failing: list[tuple[int, int]] = []
+    for r in range(total):
+        if seen[r]:
+            continue
+        rep = _long_cycle_unrank(r, n, length)
+        members = [_long_cycle_rank(cyc, n) for cyc, _, _ in _orbit(rep, step)]
+        for s in members:
+            seen[s] = 1
+        report.tests += 1
+        report.cycles += len(members)
+        got = _generated_order([_cycle_permutation(rep, n)._b] + p_gens, n, stop_at=target)
+        if got != target:
+            report.verdict = False
+            failing += [(s, got) for s in members]
+    failing.sort()
+    report.witnesses = [
+        {"cycle": cycle_string(_cycle_permutation(_long_cycle_unrank(s, n, length), n)),
+         "generated_order": got}
+        for s, got in failing[:4]]
     return report
 
 

@@ -1,3 +1,4 @@
+import os
 from itertools import combinations, permutations
 from math import factorial
 
@@ -5,8 +6,8 @@ import pytest
 
 from cosetposets import generation
 from cosetposets.generation import (
+    _CycleGenerators,
     _long_cycle_rank,
-    _long_cycle_unrank,
     check_alternating_claims,
     check_diagonal_universal,
     imprimitive_parity_identity,
@@ -16,6 +17,7 @@ from cosetposets.generation import (
 )
 from cosetposets.cosets import build_relative_poset, fixed_cosets
 from cosetposets.groups import (
+    BudgetExceededError,
     PermutationGroup,
     _is_prime,
     alternating_group,
@@ -28,7 +30,10 @@ from cosetposets.groups import (
 from cosetposets.catalog import load_catalog
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, cycle_string, parse_permutation
-from oracles import action_fixed_points, scan_conjugate_sweep, translation_action_group
+from oracles import (_long_cycle_unrank, action_fixed_points, cycle_flood_sweep,
+                     scan_conjugate_sweep, translation_action_group)
+
+RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
 
 def _group(*texts, degree):
@@ -46,22 +51,26 @@ def all_cycles_of_length(points, length):
             yield (first, *tail)
 
 
+# long cycles c of A_n with <c, P> != A_n; checked by _brute_sweep
+FAILING_CYCLES = {5: 0, 6: 0, 7: 96, 8: 768, 9: 0}
+
+
 def _brute_sweep(n):
     """Reference for check_alternating_claims: one generation test per long
-    cycle, in enumeration order. Returns (verdict, witnesses, tests)."""
+    cycle, in enumeration order. Returns (verdict, witnesses, tests, failing)."""
     L = alternating_group(n)
     P = sylow_subgroup(L, 2)
     length = n if n % 2 == 1 else n - 1
-    verdict, witnesses, tests = True, [], 0
+    verdict, witnesses, tests, failing = True, [], 0, 0
     for cyc in all_cycles_of_length(range(1, n + 1), length):
         c = Permutation.from_cycles([cyc], n)
         tests += 1
         got = generated_order([c, *P.generators], n, stop_at=L.order)
         if got != L.order:
-            verdict = False
+            verdict, failing = False, failing + 1
             if len(witnesses) < 4:
                 witnesses.append({"cycle": cycle_string(c), "generated_order": got})
-    return verdict, witnesses, tests
+    return verdict, witnesses, tests, failing
 
 
 def test_all_cycles_of_length_counts():
@@ -174,15 +183,27 @@ def test_alternating_claims_small():
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_orbit_sweep_matches_brute_sweep(n):
-    verdict, witnesses, tests = _brute_sweep(n)
+    verdict, witnesses, tests, failing = _brute_sweep(n)
     report = check_alternating_claims(n)
     assert report.verdict == verdict
     assert report.witnesses == witnesses
     assert report.cycles == tests
+    assert failing == FAILING_CYCLES[n]
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_flood_ranks_each_cycle_once(n, monkeypatch):
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, pytest.param(
+    10, marks=pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1"))])
+def test_subgroup_flood_matches_cycle_flood(n):
+    report = check_alternating_claims(n)
+    flood = cycle_flood_sweep(n)
+    assert (report.verdict, report.tests, report.cycles, report.witnesses) == (
+        flood.verdict, flood.tests, flood.cycles, flood.witnesses)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_flood_ranks_each_cyclic_subgroup_once(n, monkeypatch):
+    """One rank per cyclic subgroup <c> in the flood (A_9: 40,320 / phi(9) =
+    6,720), and one per cycle of a failing orbit for the witnesses."""
     ranked = []
 
     def counting_rank(cyc, n):
@@ -191,7 +212,45 @@ def test_flood_ranks_each_cycle_once(n, monkeypatch):
 
     monkeypatch.setattr(generation, "_long_cycle_rank", counting_rank)
     report = check_alternating_claims(n)
-    assert len(ranked) == report.cycles
+    assert report.cycles == {7: 720, 8: 5760, 9: 40320}[n]
+    assert len(ranked) == report.cycles // 6 + FAILING_CYCLES[n]  # phi(7) = phi(9) = 6
+
+
+class _SweepStarted(Exception):
+    pass
+
+
+def test_sweep_budget_admits_a11_and_refuses_a12(monkeypatch):
+    """A_11 has 362,880 cyclic subgroups of 11-cycles, A_12 4,354,560 of
+    11-cycles and A_13 39,916,800 of 13-cycles; the guard reads only n."""
+    def started(n):
+        raise _SweepStarted
+
+    monkeypatch.setattr(generation, "alternating_group", started)
+    with pytest.raises(_SweepStarted):
+        check_alternating_claims(11)
+    for n in (12, 13):
+        with pytest.raises(BudgetExceededError):
+            check_alternating_claims(n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_canonical_generator_is_least_ranked(n):
+    """Each of <c>'s phi(m) generators gives the same canonical generator,
+    the one _long_cycle_rank ranks least, and the scan's skip test keeps
+    exactly that one."""
+    length = n if n % 2 == 1 else n - 1
+    gens = _CycleGenerators(length)
+    kept = 0
+    for cyc in map(bytes, all_cycles_of_length(range(n), length)):
+        generators = gens.all(cyc)
+        assert len(set(generators)) == gens.count and cyc in generators
+        least = min(generators, key=lambda g: _long_cycle_rank(g, n))
+        assert {gens.canonical(g) for g in generators} == {least}
+        assert gens.canonical(cyc[3:] + cyc[:3]) == least  # any rotation
+        assert gens.is_canonical(cyc[1:]) == (cyc == least)
+        kept += cyc == least
+    assert kept * gens.count == factorial(length - 1) * (n if length < n else 1)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
