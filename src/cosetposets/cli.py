@@ -8,7 +8,7 @@ import sys
 from .catalog import catalog_group
 from .complexes import order_complex, poset_f_vector, reduced_betti
 from .cosets import build_coset_poset, build_relative_poset
-from .groups import BudgetExceededError, PermutationGroup
+from .groups import BudgetExceededError, PermutationGroup, is_normal_subgroup
 from .lattice import enumerate_subgroups, lattice_dump, moebius_to_top
 from .perm import parse_permutation_list
 from .suite import ALL_SUITES, SuiteConfig, run_suite
@@ -93,6 +93,10 @@ def _run(args) -> int:
         return 0
     if args.relative_to:
         N = PermutationGroup(parse_permutation_list(args.relative_to, G.degree), G.degree)
+        if not N.is_subgroup_of(G):
+            raise ValueError(f"--relative-to {args.relative_to!r} is not a subgroup of the group")
+        if not is_normal_subgroup(G, N):
+            raise ValueError(f"--relative-to {args.relative_to!r} is not normal in the group")
         poset = build_relative_poset(G, N, lat)
     else:
         poset = build_coset_poset(G, lat)

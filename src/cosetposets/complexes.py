@@ -52,17 +52,10 @@ def order_complex(poset) -> SimplicialComplex:
     """All chains of a poset, as faces; the empty poset yields {emptyset}."""
     p = _as_poset(poset)
     by_dim: dict[int, list[tuple[int, ...]]] = {}
-    chain: list[int] = []
-
-    def extend(v: int) -> None:
-        chain.append(v)
-        by_dim.setdefault(len(chain) - 1, []).append(tuple(chain))
-        for w in p.above[v]:
-            extend(w)
-        chain.pop()
-
-    for v in range(p.n):
-        extend(v)
+    faces = [(v,) for v in range(p.n)]
+    while faces:  # each chain extended by every element above its top
+        by_dim[len(faces[0]) - 1] = faces
+        faces = [c + (w,) for c in faces for w in p.above[c[-1]]]
     return SimplicialComplex(by_dim, p.n)
 
 

@@ -8,7 +8,8 @@ the same generator sequence is identical, byte for byte.
 Internally permutations are image tables of type ``bytes`` (0-based);
 the public surface speaks :class:`~cosetposets.perm.Permutation`. Subgroups
 and cosets are index sets into a group's element table (``_closure``,
-``right_coset_reps``).
+``right_coset_reps``), and ``_closure`` is the only way a subgroup reaches
+that table.
 """
 
 from __future__ import annotations
@@ -153,11 +154,11 @@ class PermutationGroup:
     """A finite permutation group defined by generators.
 
     Immutable after construction; the stabilizer chain gives exact order
-    and membership. The sorted element table and its index are built on
-    first use and shared by every caller from then on.
+    and membership. The sorted element table, its index and the full index
+    set are built on first use and shared by every caller from then on.
     """
 
-    __slots__ = ("_degree", "_gens", "_levels", "_order", "_elements", "_index")
+    __slots__ = ("_degree", "_gens", "_levels", "_order", "_elements", "_index", "_full")
 
     def __init__(self, generators: Sequence[Permutation], degree: int | None = None):
         gens = list(generators)
@@ -174,6 +175,7 @@ class PermutationGroup:
         self._order = _chain_order(self._levels)
         self._elements: tuple[bytes, ...] | None = None
         self._index: dict[bytes, int] | None = None
+        self._full: frozenset[int] | None = None
 
     @property
     def degree(self) -> int:
@@ -244,6 +246,13 @@ class PermutationGroup:
         if self._index is None:
             self._index = {b: i for i, b in enumerate(self.element_bytes())}
         return self._index
+
+    def _full_set(self) -> frozenset[int]:
+        """Every index into ``element_bytes()``: the group as its own
+        subgroup. Built once, so a closure that reaches G returns this set."""
+        if self._full is None:
+            self._full = frozenset(range(len(self.element_bytes())))
+        return self._full
 
     def elements(self) -> list[Permutation]:
         return [Permutation._from_bytes(b) for b in self.element_bytes()]
@@ -500,11 +509,7 @@ def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> Quotien
         raise ValueError("N is not normal in G")
     elems, index = G.element_bytes(), G.element_index()
     label = right_coset_reps(G, subgroup_indices(G, N))
-    pads = [g + _ID256[G.degree:] for g in G._gens_bytes()]
-
-    def step(x: int) -> list[int]:
-        return [label[index[elems[x].translate(pad)]] for pad in pads]
-
+    step = _on_cosets(G, label, [index[g] for g in G._gens_bytes()])
     reps = [x for x, _, _ in _orbit(0, step)]
     assert len(reps) == G.order // N.order
     position = {x: j for j, x in enumerate(reps)}
@@ -582,31 +587,32 @@ def cyclic_subgroups(G: PermutationGroup) -> dict[frozenset[int], list[int]]:
 
 
 def subgroup_indices(G: PermutationGroup, H: PermutationGroup) -> frozenset[int]:
-    """The elements of a subgroup H of G as indices into G's element table.
+    """The elements of a subgroup H of G as indices into G's element table,
+    closed from H's generators on that table; H's own is never built.
 
     Raises KeyError if H is not inside G.
     """
     index = G.element_index()
-    return frozenset(index[b] for b in H.element_bytes())
+    return _closure(G, [index[g] for g in H._gens_bytes()])
 
 
 def _closure(G: PermutationGroup, gens: Sequence[int],
-             start: frozenset[int] = frozenset({0}),
-             abort_above: int | None = None) -> frozenset[int] | None:
+             start: frozenset[int] = frozenset({0})) -> frozenset[int]:
     """<gens> as indices into G's element table, grown from ``start``, a
     subgroup of <gens>, as a union of right cosets start·t: one membership
     test per coset and generator, then each new coset is added whole
-    (Dimino). None once it has more than ``abort_above`` elements."""
+    (Dimino). By Lagrange a subgroup with more than half of G is G, so from
+    there on the result is G's one full index set, ``G._full_set()``."""
     elems, index = G.element_bytes(), G.element_index()
     tail = _ID256[G._degree:]
-    limit = len(elems) if abort_above is None else abort_above
+    half = len(elems) // 2
     base = [elems[h] for h in start]
     pads = [elems[g] + tail for g in gens]
     seen = set(start)
     reps = [elems[0]]
     for r in reps:  # grows while it is walked
-        if len(seen) > limit:
-            return None
+        if len(seen) > half:
+            return G._full_set()
         for pad in pads:
             t = r.translate(pad)
             if index[t] not in seen:
@@ -669,6 +675,16 @@ def _on_sets(rows: Sequence[Sequence[int]]) -> Callable[[frozenset[int]], list[f
     return lambda members: [frozenset([row[x] for x in members]) for row in rows]
 
 
+def _on_cosets(G: PermutationGroup, label: Sequence[int],
+               gens: Sequence[int]) -> Callable[[int], list[int]]:
+    """The step for ``_orbit`` on right cosets Hx, each given by its label
+    from ``right_coset_reps``: the label of Hxg for each g in ``gens``, as
+    indices into G's element table."""
+    elems, index = G.element_bytes(), G.element_index()
+    pads = [elems[g] + _ID256[G._degree:] for g in gens]
+    return lambda x: [label[index[elems[x].translate(pad)]] for pad in pads]
+
+
 def conjugate_indices(G: PermutationGroup, members: Iterable[int], g: bytes) -> frozenset[int]:
     """{x^g = g^-1 x g : x in members} for index sets into G's element
     table, with g in G or normalizing G."""
@@ -685,7 +701,7 @@ def _normalizer(G: PermutationGroup, members: frozenset[int], gens: Sequence[int
     H is normal)."""
     elems, index = G.element_bytes(), G.element_index()
     if order == len(elems):
-        return frozenset(range(len(elems))), tuple(index[g] for g in G._gens_bytes())
+        return G._full_set(), tuple(index[g] for g in G._gens_bytes())
     N, n_gens = members, tuple(gens)
     for x, xb in enumerate(elems):
         if len(N) == order:
@@ -725,19 +741,15 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    elems = G.element_bytes()
     index = G.element_index()
-    tail = _ID256[G._degree:]
-    n_g = len(elems)
+    n_g = G.order
+    g_gens = tuple(index[b] for b in G._gens_bytes())
 
     def record_from(gens: tuple[int, ...],
                     start: frozenset[int] = frozenset({0})) -> SubgroupRecord:
-        fs = _closure(G, gens, start, abort_above=n_g // 2)
-        if fs is None:
-            # index < 2 forces the whole group
-            return SubgroupRecord(n_g, frozenset(range(n_g)),
-                                  tuple(index[b] for b in G._gens_bytes()))
-        return SubgroupRecord(len(fs), fs, gens)
+        fs = _closure(G, gens, start)
+        # the whole group is recorded with G's own generators
+        return SubgroupRecord(len(fs), fs, gens if len(fs) < n_g else g_gens)
 
     start = record_from(tuple(index[g._b] for g in H.generators))
     found: dict[frozenset[int], SubgroupRecord] = {start.elements: start}
@@ -747,11 +759,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
             return []
         rec = found[K]
         label = right_coset_reps(G, K)
-        pads = [elems[k] + tail for k in rec.generators]
-
-        def step(x: int) -> list[int]:
-            return [label[index[elems[x].translate(pad)]] for pad in pads]
-
+        step = _on_cosets(G, label, rec.generators)
         marked = {0}  # coset labels already in a double coset walked
         out = []
         for g, least in enumerate(label):

@@ -49,15 +49,13 @@ class SubgroupLattice:
         self.group = group
         self.elements: tuple[bytes, ...] = group.element_bytes()
         self.index: dict[bytes, int] = group.element_index()
-        n = len(self.elements)
         assert self.elements[0] == bytes(range(group.degree)), "identity must sort first"
-        self._full = frozenset(range(n))
         self.subgroups: list[SubgroupRecord] = self._enumerate()
         self.subgroup_index: dict[frozenset[int], int] = {
             e.elements: i for i, e in enumerate(self.subgroups)
         }
         self.index_of_trivial = self.subgroup_index[frozenset({0})]
-        self.index_of_parent = self.subgroup_index[self._full]
+        self.index_of_parent = len(self.subgroups) - 1  # the one largest
         self.below, self.above = self._inclusion()
 
     # -- construction -----------------------------------------------------
@@ -66,8 +64,7 @@ class SubgroupLattice:
               start: frozenset[int] = frozenset({0})) -> frozenset[int]:
         """<gens>, grown from ``start``, a subgroup of <gens> (Dimino); a
         closure past half of G is G."""
-        K = _closure(self.group, gens, start, abort_above=len(self.elements) // 2)
-        return self._full if K is None else K
+        return _closure(self.group, gens, start)
 
     def _enumerate(self) -> list[SubgroupRecord]:
         G = self.group

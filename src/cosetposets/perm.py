@@ -215,7 +215,8 @@ def parse_permutation_list(text: str, degree: int | None = None) -> list[Permuta
     """Parse a comma-separated list of cycle-notation permutations.
 
     A comma at cycle boundary level separates entries, so
-    "(1,2,3)(4,5),(1,2)" is two permutations. All results share one degree.
+    "(1,2,3)(4,5),(1,2)" is two permutations. Each is parsed at ``degree``
+    when it is given; all results share one degree.
     """
     stripped = re.sub(r"\s", "", text)
     if not stripped:
@@ -238,8 +239,8 @@ def parse_permutation_list(text: str, degree: int | None = None) -> list[Permuta
     parts.append(stripped[start:])
     if any(not part for part in parts):
         raise ValueError(f"empty entry in permutation list {text!r}")
-    perms = [parse_permutation(part) for part in parts]
-    n = degree if degree is not None else max(p.degree for p in perms)
+    perms = [parse_permutation(part, degree) for part in parts]
+    n = max(p.degree for p in perms)
     return [extend_degree(p, n) for p in perms]
 
 

@@ -30,9 +30,8 @@ of cyclic subgroups <c>, each written as its canonical generator, and
 ranks one cycle per subgroup.
 
 The flat lattice enumeration here joins each class representative with
-every prime-power cyclic subgroup and grows each join to the end; the
-library joins one cyclic subgroup per orbit of the representative's
-normalizer and stops a closure once it passes half of G. The pairwise
+every prime-power cyclic subgroup; the library joins one cyclic subgroup
+per orbit of the representative's normalizer. The pairwise
 inclusion here tests every pair of subgroups; the library ANDs one mask per
 element.
 
@@ -43,6 +42,13 @@ element, under left and right multiplication by K's generators;
 
 The Sylow scan here computes the p-part of every element before it extends
 P; ``groups.sylow_subgroup`` computes them as far as its scans need.
+
+The order complex here is walked chain by chain, depth first;
+``complexes.order_complex`` extends all chains of one dimension at once.
+
+The PGL(2,7) overgroups here are the proper overgroups of P that contain a
+7-cycle, found by scanning A_7's element table for them;
+``a7.pgl_overgroups`` keeps those of order divisible by 7.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ from itertools import chain, product, repeat
 from math import comb, factorial, gcd
 from operator import itemgetter
 
-from cosetposets.complexes import SimplicialComplex
+from cosetposets.a7 import A7Environment, overgroups_of_sylow2
+from cosetposets.complexes import SimplicialComplex, _as_poset
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
 from cosetposets.generation import GenerationReport, _cycle_permutation, _long_cycle_rank
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _conjugation_rows,
@@ -402,8 +409,8 @@ def dense_boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:
 
 def flat_subgroup_records(G: PermutationGroup) -> list[SubgroupRecord]:
     """Every subgroup of G, class by class: each class representative H is
-    joined with every prime-power cyclic subgroup <z> not in it, each join
-    grown to the end, and each new class is filled under G's generators."""
+    joined with every prime-power cyclic subgroup <z> not in it, and each
+    new class is filled under G's generators."""
     return flat_enumeration(G)[0]
 
 
@@ -480,19 +487,17 @@ def translate_intermediate_subgroups(G: PermutationGroup,
     n_g = len(elems)
 
     def record_from(gens, start=frozenset({0})):
-        fs = _closure(G, gens, start, abort_above=n_g // 2)
-        if fs is None:
-            return SubgroupRecord(n_g, frozenset(range(n_g)),
-                                  tuple(index[g._b] for g in G.generators))
+        fs = _closure(G, gens, start)
+        if len(fs) == n_g:
+            return SubgroupRecord(n_g, fs, tuple(index[g._b] for g in G.generators))
         return SubgroupRecord(len(fs), fs, gens)
 
     start = record_from(tuple(index[g._b] for g in H.generators))
     found = {start.elements: start}
     frontier = [start]
-    full = frozenset(range(n_g))
     while frontier:
         rec = frontier.pop(0)
-        if rec.elements == full:
+        if rec.order == n_g:
             continue
         gens_b = [elems[i] for i in rec.generators]
         pads = [kb + tail for kb in gens_b]
@@ -547,3 +552,32 @@ def full_scan_sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
         else:
             raise AssertionError("no p-element extends the p-subgroup")
     return current
+
+
+def recursive_order_complex(poset) -> SimplicialComplex:
+    """Every chain of a poset, found by extending one chain at a time, depth
+    first, by each element above its top."""
+    p = _as_poset(poset)
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    path: list[int] = []
+
+    def extend(v: int) -> None:
+        path.append(v)
+        by_dim.setdefault(len(path) - 1, []).append(tuple(path))
+        for w in p.above[v]:
+            extend(w)
+        path.pop()
+
+    for v in range(p.n):
+        extend(v)
+    return SimplicialComplex(by_dim, p.n)
+
+
+def seven_cycle_pgl_overgroups(env: A7Environment) -> list[SubgroupRecord]:
+    """The proper overgroups of P in A_7 that contain an element of cycle
+    type (7,), from a scan of A_7's element table."""
+    elems = env.A7.element_bytes()
+    sevens = frozenset(i for i, b in enumerate(elems)
+                       if Permutation._from_bytes(b).cycle_type() == (7,))
+    return [rec for rec in overgroups_of_sylow2(env)
+            if rec.order < env.A7.order and rec.elements & sevens]

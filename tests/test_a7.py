@@ -29,7 +29,8 @@ from cosetposets.groups import (
 )
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, parse_permutation
-from oracles import action_fixed_points, is_abelian, relation_pairs, smith_action_group
+from oracles import (action_fixed_points, is_abelian, relation_pairs, seven_cycle_pgl_overgroups,
+                     smith_action_group)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,12 @@ def test_census_refuses_an_environment_with_another_p(env):
         overgroups_of_sylow2(other)
     with pytest.raises(ValueError, match="build_environment"):
         pgl_overgroups(other)
+
+
+def test_pgl_overgroups_match_seven_cycle_scan(env):
+    """Order divisible by 7 picks the same overgroups, in the same order,
+    as containing a 7-cycle of A_7's element table."""
+    assert pgl_overgroups(env) == seven_cycle_pgl_overgroups(env)
 
 
 def test_exactly_two_proper_overgroups_with_seven_cycle(env):

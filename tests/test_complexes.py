@@ -36,6 +36,7 @@ from oracles import (
     boundary_square_is_zero,
     complex_from_faces,
     dense_boundary_ranks,
+    recursive_order_complex,
 )
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
@@ -257,3 +258,25 @@ def test_boundary_ranks_match_dense_oracle_on_catalog(name):
 def test_boundary_ranks_match_dense_oracle_on_random_complexes(faces, p):
     X = complex_from_faces(faces)
     assert _boundary_ranks(X, p) == dense_boundary_ranks(X, p)
+
+
+def _order_complex_cases():
+    cases = [("empty", FinitePoset(0, [])), ("point", FinitePoset(1, []))]
+    for e in load_catalog(verify=False):
+        if 2 <= e.expected_order <= 60:
+            G = e.build()
+            lat = enumerate_subgroups(G)
+            cases.append((e.name, build_coset_poset(G, lat)))
+            cases += [(f"{e.name}/{N.order}", build_relative_poset(G, N, lat))
+                      for N in minimal_normal_subgroups(G)]
+    return cases
+
+
+def test_order_complex_matches_recursive_walk():
+    """Chains extended a dimension at a time give the faces, in the same
+    order, of the depth-first walk: on every catalog C(G) and C(G, N) of
+    order 2..60, the empty poset and a one-point poset."""
+    for name, poset in _order_complex_cases():
+        got, expected = order_complex(poset), recursive_order_complex(poset)
+        assert got == expected, name
+        assert got.f_vector() == poset_f_vector(poset), name

@@ -23,6 +23,7 @@ from cosetposets.groups import (
     normal_closure,
     quotient_representation,
     right_coset_reps,
+    subgroup_indices,
     symmetric_group,
     sylow_subgroup,
 )
@@ -411,27 +412,51 @@ def _bfs_closure(gens, degree):
     return out
 
 
-def test_closure_aborts_above_bound():
+def test_closure_of_the_group_is_its_full_set():
+    """A closure that reaches G returns G's one cached full index set, and
+    S_4's index-2 subgroup A_4 is grown exactly."""
     S4 = symmetric_group(4)
-    gens = [S4.element_index()[g._b] for g in S4.generators]
-    assert _closure(S4, gens, abort_above=23) is None
-    assert len(_closure(S4, gens, abort_above=24)) == 24
+    index = S4.element_index()
+    full = _closure(S4, [index[g._b] for g in S4.generators])
+    assert full is S4._full_set() and full == frozenset(range(24))
+    assert _closure(S4, [index[parse_permutation("(1,2)", 4)._b]], full) is full
+    A4 = _closure(S4, [index[g._b] for g in alternating_group(4).generators])
+    assert A4 == {index[b] for b in alternating_group(4).element_bytes()}
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.data())
 def test_closure_from_subgroup_matches_breadth_first(data):
     """<gens> grown from <gens[:k]> in a catalog group, against breadth-first
-    products; abort_above gives None exactly when <gens> is larger."""
+    products; when <gens> is G the result is G's cached full index set."""
     G = _catalog_group(data.draw(st.sampled_from(sorted(SMALL_CATALOG))))
     elems, index = G.element_bytes(), G.element_index()
     gens = data.draw(st.lists(st.integers(0, len(elems) - 1), max_size=4))
     k = data.draw(st.integers(0, len(gens)))
     start = frozenset(index[b] for b in _bfs_closure([elems[i] for i in gens[:k]], G.degree))
     expected = {index[b] for b in _bfs_closure([elems[i] for i in gens], G.degree)}
-    assert _closure(G, gens, start) == expected
-    bound = data.draw(st.integers(0, len(elems)))
-    assert _closure(G, gens, start, bound) == (None if len(expected) > bound else expected)
+    got = _closure(G, gens, start)
+    assert got == expected
+    assert (got is G._full_set()) == (len(expected) == len(elems))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
+def test_subgroup_indices_match_element_table(name):
+    """Every subgroup H of a catalog group of order <= 60, closed from its
+    generators on G's table, is the map of H's element table into G's; H's
+    own table is never built, and a group outside G raises KeyError."""
+    G = _catalog_group(name)
+    index = G.element_index()
+    for rec in enumerate_subgroups(G).subgroups:
+        H = PermutationGroup([Permutation._from_bytes(G.element_bytes()[i])
+                              for i in rec.generators], G.degree)
+        got = subgroup_indices(G, H)
+        assert H._elements is None
+        assert got == rec.elements == {index[b] for b in H.element_bytes()}
+    Sn = _symmetric(G.degree)
+    if G.order < Sn.order:
+        with pytest.raises(KeyError):
+            subgroup_indices(G, Sn)
 
 
 def test_right_coset_reps_match_sorted_cosets():

@@ -94,6 +94,16 @@ def test_parse_list_splits_on_top_level_commas():
     assert perms[1] == parse_permutation("(1,2)", 5)
 
 
+def test_parse_list_parses_each_entry_at_the_given_degree():
+    """A point above the given degree is named with its entry, as
+    parse_permutation names it, rather than failing to shrink the degree."""
+    with pytest.raises(ValueError, match=r"^point 4 exceeds degree 2 in '\(3,4\)'$"):
+        parse_permutation_list("(1,2),(3,4)", 2)
+    with pytest.raises(ValueError, match=r"^point 4 exceeds degree 3 in '\(1,2,3,4\)'$"):
+        parse_permutation_list("(1,2,3,4)", 3)
+    assert [p.degree for p in parse_permutation_list("(1,2),(3,4)", 6)] == [6, 6]
+
+
 def test_cycle_type_and_fixed_points():
     p = parse_permutation("(1,2,3,4)(5,6)", 7)
     assert p.cycle_type() == (4, 2)

@@ -175,6 +175,8 @@ def test_cli_compute_lattice(capsys):
     ["verify", "--max-order", "0"],
     ["verify", "--max-order", "-3", "--suite", "reciprocity"],
     ["compute", "homology", "--gens", " "],
+    ["compute", "zeta", "--gens", "(1,2),(3,4)", "--degree", "2"],
+    ["compute", "poset", "--group", "S3", "--relative-to", "(1,2,3,4)"],
 ])
 def test_cli_input_error_is_one_line(argv, capsys):
     assert main(argv) == 2
@@ -182,3 +184,14 @@ def test_cli_input_error_is_one_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("cosetposets: error: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("group, relative_to, fault", [
+    ("A4", "(1,2)", "is not a subgroup of the group"),
+    ("S3", "(1,2)", "is not normal in the group"),
+], ids=["not_a_subgroup", "not_normal"])
+def test_cli_relative_to_error_names_the_argument(group, relative_to, fault, capsys):
+    assert main(["compute", "poset", "--group", group, "--relative-to", relative_to]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cosetposets: error: --relative-to {relative_to!r} {fault}\n"
