@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .groups import _is_prime
+from .groups import BudgetExceededError, _is_prime
 from .posets import FinitePoset
+
+FACE_BUDGET = 10**6
 
 
 def _as_poset(p) -> FinitePoset:
@@ -49,8 +51,13 @@ class SimplicialComplex:
 
 
 def order_complex(poset) -> SimplicialComplex:
-    """All chains of a poset, as faces; the empty poset yields {emptyset}."""
+    """All chains of a poset, as faces; the empty poset yields {emptyset}.
+    Past FACE_BUDGET chains, counted first, it builds no face and raises."""
     p = _as_poset(poset)
+    chains = sum(p.chain_counts())
+    if chains > FACE_BUDGET:
+        raise BudgetExceededError(
+            f"the order complex has {chains} nonempty faces, over the face budget {FACE_BUDGET}")
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     faces = [(v,) for v in range(p.n)]
     while faces:  # each chain extended by every element above its top

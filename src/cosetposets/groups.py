@@ -738,10 +738,15 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     A double coset K g K is the orbit of the right coset K g under K acting
     by right multiplication, so each is found on the labels of
     ``right_coset_reps``, and its representative g is its least element.
+
+    <K, g> lies in every record found that holds K and g, so it is a known
+    record exactly when it has the order of the smallest such record S: a
+    Schreier-Sims order test that stops at |S| decides that, and only a join
+    that gives a new record is closed.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    index = G.element_index()
+    elems, index = G.element_bytes(), G.element_index()
     n_g = G.order
     g_gens = tuple(index[b] for b in G._gens_bytes())
 
@@ -753,6 +758,20 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
 
     start = record_from(tuple(index[g._b] for g in H.generators))
     found: dict[frozenset[int], SubgroupRecord] = {start.elements: start}
+
+    def join(rec: SubgroupRecord, g: int) -> SubgroupRecord:
+        gens = rec.generators + (g,)
+        # g is outside K, so a record that holds both is larger than K
+        S = min((T for T in found.values()
+                 if g in T.elements and all(x in T.elements for x in rec.generators)),
+                key=lambda T: T.order, default=None)
+        if S and _generated_order([elems[x] for x in gens], G.degree, stop_at=S.order) == S.order:
+            return S
+        new_rec = record_from(gens, rec.elements)
+        if new_rec.elements in found:
+            raise RuntimeError(f"census closure of {gens} gave a record already found")
+        found[new_rec.elements] = new_rec
+        return new_rec
 
     def extensions(K: frozenset[int]) -> list[frozenset[int]]:
         if len(K) == n_g:
@@ -768,9 +787,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
             # Kg is the first coset of K g K in table order, so g is its least
             # element: mark the orbit of Kg and keep g as the representative
             marked.update(y for y, _, _ in _orbit(g, step))
-            new_rec = record_from(rec.generators + (g,), K)
-            # the set found first, so that a repeated join is freed at once
-            out.append(found.setdefault(new_rec.elements, new_rec).elements)
+            out.append(join(rec, g).elements)
         return out
 
     _orbit(start.elements, extensions)

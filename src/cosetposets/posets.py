@@ -42,15 +42,14 @@ class FinitePoset:
 
     def chain_counts(self) -> list[int]:
         """Number of chains of each size >= 1 (index 0 = singletons)."""
-        counts: list[int] = []
-        current = [1] * self.n
+        counts = [self.n] if self.n else []
+        current = [len(b) for b in self.below]  # chains of size 2 by top element
         while any(current):
             counts.append(sum(current))
             nxt = [0] * self.n
-            for v in range(self.n):
-                cv = current[v]
+            for cv, up in zip(current, self.above):
                 if cv:
-                    for w in self.above[v]:
+                    for w in up:
                         nxt[w] += cv
             current = nxt
         return counts

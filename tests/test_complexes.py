@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosetposets import complexes
 from cosetposets.catalog import catalog_group, load_catalog
 from cosetposets.complexes import (
     BettiVector,
@@ -22,6 +23,7 @@ from cosetposets.complexes import (
 )
 from cosetposets.cosets import build_coset_poset, build_relative_poset
 from cosetposets.groups import (
+    BudgetExceededError,
     PermutationGroup,
     _is_prime,
     cyclic_group,
@@ -60,6 +62,21 @@ def test_order_complex_of_empty_poset_is_empty_face_only():
 def test_order_complex_two_comparable_elements():
     X = order_complex(FinitePoset(2, [(0, 1)]))
     assert X.f_vector() == [1, 2, 1]
+
+
+def test_order_complex_refuses_past_the_face_budget():
+    """A 21-element total order has 2^21 - 1 chains; the chain count refuses
+    it before any face is built."""
+    total_order = FinitePoset(21, [(i, j) for j in range(21) for i in range(j)])
+    with pytest.raises(BudgetExceededError, match="2097151 nonempty faces"):
+        order_complex(total_order)
+
+
+def test_face_budget_bounds_the_nonempty_faces(monkeypatch):
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 3)
+    assert order_complex(FinitePoset(2, [(0, 1)])).f_vector() == [1, 2, 1]
+    with pytest.raises(BudgetExceededError):
+        order_complex(FinitePoset(3, [(0, 1)]))
 
 
 def test_order_complex_coset_poset_s3():
@@ -113,8 +130,10 @@ def test_reduced_euler_characteristic_values():
 
 
 def test_poset_f_vector_matches_materialized():
-    for G in [symmetric_group(3), symmetric_group(4), cyclic_group(8), _klein_four()]:
-        poset = build_coset_poset(G, enumerate_subgroups(G))
+    small = [FinitePoset(0, []), FinitePoset(1, []), FinitePoset(3, []),
+             FinitePoset(5, [(i, j) for j in range(5) for i in range(j)])]
+    for poset in small + [build_coset_poset(G, enumerate_subgroups(G)) for G in
+                          [symmetric_group(3), symmetric_group(4), cyclic_group(8), _klein_four()]]:
         assert poset_f_vector(poset) == order_complex(poset).f_vector()
         assert (poset_reduced_euler_characteristic(poset)
                 == reduced_euler_characteristic(order_complex(poset)))

@@ -336,20 +336,41 @@ def _census_case(case):
 def test_intermediate_subgroups_match_translate_oracle(case, monkeypatch):
     """Double cosets found as orbits of K on its right cosets give the same
     records, generators included, as marking them by translated image
-    tables, with one join per double coset as there."""
+    tables, with one join per double coset as there: the census closes only
+    the joins that give a new record, and settles every other join by an
+    order test that reaches the order of a record already found."""
     G, H = _census_case(case)
-    joins = {}
+    calls = {"census": 0, "oracle": 0, "known": 0}
 
     def counting(name, closure):
         def counted(*args, **kwargs):
-            joins[name] = joins.get(name, 0) + 1
+            calls[name] += 1
             return closure(*args, **kwargs)
         return counted
 
+    order = groups._generated_order
+
+    def order_test(gens, degree, stop_at=None):
+        got = order(gens, degree, stop_at=stop_at)
+        calls["known"] += got == stop_at
+        return got
+
     monkeypatch.setattr(groups, "_closure", counting("census", groups._closure))
+    monkeypatch.setattr(groups, "_generated_order", order_test)
     monkeypatch.setattr(oracles, "_closure", counting("oracle", oracles._closure))
-    assert intermediate_subgroups(G, H) == translate_intermediate_subgroups(G, H)
-    assert joins["census"] == joins["oracle"]
+    records = intermediate_subgroups(G, H)
+    assert records == translate_intermediate_subgroups(G, H)
+    assert calls["census"] == len(records)
+    assert calls["census"] + calls["known"] == calls["oracle"]
+
+
+def test_census_refuses_a_closure_that_repeats_a_record(monkeypatch):
+    """With every order test failing, a join that is a known record is closed
+    again, and the census's own certificate raises."""
+    monkeypatch.setattr(groups, "_generated_order", lambda gens, degree, stop_at=None: 0)
+    G, H = _census_case("S4/V4")
+    with pytest.raises(RuntimeError, match="gave a record already found"):
+        intermediate_subgroups(G, H)
 
 
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)

@@ -174,6 +174,20 @@ def test_a7_lattice_certificates(monkeypatch):
     assert poly.evaluate(-1) == -1377600
 
 
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+def test_s7_lattice_interval_matches_overgroup_census(monkeypatch):
+    """The S7 lattice (11,300 subgroups) certifies the S_7 census from an
+    independent search: the interval above the fixed Sylow 2-subgroup is
+    the census's 20 records."""
+    monkeypatch.setattr(lattice, "LATTICE_ORDER_BOUND", 5040)
+    env = a7.build_environment()
+    lat = SubgroupLattice(env.S7)
+    assert len(lat) == 11300
+    census = a7._overgroup_census("S7")
+    assert len(census) == 20
+    assert _interval_above(lat, env.P) == {r.elements for r in census}
+
+
 @pytest.mark.parametrize("relabel", [False, True])
 @pytest.mark.parametrize("name,subgroups,classes", [
     ("S4", 30, 11), ("A5", 59, 9), ("S5", 156, 19), ("PSL(2,7)", 179, 15), ("A6", 501, 22)])

@@ -186,6 +186,15 @@ def test_cli_input_error_is_one_line(argv, capsys):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+def test_cli_homology_past_the_face_budget_is_refused(capsys):
+    """C(A6) has 5,456,457 chains; the CLI refuses it before building one."""
+    assert main(["compute", "homology", "--group", "A6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cosetposets: error: the order complex has 5456457 nonempty faces, "
+                            "over the face budget 1000000\n")
+
+
 @pytest.mark.parametrize("group, relative_to, fault", [
     ("A4", "(1,2)", "is not a subgroup of the group"),
     ("S3", "(1,2)", "is not normal in the group"),
