@@ -6,8 +6,8 @@ import argparse
 import sys
 
 from .catalog import catalog_group
-from .complexes import order_complex, poset_f_vector, reduced_betti
-from .cosets import build_coset_poset, build_relative_poset
+from .complexes import check_face_budget, order_complex, reduced_betti
+from .cosets import CosetPoset, coset_chain_counts, proper_subgroup_ids, supplement_ids
 from .groups import BudgetExceededError, PermutationGroup, is_normal_subgroup
 from .lattice import enumerate_subgroups, lattice_dump, moebius_to_top
 from .perm import parse_permutation_list
@@ -97,9 +97,12 @@ def _run(args) -> int:
             raise ValueError(f"--relative-to {args.relative_to!r} is not a subgroup of the group")
         if not is_normal_subgroup(G, N):
             raise ValueError(f"--relative-to {args.relative_to!r} is not normal in the group")
-        poset = build_relative_poset(G, N, lat)
+        ids = supplement_ids(G, N, lat)
     else:
-        poset = build_coset_poset(G, lat)
+        ids = proper_subgroup_ids(lat)
+    if args.what == "homology":  # refused before the coset poset is built
+        check_face_budget(sum(coset_chain_counts(lat, ids)))
+    poset = CosetPoset(lat, ids)
     if args.what == "poset":
         print(poset.dump(), end="")
         return 0
@@ -113,8 +116,9 @@ def _run(args) -> int:
         print(f"moebius-hat of the coset poset = {poset_moebius_hat(poset)}")
         return 0
     if args.what == "homology":
-        betti = reduced_betti(order_complex(poset), args.prime)
-        print(f"f-vector (from dim -1): {poset_f_vector(poset)}")
+        X = order_complex(poset)
+        betti = reduced_betti(X, args.prime)
+        print(f"f-vector (from dim -1): {X.f_vector()}")
         print(f"reduced Betti numbers over GF({args.prime}):")
         if betti.is_zero():
             print("  all zero (acyclic)")

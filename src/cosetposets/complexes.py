@@ -4,13 +4,15 @@ All complexes are augmented: the empty face sits in dimension -1, so the
 one-face complex {0} (written {emptyset}) has Betti number 1 in dimension
 -1 and is not acyclic. Boundary ranks come from one top-down reduction with
 clearing: int-bitset rows over GF(2), sparse {column: value} rows over odd
-primes.
+primes, built by face position and streamed into the rank kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import count, repeat
+from operator import itemgetter, lshift, or_
+from typing import Iterable, Iterator, Mapping
 
 from .groups import BudgetExceededError, _is_prime
 from .posets import FinitePoset
@@ -50,14 +52,19 @@ class SimplicialComplex:
         return f"<complex f={self.f_vector()}>"
 
 
+def check_face_budget(faces: int) -> None:
+    """Raise BudgetExceededError for an order complex past FACE_BUDGET
+    nonempty faces."""
+    if faces > FACE_BUDGET:
+        raise BudgetExceededError(
+            f"the order complex has {faces} nonempty faces, over the face budget {FACE_BUDGET}")
+
+
 def order_complex(poset) -> SimplicialComplex:
     """All chains of a poset, as faces; the empty poset yields {emptyset}.
     Past FACE_BUDGET chains, counted first, it builds no face and raises."""
     p = _as_poset(poset)
-    chains = sum(p.chain_counts())
-    if chains > FACE_BUDGET:
-        raise BudgetExceededError(
-            f"the order complex has {chains} nonempty faces, over the face budget {FACE_BUDGET}")
+    check_face_budget(sum(p.chain_counts()))
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     faces = [(v,) for v in range(p.n)]
     while faces:  # each chain extended by every element above its top
@@ -177,11 +184,44 @@ class BettiVector:
         return f"<Betti GF({self.prime}): {body}>"
 
 
+def _boundary_rows(X: SimplicialComplex, k: int, p: int, cleared: set[int]) -> Iterator:
+    """Rows of the boundary map C_k -> C_{k-1} over GF(p), one per k-face
+    outside ``cleared`` (face indices), in face order: int bitsets at p = 2,
+    ``{column: sign}`` dicts at odd p.
+
+    The rows are built by face position: for each position i, one lookup
+    stream yields, face by face, the index of the facet that omits i, and
+    the k + 1 streams are combined into rows as they are consumed. Nothing
+    is listed but the kept faces, so the rank kernels hold only their
+    pivots. In dimension 0 every facet is the empty face, at index 0; in
+    dimension 1 a facet is one vertex, looked up through the vertex index
+    (vertex labels need not be 0..n-1).
+    """
+    faces = [f for j, f in enumerate(X.faces.get(k, [])) if j not in cleared]
+    if k == 0:
+        streams = [repeat(0, len(faces))]
+    else:
+        lower = X.faces[k - 1]
+        if k == 1:
+            lower = map(itemgetter(0), lower)
+        index = dict(zip(lower, count())).__getitem__
+        streams = [map(index, map(itemgetter(*(j for j in range(k + 1) if j != i)), faces))
+                   for i in range(k + 1)]
+    if p == 2:
+        rows = map(lshift, repeat(1), streams[0])
+        for stream in streams[1:]:
+            rows = map(or_, rows, map(lshift, repeat(1), stream))
+        return rows
+    signs = (1, p - 1) * (k // 2 + 1)
+    return map(dict, map(zip, zip(*streams), repeat(signs)))
+
+
 def _boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:
     """rank of the boundary map C_k -> C_{k-1} for k = 0..dim.
 
-    The maps are reduced from the top dimension down. Each pivot column of
-    the reduced map from C_{k+1} is a k-face that leads a boundary, and a
+    The maps are reduced from the top dimension down, on rows streamed by
+    ``_boundary_rows`` into ``rank_gf2`` or ``rank_gfp``. Each pivot column
+    of the reduced map from C_{k+1} is a k-face that leads a boundary, and a
     boundary is a cycle, so that face's row is a combination of the rows of
     lower k-faces. Those rows are skipped ("clearing", Chen and Kerber,
     2011), which leaves every rank unchanged.
@@ -189,18 +229,8 @@ def _boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:
     ranks: dict[int, int] = {}
     cleared: set[int] = set()
     for k in range(X.dimension, -1, -1):
-        faces_k = X.faces.get(k, [])
-        lower_index = {f: i for i, f in enumerate(X.faces.get(k - 1, []))}
-        kept = (f for j, f in enumerate(faces_k) if j not in cleared)
-        if p == 2:
-            cleared = rank_gf2(
-                sum(1 << lower_index[f[:i] + f[i + 1:]] for i in range(len(f)))
-                for f in kept)
-        else:
-            signs = (1, p - 1)
-            cleared = rank_gfp(
-                ({lower_index[f[:i] + f[i + 1:]]: signs[i & 1] for i in range(len(f))}
-                 for f in kept), p)
+        rows = _boundary_rows(X, k, p, cleared)
+        cleared = rank_gf2(rows) if p == 2 else rank_gfp(rows, p)
         ranks[k] = len(cleared)
     return ranks
 

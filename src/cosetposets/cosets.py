@@ -95,11 +95,15 @@ class CosetPoset:
         return "\n".join(lines) + "\n"
 
 
+def proper_subgroup_ids(lat: SubgroupLattice) -> list[int]:
+    """Lattice ids of the proper subgroups, whose cosets make C(G)."""
+    return [i for i in range(len(lat.subgroups)) if i != lat.index_of_parent]
+
+
 def build_coset_poset(G: PermutationGroup, lat: SubgroupLattice) -> CosetPoset:
     """The poset of all cosets of all proper subgroups of G."""
     lat.check_group(G)
-    proper = [i for i in range(len(lat.subgroups)) if i != lat.index_of_parent]
-    return CosetPoset(lat, proper)
+    return CosetPoset(lat, proper_subgroup_ids(lat))
 
 
 def _proper_supplement(rec: SubgroupRecord, n_set: frozenset[int], order: int) -> bool:
@@ -107,17 +111,37 @@ def _proper_supplement(rec: SubgroupRecord, n_set: frozenset[int], order: int) -
     return rec.order < order and rec.order * len(n_set) // len(rec.elements & n_set) == order
 
 
-def build_relative_poset(G: PermutationGroup, N: PermutationGroup,
-                         lat: SubgroupLattice) -> CosetPoset:
-    """C(G, N): cosets Hx of proper subgroups with HN = G, for N normal in G."""
+def supplement_ids(G: PermutationGroup, N: PermutationGroup,
+                   lat: SubgroupLattice) -> list[int]:
+    """Lattice ids of the proper subgroups H with HN = G, whose cosets make
+    C(G, N), for N normal in G."""
     lat.check_group(G)
     ni = lat.find(N)
     if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
     n_set = lat.subgroups[ni].elements
-    ids = [i for i, rec in enumerate(lat.subgroups)
-           if _proper_supplement(rec, n_set, G.order)]
-    return CosetPoset(lat, ids)
+    return [i for i, rec in enumerate(lat.subgroups)
+            if _proper_supplement(rec, n_set, G.order)]
+
+
+def build_relative_poset(G: PermutationGroup, N: PermutationGroup,
+                         lat: SubgroupLattice) -> CosetPoset:
+    """C(G, N): cosets Hx of proper subgroups with HN = G, for N normal in G."""
+    return CosetPoset(lat, supplement_ids(G, N, lat))
+
+
+def coset_chain_counts(lat: SubgroupLattice, subgroup_ids: list[int]) -> list[int]:
+    """``chain_counts`` of ``CosetPoset(lat, subgroup_ids)``, without building it.
+
+    A chain of cosets H0x < ... < Hkx is fixed by its subgroup chain
+    H0 < ... < Hk and by H0x, so each chain of the subgroups counts the
+    index [G : H0] of its least subgroup.
+    """
+    position = {h: i for i, h in enumerate(subgroup_ids)}
+    pairs = [(position[h], i) for i, k in enumerate(subgroup_ids)
+             for h in lat.below[k] if h in position]
+    weights = [lat.index_in_group(h) for h in subgroup_ids]
+    return FinitePoset(len(subgroup_ids), pairs).chain_counts(weights)
 
 
 def fixed_cosets(G: PermutationGroup, N: PermutationGroup,

@@ -40,10 +40,18 @@ class FinitePoset:
                     out.append((u, v))
         return out
 
-    def chain_counts(self) -> list[int]:
-        """Number of chains of each size >= 1 (index 0 = singletons)."""
-        counts = [self.n] if self.n else []
-        current = [len(b) for b in self.below]  # chains of size 2 by top element
+    def chain_counts(self, weights: list[int] | None = None) -> list[int]:
+        """Number of chains of each size >= 1 (index 0 = singletons).
+
+        With ``weights``, one per element, each chain counts the weight of
+        its least element instead of 1.
+        """
+        if weights is None:
+            counts = [self.n] if self.n else []
+            current = [len(b) for b in self.below]  # chains of size 2 by top element
+        else:
+            counts = [sum(weights)] if self.n else []
+            current = [sum(map(weights.__getitem__, b)) for b in self.below]
         while any(current):
             counts.append(sum(current))
             nxt = [0] * self.n

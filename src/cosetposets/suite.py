@@ -18,7 +18,6 @@ from .catalog import GroupCatalogEntry, load_catalog
 from .complexes import (
     kunneth_join_betti,
     order_complex,
-    poset_f_vector,
     poset_reduced_euler_characteristic,
     reduced_betti,
 )
@@ -196,9 +195,10 @@ def _homology_records(ws: _Workspace, config: SuiteConfig) -> list[dict]:
         def check(name=entry.name):
             G = ws.group(name)
             poset = ws.coset_poset(name)
-            betti = reduced_betti(order_complex(poset), p)
+            X = order_complex(poset)
+            betti = reduced_betti(X, p)
             # arrays indexed from dimension -1
-            values = {"f_vector": poset_f_vector(poset), "betti": betti.as_array()}
+            values = {"f_vector": X.f_vector(), "betti": betti.as_array()}
             ok = not betti.is_zero()
             relative = {}
             for i, N in enumerate(minimal_normal_subgroups(G)):

@@ -46,6 +46,10 @@ P; ``groups.sylow_subgroup`` computes them as far as its scans need.
 The order complex here is walked chain by chain, depth first;
 ``complexes.order_complex`` extends all chains of one dimension at once.
 
+The sliced boundary rows here are built one face at a time, each facet a
+tuple slice looked up in a dict; ``complexes._boundary_rows`` builds them
+by face position, one facet lookup stream per position.
+
 The PGL(2,7) overgroups here are the proper overgroups of P that contain a
 7-cycle, found by scanning A_7's element table for them;
 ``a7.pgl_overgroups`` keeps those of order divisible by 7.
@@ -369,6 +373,19 @@ def boundary_square_is_zero(X: SimplicialComplex, p: int) -> bool:
             if any(v % p for v in acc.values()):
                 return False
     return True
+
+
+def sliced_boundary_rows(X: SimplicialComplex, k: int, p: int, cleared: set[int]):
+    """Rows of the boundary map C_k -> C_{k-1} over GF(p) for the k-faces
+    outside ``cleared``, one face at a time: each facet is the tuple slice
+    f[:i] + f[i + 1:], looked up in a dict of the (k-1)-faces."""
+    lower_index = {f: i for i, f in enumerate(X.faces.get(k - 1, []))}
+    kept = (f for j, f in enumerate(X.faces.get(k, [])) if j not in cleared)
+    if p == 2:
+        return (sum(1 << lower_index[f[:i] + f[i + 1:]] for i in range(len(f))) for f in kept)
+    signs = (1, p - 1)
+    return ({lower_index[f[:i] + f[i + 1:]]: signs[i & 1] for i in range(len(f))}
+            for f in kept)
 
 
 def dense_rank_gfp(rows: list[list[int]], p: int) -> int:

@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from cosetposets.complexes import (
     BettiVector,
     SimplicialComplex,
     _boundary_ranks,
+    _boundary_rows,
     is_acyclic,
     join,
     kunneth_join_betti,
@@ -21,7 +23,11 @@ from cosetposets.complexes import (
     reduced_betti,
     reduced_euler_characteristic,
 )
-from cosetposets.cosets import build_coset_poset, build_relative_poset
+from cosetposets.cosets import (
+    build_coset_poset,
+    build_relative_poset,
+    coset_chain_counts,
+)
 from cosetposets.groups import (
     BudgetExceededError,
     PermutationGroup,
@@ -39,6 +45,7 @@ from oracles import (
     complex_from_faces,
     dense_boundary_ranks,
     recursive_order_complex,
+    sliced_boundary_rows,
 )
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
@@ -279,6 +286,57 @@ def test_boundary_ranks_match_dense_oracle_on_random_complexes(faces, p):
     assert _boundary_ranks(X, p) == dense_boundary_ranks(X, p)
 
 
+def _assert_rows_match_sliced_oracle(X, p):
+    """Rows by face position equal the sliced oracle's, in the same order and,
+    at odd p, entry for entry in the same order, in every dimension, cleared
+    as ``_boundary_ranks`` clears them."""
+    def checked(rows, expected):
+        for row, exp in zip_longest(rows, expected):
+            if p == 2:
+                assert row == exp
+            else:
+                assert list(row.items()) == list(exp.items())
+            yield row
+
+    cleared = set()
+    for k in range(X.dimension, -1, -1):
+        rows = checked(_boundary_rows(X, k, p, cleared), sliced_boundary_rows(X, k, p, cleared))
+        cleared = rank_gf2(rows) if p == 2 else rank_gfp(rows, p)
+
+
+@pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
+                                  if 1 < e.expected_order <= 24])
+def test_boundary_rows_match_sliced_oracle_on_catalog(name):
+    """C(G) and every C(G, N), N minimal normal, at p = 2 and 3."""
+    G = catalog_group(name)
+    lat = enumerate_subgroups(G)
+    posets = [build_coset_poset(G, lat)]
+    posets += [build_relative_poset(G, N, lat) for N in minimal_normal_subgroups(G)]
+    for poset in posets:
+        X = order_complex(poset)
+        for p in (2, 3):
+            _assert_rows_match_sliced_oracle(X, p)
+
+
+def test_boundary_rows_match_sliced_oracle_on_a_join():
+    """The join shifts the second factor's labels past the first's
+    n_vertices, and the first factor skips labels 0, 1, 3, 4, 7 and 8."""
+    X = complex_from_faces([(2, 5), (5, 6, 9)])
+    J = join(X, _coset_complex(symmetric_group(3)))
+    assert [v for (v,) in J.faces[0]][:5] == [2, 5, 6, 9, 10]
+    for p in (2, 3):
+        _assert_rows_match_sliced_oracle(J, p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(faces=st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=5),
+                      min_size=1, max_size=10),
+       p=st.sampled_from([2, 3]))
+def test_boundary_rows_match_sliced_oracle_on_random_complexes(faces, p):
+    """Vertex labels drawn from 0..40 skip most values."""
+    _assert_rows_match_sliced_oracle(complex_from_faces(faces), p)
+
+
 def _order_complex_cases():
     cases = [("empty", FinitePoset(0, [])), ("point", FinitePoset(1, []))]
     for e in load_catalog(verify=False):
@@ -299,3 +357,21 @@ def test_order_complex_matches_recursive_walk():
         got, expected = order_complex(poset), recursive_order_complex(poset)
         assert got == expected, name
         assert got.f_vector() == poset_f_vector(poset), name
+
+
+def test_coset_chain_counts_match_the_coset_poset():
+    """Subgroup chains weighted by the index of their least subgroup count
+    the chains of C(G) and C(G, N): on every catalog C(G) and C(G, N) of
+    order 2..60."""
+    for name, poset in _order_complex_cases():
+        if hasattr(poset, "lattice"):
+            counts = coset_chain_counts(poset.lattice, list(poset.subgroup_ids))
+            assert counts == poset.poset.chain_counts(), name
+
+
+def test_weighted_chain_counts_weigh_the_least_element():
+    total_order = FinitePoset(3, [(0, 1), (0, 2), (1, 2)])
+    # singletons 1 + 2 + 3; pairs 01, 02 (weight 1) and 12 (weight 2); 012
+    assert total_order.chain_counts([1, 2, 3]) == [6, 4, 1]
+    assert FinitePoset(0, []).chain_counts([]) == []
+    assert FinitePoset(2, []).chain_counts([5, 7]) == [12]

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from cosetposets.cli import main
+from cosetposets.cosets import CosetPoset
 from cosetposets.suite import SuiteConfig, VerificationReport, run_suite
 from normalize_report import normalize
 
@@ -186,8 +187,13 @@ def test_cli_input_error_is_one_line(argv, capsys):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
-def test_cli_homology_past_the_face_budget_is_refused(capsys):
-    """C(A6) has 5,456,457 chains; the CLI refuses it before building one."""
+def test_cli_homology_past_the_face_budget_is_refused(capsys, monkeypatch):
+    """C(A6) has 5,456,457 chains; the CLI counts them from A6's subgroup
+    chains and refuses before it builds the coset poset."""
+    def unbuilt(*args, **kwargs):  # build_coset_poset builds through it too
+        raise AssertionError("the coset poset was built")
+
+    monkeypatch.setattr(CosetPoset, "__init__", unbuilt)
     assert main(["compute", "homology", "--group", "A6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
