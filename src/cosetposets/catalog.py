@@ -1,8 +1,9 @@
 """The bundled group catalog and its loader.
 
 Catalog lines read ``name;degree;comma-separated cycles;expected_order``,
-with ``#`` comments. Every entry is rebuilt from its generator words on
-load and checked against its expected order.
+with ``#`` comments. Each line's generators are parsed once, on load; with
+verification on, every entry's group is built and checked against its
+expected order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .groups import PermutationGroup
-from .perm import parse_permutation_list
+from .perm import Permutation, parse_permutation_list
 
 
 class CatalogError(ValueError):
@@ -23,13 +24,11 @@ class CatalogError(ValueError):
 class GroupCatalogEntry:
     name: str
     degree: int
-    generator_words: tuple[str, ...]
+    generators: tuple[Permutation, ...]
     expected_order: int
 
     def build(self) -> PermutationGroup:
-        gens = [g for word in self.generator_words
-                for g in parse_permutation_list(word, self.degree)]
-        gens = [g for g in gens if not g.is_identity()]
+        gens = [g for g in self.generators if not g.is_identity()]
         group = PermutationGroup(gens, self.degree)
         if group.order != self.expected_order:
             raise CatalogError(
@@ -64,10 +63,10 @@ def parse_catalog(text: str) -> list[GroupCatalogEntry]:
             raise CatalogError(f"line {lineno}: duplicate name {name!r}")
         names.add(name)
         try:
-            parse_permutation_list(gens_s, degree)
+            gens = tuple(parse_permutation_list(gens_s, degree))
         except ValueError as exc:
             raise CatalogError(f"line {lineno}: {exc}") from None
-        entries.append(GroupCatalogEntry(name, degree, (gens_s,), expected))
+        entries.append(GroupCatalogEntry(name, degree, gens, expected))
     return entries
 
 

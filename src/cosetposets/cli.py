@@ -8,7 +8,7 @@ import sys
 from .catalog import catalog_group
 from .complexes import check_face_budget, order_complex, reduced_betti
 from .cosets import CosetPoset, coset_chain_counts, proper_subgroup_ids, supplement_ids
-from .groups import BudgetExceededError, PermutationGroup, is_normal_subgroup
+from .groups import BudgetExceededError, PermutationGroup, _is_prime, is_normal_subgroup
 from .lattice import enumerate_subgroups, lattice_dump, moebius_to_top
 from .perm import parse_permutation_list
 from .suite import ALL_SUITES, SuiteConfig, run_suite
@@ -86,6 +86,8 @@ def _run(args) -> int:
             print(f"report written to {args.out}")
         return 0 if report.overall == "pass" else 1
 
+    if not _is_prime(args.prime):  # refused before the group is built
+        raise ValueError(f"--prime must be prime, got {args.prime}")
     G = _resolve_group(args)
     lat = enumerate_subgroups(G)
     if args.what == "lattice":

@@ -1,6 +1,8 @@
 import os
+from functools import reduce
 from itertools import combinations, permutations
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -19,8 +21,12 @@ from cosetposets.cosets import build_relative_poset, fixed_cosets
 from cosetposets.groups import (
     BudgetExceededError,
     PermutationGroup,
+    _generated_order,
     _is_prime,
     alternating_group,
+    diagonal_embedding,
+    direct_power,
+    embed_in_power,
     generated_order,
     cyclic_group,
     intermediate_subgroups,
@@ -260,26 +266,61 @@ def test_long_cycle_rank_is_enumeration_order(n):
     for rank, cyc in enumerate(cycles):
         cyc = bytes(cyc)
         assert _long_cycle_rank(cyc, n) == rank
-        assert _long_cycle_rank(cyc[2:] + cyc[:2], n) == rank  # any rotation
         assert _long_cycle_unrank(rank, n, length) == cyc
     assert rank + 1 == factorial(length - 1) * (n if length < n else 1)
 
 
 def test_diagonal_universal_a5():
+    """A5 passes, so A5^2 is swept against P^2: 72 conjugates of the
+    diagonal <(1,2,3,4,5)>, whose normalizer has order 50."""
     A5 = alternating_group(5)
     K = _group("(1,2,3,4,5)", degree=5)
-    assert check_diagonal_universal(A5, K, 2, 1).verdict
-    assert check_diagonal_universal(A5, K, 2, 2).verdict
+    for t, tests in ((1, 6), (2, 72)):
+        report = check_diagonal_universal(A5, K, 2, t)
+        assert (report.verdict, report.tests, report.witnesses) == (True, tests, [])
 
 
 def test_diagonal_universal_a7_power_fails():
+    """A7 fails, so every power fails through the factor sweep: each
+    witness g in A7 stands for (g, ..., g), and the diagonal conjugate by
+    it with P^t generates a proper subgroup of A7^t."""
     A7 = alternating_group(7)
     K = _group("(1,2,3,4,5,6,7)", degree=7)
-    report = check_diagonal_universal(A7, K, 2, 2)
-    assert not report.verdict
-    witness = report.witnesses[0]
-    assert witness["generated_order"] < 2520 ** 2
-    assert (2520 ** 2) % witness["generated_order"] == 0
+    for t in (2, 3):
+        report = check_diagonal_universal(A7, K, 2, t)
+        assert not report.verdict and report.tests == 120
+        assert report.witnesses[0] == {"conjugator": "(2,4,5,6,7)", "generated_order": 168}
+        Kd = diagonal_embedding(K, t)
+        p_gens = direct_power(sylow_subgroup(A7, 2), t).generators
+        for witness in report.witnesses:
+            g = parse_permutation(witness["conjugator"], 7)
+            g_diag = reduce(mul, (embed_in_power(g, b, t) for b in range(t)))
+            got = generated_order([k ** g_diag for k in Kd.generators] + list(p_gens), 7 * t)
+            assert got < 2520 ** t
+
+
+def test_diagonal_requires_a_prime_dividing_the_order():
+    A5 = alternating_group(5)
+    K = _group("(1,2,3,4,5)", degree=5)
+    with pytest.raises(ValueError, match="7 does not divide"):
+        check_diagonal_universal(A5, K, 7, 1)
+
+
+def test_diagonal_power_past_the_element_table_is_refused_before_any_test(monkeypatch):
+    """A5 passes, and A5^4 (order 12,960,000) has no element table: six
+    tests on A5, none on the power."""
+    degrees = []
+
+    def counting_order(gens, degree, stop_at=None):
+        degrees.append(degree)
+        return _generated_order(gens, degree, stop_at=stop_at)
+
+    monkeypatch.setattr(generation, "_generated_order", counting_order)
+    A5 = alternating_group(5)
+    K = _group("(1,2,3,4,5)", degree=5)
+    with pytest.raises(BudgetExceededError):
+        check_diagonal_universal(A5, K, 2, 4)
+    assert degrees == [5] * 6
 
 
 def test_diagonal_requires_proper_subgroup():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cosetposets import cli
 from cosetposets.cli import main
 from cosetposets.cosets import CosetPoset
 from cosetposets.suite import SuiteConfig, VerificationReport, run_suite
@@ -168,6 +169,8 @@ def test_cli_compute_lattice(capsys):
     ["compute", "zeta", "--gens", "(1,2),(1,9)", "--degree", "3"],
     ["verify", "--prime", "4"],
     ["compute", "homology", "--group", "S3", "--prime", "4"],
+    ["compute", "lattice", "--group", "S3", "--prime", "4"],
+    ["compute", "zeta", "--group", "S3", "--prime", "4"],
     ["compute", "poset", "--group", "S3", "--relative-to", "(1,2)"],
     ["verify", "--catalog", "/nonexistent"],
     ["compute", "lattice", "--group", "A7"],
@@ -199,6 +202,17 @@ def test_cli_homology_past_the_face_budget_is_refused(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("cosetposets: error: the order complex has 5456457 nonempty faces, "
                             "over the face budget 1000000\n")
+
+
+def test_cli_composite_prime_is_refused_before_any_work(capsys, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the subgroup lattice was built")
+
+    monkeypatch.setattr(cli, "enumerate_subgroups", unbuilt)
+    assert main(["compute", "homology", "--group", "A5", "--prime", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cosetposets: error: --prime must be prime, got 4\n"
 
 
 @pytest.mark.parametrize("group, relative_to, fault", [
