@@ -26,6 +26,8 @@ def _resolve_group(args) -> PermutationGroup:
     if args.group:
         return catalog_group(args.group, getattr(args, "catalog", None))
     if args.gens:
+        if args.degree is not None and args.degree < 1:
+            raise ValueError(f"--degree must be at least 1, got {args.degree}")
         gens = parse_permutation_list(args.gens, args.degree)
         if not gens:
             raise ValueError(f"--gens {args.gens!r} lists no generators")

@@ -343,9 +343,11 @@ def _is_prime(p: int) -> bool:
 def _sylow2_wreath_gens(n: int) -> list[bytes]:
     """Generators of a Sylow 2-subgroup of S_n on 0-based points.
 
-    Dyadic blocks in decreasing size; on a block of size 2^k the generators
-    are the pointwise swaps of the two halves of each initial 2^j segment,
-    giving the iterated wreath product of copies of C2.
+    Dyadic blocks in decreasing size, placed from point 0 up; on a block of
+    size 2^k the generators are the pointwise swaps of the two halves of each
+    initial 2^j segment, giving the iterated wreath product of copies of C2.
+    ``sylow_subgroup`` uses it from degree 8, where one block covers every
+    point and the subgroup equals the element scan's.
     """
     gens: list[bytes] = []
     offset = 0
@@ -398,8 +400,10 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
     """One Sylow p-subgroup, deterministic for a fixed group presentation.
 
     Uses the explicit wreath-product construction for full symmetric and
-    alternating groups at p = 2 and degree >= 9; otherwise extends a cyclic
+    alternating groups at p = 2 and degree >= 8; otherwise extends a cyclic
     p-subgroup by normalizing p-elements found in the element enumeration.
+    Below degree 8 that scan's P is the dyadic wreath with its blocks placed
+    from the top point down, and ``a7`` depends on its generators.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -407,7 +411,7 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
     if pe == 1:
         return PermutationGroup([], degree=G.degree)
     n = G.degree
-    if p == 2 and n >= 9 and G.order in (factorial(n), factorial(n) // 2):
+    if p == 2 and n >= 8 and G.order in (factorial(n), factorial(n) // 2):
         gens = _sylow2_wreath_gens(n)
         if G.order == factorial(n) // 2:
             gens = _even_part_gens(gens)

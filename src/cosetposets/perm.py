@@ -190,6 +190,8 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
 
     Raises ValueError on malformed input (unbalanced parens, stray tokens).
     """
+    if degree is not None:
+        _check_degree(degree)
     stripped = re.sub(r"\s", "", text)
     cycles: list[tuple[int, ...]] = []
     pos = 0

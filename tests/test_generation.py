@@ -37,7 +37,7 @@ from cosetposets.catalog import load_catalog
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, cycle_string, parse_permutation
 from oracles import (_long_cycle_unrank, action_fixed_points, cycle_flood_sweep,
-                     scan_conjugate_sweep, translation_action_group)
+                     full_scan_sylow_subgroup, scan_conjugate_sweep, translation_action_group)
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
@@ -195,6 +195,36 @@ def test_orbit_sweep_matches_brute_sweep(n):
     assert report.witnesses == witnesses
     assert report.cycles == tests
     assert failing == FAILING_CYCLES[n]
+
+
+def test_a8_sweep_against_the_constructed_sylow_matches_the_scanned_one(monkeypatch):
+    """The A_8 sweep reads P only as a subgroup: the wreath-built P gives the
+    report the element scan's P gives."""
+    built = check_alternating_claims(8)
+    monkeypatch.setattr(generation, "sylow_subgroup", full_scan_sylow_subgroup)
+    scanned = check_alternating_claims(8)
+    assert (built.tests, built.cycles) == (scanned.tests, scanned.cycles) == (15, 5760)
+    assert built.verdict is scanned.verdict is False
+    assert built.witnesses == scanned.witnesses
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sylow_subgroup(alternating_group(8), 2),
+    lambda: sylow_subgroup(symmetric_group(8), 2),
+    lambda: check_alternating_claims(8),
+], ids=["sylow_A8", "sylow_S8", "sweep_A8"])
+def test_degree_8_sylow2_builds_no_element_table(call, monkeypatch):
+    """No element table past S_7's order is listed for A_8's or S_8's
+    Sylow 2-subgroup, nor by the A_8 sweep that uses it."""
+    listed = PermutationGroup.element_bytes
+
+    def small_only(G):
+        if G.order > 5040:
+            raise AssertionError(f"element table of a group of order {G.order}")
+        return listed(G)
+
+    monkeypatch.setattr(PermutationGroup, "element_bytes", small_only)
+    call()
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, pytest.param(

@@ -159,6 +159,17 @@ def test_sylow_wreath_construction_for_large_alternating():
     assert P8s.order == 128
 
 
+@pytest.mark.parametrize("build", [alternating_group, symmetric_group], ids=["A8", "S8"])
+def test_degree_8_sylow2_is_the_scanned_subgroup_on_other_generators(build):
+    """From degree 8 the wreath construction answers at p = 2: one dyadic
+    block covers every point, so it builds the element scan's subgroup, but
+    not on the scan's generators."""
+    G = build(8)
+    P, Q = sylow_subgroup(G, 2), full_scan_sylow_subgroup(G, 2)
+    assert P == Q
+    assert P.generators != Q.generators
+
+
 def test_direct_power():
     A5 = alternating_group(5)
     assert direct_power(A5, 1).order == 60

@@ -158,3 +158,13 @@ def test_parse_permutation_list_round_trips_cycle_string(case):
     n, perms = case
     text = ",".join(cycle_string(p) for p in perms)
     assert parse_permutation_list(text, n) == perms
+
+
+@pytest.mark.parametrize("degree", [0, -2])
+def test_parse_checks_a_given_degree_before_its_points(degree):
+    """A non-positive degree is named as such, not as a point it exceeds."""
+    for text in ("()", "(1,2)"):
+        with pytest.raises(ValueError, match=f"^degree {degree} is below the minimum 1$"):
+            parse_permutation(text, degree)
+        with pytest.raises(ValueError, match=f"^degree {degree} is below the minimum 1$"):
+            parse_permutation_list(text, degree)

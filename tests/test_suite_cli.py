@@ -190,6 +190,16 @@ def test_cli_input_error_is_one_line(argv, capsys):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_cli_non_positive_degree_is_named_as_the_degree(degree, capsys):
+    """--degree below 1 is refused as the argument it is, before any point
+    of --gens is read against it."""
+    assert main(["compute", "zeta", "--gens", "()", "--degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cosetposets: error: --degree must be at least 1, got {degree}\n"
+
+
 def test_cli_homology_past_the_face_budget_is_refused(capsys, monkeypatch):
     """C(A6) has 5,456,457 chains; the CLI counts them from A6's subgroup
     chains and refuses before it builds the coset poset."""
