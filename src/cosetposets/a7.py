@@ -20,6 +20,10 @@ from .cosets import OvergroupAutomorphism, fixed_cosets
 from .groups import (
     PermutationGroup,
     SubgroupRecord,
+    _conjugation_rows,
+    _normalizer,
+    _on_sets,
+    _orbit,
     alternating_group,
     conjugacy_orbit_of_subgroup,
     conjugate_indices,
@@ -28,11 +32,12 @@ from .groups import (
     embed_in_power,
     generated_order,
     intermediate_subgroups,
+    right_coset_reps,
     subgroup_indices,
     symmetric_group,
     sylow_subgroup,
 )
-from .perm import Permutation, _inv_bytes, _mul_bytes, cycle_string, parse_permutation
+from .perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string, parse_permutation
 
 
 @dataclass(frozen=True)
@@ -60,25 +65,31 @@ def build_environment() -> A7Environment:
     x = parse_permutation("(1,2)(3,4)(5,6)", 7)
     phi = OvergroupAutomorphism(group=A7, overgroup=S7, conjugator=x)
 
+    # P = P0^g for the least g in A_7's table order that makes P0^g
+    # phi-invariant. The conjugators carrying P0 to a conjugate Q form the
+    # right coset N g_Q of N = N_A7(P0), so g is the least coset label of
+    # some g_Q over the phi-invariant Q; each g_Q is read off the walk of
+    # P0's class under A_7's generators s (P0^c gives P0^(cs)).
     P0 = sylow_subgroup(A7, 2)
+    elems, index, s_gens = A7.element_bytes(), A7.element_index(), A7._gens_bytes()
     p_set = subgroup_indices(A7, P0)
-    chosen_p = None
-    seen: set[frozenset[int]] = set()
-    for g in A7.element_bytes():
-        conj = conjugate_indices(A7, p_set, g)
-        if conj in seen:
-            continue
-        seen.add(conj)
-        if conjugate_indices(A7, conj, x._b) == conj:
-            g_perm = Permutation._from_bytes(g)
-            chosen_p = PermutationGroup([gen ** g_perm for gen in P0.generators], 7)
-            break
-    assert chosen_p is not None, "no phi-invariant Sylow 2-subgroup found"
+    orbit = _orbit(p_set, _on_sets(_conjugation_rows(A7)))
+    conjugators: list[bytes] = []
+    for _, parent, r in orbit:
+        conjugators.append(_ID256[:7] if parent < 0
+                           else _mul_bytes(conjugators[parent], s_gens[r]))
+    N, _ = _normalizer(A7, p_set, [index[g] for g in P0._gens_bytes()], A7.order // len(orbit))
+    label = right_coset_reps(A7, N)
+    invariant = [label[index[g_q]] for (q_set, _, _), g_q in zip(orbit, conjugators)
+                 if conjugate_indices(A7, q_set, x._b) == q_set]
+    assert invariant, "no phi-invariant Sylow 2-subgroup found"
+    g_perm = Permutation._from_bytes(elems[min(invariant)])
+    chosen_p = PermutationGroup([gen ** g_perm for gen in P0.generators], 7)
 
     chosen_h = None
     for fs, gens in cyclic_subgroups(A7).items():
         if len(fs) == 7 and conjugate_indices(A7, fs, x._b) == fs:
-            chosen_h = Permutation._from_bytes(A7.element_bytes()[gens[0]])
+            chosen_h = Permutation._from_bytes(elems[gens[0]])
             break
     assert chosen_h is not None, "no phi-invariant Sylow 7-subgroup found"
 

@@ -24,6 +24,8 @@ def _add_group_args(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_group(args) -> PermutationGroup:
     if args.group:
+        if args.degree is not None:  # refused before the catalog is read
+            raise ValueError(f"--degree {args.degree} applies to --gens only, not to --group")
         return catalog_group(args.group, getattr(args, "catalog", None))
     if args.gens:
         if args.degree is not None and args.degree < 1:

@@ -4,6 +4,10 @@ P(s) = sum over subgroups H of mu(H, G) [G:H]^(-s). At a positive integer
 k this is the probability that k uniform random elements generate G; the
 value at -1 is minus the reduced Euler characteristic of the coset poset's
 order complex. Everything here is exact rational arithmetic.
+
+``brute_force_generation_probability`` checks P(k) without the subgroup
+lattice: it counts generating k-tuples by stabilizer-chain order tests,
+one per conjugacy orbit of ordered k-tuples of cyclic subgroups.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
+from typing import Callable, Iterable
 
 from .complexes import _as_poset
-from .groups import (BudgetExceededError, PermutationGroup, _conjugation_rows, _generated_order,
-                     _on_sets, _orbit, cyclic_subgroups)
+from .groups import (BudgetExceededError, PermutationGroup, _conjugator, _generated_order,
+                     _normalizer, _orbit, cyclic_subgroups)
 from .lattice import MoebiusTable, SubgroupLattice
 
 TUPLE_BUDGET = 10**7
@@ -67,12 +72,15 @@ def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
     """Exact fraction of the |G|^k tuples that generate G.
 
     Independent of the subgroup lattice. A tuple generates G exactly when
-    the cyclic subgroups of its entries do, so the loop runs over tuples of
-    cyclic subgroups, each standing for its phi(|C|) generators and weighted
-    by that count. The generation test is a stabilizer-chain order
-    computation, memoized on the set of cyclic subgroups spanned; a tuple
-    generates exactly when its conjugates do, so one test settles the whole
-    conjugacy orbit of that set, walked under G's generators.
+    the cyclic subgroups of its entries do, so the count runs over tuples
+    of cyclic subgroups, each standing for its phi(|C|) generators and
+    weighted by that count. Conjugation maps generating tuples to generating
+    tuples of the same weight, so the first entry runs over one
+    representative <r> per conjugacy class of cyclic subgroups, weighted by
+    the class size; the other k - 1 entries run over all cyclic subgroups,
+    one stabilizer-chain order test per orbit of N_G(<r>) on them, walked
+    under N's generators. That is one test per G-orbit of ordered k-tuples.
+    At k = 1 the test is |<r>| = |G|.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -80,26 +88,47 @@ def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
         raise BudgetExceededError(
             f"|G|^k = {G.order**k} exceeds the tuple budget {TUPLE_BUDGET}")
     elems = G.element_bytes()
-    # each element stands for the least generator of its cyclic subgroup
-    cyc_rep = [0] * len(elems)
-    reps, weights = [], []
-    for generators in cyclic_subgroups(G).values():
+    subgroups = list(cyclic_subgroups(G).items())
+    # each cyclic subgroup is its position in ``subgroups``, each element
+    # the position of the cyclic subgroup it generates
+    position = [0] * len(elems)
+    for j, (_, generators) in enumerate(subgroups):
         for i in generators:
-            cyc_rep[i] = generators[0]
-        reps.append(generators[0])
-        weights.append(len(generators))
-    on_sets = _on_sets([[cyc_rep[x] for x in row] for row in _conjugation_rows(G)])
-    memo: dict[frozenset[int], bool] = {}
+            position[i] = j
+    reps = [generators[0] for _, generators in subgroups]
+    weights = [len(generators) for _, generators in subgroups]
+
+    def on_tuples(conjugators: Iterable[bytes]) -> Callable[[tuple[int, ...]], list]:
+        """The step for ``_orbit`` on tuples of positions: conjugation by each
+        of ``conjugators``."""
+        rows = [[position[conj(r)] for r in reps]
+                for conj in (_conjugator(G, g) for g in conjugators)]
+        return lambda t: [tuple([row[j] for j in t]) for row in rows]
+
+    g_step = on_tuples(G._gens_bytes())
+    classed: set[int] = set()
     count = 0
-    for tup, tup_weights in zip(product(reps, repeat=k), product(weights, repeat=k)):
-        key = frozenset(tup)
-        hit = memo.get(key)
-        if hit is None:
-            gens = [elems[c] for c in key]
-            hit = _generated_order(gens, G.degree, stop_at=G.order) == G.order
-            memo.update((image, hit) for image, _, _ in _orbit(key, on_sets))
-        if hit:
-            count += prod(tup_weights)
+    for j, (members, _) in enumerate(subgroups):
+        if j in classed:
+            continue
+        cls = [t[0] for t, _, _ in _orbit((j,), g_step)]
+        classed.update(cls)
+        weight = len(cls) * weights[j]
+        if k == 1:
+            if len(members) == len(elems):
+                count += weight
+            continue
+        _, n_gens = _normalizer(G, members, (reps[j],), len(elems) // len(cls))
+        n_step = on_tuples(elems[g] for g in n_gens)
+        seen: set[tuple[int, ...]] = set()
+        for t in product(range(len(subgroups)), repeat=k - 1):
+            if t in seen:
+                continue
+            orbit = [u for u, _, _ in _orbit(t, n_step)]
+            seen.update(orbit)
+            gens = [elems[reps[j]]] + [elems[reps[i]] for i in t]
+            if _generated_order(gens, G.degree, stop_at=G.order) == G.order:
+                count += weight * len(orbit) * prod(weights[i] for i in t)
     return Fraction(count, len(elems)**k)
 
 

@@ -15,9 +15,10 @@ arithmetic with the library beyond the element table itself.
 
 The tuple oracle here walks every one of the |G|^k element tuples and makes
 one stabilizer-chain test per set of cyclic subgroups spanned, with the
-library's own chain; ``zeta.brute_force_generation_probability`` walks
-tuples of cyclic subgroups and settles a whole conjugacy orbit of such sets
-with one test.
+library's own chain; ``zeta.brute_force_generation_probability`` takes the
+first entry from one cyclic subgroup <r> per conjugacy class, the rest from
+all cyclic subgroups, and settles each orbit of N_G(<r>) on the rest with
+one test: one per G-orbit of ordered tuples of cyclic subgroups.
 
 The conjugate-sweep oracle here conjugates K by every element of G, in the
 order of G's element table, and tests each distinct conjugate once;
@@ -49,6 +50,11 @@ The order complex here is walked chain by chain, depth first;
 The sliced boundary rows here are built one face at a time, each facet a
 tuple slice looked up in a dict; ``complexes._boundary_rows`` builds them
 by face position, one facet lookup stream per position.
+
+The phi-invariant Sylow 2-subgroup here is found by conjugating P0 by
+each element of A_7 in table order until a conjugate is phi-invariant;
+``a7.build_environment`` takes the least right-coset label of N_A7(P0)
+over the conjugators to the phi-invariant members of P0's class.
 
 The PGL(2,7) overgroups here are the proper overgroups of P that contain a
 7-cycle, found by scanning A_7's element table for them;
@@ -588,6 +594,24 @@ def recursive_order_complex(poset) -> SimplicialComplex:
     for v in range(p.n):
         extend(v)
     return SimplicialComplex(by_dim, p.n)
+
+
+def scan_phi_invariant_sylow2(A7: PermutationGroup, x: Permutation) -> PermutationGroup:
+    """P0^g for the library's Sylow 2-subgroup P0 of A_7 and the first g in
+    A_7's element table that makes P0^g invariant under conjugation by x,
+    each distinct conjugate tested once."""
+    P0 = sylow_subgroup(A7, 2)
+    p_set = subgroup_indices(A7, P0)
+    seen: set[frozenset[int]] = set()
+    for g in A7.element_bytes():
+        conj = conjugate_indices(A7, p_set, g)
+        if conj in seen:
+            continue
+        seen.add(conj)
+        if conjugate_indices(A7, conj, x._b) == conj:
+            g_perm = Permutation._from_bytes(g)
+            return PermutationGroup([gen ** g_perm for gen in P0.generators], 7)
+    raise AssertionError("no phi-invariant Sylow 2-subgroup found")
 
 
 def seven_cycle_pgl_overgroups(env: A7Environment) -> list[SubgroupRecord]:

@@ -29,8 +29,8 @@ from cosetposets.groups import (
 )
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, parse_permutation
-from oracles import (action_fixed_points, is_abelian, relation_pairs, seven_cycle_pgl_overgroups,
-                     smith_action_group)
+from oracles import (action_fixed_points, is_abelian, relation_pairs, scan_phi_invariant_sylow2,
+                     seven_cycle_pgl_overgroups, smith_action_group)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,15 @@ def test_environment_invariants(env):
     assert env.seven_cycle in env.A7
     assert env.phi.squares_to_identity()
     assert not env.phi.fixes_group_elementwise()
+
+
+def test_phi_invariant_sylow2_matches_table_scan(env):
+    """The least coset label over the phi-invariant conjugates of P0 picks
+    the conjugator the table-order scan picks: the same generators of P."""
+    scanned = scan_phi_invariant_sylow2(env.A7, env.phi.conjugator)
+    assert env.P.generators == scanned.generators
+    assert [str(g) for g in env.P.generators] == ["(3,4)(5,6)", "(3,5)(4,6)", "(1,2)(5,6)"]
+    assert str(env.seven_cycle) == "(1,2,3,5,7,6,4)"
 
 
 def test_census_contains_p_itself_without_seven_cycle(env):

@@ -200,6 +200,18 @@ def test_cli_non_positive_degree_is_named_as_the_degree(degree, capsys):
     assert captured.err == f"cosetposets: error: --degree must be at least 1, got {degree}\n"
 
 
+@pytest.mark.parametrize("degree", ["0", "3"])
+def test_cli_degree_beside_group_is_refused_before_the_catalog(degree, capsys):
+    """A catalog group has its own degree, so --degree with --group is
+    refused as the argument it is; the catalog given is never read."""
+    argv = ["compute", "zeta", "--group", "S3", "--degree", degree, "--catalog", "/nonexistent"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"cosetposets: error: --degree {degree} applies to --gens only, "
+                            "not to --group\n")
+
+
 def test_cli_homology_past_the_face_budget_is_refused(capsys, monkeypatch):
     """C(A6) has 5,456,457 chains; the CLI counts them from A6's subgroup
     chains and refuses before it builds the coset poset."""

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -26,6 +27,7 @@ from cosetposets.zeta import (
 from oracles import conj_element, product_table, tuple_generation_probability
 
 CATALOG = {e.name: e for e in load_catalog(verify=False)}
+RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
 
 def _hall(G):
@@ -98,9 +100,16 @@ def test_orbit_oracle_matches_per_tuple_oracle(name, k):
     assert brute_force_generation_probability(G, k) == tuple_generation_probability(G, k)
 
 
-def _orbits_of_spanned_cyclic_sets(G, k):
-    """G-orbits, under conjugation by every element, of the sets of cyclic
-    subgroups spanned by k-tuples of elements."""
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+@pytest.mark.parametrize("name", ["S5", "PSL(2,7)", "A6"])
+def test_orbit_oracle_matches_per_tuple_oracle_at_workload_sizes(name):
+    G = CATALOG[name].build()
+    assert brute_force_generation_probability(G, 2) == tuple_generation_probability(G, 2)
+
+
+def _orbits_of_cyclic_tuples(G, k):
+    """G-orbits, under conjugation by every element, of the ordered k-tuples
+    of cyclic subgroups."""
     mul, _ = product_table(G)
 
     def cyclic(x):
@@ -110,15 +119,23 @@ def _orbits_of_spanned_cyclic_sets(G, k):
             y = mul[y][x]
         return frozenset(members)
 
+    conj = [[conj_element(G, x, g) for x in range(G.order)] for g in range(G.order)]
     subgroups = {cyclic(x) for x in range(G.order)}
-    spanned = {frozenset(tup) for tup in product(subgroups, repeat=k)}
-    return {frozenset(frozenset(frozenset(conj_element(G, x, g) for x in C) for C in key)
-                      for g in range(G.order))
-            for key in spanned}
+    return {frozenset(tuple(frozenset(row[x] for x in C) for C in tup) for row in conj)
+            for tup in product(subgroups, repeat=k)}
 
 
-@pytest.mark.parametrize("G", [symmetric_group(4), alternating_group(5)], ids=["S4", "A5"])
-def test_one_chain_test_per_conjugacy_orbit(G, monkeypatch):
+@pytest.mark.parametrize("G,k,tests", [
+    (cyclic_group(1), 1, 0), (cyclic_group(1), 2, 1),
+    (cyclic_group(6), 1, 0), (cyclic_group(6), 2, 16),
+    (symmetric_group(3), 3, 37),
+    (symmetric_group(4), 1, 0), (symmetric_group(4), 2, 38),
+    (alternating_group(5), 1, 0), (alternating_group(5), 2, 36),
+], ids=["C1-1", "C1-2", "C6-1", "C6-2", "S3-3", "S4-1", "S4-2", "A5-1", "A5-2"])
+def test_one_chain_test_per_orbit_of_ordered_tuples(G, k, tests, monkeypatch):
+    """One chain test per G-orbit of ordered k-tuples of cyclic subgroups,
+    counted independently on the product table; none at k = 1, where the
+    test is |<r>| = |G|."""
     calls = []
     real = zeta._generated_order
 
@@ -127,8 +144,9 @@ def test_one_chain_test_per_conjugacy_orbit(G, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(zeta, "_generated_order", counting)
-    brute_force_generation_probability(G, 2)
-    assert len(calls) == len(_orbits_of_spanned_cyclic_sets(G, 2))
+    brute_force_generation_probability(G, k)
+    assert len(calls) == tests
+    assert tests == (len(_orbits_of_cyclic_tuples(G, k)) if k > 1 else 0)
 
 
 def test_poset_moebius_hat_small():
