@@ -27,7 +27,6 @@ from .groups import (
     alternating_group,
     conjugacy_orbit_of_subgroup,
     conjugate_indices,
-    cyclic_subgroups,
     diagonal_embedding,
     embed_in_power,
     generated_order,
@@ -86,12 +85,12 @@ def build_environment() -> A7Environment:
     g_perm = Permutation._from_bytes(elems[min(invariant)])
     chosen_p = PermutationGroup([gen ** g_perm for gen in P0.generators], 7)
 
-    chosen_h = None
-    for fs, gens in cyclic_subgroups(A7).items():
-        if len(fs) == 7 and conjugate_indices(A7, fs, x._b) == fs:
-            chosen_h = Permutation._from_bytes(elems[gens[0]])
-            break
-    assert chosen_h is not None, "no phi-invariant Sylow 7-subgroup found"
+    # the least 7-cycle with a phi-invariant subgroup, from the class of <(1,...,7)>
+    seven = subgroup_indices(A7, PermutationGroup([parse_permutation("(1,2,3,4,5,6,7)", 7)]))
+    least = min((min(fs - {0}) for fs in conjugacy_orbit_of_subgroup(A7, seven)
+                 if conjugate_indices(A7, fs, x._b) == fs), default=None)
+    assert least is not None, "no phi-invariant Sylow 7-subgroup found"
+    chosen_h = Permutation._from_bytes(elems[least])
 
     env = A7Environment(A7=A7, S7=S7, P=chosen_p, seven_cycle=chosen_h, phi=phi)
     assert env.A7.order == 2520 and env.P.order == 8 and env.seven_cycle.order() == 7

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
@@ -154,11 +154,12 @@ class PermutationGroup:
     """A finite permutation group defined by generators.
 
     Immutable after construction; the stabilizer chain gives exact order
-    and membership. The sorted element table, its index and the full index
-    set are built on first use and shared by every caller from then on.
+    and membership. The sorted element table, its index, the full index set,
+    the conjugation rows and the cyclic table are built once, on first use.
     """
 
-    __slots__ = ("_degree", "_gens", "_levels", "_order", "_elements", "_index", "_full")
+    __slots__ = ("_degree", "_gens", "_levels", "_order", "_elements", "_index", "_full",
+                 "_conj_rows", "_cyclic")
 
     def __init__(self, generators: Sequence[Permutation], degree: int | None = None):
         gens = list(generators)
@@ -176,6 +177,8 @@ class PermutationGroup:
         self._elements: tuple[bytes, ...] | None = None
         self._index: dict[bytes, int] | None = None
         self._full: frozenset[int] | None = None
+        self._conj_rows: list[list[int]] | None = None
+        self._cyclic: tuple | None = None
 
     @property
     def degree(self) -> int:
@@ -253,6 +256,37 @@ class PermutationGroup:
         if self._full is None:
             self._full = frozenset(range(len(self.element_bytes())))
         return self._full
+
+    def _cyclic_table(self) -> tuple[dict[frozenset[int], list[int]], list[int],
+                                     list[tuple[int, int]]]:
+        """Built once: the dict of ``cyclic_subgroups``, each element's position
+        in it (that of the subgroup it generates), and the conjugacy classes of
+        cyclic subgroups, walked by ``_orbit``, as (least position, size)."""
+        if self._cyclic is None:
+            elems, index = self.element_bytes(), self.element_index()
+            subgroups: dict[frozenset[int], list[int]] = {}
+            position = [-1] * len(elems)
+            for i, b in enumerate(elems):
+                if position[i] < 0:  # i is the least generator of <b>
+                    powers, x, pad = [0], b, b + _ID256[self._degree:]  # b^k at k
+                    while x != elems[0]:
+                        powers.append(index[x])
+                        x = x.translate(pad)
+                    gens = [y for k, y in enumerate(powers) if gcd(k, len(powers)) == 1]
+                    for y in gens:
+                        position[y] = len(subgroups)
+                    subgroups[frozenset(powers)] = sorted(gens)
+            reps = [gens[0] for gens in subgroups.values()]
+            rows = _conjugation_rows(self)
+            step = lambda j: [position[row[reps[j]]] for row in rows]
+            classes, classed = [], set()
+            for j in range(len(reps)):
+                if j not in classed:
+                    orbit = _orbit(j, step)
+                    classed.update(c for c, _, _ in orbit)
+                    classes.append((j, len(orbit)))
+            self._cyclic = subgroups, position, classes
+        return self._cyclic
 
     def elements(self) -> list[Permutation]:
         return [Permutation._from_bytes(b) for b in self.element_bytes()]
@@ -523,8 +557,7 @@ def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> Quotien
     return QuotientRepresentation(Q, tuple(Permutation._from_bytes(elems[x]) for x in reps))
 
 
-def _normal_closure(G: PermutationGroup, gens: list[int],
-                    conj_rows: list[list[int]]) -> tuple[frozenset[int], list[int]]:
+def _normal_closure(G: PermutationGroup, gens: list[int]) -> tuple[frozenset[int], list[int]]:
     """The normal closure of <gens> as element indices, and its generators:
     ``gens`` extended by each conjugate, under G's generators, that is not
     yet inside."""
@@ -532,7 +565,7 @@ def _normal_closure(G: PermutationGroup, gens: list[int],
     changed = True
     while changed:
         changed = False
-        for row in conj_rows:
+        for row in _conjugation_rows(G):
             for x in list(gens):
                 if row[x] not in members:
                     gens.append(row[x])
@@ -542,52 +575,41 @@ def _normal_closure(G: PermutationGroup, gens: list[int],
 
 
 def normal_closure(G: PermutationGroup, seeds: Sequence[Permutation]) -> PermutationGroup:
-    """Smallest normal subgroup of G containing the seed elements of G."""
+    """Smallest normal subgroup of G containing the seeds; a ValueError names
+    a seed that is not an element of G."""
     index = G.element_index()
-    _, gens = _normal_closure(G, [index[s._b] for s in seeds], _conjugation_rows(G))
+    for s in seeds:
+        if s._b not in index:
+            raise ValueError(f"seed {s} of degree {s.degree} is not in G of degree {G.degree}")
+    _, gens = _normal_closure(G, [index[s._b] for s in seeds])
     return PermutationGroup([Permutation._from_bytes(G.element_bytes()[i]) for i in gens],
                             G.degree)
 
 
 def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
-    """All minimal nontrivial normal subgroups, via closures of cyclic subgroups."""
+    """All minimal nontrivial normal subgroups. Each is the normal closure of
+    any nontrivial cyclic subgroup inside it, and conjugate cyclic subgroups
+    have one closure, so one closure is made per class of cyclic subgroups."""
     if G.order <= 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
     elems = G.element_bytes()
-    conj_rows = _conjugation_rows(G)
+    subgroups, _, classes = G._cyclic_table()
+    generators = list(subgroups.values())
     closures: dict[frozenset[int], list[int]] = {}
-    for generators in cyclic_subgroups(G).values():
-        if generators[0] == 0:  # the trivial subgroup
-            continue
-        members, gens = _normal_closure(G, [generators[0]], conj_rows)
+    for j, _ in classes[1:]:  # classes[0] is the trivial subgroup's
+        members, gens = _normal_closure(G, [generators[j][0]])
         closures.setdefault(members, gens)
-    keys = list(closures)
-    minimal = [k for k in keys
-               if not any(other < k for other in keys if other != k)]
-    minimal.sort(key=lambda k: (len(k), sorted(k)))
+    minimal = sorted((k for k in closures if not any(other < k for other in closures)),
+                     key=lambda k: (len(k), sorted(k)))
     return [PermutationGroup([Permutation._from_bytes(elems[i]) for i in closures[k]], G.degree)
             for k in minimal]
 
 
 def cyclic_subgroups(G: PermutationGroup) -> dict[frozenset[int], list[int]]:
     """Every cyclic subgroup <g> of G, the trivial one included, as element
-    indices, mapped to the indices of its generators in increasing order.
-
-    Keys come in order of their least generator.
-    """
-    elems = G.element_bytes()
-    index = G.element_index()
-    tail = _ID256[G._degree:]
-    out: dict[frozenset[int], list[int]] = {}
-    for i, b in enumerate(elems):
-        members = {0, i}
-        pad = b + tail
-        x = b.translate(pad)
-        while x != elems[0]:
-            members.add(index[x])
-            x = x.translate(pad)
-        out.setdefault(frozenset(members), []).append(i)
-    return out
+    indices, mapped to the indices of its generators in increasing order;
+    keys come in order of their least generator. G's cached dict, read-only."""
+    return G._cyclic_table()[0]
 
 
 def subgroup_indices(G: PermutationGroup, H: PermutationGroup) -> frozenset[int]:
@@ -642,9 +664,11 @@ def right_coset_reps(G: PermutationGroup, members: Iterable[int]) -> list[int]:
 
 def _conjugation_rows(G: PermutationGroup) -> list[list[int]]:
     """For each generator g of G, the map x -> x^g = g^-1 x g on indices
-    into G's element table, as a list."""
-    xs = range(len(G.element_bytes()))
-    return [[*map(_conjugator(G, g), xs)] for g in G._gens_bytes()]
+    into G's element table, as a list. Built once per group; read-only."""
+    if G._conj_rows is None:
+        xs = range(len(G.element_bytes()))
+        G._conj_rows = [[*map(_conjugator(G, g), xs)] for g in G._gens_bytes()]
+    return G._conj_rows
 
 
 def _conjugator(G: PermutationGroup, g: bytes) -> Callable[[int], int]:

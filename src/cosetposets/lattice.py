@@ -32,7 +32,6 @@ from .groups import (
     _on_sets,
     _orbit,
     _p_part,
-    cyclic_subgroups,
     subgroup_indices,
 )
 
@@ -71,16 +70,12 @@ class SubgroupLattice:
         n = len(self.elements)
         conj_rows = _conjugation_rows(G)
         on_sets = _on_sets(conj_rows)
-        # each element's least generator of its cyclic subgroup; the joins
-        # try those of prime-power order
-        cyc_rep = [0] * n
-        zs = []
-        for fs, gens in cyclic_subgroups(G).items():
-            for x in gens:
-                cyc_rep[x] = gens[0]
-            if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
-                   for p in range(2, len(fs) + 1)):
-                zs.append(gens[0])
+        # the least generator of each cyclic subgroup; joins try prime-power ones
+        subgroups, position, _ = G._cyclic_table()
+        least = [gens[0] for gens in subgroups.values()]
+        zs = [gens[0] for fs, gens in subgroups.items()
+              if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
+                     for p in range(2, len(fs) + 1))]
         found: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
         reps = [(frozenset({0}), 1)]  # class representatives and class sizes
         for H, size in reps:  # grows while it is walked
@@ -92,7 +87,7 @@ class SubgroupLattice:
                 conjugators = [_conjugator(G, self.elements[g]) for g in n_gens]
             # each z not in H, mapped to its images under the generators of
             # N_G(H); N_G(H) fixes H, so they are again not in H
-            step = {z: [cyc_rep[conj(z)] for conj in conjugators]
+            step = {z: [least[position[conj(z)]] for conj in conjugators]
                     for z in zs if z not in H}.__getitem__
             tried: set[int] = set()
             for z in zs:

@@ -7,7 +7,8 @@ order complex. Everything here is exact rational arithmetic.
 
 ``brute_force_generation_probability`` checks P(k) without the subgroup
 lattice: it counts generating k-tuples by stabilizer-chain order tests,
-one per conjugacy orbit of ordered k-tuples of cyclic subgroups.
+one per conjugacy orbit of ordered k-tuples of cyclic subgroups, whose
+classes it reads from the group's cached table (``G._cyclic_table()``).
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Callable, Iterable
 
 from .complexes import _as_poset
 from .groups import (BudgetExceededError, PermutationGroup, _conjugator, _generated_order,
-                     _normalizer, _orbit, cyclic_subgroups)
+                     _normalizer, _orbit)
 from .lattice import MoebiusTable, SubgroupLattice
 
 TUPLE_BUDGET = 10**7
@@ -76,11 +76,11 @@ def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
     of cyclic subgroups, each standing for its phi(|C|) generators and
     weighted by that count. Conjugation maps generating tuples to generating
     tuples of the same weight, so the first entry runs over one
-    representative <r> per conjugacy class of cyclic subgroups, weighted by
+    representative <r> per class of the group's cyclic table, weighted by
     the class size; the other k - 1 entries run over all cyclic subgroups,
     one stabilizer-chain order test per orbit of N_G(<r>) on them, walked
-    under N's generators. That is one test per G-orbit of ordered k-tuples.
-    At k = 1 the test is |<r>| = |G|.
+    under N's generators: one test per G-orbit of ordered k-tuples. At
+    k = 1 it counts the generators of G, if G is cyclic.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -88,38 +88,20 @@ def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
         raise BudgetExceededError(
             f"|G|^k = {G.order**k} exceeds the tuple budget {TUPLE_BUDGET}")
     elems = G.element_bytes()
-    subgroups = list(cyclic_subgroups(G).items())
-    # each cyclic subgroup is its position in ``subgroups``, each element
-    # the position of the cyclic subgroup it generates
-    position = [0] * len(elems)
-    for j, (_, generators) in enumerate(subgroups):
-        for i in generators:
-            position[i] = j
-    reps = [generators[0] for _, generators in subgroups]
-    weights = [len(generators) for _, generators in subgroups]
-
-    def on_tuples(conjugators: Iterable[bytes]) -> Callable[[tuple[int, ...]], list]:
-        """The step for ``_orbit`` on tuples of positions: conjugation by each
-        of ``conjugators``."""
-        rows = [[position[conj(r)] for r in reps]
-                for conj in (_conjugator(G, g) for g in conjugators)]
-        return lambda t: [tuple([row[j] for j in t]) for row in rows]
-
-    g_step = on_tuples(G._gens_bytes())
-    classed: set[int] = set()
+    subgroups, position, classes = G._cyclic_table()
+    if k == 1:  # one element generates G exactly when its cyclic subgroup is G
+        return Fraction(len(subgroups.get(G._full_set(), ())), len(elems))
+    members = list(subgroups)
+    reps = [generators[0] for generators in subgroups.values()]
+    weights = [len(generators) for generators in subgroups.values()]
     count = 0
-    for j, (members, _) in enumerate(subgroups):
-        if j in classed:
-            continue
-        cls = [t[0] for t, _, _ in _orbit((j,), g_step)]
-        classed.update(cls)
-        weight = len(cls) * weights[j]
-        if k == 1:
-            if len(members) == len(elems):
-                count += weight
-            continue
-        _, n_gens = _normalizer(G, members, (reps[j],), len(elems) // len(cls))
-        n_step = on_tuples(elems[g] for g in n_gens)
+    for j, size in classes:
+        weight = size * weights[j]
+        _, n_gens = _normalizer(G, members[j], (reps[j],), len(elems) // size)
+        # N's conjugations on the positions of the cyclic subgroups
+        rows = [[position[conj(r)] for r in reps]
+                for conj in (_conjugator(G, elems[g]) for g in n_gens)]
+        n_step = lambda t: [tuple([row[i] for i in t]) for row in rows]
         seen: set[tuple[int, ...]] = set()
         for t in product(range(len(subgroups)), repeat=k - 1):
             if t in seen:

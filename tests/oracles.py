@@ -16,9 +16,14 @@ arithmetic with the library beyond the element table itself.
 The tuple oracle here walks every one of the |G|^k element tuples and makes
 one stabilizer-chain test per set of cyclic subgroups spanned, with the
 library's own chain; ``zeta.brute_force_generation_probability`` takes the
-first entry from one cyclic subgroup <r> per conjugacy class, the rest from
-all cyclic subgroups, and settles each orbit of N_G(<r>) on the rest with
-one test: one per G-orbit of ordered tuples of cyclic subgroups.
+first entry from one cyclic subgroup <r> per class of the group's cached
+cyclic table (``PermutationGroup._cyclic_table``), the rest from all cyclic
+subgroups, and settles each orbit of N_G(<r>) on the rest with one test:
+one per G-orbit of ordered tuples of cyclic subgroups.
+
+The minimal normal subgroups here come from one normal closure per
+nontrivial cyclic subgroup; ``groups.minimal_normal_subgroups`` makes one
+per class of the cyclic table, as conjugates have one normal closure.
 
 The conjugate-sweep oracle here conjugates K by every element of G, in the
 order of G's element table, and tests each distinct conjugate once;
@@ -56,6 +61,11 @@ each element of A_7 in table order until a conjugate is phi-invariant;
 ``a7.build_environment`` takes the least right-coset label of N_A7(P0)
 over the conjugators to the phi-invariant members of P0's class.
 
+The phi-invariant 7-cycle here is the least generator of the first
+phi-invariant cyclic subgroup of order 7 in a scan of all of A_7's cyclic
+subgroups; ``a7.build_environment`` walks the class of <(1,2,3,4,5,6,7)>
+with ``groups.conjugacy_orbit_of_subgroup`` and builds no cyclic table.
+
 The PGL(2,7) overgroups here are the proper overgroups of P that contain a
 7-cycle, found by scanning A_7's element table for them;
 ``a7.pgl_overgroups`` keeps those of order divisible by 7.
@@ -75,8 +85,8 @@ from cosetposets.complexes import SimplicialComplex, _as_poset
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
 from cosetposets.generation import GenerationReport, _cycle_permutation, _long_cycle_rank
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _conjugation_rows,
-                                _generated_order, _is_prime, _on_sets, _orbit, _p_part,
-                                conjugate_indices, cyclic_subgroups, subgroup_indices,
+                                _generated_order, _is_prime, _normal_closure, _on_sets, _orbit,
+                                _p_part, conjugate_indices, cyclic_subgroups, subgroup_indices,
                                 alternating_group, sylow_subgroup)
 from cosetposets.perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
 
@@ -280,6 +290,22 @@ def chain_normal_closure(G: PermutationGroup, seeds) -> PermutationGroup:
                                              G.degree)
                     changed = True
     return group
+
+
+def per_cyclic_minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
+    """Minimal normal subgroups from one normal closure per nontrivial cyclic
+    subgroup, in order of least generator; the first subgroup to reach a
+    closure gives its generators."""
+    elems = G.element_bytes()
+    closures: dict[frozenset[int], list[int]] = {}
+    for generators in cyclic_subgroups(G).values():
+        if generators[0] != 0:  # not the trivial subgroup
+            members, gens = _normal_closure(G, [generators[0]])
+            closures.setdefault(members, gens)
+    minimal = sorted((k for k in closures if not any(other < k for other in closures)),
+                     key=lambda k: (len(k), sorted(k)))
+    return [PermutationGroup([Permutation._from_bytes(elems[i]) for i in closures[k]], G.degree)
+            for k in minimal]
 
 
 def is_abelian(G: PermutationGroup) -> bool:
@@ -612,6 +638,16 @@ def scan_phi_invariant_sylow2(A7: PermutationGroup, x: Permutation) -> Permutati
             g_perm = Permutation._from_bytes(g)
             return PermutationGroup([gen ** g_perm for gen in P0.generators], 7)
     raise AssertionError("no phi-invariant Sylow 2-subgroup found")
+
+
+def scan_phi_invariant_seven_cycle(A7: PermutationGroup, x: Permutation) -> Permutation:
+    """The least generator, in A_7's element table, of the first cyclic
+    subgroup of order 7 in least-generator order that is invariant under
+    conjugation by x, from a scan of every cyclic subgroup of A_7."""
+    for fs, gens in cyclic_subgroups(A7).items():
+        if len(fs) == 7 and conjugate_indices(A7, fs, x._b) == fs:
+            return Permutation._from_bytes(A7.element_bytes()[gens[0]])
+    raise AssertionError("no phi-invariant Sylow 7-subgroup found")
 
 
 def seven_cycle_pgl_overgroups(env: A7Environment) -> list[SubgroupRecord]:

@@ -29,8 +29,8 @@ from cosetposets.groups import (
 )
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, parse_permutation
-from oracles import (action_fixed_points, is_abelian, relation_pairs, scan_phi_invariant_sylow2,
-                     seven_cycle_pgl_overgroups, smith_action_group)
+from oracles import (action_fixed_points, is_abelian, relation_pairs, scan_phi_invariant_seven_cycle,
+                     scan_phi_invariant_sylow2, seven_cycle_pgl_overgroups, smith_action_group)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,14 @@ def test_phi_invariant_sylow2_matches_table_scan(env):
     assert env.P.generators == scanned.generators
     assert [str(g) for g in env.P.generators] == ["(3,4)(5,6)", "(3,5)(4,6)", "(1,2)(5,6)"]
     assert str(env.seven_cycle) == "(1,2,3,5,7,6,4)"
+
+
+def test_seven_cycle_matches_cyclic_subgroup_scan(env):
+    """The least phi-invariant member of the class of <(1,2,3,4,5,6,7)> is
+    the first phi-invariant cyclic subgroup of order 7 of the scan, and the
+    environment is built without A_7's cyclic table."""
+    assert env.seven_cycle == scan_phi_invariant_seven_cycle(env.A7, env.phi.conjugator)
+    assert build_environment.__wrapped__().A7._cyclic is None
 
 
 def test_census_contains_p_itself_without_seven_cycle(env):

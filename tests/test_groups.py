@@ -1,3 +1,4 @@
+import os
 import random
 from functools import lru_cache
 from itertools import product
@@ -11,6 +12,7 @@ from cosetposets.groups import (
     PermutationGroup,
     _closure,
     alternating_group,
+    conjugate_indices,
     cyclic_group,
     cyclic_subgroups,
     diagonal_embedding,
@@ -43,6 +45,7 @@ def perms(*texts, degree):
 
 CATALOG = {e.name: e for e in load_catalog(verify=False)}
 SMALL_CATALOG = {name: e for name, e in CATALOG.items() if e.expected_order <= 60}
+RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
 
 @lru_cache(maxsize=None)
@@ -281,6 +284,89 @@ def test_minimal_normal_subgroups():
     assert [m.order for m in minimal_normal_subgroups(A5)] == [60]
     with pytest.raises(ValueError):
         minimal_normal_subgroups(PermutationGroup([], degree=2))
+
+
+def test_minimal_normal_subgroups_match_per_cyclic_oracle():
+    """One closure per class of cyclic subgroups gives the generator lists of
+    one closure per cyclic subgroup, on every catalog group below A_7 (A_7
+    and S_7 are compared under RUN_SLOW)."""
+    for name, entry in CATALOG.items():
+        G = _catalog_group(name)
+        if 1 < G.order < 2520:
+            got = minimal_normal_subgroups(G)
+            expected = oracles.per_cyclic_minimal_normal_subgroups(G)
+            assert [m.generators for m in got] == [m.generators for m in expected], name
+
+
+def _count_normal_closures(monkeypatch) -> list[list[int]]:
+    """Record the seeds of each ``groups._normal_closure`` call."""
+    calls = []
+    closure = groups._normal_closure
+
+    def counted(G, gens):
+        calls.append(list(gens))
+        return closure(G, gens)
+
+    monkeypatch.setattr(groups, "_normal_closure", counted)
+    return calls
+
+
+def test_minimal_normal_subgroups_close_one_cyclic_subgroup_per_class(monkeypatch):
+    calls = _count_normal_closures(monkeypatch)
+    for name in CATALOG:
+        G = _catalog_group(name)
+        if 1 < G.order < 2520:
+            calls.clear()
+            minimal_normal_subgroups(G)
+            subgroups, _, classes = G._cyclic_table()
+            least = [gens[0] for gens in subgroups.values()]
+            assert len(calls) == len(classes) - 1, name
+            assert [seeds[0] for seeds in calls] == [least[j] for j, _ in classes[1:]], name
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+def test_minimal_normal_subgroups_at_size(monkeypatch):
+    """A_7 and S_7 against the per-cyclic-subgroup oracle; A_8 is simple, with
+    11 classes of nontrivial cyclic subgroups."""
+    for G in (alternating_group(7), symmetric_group(7)):
+        got = minimal_normal_subgroups(G)
+        expected = oracles.per_cyclic_minimal_normal_subgroups(G)
+        assert [m.generators for m in got] == [m.generators for m in expected]
+    calls = _count_normal_closures(monkeypatch)
+    A8 = alternating_group(8)
+    assert minimal_normal_subgroups(A8) == [A8]
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("name", [*SMALL_CATALOG, "PSL(2,7)", "A6"])
+def test_cyclic_table_certificates(name):
+    """The classes of the cached cyclic table partition the cyclic subgroups;
+    each class size divides |G|, each representative is the least position
+    in its class, and each class is the set of conjugates of its
+    representative by every element of G."""
+    G = _catalog_group(name)
+    subgroups, position, classes = G._cyclic_table()
+    assert G._cyclic_table() is G._cyclic_table()
+    assert groups._conjugation_rows(G) is groups._conjugation_rows(G)
+    keys = list(subgroups)
+    where = {fs: j for j, fs in enumerate(keys)}
+    assert all(position[i] == where[fs] for fs, gens in subgroups.items() for i in gens)
+    assert sum(size for _, size in classes) == len(subgroups)
+    assert all(G.order % size == 0 for _, size in classes)
+    seen: set[int] = set()
+    for j, size in classes:
+        cls = {where[conjugate_indices(G, keys[j], g)] for g in G.element_bytes()}
+        assert len(cls) == size and min(cls) == j and not cls & seen, name
+        seen |= cls
+    assert seen == set(range(len(keys)))
+
+
+def test_normal_closure_refuses_a_seed_outside_the_group():
+    A4 = alternating_group(4)
+    with pytest.raises(ValueError, match=r"^seed \(1,2\) of degree 4 is not in G of degree 4$"):
+        normal_closure(A4, [parse_permutation("(1,2)", 4)])
+    with pytest.raises(ValueError, match=r"^seed \(1,2,3\) of degree 5 is not in G of degree 4$"):
+        normal_closure(A4, [parse_permutation("(1,2,3)", 5)])
 
 
 def test_generated_order_early_stop():
