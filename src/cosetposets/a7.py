@@ -20,10 +20,8 @@ from .cosets import OvergroupAutomorphism, fixed_cosets
 from .groups import (
     PermutationGroup,
     SubgroupRecord,
-    _conjugation_rows,
+    _closure,
     _normalizer,
-    _on_sets,
-    _orbit,
     alternating_group,
     conjugacy_orbit_of_subgroup,
     conjugate_indices,
@@ -32,11 +30,10 @@ from .groups import (
     generated_order,
     intermediate_subgroups,
     right_coset_reps,
-    subgroup_indices,
     symmetric_group,
     sylow_subgroup,
 )
-from .perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string, parse_permutation
+from .perm import Permutation, _conj_bytes, cycle_string, parse_permutation
 
 
 @dataclass(frozen=True)
@@ -67,27 +64,25 @@ def build_environment() -> A7Environment:
     # P = P0^g for the least g in A_7's table order that makes P0^g
     # phi-invariant. The conjugators carrying P0 to a conjugate Q form the
     # right coset N g_Q of N = N_A7(P0), so g is the least coset label of
-    # some g_Q over the phi-invariant Q; each g_Q is read off the walk of
-    # P0's class under A_7's generators s (P0^c gives P0^(cs)).
+    # some g_Q over the phi-invariant Q; each g_Q is the conjugator that
+    # ``conjugacy_orbit_of_subgroup`` carries to Q.
     P0 = sylow_subgroup(A7, 2)
-    elems, index, s_gens = A7.element_bytes(), A7.element_index(), A7._gens_bytes()
-    p_set = subgroup_indices(A7, P0)
-    orbit = _orbit(p_set, _on_sets(_conjugation_rows(A7)))
-    conjugators: list[bytes] = []
-    for _, parent, r in orbit:
-        conjugators.append(_ID256[:7] if parent < 0
-                           else _mul_bytes(conjugators[parent], s_gens[r]))
-    N, _ = _normalizer(A7, p_set, [index[g] for g in P0._gens_bytes()], A7.order // len(orbit))
+    elems, index = A7.element_bytes(), A7.element_index()
+    p_gens = [index[g] for g in P0._gens_bytes()]
+    p_set = _closure(A7, p_gens)
+    orbit = conjugacy_orbit_of_subgroup(A7, p_set, p_gens)
+    N, _ = _normalizer(A7, p_set, p_gens, A7.order // len(orbit))
     label = right_coset_reps(A7, N)
-    invariant = [label[index[g_q]] for (q_set, _, _), g_q in zip(orbit, conjugators)
+    invariant = [label[index[g_q]] for q_set, _, g_q in orbit
                  if conjugate_indices(A7, q_set, x._b) == q_set]
     assert invariant, "no phi-invariant Sylow 2-subgroup found"
     g_perm = Permutation._from_bytes(elems[min(invariant)])
     chosen_p = PermutationGroup([gen ** g_perm for gen in P0.generators], 7)
 
     # the least 7-cycle with a phi-invariant subgroup, from the class of <(1,...,7)>
-    seven = subgroup_indices(A7, PermutationGroup([parse_permutation("(1,2,3,4,5,6,7)", 7)]))
-    least = min((min(fs - {0}) for fs in conjugacy_orbit_of_subgroup(A7, seven)
+    c = [index[parse_permutation("(1,2,3,4,5,6,7)", 7)._b]]
+    sevens = conjugacy_orbit_of_subgroup(A7, _closure(A7, c), c)
+    least = min((min(fs - {0}) for fs, _, _ in sevens
                  if conjugate_indices(A7, fs, x._b) == fs), default=None)
     assert least is not None, "no phi-invariant Sylow 7-subgroup found"
     chosen_h = Permutation._from_bytes(elems[least])
@@ -138,10 +133,9 @@ def check_phi_properties(env: A7Environment) -> dict:
         "pgl_indices": sorted(env.A7.order // rec.order for rec in pgls),
     }
     if len(pgls) == 2:
-        first, second = pgls[0].elements, pgls[1].elements
-        orbit1 = conjugacy_orbit_of_subgroup(env.A7, first)
-        orbit2 = conjugacy_orbit_of_subgroup(env.A7, second)
-        report["classes_disjoint"] = second not in orbit1
+        orbit1, orbit2 = ({fs for fs, _, _ in conjugacy_orbit_of_subgroup(
+            env.A7, rec.elements, rec.generators)} for rec in pgls)
+        report["classes_disjoint"] = pgls[1].elements not in orbit1
         report["class_sizes"] = (len(orbit1), len(orbit2))
         image1 = {conjugate_indices(env.A7, fs, x._b) for fs in orbit1}
         report["phi_swaps_classes"] = (image1 == orbit2)
@@ -155,12 +149,9 @@ def check_pgl_strong_generation(env: A7Environment, rec: SubgroupRecord) -> bool
     assert K.order == rec.order
     P_K = sylow_subgroup(K, 2)
     R = sylow_subgroup(K, 7)
-    conj_gens = []
-    for r in R.element_bytes():
-        ri = _inv_bytes(r)
-        conj_gens.extend(_mul_bytes(_mul_bytes(ri, p._b), r) for p in P_K.generators)
-    got = generated_order([Permutation._from_bytes(b) for b in conj_gens], 7,
-                          stop_at=rec.order)
+    conj_gens = [Permutation._from_bytes(_conj_bytes(p._b, r))
+                 for r in R.element_bytes() for p in P_K.generators]
+    got = generated_order(conj_gens, 7, stop_at=rec.order)
     return got == rec.order
 
 

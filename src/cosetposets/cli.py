@@ -92,6 +92,8 @@ def _run(args) -> int:
 
     if not _is_prime(args.prime):  # refused before the group is built
         raise ValueError(f"--prime must be prime, got {args.prime}")
+    if args.what == "lattice" and args.relative_to is not None:
+        raise ValueError(f"--relative-to {args.relative_to!r} does not apply to lattice")
     G = _resolve_group(args)
     lat = enumerate_subgroups(G)
     if args.what == "lattice":

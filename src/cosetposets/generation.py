@@ -20,18 +20,17 @@ from .groups import (
     ENUMERATION_BOUND,
     BudgetExceededError,
     PermutationGroup,
-    _conjugation_rows,
+    _closure,
     _generated_order,
-    _on_sets,
     _orbit,
     alternating_group,
+    conjugacy_orbit_of_subgroup,
     direct_power,
     diagonal_embedding,
-    subgroup_indices,
     sylow_subgroup,
 )
 from .lattice import SubgroupLattice, maximal_subgroups
-from .perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
+from .perm import _ID256, Permutation, cycle_string
 
 
 @dataclass
@@ -46,17 +45,13 @@ class GenerationReport:
 
 def _conjugate_sweep(report: GenerationReport, G: PermutationGroup, K: PermutationGroup,
                      p_gens: list[bytes]) -> None:
-    """Test <K^g, P> = G once per conjugate K^g, walked under G's generators
-    s (K^c gives K^(cs)); the first four failures become witnesses."""
-    gens = G._gens_bytes()
-    conjugators: list[bytes] = []
-    for _, parent, r in _orbit(subgroup_indices(G, K), _on_sets(_conjugation_rows(G))):
-        g = _ID256[:G.degree] if parent < 0 else _mul_bytes(conjugators[parent], gens[r])
-        conjugators.append(g)
-        gi = _inv_bytes(g)
-        conj_gens = [_mul_bytes(_mul_bytes(gi, x), g) for x in K._gens_bytes()]
+    """Test <K^g, P> = G once per conjugate K^g, from the generators that
+    ``conjugacy_orbit_of_subgroup`` carries; the first four failures are witnesses."""
+    elems, index = G.element_bytes(), G.element_index()
+    k_gens = [index[x] for x in K._gens_bytes()]
+    for _, gens, g in conjugacy_orbit_of_subgroup(G, _closure(G, k_gens), k_gens):
         report.tests += 1
-        got = _generated_order(conj_gens + p_gens, G.degree, stop_at=G.order)
+        got = _generated_order([elems[x] for x in gens] + p_gens, G.degree, stop_at=G.order)
         if got != G.order:
             report.verdict = False
             if len(report.witnesses) < 4:

@@ -21,7 +21,7 @@ from math import factorial, gcd
 from operator import mul
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
-from .perm import Permutation, _ID256, _check_degree, _inv_bytes, _mul_bytes
+from .perm import Permutation, _ID256, _check_degree, _conj_bytes, _inv_bytes, _mul_bytes
 
 ENUMERATION_BOUND = 10**6
 
@@ -218,9 +218,7 @@ class PermutationGroup:
         """Whether c^-1 H c = H, for a permutation c of the same degree."""
         if c.degree != self._degree:
             raise ValueError("degree mismatch")
-        ci = _inv_bytes(c._b)
-        return all(self._contains_bytes(_mul_bytes(_mul_bytes(ci, g), c._b))
-                   for g in self._gens_bytes())
+        return all(self._contains_bytes(_conj_bytes(g, c._b)) for g in self._gens_bytes())
 
     def _gens_bytes(self) -> list[bytes]:
         return [g._b for g in self._gens]
@@ -418,7 +416,7 @@ def _even_part_gens(gens: list[bytes]) -> list[bytes]:
     ti = _inv_bytes(t)
     out = list(evens)
     out.extend(_mul_bytes(g, ti) for g in odds)
-    out.extend(_mul_bytes(_mul_bytes(t, g), ti) for g in evens)
+    out.extend(_conj_bytes(g, ti) for g in evens)  # t g t^-1 = g^(t^-1)
     out.extend(_mul_bytes(t, g) for g in odds)
     ident = _ID256[: len(t)]
     deduped: list[bytes] = []
@@ -698,11 +696,6 @@ def _orbit(seed: _Point,
     return orbit
 
 
-def _on_sets(rows: Sequence[Sequence[int]]) -> Callable[[frozenset[int]], list[frozenset[int]]]:
-    """The step for ``_orbit`` on index sets: a set's image under each row."""
-    return lambda members: [frozenset([row[x] for x in members]) for row in rows]
-
-
 def _on_cosets(G: PermutationGroup, label: Sequence[int],
                gens: Sequence[int]) -> Callable[[int], list[int]]:
     """The step for ``_orbit`` on right cosets Hx, each given by its label
@@ -742,10 +735,20 @@ def _normalizer(G: PermutationGroup, members: frozenset[int], gens: Sequence[int
     return N, n_gens
 
 
-def conjugacy_orbit_of_subgroup(G: PermutationGroup,
-                                members: frozenset[int]) -> set[frozenset[int]]:
-    """Orbit of a subgroup (as element indices) under conjugation by G."""
-    return {image for image, _, _ in _orbit(members, _on_sets(_conjugation_rows(G)))}
+def conjugacy_orbit_of_subgroup(
+        G: PermutationGroup, members: frozenset[int],
+        gens: Sequence[int]) -> list[tuple[frozenset[int], tuple[int, ...], bytes]]:
+    """The class of a subgroup H of G, given by its element and generator
+    indices, walked by ``_orbit`` under the conjugation rows of G's generators
+    s: each H^g, H first, as (element indices, ``gens`` conjugated by g, g),
+    g the image table of its parent's conjugator times s (H^c gives H^(cs))."""
+    rows, s_gens = _conjugation_rows(G), G._gens_bytes()
+    walk = _orbit(members, lambda fs: [frozenset([row[x] for x in fs]) for row in rows])
+    out = [(members, tuple(gens), _ID256[:G._degree])]
+    for image, parent, r in walk[1:]:
+        _, parent_gens, c = out[parent]
+        out.append((image, tuple([rows[r][x] for x in parent_gens]), _mul_bytes(c, s_gens[r])))
+    return out
 
 
 @dataclass(frozen=True)

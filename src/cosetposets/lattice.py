@@ -5,8 +5,8 @@ if K = <H^g, z> then K^(g^-1) = <H, z^(g^-1)>. So the lattice is built one
 conjugacy class at a time: starting from the trivial subgroup, each class
 representative H is joined with prime-power cyclic subgroups <z> not in H,
 <H, z> is grown from H as a union of right cosets of H (Dimino's
-algorithm), and each new subgroup's class is filled at once by conjugating
-it with the generators of the group. No join is made whose result is
+algorithm), and each new class is filled at once, generators included, by
+``groups.conjugacy_orbit_of_subgroup``. No join is made whose result is
 already known: <H, z^m> = <H, z>^m for m in N_G(H), so only the first z of
 each orbit of N_G(H) is joined (``groups._normalizer`` grows N_G(H) to the
 order the class size gives), and a closure that passes half of G is G.
@@ -29,9 +29,9 @@ from .groups import (
     _conjugator,
     _is_prime,
     _normalizer,
-    _on_sets,
     _orbit,
     _p_part,
+    conjugacy_orbit_of_subgroup,
     subgroup_indices,
 )
 
@@ -69,7 +69,6 @@ class SubgroupLattice:
         G = self.group
         n = len(self.elements)
         conj_rows = _conjugation_rows(G)
-        on_sets = _on_sets(conj_rows)
         # the least generator of each cyclic subgroup; joins try prime-power ones
         subgroups, position, _ = G._cyclic_table()
         least = [gens[0] for gens in subgroups.values()]
@@ -100,12 +99,10 @@ class SubgroupLattice:
                 K = self._span(gens, H)
                 if K in found:
                     continue
-                found[K] = gens
                 # K's class is new as a whole: found holds whole classes only
-                orbit = _orbit(K, on_sets)
+                orbit = conjugacy_orbit_of_subgroup(G, K, gens)
                 reps.append((K, len(orbit)))
-                for image, parent, r in orbit[1:]:
-                    found[image] = tuple(conj_rows[r][x] for x in found[orbit[parent][0]])
+                found.update((image, image_gens) for image, image_gens, _ in orbit)
                 if (n // len(K)) % len(orbit):  # |class| = |G : N_G(K)|, K <= N_G(K)
                     raise RuntimeError(
                         f"class of a subgroup of order {len(K)} has {len(orbit)} "

@@ -36,6 +36,11 @@ def _inv_bytes(p: bytes) -> bytes:
     return bytes(out)
 
 
+def _conj_bytes(x: bytes, g: bytes) -> bytes:
+    # x^g = g^-1 x g, the one conjugation formula on image tables
+    return _mul_bytes(_mul_bytes(_inv_bytes(g), x), g)
+
+
 class Permutation:
     """A bijection of {1..degree}, stored as an image table."""
 
@@ -106,9 +111,7 @@ class Permutation:
 
     def __pow__(self, g):
         if isinstance(g, Permutation):
-            # conjugate self^g = g^-1 * self * g
-            gi = _inv_bytes(g._b)
-            return Permutation._from_bytes(_mul_bytes(_mul_bytes(gi, self._b), g._b))
+            return Permutation._from_bytes(_conj_bytes(self._b, g._b))
         if isinstance(g, int):
             if g < 0:
                 return self.inverse() ** (-g)

@@ -26,8 +26,11 @@ nontrivial cyclic subgroup; ``groups.minimal_normal_subgroups`` makes one
 per class of the cyclic table, as conjugates have one normal closure.
 
 The conjugate-sweep oracle here conjugates K by every element of G, in the
-order of G's element table, and tests each distinct conjugate once;
-``generation._conjugate_sweep`` walks the class of K under G's generators.
+order of G's element table, and tests each distinct conjugate once, from
+K's generators conjugated by image-table products;
+``generation._conjugate_sweep`` tests the generators of each conjugate
+that ``groups.conjugacy_orbit_of_subgroup`` carries through the
+conjugation rows.
 
 The long-cycle flood here walks the orbits of P x Aut(<c>) on the cycles
 themselves, under P's conjugations and a generating set of (Z/m)^*, and
@@ -37,9 +40,10 @@ ranks one cycle per subgroup.
 
 The flat lattice enumeration here joins each class representative with
 every prime-power cyclic subgroup; the library joins one cyclic subgroup
-per orbit of the representative's normalizer. The pairwise
-inclusion here tests every pair of subgroups; the library ANDs one mask per
-element.
+per orbit of the representative's normalizer. Both fill each new class,
+with its members' generators, by ``groups.conjugacy_orbit_of_subgroup``.
+The pairwise inclusion here tests every pair of subgroups; the library
+ANDs one mask per element.
 
 The double-coset marking here walks each double coset K g K element by
 element, under left and right multiplication by K's generators;
@@ -59,7 +63,8 @@ by face position, one facet lookup stream per position.
 The phi-invariant Sylow 2-subgroup here is found by conjugating P0 by
 each element of A_7 in table order until a conjugate is phi-invariant;
 ``a7.build_environment`` takes the least right-coset label of N_A7(P0)
-over the conjugators to the phi-invariant members of P0's class.
+over the conjugators to the phi-invariant members of P0's class, which
+``groups.conjugacy_orbit_of_subgroup`` carries beside each member.
 
 The phi-invariant 7-cycle here is the least generator of the first
 phi-invariant cyclic subgroup of order 7 in a scan of all of A_7's cyclic
@@ -84,10 +89,10 @@ from cosetposets.a7 import A7Environment, overgroups_of_sylow2
 from cosetposets.complexes import SimplicialComplex, _as_poset
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
 from cosetposets.generation import GenerationReport, _cycle_permutation, _long_cycle_rank
-from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _conjugation_rows,
-                                _generated_order, _is_prime, _normal_closure, _on_sets, _orbit,
-                                _p_part, conjugate_indices, cyclic_subgroups, subgroup_indices,
-                                alternating_group, sylow_subgroup)
+from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _generated_order,
+                                _is_prime, _normal_closure, _orbit, _p_part,
+                                conjugacy_orbit_of_subgroup, conjugate_indices, cyclic_subgroups,
+                                subgroup_indices, alternating_group, sylow_subgroup)
 from cosetposets.perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
 
 
@@ -467,7 +472,6 @@ def flat_enumeration(G: PermutationGroup) -> tuple[list[SubgroupRecord], list[fr
     """``flat_subgroup_records`` and the class representatives, in the
     order they were found."""
     n = G.order
-    conj_rows = _conjugation_rows(G)
     zs = [gens[0] for fs, gens in cyclic_subgroups(G).items()
           if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
                  for p in range(2, len(fs) + 1))]
@@ -482,11 +486,9 @@ def flat_enumeration(G: PermutationGroup) -> tuple[list[SubgroupRecord], list[fr
             K = _closure(G, gens, H)
             if K in found:
                 continue
-            found[K] = gens
             reps.append(K)
-            orbit = _orbit(K, _on_sets(conj_rows))
-            for image, parent, r in orbit[1:]:
-                found[image] = tuple(conj_rows[r][x] for x in found[orbit[parent][0]])
+            orbit = conjugacy_orbit_of_subgroup(G, K, gens)
+            found.update((image, image_gens) for image, image_gens, _ in orbit)
             assert (n // len(K)) % len(orbit) == 0
     records = sorted(found.items(), key=lambda r: (len(r[0]), sorted(r[0])))
     return [SubgroupRecord(len(fs), fs, gens) for fs, gens in records], reps

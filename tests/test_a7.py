@@ -123,8 +123,8 @@ def test_classes_not_conjugate_but_swapped_by_phi(env):
 
 def test_each_class_has_fifteen_members(env):
     for rec in pgl_overgroups(env):
-        orbit = conjugacy_orbit_of_subgroup(env.A7, rec.elements)
-        assert len(orbit) == 15
+        orbit = conjugacy_orbit_of_subgroup(env.A7, rec.elements, rec.generators)
+        assert len({fs for fs, _, _ in orbit}) == 15
 
 
 def test_strong_generation_for_both_pgls(env):

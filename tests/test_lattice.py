@@ -12,6 +12,7 @@ from cosetposets.groups import (
     PermutationGroup,
     alternating_group,
     conjugacy_orbit_of_subgroup,
+    conjugate_indices,
     cyclic_group,
     cyclic_subgroups,
     intermediate_subgroups,
@@ -160,9 +161,9 @@ def test_a7_lattice_certificates(monkeypatch):
     unclassed = set(lat.subgroup_index)
     classes = 0
     while unclassed:
-        K = next(iter(unclassed))
-        orbit = conjugacy_orbit_of_subgroup(G, K)
-        assert (G.order // len(K)) % len(orbit) == 0
+        rec = lat.subgroups[lat.subgroup_index[next(iter(unclassed))]]
+        orbit = {fs for fs, _, _ in conjugacy_orbit_of_subgroup(G, rec.elements, rec.generators)}
+        assert (G.order // rec.order) % len(orbit) == 0
         unclassed -= orbit
         classes += 1
     assert classes == 40
@@ -200,7 +201,8 @@ def test_known_subgroup_and_class_counts(name, subgroups, classes, relabel):
     unclassed = set(lat.subgroup_index)
     orbits = 0
     while unclassed:
-        orbit = conjugacy_orbit_of_subgroup(G, next(iter(unclassed)))
+        rec = lat.subgroups[lat.subgroup_index[next(iter(unclassed))]]
+        orbit = {fs for fs, _, _ in conjugacy_orbit_of_subgroup(G, rec.elements, rec.generators)}
         assert orbit <= unclassed
         unclassed -= orbit
         orbits += 1
@@ -210,16 +212,26 @@ def test_known_subgroup_and_class_counts(name, subgroups, classes, relabel):
 def test_conjugacy_orbit_matches_conjugation_by_every_element():
     """The class walk under G's generators gives {H^g : g in G}, with H^g
     from the product table, for every subgroup of every catalog group of
-    order <= 24."""
+    order <= 24. It starts at (H, H's generators, the identity); each
+    entry's generators close to its set, its conjugator carries H to it,
+    and the class size divides |G : H|."""
     for entry in CATALOG.values():
         if entry.expected_order > 24:
             continue
         G = entry.build()
+        identity = G.element_bytes()[0]
+        mul, _ = product_table(G)
         for rec in enumerate_subgroups(G).subgroups:
+            orbit = conjugacy_orbit_of_subgroup(G, rec.elements, rec.generators)
+            assert orbit[0] == (rec.elements, rec.generators, identity)
             expected = {frozenset(conj_element(G, x, g) for x in rec.elements)
                         for g in range(G.order)}
-            assert conjugacy_orbit_of_subgroup(G, rec.elements) == expected, (
-                entry.name, rec.order)
+            assert {fs for fs, _, _ in orbit} == expected, (entry.name, rec.order)
+            assert len(orbit) == len(expected)
+            for fs, gens, g in orbit:
+                assert _closure(mul, gens) == fs, (entry.name, rec.order)
+                assert conjugate_indices(G, rec.elements, g) == fs, (entry.name, rec.order)
+            assert (G.order // rec.order) % len(orbit) == 0
 
 
 def test_cyclic_prime_has_two_subgroups():

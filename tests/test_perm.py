@@ -3,14 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetposets.groups import PermutationGroup
+from cosetposets.groups import (PermutationGroup, alternating_group, conjugate_indices,
+                                symmetric_group)
+from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import (
     Permutation,
+    _conj_bytes,
     cycle_string,
     extend_degree,
     parse_permutation,
     parse_permutation_list,
 )
+from oracles import conj_element
 
 
 def test_involution_squares_to_identity():
@@ -168,3 +172,31 @@ def test_parse_checks_a_given_degree_before_its_points(degree):
             parse_permutation(text, degree)
         with pytest.raises(ValueError, match=f"^degree {degree} is below the minimum 1$"):
             parse_permutation_list(text, degree)
+
+
+def _relabelled_a5():
+    points = list(range(5))
+    random.Random(7).shuffle(points)
+    return alternating_group(5).conjugate_by(Permutation(points))
+
+
+@pytest.mark.parametrize("G", [symmetric_group(4), _relabelled_a5()], ids=["S4", "A5_relabelled"])
+def test_conj_bytes_matches_pow_and_the_product_table(G):
+    """x^g = g^-1 x g on image tables, for every pair of elements: as
+    ``Permutation.__pow__`` and as the product-table oracle."""
+    elems = G.element_bytes()
+    for g, gb in enumerate(elems):
+        for x, xb in enumerate(elems):
+            conj = _conj_bytes(xb, gb)
+            assert conj == (Permutation._from_bytes(xb) ** Permutation._from_bytes(gb))._b
+            assert conj == elems[conj_element(G, x, g)]
+
+
+def test_is_normalized_by_agrees_with_conjugate_indices_on_s4():
+    G = symmetric_group(4)
+    elems = G.element_bytes()
+    for rec in enumerate_subgroups(G).subgroups:
+        H = PermutationGroup([Permutation._from_bytes(elems[i]) for i in rec.generators], 4)
+        for b in elems:
+            normal = conjugate_indices(G, rec.elements, b) == rec.elements
+            assert H.is_normalized_by(Permutation._from_bytes(b)) == normal, (rec.order, b)

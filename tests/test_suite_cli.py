@@ -246,3 +246,20 @@ def test_cli_relative_to_error_names_the_argument(group, relative_to, fault, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cosetposets: error: --relative-to {relative_to!r} {fault}\n"
+
+
+@pytest.mark.parametrize("relative_to", ["(1,2,3,4,5)", "(1,2,3)"])
+def test_cli_relative_to_beside_lattice_is_refused_before_the_group(relative_to, capsys,
+                                                                     monkeypatch):
+    """The lattice takes no --relative-to, valid or not; it is refused as the
+    argument it is, before the catalog group is built."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(cli, "catalog_group", unbuilt)
+    argv = ["compute", "lattice", "--group", "S3", "--relative-to", relative_to]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"cosetposets: error: --relative-to {relative_to!r} does not apply "
+                            "to lattice\n")
