@@ -94,12 +94,14 @@ def _run(args) -> int:
         raise ValueError(f"--prime must be prime, got {args.prime}")
     if args.what == "lattice" and args.relative_to is not None:
         raise ValueError(f"--relative-to {args.relative_to!r} does not apply to lattice")
+    if args.relative_to is not None and not args.relative_to.strip():
+        raise ValueError(f"--relative-to {args.relative_to!r} names no generators")
     G = _resolve_group(args)
     lat = enumerate_subgroups(G)
     if args.what == "lattice":
         print(lattice_dump(lat, moebius_to_top(lat)), end="")
         return 0
-    if args.relative_to:
+    if args.relative_to is not None:
         N = PermutationGroup(parse_permutation_list(args.relative_to, G.degree), G.degree)
         if not N.is_subgroup_of(G):
             raise ValueError(f"--relative-to {args.relative_to!r} is not a subgroup of the group")

@@ -40,30 +40,38 @@ def _min_moved(g: bytes) -> int:
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point, its generators, and
-    the transversal ``orbit`` (point p -> u_p with base^u_p = p) beside its
-    inverses ``inverse`` (p -> u_p^-1)."""
+    """One level of a stabilizer chain: a base point, its generators ``gens``
+    beside their 256-entry padded tables ``pads`` and padded inverses
+    ``inverse_pads`` (appended once each, by ``add``), and the transversal
+    ``orbit`` (point p -> u_p with base^u_p = p) beside its inverses
+    ``inverse`` (p -> u_p^-1, padded), so ``g.translate(inverse[p])`` is
+    g u_p^-1 with no table built per product."""
 
-    __slots__ = ("base", "gens", "orbit", "inverse")
+    __slots__ = ("base", "gens", "pads", "inverse_pads", "orbit", "inverse")
 
-    def __init__(self, base: int, gens: list[bytes]):
+    def __init__(self, base: int):
         self.base = base
-        self.gens = gens
+        self.gens: list[bytes] = []
+        self.pads: list[bytes] = []
+        self.inverse_pads: list[bytes] = []
         self.orbit: dict[int, bytes] = {}
         self.inverse: dict[int, bytes] = {}
 
+    def add(self, gen: bytes, degree: int) -> None:
+        tail = _ID256[degree:]
+        self.gens.append(gen)
+        self.pads.append(gen + tail)
+        self.inverse_pads.append(_inv_bytes(gen) + tail)
+
     def recompute_orbit(self, degree: int) -> None:
-        ident, tail = _ID256[:degree], _ID256[degree:]
-        gens = self.gens
-        pads = [s + tail for s in gens]
-        inverses = [_inv_bytes(s) for s in gens]
-        orbit, inverse = {self.base: ident}, {self.base: ident}
-        walk = _orbit(self.base, [*zip(*gens)].__getitem__)  # p -> (s[p] for each s)
+        pads, inverse_pads = self.pads, self.inverse_pads
+        orbit, inverse = {self.base: _ID256[:degree]}, {self.base: _ID256}
+        walk = _orbit(self.base, [*zip(*self.gens)].__getitem__)  # p -> (s[p] for each s)
         for q, parent, r in walk[1:]:
             p = walk[parent][0]
-            # u_q = u_p s and u_q^-1 = s^-1 u_p^-1, as in _mul_bytes
+            # u_q = u_p s and u_q^-1 = s^-1 u_p^-1
             orbit[q] = orbit[p].translate(pads[r])
-            inverse[q] = inverses[r].translate(inverse[p] + tail)
+            inverse[q] = inverse_pads[r].translate(inverse[p])
         self.orbit = orbit
         self.inverse = inverse
 
@@ -77,7 +85,7 @@ def _strip(g: bytes, levels: list[_Level], start: int) -> tuple[bytes, int]:
         u_inv = lv.inverse.get(x)
         if u_inv is None:
             return g, idx
-        g = _mul_bytes(g, u_inv)
+        g = g.translate(u_inv)
     return g, len(levels)
 
 
@@ -110,8 +118,9 @@ def _build_chain(raw_gens: Iterable[bytes], degree: int,
     if not gens:
         return levels
 
-    base0 = min(_min_moved(g) for g in gens)
-    levels.append(_Level(base0, list(gens)))
+    levels.append(_Level(min(_min_moved(g) for g in gens)))
+    for g in gens:
+        levels[0].add(g, degree)
     levels[0].recompute_orbit(degree)
     if stop_at is not None and _chain_order(levels) == stop_at:
         return levels
@@ -122,18 +131,17 @@ def _build_chain(raw_gens: Iterable[bytes], degree: int,
         added_at = -1
         for p in sorted(lv.orbit):
             u_p = lv.orbit[p]
-            for s in lv.gens:
-                q = s[p]
-                schreier = _mul_bytes(_mul_bytes(u_p, s), lv.inverse[q])
+            for s, pad in zip(lv.gens, lv.pads):
+                schreier = u_p.translate(pad).translate(lv.inverse[s[p]])
                 if schreier == ident:
                     continue
                 h, j = _strip(schreier, levels, i + 1)
                 if h == ident:
                     continue
                 if j == len(levels):
-                    levels.append(_Level(_min_moved(h), []))
+                    levels.append(_Level(_min_moved(h)))
                 for l in range(i + 1, j + 1):
-                    levels[l].gens.append(h)
+                    levels[l].add(h, degree)
                     levels[l].recompute_orbit(degree)
                 if stop_at is not None and _chain_order(levels) == stop_at:
                     return levels
@@ -769,6 +777,9 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     A double coset K g K is the orbit of the right coset K g under K acting
     by right multiplication, so each is found on the labels of
     ``right_coset_reps``, and its representative g is its least element.
+    As <K, g> = <K, g^e> for every e prime to |g|, the double cosets of
+    those powers are marked with g's and get no join of their own: each
+    comes later in table order and would give the record g's join gives.
 
     <K, g> lies in every record found that holds K and g, so it is a known
     record exactly when it has the order of the smallest such record S: a
@@ -778,6 +789,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     elems, index = G.element_bytes(), G.element_index()
+    tail = _ID256[G.degree:]
     n_g = G.order
     g_gens = tuple(index[b] for b in G._gens_bytes())
 
@@ -816,8 +828,15 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
             if least != g or g in marked:
                 continue
             # Kg is the first coset of K g K in table order, so g is its least
-            # element: mark the orbit of Kg and keep g as the representative
-            marked.update(y for y, _, _ in _orbit(g, step))
+            # element and the representative; <K, g^e> = <K, g> for e prime
+            # to |g|, so the orbits of the cosets K g^e are marked with it
+            powers, x, pad = [], elems[g], elems[g] + tail
+            while x != elems[0]:
+                powers.append(label[index[x]])  # K g^e at e - 1
+                x = x.translate(pad)
+            for e, y in enumerate(powers, 1):
+                if y not in marked and gcd(e, len(powers) + 1) == 1:
+                    marked.update(z for z, _, _ in _orbit(y, step))
             out.append(join(rec, g).elements)
         return out
 

@@ -49,6 +49,16 @@ The double-coset marking here walks each double coset K g K element by
 element, under left and right multiplication by K's generators;
 ``groups.intermediate_subgroups`` walks right-coset labels of
 ``groups.right_coset_reps`` under right multiplication, with ``groups._orbit``.
+The census oracle closes every double coset; the library joins once per
+class of double cosets under g -> g^e (e prime to |g|), which the oracle
+counts on its own from its marking.
+
+The reference stabilizer chain here is the Schreier-Sims build with
+unpadded transversal inverses, every generator inverse recomputed on each
+orbit pass and every product through ``_mul_bytes``; ``groups._build_chain``
+keeps each generator's padded table and inverse on its level, appended
+once, and stores the transversal inverses padded. Both walk the orbits,
+choose base points and add strong generators in the same order.
 
 The Sylow scan here computes the p-part of every element before it extends
 P; ``groups.sylow_subgroup`` computes them as far as its scans need.
@@ -276,6 +286,91 @@ def cycle_flood_sweep(n: int) -> GenerationReport:
          "generated_order": got}
         for s, got in failing[:4]]
     return report
+
+
+@dataclass
+class ReferenceLevel:
+    """A level of ``reference_build_chain``: base point, generators, and the
+    transversal ``orbit`` beside its unpadded inverses ``inverse``."""
+    base: int
+    gens: list[bytes]
+    orbit: dict[int, bytes]
+    inverse: dict[int, bytes]
+
+    def recompute_orbit(self, degree: int) -> None:
+        ident, tail = _ID256[:degree], _ID256[degree:]
+        pads = [s + tail for s in self.gens]
+        inverses = [_inv_bytes(s) for s in self.gens]
+        orbit, inverse = {self.base: ident}, {self.base: ident}
+        walk = _orbit(self.base, [*zip(*self.gens)].__getitem__)
+        for q, parent, r in walk[1:]:
+            p = walk[parent][0]
+            orbit[q] = orbit[p].translate(pads[r])
+            inverse[q] = inverses[r].translate(inverse[p] + tail)
+        self.orbit = orbit
+        self.inverse = inverse
+
+
+def _reference_strip(g: bytes, levels: list[ReferenceLevel], start: int) -> tuple[bytes, int]:
+    for idx in range(start, len(levels)):
+        lv = levels[idx]
+        x = g[lv.base]
+        if x == lv.base:
+            continue
+        u_inv = lv.inverse.get(x)
+        if u_inv is None:
+            return g, idx
+        g = _mul_bytes(g, u_inv)
+    return g, len(levels)
+
+
+def reference_build_chain(raw_gens, degree: int,
+                          stop_at: int | None = None) -> list[ReferenceLevel]:
+    """Deterministic Schreier-Sims with smallest-moved-point bases, stopped
+    as soon as the transversal product reaches ``stop_at``."""
+    ident = _ID256[:degree]
+    gens = list(dict.fromkeys(g for g in raw_gens if g != ident))
+    if not gens:
+        return []
+
+    def min_moved(g: bytes) -> int:
+        return next(i for i, x in enumerate(g) if x != i)
+
+    def reached(levels) -> bool:
+        order = 1
+        for lv in levels:
+            order *= len(lv.orbit)
+        return stop_at is not None and order == stop_at
+
+    levels = [ReferenceLevel(min(map(min_moved, gens)), list(gens), {}, {})]
+    levels[0].recompute_orbit(degree)
+    if reached(levels):
+        return levels
+    i = 0
+    while i >= 0:
+        lv = levels[i]
+        added_at = -1
+        for p in sorted(lv.orbit):
+            for s in lv.gens:
+                schreier = _mul_bytes(_mul_bytes(lv.orbit[p], s), lv.inverse[s[p]])
+                if schreier == ident:
+                    continue
+                h, j = _reference_strip(schreier, levels, i + 1)
+                if h == ident:
+                    continue
+                if j == len(levels):
+                    levels.append(ReferenceLevel(min_moved(h), [], {}, {}))
+                for l in range(i + 1, j + 1):
+                    levels[l].gens.append(h)
+                    levels[l].recompute_orbit(degree)
+                if reached(levels):
+                    return levels
+                added_at = j
+                break
+            if added_at >= 0:
+                break
+        i = added_at if added_at >= 0 else i - 1
+    return levels
 
 
 def chain_normal_closure(G: PermutationGroup, seeds) -> PermutationGroup:
@@ -528,10 +623,14 @@ def pairwise_inclusion(subgroups) -> tuple[list[tuple[int, ...]], list[tuple[int
     return ([tuple(b) for b in below], [tuple(a) for a in above])
 
 
-def translate_intermediate_subgroups(G: PermutationGroup,
-                                     H: PermutationGroup) -> list[SubgroupRecord]:
+def translate_intermediate_subgroups(
+        G: PermutationGroup, H: PermutationGroup) -> tuple[list[SubgroupRecord], int]:
     """``groups.intermediate_subgroups`` with each double coset K g K marked
-    by translating image tables, one index lookup per step."""
+    by translating image tables, one index lookup per step, and closed; and
+    the number of joins the census makes: for each K, the classes of double
+    cosets under g -> g^e (e prime to |g|), taking each double coset in order
+    of its least element g and, if no earlier one has covered it, covering
+    the double cosets of all such g^e."""
     elems = G.element_bytes()
     index = G.element_index()
     tail = _ID256[G.degree:]
@@ -546,33 +645,45 @@ def translate_intermediate_subgroups(G: PermutationGroup,
     start = record_from(tuple(index[g._b] for g in H.generators))
     found = {start.elements: start}
     frontier = [start]
+    joins = 0
     while frontier:
         rec = frontier.pop(0)
         if rec.order == n_g:
             continue
         gens_b = [elems[i] for i in rec.generators]
         pads = [kb + tail for kb in gens_b]
-        seen = bytearray(n_g)
+        double_coset = [-1] * n_g  # the least element of each one
         for i in rec.elements:
-            seen[i] = 1
+            double_coset[i] = 0
         for i in range(n_g):
-            if seen[i]:
+            if double_coset[i] >= 0:
                 continue
             stack = [elems[i]]
-            seen[i] = 1
+            double_coset[i] = i
             while stack:
                 x = stack.pop()
                 for y in chain(map(bytes.translate, gens_b, repeat(x + tail)),
                                map(x.translate, pads)):
                     j = index[y]
-                    if not seen[j]:
-                        seen[j] = 1
+                    if double_coset[j] < 0:
+                        double_coset[j] = i
                         stack.append(y)
             new_rec = record_from(rec.generators + (i,), rec.elements)
             if new_rec.elements not in found:
                 found[new_rec.elements] = new_rec
                 frontier.append(new_rec)
-    return sorted(found.values(), key=lambda r: (r.order, sorted(r.elements)))
+        covered = set()
+        for i in sorted(set(double_coset) - {0}):
+            if i in covered:
+                continue
+            joins += 1
+            powers = [elems[i]]
+            while powers[-1] != elems[0]:
+                powers.append(bytes(elems[i][x] for x in powers[-1]))
+            m = len(powers)  # the order of elems[i]; powers[e - 1] is its e-th power
+            covered.update(double_coset[index[powers[e - 1]]] for e in range(1, m)
+                           if gcd(e, m) == 1)
+    return sorted(found.values(), key=lambda r: (r.order, sorted(r.elements))), joins
 
 
 def full_scan_sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:

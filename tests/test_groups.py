@@ -31,12 +31,13 @@ from cosetposets.groups import (
 )
 from cosetposets import a7, groups
 from cosetposets.catalog import load_catalog
+from cosetposets import generation
 from cosetposets.generation import universally_p_generates
-from cosetposets.perm import Permutation, _ID256, _mul_bytes, parse_permutation
+from cosetposets.perm import Permutation, _ID256, _inv_bytes, _mul_bytes, parse_permutation
 from cosetposets.lattice import enumerate_subgroups
 import oracles
 from oracles import (chain_normal_closure, full_scan_sylow_subgroup, is_abelian, product_table,
-                     translate_intermediate_subgroups)
+                     reference_build_chain, translate_intermediate_subgroups)
 
 
 def perms(*texts, degree):
@@ -429,36 +430,52 @@ def _census_case(case):
     return G, sylow_subgroup(G, int(sub.removeprefix("Sylow")))
 
 
-@pytest.mark.parametrize("case", _census_cases())
-def test_intermediate_subgroups_match_translate_oracle(case, monkeypatch):
-    """Double cosets found as orbits of K on its right cosets give the same
-    records, generators included, as marking them by translated image
-    tables, with one join per double coset as there: the census closes only
-    the joins that give a new record, and settles every other join by an
-    order test that reaches the order of a record already found."""
-    G, H = _census_case(case)
-    calls = {"census": 0, "oracle": 0, "known": 0}
+def _counted_census(G, H, monkeypatch):
+    """The census records, its closures, and its joins settled as a known
+    record by an order test that reached the order it stopped at."""
+    calls = {"closures": 0, "known": 0}
+    closure, order = groups._closure, groups._generated_order
 
-    def counting(name, closure):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return closure(*args, **kwargs)
-        return counted
-
-    order = groups._generated_order
+    def counted_closure(*args, **kwargs):
+        calls["closures"] += 1
+        return closure(*args, **kwargs)
 
     def order_test(gens, degree, stop_at=None):
         got = order(gens, degree, stop_at=stop_at)
         calls["known"] += got == stop_at
         return got
 
-    monkeypatch.setattr(groups, "_closure", counting("census", groups._closure))
+    monkeypatch.setattr(groups, "_closure", counted_closure)
     monkeypatch.setattr(groups, "_generated_order", order_test)
-    monkeypatch.setattr(oracles, "_closure", counting("oracle", oracles._closure))
     records = intermediate_subgroups(G, H)
-    assert records == translate_intermediate_subgroups(G, H)
-    assert calls["census"] == len(records)
-    assert calls["census"] + calls["known"] == calls["oracle"]
+    monkeypatch.undo()
+    return records, calls["closures"], calls["known"]
+
+
+@pytest.mark.parametrize("case", _census_cases())
+def test_intermediate_subgroups_match_translate_oracle(case, monkeypatch):
+    """Double cosets found as orbits of K on its right cosets give the same
+    records, generators included, as marking them by translated image
+    tables, with one join per class of double cosets under g -> g^e (e prime
+    to |g|), counted by the oracle: the census closes only the joins that
+    give a new record, and settles every other join by an order test that
+    reaches the order of a record already found."""
+    G, H = _census_case(case)
+    records, closures, known = _counted_census(G, H, monkeypatch)
+    expected, joins = translate_intermediate_subgroups(G, H)
+    assert records == expected
+    assert closures == len(records)
+    # every join but those giving a new record (all but the start's closure)
+    assert closures - 1 + known == joins
+
+
+@pytest.mark.parametrize("case, joins", [("A7/P", 77), ("S7/P", 216)])
+def test_census_makes_one_join_per_power_class(case, joins, monkeypatch):
+    """The A_7 and S_7 censuses over P join once per class of double cosets
+    under g -> g^e, not once per double coset (99 and 275 of those)."""
+    G, H = _census_case(case)
+    _, closures, known = _counted_census(G, H, monkeypatch)
+    assert closures - 1 + known == joins
 
 
 def test_census_refuses_a_closure_that_repeats_a_record(monkeypatch):
@@ -515,6 +532,88 @@ def test_generated_order_matches_closure(case):
     Sn = _symmetric(n)
     index = Sn.element_index()
     assert _closure(Sn, [index[g] for g in gens]) == {index[b] for b in expected}
+
+
+def _chain_order_matching_reference(gens, degree, stop_at=None):
+    """``_build_chain``'s order after checking its chain, level by level,
+    against ``reference_build_chain``: base, generators, transversal and
+    inverses in walk order, the inverses with their padding removed; and
+    each level's padded tables against its generators."""
+    levels = groups._build_chain(gens, degree, stop_at=stop_at)
+    reference = reference_build_chain(gens, degree, stop_at=stop_at)
+    tail = _ID256[degree:]
+    unpadded = [{p: u[:degree] for p, u in lv.inverse.items()} for lv in levels]
+    assert [(lv.base, lv.gens, [*lv.orbit.items()], [*inverse.items()])
+            for lv, inverse in zip(levels, unpadded)] == [
+        (lv.base, lv.gens, [*lv.orbit.items()], [*lv.inverse.items()]) for lv in reference]
+    for lv in levels:
+        assert all(u[degree:] == tail for u in lv.inverse.values())
+        assert lv.pads == [g + tail for g in lv.gens]
+        assert lv.inverse_pads == [_inv_bytes(g) + tail for g in lv.gens]
+    return groups._chain_order(levels)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_chain_matches_reference_on_catalog_generators(name):
+    """Every catalog group's chain, and a chain stopped at each divisor of its
+    order: the divisors the transversal product passes through return there,
+    the others return the true order."""
+    G = _catalog_group(name)
+    gens = G._gens_bytes()
+    assert _chain_order_matching_reference(gens, G.degree) == G.order
+    for d in (d for d in range(1, G.order + 1) if G.order % d == 0):
+        assert _chain_order_matching_reference(gens, G.degree, stop_at=d) in (d, G.order)
+
+
+def test_chain_stop_at_passed_through_and_jumped_over():
+    """S_4 from (1,2) and (1,2,3,4): the transversal product goes 4, 12, 24,
+    so a stop at 4 returns a partial chain of that order, a stop at 8 is
+    jumped over and the true order 24 comes back, as it does with none."""
+    gens = [g._b for g in perms("(1,2)", "(1,2,3,4)", degree=4)]
+    assert _chain_order_matching_reference(gens, 4, stop_at=4) == 4
+    assert len(groups._build_chain(gens, 4, stop_at=4)) == 1
+    assert _chain_order_matching_reference(gens, 4, stop_at=8) == 24
+    assert _chain_order_matching_reference(gens, 4, stop_at=None) == 24
+
+
+def _order_tests(module, call, monkeypatch):
+    """The arguments of every ``_generated_order`` call that ``call()`` makes
+    through ``module``."""
+    tests, order = [], module._generated_order
+
+    def captured(gens, degree, stop_at=None):
+        tests.append((list(gens), degree, stop_at))
+        return order(gens, degree, stop_at=stop_at)
+
+    monkeypatch.setattr(module, "_generated_order", captured)
+    call()
+    monkeypatch.undo()
+    return tests
+
+
+@pytest.mark.parametrize("case", ["A7/P", "S7/P"])
+def test_chain_matches_reference_on_census_order_tests(case, monkeypatch):
+    """The order tests of the A_7 and S_7 censuses over P, each stopped at
+    the order of the smallest record found that holds the join."""
+    G, H = _census_case(case)
+    tests = _order_tests(groups, lambda: intermediate_subgroups(G, H), monkeypatch)
+    assert len(tests) == {"A7/P": 72, "S7/P": 212}[case]
+    for gens, degree, stop_at in tests:
+        _chain_order_matching_reference(gens, degree, stop_at)
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+def test_chain_matches_reference_at_size(monkeypatch):
+    """A_n and S_n for n = 8..10 from their generators, and the 122 order
+    tests of the A_9 long-cycle sweep."""
+    for n in range(8, 11):
+        for G in (alternating_group(n), symmetric_group(n)):
+            assert _chain_order_matching_reference(G._gens_bytes(), n) == G.order
+    tests = _order_tests(generation, lambda: generation.check_alternating_claims(9),
+                         monkeypatch)
+    assert len(tests) == 122
+    for gens, degree, stop_at in tests:
+        assert _chain_order_matching_reference(gens, degree, stop_at) == stop_at
 
 
 def _bfs_closure(gens, degree):

@@ -263,3 +263,21 @@ def test_cli_relative_to_beside_lattice_is_refused_before_the_group(relative_to,
     assert captured.out == ""
     assert captured.err == (f"cosetposets: error: --relative-to {relative_to!r} does not apply "
                             "to lattice\n")
+
+
+@pytest.mark.parametrize("what", ["poset", "zeta", "homology"])
+@pytest.mark.parametrize("relative_to", ["", " "], ids=["empty", "blank"])
+def test_cli_blank_relative_to_is_refused_before_the_group(what, relative_to, capsys,
+                                                           monkeypatch):
+    """An empty or blank --relative-to names no normal subgroup; it is
+    refused as the argument it is, before the catalog group is built, rather
+    than read as no option or as the trivial subgroup."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(cli, "catalog_group", unbuilt)
+    assert main(["compute", what, "--group", "C2", "--relative-to", relative_to]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"cosetposets: error: --relative-to {relative_to!r} names no "
+                            "generators\n")
