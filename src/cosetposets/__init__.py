@@ -41,14 +41,11 @@ from .cosets import (
 from .complexes import (
     BettiVector,
     SimplicialComplex,
-    is_acyclic,
-    join,
     kunneth_join_betti,
     order_complex,
     poset_f_vector,
     poset_reduced_euler_characteristic,
     reduced_betti,
-    reduced_euler_characteristic,
 )
 from .zeta import (
     DirichletPolynomial,

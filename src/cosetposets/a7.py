@@ -231,7 +231,7 @@ class SmithActionSpec:
         }
 
 
-def build_smith_spec(ambient: str = "A7") -> SmithActionSpec:
+def build_smith_spec(ambient: str) -> SmithActionSpec:
     """The shipped action spec on C(G, A_7) for G = A_7 or G = S_7."""
     env = build_environment()
     G = env.A7 if ambient == "A7" else env.S7

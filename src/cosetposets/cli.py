@@ -9,7 +9,7 @@ from .catalog import catalog_group
 from .complexes import check_face_budget, order_complex, reduced_betti
 from .cosets import CosetPoset, coset_chain_counts, proper_subgroup_ids, supplement_ids
 from .groups import BudgetExceededError, PermutationGroup, _is_prime, is_normal_subgroup
-from .lattice import enumerate_subgroups, lattice_dump, moebius_to_top
+from .lattice import MoebiusTable, enumerate_subgroups, lattice_dump, moebius_to_top
 from .perm import parse_permutation_list
 from .suite import ALL_SUITES, SuiteConfig, run_suite
 from .zeta import evaluate, hall_polynomial, poset_moebius_hat
@@ -26,8 +26,10 @@ def _resolve_group(args) -> PermutationGroup:
     if args.group:
         if args.degree is not None:  # refused before the catalog is read
             raise ValueError(f"--degree {args.degree} applies to --gens only, not to --group")
-        return catalog_group(args.group, getattr(args, "catalog", None))
+        return catalog_group(args.group, args.catalog)
     if args.gens:
+        if args.catalog is not None:  # refused before the generators are parsed
+            raise ValueError(f"--catalog {args.catalog} applies to --group only, not to --gens")
         if args.degree is not None and args.degree < 1:
             raise ValueError(f"--degree must be at least 1, got {args.degree}")
         gens = parse_permutation_list(args.gens, args.degree)
@@ -117,7 +119,12 @@ def _run(args) -> int:
         print(poset.dump(), end="")
         return 0
     if args.what == "zeta":
-        poly = hall_polynomial(lat, moebius_to_top(lat))
+        # the terms of G and of the subgroups whose cosets make the poset:
+        # P_G, or with --relative-to Brown's P_{G,N}, so that P(-1) = -hat
+        kept = {*ids, lat.index_of_parent}
+        mu = moebius_to_top(lat).mu_to_top
+        poly = hall_polynomial(lat, MoebiusTable(lat, tuple(
+            m if i in kept else 0 for i, m in enumerate(mu))))
         print("coefficients (index: value):")
         for n, a in poly.coefficients:
             print(f"  {n}: {a}")
@@ -125,17 +132,15 @@ def _run(args) -> int:
             print(f"P({k}) = {evaluate(poly, k)}")
         print(f"moebius-hat of the coset poset = {poset_moebius_hat(poset)}")
         return 0
-    if args.what == "homology":
-        X = order_complex(poset)
-        betti = reduced_betti(X, args.prime)
-        print(f"f-vector (from dim -1): {X.f_vector()}")
-        print(f"reduced Betti numbers over GF({args.prime}):")
-        if betti.is_zero():
-            print("  all zero (acyclic)")
-        for k, v in betti.values:
-            print(f"  dim {k}: {v}")
-        return 0
-    return 2
+    X = order_complex(poset)  # homology
+    betti = reduced_betti(X, args.prime)
+    print(f"f-vector (from dim -1): {X.f_vector()}")
+    print(f"reduced Betti numbers over GF({args.prime}):")
+    if betti.is_zero():
+        print("  all zero (acyclic)")
+    for k, v in betti.values:
+        print(f"  dim {k}: {v}")
+    return 0
 
 
 if __name__ == "__main__":

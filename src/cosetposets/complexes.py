@@ -1,4 +1,5 @@
-"""Order complexes, joins, and reduced homology over prime fields.
+"""Order complexes, their reduced homology over prime fields, and the
+Kunneth formula for the homology of a join.
 
 All complexes are augmented: the empty face sits in dimension -1, so the
 one-face complex {0} (written {emptyset}) has Betti number 1 in dimension
@@ -83,30 +84,6 @@ def poset_reduced_euler_characteristic(poset) -> int:
     chi = 0
     for k, f in enumerate(poset_f_vector(poset)):
         chi += f if (k - 1) % 2 == 0 else -f
-    return chi
-
-
-def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:
-    """Join X * Y: unions of a face of X and a (reindexed) face of Y."""
-    shift = X.n_vertices
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for i, xfaces in X.faces.items():
-        for j, yfaces in Y.faces.items():
-            k = i + j + 1
-            if k == -1:
-                continue
-            acc = by_dim.setdefault(k, [])
-            for s in xfaces:
-                for t in yfaces:
-                    acc.append(s + tuple(v + shift for v in t))
-    return SimplicialComplex(by_dim, X.n_vertices + Y.n_vertices)
-
-
-def reduced_euler_characteristic(X: SimplicialComplex) -> int:
-    """Alternating face-count sum from dimension -1: -1 + f0 - f1 + ..."""
-    chi = 0
-    for k, faces in X.faces.items():
-        chi += len(faces) if k % 2 == 0 else -len(faces)
     return chi
 
 
@@ -245,10 +222,6 @@ def reduced_betti(X: SimplicialComplex, p: int) -> BettiVector:
         f_k = len(X.faces.get(k, ()))
         out[k] = f_k - ranks.get(k, 0) - ranks.get(k + 1, 0)
     return BettiVector.from_dict(p, out)
-
-
-def is_acyclic(X: SimplicialComplex, p: int) -> bool:
-    return reduced_betti(X, p).is_zero()
 
 
 def kunneth_join_betti(bX: BettiVector, bY: BettiVector) -> BettiVector:

@@ -75,10 +75,6 @@ class CosetPoset:
                                       self.vertex_index[(kj, rep_k[x])]))
         self.poset = FinitePoset(len(self.vertices), pairs)
 
-    @property
-    def group(self) -> PermutationGroup:
-        return self.lattice.group
-
     def __len__(self) -> int:
         return len(self.vertices)
 

@@ -9,7 +9,6 @@ is certified.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb, factorial, gcd
@@ -40,7 +39,6 @@ class GenerationReport:
     witnesses: list[dict] = field(default_factory=list)
     tests: int = 0
     cycles: int = 0
-    millis: float = 0.0
 
 
 def _conjugate_sweep(report: GenerationReport, G: PermutationGroup, K: PermutationGroup,
@@ -67,7 +65,6 @@ def universally_p_generates(G: PermutationGroup, K: PermutationGroup,
 
     Equivalent to <K, P'> = G over all Sylow p-subgroups P'.
     """
-    start = time.perf_counter()
     if not K.is_subgroup_of(G):
         raise ValueError("K is not a subgroup of G")
     if G.order % p != 0:
@@ -78,7 +75,6 @@ def universally_p_generates(G: PermutationGroup, K: PermutationGroup,
         subject=f"universal {p}-generation of order-{G.order} group by order-{K.order} subgroup",
         verdict=True)
     _conjugate_sweep(report, G, K, p_gens)
-    report.millis = (time.perf_counter() - start) * 1000
     return report
 
 
@@ -178,7 +174,6 @@ def check_alternating_claims(n: int) -> GenerationReport:
         raise BudgetExceededError(
             f"A_{n} has {total // gens.count} cyclic subgroups of {length}-cycles, "
             f"over the enumeration budget {ENUMERATION_BOUND}")
-    start = time.perf_counter()
     L = alternating_group(n)
     target = L.order
     P = sylow_subgroup(L, 2)
@@ -216,7 +211,6 @@ def check_alternating_claims(n: int) -> GenerationReport:
     report.witnesses = [
         {"cycle": cycle_string(_cycle_permutation(cyc, n)), "generated_order": got}
         for _, cyc, got in failing[:4]]
-    report.millis = (time.perf_counter() - start) * 1000
     return report
 
 
@@ -236,7 +230,6 @@ def check_diagonal_universal(L: PermutationGroup, K: PermutationGroup,
         raise ValueError("t must be positive")
     if not K.is_subgroup_of(L) or K.order == L.order:
         raise ValueError("K must be a proper subgroup of L")
-    start = time.perf_counter()
     subject = (f"diagonal order-{K.order} subgroup universally {p}-generates "
                f"the direct power of order {L.order ** t}")
     report = universally_p_generates(L, K, p)
@@ -245,7 +238,6 @@ def check_diagonal_universal(L: PermutationGroup, K: PermutationGroup,
         _conjugate_sweep(report, direct_power(L, t), diagonal_embedding(K, t),
                          direct_power(sylow_subgroup(L, p), t)._gens_bytes())
     report.subject = subject
-    report.millis = (time.perf_counter() - start) * 1000
     return report
 
 

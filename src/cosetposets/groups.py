@@ -265,9 +265,11 @@ class PermutationGroup:
 
     def _cyclic_table(self) -> tuple[dict[frozenset[int], list[int]], list[int],
                                      list[tuple[int, int]]]:
-        """Built once: the dict of ``cyclic_subgroups``, each element's position
-        in it (that of the subgroup it generates), and the conjugacy classes of
-        cyclic subgroups, walked by ``_orbit``, as (least position, size)."""
+        """Built once, read-only: each cyclic subgroup <g>, the trivial one
+        included, as element indices mapped to its generators' indices in
+        increasing order (keys in least-generator order); each element's
+        position in that dict; and the conjugacy classes of cyclic
+        subgroups, walked by ``_orbit``, as (least position, size)."""
         if self._cyclic is None:
             elems, index = self.element_bytes(), self.element_index()
             subgroups: dict[frozenset[int], list[int]] = {}
@@ -302,9 +304,6 @@ class PermutationGroup:
         if g.degree != self._degree:
             raise ValueError("degree mismatch")
         return PermutationGroup([k ** g for k in self._gens], self._degree)
-
-    def sylow_subgroup(self, p: int) -> "PermutationGroup":
-        return sylow_subgroup(self, p)
 
     def __eq__(self, other) -> bool:
         """Equality as abstract subgroups of the same symmetric group."""
@@ -408,7 +407,8 @@ def _sylow2_wreath_gens(n: int) -> list[bytes]:
 
 
 def _even_part_gens(gens: list[bytes]) -> list[bytes]:
-    """Generators of the even-permutation kernel of the group they generate.
+    """Generators of the even-permutation kernel of the group they generate,
+    for generators that include an odd one (the wreath's always do).
 
     Schreier generators of the kernel for the transversal {1, t} with t the
     first odd generator.
@@ -418,8 +418,6 @@ def _even_part_gens(gens: list[bytes]) -> list[bytes]:
 
     evens = [g for g in gens if sign(g) == 1]
     odds = [g for g in gens if sign(g) == -1]
-    if not odds:
-        return list(gens)
     t = odds[0]
     ti = _inv_bytes(t)
     out = list(evens)
@@ -433,7 +431,7 @@ def _even_part_gens(gens: list[bytes]) -> list[bytes]:
         if g != ident and g not in seen:
             seen.add(g)
             deduped.append(g)
-    return deduped or [ident]
+    return deduped
 
 
 def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
@@ -609,13 +607,6 @@ def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
                      key=lambda k: (len(k), sorted(k)))
     return [PermutationGroup([Permutation._from_bytes(elems[i]) for i in closures[k]], G.degree)
             for k in minimal]
-
-
-def cyclic_subgroups(G: PermutationGroup) -> dict[frozenset[int], list[int]]:
-    """Every cyclic subgroup <g> of G, the trivial one included, as element
-    indices, mapped to the indices of its generators in increasing order;
-    keys come in order of their least generator. G's cached dict, read-only."""
-    return G._cyclic_table()[0]
 
 
 def subgroup_indices(G: PermutationGroup, H: PermutationGroup) -> frozenset[int]:

@@ -47,13 +47,11 @@ class SubgroupLattice:
                 f"subgroup lattice needs |G| <= {LATTICE_ORDER_BOUND}, got {group.order}")
         self.group = group
         self.elements: tuple[bytes, ...] = group.element_bytes()
-        self.index: dict[bytes, int] = group.element_index()
         assert self.elements[0] == bytes(range(group.degree)), "identity must sort first"
         self.subgroups: list[SubgroupRecord] = self._enumerate()
         self.subgroup_index: dict[frozenset[int], int] = {
             e.elements: i for i, e in enumerate(self.subgroups)
         }
-        self.index_of_trivial = self.subgroup_index[frozenset({0})]
         self.index_of_parent = len(self.subgroups) - 1  # the one largest
         self.below, self.above = self._inclusion()
 
@@ -194,12 +192,10 @@ def maximal_subgroups(lat: SubgroupLattice) -> list[int]:
             if i != top and lat.above[i] == (top,)]
 
 
-def lattice_dump(lat: SubgroupLattice, mu: MoebiusTable | None = None) -> str:
+def lattice_dump(lat: SubgroupLattice, mu: MoebiusTable) -> str:
     """One subgroup per line: order;sorted element indices;mu. Stable ordering."""
     lines = []
-    values = mu.mu_to_top if mu is not None else None
     for i, entry in enumerate(lat.subgroups):
         ids = ",".join(str(x) for x in sorted(entry.elements))
-        tail = f";{values[i]}" if values is not None else ""
-        lines.append(f"{entry.order};{ids}{tail}")
+        lines.append(f"{entry.order};{ids};{mu[i]}")
     return "\n".join(lines) + "\n"

@@ -66,6 +66,12 @@ P; ``groups.sylow_subgroup`` computes them as far as its scans need.
 The order complex here is walked chain by chain, depth first;
 ``complexes.order_complex`` extends all chains of one dimension at once.
 
+The join of two complexes and the reduced Euler characteristic of a
+complex here are built and counted face by face; the library reads the
+Betti numbers of a join from its factors' (``complexes.kunneth_join_betti``)
+and the Euler characteristic of an order complex from its poset's chain
+counts (``complexes.poset_reduced_euler_characteristic``).
+
 The sliced boundary rows here are built one face at a time, each facet a
 tuple slice looked up in a dict; ``complexes._boundary_rows`` builds them
 by face position, one facet lookup stream per position.
@@ -101,7 +107,7 @@ from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
 from cosetposets.generation import GenerationReport, _cycle_permutation, _long_cycle_rank
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _generated_order,
                                 _is_prime, _normal_closure, _orbit, _p_part,
-                                conjugacy_orbit_of_subgroup, conjugate_indices, cyclic_subgroups,
+                                conjugacy_orbit_of_subgroup, conjugate_indices,
                                 subgroup_indices, alternating_group, sylow_subgroup)
 from cosetposets.perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
 
@@ -172,7 +178,7 @@ def tuple_generation_probability(G: PermutationGroup, k: int) -> Fraction:
     elems = G.element_bytes()
     n = len(elems)
     cyc_rep = [0] * n
-    for generators in cyclic_subgroups(G).values():
+    for generators in G._cyclic_table()[0].values():
         for i in generators:
             cyc_rep[i] = generators[0]
     memo: dict[frozenset[int], bool] = {}
@@ -398,7 +404,7 @@ def per_cyclic_minimal_normal_subgroups(G: PermutationGroup) -> list[Permutation
     closure gives its generators."""
     elems = G.element_bytes()
     closures: dict[frozenset[int], list[int]] = {}
-    for generators in cyclic_subgroups(G).values():
+    for generators in G._cyclic_table()[0].values():
         if generators[0] != 0:  # not the trivial subgroup
             members, gens = _normal_closure(G, [generators[0]])
             closures.setdefault(members, gens)
@@ -422,17 +428,18 @@ def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
     """Image vertex of each vertex under one action triple."""
     lat = poset.lattice
     mul, inv = product_table(lat.group)
+    index = lat.group.element_index()
     g = triple.left
     h = triple.right
-    gi = lat.index[g._b] if g is not None else 0
-    hi_id = lat.index[h._b] if h is not None else 0
+    gi = index[g._b] if g is not None else 0
+    hi_id = index[h._b] if h is not None else 0
     g_inv = inv[gi]
     if triple.automorphism is not None:
         conj = triple.automorphism.conjugator
         alpha = []
         for b in lat.elements:
             img = Permutation._from_bytes(b) ** conj
-            j = lat.index.get(img._b)
+            j = index.get(img._b)
             if j is None:
                 raise ValueError("automorphism does not preserve the group")
             alpha.append(j)
@@ -489,6 +496,30 @@ def complex_from_faces(faces, n_vertices: int | None = None) -> SimplicialComple
     if n_vertices is None:
         n_vertices = 1 + max((v for f in by_dim.get(0, ()) for v in f), default=-1)
     return SimplicialComplex({k: sorted(v) for k, v in by_dim.items()}, n_vertices)
+
+
+def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:
+    """Join X * Y: unions of a face of X and a (reindexed) face of Y."""
+    shift = X.n_vertices
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for i, xfaces in X.faces.items():
+        for j, yfaces in Y.faces.items():
+            k = i + j + 1
+            if k == -1:
+                continue
+            acc = by_dim.setdefault(k, [])
+            for s in xfaces:
+                for t in yfaces:
+                    acc.append(s + tuple(v + shift for v in t))
+    return SimplicialComplex(by_dim, X.n_vertices + Y.n_vertices)
+
+
+def reduced_euler_characteristic(X: SimplicialComplex) -> int:
+    """Alternating face-count sum from dimension -1: -1 + f0 - f1 + ..."""
+    chi = 0
+    for k, faces in X.faces.items():
+        chi += len(faces) if k % 2 == 0 else -len(faces)
+    return chi
 
 
 def boundary_square_is_zero(X: SimplicialComplex, p: int) -> bool:
@@ -567,7 +598,7 @@ def flat_enumeration(G: PermutationGroup) -> tuple[list[SubgroupRecord], list[fr
     """``flat_subgroup_records`` and the class representatives, in the
     order they were found."""
     n = G.order
-    zs = [gens[0] for fs, gens in cyclic_subgroups(G).items()
+    zs = [gens[0] for fs, gens in G._cyclic_table()[0].items()
           if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
                  for p in range(2, len(fs) + 1))]
     found: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
@@ -596,7 +627,7 @@ def normalizer_orbit_count(G: PermutationGroup, H: frozenset[int]) -> int:
     n = G.order
     normalizer = [g for g in range(n)
                   if frozenset(conj_element(G, x, g) for x in H) == H]
-    cyclic = [frozenset(fs) for fs in cyclic_subgroups(G)
+    cyclic = [frozenset(fs) for fs in G._cyclic_table()[0]
               if len(fs) > 1 and not fs <= H
               and any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
                       for p in range(2, len(fs) + 1))]
@@ -757,7 +788,7 @@ def scan_phi_invariant_seven_cycle(A7: PermutationGroup, x: Permutation) -> Perm
     """The least generator, in A_7's element table, of the first cyclic
     subgroup of order 7 in least-generator order that is invariant under
     conjugation by x, from a scan of every cyclic subgroup of A_7."""
-    for fs, gens in cyclic_subgroups(A7).items():
+    for fs, gens in A7._cyclic_table()[0].items():
         if len(fs) == 7 and conjugate_indices(A7, fs, x._b) == fs:
             return Permutation._from_bytes(A7.element_bytes()[gens[0]])
     raise AssertionError("no phi-invariant Sylow 7-subgroup found")

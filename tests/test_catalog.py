@@ -7,6 +7,7 @@ from cosetposets.catalog import (
     load_catalog,
     parse_catalog,
 )
+from cosetposets.groups import sylow_subgroup
 from oracles import is_abelian
 
 
@@ -174,7 +175,7 @@ def test_sylow_orders_exact_across_catalog():
     for entry in load_catalog(verify=False):
         G = entry.build()
         for p in primes_dividing(G.order):
-            P = G.sylow_subgroup(p)
+            P = sylow_subgroup(G, p)
             cofactor = G.order // P.order
             assert P.order * cofactor == G.order
             assert cofactor % p != 0

@@ -124,7 +124,7 @@ def test_relative_membership_is_conjugation_invariant():
     rel = build_relative_poset(S4, V4, lat)
     qualifying = set(rel.subgroup_ids)
     for g in S4.generators:
-        gi = lat.index[g._b]
+        gi = S4.element_index()[g._b]
         for hi in qualifying:
             image = frozenset(conj_element(S4, x, gi)
                               for x in lat.subgroups[hi].elements)

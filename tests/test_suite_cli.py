@@ -281,3 +281,45 @@ def test_cli_blank_relative_to_is_refused_before_the_group(what, relative_to, ca
     assert captured.out == ""
     assert captured.err == (f"cosetposets: error: --relative-to {relative_to!r} names no "
                             "generators\n")
+
+
+@pytest.mark.parametrize("argv, p_minus_1", [
+    (["compute", "zeta", "--group", "S4"], -120),
+    (["compute", "zeta", "--group", "S4", "--relative-to", "(1,2)(3,4),(1,3)(2,4)"], -15),
+    (["compute", "zeta", "--group", "S3", "--relative-to", "(1,2,3)"], -8),
+    (["compute", "zeta", "--group", "C6", "--relative-to", "(1,3,5)(2,4,6)"], -2),
+], ids=["S4", "S4_rel_V4", "S3_rel_C3", "C6_rel_C3"])
+def test_cli_zeta_polynomial_is_that_of_the_poset_it_builds(argv, p_minus_1, capsys):
+    """The printed polynomial is P_G, or with --relative-to Brown's P_{G,N},
+    the terms of G and of the supplements H with HN = G; either way its
+    value at -1 is minus the hat-Moebius value of the poset printed with it."""
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"P(-1) = {p_minus_1}" in lines
+    assert lines[-1] == f"moebius-hat of the coset poset = {-p_minus_1}"
+
+
+def test_cli_catalog_beside_gens_is_refused_before_anything_is_parsed(capsys, monkeypatch):
+    """Inline generators take no catalog, so --catalog with --gens is refused
+    as the argument it is; neither the generators nor the file are read."""
+    def unread(*args, **kwargs):
+        raise AssertionError("an argument was parsed")
+
+    monkeypatch.setattr(cli, "parse_permutation_list", unread)
+    monkeypatch.setattr(cli, "catalog_group", unread)
+    argv = ["compute", "zeta", "--gens", "(1,2,3)", "--catalog", "/nonexistent/file.txt"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cosetposets: error: --catalog /nonexistent/file.txt applies to "
+                            "--group only, not to --gens\n")
+
+
+def test_readme_library_example_prints_its_documented_lines(capsys):
+    """The Python block under README's "Library example" runs and prints the
+    two values its comments document."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["-1560", "<Betti GF(2): b2=1560>"]
