@@ -52,7 +52,6 @@ from .zeta import (
     brute_force_generation_probability,
     evaluate,
     hall_polynomial,
-    poset_moebius_hat,
 )
 from .generation import (
     GenerationReport,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .catalog import catalog_group
@@ -12,7 +13,7 @@ from .groups import BudgetExceededError, PermutationGroup, _is_prime, is_normal_
 from .lattice import MoebiusTable, enumerate_subgroups, lattice_dump, moebius_to_top
 from .perm import parse_permutation_list
 from .suite import ALL_SUITES, SuiteConfig, run_suite
-from .zeta import evaluate, hall_polynomial, poset_moebius_hat
+from .zeta import evaluate, hall_polynomial
 
 
 def _add_group_args(parser: argparse.ArgumentParser) -> None:
@@ -26,6 +27,8 @@ def _resolve_group(args) -> PermutationGroup:
     if args.group:
         if args.degree is not None:  # refused before the catalog is read
             raise ValueError(f"--degree {args.degree} applies to --gens only, not to --group")
+        if args.gens is not None:
+            raise ValueError(f"--gens {args.gens!r} names a second group beside --group")
         return catalog_group(args.group, args.catalog)
     if args.gens:
         if args.catalog is not None:  # refused before the generators are parsed
@@ -66,7 +69,16 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        status = _run(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: end as a writer killed by SIGPIPE, and
+        # point stdout at devnull so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, KeyError, OSError, BudgetExceededError) as exc:
         # KeyError's str() is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) else exc
@@ -130,7 +142,7 @@ def _run(args) -> int:
             print(f"  {n}: {a}")
         for k in (2, 1, 0, -1):
             print(f"P({k}) = {evaluate(poly, k)}")
-        print(f"moebius-hat of the coset poset = {poset_moebius_hat(poset)}")
+        print(f"moebius-hat of the coset poset = {poset.moebius_bottom_to_top()}")
         return 0
     X = order_complex(poset)  # homology
     betti = reduced_betti(X, args.prime)

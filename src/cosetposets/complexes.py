@@ -21,10 +21,6 @@ from .posets import FinitePoset
 FACE_BUDGET = 10**6
 
 
-def _as_poset(p) -> FinitePoset:
-    return p.poset if hasattr(p, "poset") else p
-
-
 class SimplicialComplex:
     """Faces by dimension; dimension -1 holds exactly the empty face."""
 
@@ -61,26 +57,24 @@ def check_face_budget(faces: int) -> None:
             f"the order complex has {faces} nonempty faces, over the face budget {FACE_BUDGET}")
 
 
-def order_complex(poset) -> SimplicialComplex:
+def order_complex(poset: FinitePoset) -> SimplicialComplex:
     """All chains of a poset, as faces; the empty poset yields {emptyset}.
     Past FACE_BUDGET chains, counted first, it builds no face and raises."""
-    p = _as_poset(poset)
-    check_face_budget(sum(p.chain_counts()))
+    check_face_budget(sum(poset.chain_counts()))
     by_dim: dict[int, list[tuple[int, ...]]] = {}
-    faces = [(v,) for v in range(p.n)]
+    faces = [(v,) for v in range(poset.n)]
     while faces:  # each chain extended by every element above its top
         by_dim[len(faces[0]) - 1] = faces
-        faces = [c + (w,) for c in faces for w in p.above[c[-1]]]
-    return SimplicialComplex(by_dim, p.n)
+        faces = [c + (w,) for c in faces for w in poset.above[c[-1]]]
+    return SimplicialComplex(by_dim, poset.n)
 
 
-def poset_f_vector(poset) -> list[int]:
+def poset_f_vector(poset: FinitePoset) -> list[int]:
     """f-vector of the order complex, counted without materializing faces."""
-    p = _as_poset(poset)
-    return [1] + p.chain_counts()
+    return [1] + poset.chain_counts()
 
 
-def poset_reduced_euler_characteristic(poset) -> int:
+def poset_reduced_euler_characteristic(poset: FinitePoset) -> int:
     chi = 0
     for k, f in enumerate(poset_f_vector(poset)):
         chi += f if (k - 1) % 2 == 0 else -f

@@ -49,7 +49,7 @@ class OvergroupAutomorphism:
         return all(self.apply(self.apply(g)) == g for g in self.group.generators)
 
 
-class CosetPoset:
+class CosetPoset(FinitePoset):
     """Cosets Hx of the included proper subgroups, ordered by inclusion."""
 
     def __init__(self, lattice: SubgroupLattice, subgroup_ids: list[int]):
@@ -63,20 +63,12 @@ class CosetPoset:
             (hi, x) for hi in self.subgroup_ids
             for x, r in enumerate(self.coset_rep[hi]) if r == x]
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        included = set(self.subgroup_ids)
-        pairs = []
-        for kj in self.subgroup_ids:
-            smaller = [hi for hi in lat.below[kj] if hi in included]
-            rep_k = self.coset_rep[kj]
-            for hi in smaller:
-                for x, r in enumerate(self.coset_rep[hi]):
-                    if r == x:
-                        pairs.append((self.vertex_index[(hi, x)],
-                                      self.vertex_index[(kj, rep_k[x])]))
-        self.poset = FinitePoset(len(self.vertices), pairs)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+        # the cosets above Hx are Kx for the included K above H; vertex ids
+        # grow with the subgroup id, so each tuple comes out sorted
+        super().__init__([
+            tuple(self.vertex_index[(kj, self.coset_rep[kj][x])]
+                  for kj in lat.above[hi] if kj in self.coset_rep)
+            for hi, x in self.vertices])
 
     def vertex_label(self, v: int) -> str:
         hi, r = self.vertices[v]
@@ -85,9 +77,9 @@ class CosetPoset:
 
     def dump(self) -> str:
         """One vertex per line, then cover pairs; stable ordering."""
-        lines = [self.vertex_label(v) for v in range(len(self.vertices))]
+        lines = [self.vertex_label(v) for v in range(self.n)]
         lines.append("--covers--")
-        lines.extend(f"{u}<{v}" for u, v in self.poset.cover_pairs())
+        lines.extend(f"{u}<{v}" for u, v in self.cover_pairs())
         return "\n".join(lines) + "\n"
 
 
@@ -134,10 +126,9 @@ def coset_chain_counts(lat: SubgroupLattice, subgroup_ids: list[int]) -> list[in
     index [G : H0] of its least subgroup.
     """
     position = {h: i for i, h in enumerate(subgroup_ids)}
-    pairs = [(position[h], i) for i, k in enumerate(subgroup_ids)
-             for h in lat.below[k] if h in position]
+    above = [tuple(position[k] for k in lat.above[h] if k in position) for h in subgroup_ids]
     weights = [lat.index_in_group(h) for h in subgroup_ids]
-    return FinitePoset(len(subgroup_ids), pairs).chain_counts(weights)
+    return FinitePoset(above).chain_counts(weights)
 
 
 def fixed_cosets(G: PermutationGroup, N: PermutationGroup,

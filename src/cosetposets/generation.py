@@ -34,17 +34,17 @@ from .perm import _ID256, Permutation, cycle_string
 
 @dataclass
 class GenerationReport:
-    subject: str
     verdict: bool
     witnesses: list[dict] = field(default_factory=list)
     tests: int = 0
     cycles: int = 0
 
 
-def _conjugate_sweep(report: GenerationReport, G: PermutationGroup, K: PermutationGroup,
-                     p_gens: list[bytes]) -> None:
+def _conjugate_sweep(G: PermutationGroup, K: PermutationGroup,
+                     p_gens: list[bytes]) -> GenerationReport:
     """Test <K^g, P> = G once per conjugate K^g, from the generators that
     ``conjugacy_orbit_of_subgroup`` carries; the first four failures are witnesses."""
+    report = GenerationReport(verdict=True)
     elems, index = G.element_bytes(), G.element_index()
     k_gens = [index[x] for x in K._gens_bytes()]
     for _, gens, g in conjugacy_orbit_of_subgroup(G, _closure(G, k_gens), k_gens):
@@ -57,6 +57,7 @@ def _conjugate_sweep(report: GenerationReport, G: PermutationGroup, K: Permutati
                     "conjugator": cycle_string(Permutation._from_bytes(g)),
                     "generated_order": got,
                 })
+    return report
 
 
 def universally_p_generates(G: PermutationGroup, K: PermutationGroup,
@@ -69,13 +70,7 @@ def universally_p_generates(G: PermutationGroup, K: PermutationGroup,
         raise ValueError("K is not a subgroup of G")
     if G.order % p != 0:
         raise ValueError(f"{p} does not divide |G| = {G.order}")
-    P = sylow_subgroup(G, p)
-    p_gens = [g._b for g in P.generators]
-    report = GenerationReport(
-        subject=f"universal {p}-generation of order-{G.order} group by order-{K.order} subgroup",
-        verdict=True)
-    _conjugate_sweep(report, G, K, p_gens)
-    return report
+    return _conjugate_sweep(G, K, sylow_subgroup(G, p)._gens_bytes())
 
 
 def univ_gen_via_maximal_indices(G: PermutationGroup, r: int, p: int,
@@ -178,9 +173,7 @@ def check_alternating_claims(n: int) -> GenerationReport:
     target = L.order
     P = sylow_subgroup(L, 2)
     p_gens = [g._b for g in P.generators]
-    report = GenerationReport(
-        subject=f"cyclic subgroup of a {length}-cycle universally 2-generates A_{n}",
-        verdict=True)
+    report = GenerationReport(verdict=True)
     conjugations = [g + _ID256[n:] for g in p_gens]
     canonical, is_canonical = gens.canonical, gens.is_canonical
 
@@ -223,21 +216,17 @@ def check_diagonal_universal(L: PermutationGroup, K: PermutationGroup,
     the power passes only if L does: L's sweep runs first, and when it fails
     (or t = 1) its report answers, each witness conjugator g in L standing
     for (g, ..., g). Only a passing factor has L^t swept against P^t, and
-    that report replaces L's; past ENUMERATION_BOUND the element table of
+    that sweep answers; past ENUMERATION_BOUND the element table of
     L^t raises BudgetExceededError before any test on it.
     """
     if t < 1:
         raise ValueError("t must be positive")
     if not K.is_subgroup_of(L) or K.order == L.order:
         raise ValueError("K must be a proper subgroup of L")
-    subject = (f"diagonal order-{K.order} subgroup universally {p}-generates "
-               f"the direct power of order {L.order ** t}")
     report = universally_p_generates(L, K, p)
     if report.verdict and t > 1:
-        report = GenerationReport(subject=subject, verdict=True)
-        _conjugate_sweep(report, direct_power(L, t), diagonal_embedding(K, t),
-                         direct_power(sylow_subgroup(L, p), t)._gens_bytes())
-    report.subject = subject
+        return _conjugate_sweep(direct_power(L, t), diagonal_embedding(K, t),
+                                direct_power(sylow_subgroup(L, p), t)._gens_bytes())
     return report
 
 

@@ -34,11 +34,12 @@ from .groups import (
     conjugacy_orbit_of_subgroup,
     subgroup_indices,
 )
+from .posets import FinitePoset
 
 LATTICE_ORDER_BOUND = 1000
 
 
-class SubgroupLattice:
+class SubgroupLattice(FinitePoset):
     """All subgroups of a small group, ordered by inclusion."""
 
     def __init__(self, group: PermutationGroup):
@@ -53,7 +54,7 @@ class SubgroupLattice:
             e.elements: i for i, e in enumerate(self.subgroups)
         }
         self.index_of_parent = len(self.subgroups) - 1  # the one largest
-        self.below, self.above = self._inclusion()
+        super().__init__(self._inclusion())
 
     # -- construction -----------------------------------------------------
 
@@ -108,17 +109,16 @@ class SubgroupLattice:
         records = sorted(found.items(), key=lambda r: (len(r[0]), sorted(r[0])))
         return [SubgroupRecord(len(fs), fs, gens) for fs, gens in records]
 
-    def _inclusion(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """below/above from one mask per element: bit j of ``masks[x]`` says
-        that subgroup j contains x, so the subgroups containing H are the
-        AND of the masks of H's generators."""
+    def _inclusion(self) -> list[tuple[int, ...]]:
+        """above from one mask per element: bit j of ``masks[x]`` says that
+        subgroup j contains x, so the subgroups containing H are the AND of
+        the masks of H's generators."""
         count = len(self.subgroups)
         masks = [0] * len(self.elements)
         for j, rec in enumerate(self.subgroups):
             bit = 1 << j
             for x in rec.elements:
                 masks[x] |= bit
-        below: list[list[int]] = [[] for _ in range(count)]
         above = []
         for i, rec in enumerate(self.subgroups):
             m = (1 << count) - 1 - (1 << i)
@@ -129,15 +129,11 @@ class SubgroupLattice:
             j = bits.find("1")
             while j >= 0:
                 js.append(j)
-                below[j].append(i)
                 j = bits.find("1", j + 1)
             above.append(tuple(js))
-        return ([tuple(b) for b in below], above)
+        return above
 
     # -- queries -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.subgroups)
 
     def find(self, H: PermutationGroup) -> int:
         """Lattice index of a subgroup given as a group."""

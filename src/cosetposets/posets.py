@@ -1,7 +1,8 @@
 """Finite posets as explicit strict-order relations on 0..n-1.
 
-The relation is stored transitively closed, so chains coincide with
-directed paths and chain counting is a short dynamic program.
+A poset is given by each element's sorted tuple of the elements above it,
+the full strict relation: it is transitively closed, so chains coincide
+with directed paths and chain counting is a short dynamic program.
 """
 
 from __future__ import annotations
@@ -10,25 +11,35 @@ from __future__ import annotations
 class FinitePoset:
     """A finite poset on vertices 0..n-1 with the full strict relation."""
 
-    def __init__(self, n: int, strict_pairs):
-        below: list[set[int]] = [set() for _ in range(n)]
+    def __init__(self, above):
+        self.n = len(above)
+        self.above = list(above)
+        below: list[list[int]] = [[] for _ in range(self.n)]
+        for u, up in enumerate(self.above):
+            for v in up:
+                below[v].append(u)
+        self.below = [tuple(b) for b in below]
+        self._check_strict_order()
+
+    @classmethod
+    def from_pairs(cls, n: int, strict_pairs) -> FinitePoset:
+        """The poset on 0..n-1 whose strict relation is ``strict_pairs``."""
         above: list[set[int]] = [set() for _ in range(n)]
         for u, v in strict_pairs:
-            if u == v:
-                raise ValueError("strict relation cannot be reflexive")
-            below[v].add(u)
             above[u].add(v)
-        self.n = n
-        self.below = [tuple(sorted(s)) for s in below]
-        self.above = [tuple(sorted(s)) for s in above]
-        self._check_transitive()
+        return cls([tuple(sorted(s)) for s in above])
 
-    def _check_transitive(self) -> None:
+    def _check_strict_order(self) -> None:
         below_sets = [set(b) for b in self.below]
-        for v in range(self.n):
+        for v, lower in enumerate(below_sets):
+            if v in lower:
+                raise ValueError("strict relation cannot be reflexive")
             for u in self.below[v]:
-                if not below_sets[u] <= below_sets[v]:
+                if not below_sets[u] <= lower:
                     raise ValueError("strict relation is not transitively closed")
+
+    def __len__(self) -> int:
+        return self.n
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Pairs u < v with nothing strictly between."""

@@ -43,12 +43,7 @@ from .groups import (
 )
 from .lattice import LATTICE_ORDER_BOUND, enumerate_subgroups, moebius_to_top
 from .perm import parse_permutation_list
-from .zeta import (
-    brute_force_generation_probability,
-    evaluate,
-    hall_polynomial,
-    poset_moebius_hat,
-)
+from .zeta import brute_force_generation_probability, evaluate, hall_polynomial
 
 ALL_SUITES = ("reciprocity", "homology", "join", "altgen", "a7", "identities")
 
@@ -171,7 +166,7 @@ def _reciprocity_records(ws: _Workspace, config: SuiteConfig) -> list[dict]:
             poly = hall_polynomial(lat, mu)
             poset = ws.coset_poset(name)
             chi = poset_reduced_euler_characteristic(poset)
-            hat = poset_moebius_hat(poset)
+            hat = poset.moebius_bottom_to_top()
             value = evaluate(poly, -1)
             ok = value == -chi and hat == chi
             values = {"chi": chi, "moebius_hat": hat, "p_at_minus_1": str(value),

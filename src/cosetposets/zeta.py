@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .complexes import _as_poset
 from .groups import (BudgetExceededError, PermutationGroup, _conjugator, _generated_order,
                      _normalizer, _orbit)
 from .lattice import MoebiusTable, SubgroupLattice
@@ -112,8 +111,3 @@ def brute_force_generation_probability(G: PermutationGroup, k: int) -> Fraction:
             if _generated_order(gens, G.degree, stop_at=G.order) == G.order:
                 count += weight * len(orbit) * prod(weights[i] for i in t)
     return Fraction(count, len(elems)**k)
-
-
-def poset_moebius_hat(poset) -> int:
-    """mu(0-hat, 1-hat) of the poset extended by a minimum and a maximum."""
-    return _as_poset(poset).moebius_bottom_to_top()

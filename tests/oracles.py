@@ -63,6 +63,10 @@ choose base points and add strong generators in the same order.
 The Sylow scan here computes the p-part of every element before it extends
 P; ``groups.sylow_subgroup`` computes them as far as its scans need.
 
+The coset inclusion here compares the element sets of every pair of
+cosets, each read off the product table; ``cosets.CosetPoset`` takes the
+cosets above Hx to be Kx for K above H in the subgroup lattice.
+
 The order complex here is walked chain by chain, depth first;
 ``complexes.order_complex`` extends all chains of one dimension at once.
 
@@ -102,7 +106,7 @@ from math import comb, factorial, gcd
 from operator import itemgetter
 
 from cosetposets.a7 import A7Environment, overgroups_of_sylow2
-from cosetposets.complexes import SimplicialComplex, _as_poset
+from cosetposets.complexes import SimplicialComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
 from cosetposets.generation import GenerationReport, _cycle_permutation, _long_cycle_rank
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _generated_order,
@@ -201,7 +205,7 @@ def scan_conjugate_sweep(G: PermutationGroup, K: PermutationGroup,
     tested once per distinct conjugate K^g, P the library's Sylow p-subgroup;
     the first four failures become witnesses."""
     p_gens = [g._b for g in sylow_subgroup(G, p).generators]
-    report = GenerationReport(subject="scan", verdict=True)
+    report = GenerationReport(verdict=True)
     k_set = subgroup_indices(G, K)
     seen: set[frozenset[int]] = set()
     for g in G.element_bytes():
@@ -258,7 +262,7 @@ def cycle_flood_sweep(n: int) -> GenerationReport:
     target = L.order
     p_gens = [g._b for g in sylow_subgroup(L, 2).generators]
     length = n if n % 2 == 1 else n - 1
-    report = GenerationReport(subject="cycle flood", verdict=True)
+    report = GenerationReport(verdict=True)
     conjugations = [g + _ID256[n:] for g in p_gens]
     powers = [itemgetter(*(k * u % length for k in range(length)))
               for u in _unit_generators(length)]
@@ -472,6 +476,19 @@ def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
 def relation_pairs(poset) -> list[tuple[int, int]]:
     """Every strict pair u < v of a FinitePoset."""
     return [(u, v) for v in range(poset.n) for u in poset.below[v]]
+
+
+def coset_inclusion_pairs(poset: CosetPoset) -> list[tuple[int, int]]:
+    """Every pair u < v of a coset poset's vertices whose cosets are nested,
+    coset u a proper subset of coset v, each coset Hx read as its set of
+    element indices h * x from the product table, in ``relation_pairs``
+    order."""
+    lat = poset.lattice
+    mul, _ = product_table(lat.group)
+    cosets = [frozenset(mul[h][x] for h in lat.subgroups[hi].elements)
+              for hi, x in poset.vertices]
+    return [(u, v) for v, big in enumerate(cosets) for u, small in enumerate(cosets)
+            if small < big]
 
 
 def subgroup_as_group(lat, i: int) -> PermutationGroup:
@@ -750,20 +767,19 @@ def full_scan_sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
 def recursive_order_complex(poset) -> SimplicialComplex:
     """Every chain of a poset, found by extending one chain at a time, depth
     first, by each element above its top."""
-    p = _as_poset(poset)
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     path: list[int] = []
 
     def extend(v: int) -> None:
         path.append(v)
         by_dim.setdefault(len(path) - 1, []).append(tuple(path))
-        for w in p.above[v]:
+        for w in poset.above[v]:
             extend(w)
         path.pop()
 
-    for v in range(p.n):
+    for v in range(poset.n):
         extend(v)
-    return SimplicialComplex(by_dim, p.n)
+    return SimplicialComplex(by_dim, poset.n)
 
 
 def scan_phi_invariant_sylow2(A7: PermutationGroup, x: Permutation) -> PermutationGroup:

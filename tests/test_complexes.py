@@ -60,29 +60,29 @@ def _klein_four():
 
 
 def test_order_complex_of_empty_poset_is_empty_face_only():
-    X = order_complex(FinitePoset(0, []))
+    X = order_complex(FinitePoset.from_pairs(0, []))
     assert X.f_vector() == [1]
     assert reduced_euler_characteristic(X) == -1
 
 
 def test_order_complex_two_comparable_elements():
-    X = order_complex(FinitePoset(2, [(0, 1)]))
+    X = order_complex(FinitePoset.from_pairs(2, [(0, 1)]))
     assert X.f_vector() == [1, 2, 1]
 
 
 def test_order_complex_refuses_past_the_face_budget():
     """A 21-element total order has 2^21 - 1 chains; the chain count refuses
     it before any face is built."""
-    total_order = FinitePoset(21, [(i, j) for j in range(21) for i in range(j)])
+    total_order = FinitePoset.from_pairs(21, [(i, j) for j in range(21) for i in range(j)])
     with pytest.raises(BudgetExceededError, match="2097151 nonempty faces"):
         order_complex(total_order)
 
 
 def test_face_budget_bounds_the_nonempty_faces(monkeypatch):
     monkeypatch.setattr(complexes, "FACE_BUDGET", 3)
-    assert order_complex(FinitePoset(2, [(0, 1)])).f_vector() == [1, 2, 1]
+    assert order_complex(FinitePoset.from_pairs(2, [(0, 1)])).f_vector() == [1, 2, 1]
     with pytest.raises(BudgetExceededError):
-        order_complex(FinitePoset(3, [(0, 1)]))
+        order_complex(FinitePoset.from_pairs(3, [(0, 1)]))
 
 
 def test_order_complex_coset_poset_s3():
@@ -136,8 +136,9 @@ def test_reduced_euler_characteristic_values():
 
 
 def test_poset_f_vector_matches_materialized():
-    small = [FinitePoset(0, []), FinitePoset(1, []), FinitePoset(3, []),
-             FinitePoset(5, [(i, j) for j in range(5) for i in range(j)])]
+    small = [FinitePoset.from_pairs(0, []), FinitePoset.from_pairs(1, []),
+             FinitePoset.from_pairs(3, []),
+             FinitePoset.from_pairs(5, [(i, j) for j in range(5) for i in range(j)])]
     for poset in small + [build_coset_poset(G, enumerate_subgroups(G)) for G in
                           [symmetric_group(3), symmetric_group(4), cyclic_group(8), _klein_four()]]:
         assert poset_f_vector(poset) == order_complex(poset).f_vector()
@@ -337,7 +338,7 @@ def test_boundary_rows_match_sliced_oracle_on_random_complexes(faces, p):
 
 
 def _order_complex_cases():
-    cases = [("empty", FinitePoset(0, [])), ("point", FinitePoset(1, []))]
+    cases = [("empty", FinitePoset.from_pairs(0, [])), ("point", FinitePoset.from_pairs(1, []))]
     for e in load_catalog(verify=False):
         if 2 <= e.expected_order <= 60:
             G = e.build()
@@ -365,12 +366,34 @@ def test_coset_chain_counts_match_the_coset_poset():
     for name, poset in _order_complex_cases():
         if hasattr(poset, "lattice"):
             counts = coset_chain_counts(poset.lattice, list(poset.subgroup_ids))
-            assert counts == poset.poset.chain_counts(), name
+            assert counts == poset.chain_counts(), name
 
 
 def test_weighted_chain_counts_weigh_the_least_element():
-    total_order = FinitePoset(3, [(0, 1), (0, 2), (1, 2)])
+    total_order = FinitePoset.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
     # singletons 1 + 2 + 3; pairs 01, 02 (weight 1) and 12 (weight 2); 012
     assert total_order.chain_counts([1, 2, 3]) == [6, 4, 1]
-    assert FinitePoset(0, []).chain_counts([]) == []
-    assert FinitePoset(2, []).chain_counts([5, 7]) == [12]
+    assert FinitePoset.from_pairs(0, []).chain_counts([]) == []
+    assert FinitePoset.from_pairs(2, []).chain_counts([5, 7]) == [12]
+
+
+def test_finite_poset_takes_the_sorted_above_tuples():
+    P = FinitePoset([(1, 2), (2,), ()])
+    assert (P.above, P.below, len(P)) == ([(1, 2), (2,), ()], [(), (0,), (0, 1)], 3)
+    assert FinitePoset.from_pairs(3, [(1, 2), (0, 2), (0, 1)]).above == P.above
+
+
+def test_finite_poset_refuses_above_tuples_not_transitively_closed():
+    with pytest.raises(ValueError, match="not transitively closed"):
+        FinitePoset([(1,), (2,), ()])  # 0 < 1 < 2 without 0 < 2
+
+
+def test_finite_poset_refuses_reflexive_above_tuples():
+    # 0 < 0 would make every chain extend forever in chain_counts
+    with pytest.raises(ValueError, match="cannot be reflexive"):
+        FinitePoset([(0, 1), ()])
+
+
+def test_finite_poset_from_pairs_refuses_a_reflexive_pair():
+    with pytest.raises(ValueError, match="cannot be reflexive"):
+        FinitePoset.from_pairs(2, [(0, 1), (1, 1)])

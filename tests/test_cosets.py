@@ -16,6 +16,7 @@ from cosetposets.groups import (
     cyclic_group,
     intermediate_subgroups,
     is_normal_subgroup,
+    minimal_normal_subgroups,
     symmetric_group,
 )
 from cosetposets.lattice import enumerate_subgroups
@@ -25,6 +26,7 @@ from oracles import (
     ActionTriple,
     action_fixed_points,
     conj_element,
+    coset_inclusion_pairs,
     relation_pairs,
     subgroup_as_group,
     translation_action_group,
@@ -43,22 +45,22 @@ def _poset(G):
 def test_coset_poset_z2():
     poset = _poset(cyclic_group(2))
     assert len(poset) == 2
-    assert relation_pairs(poset.poset) == []
+    assert relation_pairs(poset) == []
 
 
 def test_coset_poset_klein_four():
     poset = _poset(_group("(1,2)(3,4)", "(1,3)(2,4)", degree=4))
     assert len(poset) == 10
-    assert len(poset.poset.cover_pairs()) == 12
-    assert len(relation_pairs(poset.poset)) == 12
+    assert len(poset.cover_pairs()) == 12
+    assert len(relation_pairs(poset)) == 12
 
 
 def test_coset_poset_s3():
     poset = _poset(symmetric_group(3))
     assert len(poset) == 17
-    assert len(relation_pairs(poset.poset)) == 24
+    assert len(relation_pairs(poset)) == 24
     # no C2-coset sits inside a C3-coset, so there are no 2-chains of cosets
-    assert poset.poset.chain_counts() == [17, 24]
+    assert poset.chain_counts() == [17, 24]
 
 
 def test_vertex_count_is_sum_of_indices():
@@ -82,13 +84,26 @@ def test_cosets_partition_and_are_unique():
         assert all(rep[rep[x]] == rep[x] for x in range(G.order))
 
 
+@pytest.mark.parametrize("entry", [e for e in load_catalog(verify=False)
+                                   if 1 < e.expected_order <= 60], ids=lambda e: e.name)
+def test_relation_is_coset_inclusion(entry):
+    """u < v in C(G), and in C(G, N) for each minimal normal N, exactly when
+    coset u is a proper subset of coset v as sets of elements."""
+    G = entry.build()
+    lat = enumerate_subgroups(G)
+    posets = [build_coset_poset(G, lat)]
+    posets += [build_relative_poset(G, N, lat) for N in minimal_normal_subgroups(G)]
+    for poset in posets:
+        assert relation_pairs(poset) == coset_inclusion_pairs(poset)
+
+
 def test_relative_poset_s3():
     S3 = symmetric_group(3)
     lat = enumerate_subgroups(S3)
     A3 = _group("(1,2,3)", degree=3)
     rel = build_relative_poset(S3, A3, lat)
     assert len(rel) == 9
-    assert relation_pairs(rel.poset) == []
+    assert relation_pairs(rel) == []
     # all nine vertices are cosets of the three order-2 subgroups
     assert all(lat.subgroups[hi].order == 2 for hi, _ in rel.vertices)
 
@@ -99,7 +114,7 @@ def test_relative_poset_z4_is_empty():
     Z2 = _group("(1,3)(2,4)", degree=4)
     rel = build_relative_poset(Z4, Z2, lat)
     assert len(rel) == 0
-    assert relation_pairs(rel.poset) == []
+    assert relation_pairs(rel) == []
 
 
 def test_relative_poset_with_n_equal_g_is_full_poset():
@@ -204,7 +219,7 @@ def test_action_preserves_order_relation():
     triple = ActionTriple(left=parse_permutation("(1,2,3)", 4),
                           right=parse_permutation("(1,3)(2,4)", 4))
     mapping = vertex_action_map(poset, triple)
-    rel = set(relation_pairs(poset.poset))
+    rel = set(relation_pairs(poset))
     assert all((mapping[u], mapping[v]) in rel for u, v in rel)
     assert sorted(mapping) == list(range(len(poset)))
 
@@ -240,12 +255,12 @@ def test_overgroup_automorphism_validation():
 def test_antichain_flags():
     S3 = symmetric_group(3)
     lat = enumerate_subgroups(S3)
-    assert relation_pairs(build_coset_poset(S3, lat).poset)
-    assert not relation_pairs(build_relative_poset(S3, _group("(1,2,3)", degree=3), lat).poset)
+    assert relation_pairs(build_coset_poset(S3, lat))
+    assert not relation_pairs(build_relative_poset(S3, _group("(1,2,3)", degree=3), lat))
     Z4 = cyclic_group(4)
     lat4 = enumerate_subgroups(Z4)
     assert not relation_pairs(
-        build_relative_poset(Z4, _group("(1,3)(2,4)", degree=4), lat4).poset)
+        build_relative_poset(Z4, _group("(1,3)(2,4)", degree=4), lat4))
 
 
 def test_abelian_minimal_normal_antichain_size_divisible():
@@ -256,7 +271,7 @@ def test_abelian_minimal_normal_antichain_size_divisible():
     for G, N in cases:
         lat = enumerate_subgroups(G)
         rel = build_relative_poset(G, N, lat)
-        assert relation_pairs(rel.poset) == []
+        assert relation_pairs(rel) == []
         assert len(rel) % N.order == 0
 
 

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,6 +185,7 @@ def test_cli_compute_lattice(capsys):
     ["compute", "homology", "--gens", " "],
     ["compute", "zeta", "--gens", "(1,2),(3,4)", "--degree", "2"],
     ["compute", "poset", "--group", "S3", "--relative-to", "(1,2,3,4)"],
+    ["compute", "zeta", "--group", "S3", "--gens", "(1,2)"],
 ])
 def test_cli_input_error_is_one_line(argv, capsys):
     assert main(argv) == 2
@@ -323,3 +328,33 @@ def test_readme_library_example_prints_its_documented_lines(capsys):
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == ["-1560", "<Betti GF(2): b2=1560>"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_cli_closed_stdout_ends_as_sigpipe(unbuffered):
+    """Output to a pipe whose reader is gone ends with status 141 (128 +
+    SIGPIPE) and nothing on stderr: not as bad input, and not with an
+    "Exception ignored" message from the flush at exit."""
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosetposets.cli", "compute", "zeta", "--group", "S3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_readme_compute_poset_example_prints_a_cover_pair(capsys):
+    """README's `compute poset` line prints a poset with at least one cover
+    pair, so the example shows the relation and not only the vertices."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    line = next(ln for ln in section.splitlines() if ln.startswith("cosetposets compute poset "))
+    assert main(shlex.split(line, comments=True)[1:]) == 0
+    covers = capsys.readouterr().out.split("--covers--\n", 1)[1].splitlines()
+    assert covers and all(re.fullmatch(r"\d+<\d+", c) for c in covers)
