@@ -20,8 +20,6 @@ from .cosets import OvergroupAutomorphism, fixed_cosets
 from .groups import (
     PermutationGroup,
     SubgroupRecord,
-    _closure,
-    _normalizer,
     alternating_group,
     conjugacy_orbit_of_subgroup,
     conjugate_indices,
@@ -29,11 +27,15 @@ from .groups import (
     embed_in_power,
     generated_order,
     intermediate_subgroups,
-    right_coset_reps,
     symmetric_group,
     sylow_subgroup,
 )
 from .perm import Permutation, _conj_bytes, cycle_string, parse_permutation
+
+# the witnesses on 7 points, certified by ``build_environment`` on every build
+PHI = "(1,2)(3,4)(5,6)"
+SYLOW2_GENERATORS = ("(3,4)(5,6)", "(3,5)(4,6)", "(1,2)(5,6)")
+SEVEN_CYCLE = "(1,2,3,5,7,6,4)"
 
 
 @dataclass(frozen=True)
@@ -42,74 +44,49 @@ class A7Environment:
     S7: PermutationGroup
     P: PermutationGroup            # Sylow 2-subgroup of A_7, normalized by phi
     seven_cycle: Permutation       # generates a Sylow 7-subgroup normalized by phi
-    phi: OvergroupAutomorphism     # conjugation by (1,2)(3,4)(5,6) in S_7
+    phi: OvergroupAutomorphism     # conjugation by PHI in S_7
+    censuses: dict[str, list[SubgroupRecord]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def K(self) -> PermutationGroup:
         return PermutationGroup([self.seven_cycle], 7)
 
+    def overgroups(self, ambient: str) -> list[SubgroupRecord]:
+        """All subgroups H with P <= H <= G, for G = A_7 (``"A7"``) or S_7
+        (``"S7"``), as index sets into G's element table; each census is run
+        once per environment."""
+        if ambient not in self.censuses:
+            G = {"A7": self.A7, "S7": self.S7}[ambient]
+            self.censuses[ambient] = intermediate_subgroups(G, self.P)
+        return self.censuses[ambient]
+
 
 @lru_cache(maxsize=1)
 def build_environment() -> A7Environment:
-    """Fixed Sylow 2- and 7-subgroups of A_7, both normalized by phi.
-
-    Existence of such a pair is part of what the structure checks verify;
-    the sweep below finds the witnesses deterministically.
-    """
-    A7 = alternating_group(7)
-    S7 = symmetric_group(7)
-    x = parse_permutation("(1,2)(3,4)(5,6)", 7)
-    phi = OvergroupAutomorphism(group=A7, overgroup=S7, conjugator=x)
-
-    # P = P0^g for the least g in A_7's table order that makes P0^g
-    # phi-invariant. The conjugators carrying P0 to a conjugate Q form the
-    # right coset N g_Q of N = N_A7(P0), so g is the least coset label of
-    # some g_Q over the phi-invariant Q; each g_Q is the conjugator that
-    # ``conjugacy_orbit_of_subgroup`` carries to Q.
-    P0 = sylow_subgroup(A7, 2)
-    elems, index = A7.element_bytes(), A7.element_index()
-    p_gens = [index[g] for g in P0._gens_bytes()]
-    p_set = _closure(A7, p_gens)
-    orbit = conjugacy_orbit_of_subgroup(A7, p_set, p_gens)
-    N, _ = _normalizer(A7, p_set, p_gens, A7.order // len(orbit))
-    label = right_coset_reps(A7, N)
-    invariant = [label[index[g_q]] for q_set, _, g_q in orbit
-                 if conjugate_indices(A7, q_set, x._b) == q_set]
-    assert invariant, "no phi-invariant Sylow 2-subgroup found"
-    g_perm = Permutation._from_bytes(elems[min(invariant)])
-    chosen_p = PermutationGroup([gen ** g_perm for gen in P0.generators], 7)
-
-    # the least 7-cycle with a phi-invariant subgroup, from the class of <(1,...,7)>
-    c = [index[parse_permutation("(1,2,3,4,5,6,7)", 7)._b]]
-    sevens = conjugacy_orbit_of_subgroup(A7, _closure(A7, c), c)
-    least = min((min(fs - {0}) for fs, _, _ in sevens
-                 if conjugate_indices(A7, fs, x._b) == fs), default=None)
-    assert least is not None, "no phi-invariant Sylow 7-subgroup found"
-    chosen_h = Permutation._from_bytes(elems[least])
-
-    env = A7Environment(A7=A7, S7=S7, P=chosen_p, seven_cycle=chosen_h, phi=phi)
-    assert env.A7.order == 2520 and env.P.order == 8 and env.seven_cycle.order() == 7
-    assert env.phi.squares_to_identity()
+    """The environment of the stated witnesses, each certified here: P is a
+    Sylow 2-subgroup of A_7 and the 7-cycle lies in A_7, both normalized by
+    phi, an involution. A witness that fails raises RuntimeError naming it."""
+    A7, S7, x = alternating_group(7), symmetric_group(7), parse_permutation(PHI, 7)
+    P = PermutationGroup([parse_permutation(g, 7) for g in SYLOW2_GENERATORS], 7)
+    h = parse_permutation(SEVEN_CYCLE, 7)
+    env = A7Environment(A7=A7, S7=S7, P=P, seven_cycle=h,
+                        phi=OvergroupAutomorphism(group=A7, overgroup=S7, conjugator=x))
+    certificate = {
+        "PHI": env.phi.squares_to_identity(),
+        "SYLOW2_GENERATORS": (P.order == A7.order & -A7.order  # |P| = |A_7|_2 = 8
+                              and P.is_subgroup_of(A7) and P.is_normalized_by(x)),
+        "SEVEN_CYCLE": h in A7 and h.order() == 7 and env.K.is_normalized_by(x),
+    }
+    for name, holds in certificate.items():
+        if not holds:
+            raise RuntimeError(f"a7.{name} fails its certificate as an A_7 witness")
     return env
 
 
-@lru_cache(maxsize=4)
-def _overgroup_census(ambient: str) -> list[SubgroupRecord]:
-    env = build_environment()
-    G = env.A7 if ambient == "A7" else env.S7
-    return intermediate_subgroups(G, env.P)
-
-
 def overgroups_of_sylow2(env: A7Environment) -> list[SubgroupRecord]:
-    """All subgroups H with P <= H <= A_7, as element-index sets.
-
-    The census is cached for the P of ``build_environment()`` only, so any
-    other environment is refused rather than given that P's overgroups.
-    """
-    if env is not build_environment():
-        raise ValueError("overgroups_of_sylow2 takes the environment of build_environment(); "
-                         "its cached census is for that environment's P only")
-    return _overgroup_census("A7")
+    """All subgroups H with P <= H <= A_7, as element-index sets."""
+    return env.overgroups("A7")
 
 
 def pgl_overgroups(env: A7Environment) -> list[SubgroupRecord]:
@@ -238,7 +215,7 @@ def build_smith_spec(ambient: str) -> SmithActionSpec:
     theta = OvergroupAutomorphism(group=G, overgroup=env.S7,
                                   conjugator=env.phi.conjugator)
     return SmithActionSpec(G=G, N=env.A7, P=env.P, K=env.K, theta=theta,
-                           overgroups=tuple(_overgroup_census(ambient)))
+                           overgroups=tuple(env.overgroups(ambient)))
 
 
 def smith_fixed_point_check(spec: SmithActionSpec) -> dict:

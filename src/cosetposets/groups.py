@@ -441,7 +441,8 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
     alternating groups at p = 2 and degree >= 8; otherwise extends a cyclic
     p-subgroup by normalizing p-elements found in the element enumeration.
     Below degree 8 that scan's P is the dyadic wreath with its blocks placed
-    from the top point down, and ``a7`` depends on its generators.
+    from the top point down; as a set, it fixes the witnesses of the A_7
+    long-cycle sweep in the golden report.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -188,14 +188,24 @@ def cycle_string(p: Permutation) -> str:
     return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
 
 
+def _strip_whitespace(text: str) -> str:
+    """text without its whitespace, refused where whitespace separates two
+    digits: "(1 2)" would otherwise read as the point 12."""
+    if re.search(r"\d\s+\d", text):
+        raise ValueError(f"points separated by whitespace in {text!r}; "
+                         "separate points with commas, as in (1,2)")
+    return re.sub(r"\s", "", text)
+
+
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:
-    """Parse whitespace-insensitive cycle notation on 1-based points.
+    """Parse cycle notation on 1-based points, ignoring whitespace except
+    between two digits, where it is refused.
 
     Raises ValueError on malformed input (unbalanced parens, stray tokens).
     """
     if degree is not None:
         _check_degree(degree)
-    stripped = re.sub(r"\s", "", text)
+    stripped = _strip_whitespace(text)
     cycles: list[tuple[int, ...]] = []
     pos = 0
     while pos < len(stripped):
@@ -223,7 +233,7 @@ def parse_permutation_list(text: str, degree: int | None = None) -> list[Permuta
     "(1,2,3)(4,5),(1,2)" is two permutations. Each is parsed at ``degree``
     when it is given; all results share one degree.
     """
-    stripped = re.sub(r"\s", "", text)
+    stripped = _strip_whitespace(text)
     if not stripped:
         return []
     parts: list[str] = []

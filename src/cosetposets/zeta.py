@@ -38,14 +38,8 @@ class DirichletPolynomial:
         return dict(self.coefficients)
 
     def evaluate(self, k: int) -> Fraction:
-        """Exact value at integer s = k; negative k makes n^(-k) an integer."""
-        total = Fraction(0)
-        for n, a in self.coefficients:
-            if k >= 0:
-                total += Fraction(a, n**k)
-            else:
-                total += Fraction(a * n**(-k))
-        return total
+        """Exact value at integer s = k."""
+        return sum((a * Fraction(n) ** -k for n, a in self.coefficients), Fraction(0))
 
     def __repr__(self) -> str:
         body = " + ".join(f"{a}*{n}^-s" for n, a in self.coefficients)

@@ -80,16 +80,12 @@ The sliced boundary rows here are built one face at a time, each facet a
 tuple slice looked up in a dict; ``complexes._boundary_rows`` builds them
 by face position, one facet lookup stream per position.
 
-The phi-invariant Sylow 2-subgroup here is found by conjugating P0 by
-each element of A_7 in table order until a conjugate is phi-invariant;
-``a7.build_environment`` takes the least right-coset label of N_A7(P0)
-over the conjugators to the phi-invariant members of P0's class, which
-``groups.conjugacy_orbit_of_subgroup`` carries beside each member.
-
-The phi-invariant 7-cycle here is the least generator of the first
-phi-invariant cyclic subgroup of order 7 in a scan of all of A_7's cyclic
-subgroups; ``a7.build_environment`` walks the class of <(1,2,3,4,5,6,7)>
-with ``groups.conjugacy_orbit_of_subgroup`` and builds no cyclic table.
+The witnesses that ``a7`` states as constants and ``a7.build_environment``
+certifies are derived here: the phi-invariant Sylow 2-subgroup by
+conjugating the library's P0 by each element of A_7 in table order until a
+conjugate is phi-invariant, and the phi-invariant 7-cycle as the least
+generator of the first phi-invariant cyclic subgroup of order 7 in a scan
+of all of A_7's cyclic subgroups.
 
 The PGL(2,7) overgroups here are the proper overgroups of P that contain a
 7-cycle, found by scanning A_7's element table for them;

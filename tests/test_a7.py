@@ -50,8 +50,8 @@ def test_environment_invariants(env):
 
 
 def test_phi_invariant_sylow2_matches_table_scan(env):
-    """The least coset label over the phi-invariant conjugates of P0 picks
-    the conjugator the table-order scan picks: the same generators of P."""
+    """The stated P is the first phi-invariant conjugate of the library's
+    Sylow 2-subgroup in the table-order scan, with the same generators."""
     scanned = scan_phi_invariant_sylow2(env.A7, env.phi.conjugator)
     assert env.P.generators == scanned.generators
     assert [str(g) for g in env.P.generators] == ["(3,4)(5,6)", "(3,5)(4,6)", "(1,2)(5,6)"]
@@ -59,9 +59,9 @@ def test_phi_invariant_sylow2_matches_table_scan(env):
 
 
 def test_seven_cycle_matches_cyclic_subgroup_scan(env):
-    """The least phi-invariant member of the class of <(1,2,3,4,5,6,7)> is
-    the first phi-invariant cyclic subgroup of order 7 of the scan, and the
-    environment is built without A_7's cyclic table."""
+    """The stated 7-cycle is the least generator of the first phi-invariant
+    cyclic subgroup of order 7 of the scan, and the environment is built
+    without A_7's cyclic table."""
     assert env.seven_cycle == scan_phi_invariant_seven_cycle(env.A7, env.phi.conjugator)
     assert build_environment.__wrapped__().A7._cyclic is None
 
@@ -75,17 +75,59 @@ def test_census_contains_p_itself_without_seven_cycle(env):
                for i in smallest.elements)
 
 
-def test_census_refuses_an_environment_with_another_p(env):
-    """The cached census belongs to the P of build_environment(); a
-    conjugate P must not silently get that P's overgroups."""
+def _conjugate_of_p(env):
+    """P^(1,2,7): a Sylow 2-subgroup of A_7 that phi does not normalize."""
     c = parse_permutation("(1,2,7)", 7)
     Pc = PermutationGroup([g ** c for g in env.P.generators], 7)
-    assert Pc.is_subgroup_of(env.A7) and not env.P.is_normalized_by(c)
+    assert Pc.order == 8 and Pc.is_subgroup_of(env.A7)
+    assert not Pc.is_normalized_by(env.phi.conjugator)
+    return Pc
+
+
+def test_environment_with_another_p_gets_its_own_census(env):
+    """A census belongs to its environment: replacing P gives a fresh census,
+    shared with no other environment, of the new P's overgroups, and leaves
+    the census of env as it was."""
+    before = list(overgroups_of_sylow2(env))
+    Pc = _conjugate_of_p(env)
     other = dataclasses.replace(env, P=Pc)
-    with pytest.raises(ValueError, match="build_environment"):
-        overgroups_of_sylow2(other)
-    with pytest.raises(ValueError, match="build_environment"):
-        pgl_overgroups(other)
+    assert other.censuses == {} and other.censuses is not env.censuses
+    census = overgroups_of_sylow2(other)
+    assert census == intermediate_subgroups(env.A7, Pc)
+    assert census != before
+    assert other.censuses == {"A7": census}
+    assert overgroups_of_sylow2(env) == before
+    assert env.censuses["A7"] is not census
+
+
+def _conjugate_of_p_gens(env):
+    return tuple(str(g) for g in _conjugate_of_p(env).generators)
+
+
+def _seven_cycle_phi_does_not_normalize(env):
+    h = parse_permutation("(1,2,3,4,5,6,7)", 7)
+    assert not PermutationGroup([h]).is_normalized_by(env.phi.conjugator)
+    return str(h)
+
+
+def _order_four_subgroup_of_p(env):
+    gens = a7.SYLOW2_GENERATORS[:2]
+    Q = PermutationGroup([parse_permutation(g, 7) for g in gens])
+    assert Q.order == 4 and Q.is_subgroup_of(env.P) and Q.is_normalized_by(env.phi.conjugator)
+    return gens
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("SYLOW2_GENERATORS", _conjugate_of_p_gens),
+    ("SYLOW2_GENERATORS", _order_four_subgroup_of_p),
+    ("SEVEN_CYCLE", _seven_cycle_phi_does_not_normalize),
+], ids=["P-conjugate-not-phi-invariant", "P-of-order-4", "seven-cycle-not-phi-invariant"])
+def test_build_environment_refuses_a_failing_witness(env, monkeypatch, name, bad):
+    """Each stated witness is certified on every build: one replaced by a
+    value that fails one check is named in a RuntimeError."""
+    monkeypatch.setattr(a7, name, bad(env))
+    with pytest.raises(RuntimeError, match=f"a7.{name} fails"):
+        build_environment.__wrapped__()
 
 
 def test_pgl_overgroups_match_seven_cycle_scan(env):
@@ -183,7 +225,7 @@ def test_smith_check_s7(env):
     assert all(result["shape"].values())
 
 
-def test_each_overgroup_census_runs_once(env, monkeypatch):
+def test_each_overgroup_census_runs_once(monkeypatch):
     """The census item, both Smith checks and both rho checks build the
     overgroups of P in A_7 and in S_7 once each."""
     calls = []
@@ -196,7 +238,8 @@ def test_each_overgroup_census_runs_once(env, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "cosetposets" and hasattr(module, "intermediate_subgroups"):
             monkeypatch.setattr(module, "intermediate_subgroups", counting)
-    a7._overgroup_census.cache_clear()
+    env = build_environment.__wrapped__()  # an environment with no census yet
+    monkeypatch.setattr(a7, "build_environment", lambda: env)
     check_phi_properties(env)
     for rec in pgl_overgroups(env):
         check_pgl_strong_generation(env, rec)

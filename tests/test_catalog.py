@@ -46,6 +46,7 @@ def test_order_mismatch_names_entry():
     ("X;3;(1,2);0", "line 1: expected order 0 below 1"),
     ("X;3;(1,2);-2", "line 1: expected order -2 below 1"),
     ("X;3;(1,1000000);2", "line 1: point 1000000 exceeds"),
+    ("X;3;(1 2 3);3", "line 1: points separated by whitespace in '"),
 ])
 def test_invalid_fields_report_line_number(line, message):
     with pytest.raises(CatalogError, match=message.replace("(", r"\(")):

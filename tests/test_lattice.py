@@ -166,7 +166,7 @@ def test_a7_lattice_certificates(monkeypatch):
         unclassed -= orbit
         classes += 1
     assert classes == 40
-    census = a7._overgroup_census("A7")
+    census = env.overgroups("A7")
     assert len(census) == 12
     assert _interval_above(lat, env.P) == {r.elements for r in census}
     poly = hall_polynomial(lat, moebius_to_top(lat))
@@ -183,7 +183,7 @@ def test_s7_lattice_interval_matches_overgroup_census(monkeypatch):
     env = a7.build_environment()
     lat = SubgroupLattice(env.S7)
     assert len(lat) == 11300
-    census = a7._overgroup_census("S7")
+    census = env.overgroups("S7")
     assert len(census) == 20
     assert _interval_above(lat, env.P) == {r.elements for r in census}
 

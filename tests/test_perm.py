@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,7 +80,11 @@ def test_cycle_string_round_trip():
 
 
 def test_parse_is_whitespace_insensitive():
+    """Whitespace beside parentheses and commas is ignored."""
     assert parse_permutation(" ( 1 , 2 ) ( 3 , 4 ) ", 4) == parse_permutation("(1,2)(3,4)", 4)
+    for text in ("( 1 , 2 )", "(1,2) (3,4)", " (1, 2)\n(3 ,4) "):
+        assert parse_permutation_list(text) == [parse_permutation(text)]
+    assert parse_permutation("(1,2) (3,4)") == parse_permutation("(1,2)(3,4)")
 
 
 def test_parse_rejects_malformed():
@@ -89,6 +94,16 @@ def test_parse_rejects_malformed():
         parse_permutation("(1,2))", 4)
     with pytest.raises(ValueError):
         parse_permutation("(1,5)", 4)
+
+
+@pytest.mark.parametrize("parse", [parse_permutation, parse_permutation_list])
+@pytest.mark.parametrize("text", ["(1 2 3)", "(1, 2)(3 4)", "(1,2)(3\t4)", "(12 3)"])
+def test_parse_refuses_whitespace_between_two_digits(parse, text):
+    """Whitespace between two digits is refused, not read as one point:
+    "(1 2 3)" is not the identity on 123 points."""
+    message = f"^points separated by whitespace in {re.escape(repr(text))}; separate points with commas"
+    with pytest.raises(ValueError, match=message):
+        parse(text)
 
 
 def test_parse_list_splits_on_top_level_commas():

@@ -186,6 +186,7 @@ def test_cli_compute_lattice(capsys):
     ["compute", "zeta", "--gens", "(1,2),(3,4)", "--degree", "2"],
     ["compute", "poset", "--group", "S3", "--relative-to", "(1,2,3,4)"],
     ["compute", "zeta", "--group", "S3", "--gens", "(1,2)"],
+    ["compute", "zeta", "--gens", "(1 2 3)"],
 ])
 def test_cli_input_error_is_one_line(argv, capsys):
     assert main(argv) == 2

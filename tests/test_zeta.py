@@ -52,6 +52,8 @@ def test_evaluate_s3():
     assert evaluate(poly, 1) == 0
     assert evaluate(poly, -1) == 8
     assert evaluate(poly, 2) == Fraction(1, 2)
+    assert evaluate(poly, 0) == 1 - 1 - 3 + 3 == 0
+    assert evaluate(poly, -2) == 1 - 4 - 3 * 9 + 3 * 36 == 78
 
 
 def test_evaluate_z2():
