@@ -123,7 +123,8 @@ def check_pgl_strong_generation(env: A7Environment, rec: SubgroupRecord) -> bool
     """<P^r : r in R> = K for a Sylow 2-subgroup P and Sylow 7-subgroup R of K."""
     elems = env.A7.element_bytes()
     K = PermutationGroup([Permutation._from_bytes(elems[i]) for i in rec.generators], 7)
-    assert K.order == rec.order
+    if K.order != rec.order:
+        raise RuntimeError(f"the record's generators give order {K.order}, not {rec.order}")
     P_K = sylow_subgroup(K, 2)
     R = sylow_subgroup(K, 7)
     conj_gens = [Permutation._from_bytes(_conj_bytes(p._b, r))
@@ -167,7 +168,9 @@ def check_rho_on_power(t: int) -> dict:
     report["normalizes_factors"] = all(Li.is_normalized_by(rho) for Li in factors)
     P_prod = PermutationGroup(
         [embed_in_power(g, b, t) for b in range(t) for g in env.P.generators])
-    assert P_prod.order == env.P.order ** t
+    if P_prod.order != env.P.order ** t:
+        raise RuntimeError(f"the product of the factors' P has order {P_prod.order}, "
+                           f"not |P|^{t} = {env.P.order ** t}")
     report["normalizes_P_product"] = P_prod.is_normalized_by(rho)
     K_diag = diagonal_embedding(env.K, t)
     report["normalizes_K"] = K_diag.is_normalized_by(rho)

@@ -56,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument("--max-order", type=int, default=None)
     verify.add_argument("--prime", type=int, default=2)
     verify.add_argument("--slow", action="store_true",
-                        help="include the slow sweeps (the A_10 claim)")
+                        help="include the slow sweeps (the A_10 and A_11 claims)")
     verify.add_argument("--out", help="write the JSON report here")
 
     compute = sub.add_parser("compute", help="ad-hoc computations for one group")

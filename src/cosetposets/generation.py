@@ -21,7 +21,6 @@ from .groups import (
     PermutationGroup,
     _closure,
     _generated_order,
-    _orbit,
     alternating_group,
     conjugacy_orbit_of_subgroup,
     direct_power,
@@ -136,6 +135,11 @@ class _CycleGenerators:
         s = seconds(cyc)
         return bytes(powers[s.index(min(s))](cyc))
 
+    def orbit(self, cyc: bytes, tables: Sequence[bytes]) -> list[bytes]:
+        """The canonical generators of the subgroups <cyc>^g, once each, for
+        g running over the padded image tables ``tables``."""
+        return list(dict.fromkeys([self.canonical(cyc.translate(t)) for t in tables]))
+
     def is_canonical(self, tail: Sequence[int]) -> bool:
         """Is the cycle whose points after its least point are ``tail``
         its subgroup's canonical generator?"""
@@ -151,13 +155,16 @@ def check_alternating_claims(n: int) -> GenerationReport:
     the cycles, which is the set of generators of one P-orbit of cyclic
     subgroups <c>. So the sweep walks cyclic subgroups, each written as its
     canonical generator: cycles are scanned in rank order, skipping those
-    seen or not canonical; each P-orbit is walked by ``_orbit`` from its
-    first such cycle, and each member is ranked once into a seen-table. The
-    orbit sizes times phi(m) must add up to the number of cycles. Only a
-    failing orbit has its members' generators ranked: witnesses are the
-    first four failing cycles in enumeration order. Raises
-    BudgetExceededError, before any work, past ENUMERATION_BOUND cyclic
-    subgroups.
+    seen or not canonical, and each P-orbit is read from its first such
+    cycle c as {canonical(c^g) : g in P}, over P's element table. Each
+    member is ranked once into a seen-table, and a member already seen
+    raises RuntimeError: the orbits are disjoint. Disjoint orbits whose
+    sizes times phi(m) add up to the number of cycles cover every cyclic
+    subgroup, so the scan stops there, and a shortfall at the end raises
+    RuntimeError. Only a failing orbit has its members' generators ranked:
+    witnesses are the first four failing cycles in enumeration order.
+    Raises BudgetExceededError, before any work, past ENUMERATION_BOUND
+    cyclic subgroups.
     """
     if n < 5:
         raise ValueError("n must be at least 5")
@@ -174,12 +181,8 @@ def check_alternating_claims(n: int) -> GenerationReport:
     P = sylow_subgroup(L, 2)
     p_gens = [g._b for g in P.generators]
     report = GenerationReport(verdict=True)
-    conjugations = [g + _ID256[n:] for g in p_gens]
-    canonical, is_canonical = gens.canonical, gens.is_canonical
-
-    def step(cyc: bytes) -> list[bytes]:
-        return [canonical(cyc.translate(t)) for t in conjugations]
-
+    conjugations = [g + _ID256[n:] for g in P.element_bytes()]
+    is_canonical = gens.is_canonical
     seen = bytearray(total)
     failing: list[tuple[int, bytes, int]] = []
     for s, points in enumerate(combinations(range(n), length)):
@@ -188,9 +191,14 @@ def check_alternating_claims(n: int) -> GenerationReport:
             if seen[r] or not is_canonical(tail):
                 continue
             rep = bytes(anchor + tail)
-            members = [cyc for cyc, _, _ in _orbit(rep, step)]
+            members = gens.orbit(rep, conjugations)
             for cyc in members:
-                seen[_long_cycle_rank(cyc, n)] = 1
+                k = _long_cycle_rank(cyc, n)
+                if seen[k]:
+                    raise RuntimeError(
+                        f"the P-orbit of {cycle_string(_cycle_permutation(rep, n))} "
+                        f"meets an earlier orbit")
+                seen[k] = 1
             report.tests += 1
             report.cycles += gens.count * len(members)
             got = _generated_order([_cycle_permutation(rep, n)._b] + p_gens, n, stop_at=target)
@@ -198,6 +206,10 @@ def check_alternating_claims(n: int) -> GenerationReport:
                 report.verdict = False
                 failing += [(_long_cycle_rank(g, n), g, got)
                             for cyc in members for g in gens.all(cyc)]
+            if report.cycles == total:
+                break
+        if report.cycles == total:
+            break
     if report.cycles != total:
         raise RuntimeError(f"orbit sizes add up to {report.cycles}, not {total} cycles")
     failing.sort()
@@ -241,7 +253,7 @@ def sylow2_fixed_point_free_element(n: int) -> Permutation | None:
 
 
 def imprimitive_parity_identity(n: int, d: int) -> tuple[int, str]:
-    """Both sides of n!/(d!^l l!) = product of C(jd-1, d-1), asserted equal.
+    """Both sides of n!/(d!^l l!) = product of C(jd-1, d-1), checked equal.
 
     Returns the common value and its parity. For odd n the value is even:
     the j = 2 factor C(2d-1, d-1) carries a factor of two.
@@ -250,14 +262,19 @@ def imprimitive_parity_identity(n: int, d: int) -> tuple[int, str]:
         raise ValueError(f"{d} is not a nontrivial proper divisor of {n}")
     ell = n // d
     num, den = factorial(n), factorial(d) ** ell * factorial(ell)
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"d!^l l! does not divide n! at n={n}, d={d}")
     lhs = num // den
     rhs = 1
     for j in range(1, ell + 1):
         rhs *= comb(j * d - 1, d - 1)
-    assert lhs == rhs, f"factorization identity fails at n={n}, d={d}"
+    if lhs != rhs:
+        raise RuntimeError(f"factorization identity fails at n={n}, d={d}")
     if n % 2 == 1:
         # d odd, so d * C(2d-1, d-1) = (2d-1) * 2 * C(2d-3, d-1) forces evenness
-        assert d % 2 == 1
-        assert d * comb(2 * d - 1, d - 1) == (2 * d - 1) * 2 * comb(2 * d - 3, d - 1)
+        if d % 2 == 0:
+            raise RuntimeError(f"d={d} is even but divides the odd n={n}")
+        if d * comb(2 * d - 1, d - 1) != (2 * d - 1) * 2 * comb(2 * d - 3, d - 1):
+            raise RuntimeError(
+                f"evenness identity d C(2d-1, d-1) = 2 (2d-1) C(2d-3, d-1) fails at d={d}")
     return lhs, "even" if lhs % 2 == 0 else "odd"

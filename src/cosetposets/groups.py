@@ -356,7 +356,8 @@ def alternating_group(n: int) -> PermutationGroup:
     else:
         big = Permutation.from_cycles([tuple(range(2, n + 1))], n)
     G = PermutationGroup([three, big])
-    assert G.order == factorial(n) // 2
+    if G.order != factorial(n) // 2:
+        raise RuntimeError(f"the generators of A_{n} give order {G.order}, not {n}!/2")
     return G
 
 
@@ -455,7 +456,9 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
         if G.order == factorial(n) // 2:
             gens = _even_part_gens(gens)
         P = PermutationGroup([Permutation._from_bytes(g) for g in gens], n)
-        assert P.order == pe, "wreath Sylow construction produced the wrong order"
+        if P.order != pe:
+            raise RuntimeError(f"the wreath Sylow {p}-subgroup of degree {n} has order "
+                               f"{P.order}, not |G|_{p} = {pe}")
         return P
     rest = iter(G.element_bytes())
     # deduplicated p-elements, in canonical order, found as far as a scan needs
@@ -500,7 +503,8 @@ def direct_power(L: PermutationGroup, t: int) -> PermutationGroup:
         raise ValueError("t must be positive")
     G = PermutationGroup([embed_in_power(g, block, t)
                           for block in range(t) for g in L.generators], L.degree * t)
-    assert G.order == L.order ** t
+    if G.order != L.order ** t:
+        raise RuntimeError(f"the direct power has order {G.order}, not |L|^{t} = {L.order ** t}")
     return G
 
 
@@ -521,7 +525,8 @@ def diagonal_embedding(K: PermutationGroup, t: int) -> PermutationGroup:
     gens = [reduce(mul, (embed_in_power(g, block, t) for block in range(t)))
             for g in K.generators]
     G = PermutationGroup(gens, K.degree * t)
-    assert G.order == K.order
+    if G.order != K.order:
+        raise RuntimeError(f"the diagonal copy has order {G.order}, not |K| = {K.order}")
     return G
 
 
@@ -554,11 +559,14 @@ def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> Quotien
     label = right_coset_reps(G, subgroup_indices(G, N))
     step = _on_cosets(G, label, [index[g] for g in G._gens_bytes()])
     reps = [x for x, _, _ in _orbit(0, step)]
-    assert len(reps) == G.order // N.order
+    if len(reps) != G.order // N.order:
+        raise RuntimeError(f"the coset walk meets {len(reps)} cosets, not |G:N| = "
+                           f"{G.order // N.order}")
     position = {x: j for j, x in enumerate(reps)}
     images = [Permutation([position[y] for y in column]) for column in zip(*map(step, reps))]
     Q = PermutationGroup(images, len(reps))
-    assert Q.order * N.order == G.order
+    if Q.order * N.order != G.order:
+        raise RuntimeError(f"|G/N| |N| = {Q.order} * {N.order} is not |G| = {G.order}")
     return QuotientRepresentation(Q, tuple(Permutation._from_bytes(elems[x]) for x in reps))
 
 

@@ -48,7 +48,8 @@ class SubgroupLattice(FinitePoset):
                 f"subgroup lattice needs |G| <= {LATTICE_ORDER_BOUND}, got {group.order}")
         self.group = group
         self.elements: tuple[bytes, ...] = group.element_bytes()
-        assert self.elements[0] == bytes(range(group.degree)), "identity must sort first"
+        if self.elements[0] != bytes(range(group.degree)):
+            raise RuntimeError("the identity does not sort first in the element table")
         self.subgroups: list[SubgroupRecord] = self._enumerate()
         self.subgroup_index: dict[frozenset[int], int] = {
             e.elements: i for i, e in enumerate(self.subgroups)

@@ -58,7 +58,7 @@ JOIN_PAIRS = (
     ("C6", "(1,3,5)(2,4,6)"),
 )
 
-ALTGEN_EXPECTED = {5: True, 6: True, 7: False, 8: False, 9: True, 10: True}
+ALTGEN_EXPECTED = {5: True, 6: True, 7: False, 8: False, 9: True, 10: True, 11: True}
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ def _join_records(ws: _Workspace, config: SuiteConfig) -> list[dict]:
 
 def _altgen_records(ws: _Workspace, config: SuiteConfig) -> list[dict]:
     out = []
-    degrees = [5, 6, 7, 8, 9] + ([10] if config.slow else [])
+    degrees = [5, 6, 7, 8, 9] + ([10, 11] if config.slow else [])
     for n in degrees:
 
         def check(n=n):

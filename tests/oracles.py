@@ -34,9 +34,10 @@ conjugation rows.
 
 The long-cycle flood here walks the orbits of P x Aut(<c>) on the cycles
 themselves, under P's conjugations and a generating set of (Z/m)^*, and
-ranks every cycle; ``generation.check_alternating_claims`` walks P-orbits
-of cyclic subgroups <c>, each written as its canonical generator, and
-ranks one cycle per subgroup.
+ranks every cycle; ``generation.check_alternating_claims`` reads P-orbits
+of cyclic subgroups <c>, each written as its canonical generator, off P's
+element table, and ranks one cycle per subgroup. The P-orbits of cyclic
+subgroups here are walked breadth first under P's generators instead.
 
 The flat lattice enumeration here joins each class representative with
 every prime-power cyclic subgroup; the library joins one cyclic subgroup
@@ -104,7 +105,8 @@ from operator import itemgetter
 from cosetposets.a7 import A7Environment, overgroups_of_sylow2
 from cosetposets.complexes import SimplicialComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
-from cosetposets.generation import GenerationReport, _cycle_permutation, _long_cycle_rank
+from cosetposets.generation import (GenerationReport, _CycleGenerators, _cycle_permutation,
+                                    _long_cycle_rank)
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _generated_order,
                                 _is_prime, _normal_closure, _orbit, _p_part,
                                 conjugacy_orbit_of_subgroup, conjugate_indices,
@@ -292,6 +294,28 @@ def cycle_flood_sweep(n: int) -> GenerationReport:
          "generated_order": got}
         for s, got in failing[:4]]
     return report
+
+
+def generator_walk_p_orbits(n: int) -> list[list[bytes]]:
+    """The P-orbits on the cyclic subgroups <c> of A_n's long cycles, each
+    subgroup written as its canonical generator, in rank order of their
+    least-ranked members; each is walked by ``_orbit`` under P's generators
+    from that member, breadth first."""
+    length = n if n % 2 == 1 else n - 1
+    gens = _CycleGenerators(length)
+    conjugations = [g._b + _ID256[n:] for g in sylow_subgroup(alternating_group(n), 2).generators]
+
+    def step(cyc: bytes) -> list[bytes]:
+        return [gens.canonical(cyc.translate(t)) for t in conjugations]
+
+    seen: set[bytes] = set()
+    orbits = []
+    for r in range(comb(n, length) * factorial(length - 1)):
+        cyc = _long_cycle_unrank(r, n, length)
+        if cyc not in seen and gens.canonical(cyc) == cyc:
+            orbits.append([c for c, _, _ in _orbit(cyc, step)])
+            seen.update(orbits[-1])
+    return orbits
 
 
 @dataclass

@@ -37,7 +37,8 @@ from cosetposets.catalog import load_catalog
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, cycle_string, parse_permutation
 from oracles import (_long_cycle_unrank, action_fixed_points, cycle_flood_sweep,
-                     full_scan_sylow_subgroup, scan_conjugate_sweep, translation_action_group)
+                     full_scan_sylow_subgroup, generator_walk_p_orbits, scan_conjugate_sweep,
+                     translation_action_group)
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
@@ -252,6 +253,61 @@ def test_flood_ranks_each_cyclic_subgroup_once(n, monkeypatch):
     assert len(ranked) == report.cycles // 6 + FAILING_CYCLES[n]  # phi(7) = phi(9) = 6
 
 
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_table_orbits_match_generator_walk(n, monkeypatch):
+    """Each P-orbit the sweep reads off P's element table, from the least
+    ranked canonical cycle not yet covered, is the orbit that a breadth
+    first walk under P's generators reaches from the same cycle."""
+    read = []
+    table_orbit = _CycleGenerators.orbit
+
+    def recording(self, cyc, tables):
+        read.append(table_orbit(self, cyc, tables))
+        return read[-1]
+
+    monkeypatch.setattr(_CycleGenerators, "orbit", recording)
+    report = check_alternating_claims(n)
+    walked = generator_walk_p_orbits(n)
+    assert len(read) == report.tests == len(walked)
+    for got, want in zip(read, walked):
+        assert got[0] == want[0] and sorted(got) == sorted(want)
+
+
+def test_sweep_refuses_orbits_that_meet(monkeypatch):
+    """A canonical form that sends each member of every orbit after the
+    first onto the rank-0 cycle, which the first orbit marked, makes the
+    sweep's disjointness certificate raise."""
+    canonical = _CycleGenerators.canonical
+    first_orbit = sylow_subgroup(alternating_group(7), 2).order  # one call per element of P
+    calls = []
+
+    def merging(self, cyc):
+        calls.append(cyc)
+        return canonical(self, cyc) if len(calls) <= first_orbit else bytes(range(len(cyc)))
+
+    monkeypatch.setattr(_CycleGenerators, "canonical", merging)
+    with pytest.raises(RuntimeError, match="meets an earlier orbit"):
+        check_alternating_claims(7)
+
+
+def test_a9_scan_stops_once_the_orbits_cover_every_cycle(monkeypatch):
+    """The 122 orbits of A_9 cover its 40,320 9-cycles once the last one
+    starts, at rank 1,832, so the scan tests 122 tails for canonicity, one
+    per orbit; scanning all 40,320 tails tested the 33,722 unseen ones."""
+    tested = []
+    is_canonical = _CycleGenerators.is_canonical
+
+    def counting(self, tail):
+        tested.append(tail)
+        return is_canonical(self, tail)
+
+    monkeypatch.setattr(_CycleGenerators, "is_canonical", counting)
+    report = check_alternating_claims(9)
+    assert (report.tests, report.cycles) == (122, 40320)
+    assert len(tested) == 122
+    assert _long_cycle_rank(bytes([0, *tested[-1]]), 9) == 1832
+
+
 class _SweepStarted(Exception):
     pass
 
@@ -385,6 +441,12 @@ def test_parity_identity_sweep():
                 value, parity = imprimitive_parity_identity(n, d)
                 if n % 2 == 1 and n <= 35:
                     assert parity == "even"
+
+
+def test_parity_identity_raises_when_its_sides_differ(monkeypatch):
+    monkeypatch.setattr(generation, "comb", lambda a, b: 1)
+    with pytest.raises(RuntimeError, match="factorization identity fails at n=9, d=3"):
+        imprimitive_parity_identity(9, 3)
 
 
 def test_parity_identity_rejects_bad_divisor():

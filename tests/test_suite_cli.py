@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -359,3 +360,13 @@ def test_readme_compute_poset_example_prints_a_cover_pair(capsys):
     assert main(shlex.split(line, comments=True)[1:]) == 0
     covers = capsys.readouterr().out.split("--covers--\n", 1)[1].splitlines()
     assert covers and all(re.fullmatch(r"\d+<\d+", c) for c in covers)
+
+
+def test_src_certificates_use_no_assert_statement():
+    """``python -O`` strips assert statements, so a certificate in ``src``
+    that asserts would return unchecked values; each raises instead."""
+    paths = sorted((Path(__file__).parent.parent / "src" / "cosetposets").glob("*.py"))
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert paths and found == []
