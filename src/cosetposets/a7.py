@@ -8,7 +8,9 @@ what makes the fixed-point set of the extended action empty. Everything
 here is computed on explicit element sets; the coset posets of A_7 and S_7
 are far too large to materialize, so fixed cosets are found through the
 containment criterion applied to the overgroups of the fixed Sylow
-2-subgroup.
+2-subgroup. Those in A_7 come from the overgroup census; those in S_7 are
+lifted from it across the index-2 extension, each one A_7-overgroup L or
+L together with one coset Lt, for t odd, normalizing L, with t^2 in L.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .groups import (
     embed_in_power,
     generated_order,
     intermediate_subgroups,
+    lift_census,
     symmetric_group,
     sylow_subgroup,
 )
@@ -54,11 +57,18 @@ class A7Environment:
 
     def overgroups(self, ambient: str) -> list[SubgroupRecord]:
         """All subgroups H with P <= H <= G, for G = A_7 (``"A7"``) or S_7
-        (``"S7"``), as index sets into G's element table; each census is run
-        once per environment."""
+        (``"S7"``), as index sets into G's element table: the A_7 census by
+        ``intermediate_subgroups``, the S_7 census lifted from it across the
+        index-2 extension by ``lift_census``. Each is built once per
+        environment."""
         if ambient not in self.censuses:
-            G = {"A7": self.A7, "S7": self.S7}[ambient]
-            self.censuses[ambient] = intermediate_subgroups(G, self.P)
+            if ambient == "A7":
+                census = intermediate_subgroups(self.A7, self.P)
+            elif ambient == "S7":
+                census = lift_census(self.S7, self.A7, self.overgroups("A7"))
+            else:
+                raise KeyError(ambient)
+            self.censuses[ambient] = census
         return self.censuses[ambient]
 
 

@@ -842,3 +842,55 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
 
     _orbit(start.elements, extensions)
     return sorted(found.values(), key=lambda r: (r.order, sorted(r.elements)))
+
+
+def lift_census(G: PermutationGroup, G0: PermutationGroup,
+                records0: Iterable[SubgroupRecord]) -> list[SubgroupRecord]:
+    """The census over G lifted from ``records0``, a census over a subgroup
+    G0 of index 2 in G (index sets into G0's element table): the records
+    as index sets into G's table, in the order of ``intermediate_subgroups``.
+
+    A subgroup K of G meets G0 in a subgroup L with K = L or K = L ∪ Lt,
+    for an element t outside G0 that normalizes L and has t^2 in L; such K
+    comes from exactly one coset Lt, and the two tests together hold for
+    all of Lt or for none of it. So each record L of ``records0`` gives L
+    and one record per passing coset Lt, generated by L's generators and
+    the least element of Lt. The cosets outside G0 are the Lxs, for Lx the
+    right cosets of L in G0 and s the least element of G outside G0, so
+    only G0's table is labelled. Given H's census over G0, the result is
+    H's census over G.
+    """
+    if G.order != 2 * G0.order:
+        raise ValueError(f"G0 of order {G0.order} is not of index 2 in G of order {G.order}")
+    if not G0.is_subgroup_of(G):
+        raise ValueError("G0 is not a subgroup of G")
+    elems, index = G.element_bytes(), G.element_index()
+    tail = _ID256[G.degree:]
+    to_g = [index[b] for b in G0.element_bytes()]
+    inside = frozenset(to_g)
+    s_pad = elems[next(x for x in range(len(elems)) if x not in inside)] + tail
+    out = []
+    for rec in records0:
+        if not rec.elements <= G0._full_set():
+            raise ValueError("a record of records0 does not lie inside G0")
+        L = frozenset(map(to_g.__getitem__, rec.elements))
+        gens = tuple(map(to_g.__getitem__, rec.generators))
+        out.append(SubgroupRecord(rec.order, L, gens))
+        label = right_coset_reps(G0, rec.elements)
+        for x, least in enumerate(label):
+            if least != x:
+                continue
+            t = elems[to_g[x]].translate(s_pad)  # xs, in the coset Lxs
+            t_pad = t + tail
+            if (index[t.translate(t_pad)] not in L
+                    or not all(y in L for y in map(_conjugator(G, t), gens))):
+                continue
+            coset = [index[elems[y].translate(t_pad)] for y in L]
+            K = L.union(coset)
+            if len(K) != 2 * rec.order or K & inside != L:
+                raise RuntimeError(f"the lift of a record of order {rec.order} by {min(coset)} "
+                                   f"does not double it or meets G0 outside it")
+            out.append(SubgroupRecord(len(K), K, gens + (min(coset),)))
+    if len({rec.elements for rec in out}) != len(out):
+        raise RuntimeError("the lifted census repeats a record")
+    return sorted(out, key=lambda r: (r.order, sorted(r.elements)))

@@ -226,18 +226,26 @@ def test_smith_check_s7(env):
 
 
 def test_each_overgroup_census_runs_once(monkeypatch):
-    """The census item, both Smith checks and both rho checks build the
-    overgroups of P in A_7 and in S_7 once each."""
-    calls = []
+    """The census item, both Smith checks and both rho checks run the
+    overgroup census once, on A_7, and get the S_7 overgroups from one lift
+    of that census across the index-2 extension."""
+    censuses, lifts = [], []
 
-    def counting(G, H):
-        calls.append(G.order)
-        return original(G, H)
+    def counting_census(G, H):
+        censuses.append(G.order)
+        return census(G, H)
 
-    original = groups.intermediate_subgroups
+    def counting_lift(G, G0, records0):
+        lifts.append((G.order, G0.order, records0))
+        return lift(G, G0, records0)
+
+    census, lift = groups.intermediate_subgroups, groups.lift_census
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cosetposets" and hasattr(module, "intermediate_subgroups"):
-            monkeypatch.setattr(module, "intermediate_subgroups", counting)
+        if name.split(".")[0] == "cosetposets":
+            for attr, counting in (("intermediate_subgroups", counting_census),
+                                   ("lift_census", counting_lift)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, counting)
     env = build_environment.__wrapped__()  # an environment with no census yet
     monkeypatch.setattr(a7, "build_environment", lambda: env)
     check_phi_properties(env)
@@ -247,7 +255,9 @@ def test_each_overgroup_census_runs_once(monkeypatch):
         smith_fixed_point_check(build_smith_spec(ambient))
     for t in (1, 2):
         check_rho_on_power(t)
-    assert sorted(calls) == [2520, 5040]
+    assert censuses == [2520]
+    assert len(lifts) == 1
+    assert lifts[0][:2] == (5040, 2520) and lifts[0][2] is env.censuses["A7"]
 
 
 def test_smith_fixed_set_invariant_under_conjugate_spec(env):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cosetposets.groups import (
     BudgetExceededError,
     PermutationGroup,
+    SubgroupRecord,
     _closure,
     alternating_group,
     conjugate_indices,
@@ -484,6 +485,68 @@ def test_census_refuses_a_closure_that_repeats_a_record(monkeypatch):
     G, H = _census_case("S4/V4")
     with pytest.raises(RuntimeError, match="gave a record already found"):
         intermediate_subgroups(G, H)
+
+
+def _lift_case(case):
+    """(G, G0, H): G0 of index 2 in G, and H <= G0 the census's base."""
+    if case == "S7/P":
+        env = a7.build_environment()
+        return env.S7, env.A7, env.P
+    if case == "S3/C3":
+        C3 = PermutationGroup(perms("(1,2,3)", degree=3))
+        return symmetric_group(3), C3, C3
+    if case == "S5/Sylow2(A5)":
+        A5 = alternating_group(5)
+        return symmetric_group(5), A5, sylow_subgroup(A5, 2)
+    # over the trivial group a 4-cycle normalizes L = 1 with its square outside L
+    H = _census_case("S4/V4")[1] if case == "S4/V4" else PermutationGroup([], degree=4)
+    return symmetric_group(4), alternating_group(4), H
+
+
+@pytest.mark.parametrize("case", ["S7/P", "S4/V4", "S4/1", "S3/C3", "S5/Sylow2(A5)"])
+def test_lift_census_matches_census(case):
+    """Lifting H's census over G0 gives H's census over G, record for record
+    in the census's order, and each lifted record's generators close to its
+    elements."""
+    G, G0, H = _lift_case(case)
+    lifted = groups.lift_census(G, G0, intermediate_subgroups(G0, H))
+    assert ([(r.order, r.elements) for r in lifted]
+            == [(r.order, r.elements) for r in intermediate_subgroups(G, H)])
+    assert all(_closure(G, r.generators) == r.elements for r in lifted)
+
+
+def test_lift_census_certifies_each_lift(monkeypatch):
+    """A record that misstates its order lifts to a K of less than twice
+    that order; with every element labelled as its own coset, each lift comes
+    once per element of its coset, and the census repeats a record."""
+    G, G0, H = _lift_case("S4/V4")
+    V4 = intermediate_subgroups(G0, H)[0]
+    with pytest.raises(RuntimeError, match="does not double it"):
+        groups.lift_census(G, G0, [SubgroupRecord(8, V4.elements, V4.generators)])
+    monkeypatch.setattr(groups, "right_coset_reps", lambda G, members: range(G.order))
+    with pytest.raises(RuntimeError, match="repeats a record"):
+        groups.lift_census(G, G0, [V4])
+
+
+def test_lift_census_refuses_a_subgroup_not_of_index_2():
+    G, H = _census_case("S4/V4")
+    with pytest.raises(ValueError, match="not of index 2"):
+        groups.lift_census(G, H, [])
+
+
+def test_lift_census_refuses_a_subgroup_outside_g():
+    C4 = cyclic_group(4)  # whose involution is (1,3)(2,4)
+    with pytest.raises(ValueError, match="G0 is not a subgroup of G"):
+        groups.lift_census(C4, PermutationGroup(perms("(1,2)(3,4)", degree=4)), [])
+
+
+def test_lift_census_refuses_a_record_outside_g0():
+    """A census over G is no census over G0: its records reach past G0's
+    table."""
+    G, G0, H = _lift_case("S4/V4")
+    lifted = groups.lift_census(G, G0, intermediate_subgroups(G0, H))
+    with pytest.raises(ValueError, match="does not lie inside G0"):
+        groups.lift_census(G, G0, lifted)
 
 
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
