@@ -11,6 +11,9 @@ containment criterion applied to the overgroups of the fixed Sylow
 2-subgroup. Those in A_7 come from the overgroup census; those in S_7 are
 lifted from it across the index-2 extension, each one A_7-overgroup L or
 L together with one coset Lt, for t odd, normalizing L, with t^2 in L.
+Within each overgroup H the fixed cosets Hx are read off the class of the
+7-cycle k, whose centralizer is <k> in A_7 and in S_7 (``fixed_cosets``),
+so no coset of A_7 or S_7 is labelled.
 """
 
 from __future__ import annotations

@@ -4,23 +4,30 @@ C(G, N) fixed by P x K acting by left and right translation.
 Vertices are right cosets Hx of proper subgroups, keyed by the lattice
 index of H and the minimal element id of the coset. Hx <= Ky holds iff
 H <= K in the lattice and x y^-1 lies in K; both tests are index lookups.
+
+The fixed cosets are found without a poset or a coset labelling of G:
+Hx is fixed by P x K iff P <= H and x k x^-1 lies in H for each generator
+k of K, and those x are read off k's conjugacy class and its centralizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable
 
 from .groups import (
     PermutationGroup,
     SubgroupRecord,
-    conjugate_indices,
+    _centralizer,
+    _conjugator,
+    _orbit,
     is_normal_subgroup,
     right_coset_reps,
     subgroup_indices,
 )
 from .lattice import SubgroupLattice
-from .perm import Permutation, _inv_bytes, cycle_string
+from .perm import _ID256, Permutation, _inv_bytes, cycle_string
 from .posets import FinitePoset
 
 
@@ -138,21 +145,62 @@ def fixed_cosets(G: PermutationGroup, N: PermutationGroup,
 
     Hx is fixed iff <P, K^(x^-1)> <= H, so only the proper overgroups H of P
     (``overgroups``, from ``intermediate_subgroups(G, P)``) with HN = G can
-    carry one; pass N = G for C(G). Each coset is (H, r), r its least index.
+    carry one; pass N = G for C(G). Each coset is (H, r), r its least index,
+    H in the order of ``overgroups`` and r increasing.
+
+    No coset of G is labelled: x k x^-1 lies in H for a generator k of K
+    exactly when x lies in x_h C_G(k) for a member h = x_h k x_h^-1 of k's
+    class inside H (``_conjugates``). The x that pass for every generator
+    make a union of right cosets of H, split here by their least indices.
     """
     if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
     if not K.is_subgroup_of(G):
         raise ValueError("K is not a subgroup of G")
     elems, index = G.element_bytes(), G.element_index()
+    tail = _ID256[G.degree:]
     n_set = subgroup_indices(G, N)
-    k_gens = [index[g._b] for g in K.generators]
+    classes = [_conjugates(G, index[g._b]) for g in K.generators]
     out = []
     for rec in overgroups:
         if not _proper_supplement(rec, n_set, G.order):
             continue
-        for r, rep in enumerate(right_coset_reps(G, rec.elements)):
-            # K^(x^-1) = x K x^-1, with x = r the least element of Hx
-            if rep == r and conjugate_indices(G, k_gens, _inv_bytes(elems[r])) <= rec.elements:
+        passing = [frozenset(chain.from_iterable(
+            map(index.__getitem__, map(x.translate, centralizer))
+            for h, x in members if h in rec.elements)) for members, centralizer in classes]
+        # a K without generators fixes every coset
+        fixed = frozenset.intersection(*passing) if passing else G._full_set()
+        if not fixed:
+            continue
+        base = [elems[h] for h in rec.elements]
+        covered: set[int] = set()
+        for r in sorted(fixed):
+            if r not in covered:  # r is the least element of Hr
                 out.append((rec, r))
+                covered.update(map(index.__getitem__,
+                                   map(bytes.translate, base, repeat(elems[r] + tail))))
     return out
+
+
+def _conjugates(G: PermutationGroup, k: int) -> tuple[list[tuple[int, bytes]], list[bytes]]:
+    """The class of the element of index k, walked by ``_orbit`` under
+    h -> s^-1 h s for G's generators s, as (h, x_h) with h = x_h k x_h^-1
+    (x_h is s^-1 times its parent's); and C_G(k) as padded image tables, so
+    that the x with x k x^-1 = h are the products x_h c, c in C_G(k).
+
+    Raises RuntimeError unless |class| |C_G(k)| = |G|.
+    """
+    elems = G.element_bytes()
+    tail = _ID256[G.degree:]
+    s_gens = G._gens_bytes()
+    steps = [_conjugator(G, s) for s in s_gens]
+    walk = _orbit(k, lambda h: [step(h) for step in steps])
+    s_invs = [_inv_bytes(s) for s in s_gens]
+    members = [(k, elems[0])]
+    for h, parent, r in walk[1:]:
+        members.append((h, s_invs[r].translate(members[parent][1] + tail)))
+    centralizer = _centralizer(G, k, len(elems) // len(members))
+    if len(members) * len(centralizer) != len(elems):
+        raise RuntimeError(f"a class of {len(members)} members and a centralizer of order "
+                           f"{len(centralizer)} do not multiply to |G| = {len(elems)}")
+    return members, [elems[c] + tail for c in centralizer]

@@ -622,10 +622,11 @@ def subgroup_indices(G: PermutationGroup, H: PermutationGroup) -> frozenset[int]
     """The elements of a subgroup H of G as indices into G's element table,
     closed from H's generators on that table; H's own is never built.
 
-    Raises KeyError if H is not inside G.
+    Raises KeyError if H is not inside G; an H of G's order is G.
     """
     index = G.element_index()
-    return _closure(G, [index[g] for g in H._gens_bytes()])
+    gens = [index[g] for g in H._gens_bytes()]
+    return G._full_set() if H.order == G.order else _closure(G, gens)
 
 
 def _closure(G: PermutationGroup, gens: Sequence[int],
@@ -724,10 +725,28 @@ def _normalizer(G: PermutationGroup, members: frozenset[int], gens: Sequence[int
                 order: int) -> tuple[frozenset[int], tuple[int, ...]]:
     """N_G(H) for a subgroup H given by its element indices and generator
     indices, with |N_G(H)| = ``order`` known (|G| over the size of H's
-    class): grown from H by ``_closure``, adding each element that
-    normalizes H in table order until N has that order. Returns N's element
-    indices and generators (``gens`` and the elements added; G's own when
-    H is normal)."""
+    class), grown from H by ``_grow``."""
+    return _grow(G, members, gens, order,
+                 lambda xb: all(h in members for h in map(_conjugator(G, xb), gens)))
+
+
+def _centralizer(G: PermutationGroup, k: int, order: int) -> frozenset[int]:
+    """C_G(k) for the element of index k, with |C_G(k)| = ``order`` known
+    (|G| over the size of k's class), grown from <k> by ``_grow``."""
+    elems = G.element_bytes()
+    tail = _ID256[G._degree:]
+    kb, k_pad = elems[k], elems[k] + tail
+    return _grow(G, _closure(G, (k,)), (k,), order,
+                 lambda xb: kb.translate(xb + tail) == xb.translate(k_pad))[0]
+
+
+def _grow(G: PermutationGroup, members: frozenset[int], gens: Sequence[int], order: int,
+          keeps: Callable[[bytes], bool]) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The subgroup of the elements x that pass ``keeps(x's image table)``,
+    of known ``order``, grown from a subgroup of it given by its element and
+    generator indices: by ``_closure``, adding each element that passes in
+    table order until it has that order. Returns its element indices and
+    generators (``gens`` and the elements added; G's own when it is G)."""
     elems, index = G.element_bytes(), G.element_index()
     if order == len(elems):
         return G._full_set(), tuple(index[g] for g in G._gens_bytes())
@@ -737,7 +756,7 @@ def _normalizer(G: PermutationGroup, members: frozenset[int], gens: Sequence[int
             break
         if x in N:
             continue
-        if all(h in members for h in map(_conjugator(G, xb), gens)):
+        if keeps(xb):
             n_gens += (x,)
             N = _closure(G, n_gens, N)
     return N, n_gens

@@ -9,6 +9,13 @@ materialized coset poset and reads off the fixed vertices by definition;
 ``cosets.fixed_cosets`` answers the same question from the containment
 criterion <P, K^(x^-1)> <= H without building the poset.
 
+The labelled fixed cosets here label every element of G by its right coset
+of each proper supplement H (``groups.right_coset_reps``) and test
+x k x^-1 in H at the least element x of each coset, per generator k of K;
+``cosets.fixed_cosets`` labels no coset of G: it walks the class of each
+generator k once, with a conjugator per member, grows C_G(k), and reads
+the x with x k x^-1 in H off the members inside H.
+
 Products of elements here come from ``product_table``, which composes the
 image tables of G's element table point by point, so the oracles share no
 arithmetic with the library beyond the element table itself.
@@ -104,13 +111,14 @@ from operator import itemgetter
 
 from cosetposets.a7 import A7Environment, overgroups_of_sylow2
 from cosetposets.complexes import SimplicialComplex
-from cosetposets.cosets import CosetPoset, OvergroupAutomorphism
+from cosetposets.cosets import CosetPoset, OvergroupAutomorphism, _proper_supplement
 from cosetposets.generation import (GenerationReport, _CycleGenerators, _cycle_permutation,
                                     _long_cycle_rank)
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _generated_order,
                                 _is_prime, _normal_closure, _orbit, _p_part,
                                 conjugacy_orbit_of_subgroup, conjugate_indices,
-                                subgroup_indices, alternating_group, sylow_subgroup)
+                                is_normal_subgroup, right_coset_reps, subgroup_indices,
+                                alternating_group, sylow_subgroup)
 from cosetposets.perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
 
 
@@ -151,6 +159,29 @@ def action_fixed_points(poset: CosetPoset, action: ActionGroup) -> list[int]:
         mapping = vertex_action_map(poset, triple)
         fixed = [v for v in fixed if mapping[v] == v]
     return fixed
+
+
+def labelled_fixed_cosets(G: PermutationGroup, N: PermutationGroup, overgroups,
+                          K: PermutationGroup) -> list[tuple[SubgroupRecord, int]]:
+    """``cosets.fixed_cosets`` by labelling G's right cosets of each proper
+    supplement H and testing each coset's least element r: r k r^-1 in H
+    for each generator k of K."""
+    if not is_normal_subgroup(G, N):
+        raise ValueError("N is not normal in G")
+    if not K.is_subgroup_of(G):
+        raise ValueError("K is not a subgroup of G")
+    elems, index = G.element_bytes(), G.element_index()
+    n_set = subgroup_indices(G, N)
+    k_gens = [index[g._b] for g in K.generators]
+    out = []
+    for rec in overgroups:
+        if not _proper_supplement(rec, n_set, G.order):
+            continue
+        for r, rep in enumerate(right_coset_reps(G, rec.elements)):
+            # K^(r^-1) = r K r^-1
+            if rep == r and conjugate_indices(G, k_gens, _inv_bytes(elems[r])) <= rec.elements:
+                out.append((rec, r))
+    return out
 
 
 @lru_cache(maxsize=8)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from cosetposets import a7, groups
+from cosetposets import a7, cosets, groups
 from cosetposets.a7 import (
     build_environment,
     build_smith_spec,
@@ -223,6 +223,20 @@ def test_smith_check_s7(env):
     assert result["translation_fixed"] == []
     assert result["fully_fixed"] == []
     assert all(result["shape"].values())
+
+
+def test_smith_checks_label_no_coset(env, monkeypatch):
+    """Once the censuses are built, neither Smith check labels a coset of G."""
+    expected = {ambient: smith_fixed_point_check(build_smith_spec(ambient))
+                for ambient in ("A7", "S7")}
+
+    def refuse(G, members):
+        raise AssertionError("right_coset_reps was called")
+
+    for module in (cosets, groups):
+        monkeypatch.setattr(module, "right_coset_reps", refuse)
+    for ambient in ("A7", "S7"):
+        assert smith_fixed_point_check(build_smith_spec(ambient)) == expected[ambient]
 
 
 def test_each_overgroup_census_runs_once(monkeypatch):

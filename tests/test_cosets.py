@@ -1,8 +1,11 @@
+import os
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosetposets import cosets
+from cosetposets.a7 import build_smith_spec
 from cosetposets.catalog import load_catalog
 from cosetposets.cosets import (
     OvergroupAutomorphism,
@@ -12,26 +15,31 @@ from cosetposets.cosets import (
 )
 from cosetposets.groups import (
     PermutationGroup,
+    _centralizer,
     alternating_group,
     cyclic_group,
     intermediate_subgroups,
     is_normal_subgroup,
     minimal_normal_subgroups,
     symmetric_group,
+    sylow_subgroup,
 )
 from cosetposets.lattice import enumerate_subgroups
-from cosetposets.perm import parse_permutation
+from cosetposets.perm import Permutation, parse_permutation
 from oracles import (
     ActionGroup,
     ActionTriple,
     action_fixed_points,
     conj_element,
     coset_inclusion_pairs,
+    labelled_fixed_cosets,
     relation_pairs,
     subgroup_as_group,
     translation_action_group,
     vertex_action_map,
 )
+
+RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
 
 def _group(*texts, degree):
@@ -205,6 +213,92 @@ def test_fixed_cosets_match_action_fixed_points(data):
     by_action = action_fixed_points(poset, translation_action_group(P, K))
     fixed = fixed_cosets(G, N, intermediate_subgroups(G, P), K)
     assert _fixed_vertices(poset, fixed) == by_action
+
+
+def _cyclic_class_reps(G):
+    """One cyclic subgroup per class of G's cached cyclic table, trivial
+    first, each as a group on its least generator."""
+    elems = G.element_bytes()
+    subgroups, _, classes = G._cyclic_table()
+    gens = list(subgroups.values())
+    return [PermutationGroup([Permutation._from_bytes(elems[gens[j][0]])], G.degree)
+            for j, _ in classes]
+
+
+@pytest.mark.parametrize("entry", [e for e in load_catalog(verify=False)
+                                   if e.expected_order <= 60], ids=lambda e: e.name)
+def test_fixed_cosets_match_labelling_oracle(entry):
+    """With P a Sylow 2-subgroup, N = G and each minimal normal N, and one
+    K per class of cyclic subgroups, the class walk gives the cosets the
+    labelling gives, in the same order."""
+    G = entry.build()
+    overgroups = intermediate_subgroups(G, sylow_subgroup(G, 2))
+    for N in [G] + (minimal_normal_subgroups(G) if G.order > 1 else []):
+        for K in _cyclic_class_reps(G):
+            assert (fixed_cosets(G, N, overgroups, K)
+                    == labelled_fixed_cosets(G, N, overgroups, K))
+
+
+@pytest.mark.parametrize("ambient", ["A7", "S7"])
+def test_fixed_cosets_match_labelling_oracle_on_smith_specs(ambient):
+    spec = build_smith_spec(ambient)
+    args = (spec.G, spec.N, spec.overgroups, spec.K)
+    assert fixed_cosets(*args) == labelled_fixed_cosets(*args)
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+@pytest.mark.parametrize("ambient", ["A7", "S7"])
+def test_fixed_cosets_at_size(ambient):
+    """Every class of cyclic K, over the census of the Smith spec's P."""
+    spec = build_smith_spec(ambient)
+    for K in _cyclic_class_reps(spec.G):
+        args = (spec.G, spec.N, spec.overgroups, K)
+        assert fixed_cosets(*args) == labelled_fixed_cosets(*args)
+
+
+def test_fixed_cosets_k_without_generators():
+    """A K with no generators fixes every coset of every proper supplement:
+    the intersection over K's generators starts from all of G."""
+    S4 = symmetric_group(4)
+    overgroups = intermediate_subgroups(S4, _group("(1,2)", degree=4))
+    trivial = PermutationGroup([], degree=4)
+    fixed = fixed_cosets(S4, S4, overgroups, trivial)
+    assert fixed == labelled_fixed_cosets(S4, S4, overgroups, trivial)
+    assert len(fixed) == sum(S4.order // rec.order for rec in overgroups
+                             if rec.order < S4.order)
+
+
+def test_fixed_cosets_k_with_two_generators():
+    """Each generator of V4 alone fixes 5 cosets above <(1,2)>; both fix 3."""
+    S4 = symmetric_group(4)
+    overgroups = intermediate_subgroups(S4, _group("(1,2)", degree=4))
+    K = _group("(1,2)(3,4)", "(1,3)(2,4)", degree=4)
+    fixed = fixed_cosets(S4, S4, overgroups, K)
+    assert fixed == labelled_fixed_cosets(S4, S4, overgroups, K)
+    assert len(fixed) == 3
+    for text in ("(1,2)(3,4)", "(1,3)(2,4)"):
+        assert len(fixed_cosets(S4, S4, overgroups, _group(text, degree=4))) == 5
+
+
+def test_fixed_cosets_centralizer_larger_than_k():
+    """An involution of S5 has a centralizer of order 12, grown from <k>."""
+    S5 = symmetric_group(5)
+    k = _group("(1,2)", degree=5)
+    assert len(_centralizer(S5, S5.element_index()[k.generators[0]._b], 12)) == 12
+    for P in (_group("(1,2)", degree=5), sylow_subgroup(S5, 2)):
+        overgroups = intermediate_subgroups(S5, P)
+        fixed = fixed_cosets(S5, S5, overgroups, k)
+        assert fixed and fixed == labelled_fixed_cosets(S5, S5, overgroups, k)
+
+
+def test_fixed_cosets_refuse_a_broken_class_walk(monkeypatch):
+    """A class walk that loses a member breaks |class| |C_G(k)| = |G|."""
+    walk = cosets._orbit
+    monkeypatch.setattr(cosets, "_orbit", lambda seed, step: walk(seed, step)[:-1])
+    S4 = symmetric_group(4)
+    with pytest.raises(RuntimeError, match="do not multiply to"):
+        fixed_cosets(S4, S4, intermediate_subgroups(S4, _group("(1,2)", degree=4)),
+                     _group("(1,2,3)", degree=4))
 
 
 def test_action_fixed_points_identity_triple():

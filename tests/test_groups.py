@@ -738,6 +738,24 @@ def test_subgroup_indices_match_element_table(name):
             subgroup_indices(G, Sn)
 
 
+def test_subgroup_indices_of_g_order_makes_no_closure(monkeypatch):
+    """An H of G's order is G: its index set is G's full set, with no
+    closure, once H's generators are found in G's table."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("_closure was called")
+
+    A7 = alternating_group(7)
+    monkeypatch.setattr(groups, "_closure", refuse)
+    assert subgroup_indices(A7, alternating_group(7)) is A7._full_set()
+
+
+def test_subgroup_indices_of_g_order_outside_g_raises():
+    """A group of G's order outside G raises KeyError, before any shortcut."""
+    G = PermutationGroup(perms("(1,2,3)", degree=4), 4)
+    with pytest.raises(KeyError):
+        subgroup_indices(G, PermutationGroup(perms("(1,2,4)", degree=4), 4))
+
+
 def test_right_coset_reps_match_sorted_cosets():
     """Each element's label is the first entry of its sorted coset Hx, for
     every subgroup of every catalog group of order <= 24."""
