@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .groups import (
     PermutationGroup,
@@ -125,17 +125,25 @@ def build_relative_poset(G: PermutationGroup, N: PermutationGroup,
     return CosetPoset(lat, supplement_ids(G, N, lat))
 
 
-def coset_chain_counts(lat: SubgroupLattice, subgroup_ids: list[int]) -> list[int]:
-    """``chain_counts`` of ``CosetPoset(lat, subgroup_ids)``, without building it.
+def subgroup_chain_poset(lat: SubgroupLattice,
+                         subgroup_ids: Sequence[int]) -> tuple[FinitePoset, list[int]]:
+    """The subgroups ``subgroup_ids`` ordered by inclusion, as a poset on
+    their positions in ``subgroup_ids``, and the index [G : H] of each.
 
     A chain of cosets H0x < ... < Hkx is fixed by its subgroup chain
-    H0 < ... < Hk and by H0x, so each chain of the subgroups counts the
-    index [G : H0] of its least subgroup.
+    H0 < ... < Hk and by H0x, so the chains of this poset, each weighted by
+    the index of its least subgroup, count the chains of the coset poset.
     """
     position = {h: i for i, h in enumerate(subgroup_ids)}
     above = [tuple(position[k] for k in lat.above[h] if k in position) for h in subgroup_ids]
-    weights = [lat.index_in_group(h) for h in subgroup_ids]
-    return FinitePoset(above).chain_counts(weights)
+    return FinitePoset(above), [lat.index_in_group(h) for h in subgroup_ids]
+
+
+def coset_chain_counts(lat: SubgroupLattice, subgroup_ids: Sequence[int]) -> list[int]:
+    """``chain_counts`` of ``CosetPoset(lat, subgroup_ids)``, without building
+    it: the weighted chain counts of ``subgroup_chain_poset``."""
+    chains, weights = subgroup_chain_poset(lat, subgroup_ids)
+    return chains.chain_counts(weights)
 
 
 def fixed_cosets(G: PermutationGroup, N: PermutationGroup,

@@ -619,14 +619,19 @@ def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
 
 
 def subgroup_indices(G: PermutationGroup, H: PermutationGroup) -> frozenset[int]:
-    """The elements of a subgroup H of G as indices into G's element table,
-    closed from H's generators on that table; H's own is never built.
+    """The elements of a subgroup H of G as indices into G's element table:
+    H's own table mapped into G's when H's is already built, else closed
+    from H's generators on G's table, which builds none for H.
 
     Raises KeyError if H is not inside G; an H of G's order is G.
     """
     index = G.element_index()
     gens = [index[g] for g in H._gens_bytes()]
-    return G._full_set() if H.order == G.order else _closure(G, gens)
+    if H.order == G.order:
+        return G._full_set()
+    if H._elements is not None:
+        return frozenset(map(index.__getitem__, H._elements))
+    return _closure(G, gens)
 
 
 def _closure(G: PermutationGroup, gens: Sequence[int],

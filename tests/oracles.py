@@ -76,7 +76,8 @@ cosets, each read off the product table; ``cosets.CosetPoset`` takes the
 cosets above Hx to be Kx for K above H in the subgroup lattice.
 
 The order complex here is walked chain by chain, depth first;
-``complexes.order_complex`` extends all chains of one dimension at once.
+``complexes.order_complex`` extends all chains of one dimension at once,
+and for a coset poset reads its faces off blocks of subgroup chains.
 
 The join of two complexes and the reduced Euler characteristic of a
 complex here are built and counted face by face; the library reads the
@@ -85,8 +86,8 @@ and the Euler characteristic of an order complex from its poset's chain
 counts (``complexes.poset_reduced_euler_characteristic``).
 
 The sliced boundary rows here are built one face at a time, each facet a
-tuple slice looked up in a dict; ``complexes._boundary_rows`` builds them
-by face position, one facet lookup stream per position.
+tuple slice looked up in a dict; ``SimplicialComplex._boundary_rows``
+builds them by face position, one facet lookup stream per position.
 
 The witnesses that ``a7`` states as constants and ``a7.build_environment``
 certifies are derived here: the phi-invariant Sylow 2-subgroup by

@@ -9,9 +9,9 @@ from cosetposets import complexes
 from cosetposets.catalog import catalog_group, load_catalog
 from cosetposets.complexes import (
     BettiVector,
+    CosetComplex,
     SimplicialComplex,
     _boundary_ranks,
-    _boundary_rows,
     kunneth_join_betti,
     order_complex,
     poset_f_vector,
@@ -257,6 +257,14 @@ def test_rank_helpers():
     assert rank_gfp([{0: 1, 1: 1}, {0: 1, 1: 2}], 3) == {0, 1}
 
 
+def _coset_poset_cases(G, name):
+    """C(G) and every C(G, N), N minimal normal, each with its name."""
+    lat = enumerate_subgroups(G)
+    return [(name, build_coset_poset(G, lat))] + [
+        (f"{name}/{N.order}", build_relative_poset(G, N, lat))
+        for N in minimal_normal_subgroups(G)]
+
+
 def _catalog_oracle_cases():
     # the dense reduction of C(C2^4) (16,046 faces) alone takes over a minute
     slow = pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
@@ -268,12 +276,10 @@ def _catalog_oracle_cases():
 def test_boundary_ranks_match_dense_oracle_on_catalog(name):
     """C(G) and every C(G, N), N minimal normal, over every prime dividing |G|."""
     G = catalog_group(name)
-    lat = enumerate_subgroups(G)
-    posets = [build_coset_poset(G, lat)]
-    posets += [build_relative_poset(G, N, lat) for N in minimal_normal_subgroups(G)]
+    coset_complexes = [order_complex(poset) for _, poset in _coset_poset_cases(G, name)]
     for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and _is_prime(q)):
-        for poset in posets:
-            X = order_complex(poset)
+        for X in coset_complexes:
+            assert isinstance(X, CosetComplex)
             assert _boundary_ranks(X, p) == dense_boundary_ranks(X, p), (name, p)
 
 
@@ -300,20 +306,17 @@ def _assert_rows_match_sliced_oracle(X, p):
 
     cleared = set()
     for k in range(X.dimension, -1, -1):
-        rows = checked(_boundary_rows(X, k, p, cleared), sliced_boundary_rows(X, k, p, cleared))
+        rows = checked(X._boundary_rows(k, p, cleared), sliced_boundary_rows(X, k, p, cleared))
         cleared = rank_gf2(rows) if p == 2 else rank_gfp(rows, p)
 
 
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
                                   if 1 < e.expected_order <= 24])
 def test_boundary_rows_match_sliced_oracle_on_catalog(name):
-    """C(G) and every C(G, N), N minimal normal, at p = 2 and 3."""
-    G = catalog_group(name)
-    lat = enumerate_subgroups(G)
-    posets = [build_coset_poset(G, lat)]
-    posets += [build_relative_poset(G, N, lat) for N in minimal_normal_subgroups(G)]
-    for poset in posets:
-        X = order_complex(poset)
+    """C(G) and every C(G, N), N minimal normal, at p = 2 and 3, as tuple
+    complexes of the faces."""
+    for _, poset in _coset_poset_cases(catalog_group(name), name):
+        X = SimplicialComplex(order_complex(poset).faces, poset.n)
         for p in (2, 3):
             _assert_rows_match_sliced_oracle(X, p)
 
@@ -341,11 +344,7 @@ def _order_complex_cases():
     cases = [("empty", FinitePoset.from_pairs(0, [])), ("point", FinitePoset.from_pairs(1, []))]
     for e in load_catalog(verify=False):
         if 2 <= e.expected_order <= 60:
-            G = e.build()
-            lat = enumerate_subgroups(G)
-            cases.append((e.name, build_coset_poset(G, lat)))
-            cases += [(f"{e.name}/{N.order}", build_relative_poset(G, N, lat))
-                      for N in minimal_normal_subgroups(G)]
+            cases += _coset_poset_cases(e.build(), e.name)
     return cases
 
 
@@ -361,12 +360,48 @@ def test_order_complex_matches_recursive_walk():
 
 def test_coset_chain_counts_match_the_coset_poset():
     """Subgroup chains weighted by the index of their least subgroup count
-    the chains of C(G) and C(G, N): on every catalog C(G) and C(G, N) of
-    order 2..60."""
+    the chains of C(G) and C(G, N), and the blocks of the coset complex hold
+    that many faces: on every catalog C(G) and C(G, N) of order 2..60."""
     for name, poset in _order_complex_cases():
         if hasattr(poset, "lattice"):
             counts = coset_chain_counts(poset.lattice, list(poset.subgroup_ids))
             assert counts == poset.chain_counts(), name
+            X = order_complex(poset)
+            sizes = [sum(X.block_size[c[0]] for c in blocks) for blocks in X.blocks]
+            assert sizes == counts == X.f_vector()[1:], name
+            for blocks in X.blocks:  # each block starts where the one before ends
+                ends = [o + X.block_size[c[0]] for c, o in blocks.items()]
+                assert list(blocks.values()) == [0] + ends[:-1], name
+
+
+@pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
+                                  if 2 <= e.expected_order <= 60])
+def test_coset_complex_matches_the_tuple_complex(name):
+    """The block complex of C(G) and of every C(G, N), N minimal normal, has
+    the boundary ranks, f-vector and Betti numbers at p = 2 and 3 of the
+    tuple complex of its faces."""
+    for case, poset in _coset_poset_cases(catalog_group(name), name):
+        X = order_complex(poset)
+        T = SimplicialComplex(X.faces, poset.n)
+        assert X.f_vector() == T.f_vector(), case
+        for p in (2, 3):
+            assert _boundary_ranks(X, p) == _boundary_ranks(T, p), (case, p)
+            assert reduced_betti(X, p) == reduced_betti(T, p), (case, p)
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+def test_coset_complex_of_s5_mod_a5():
+    """C(S5, A5) at size: the f-vector and the Betti numbers over GF(2) and
+    GF(3) (C(S5)'s b2 and b3, one dimension down), on the block and on the
+    tuple path."""
+    S5 = symmetric_group(5)
+    (A5,) = [N for N in minimal_normal_subgroups(S5) if N.order == 60]
+    X = order_complex(build_relative_poset(S5, A5, enumerate_subgroups(S5)))
+    T = SimplicialComplex(X.faces, X.n_vertices)
+    assert X.f_vector() == T.f_vector() == [1, 2286, 14825, 15900, 1800]
+    for p in (2, 3):
+        assert reduced_betti(X, p).as_array() == [0, 0, 864, 2424]
+        assert reduced_betti(T, p) == reduced_betti(X, p)
 
 
 def test_weighted_chain_counts_weigh_the_least_element():

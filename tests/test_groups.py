@@ -723,7 +723,8 @@ def test_closure_from_subgroup_matches_breadth_first(data):
 def test_subgroup_indices_match_element_table(name):
     """Every subgroup H of a catalog group of order <= 60, closed from its
     generators on G's table, is the map of H's element table into G's; H's
-    own table is never built, and a group outside G raises KeyError."""
+    own table is not built by the closure, and once it is built the map of
+    it gives the same set. A group outside G raises KeyError."""
     G = _catalog_group(name)
     index = G.element_index()
     for rec in enumerate_subgroups(G).subgroups:
@@ -732,10 +733,32 @@ def test_subgroup_indices_match_element_table(name):
         got = subgroup_indices(G, H)
         assert H._elements is None
         assert got == rec.elements == {index[b] for b in H.element_bytes()}
+        assert subgroup_indices(G, H) == got
     Sn = _symmetric(G.degree)
     if G.order < Sn.order:
         with pytest.raises(KeyError):
             subgroup_indices(G, Sn)
+
+
+def test_subgroup_indices_map_a_built_table_without_a_closure(monkeypatch):
+    """A_7 in S_7: the closure from A_7's generators and the map of A_7's
+    built table give the same set, the second with no closure; a built
+    table outside G raises KeyError, as an unbuilt one does."""
+    S7 = symmetric_group(7)
+    closed = subgroup_indices(S7, alternating_group(7))
+    A7 = alternating_group(7)
+    A7.element_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_closure was called")
+
+    monkeypatch.setattr(groups, "_closure", refuse)
+    assert subgroup_indices(S7, A7) == closed
+    assert len(closed) == 2520
+    transposition = PermutationGroup(perms("(1,2)", degree=7), 7)
+    transposition.element_bytes()
+    with pytest.raises(KeyError):
+        subgroup_indices(alternating_group(7), transposition)
 
 
 def test_subgroup_indices_of_g_order_makes_no_closure(monkeypatch):
