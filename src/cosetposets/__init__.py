@@ -40,7 +40,7 @@ from .cosets import (
 )
 from .complexes import (
     BettiVector,
-    SimplicialComplex,
+    CosetComplex,
     kunneth_join_betti,
     order_complex,
     poset_f_vector,

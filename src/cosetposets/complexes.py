@@ -7,15 +7,12 @@ one-face complex {0} (written {emptyset}) has Betti number 1 in dimension
 clearing: int-bitset rows over GF(2), sparse {column: value} rows over odd
 primes, streamed into the rank kernels.
 
-A complex given by its faces (``SimplicialComplex``, the order complex of
-any poset but a coset poset) builds its rows by face position, one facet
-lookup per face and position. The order complex of a coset poset
-(``CosetComplex``) stores no face tuple. A face H0x < ... < Hkx is fixed by
-its subgroup chain and the coset H0x, so dimension k is one block of
-[G : H0] faces per chain H0 < ... < Hk, in the order of H0's cosets, and
-each facet of face t but the one that drops H0 is face t of its own block.
-A GF(2) row is then one shifted mask, S << t, and one more bit for the
-H1-coset of H0x.
+The order complex of a coset poset (``CosetComplex``) stores no face
+tuple. A face H0x < ... < Hkx is fixed by its subgroup chain and the coset
+H0x, so dimension k is one block of [G : H0] faces per chain H0 < ... < Hk,
+in the order of H0's cosets, and each facet of face t but the one that
+drops H0 is face t of its own block. A GF(2) row is then one shifted mask,
+S << t, and one more bit for the H1-coset of H0x.
 
 The blocks follow their chains from the largest subgroup down, in
 decreasing lexicographic order, so a row's pivot, its highest column, is
@@ -28,89 +25,30 @@ tuples (C(A5): 29,440, 85,074 and 71,994).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from operator import add, itemgetter, lshift, or_
 from typing import Iterable, Iterator, Mapping
 
-from .cosets import CosetPoset, subgroup_chain_poset
+from .cosets import CosetPoset
 from .groups import BudgetExceededError, _is_prime
 from .posets import FinitePoset
 
 FACE_BUDGET = 10**6
 
 
-class SimplicialComplex:
-    """Faces by dimension; dimension -1 holds exactly the empty face."""
-
-    def __init__(self, faces_by_dimension: Mapping[int, list[tuple[int, ...]]],
-                 n_vertices: int):
-        self.faces: dict[int, list[tuple[int, ...]]] = {-1: [()]}
-        for k, faces in faces_by_dimension.items():
-            if k == -1:
-                continue
-            if faces:
-                self.faces[k] = sorted(faces)
-        self.n_vertices = n_vertices
-
-    @property
-    def dimension(self) -> int:
-        return max(self.faces)
-
-    def f_vector(self) -> list[int]:
-        """Face counts from dimension -1 upward."""
-        return [len(self.faces.get(k, ())) for k in range(-1, self.dimension + 1)]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self.faces == other.faces
-
-    def __repr__(self) -> str:
-        return f"<complex f={self.f_vector()}>"
-
-    def _boundary_rows(self, k: int, p: int, cleared: set[int]) -> Iterator:
-        """Rows of the boundary map C_k -> C_{k-1} over GF(p), one per k-face
-        outside ``cleared`` (face indices), in face order: int bitsets at
-        p = 2, ``{column: sign}`` dicts at odd p.
-
-        The rows are built by face position: for each position i, one lookup
-        stream yields, face by face, the index of the facet that omits i, and
-        the k + 1 streams are combined into rows as they are consumed.
-        Nothing is listed but the kept faces, so the rank kernels hold only
-        their pivots. In dimension 0 every facet is the empty face, at index
-        0; in dimension 1 a facet is one vertex, looked up through the vertex
-        index (vertex labels need not be 0..n-1).
-        """
-        faces = [f for j, f in enumerate(self.faces.get(k, [])) if j not in cleared]
-        if k == 0:
-            streams = [repeat(0, len(faces))]
-        else:
-            lower = self.faces[k - 1]
-            if k == 1:
-                lower = map(itemgetter(0), lower)
-            index = dict(zip(lower, count())).__getitem__
-            streams = [map(index, map(itemgetter(*(j for j in range(k + 1) if j != i)), faces))
-                       for i in range(k + 1)]
-        return _combine(streams, k, p)
-
-
-class CosetComplex(SimplicialComplex):
+class CosetComplex:
     """The order complex of a coset poset, stored by blocks, with no face
-    tuple until ``faces`` is read.
-
-    A k-face H0x < ... < Hkx is fixed by its subgroup chain H0 < ... < Hk
-    and by the coset H0x. ``blocks[k]`` maps each chain, a tuple of
-    positions in ``poset.subgroup_ids``, to the offset of its block: its
+    tuple. ``blocks[k]`` maps each chain H0 < ... < Hk, a tuple of positions
+    in ``poset.subgroup_ids``, to the offset of its block: its
     ``block_size[H0]`` = [G : H0] faces, in the order of H0's cosets. The
     face count is checked against FACE_BUDGET before any block is made.
     """
 
     def __init__(self, poset: CosetPoset):
-        subgroups, block_size = subgroup_chain_poset(poset.lattice, poset.subgroup_ids)
-        self._counts = subgroups.chain_counts(block_size)
+        self._counts = poset.chain_counts()
         check_face_budget(sum(self._counts))
+        subgroups, self.block_size = poset.subgroup_chains
         self.poset = poset
-        self.n_vertices = poset.n
-        self.block_size = block_size
         # each subgroup's coset representatives (least elements) in vertex
         # order, and the position among them of each representative
         self._reps = [[r for _, r in vs] for _, vs in groupby(poset.vertices, itemgetter(0))]
@@ -120,7 +58,7 @@ class CosetComplex(SimplicialComplex):
         chains = [(h,) for h in reversed(range(subgroups.n))]
         while chains:  # in decreasing lexicographic order; the module docstring says why
             self.blocks.append(dict(zip(chains, accumulate(
-                (block_size[c[0]] for c in chains), initial=0))))
+                (self.block_size[c[0]] for c in chains), initial=0))))
             chains = [c + (h,) for c in chains for h in reversed(subgroups.above[c[-1]])]
 
     @property
@@ -130,18 +68,10 @@ class CosetComplex(SimplicialComplex):
     def f_vector(self) -> list[int]:
         return [1] + self._counts
 
-    @cached_property
-    def faces(self) -> dict[int, list[tuple[int, ...]]]:
-        """The faces as sorted vertex tuples, built on first read."""
-        vertex = self.poset.vertex_index.__getitem__
-        ids = self.poset.subgroup_ids
-        by_dim = {k: [face for c in blocks for face in zip(*(
-            map(vertex, zip(repeat(ids[h]), map(self._coset_rep[h], self._reps[c[0]])))
-            for h in c))] for k, blocks in enumerate(self.blocks)}
-        return SimplicialComplex(by_dim, self.n_vertices).faces
-
     def _boundary_rows(self, k: int, p: int, cleared: set[int]) -> Iterator:
-        """The rows of ``SimplicialComplex._boundary_rows``, in block order.
+        """Rows of the boundary map C_k -> C_{k-1} over GF(p), one per k-face
+        outside ``cleared`` (face indices), in block order: int bitsets at
+        p = 2, ``{column: sign}`` dicts at odd p.
 
         Face t of the block of H0 < ... < Hk has, for each i >= 1, the facet
         that drops Hi at t in the block of the shorter chain, and the facet
@@ -154,6 +84,7 @@ class CosetComplex(SimplicialComplex):
         for j in cleared:
             keep[j] = 0
         lower = self.blocks[k - 1] if k else {(): 0}  # the empty face, at 0
+        signs = repeat((1, p - 1) * (k // 2 + 1))  # (-1)^i for the facet that drops Hi
         rows = []
         for c, o in self.blocks[k].items():
             m = self.block_size[c[0]]
@@ -174,8 +105,8 @@ class CosetComplex(SimplicialComplex):
                                 map(lshift, repeat(1 << q), proj)))
             else:
                 ts = list(ts)
-                rows.append(_combine([map(add, repeat(q), proj)]
-                                     + [map(add, repeat(f), ts) for f in offsets], k, p))
+                facets = [map(add, repeat(f), ts) for f in offsets]
+                rows.append(map(dict, map(zip, zip(map(add, repeat(q), proj), *facets), signs)))
         return chain.from_iterable(rows)
 
 
@@ -187,34 +118,21 @@ def check_face_budget(faces: int) -> None:
             f"the order complex has {faces} nonempty faces, over the face budget {FACE_BUDGET}")
 
 
-def order_complex(poset: FinitePoset) -> SimplicialComplex:
-    """All chains of a poset, as faces; the empty poset yields {emptyset}.
-    Past FACE_BUDGET chains, counted first, it builds no face and raises.
-
-    A coset poset gives a ``CosetComplex``, counted by its subgroup chains;
-    any other poset gives its chains as sorted tuples.
-    """
-    if isinstance(poset, CosetPoset):
-        return CosetComplex(poset)
-    check_face_budget(sum(poset.chain_counts()))
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    faces = [(v,) for v in range(poset.n)]
-    while faces:  # each chain extended by every element above its top
-        by_dim[len(faces[0]) - 1] = faces
-        faces = [c + (w,) for c in faces for w in poset.above[c[-1]]]
-    return SimplicialComplex(by_dim, poset.n)
+def order_complex(poset: CosetPoset) -> CosetComplex:
+    """All chains of a coset poset, as a ``CosetComplex``; the empty poset
+    yields {emptyset}. Past FACE_BUDGET chains it raises."""
+    if not isinstance(poset, CosetPoset):
+        raise TypeError(f"order_complex takes a CosetPoset, not a {type(poset).__name__}")
+    return CosetComplex(poset)
 
 
-def poset_f_vector(poset: FinitePoset) -> list[int]:
+def poset_f_vector(poset: CosetPoset | FinitePoset) -> list[int]:
     """f-vector of the order complex, counted without materializing faces."""
     return [1] + poset.chain_counts()
 
 
-def poset_reduced_euler_characteristic(poset: FinitePoset) -> int:
-    chi = 0
-    for k, f in enumerate(poset_f_vector(poset)):
-        chi += f if (k - 1) % 2 == 0 else -f
-    return chi
+def poset_reduced_euler_characteristic(poset: CosetPoset | FinitePoset) -> int:
+    return sum(f if k % 2 else -f for k, f in enumerate(poset_f_vector(poset)))  # f[k]: dim k - 1
 
 
 def rank_gf2(rows: Iterable[int]) -> set[int]:
@@ -291,28 +209,15 @@ class BettiVector:
         return f"<Betti GF({self.prime}): {body}>"
 
 
-def _combine(streams: list[Iterator[int]], k: int, p: int) -> Iterator:
-    """Rows of C_k -> C_{k-1} from k + 1 facet-index streams, stream i the
-    facet that omits position i: int bitsets at p = 2, and at odd p
-    ``{column: sign}`` dicts with sign (-1)^i."""
-    if p == 2:
-        rows = map(lshift, repeat(1), streams[0])
-        for stream in streams[1:]:
-            rows = map(or_, rows, map(lshift, repeat(1), stream))
-        return rows
-    signs = (1, p - 1) * (k // 2 + 1)
-    return map(dict, map(zip, zip(*streams), repeat(signs)))
-
-
-def _boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:
+def _boundary_ranks(X: CosetComplex, p: int) -> dict[int, int]:
     """rank of the boundary map C_k -> C_{k-1} for k = 0..dim.
 
     The maps are reduced from the top dimension down, on rows streamed by
     the complex's ``_boundary_rows`` into ``rank_gf2`` or ``rank_gfp``. Each
     pivot column of the reduced map from C_{k+1} is a k-face that leads a
     boundary, and a boundary is a cycle, so that face's row is a combination
-    of the rows of lower k-faces. Those rows are skipped ("clearing", Chen and Kerber,
-    2011), which leaves every rank unchanged.
+    of the rows of lower k-faces. Those rows are skipped ("clearing", Chen
+    and Kerber, 2011), which leaves every rank unchanged.
     """
     ranks: dict[int, int] = {}
     cleared: set[int] = set()
@@ -323,7 +228,7 @@ def _boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:
     return ranks
 
 
-def reduced_betti(X: SimplicialComplex, p: int) -> BettiVector:
+def reduced_betti(X: CosetComplex, p: int) -> BettiVector:
     """Reduced Betti numbers of the augmented chain complex over GF(p)."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")

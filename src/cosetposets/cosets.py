@@ -4,6 +4,9 @@ C(G, N) fixed by P x K acting by left and right translation.
 Vertices are right cosets Hx of proper subgroups, keyed by the lattice
 index of H and the minimal element id of the coset. Hx <= Ky holds iff
 H <= K in the lattice and x y^-1 lies in K; both tests are index lookups.
+Chains of cosets are read off chains of subgroups, each weighted by the
+index of its least subgroup (Brown, 2000); the vertex relation is built
+only to be printed.
 
 The fixed cosets are found without a poset or a coset labelling of G:
 Hx is fixed by P x K iff P <= H and x k x^-1 lies in H for each generator
@@ -13,6 +16,7 @@ k of K, and those x are read off k's conjugacy class and its centralizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -56,37 +60,63 @@ class OvergroupAutomorphism:
         return all(self.apply(self.apply(g)) == g for g in self.group.generators)
 
 
-class CosetPoset(FinitePoset):
-    """Cosets Hx of the included proper subgroups, ordered by inclusion."""
+class CosetPoset:
+    """Cosets Hx of the included proper subgroups, ordered by inclusion, held
+    as the subgroups and their coset labels; ``relation`` is built on read."""
 
-    def __init__(self, lattice: SubgroupLattice, subgroup_ids: list[int]):
+    def __init__(self, lattice: SubgroupLattice, subgroup_ids: Iterable[int]):
         self.lattice = lattice
         self.subgroup_ids = tuple(sorted(subgroup_ids))
-        lat = lattice
+        for h, prev in zip(self.subgroup_ids, (None,) + self.subgroup_ids):
+            if h not in range(len(lattice.subgroups)):
+                raise ValueError(f"subgroup id {h} is not in the lattice")
+            if h == lattice.index_of_parent:
+                raise ValueError(f"subgroup id {h} is the whole group, not a proper subgroup")
+            if h == prev:
+                raise ValueError(f"subgroup id {h} is repeated")
         self.coset_rep: dict[int, list[int]] = {
-            hi: right_coset_reps(lat.group, lat.subgroups[hi].elements)
+            hi: right_coset_reps(lattice.group, lattice.subgroups[hi].elements)
             for hi in self.subgroup_ids}
         self.vertices: list[tuple[int, int]] = [
             (hi, x) for hi in self.subgroup_ids
             for x, r in enumerate(self.coset_rep[hi]) if r == x]
+        self.n = len(self.vertices)
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        # the cosets above Hx are Kx for the included K above H; vertex ids
-        # grow with the subgroup id, so each tuple comes out sorted
-        super().__init__([
-            tuple(self.vertex_index[(kj, self.coset_rep[kj][x])]
-                  for kj in lat.above[hi] if kj in self.coset_rep)
-            for hi, x in self.vertices])
 
-    def vertex_label(self, v: int) -> str:
-        hi, r = self.vertices[v]
-        rep = Permutation._from_bytes(self.lattice.elements[r])
-        return f"{self.lattice.subgroups[hi].order}:{cycle_string(rep)}"
+    def __len__(self) -> int:
+        return self.n
+
+    @cached_property
+    def subgroup_chains(self) -> tuple[FinitePoset, list[int]]:
+        return subgroup_chain_poset(self.lattice, self.subgroup_ids)
+
+    def chain_counts(self) -> list[int]:
+        """Number of chains of cosets of each size >= 1."""
+        chains, index = self.subgroup_chains
+        return chains.chain_counts(index)
+
+    def moebius_bottom_to_top(self) -> int:
+        """mu(0-hat, 1-hat) of the poset with adjoined bounds."""
+        chains, index = self.subgroup_chains
+        return chains.moebius_bottom_to_top(index)
+
+    @cached_property
+    def relation(self) -> FinitePoset:
+        """The strict order on the vertices: the cosets above Hx are Kx for
+        the included K above H. Vertex ids grow with the subgroup id, so each
+        tuple comes out sorted."""
+        index, rep = self.vertex_index, self.coset_rep
+        return FinitePoset([
+            tuple(index[(kj, rep[kj][x])] for kj in self.lattice.above[hi] if kj in rep)
+            for hi, x in self.vertices])
 
     def dump(self) -> str:
         """One vertex per line, then cover pairs; stable ordering."""
-        lines = [self.vertex_label(v) for v in range(self.n)]
+        lat, element = self.lattice, Permutation._from_bytes
+        lines = [f"{lat.subgroups[h].order}:{cycle_string(element(lat.elements[r]))}"
+                 for h, r in self.vertices]
         lines.append("--covers--")
-        lines.extend(f"{u}<{v}" for u, v in self.cover_pairs())
+        lines.extend(f"{u}<{v}" for u, v in self.relation.cover_pairs())
         return "\n".join(lines) + "\n"
 
 
@@ -140,8 +170,7 @@ def subgroup_chain_poset(lat: SubgroupLattice,
 
 
 def coset_chain_counts(lat: SubgroupLattice, subgroup_ids: Sequence[int]) -> list[int]:
-    """``chain_counts`` of ``CosetPoset(lat, subgroup_ids)``, without building
-    it: the weighted chain counts of ``subgroup_chain_poset``."""
+    """``CosetPoset(lat, subgroup_ids).chain_counts()``, without building it."""
     chains, weights = subgroup_chain_poset(lat, subgroup_ids)
     return chains.chain_counts(weights)
 

@@ -57,12 +57,9 @@ class FinitePoset:
         With ``weights``, one per element, each chain counts the weight of
         its least element instead of 1.
         """
-        if weights is None:
-            counts = [self.n] if self.n else []
-            current = [len(b) for b in self.below]  # chains of size 2 by top element
-        else:
-            counts = [sum(weights)] if self.n else []
-            current = [sum(map(weights.__getitem__, b)) for b in self.below]
+        weights = weights or [1] * self.n
+        counts = [sum(weights)] if self.n else []
+        current = [sum(map(weights.__getitem__, b)) for b in self.below]  # size 2, by top
         while any(current):
             counts.append(sum(current))
             nxt = [0] * self.n
@@ -73,11 +70,15 @@ class FinitePoset:
             current = nxt
         return counts
 
-    def moebius_bottom_to_top(self) -> int:
-        """mu(0-hat, 1-hat) of the poset with adjoined bounds."""
+    def moebius_bottom_to_top(self, weights: list[int] | None = None) -> int:
+        """mu(0-hat, 1-hat) of the poset with adjoined bounds. With ``weights``,
+        v stands for weights[v] copies, each above weights[u] / weights[v]
+        copies of each u below v (the cosets of H in a coset poset), and
+        mu0[v] sums mu(0-hat, .) over v's copies."""
         # process in a linear extension: |below| strictly grows along the order
         order = sorted(range(self.n), key=lambda v: (len(self.below[v]), v))
+        weights = weights or [1] * self.n
         mu0 = [0] * self.n
         for v in order:
-            mu0[v] = -(1 + sum(mu0[u] for u in self.below[v]))
+            mu0[v] = -(weights[v] + sum(mu0[u] for u in self.below[v]))
         return -(1 + sum(mu0))

@@ -75,9 +75,9 @@ The coset inclusion here compares the element sets of every pair of
 cosets, each read off the product table; ``cosets.CosetPoset`` takes the
 cosets above Hx to be Kx for K above H in the subgroup lattice.
 
-The order complex here is walked chain by chain, depth first;
-``complexes.order_complex`` extends all chains of one dimension at once,
-and for a coset poset reads its faces off blocks of subgroup chains.
+The order complex here is walked chain by chain, depth first, into vertex
+tuples (``FaceComplex``); ``complexes.order_complex`` reads a coset poset's
+faces off blocks of subgroup chains, listed here by ``coset_complex_faces``.
 
 The join of two complexes and the reduced Euler characteristic of a
 complex here are built and counted face by face; the library reads the
@@ -85,9 +85,13 @@ Betti numbers of a join from its factors' (``complexes.kunneth_join_betti``)
 and the Euler characteristic of an order complex from its poset's chain
 counts (``complexes.poset_reduced_euler_characteristic``).
 
-The sliced boundary rows here are built one face at a time, each facet a
-tuple slice looked up in a dict; ``SimplicialComplex._boundary_rows``
-builds them by face position, one facet lookup stream per position.
+The reduced Euler characteristic and the hat-Moebius value of a coset
+poset here are counted on its vertex relation; the library reads both off
+its subgroup chains, each subgroup weighted by its index.
+
+The sliced boundary rows here, a ``FaceComplex``'s rows, are built one
+face at a time, each facet a tuple slice looked up in a dict;
+``CosetComplex._boundary_rows`` builds them from the offsets of blocks.
 
 The witnesses that ``a7`` states as constants and ``a7.build_environment``
 certifies are derived here: the phi-invariant Sylow 2-subgroup by
@@ -111,7 +115,7 @@ from math import comb, factorial, gcd
 from operator import itemgetter
 
 from cosetposets.a7 import A7Environment, overgroups_of_sylow2
-from cosetposets.complexes import SimplicialComplex
+from cosetposets.complexes import CosetComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism, _proper_supplement
 from cosetposets.generation import (GenerationReport, _CycleGenerators, _cycle_permutation,
                                     _long_cycle_rank)
@@ -121,6 +125,7 @@ from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _gen
                                 is_normal_subgroup, right_coset_reps, subgroup_indices,
                                 alternating_group, sylow_subgroup)
 from cosetposets.perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
+from cosetposets.posets import FinitePoset
 
 
 @dataclass(frozen=True)
@@ -543,13 +548,58 @@ def coset_inclusion_pairs(poset: CosetPoset) -> list[tuple[int, int]]:
             if small < big]
 
 
+def vertex_chi_and_hat(poset: CosetPoset) -> tuple[int, int]:
+    """chi-tilde of a coset poset's order complex, from its chains counted by
+    top vertex and length, and its mu(0-hat, 1-hat), from mu(0-hat, v) =
+    -sum of mu(0-hat, u) over 0-hat <= u < v. The strict pairs are its nested
+    cosets up to |G| = 60, and past that, where comparing every two cosets is
+    slow, its on-demand ``relation``."""
+    pairs = (coset_inclusion_pairs(poset) if poset.lattice.group.order <= 60
+             else relation_pairs(poset.relation))
+    below: list[list[int]] = [[] for _ in range(poset.n)]
+    for u, v in pairs:
+        below[v].append(u)
+    ending = [[] for _ in below]  # ending[v][j]: chains of j + 1 vertices with top v
+    mu = [0] * poset.n
+    for v in sorted(range(poset.n), key=lambda v: len(below[v])):  # u < v comes first
+        ending[v] = [1] + [0] * max((len(ending[u]) for u in below[v]), default=0)
+        for u in below[v]:
+            for j, c in enumerate(ending[u], 1):
+                ending[v][j] += c
+        mu[v] = -(1 + sum(mu[u] for u in below[v]))
+    chi = -1 + sum(c if j % 2 == 0 else -c for counts in ending for j, c in enumerate(counts))
+    return chi, -(1 + sum(mu))
+
+
 def subgroup_as_group(lat, i: int) -> PermutationGroup:
     """The i-th subgroup of a lattice, rebuilt from its generator indices."""
     gens = [Permutation._from_bytes(lat.elements[g]) for g in lat.subgroups[i].generators]
     return PermutationGroup(gens, lat.group.degree)
 
 
-def complex_from_faces(faces, n_vertices: int | None = None) -> SimplicialComplex:
+class FaceComplex:
+    """Vertex tuples by dimension, each list in the order that numbers its
+    faces; dimension -1 holds exactly the empty face. ``reduced_betti``
+    reduces it on ``sliced_boundary_rows``."""
+
+    def __init__(self, faces_by_dimension, n_vertices: int):
+        self.faces = {-1: [()], **{k: list(f) for k, f in sorted(faces_by_dimension.items())
+                                   if k != -1 and f}}
+        self.n_vertices = n_vertices
+        self.dimension = max(self.faces)
+
+    def f_vector(self) -> list[int]:
+        return [len(self.faces.get(k, ())) for k in range(-1, self.dimension + 1)]
+
+    def __eq__(self, other) -> bool:  # the same faces, in any order
+        return {k: sorted(f) for k, f in self.faces.items()} == {
+            k: sorted(f) for k, f in other.faces.items()}
+
+    def _boundary_rows(self, k: int, p: int, cleared: set[int]):
+        return sliced_boundary_rows(self, k, p, cleared)
+
+
+def complex_from_faces(faces, n_vertices: int | None = None) -> FaceComplex:
     """Close the given faces downward; vertices are the points mentioned."""
     by_dim: dict[int, set[tuple[int, ...]]] = {}
     stack = [tuple(sorted(set(f))) for f in faces]
@@ -564,10 +614,22 @@ def complex_from_faces(faces, n_vertices: int | None = None) -> SimplicialComple
                 stack.append(sub)
     if n_vertices is None:
         n_vertices = 1 + max((v for f in by_dim.get(0, ()) for v in f), default=-1)
-    return SimplicialComplex({k: sorted(v) for k, v in by_dim.items()}, n_vertices)
+    return FaceComplex({k: sorted(v) for k, v in by_dim.items()}, n_vertices)
 
 
-def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:
+def coset_complex_faces(X: CosetComplex) -> FaceComplex:
+    """A coset complex's faces in its own order, block by block: face t of
+    the block of H0 < ... < Hk is H0x < ... < Hkx, H0x the t-th coset of H0."""
+    P, ids = X.poset, X.poset.subgroup_ids
+    reps: dict[int, list[int]] = {}
+    for h, r in P.vertices:
+        reps.setdefault(h, []).append(r)
+    return FaceComplex({k: [tuple(P.vertex_index[ids[h], P.coset_rep[ids[h]][x]] for h in c)
+                            for c in blocks for x in reps[ids[c[0]]]]
+                        for k, blocks in enumerate(X.blocks)}, P.n)
+
+
+def join(X: FaceComplex, Y: FaceComplex) -> FaceComplex:
     """Join X * Y: unions of a face of X and a (reindexed) face of Y."""
     shift = X.n_vertices
     by_dim: dict[int, list[tuple[int, ...]]] = {}
@@ -580,10 +642,10 @@ def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:
             for s in xfaces:
                 for t in yfaces:
                     acc.append(s + tuple(v + shift for v in t))
-    return SimplicialComplex(by_dim, X.n_vertices + Y.n_vertices)
+    return FaceComplex({k: sorted(f) for k, f in by_dim.items()}, X.n_vertices + Y.n_vertices)
 
 
-def reduced_euler_characteristic(X: SimplicialComplex) -> int:
+def reduced_euler_characteristic(X: FaceComplex) -> int:
     """Alternating face-count sum from dimension -1: -1 + f0 - f1 + ..."""
     chi = 0
     for k, faces in X.faces.items():
@@ -591,7 +653,7 @@ def reduced_euler_characteristic(X: SimplicialComplex) -> int:
     return chi
 
 
-def boundary_square_is_zero(X: SimplicialComplex, p: int) -> bool:
+def boundary_square_is_zero(X: FaceComplex, p: int) -> bool:
     """Check that applying the boundary twice kills every face, over GF(p)."""
     for k in range(1, X.dimension + 1):
         for f in X.faces.get(k, ()):
@@ -607,7 +669,7 @@ def boundary_square_is_zero(X: SimplicialComplex, p: int) -> bool:
     return True
 
 
-def sliced_boundary_rows(X: SimplicialComplex, k: int, p: int, cleared: set[int]):
+def sliced_boundary_rows(X: FaceComplex, k: int, p: int, cleared: set[int]):
     """Rows of the boundary map C_k -> C_{k-1} over GF(p) for the k-faces
     outside ``cleared``, one face at a time: each facet is the tuple slice
     f[:i] + f[i + 1:], looked up in a dict of the (k-1)-faces."""
@@ -640,14 +702,15 @@ def dense_rank_gfp(rows: list[list[int]], p: int) -> int:
     return len(pivots)
 
 
-def dense_boundary_ranks(X: SimplicialComplex, p: int) -> dict[int, int]:
+def dense_boundary_ranks(X: FaceComplex, p: int) -> dict[int, int]:
     """rank of the boundary map C_k -> C_{k-1} for k = 0..dim, each map
-    reduced on its own from dense signed rows."""
+    reduced on its own from dense signed rows, the faces in sorted order
+    (which keeps the elimination's fill-in low on order complexes)."""
     ranks: dict[int, int] = {}
     for k in range(0, X.dimension + 1):
-        lower_index = {f: i for i, f in enumerate(X.faces.get(k - 1, []))}
+        lower_index = {f: i for i, f in enumerate(sorted(X.faces.get(k - 1, [])))}
         rows = []
-        for f in X.faces.get(k, []):
+        for f in sorted(X.faces.get(k, [])):
             row = [0] * len(lower_index)
             for i in range(len(f)):
                 row[lower_index[f[:i] + f[i + 1:]]] += (-1) ** i
@@ -816,7 +879,7 @@ def full_scan_sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
     return current
 
 
-def recursive_order_complex(poset) -> SimplicialComplex:
+def recursive_order_complex(poset: FinitePoset) -> FaceComplex:
     """Every chain of a poset, found by extending one chain at a time, depth
     first, by each element above its top."""
     by_dim: dict[int, list[tuple[int, ...]]] = {}
@@ -831,7 +894,7 @@ def recursive_order_complex(poset) -> SimplicialComplex:
 
     for v in range(poset.n):
         extend(v)
-    return SimplicialComplex(by_dim, poset.n)
+    return FaceComplex(by_dim, poset.n)
 
 
 def scan_phi_invariant_sylow2(A7: PermutationGroup, x: Permutation) -> PermutationGroup:

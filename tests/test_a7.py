@@ -307,7 +307,7 @@ def _abelian_antichain_report(G, N):
     rel = build_relative_poset(G, N, enumerate_subgroups(G))
     betti = reduced_betti(order_complex(rel), 2)
     return {
-        "antichain": relation_pairs(rel) == [],
+        "antichain": relation_pairs(rel.relation) == [],
         "size": len(rel),
         "size_divisible_by_N": len(rel) % N.order == 0,
         "low_dimensional_homology": betti.get(-1) + betti.get(0) > 0,

@@ -1,5 +1,6 @@
 import os
 import random
+from functools import lru_cache
 from itertools import zip_longest
 
 import pytest
@@ -10,7 +11,6 @@ from cosetposets.catalog import catalog_group, load_catalog
 from cosetposets.complexes import (
     BettiVector,
     CosetComplex,
-    SimplicialComplex,
     _boundary_ranks,
     kunneth_join_betti,
     order_complex,
@@ -21,14 +21,17 @@ from cosetposets.complexes import (
     reduced_betti,
 )
 from cosetposets.cosets import (
+    CosetPoset,
     build_coset_poset,
     build_relative_poset,
     coset_chain_counts,
+    proper_subgroup_ids,
 )
 from cosetposets.groups import (
     BudgetExceededError,
     PermutationGroup,
     _is_prime,
+    alternating_group,
     cyclic_group,
     minimal_normal_subgroups,
     symmetric_group,
@@ -37,9 +40,11 @@ from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import parse_permutation
 from cosetposets.posets import FinitePoset
 from oracles import (
+    FaceComplex,
     betti_euler,
     boundary_square_is_zero,
     complex_from_faces,
+    coset_complex_faces,
     dense_boundary_ranks,
     join,
     recursive_order_complex,
@@ -60,29 +65,45 @@ def _klein_four():
 
 
 def test_order_complex_of_empty_poset_is_empty_face_only():
-    X = order_complex(FinitePoset.from_pairs(0, []))
-    assert X.f_vector() == [1]
-    assert reduced_euler_characteristic(X) == -1
+    """No proper subgroup of C4 supplements its Frattini subgroup, so
+    C(C4, C2) has no vertex."""
+    Z4 = cyclic_group(4)
+    Z2 = PermutationGroup([parse_permutation("(1,3)(2,4)", 4)])
+    X = order_complex(build_relative_poset(Z4, Z2, enumerate_subgroups(Z4)))
+    assert (X.f_vector(), X.dimension) == ([1], -1)
+    assert reduced_betti(X, 2).as_dict() == {-1: 1}
+    empty = recursive_order_complex(FinitePoset.from_pairs(0, []))
+    assert reduced_euler_characteristic(empty) == -1
 
 
 def test_order_complex_two_comparable_elements():
-    X = order_complex(FinitePoset.from_pairs(2, [(0, 1)]))
+    X = recursive_order_complex(FinitePoset.from_pairs(2, [(0, 1)]))
     assert X.f_vector() == [1, 2, 1]
 
 
 def test_order_complex_refuses_past_the_face_budget():
-    """A 21-element total order has 2^21 - 1 chains; the chain count refuses
-    it before any face is built."""
-    total_order = FinitePoset.from_pairs(21, [(i, j) for j in range(21) for i in range(j)])
-    with pytest.raises(BudgetExceededError, match="2097151 nonempty faces"):
-        order_complex(total_order)
+    """C(A6) has 5,456,457 chains; the chain count refuses it before any
+    block is built."""
+    A6 = alternating_group(6)
+    poset = build_coset_poset(A6, enumerate_subgroups(A6))
+    with pytest.raises(BudgetExceededError, match="5456457 nonempty faces"):
+        order_complex(poset)
 
 
 def test_face_budget_bounds_the_nonempty_faces(monkeypatch):
-    monkeypatch.setattr(complexes, "FACE_BUDGET", 3)
-    assert order_complex(FinitePoset.from_pairs(2, [(0, 1)])).f_vector() == [1, 2, 1]
-    with pytest.raises(BudgetExceededError):
-        order_complex(FinitePoset.from_pairs(3, [(0, 1)]))
+    """C(S3) has 17 + 24 = 41 nonempty faces."""
+    S3 = symmetric_group(3)
+    poset = build_coset_poset(S3, enumerate_subgroups(S3))
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 41)
+    assert order_complex(poset).f_vector() == [1, 17, 24]
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 40)
+    with pytest.raises(BudgetExceededError, match="41 nonempty faces"):
+        order_complex(poset)
+
+
+def test_order_complex_refuses_a_poset_that_is_not_a_coset_poset():
+    with pytest.raises(TypeError, match="^order_complex takes a CosetPoset, not a FinitePoset$"):
+        order_complex(FinitePoset.from_pairs(2, [(0, 1)]))
 
 
 def test_order_complex_coset_poset_s3():
@@ -92,14 +113,14 @@ def test_order_complex_coset_poset_s3():
 
 
 def test_join_with_empty_face_complex_is_identity():
-    X = _coset_complex(symmetric_group(3))
-    E = SimplicialComplex({}, 0)
+    X = coset_complex_faces(_coset_complex(symmetric_group(3)))
+    E = FaceComplex({}, 0)
     assert join(X, E) == X
     assert join(E, X).f_vector() == X.f_vector()
 
 
 def test_join_two_pairs_of_points_is_a_square():
-    two = SimplicialComplex({0: [(0,), (1,)]}, 2)
+    two = FaceComplex({0: [(0,), (1,)]}, 2)
     sq = join(two, two)
     assert sq.f_vector() == [1, 4, 4]
     b = reduced_betti(sq, 2)
@@ -107,8 +128,8 @@ def test_join_two_pairs_of_points_is_a_square():
 
 
 def test_join_is_complete_bipartite():
-    two = SimplicialComplex({0: [(0,), (1,)]}, 2)
-    nine = SimplicialComplex({0: [(i,) for i in range(9)]}, 9)
+    two = FaceComplex({0: [(0,), (1,)]}, 2)
+    nine = FaceComplex({0: [(i,) for i in range(9)]}, 9)
     X = join(two, nine)
     assert X.f_vector() == [1, 11, 18]
 
@@ -130,24 +151,26 @@ def test_join_f_vector_is_convolution():
 
 
 def test_reduced_euler_characteristic_values():
-    assert reduced_euler_characteristic(SimplicialComplex({}, 0)) == -1
-    assert reduced_euler_characteristic(_coset_complex(_klein_four())) == -3
-    assert reduced_euler_characteristic(_coset_complex(symmetric_group(3))) == -8
+    assert reduced_euler_characteristic(FaceComplex({}, 0)) == -1
+    for G, chi in [(_klein_four(), -3), (symmetric_group(3), -8)]:
+        assert reduced_euler_characteristic(coset_complex_faces(_coset_complex(G))) == chi
 
 
 def test_poset_f_vector_matches_materialized():
+    """Plain posets, and coset posets walked on their vertex relation."""
     small = [FinitePoset.from_pairs(0, []), FinitePoset.from_pairs(1, []),
              FinitePoset.from_pairs(3, []),
              FinitePoset.from_pairs(5, [(i, j) for j in range(5) for i in range(j)])]
-    for poset in small + [build_coset_poset(G, enumerate_subgroups(G)) for G in
-                          [symmetric_group(3), symmetric_group(4), cyclic_group(8), _klein_four()]]:
-        assert poset_f_vector(poset) == order_complex(poset).f_vector()
-        assert (poset_reduced_euler_characteristic(poset)
-                == reduced_euler_characteristic(order_complex(poset)))
+    cosets = [build_coset_poset(G, enumerate_subgroups(G)) for G in
+              [symmetric_group(3), symmetric_group(4), cyclic_group(8), _klein_four()]]
+    for poset, relation in [(P, P) for P in small] + [(P, P.relation) for P in cosets]:
+        walked = recursive_order_complex(relation)
+        assert poset_f_vector(poset) == walked.f_vector()
+        assert poset_reduced_euler_characteristic(poset) == reduced_euler_characteristic(walked)
 
 
 def test_betti_isolated_points():
-    three = SimplicialComplex({0: [(0,), (1,), (2,)]}, 3)
+    three = FaceComplex({0: [(0,), (1,), (2,)]}, 3)
     assert reduced_betti(three, 2).as_dict() == {0: 2}
 
 
@@ -157,7 +180,7 @@ def test_betti_coset_complexes_gf2():
 
 
 def test_betti_of_empty_face_complex():
-    E = SimplicialComplex({}, 0)
+    E = FaceComplex({}, 0)
     assert reduced_betti(E, 2).as_dict() == {-1: 1}
     assert not reduced_betti(E, 2).is_zero()
 
@@ -234,9 +257,10 @@ def test_euler_poincare_and_boundary_square():
 def test_boundary_square_zero_on_coset_complexes():
     for G in [symmetric_group(3), symmetric_group(4)]:
         X = _coset_complex(G)
+        T = coset_complex_faces(X)
         for p in (2, 3):
-            assert boundary_square_is_zero(X, p)
-            assert betti_euler(reduced_betti(X, p)) == reduced_euler_characteristic(X)
+            assert boundary_square_is_zero(T, p)
+            assert betti_euler(reduced_betti(X, p)) == reduced_euler_characteristic(T)
 
 
 def test_join_betti_matches_kunneth_on_samples():
@@ -280,7 +304,8 @@ def test_boundary_ranks_match_dense_oracle_on_catalog(name):
     for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and _is_prime(q)):
         for X in coset_complexes:
             assert isinstance(X, CosetComplex)
-            assert _boundary_ranks(X, p) == dense_boundary_ranks(X, p), (name, p)
+            assert _boundary_ranks(X, p) == dense_boundary_ranks(coset_complex_faces(X), p), \
+                (name, p)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -293,9 +318,10 @@ def test_boundary_ranks_match_dense_oracle_on_random_complexes(faces, p):
 
 
 def _assert_rows_match_sliced_oracle(X, p):
-    """Rows by face position equal the sliced oracle's, in the same order and,
-    at odd p, entry for entry in the same order, in every dimension, cleared
-    as ``_boundary_ranks`` clears them."""
+    """A coset complex's block rows equal the sliced oracle's on its faces
+    listed block by block, in the same order and, at odd p, entry for entry
+    in the same order, in every dimension, cleared as ``_boundary_ranks``
+    clears them."""
     def checked(rows, expected):
         for row, exp in zip_longest(rows, expected):
             if p == 2:
@@ -304,44 +330,54 @@ def _assert_rows_match_sliced_oracle(X, p):
                 assert list(row.items()) == list(exp.items())
             yield row
 
+    T = coset_complex_faces(X)
     cleared = set()
     for k in range(X.dimension, -1, -1):
-        rows = checked(X._boundary_rows(k, p, cleared), sliced_boundary_rows(X, k, p, cleared))
+        rows = checked(X._boundary_rows(k, p, cleared), sliced_boundary_rows(T, k, p, cleared))
         cleared = rank_gf2(rows) if p == 2 else rank_gfp(rows, p)
 
 
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
                                   if 1 < e.expected_order <= 24])
 def test_boundary_rows_match_sliced_oracle_on_catalog(name):
-    """C(G) and every C(G, N), N minimal normal, at p = 2 and 3, as tuple
-    complexes of the faces."""
+    """C(G) and every C(G, N), N minimal normal, at p = 2 and 3."""
     for _, poset in _coset_poset_cases(catalog_group(name), name):
-        X = SimplicialComplex(order_complex(poset).faces, poset.n)
         for p in (2, 3):
-            _assert_rows_match_sliced_oracle(X, p)
+            _assert_rows_match_sliced_oracle(order_complex(poset), p)
 
 
-def test_boundary_rows_match_sliced_oracle_on_a_join():
+def test_join_with_a_coset_complex_matches_kunneth():
     """The join shifts the second factor's labels past the first's
-    n_vertices, and the first factor skips labels 0, 1, 3, 4, 7 and 8."""
+    n_vertices, and the first factor skips labels 0, 1, 3, 4, 7 and 8; its
+    Betti numbers are those of the factors, C(S3) read on the block path."""
     X = complex_from_faces([(2, 5), (5, 6, 9)])
-    J = join(X, _coset_complex(symmetric_group(3)))
+    C = _coset_complex(symmetric_group(3))
+    J = join(X, coset_complex_faces(C))
     assert [v for (v,) in J.faces[0]][:5] == [2, 5, 6, 9, 10]
     for p in (2, 3):
-        _assert_rows_match_sliced_oracle(J, p)
+        assert reduced_betti(J, p) == kunneth_join_betti(reduced_betti(X, p), reduced_betti(C, p))
+
+
+@lru_cache(maxsize=None)
+def _lattice(name):
+    return enumerate_subgroups(catalog_group(name))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(faces=st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=5),
-                      min_size=1, max_size=10),
+@given(name=st.sampled_from(["S4", "D8xC2", "SL(2,3)", "C2^2:C4"]),
+       picks=st.sets(st.integers(0, 10**6), max_size=12),
        p=st.sampled_from([2, 3]))
-def test_boundary_rows_match_sliced_oracle_on_random_complexes(faces, p):
-    """Vertex labels drawn from 0..40 skip most values."""
-    _assert_rows_match_sliced_oracle(complex_from_faces(faces), p)
+def test_boundary_rows_match_sliced_oracle_on_random_complexes(name, picks, p):
+    """The coset complex of any set of proper subgroups, not only of those
+    of C(G) and C(G, N)."""
+    lat = _lattice(name)
+    proper = proper_subgroup_ids(lat)
+    X = order_complex(CosetPoset(lat, {proper[i % len(proper)] for i in picks}))
+    _assert_rows_match_sliced_oracle(X, p)
 
 
 def _order_complex_cases():
-    cases = [("empty", FinitePoset.from_pairs(0, [])), ("point", FinitePoset.from_pairs(1, []))]
+    cases = []
     for e in load_catalog(verify=False):
         if 2 <= e.expected_order <= 60:
             cases += _coset_poset_cases(e.build(), e.name)
@@ -349,29 +385,29 @@ def _order_complex_cases():
 
 
 def test_order_complex_matches_recursive_walk():
-    """Chains extended a dimension at a time give the faces, in the same
-    order, of the depth-first walk: on every catalog C(G) and C(G, N) of
-    order 2..60, the empty poset and a one-point poset."""
+    """The faces of the coset complex are the chains of the depth-first walk
+    on the vertex relation, and as many as the chain count says: on every
+    catalog C(G) and C(G, N) of order 2..60."""
     for name, poset in _order_complex_cases():
-        got, expected = order_complex(poset), recursive_order_complex(poset)
-        assert got == expected, name
+        got = coset_complex_faces(order_complex(poset))
+        assert got == recursive_order_complex(poset.relation), name
         assert got.f_vector() == poset_f_vector(poset), name
 
 
 def test_coset_chain_counts_match_the_coset_poset():
     """Subgroup chains weighted by the index of their least subgroup count
-    the chains of C(G) and C(G, N), and the blocks of the coset complex hold
-    that many faces: on every catalog C(G) and C(G, N) of order 2..60."""
+    the chains of the vertex relation of C(G) and C(G, N), and the blocks of
+    the coset complex hold that many faces: on every catalog C(G) and
+    C(G, N) of order 2..60."""
     for name, poset in _order_complex_cases():
-        if hasattr(poset, "lattice"):
-            counts = coset_chain_counts(poset.lattice, list(poset.subgroup_ids))
-            assert counts == poset.chain_counts(), name
-            X = order_complex(poset)
-            sizes = [sum(X.block_size[c[0]] for c in blocks) for blocks in X.blocks]
-            assert sizes == counts == X.f_vector()[1:], name
-            for blocks in X.blocks:  # each block starts where the one before ends
-                ends = [o + X.block_size[c[0]] for c, o in blocks.items()]
-                assert list(blocks.values()) == [0] + ends[:-1], name
+        counts = coset_chain_counts(poset.lattice, list(poset.subgroup_ids))
+        assert counts == poset.chain_counts() == poset.relation.chain_counts(), name
+        X = order_complex(poset)
+        sizes = [sum(X.block_size[c[0]] for c in blocks) for blocks in X.blocks]
+        assert sizes == counts == X.f_vector()[1:], name
+        for blocks in X.blocks:  # each block starts where the one before ends
+            ends = [o + X.block_size[c[0]] for c, o in blocks.items()]
+            assert list(blocks.values()) == [0] + ends[:-1], name
 
 
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
@@ -379,10 +415,10 @@ def test_coset_chain_counts_match_the_coset_poset():
 def test_coset_complex_matches_the_tuple_complex(name):
     """The block complex of C(G) and of every C(G, N), N minimal normal, has
     the boundary ranks, f-vector and Betti numbers at p = 2 and 3 of the
-    tuple complex of its faces."""
+    tuple complex of its faces, reduced on the sliced oracle's rows."""
     for case, poset in _coset_poset_cases(catalog_group(name), name):
         X = order_complex(poset)
-        T = SimplicialComplex(X.faces, poset.n)
+        T = coset_complex_faces(X)
         assert X.f_vector() == T.f_vector(), case
         for p in (2, 3):
             assert _boundary_ranks(X, p) == _boundary_ranks(T, p), (case, p)
@@ -392,12 +428,12 @@ def test_coset_complex_matches_the_tuple_complex(name):
 @pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
 def test_coset_complex_of_s5_mod_a5():
     """C(S5, A5) at size: the f-vector and the Betti numbers over GF(2) and
-    GF(3) (C(S5)'s b2 and b3, one dimension down), on the block and on the
-    tuple path."""
+    GF(3) (C(S5)'s b2 and b3, one dimension down), on the block path and on
+    the tuple oracle."""
     S5 = symmetric_group(5)
     (A5,) = [N for N in minimal_normal_subgroups(S5) if N.order == 60]
     X = order_complex(build_relative_poset(S5, A5, enumerate_subgroups(S5)))
-    T = SimplicialComplex(X.faces, X.n_vertices)
+    T = coset_complex_faces(X)
     assert X.f_vector() == T.f_vector() == [1, 2286, 14825, 15900, 1800]
     for p in (2, 3):
         assert reduced_betti(X, p).as_array() == [0, 0, 864, 2424]

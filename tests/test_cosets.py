@@ -1,4 +1,5 @@
 import os
+import re
 from functools import lru_cache
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from cosetposets import cosets
 from cosetposets.a7 import build_smith_spec
-from cosetposets.catalog import load_catalog
+from cosetposets.catalog import catalog_group, load_catalog
+from cosetposets.complexes import poset_reduced_euler_characteristic
 from cosetposets.cosets import (
+    CosetPoset,
     OvergroupAutomorphism,
     build_coset_poset,
     build_relative_poset,
@@ -37,6 +40,7 @@ from oracles import (
     subgroup_as_group,
     translation_action_group,
     vertex_action_map,
+    vertex_chi_and_hat,
 )
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
@@ -53,20 +57,20 @@ def _poset(G):
 def test_coset_poset_z2():
     poset = _poset(cyclic_group(2))
     assert len(poset) == 2
-    assert relation_pairs(poset) == []
+    assert relation_pairs(poset.relation) == []
 
 
 def test_coset_poset_klein_four():
     poset = _poset(_group("(1,2)(3,4)", "(1,3)(2,4)", degree=4))
     assert len(poset) == 10
-    assert len(poset.cover_pairs()) == 12
-    assert len(relation_pairs(poset)) == 12
+    assert len(poset.relation.cover_pairs()) == 12
+    assert len(relation_pairs(poset.relation)) == 12
 
 
 def test_coset_poset_s3():
     poset = _poset(symmetric_group(3))
     assert len(poset) == 17
-    assert len(relation_pairs(poset)) == 24
+    assert len(relation_pairs(poset.relation)) == 24
     # no C2-coset sits inside a C3-coset, so there are no 2-chains of cosets
     assert poset.chain_counts() == [17, 24]
 
@@ -92,17 +96,64 @@ def test_cosets_partition_and_are_unique():
         assert all(rep[rep[x]] == rep[x] for x in range(G.order))
 
 
+def _coset_posets(G):
+    """C(G) and every C(G, N), N minimal normal."""
+    lat = enumerate_subgroups(G)
+    return [build_coset_poset(G, lat)] + [build_relative_poset(G, N, lat)
+                                          for N in minimal_normal_subgroups(G)]
+
+
 @pytest.mark.parametrize("entry", [e for e in load_catalog(verify=False)
                                    if 1 < e.expected_order <= 60], ids=lambda e: e.name)
 def test_relation_is_coset_inclusion(entry):
     """u < v in C(G), and in C(G, N) for each minimal normal N, exactly when
     coset u is a proper subset of coset v as sets of elements."""
-    G = entry.build()
-    lat = enumerate_subgroups(G)
-    posets = [build_coset_poset(G, lat)]
-    posets += [build_relative_poset(G, N, lat) for N in minimal_normal_subgroups(G)]
-    for poset in posets:
-        assert relation_pairs(poset) == coset_inclusion_pairs(poset)
+    for poset in _coset_posets(entry.build()):
+        assert relation_pairs(poset.relation) == coset_inclusion_pairs(poset)
+
+
+@pytest.mark.parametrize("case", ["repeated", "parent", "unknown"])
+def test_coset_poset_refuses_ids_that_name_no_proper_subgroup(case, monkeypatch):
+    """A repeated id would list its cosets twice ([1, 1] in S4 gave 24
+    vertices for the 12 cosets of an order-2 subgroup), the whole group is
+    no proper subgroup, and an id past the lattice names nothing: each is
+    refused with a one-line ValueError that names it, before any coset is
+    labelled."""
+    def unlabelled(*args):
+        raise AssertionError("a coset was labelled")
+
+    lat = enumerate_subgroups(symmetric_group(4))
+    top, past = lat.index_of_parent, len(lat.subgroups)
+    ids, message = {
+        "repeated": ([1, 1], "subgroup id 1 is repeated"),
+        "parent": ([1, top], f"subgroup id {top} is the whole group, not a proper subgroup"),
+        "unknown": ([past, 1], f"subgroup id {past} is not in the lattice"),
+    }[case]
+    monkeypatch.setattr(cosets, "right_coset_reps", unlabelled)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CosetPoset(lat, ids)
+
+
+@pytest.mark.parametrize("entry", [e for e in load_catalog(verify=False)
+                                   if 1 < e.expected_order <= 120], ids=lambda e: e.name)
+def test_weighted_chi_and_hat_match_the_vertex_oracles(entry):
+    """chi-tilde and the hat-Moebius value of C(G) and of every C(G, N),
+    read off the subgroup chains, equal those of the vertex relation."""
+    for poset in _coset_posets(entry.build()):
+        chi, hat = vertex_chi_and_hat(poset)
+        assert poset_reduced_euler_characteristic(poset) == chi
+        assert poset.moebius_bottom_to_top() == hat == chi
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+@pytest.mark.parametrize("name, chi", [("S5", -1560), ("PSL(2,7)", 2856), ("A6", -95400)])
+def test_weighted_chi_and_hat_at_size(name, chi):
+    """C(A6)'s order complex is past the face budget; its vertex relation
+    (35,245 vertices) is not."""
+    G = catalog_group(name)
+    poset = build_coset_poset(G, enumerate_subgroups(G))
+    assert poset_reduced_euler_characteristic(poset) == poset.moebius_bottom_to_top() == chi
+    assert vertex_chi_and_hat(poset) == (chi, chi)
 
 
 def test_relative_poset_s3():
@@ -111,7 +162,7 @@ def test_relative_poset_s3():
     A3 = _group("(1,2,3)", degree=3)
     rel = build_relative_poset(S3, A3, lat)
     assert len(rel) == 9
-    assert relation_pairs(rel) == []
+    assert relation_pairs(rel.relation) == []
     # all nine vertices are cosets of the three order-2 subgroups
     assert all(lat.subgroups[hi].order == 2 for hi, _ in rel.vertices)
 
@@ -122,7 +173,7 @@ def test_relative_poset_z4_is_empty():
     Z2 = _group("(1,3)(2,4)", degree=4)
     rel = build_relative_poset(Z4, Z2, lat)
     assert len(rel) == 0
-    assert relation_pairs(rel) == []
+    assert relation_pairs(rel.relation) == []
 
 
 def test_relative_poset_with_n_equal_g_is_full_poset():
@@ -313,7 +364,7 @@ def test_action_preserves_order_relation():
     triple = ActionTriple(left=parse_permutation("(1,2,3)", 4),
                           right=parse_permutation("(1,3)(2,4)", 4))
     mapping = vertex_action_map(poset, triple)
-    rel = set(relation_pairs(poset))
+    rel = set(relation_pairs(poset.relation))
     assert all((mapping[u], mapping[v]) in rel for u, v in rel)
     assert sorted(mapping) == list(range(len(poset)))
 
@@ -349,12 +400,13 @@ def test_overgroup_automorphism_validation():
 def test_antichain_flags():
     S3 = symmetric_group(3)
     lat = enumerate_subgroups(S3)
-    assert relation_pairs(build_coset_poset(S3, lat))
-    assert not relation_pairs(build_relative_poset(S3, _group("(1,2,3)", degree=3), lat))
+    assert relation_pairs(build_coset_poset(S3, lat).relation)
+    assert not relation_pairs(
+        build_relative_poset(S3, _group("(1,2,3)", degree=3), lat).relation)
     Z4 = cyclic_group(4)
     lat4 = enumerate_subgroups(Z4)
     assert not relation_pairs(
-        build_relative_poset(Z4, _group("(1,3)(2,4)", degree=4), lat4))
+        build_relative_poset(Z4, _group("(1,3)(2,4)", degree=4), lat4).relation)
 
 
 def test_abelian_minimal_normal_antichain_size_divisible():
@@ -365,7 +417,7 @@ def test_abelian_minimal_normal_antichain_size_divisible():
     for G, N in cases:
         lat = enumerate_subgroups(G)
         rel = build_relative_poset(G, N, lat)
-        assert relation_pairs(rel) == []
+        assert relation_pairs(rel.relation) == []
         assert len(rel) % N.order == 0
 
 

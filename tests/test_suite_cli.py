@@ -11,7 +11,9 @@ import pytest
 
 from cosetposets import cli
 from cosetposets.cli import main
-from cosetposets.cosets import CosetPoset
+from cosetposets.cosets import CosetPoset, build_coset_poset
+from cosetposets.groups import symmetric_group
+from cosetposets.lattice import enumerate_subgroups
 from cosetposets.suite import SuiteConfig, VerificationReport, run_suite
 from normalize_report import normalize
 
@@ -231,6 +233,31 @@ def test_cli_homology_past_the_face_budget_is_refused(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("cosetposets: error: the order complex has 5456457 nonempty faces, "
                             "over the face budget 1000000\n")
+
+
+def test_homology_path_builds_no_vertex_relation(small_catalog, capsys, monkeypatch):
+    """The homology, join and reciprocity suites, `compute homology` and
+    `compute zeta` read coset posets off their subgroup chains; only
+    `compute poset` and `dump()` build the vertex relation."""
+    def unbuilt(self):
+        raise AssertionError("the vertex relation was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CosetPoset, "relation", property(unbuilt))
+        report = run_suite(SuiteConfig(catalog_path=small_catalog,
+                                       suites=("homology", "join", "reciprocity")))
+        assert report.overall == "pass"  # a record that raised would fail
+        assert {r["suite"] for r in report.records} == {"homology", "join", "reciprocity"}
+        assert main(["compute", "homology", "--group", "S4"]) == 0
+        assert main(["compute", "zeta", "--group", "S4",
+                     "--relative-to", "(1,2)(3,4),(1,3)(2,4)"]) == 0
+        with pytest.raises(AssertionError, match="the vertex relation was built"):
+            main(["compute", "poset", "--group", "S3"])
+    capsys.readouterr()
+    assert main(["compute", "poset", "--group", "S3"]) == 0
+    S3 = symmetric_group(3)
+    dump = build_coset_poset(S3, enumerate_subgroups(S3)).dump()
+    assert capsys.readouterr().out == dump and dump.count("<") == 24
 
 
 def test_cli_composite_prime_is_refused_before_any_work(capsys, monkeypatch):

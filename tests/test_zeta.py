@@ -19,7 +19,8 @@ from cosetposets.lattice import enumerate_subgroups, moebius_to_top
 from cosetposets.perm import parse_permutation
 from cosetposets.posets import FinitePoset
 from cosetposets.zeta import brute_force_generation_probability, evaluate, hall_polynomial
-from oracles import conj_element, product_table, tuple_generation_probability
+from oracles import (conj_element, product_table, tuple_generation_probability,
+                     vertex_chi_and_hat)
 
 CATALOG = {e.name: e for e in load_catalog(verify=False)}
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
@@ -151,11 +152,17 @@ def test_poset_moebius_hat_small():
     assert FinitePoset.from_pairs(3, []).moebius_bottom_to_top() == 2
     chain2 = FinitePoset.from_pairs(2, [(0, 1)])
     assert chain2.moebius_bottom_to_top() == 0
+    # S3's proper subgroups 1 < C2 (three) and 1 < C3, weighted by index: mu
+    # sums to -6 over the cosets of 1, 3 over each C2's and 4 over C3's
+    subgroups = FinitePoset.from_pairs(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    assert subgroups.moebius_bottom_to_top([6, 3, 3, 3, 2]) == -(1 - 6 + 9 + 4) == -8
 
 
 def test_triple_identity():
     """chi-tilde of the order complex, the hat-Moebius value, and -P(-1)
-    agree on every group tested, each computed by its own code path."""
+    agree on every group tested, each computed by its own code path: chi and
+    hat from the subgroup chains and from the relation of nested cosets,
+    and P from the lattice's Moebius function."""
     groups = [symmetric_group(3), symmetric_group(4), cyclic_group(4),
               cyclic_group(12), alternating_group(4), alternating_group(5)]
     for G in groups:
@@ -164,6 +171,7 @@ def test_triple_identity():
         poset = build_coset_poset(G, lat)
         chi = poset_reduced_euler_characteristic(poset)
         assert poset.moebius_bottom_to_top() == chi
+        assert vertex_chi_and_hat(poset) == (chi, chi)
         assert evaluate(poly, -1) == -chi
 
 
