@@ -3,30 +3,45 @@ Kunneth formula for the homology of a join.
 
 All complexes are augmented: the empty face sits in dimension -1, so the
 one-face complex {0} (written {emptyset}) has Betti number 1 in dimension
--1 and is not acyclic. Boundary ranks come from one top-down reduction with
-clearing: int-bitset rows over GF(2), sparse {column: value} rows over odd
-primes, streamed into the rank kernels.
+-1 and is not acyclic. Ranks come from the coboundary maps, reduced from
+dimension -1 up with clearing: int-bitset rows over GF(2) up to
+GF2_BITSET_COLUMNS columns, sparse {column: value} rows past it and over
+odd primes, streamed into the rank kernels. ``reduced_betti`` reduces the
+order complex of the poset's beat-point core, which has the same Betti
+numbers and, on C(S5), 202,449 of its 320,283 faces.
+
+Int rows reduce 2.6-5x faster than dict rows up to 11,100 columns (every
+complex of the catalog up to order 60), 0.85-1.4x as fast at 40,804-66,906
+(C(S5) and C(PSL(2,7))) and half as fast at 96,840. But a bitset costs its
+column span in memory: C(S5) peaks at 284 MB with bitsets up to 70,000
+columns against 50 MB with none, and C(PSL(2,7)) at 175 MB with bitsets up
+to 50,000 against 80 MB. So GF2_BITSET_COLUMNS is 20,000, where n pivot
+rows of n columns hold at most n^2 / 8 bytes, 50 MB.
 
 The order complex of a coset poset (``CosetComplex``) stores no face
 tuple. A face H0x < ... < Hkx is fixed by its subgroup chain and the coset
 H0x, so dimension k is one block of [G : H0] faces per chain H0 < ... < Hk,
-in the order of H0's cosets, and each facet of face t but the one that
-drops H0 is face t of its own block. A GF(2) row is then one shifted mask,
-S << t, and one more bit for the H1-coset of H0x.
+in the order of H0's cosets. Each coface of face t that inserts a subgroup
+above H0 is face t of its own block, and those that put K < H0 first are
+the cosets of K inside H0x. A GF(2) row is then one shifted mask, S << t,
+and one mask of K-cosets for each K < H0.
 
 The blocks follow their chains from the largest subgroup down, in
 decreasing lexicographic order, so a row's pivot, its highest column, is
-the facet that drops the chain's largest subgroup. Over the catalog's C(G)
-and C(G, N) of order 2..60 the GF(2) reduction then makes 95,880 XORs,
-against 199,494 with the chains in increasing order and 184,693 on the face
-tuples (C(A5): 29,440, 85,074 and 71,994).
+the coface that inserts the least subgroup as low in the chain as it goes.
+Over the catalog's C(G) and C(G, N) of order 2..60, the GF(2) reduction of
+the full complexes then makes 13,245 XORs, against 16,841 with the chains
+in increasing order, 17,387 on the sorted face tuples and 95,880 when the
+boundaries are reduced from the top down (C(A5): 3,203, 2,252, 3,377 and
+29,440). On the beat-point cores it makes 8,476 (C(A5): 2,960).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, groupby, repeat
-from operator import add, itemgetter, lshift, or_
+from functools import cached_property
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, lshift
 from typing import Iterable, Iterator, Mapping
 
 from .cosets import CosetPoset
@@ -34,6 +49,7 @@ from .groups import BudgetExceededError, _is_prime
 from .posets import FinitePoset
 
 FACE_BUDGET = 10**6
+GF2_BITSET_COLUMNS = 20_000  # the module docstring says why
 
 
 class CosetComplex:
@@ -41,25 +57,16 @@ class CosetComplex:
     tuple. ``blocks[k]`` maps each chain H0 < ... < Hk, a tuple of positions
     in ``poset.subgroup_ids``, to the offset of its block: its
     ``block_size[H0]`` = [G : H0] faces, in the order of H0's cosets. The
-    face count is checked against FACE_BUDGET before any block is made.
+    face count is checked against FACE_BUDGET when the complex is made; the
+    blocks and the coset labels are read only when rows are.
     """
 
     def __init__(self, poset: CosetPoset):
         self._counts = poset.chain_counts()
         check_face_budget(sum(self._counts))
-        subgroups, self.block_size = poset.subgroup_chains
+        self._chains, self.block_size = poset.subgroup_chains
         self.poset = poset
-        # each subgroup's coset representatives (least elements) in vertex
-        # order, and the position among them of each representative
-        self._reps = [[r for _, r in vs] for _, vs in groupby(poset.vertices, itemgetter(0))]
-        self._coset_number = [dict(zip(reps, count())).__getitem__ for reps in self._reps]
-        self._coset_rep = [poset.coset_rep[h].__getitem__ for h in poset.subgroup_ids]
-        self.blocks: list[dict[tuple[int, ...], int]] = []
-        chains = [(h,) for h in reversed(range(subgroups.n))]
-        while chains:  # in decreasing lexicographic order; the module docstring says why
-            self.blocks.append(dict(zip(chains, accumulate(
-                (self.block_size[c[0]] for c in chains), initial=0))))
-            chains = [c + (h,) for c in chains for h in reversed(subgroups.above[c[-1]])]
+        self._preimages: dict[tuple[int, int, bool], list] = {}
 
     @property
     def dimension(self) -> int:
@@ -68,46 +75,113 @@ class CosetComplex:
     def f_vector(self) -> list[int]:
         return [1] + self._counts
 
-    def _boundary_rows(self, k: int, p: int, cleared: set[int]) -> Iterator:
-        """Rows of the boundary map C_k -> C_{k-1} over GF(p), one per k-face
-        outside ``cleared`` (face indices), in block order: int bitsets at
-        p = 2, ``{column: sign}`` dicts at odd p.
+    @cached_property
+    def blocks(self) -> list[dict[tuple[int, ...], int]]:
+        blocks = []
+        chains = [(h,) for h in reversed(range(self._chains.n))]
+        while chains:  # in decreasing lexicographic order; the module docstring says why
+            blocks.append(dict(zip(chains, accumulate(
+                (self.block_size[c[0]] for c in chains), initial=0))))
+            chains = [c + (h,) for c in chains for h in reversed(self._chains.above[c[-1]])]
+        return blocks
 
-        Face t of the block of H0 < ... < Hk has, for each i >= 1, the facet
-        that drops Hi at t in the block of the shorter chain, and the facet
-        that drops H0 at proj[t], the position of the H1-coset of H0x, found
-        through ``coset_rep``, in the block of H1 < ... < Hk, at offset q. So
-        over GF(2) the row is (S << t) | (1 << (q + proj[t])), with S the OR
-        of 1 << offset over the blocks of the i >= 1 facets.
+    def core(self) -> CosetComplex:
+        """The order complex of the poset's beat-point core
+        (``CosetPoset.beat_point_core``). Raises RuntimeError unless its
+        reduced Euler characteristic, read from the chain counts, is this
+        complex's."""
+        core = CosetComplex(self.poset.beat_point_core())
+        chi, core_chi = _reduced_euler(self.f_vector()), _reduced_euler(core.f_vector())
+        if chi != core_chi:
+            raise RuntimeError(f"the beat-point core has reduced Euler characteristic "
+                               f"{core_chi}, the order complex {chi}")
+        return core
+
+    @cached_property
+    def _cosets(self) -> list[tuple[list[int], list[int]]]:
+        """For each subgroup, its coset representatives (least elements) in
+        the order of its cosets, and the position of each element's coset."""
+        out = []
+        for h in self.poset.subgroup_ids:
+            label = self.poset.coset_rep[h]
+            reps = [x for x, r in enumerate(label) if r == x]
+            out.append((reps, list(map(dict(zip(reps, count())).__getitem__, label))))
+        return out
+
+    def _preimage(self, k: int, h: int, bitsets: bool) -> list:
+        """For each coset H x of H = position h, the positions among the
+        cosets of K = position k < h of those inside it: a list each, or one
+        int bitset each. Made once per pair and complex."""
+        table = self._preimages.get((k, h, bitsets))
+        if table is None:
+            where = map(self._cosets[h][1].__getitem__, self._cosets[k][0])
+            if bitsets:
+                table = [0] * self.block_size[h]
+                for s, t in enumerate(where):
+                    table[t] |= 1 << s
+            else:
+                table = [[] for _ in range(self.block_size[h])]
+                for s, t in enumerate(where):
+                    table[t].append(s)
+            self._preimages[k, h, bitsets] = table
+        return table
+
+    def _coboundary_rows(self, k: int, p: int, cleared: set[int], bitsets: bool) -> Iterator:
+        """Rows of the coboundary map C^k -> C^(k+1) over GF(p), one per
+        k-face outside ``cleared`` (face indices), in block order: int
+        bitsets if ``bitsets`` (at p = 2), else ``{column: sign}`` dicts.
+
+        Face t of the block of H0 < ... < Hk, the chain of H0x, has two kinds
+        of cofaces. K inserted at position i >= 1 keeps H0x: the coface is
+        face t of the longer chain's block, with sign (-1)^i. K < H0 put
+        first gives the [H0 : K] cosets of K inside H0x, with sign +1, at the
+        positions ``_preimage`` lists in the block of K < H0 < ... < Hk. So
+        over GF(2) the row is (S << t) | sum over K of (mask_K[t] << q_K),
+        with S the OR of 1 << offset over the blocks of the insertions and
+        q_K the offset of K's block.
         """
+        if k == -1:  # the empty face, whose cofaces are the vertices
+            f0 = self._counts[0]
+            return iter([] if cleared else [
+                (1 << f0) - 1 if bitsets else dict.fromkeys(range(f0), 1)])
         keep = bytearray(b"\x01") * self._counts[k]
         for j in cleared:
             keep[j] = 0
-        lower = self.blocks[k - 1] if k else {(): 0}  # the empty face, at 0
-        signs = repeat((1, p - 1) * (k // 2 + 1))  # (-1)^i for the facet that drops Hi
+        upper = self.blocks[k + 1]
+        above, below = self._chains.above, self._chains.below
+        signs = (1, p - 1)
         rows = []
         for c, o in self.blocks[k].items():
             m = self.block_size[c[0]]
             kept = keep[o:o + m]
             if 1 not in kept:  # cleared whole, as blocks often are
                 continue
-            ts = compress(range(m), kept)
-            if k:
-                reps = compress(self._reps[c[0]], kept)
-                proj = map(self._coset_number[c[1]], map(self._coset_rep[c[1]], reps))
+            ts = list(compress(range(m), kept)) if 0 in kept else range(m)
+            inserted = [(upper[c[:i] + (h,) + c[i:]], i & 1) for i in range(1, k + 1)
+                        for h in set(above[c[i - 1]]).intersection(below[c[i]])]
+            inserted += [(upper[c + (h,)], (k + 1) & 1) for h in above[c[-1]]]
+            firsts = [(upper[(h,) + c], self._preimage(h, c[0], bitsets)) for h in below[c[0]]]
+            if bitsets:
+                S = sum(1 << q for q, _ in inserted)
+                block = map(lshift, repeat(S), ts)
+                if firsts:
+                    block = map(sum, zip(block, *(map(lshift, map(pre.__getitem__, ts), repeat(q))
+                                                  for q, pre in firsts)))
             else:
-                proj = compress(repeat(0, m), kept)
-            q = lower[c[1:]]
-            offsets = [lower[c[:i] + c[i + 1:]] for i in range(1, k + 1)]
-            if p == 2:
-                S = sum(map(lshift, repeat(1), offsets))
-                rows.append(map(or_, map(lshift, repeat(S), ts),
-                                map(lshift, repeat(1 << q), proj)))
-            else:
-                ts = list(ts)
-                facets = [map(add, repeat(f), ts) for f in offsets]
-                rows.append(map(dict, map(zip, zip(map(add, repeat(q), proj), *facets), signs)))
+                block = _dict_rows(ts, inserted, firsts, signs)
+            rows.append(block)
         return chain.from_iterable(rows)
+
+
+def _dict_rows(ts: Iterable[int], inserted: list[tuple[int, int]],
+               firsts: list[tuple[int, list[list[int]]]], signs: tuple[int, int]) -> Iterator:
+    """The ``{column: sign}`` rows of ``CosetComplex._coboundary_rows`` for
+    the faces ``ts`` of one block."""
+    for t in ts:
+        row = {q + t: signs[odd] for q, odd in inserted}
+        for q, pre in firsts:
+            row.update(zip(map(add, repeat(q), pre[t]), repeat(1)))
+        yield row
 
 
 def check_face_budget(faces: int) -> None:
@@ -132,7 +206,12 @@ def poset_f_vector(poset: CosetPoset | FinitePoset) -> list[int]:
 
 
 def poset_reduced_euler_characteristic(poset: CosetPoset | FinitePoset) -> int:
-    return sum(f if k % 2 else -f for k, f in enumerate(poset_f_vector(poset)))  # f[k]: dim k - 1
+    return _reduced_euler(poset_f_vector(poset))
+
+
+def _reduced_euler(f: list[int]) -> int:
+    """-1 + f_0 - f_1 + ... of an f-vector read from dimension -1."""
+    return sum(x if k % 2 else -x for k, x in enumerate(f))  # f[k]: dim k - 1
 
 
 def rank_gf2(rows: Iterable[int]) -> set[int]:
@@ -210,31 +289,51 @@ class BettiVector:
 
 
 def _boundary_ranks(X: CosetComplex, p: int) -> dict[int, int]:
-    """rank of the boundary map C_k -> C_{k-1} for k = 0..dim.
+    """rank of the boundary map C_k -> C_{k-1} for k = 0..dim, read as the
+    rank of the coboundary map C^{k-1} -> C^k.
 
-    The maps are reduced from the top dimension down, on rows streamed by
-    the complex's ``_boundary_rows`` into ``rank_gf2`` or ``rank_gfp``. Each
-    pivot column of the reduced map from C_{k+1} is a k-face that leads a
-    boundary, and a boundary is a cycle, so that face's row is a combination
-    of the rows of lower k-faces. Those rows are skipped ("clearing", Chen
-    and Kerber, 2011), which leaves every rank unchanged.
+    The coboundary maps are reduced from dimension -1 up, on rows streamed
+    by the complex's ``_coboundary_rows`` into ``rank_gf2`` (int bitsets, at
+    p = 2 up to GF2_BITSET_COLUMNS columns) or ``rank_gfp``. Each pivot
+    column of the reduced map C^{k-1} -> C^k is a k-face that leads a
+    coboundary, and a coboundary is a cocycle, so that face's row in the
+    next map is a combination of the rows of lower k-faces. Those rows are
+    skipped ("clearing", Chen and Kerber, 2011, on coboundaries as in
+    Bauer's Ripser, 2021), which leaves every rank unchanged.
     """
+    f = X.f_vector()
     ranks: dict[int, int] = {}
     cleared: set[int] = set()
-    for k in range(X.dimension, -1, -1):
-        rows = X._boundary_rows(k, p, cleared)
-        cleared = rank_gf2(rows) if p == 2 else rank_gfp(rows, p)
-        ranks[k] = len(cleared)
+    for k in range(-1, X.dimension):
+        bitsets = p == 2 and f[k + 2] <= GF2_BITSET_COLUMNS  # f[k + 2]: the (k+1)-faces
+        rows = X._coboundary_rows(k, p, cleared, bitsets)
+        cleared = rank_gf2(rows) if bitsets else rank_gfp(rows, p)
+        ranks[k + 1] = len(cleared)
     return ranks
 
 
 def reduced_betti(X: CosetComplex, p: int) -> BettiVector:
-    """Reduced Betti numbers of the augmented chain complex over GF(p)."""
+    """Reduced Betti numbers of the augmented chain complex over GF(p),
+    computed on ``X.core()``, the order complex of the beat-point core of
+    X's coset poset.
+
+    Removing a beat point, an element whose upper set has a least element
+    or whose lower set a greatest, is a strong deformation retraction of the
+    order complex (Stong, "Finite topological spaces", 1966), so the core's
+    order complex is homotopy equivalent to X and has its Betti numbers over
+    every field. A coset poset has no down beat point: below Hx lie the
+    [H : L] >= 2 cosets of each included L < H inside Hx, pairwise
+    incomparable, so what lies below Hx has no greatest element. Its up beat
+    points are read off the subgroups (``CosetPoset.beat_point_core``), and
+    ``X.core()`` raises RuntimeError unless the core's reduced Euler
+    characteristic equals X's.
+    """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    ranks = _boundary_ranks(X, p)
+    core = X.core()
+    ranks = _boundary_ranks(core, p)
     out: dict[int, int] = {}
-    for k, f_k in enumerate(X.f_vector(), -1):
+    for k, f_k in enumerate(core.f_vector(), -1):
         out[k] = f_k - ranks.get(k, 0) - ranks.get(k + 1, 0)
     return BettiVector.from_dict(p, out)
 

@@ -5,8 +5,9 @@ Vertices are right cosets Hx of proper subgroups, keyed by the lattice
 index of H and the minimal element id of the coset. Hx <= Ky holds iff
 H <= K in the lattice and x y^-1 lies in K; both tests are index lookups.
 Chains of cosets are read off chains of subgroups, each weighted by the
-index of its least subgroup (Brown, 2000); the vertex relation is built
-only to be printed.
+index of its least subgroup (Brown, 2000), and so is the beat-point core;
+a subgroup's cosets are labelled only when read, and the vertex relation
+is built only to be printed.
 
 The fixed cosets are found without a poset or a coset labelling of G:
 Hx is fixed by P x K iff P <= H and x k x^-1 lies in H for each generator
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 from .groups import (
@@ -60,9 +61,24 @@ class OvergroupAutomorphism:
         return all(self.apply(self.apply(g)) == g for g in self.group.generators)
 
 
+class _CosetLabels(dict):
+    """Each subgroup's right coset labels, ``right_coset_reps`` of its
+    elements, made on first read: ``labels[h][x]`` is the least element of
+    the coset of subgroup h that holds element x."""
+
+    def __init__(self, lattice: SubgroupLattice):
+        super().__init__()
+        self.lattice = lattice
+
+    def __missing__(self, h: int) -> list[int]:
+        labels = self[h] = right_coset_reps(self.lattice.group, self.lattice.subgroups[h].elements)
+        return labels
+
+
 class CosetPoset:
     """Cosets Hx of the included proper subgroups, ordered by inclusion, held
-    as the subgroups and their coset labels; ``relation`` is built on read."""
+    as the subgroups; a subgroup's cosets are labelled when first read, and
+    ``vertices`` and ``relation`` are built on read."""
 
     def __init__(self, lattice: SubgroupLattice, subgroup_ids: Iterable[int]):
         self.lattice = lattice
@@ -74,17 +90,27 @@ class CosetPoset:
                 raise ValueError(f"subgroup id {h} is the whole group, not a proper subgroup")
             if h == prev:
                 raise ValueError(f"subgroup id {h} is repeated")
-        self.coset_rep: dict[int, list[int]] = {
-            hi: right_coset_reps(lattice.group, lattice.subgroups[hi].elements)
-            for hi in self.subgroup_ids}
-        self.vertices: list[tuple[int, int]] = [
-            (hi, x) for hi in self.subgroup_ids
-            for x, r in enumerate(self.coset_rep[hi]) if r == x]
-        self.n = len(self.vertices)
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self.coset_rep = _CosetLabels(lattice)
 
     def __len__(self) -> int:
         return self.n
+
+    @cached_property
+    def n(self) -> int:
+        """The number of cosets, the sum of the indices [G : H], read
+        without labelling any."""
+        return sum(self.subgroup_chains[1])
+
+    @cached_property
+    def vertices(self) -> list[tuple[int, int]]:
+        """(subgroup id, least element) of each coset, by subgroup id, then
+        by least element."""
+        return [(hi, x) for hi in self.subgroup_ids
+                for x, r in enumerate(self.coset_rep[hi]) if r == x]
+
+    @cached_property
+    def vertex_index(self) -> dict[tuple[int, int], int]:
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def subgroup_chains(self) -> tuple[FinitePoset, list[int]]:
@@ -100,14 +126,36 @@ class CosetPoset:
         chains, index = self.subgroup_chains
         return chains.moebius_bottom_to_top(index)
 
+    def beat_point_core(self) -> CosetPoset:
+        """The poset left when beat points are removed until none is left,
+        read off the subgroups alone; it shares this poset's coset labels.
+
+        The cosets above Hx are the Kx for the included K > H, so Hx is an up
+        beat point exactly when H's included overgroups have a least element,
+        and then so is every coset of H; no coset is a down beat point
+        (``complexes.reduced_betti`` says why). Dropping H leaves the
+        overgroups of larger subgroups as they were, so one pass from the
+        largest subgroup down, dropping each H whose kept overgroups have a
+        least element, leaves no beat point.
+        """
+        chains, _ = self.subgroup_chains
+        kept = [True] * chains.n
+        for h in reversed(range(chains.n)):  # positions grow with the order
+            up = [k for k in chains.above[h] if kept[k]]
+            if up and set(up[1:]) <= set(chains.above[up[0]]):  # up[0], if any, is least
+                kept[h] = False
+        core = CosetPoset(self.lattice, compress(self.subgroup_ids, kept))
+        core.coset_rep = self.coset_rep
+        return core
+
     @cached_property
     def relation(self) -> FinitePoset:
         """The strict order on the vertices: the cosets above Hx are Kx for
         the included K above H. Vertex ids grow with the subgroup id, so each
         tuple comes out sorted."""
-        index, rep = self.vertex_index, self.coset_rep
+        index, rep, ids = self.vertex_index, self.coset_rep, set(self.subgroup_ids)
         return FinitePoset([
-            tuple(index[(kj, rep[kj][x])] for kj in self.lattice.above[hi] if kj in rep)
+            tuple(index[(kj, rep[kj][x])] for kj in self.lattice.above[hi] if kj in ids)
             for hi, x in self.vertices])
 
     def dump(self) -> str:

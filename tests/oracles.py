@@ -89,9 +89,14 @@ The reduced Euler characteristic and the hat-Moebius value of a coset
 poset here are counted on its vertex relation; the library reads both off
 its subgroup chains, each subgroup weighted by its index.
 
-The sliced boundary rows here, a ``FaceComplex``'s rows, are built one
-face at a time, each facet a tuple slice looked up in a dict;
-``CosetComplex._boundary_rows`` builds them from the offsets of blocks.
+The sliced boundary rows here are built one face at a time, each facet a
+tuple slice looked up in a dict, and a ``FaceComplex``'s coboundary rows
+are those rows transposed; ``CosetComplex._coboundary_rows`` builds the
+coboundary rows from the offsets of blocks.
+
+The beat-point core here is found vertex by vertex on a coset poset's
+vertex relation; ``CosetPoset.beat_point_core`` drops whole subgroups,
+read off the subgroups' inclusions alone.
 
 The witnesses that ``a7`` states as constants and ``a7.build_environment``
 certifies are derived here: the phi-invariant Sylow 2-subgroup by
@@ -519,7 +524,7 @@ def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
     for si in poset.subgroup_ids:
         fs = frozenset(subgroup_conj(x) for x in lat.subgroups[si].elements)
         target = lat.subgroup_index[fs]
-        if target not in poset.coset_rep:
+        if target not in poset.subgroup_ids:
             raise ValueError("action does not preserve the poset")
         sub_image[si] = target
 
@@ -580,7 +585,7 @@ def subgroup_as_group(lat, i: int) -> PermutationGroup:
 class FaceComplex:
     """Vertex tuples by dimension, each list in the order that numbers its
     faces; dimension -1 holds exactly the empty face. ``reduced_betti``
-    reduces it on ``sliced_boundary_rows``."""
+    reduces it as it stands, on ``transposed_boundary_rows``."""
 
     def __init__(self, faces_by_dimension, n_vertices: int):
         self.faces = {-1: [()], **{k: list(f) for k, f in sorted(faces_by_dimension.items())
@@ -595,8 +600,11 @@ class FaceComplex:
         return {k: sorted(f) for k, f in self.faces.items()} == {
             k: sorted(f) for k, f in other.faces.items()}
 
-    def _boundary_rows(self, k: int, p: int, cleared: set[int]):
-        return sliced_boundary_rows(self, k, p, cleared)
+    def core(self) -> FaceComplex:
+        return self
+
+    def _coboundary_rows(self, k: int, p: int, cleared: set[int], bitsets: bool):
+        return transposed_boundary_rows(self, k, p, cleared, bitsets)
 
 
 def complex_from_faces(faces, n_vertices: int | None = None) -> FaceComplex:
@@ -680,6 +688,51 @@ def sliced_boundary_rows(X: FaceComplex, k: int, p: int, cleared: set[int]):
     signs = (1, p - 1)
     return ({lower_index[f[:i] + f[i + 1:]]: signs[i & 1] for i in range(len(f))}
             for f in kept)
+
+
+def transposed_boundary_rows(X: FaceComplex, k: int, p: int, cleared: set[int],
+                             bitsets: bool):
+    """Rows of the coboundary map C^k -> C^(k+1) over GF(p) for the k-faces
+    outside ``cleared``: the ``sliced_boundary_rows`` of every (k+1)-face,
+    transposed, as {column: sign} dicts, or as int bitsets if ``bitsets``."""
+    out: list[dict[int, int]] = [{} for _ in X.faces.get(k, ())]
+    for j, row in enumerate(sliced_boundary_rows(X, k + 1, p, set())):
+        entries = _set_bits(row) if p == 2 else row.items()
+        for i, sign in entries:
+            out[i][j] = sign
+    kept = (row for i, row in enumerate(out) if i not in cleared)
+    if bitsets:
+        return (sum(1 << j for j in row) for row in kept)
+    return kept
+
+
+def _set_bits(row: int):
+    """(i, 1) for each set bit i of an int bitset, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1, 1
+        row ^= low
+
+
+def stong_core(poset: FinitePoset) -> set[int]:
+    """The elements left when beat points, elements whose upper set has a
+    least element or whose lower set a greatest, are removed one at a time,
+    walking from the last element down, until a walk removes none."""
+    alive = set(range(poset.n))
+
+    def extreme(others: list[int], beyond) -> bool:  # one u has all the others in beyond[u]
+        return any(set(others) - {u} <= set(beyond[u]) for u in others)
+
+    removed = True
+    while removed:
+        removed = False
+        for v in sorted(alive, reverse=True):
+            up = [w for w in poset.above[v] if w in alive]
+            down = [u for u in poset.below[v] if u in alive]
+            if extreme(up, poset.above) or extreme(down, poset.below):
+                alive.remove(v)
+                removed = True
+    return alive
 
 
 def dense_rank_gfp(rows: list[list[int]], p: int) -> int:

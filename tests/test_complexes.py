@@ -1,12 +1,17 @@
 import os
 import random
+import resource
+import subprocess
+import sys
+import time
 from functools import lru_cache
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetposets import complexes
+from cosetposets import complexes, cosets
 from cosetposets.catalog import catalog_group, load_catalog
 from cosetposets.complexes import (
     BettiVector,
@@ -36,9 +41,10 @@ from cosetposets.groups import (
     minimal_normal_subgroups,
     symmetric_group,
 )
-from cosetposets.lattice import enumerate_subgroups
+from cosetposets.lattice import enumerate_subgroups, moebius_to_top
 from cosetposets.perm import parse_permutation
 from cosetposets.posets import FinitePoset
+from cosetposets.zeta import evaluate, hall_polynomial
 from oracles import (
     FaceComplex,
     betti_euler,
@@ -49,7 +55,8 @@ from oracles import (
     join,
     recursive_order_complex,
     reduced_euler_characteristic,
-    sliced_boundary_rows,
+    stong_core,
+    transposed_boundary_rows,
 )
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
@@ -317,33 +324,32 @@ def test_boundary_ranks_match_dense_oracle_on_random_complexes(faces, p):
     assert _boundary_ranks(X, p) == dense_boundary_ranks(X, p)
 
 
-def _assert_rows_match_sliced_oracle(X, p):
-    """A coset complex's block rows equal the sliced oracle's on its faces
-    listed block by block, in the same order and, at odd p, entry for entry
-    in the same order, in every dimension, cleared as ``_boundary_ranks``
-    clears them."""
+def _assert_rows_match_sliced_oracle(X, p, bitsets):
+    """A coset complex's coboundary rows equal the transposed sliced
+    boundary rows of its faces listed block by block, in the same order and
+    entry for entry, sign for sign, in every dimension, cleared as
+    ``_boundary_ranks`` clears them."""
     def checked(rows, expected):
         for row, exp in zip_longest(rows, expected):
-            if p == 2:
-                assert row == exp
-            else:
-                assert list(row.items()) == list(exp.items())
+            assert row == exp
             yield row
 
     T = coset_complex_faces(X)
     cleared = set()
-    for k in range(X.dimension, -1, -1):
-        rows = checked(X._boundary_rows(k, p, cleared), sliced_boundary_rows(T, k, p, cleared))
-        cleared = rank_gf2(rows) if p == 2 else rank_gfp(rows, p)
+    for k in range(-1, X.dimension):
+        rows = checked(X._coboundary_rows(k, p, cleared, bitsets),
+                       transposed_boundary_rows(T, k, p, cleared, bitsets))
+        cleared = rank_gf2(rows) if bitsets else rank_gfp(rows, p)
 
 
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
                                   if 1 < e.expected_order <= 24])
 def test_boundary_rows_match_sliced_oracle_on_catalog(name):
-    """C(G) and every C(G, N), N minimal normal, at p = 2 and 3."""
+    """C(G) and every C(G, N), N minimal normal, at p = 2 as bitsets and
+    as dicts, and at p = 3."""
     for _, poset in _coset_poset_cases(catalog_group(name), name):
-        for p in (2, 3):
-            _assert_rows_match_sliced_oracle(order_complex(poset), p)
+        for p, bitsets in ((2, True), (2, False), (3, False)):
+            _assert_rows_match_sliced_oracle(order_complex(poset), p, bitsets)
 
 
 def test_join_with_a_coset_complex_matches_kunneth():
@@ -373,7 +379,7 @@ def test_boundary_rows_match_sliced_oracle_on_random_complexes(name, picks, p):
     lat = _lattice(name)
     proper = proper_subgroup_ids(lat)
     X = order_complex(CosetPoset(lat, {proper[i % len(proper)] for i in picks}))
-    _assert_rows_match_sliced_oracle(X, p)
+    _assert_rows_match_sliced_oracle(X, p, p == 2)
 
 
 def _order_complex_cases():
@@ -410,6 +416,64 @@ def test_coset_chain_counts_match_the_coset_poset():
             assert list(blocks.values()) == [0] + ends[:-1], name
 
 
+def test_beat_point_core_matches_the_vertex_stong_core():
+    """A Stong core found vertex by vertex on the vertex relation keeps
+    exactly the cosets of the subgroup-level core, and the core's own
+    relation has no beat point: on every catalog C(G) and C(G, N) of order
+    2..60."""
+    for name, poset in _order_complex_cases():
+        core = poset.beat_point_core()
+        assert {poset.vertices[v] for v in stong_core(poset.relation)} == set(core.vertices), name
+        assert stong_core(core.relation) == set(range(len(core))), name
+
+
+def _unlabelled(*args):
+    raise AssertionError("a coset was labelled")
+
+
+@pytest.mark.parametrize("name, faces, core_faces", [
+    ("A5", 17095, 12781), ("S5", 320283, 202449), ("PSL(2,7)", 591521, 451837),
+    ("A6", 5456457, 4522345)])
+def test_beat_point_core_is_read_off_the_subgroups(name, faces, core_faces, monkeypatch):
+    """The core and its chain counts label no coset, even past the face
+    budget (C(A6))."""
+    G = catalog_group(name)
+    poset = build_coset_poset(G, enumerate_subgroups(G))
+    monkeypatch.setattr(cosets, "right_coset_reps", _unlabelled)
+    assert (sum(poset.chain_counts()), sum(poset.beat_point_core().chain_counts())) == (
+        faces, core_faces)
+
+
+def test_betti_numbers_label_and_block_only_the_core():
+    """``reduced_betti`` builds no block of the full complex and labels the
+    cosets of the core's subgroups only: C(S4) keeps 20 of its 29 proper
+    subgroups."""
+    S4 = symmetric_group(4)
+    poset = build_coset_poset(S4, enumerate_subgroups(S4))
+    X = order_complex(poset)
+    assert reduced_betti(X, 2).as_dict() == {2: 120}
+    assert "blocks" not in vars(X)
+    core = poset.beat_point_core()
+    assert (len(core.subgroup_ids), len(poset.subgroup_ids)) == (20, 29)
+    assert set(poset.coset_rep) == set(core.subgroup_ids)
+
+
+def test_reduced_betti_refuses_a_core_of_another_euler_characteristic(monkeypatch):
+    """A core that also drops C(S4)'s trivial subgroup, which is no beat
+    point, has reduced Euler characteristic -168, not 120."""
+    honest = CosetPoset.beat_point_core
+
+    def dropping(self):
+        core = honest(self)
+        return CosetPoset(core.lattice, core.subgroup_ids[1:])
+
+    monkeypatch.setattr(CosetPoset, "beat_point_core", dropping)
+    X = _coset_complex(symmetric_group(4))
+    with pytest.raises(RuntimeError, match="^the beat-point core has reduced Euler "
+                                           "characteristic -168, the order complex 120$"):
+        reduced_betti(X, 2)
+
+
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
                                   if 2 <= e.expected_order <= 60])
 def test_coset_complex_matches_the_tuple_complex(name):
@@ -438,6 +502,34 @@ def test_coset_complex_of_s5_mod_a5():
     for p in (2, 3):
         assert reduced_betti(X, p).as_array() == [0, 0, 864, 2424]
         assert reduced_betti(T, p) == reduced_betti(X, p)
+
+
+_AT_SIZE_F_VECTORS = {"S5": [1, 4324, 54181, 138838, 106740, 16200],
+                      "PSL(2,7)": [1, 6745, 86180, 233996, 208152, 56448]}
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+@pytest.mark.parametrize("name, p, betti", [
+    ("S5", 2, [864, 2424]), ("S5", 3, [864, 2424]), ("S5", 5, [864, 2424]),
+    ("PSL(2,7)", 2, [4992, 2136]), ("PSL(2,7)", 3, [4992, 2136])])
+def test_coset_complex_homology_at_size(name, p, betti):
+    """`compute homology` on C(S5) and C(PSL(2,7)) in a fresh process, each
+    within 300 MB: the full f-vector, b2 and b3 of the beat-point core, and
+    chi-tilde = b2 - b3 = -P(-1)."""
+    started = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "cosetposets.cli", "compute", "homology", "--group", name,
+         "--prime", str(p)], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(complexes.__file__).parents[1])}).stdout
+    seconds = time.perf_counter() - started
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
+    print(f"C({name}) over GF({p}): {seconds:.1f} s, the children's peak RSS {peak_mb:.0f} MB")
+    assert out == (f"f-vector (from dim -1): {_AT_SIZE_F_VECTORS[name]}\n"
+                   f"reduced Betti numbers over GF({p}):\n"
+                   f"  dim 2: {betti[0]}\n  dim 3: {betti[1]}\n")
+    assert peak_mb < 300
+    lat = enumerate_subgroups(catalog_group(name))
+    assert betti[0] - betti[1] == -evaluate(hall_polynomial(lat, moebius_to_top(lat)), -1)
 
 
 def test_weighted_chain_counts_weigh_the_least_element():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cosetposets import cli
+from cosetposets import cli, cosets
 from cosetposets.cli import main
 from cosetposets.cosets import CosetPoset, build_coset_poset
 from cosetposets.groups import symmetric_group
@@ -258,6 +258,24 @@ def test_homology_path_builds_no_vertex_relation(small_catalog, capsys, monkeypa
     S3 = symmetric_group(3)
     dump = build_coset_poset(S3, enumerate_subgroups(S3)).dump()
     assert capsys.readouterr().out == dump and dump.count("<") == 24
+
+
+def test_zeta_path_labels_no_coset(small_catalog, capsys, monkeypatch):
+    """The reciprocity suite and `compute zeta` read coset posets off their
+    subgroups and label no coset; `compute homology` labels those of the
+    beat-point core."""
+    def unlabelled(*args):
+        raise AssertionError("a coset was labelled")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cosets, "right_coset_reps", unlabelled)
+        report = run_suite(SuiteConfig(catalog_path=small_catalog, suites=("reciprocity",)))
+        assert report.overall == "pass"  # a record that raised would fail
+        assert main(["compute", "zeta", "--group", "S4",
+                     "--relative-to", "(1,2)(3,4),(1,3)(2,4)"]) == 0
+        with pytest.raises(AssertionError, match="a coset was labelled"):
+            main(["compute", "homology", "--group", "S3"])
+    capsys.readouterr()
 
 
 def test_cli_composite_prime_is_refused_before_any_work(capsys, monkeypatch):
