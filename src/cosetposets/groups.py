@@ -19,7 +19,7 @@ from functools import reduce
 from itertools import repeat
 from math import factorial, gcd
 from operator import mul
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .perm import Permutation, _ID256, _check_degree, _conj_bytes, _inv_bytes, _mul_bytes
 
@@ -599,6 +599,14 @@ def normal_closure(G: PermutationGroup, seeds: Sequence[Permutation]) -> Permuta
                             G.degree)
 
 
+def _cyclic_normal_closures(G: PermutationGroup) -> Iterator[tuple[frozenset[int], list[int]]]:
+    """``_normal_closure`` of one cyclic subgroup per nontrivial class, made when read."""
+    subgroups, _, classes = G._cyclic_table()
+    generators = list(subgroups.values())
+    for j, _ in classes[1:]:  # classes[0] is the trivial subgroup's
+        yield _normal_closure(G, [generators[j][0]])
+
+
 def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
     """All minimal nontrivial normal subgroups. Each is the normal closure of
     any nontrivial cyclic subgroup inside it, and conjugate cyclic subgroups
@@ -606,11 +614,8 @@ def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:
     if G.order <= 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
     elems = G.element_bytes()
-    subgroups, _, classes = G._cyclic_table()
-    generators = list(subgroups.values())
     closures: dict[frozenset[int], list[int]] = {}
-    for j, _ in classes[1:]:  # classes[0] is the trivial subgroup's
-        members, gens = _normal_closure(G, [generators[j][0]])
+    for members, gens in _cyclic_normal_closures(G):
         closures.setdefault(members, gens)
     minimal = sorted((k for k in closures if not any(other < k for other in closures)),
                      key=lambda k: (len(k), sorted(k)))
@@ -635,21 +640,22 @@ def subgroup_indices(G: PermutationGroup, H: PermutationGroup) -> frozenset[int]
 
 
 def _closure(G: PermutationGroup, gens: Sequence[int],
-             start: frozenset[int] = frozenset({0})) -> frozenset[int]:
+             start: frozenset[int] = frozenset({0}),
+             ceiling: int | None = None) -> frozenset[int]:
     """<gens> as indices into G's element table, grown from ``start``, a
     subgroup of <gens>, as a union of right cosets start·t: one membership
     test per coset and generator, then each new coset is added whole
-    (Dimino). By Lagrange a subgroup with more than half of G is G, so from
-    there on the result is G's one full index set, ``G._full_set()``."""
+    (Dimino). Past ``ceiling``, a bound on the order of a proper subgroup
+    (|G| // 2 by default), the result is G's one full index set."""
     elems, index = G.element_bytes(), G.element_index()
     tail = _ID256[G._degree:]
-    half = len(elems) // 2
+    ceiling = len(elems) // 2 if ceiling is None else ceiling
     base = [elems[h] for h in start]
     pads = [elems[g] + tail for g in gens]
     seen = set(start)
     reps = [elems[0]]
     for r in reps:  # grows while it is walked
-        if len(seen) > half:
+        if len(seen) > ceiling:
             return G._full_set()
         for pad in pads:
             t = r.translate(pad)

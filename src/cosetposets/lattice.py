@@ -9,7 +9,14 @@ algorithm), and each new class is filled at once, generators included, by
 ``groups.conjugacy_orbit_of_subgroup``. No join is made whose result is
 already known: <H, z^m> = <H, z>^m for m in N_G(H), so only the first z of
 each orbit of N_G(H) is joined (``groups._normalizer`` grows N_G(H) to the
-order the class size gives), and a closure that passes half of G is G.
+order the class size gives). Every closure stops at the ceiling, the largest
+order a proper subgroup of G can have, past which it is G: |G| // 2 by
+Lagrange, and for G simple |G| // k with k the least integer such that |G|
+divides k!, since a subgroup of index k makes G act on its k cosets with
+trivial kernel, so G embeds in S_k (the index argument; Dixon and Mortimer,
+*Permutation Groups*, 1996). Once G is found, a representative H gets no
+join at all when |H| p passes the ceiling, p the least prime dividing
+|G : H|: every proper overgroup of H would have order at least |H| p.
 Subgroups are stored as frozensets of indices into the canonical (sorted)
 element enumeration of the parent group, which makes identity canonical;
 inclusion is read off one int mask per element, the set of subgroups that
@@ -27,6 +34,7 @@ from .groups import (
     _closure,
     _conjugation_rows,
     _conjugator,
+    _cyclic_normal_closures,
     _is_prime,
     _normalizer,
     _orbit,
@@ -47,6 +55,7 @@ class SubgroupLattice(FinitePoset):
             raise BudgetExceededError(
                 f"subgroup lattice needs |G| <= {LATTICE_ORDER_BOUND}, got {group.order}")
         self.group = group
+        self.ceiling = proper_order_ceiling(group)
         self.elements: tuple[bytes, ...] = group.element_bytes()
         if self.elements[0] != bytes(range(group.degree)):
             raise RuntimeError("the identity does not sort first in the element table")
@@ -62,8 +71,8 @@ class SubgroupLattice(FinitePoset):
     def _span(self, gens: tuple[int, ...],
               start: frozenset[int] = frozenset({0})) -> frozenset[int]:
         """<gens>, grown from ``start``, a subgroup of <gens> (Dimino); a
-        closure past half of G is G."""
-        return _closure(self.group, gens, start)
+        closure past ``self.ceiling`` is G. The one entry point of joins."""
+        return _closure(self.group, gens, start, self.ceiling)
 
     def _enumerate(self) -> list[SubgroupRecord]:
         G = self.group
@@ -78,6 +87,13 @@ class SubgroupLattice(FinitePoset):
         found: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
         reps = [(frozenset({0}), 1)]  # class representatives and class sizes
         for H, size in reps:  # grows while it is walked
+            # a proper overgroup of H has order |H| d, d > 1 dividing |G : H|;
+            # with none under the ceiling every join of H is G, and once G is
+            # found (with the generators of the join that first reached it)
+            # H's joins give nothing new
+            if G._full_set() in found and not any(
+                    (n // len(H)) % d == 0 for d in range(2, self.ceiling // len(H) + 1)):
+                continue
             h_gens = found[H]
             N, n_gens = _normalizer(G, H, h_gens, n // size)
             if len(N) == n:
@@ -153,6 +169,27 @@ class SubgroupLattice(FinitePoset):
 
     def index_in_group(self, i: int) -> int:
         return self.group.order // self.subgroups[i].order
+
+
+def _is_simple(G: PermutationGroup) -> bool:
+    """Whether G is nontrivial and the normal closure of each nontrivial
+    cyclic subgroup is G, read until the first proper closure."""
+    return G.order > 1 and all(len(members) == G.order
+                               for members, _ in _cyclic_normal_closures(G))
+
+
+def proper_order_ceiling(G: PermutationGroup) -> int:
+    """The largest order a proper subgroup of G can have by the index
+    argument: |G| // k for G simple, k the least integer with |G| dividing
+    k!; |G| // 2 otherwise."""
+    n = G.order
+    if not _is_simple(G):
+        return n // 2
+    k, k_factorial = 1, 1
+    while k_factorial % n:
+        k += 1
+        k_factorial *= k
+    return n // k
 
 
 def enumerate_subgroups(G: PermutationGroup) -> SubgroupLattice:

@@ -27,7 +27,7 @@ from cosetposets.groups import (
     sylow_subgroup,
     symmetric_group,
 )
-from cosetposets.lattice import enumerate_subgroups
+from cosetposets.lattice import enumerate_subgroups, proper_order_ceiling
 from cosetposets.perm import Permutation, parse_permutation
 from oracles import (action_fixed_points, is_abelian, relation_pairs, scan_phi_invariant_seven_cycle,
                      scan_phi_invariant_sylow2, seven_cycle_pgl_overgroups, smith_action_group)
@@ -73,6 +73,14 @@ def test_census_contains_p_itself_without_seven_cycle(env):
     elems = env.A7.element_bytes()
     assert all(Permutation._from_bytes(elems[i]).cycle_type() != (7,)
                for i in smallest.elements)
+
+
+def test_largest_proper_census_record_attains_the_ceiling(env):
+    """A_6 lies above P, so the census's largest proper record has the
+    order the index argument allows a proper subgroup of A_7: 2520 / 7."""
+    census = overgroups_of_sylow2(env)
+    largest = max(r.order for r in census if r.order < env.A7.order)
+    assert largest == proper_order_ceiling(env.A7) == 360
 
 
 def _conjugate_of_p(env):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from cosetposets import a7, lattice
+from cosetposets import a7, groups, lattice
 from cosetposets.catalog import load_catalog
 from cosetposets.groups import (
     BudgetExceededError,
@@ -15,6 +15,7 @@ from cosetposets.groups import (
     conjugate_indices,
     cyclic_group,
     intermediate_subgroups,
+    minimal_normal_subgroups,
     symmetric_group,
     sylow_subgroup,
 )
@@ -24,6 +25,7 @@ from cosetposets.lattice import (
     lattice_dump,
     maximal_subgroups,
     moebius_to_top,
+    proper_order_ceiling,
 )
 from cosetposets.perm import Permutation, parse_permutation
 from cosetposets.zeta import brute_force_generation_probability, hall_polynomial
@@ -114,19 +116,103 @@ def test_lattice_matches_flat_enumeration_and_pairwise_inclusion(name, seed):
     assert (lat.below, lat.above) == pairwise_inclusion(lat.subgroups)
 
 
+def _record_joins(monkeypatch) -> list[tuple[tuple[int, ...], frozenset[int], frozenset[int]]]:
+    """Record (generators, start, result) of each ``SubgroupLattice._span``."""
+    joins = []
+    span = SubgroupLattice._span
+
+    def recorded(self, gens, start):
+        K = span(self, gens, start)
+        joins.append((gens, start, K))
+        return K
+
+    monkeypatch.setattr(SubgroupLattice, "_span", recorded)
+    return joins
+
+
+def _least_prime(m):
+    return next(p for p in range(2, m + 1) if m % p == 0)
+
+
+def _prime_power_generators(G):
+    """The least generator of each cyclic subgroup of prime-power order > 1."""
+    return [gens[0] for fs, gens in G._cyclic_table()[0].items()
+            if len(fs) > 1 and groups._p_part(len(fs), _least_prime(len(fs))) == len(fs)]
+
+
 @pytest.mark.parametrize("name", [e.name for e in CATALOG.values() if e.expected_order <= 168])
 def test_one_join_per_normalizer_orbit(name, monkeypatch):
     """The enumeration joins each class representative H with one cyclic
     subgroup per orbit of N_G(H), the orbits counted by conjugating with
-    every element of G."""
+    every element of G; it passes over, and joins nothing to, exactly the
+    representatives that come after the first one with a join equal to G
+    and have |H| p above the ceiling, p the least prime dividing |G : H|."""
     G = CATALOG[name].build()
-    joins = []
-    span = SubgroupLattice._span
-    monkeypatch.setattr(SubgroupLattice, "_span",
-                        lambda self, *args: joins.append(args) or span(self, *args))
-    enumerate_subgroups(G)
-    _, reps = flat_enumeration(G)
-    assert len(joins) == sum(normalizer_orbit_count(G, H) for H in reps)
+    n = G.order
+    joins = _record_joins(monkeypatch)
+    ceiling = enumerate_subgroups(G).ceiling
+    records, reps = flat_enumeration(G)
+    gens = {r.elements: r.generators for r in records}
+    full = records[-1].elements
+    mul = product_table(G)[0]
+    first = next((i for i, H in enumerate(reps)
+                  if any(_closure(mul, gens[H] + (z,)) == full
+                         for z in _prime_power_generators(G) if z not in H)), len(reps))
+    passed_over = {H for H in reps[first + 1:]
+                   if H != full and len(H) * _least_prime(n // len(H)) > ceiling}
+    joined = {start for _, start, _ in joins}
+    assert joined == set(reps) - passed_over - {full}
+    assert len(joins) == sum(normalizer_orbit_count(G, H) for H in joined)
+
+
+@pytest.mark.parametrize("name", [e.name for e in CATALOG.values()
+                                  if e.expected_order <= lattice.LATTICE_ORDER_BOUND])
+def test_proper_order_ceiling_bounds_the_lattice(name):
+    """No proper subgroup passes the ceiling, and a simple group has one of
+    the ceiling's order (A5 12, PSL(2,7) 24, A6 60, C_p 1); the ceiling's
+    verdict on simplicity is that G is its one minimal normal subgroup."""
+    G = CATALOG[name].build()
+    lat = enumerate_subgroups(G)
+    largest = max((r.order for r in lat.subgroups[:-1]), default=0)
+    assert lat.ceiling == proper_order_ceiling(G)
+    assert largest <= lat.ceiling
+    simple = G.order > 1 and minimal_normal_subgroups(G) == [G]
+    assert lattice._is_simple(G) == simple
+    if simple:
+        assert largest == lat.ceiling
+    if name in ("A5", "PSL(2,7)", "A6"):
+        assert simple and lat.ceiling == {"A5": 12, "PSL(2,7)": 24, "A6": 60}[name]
+
+
+@pytest.mark.parametrize("name", [
+    "A5", "PSL(2,7)", "A6",
+    *(pytest.param(name, marks=pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1"))
+      for name in ("A7", "S7"))])
+def test_bounded_joins_match_unbounded_closures(name, monkeypatch):
+    """Each join the lattice makes, closed up to the ceiling, is the set
+    ``_closure`` gives without it; and for each class whose representative
+    the skip rule passes over, every join with a prime-power cyclic subgroup
+    closes to G without the ceiling."""
+    monkeypatch.setattr(lattice, "LATTICE_ORDER_BOUND", 5040)
+    G = CATALOG[name].build()
+    joins = _record_joins(monkeypatch)
+    lat = SubgroupLattice(G)
+    for gens, start, K in joins:
+        assert groups._closure(G, gens, start) == K
+    full = G._full_set()
+    starts = {start for _, start, _ in joins}
+    unclassed = set(lat.subgroup_index) - {full}
+    passed_over = 0
+    while unclassed:
+        rec = lat.subgroups[lat.subgroup_index[next(iter(unclassed))]]
+        orbit = {fs for fs, _, _ in conjugacy_orbit_of_subgroup(G, rec.elements, rec.generators)}
+        unclassed -= orbit
+        if orbit.isdisjoint(starts):
+            passed_over += 1
+            for z in _prime_power_generators(G):
+                if z not in rec.elements:
+                    assert groups._closure(G, rec.generators + (z,), rec.elements) == full
+    assert passed_over > 0
 
 
 def _interval_above(lat, H):
@@ -150,13 +236,15 @@ def test_interval_above_sylow_matches_overgroup_census(name):
 @pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
 def test_a7_lattice_certificates(monkeypatch):
     """The A7 lattice: 3,786 subgroups in 40 classes, each class size
-    dividing |G : K|; the interval above the fixed Sylow 2-subgroup is the
-    A_7 census; P(2) is the tuple oracle's 229/315."""
+    dividing |G : K|; the largest proper ones, the A6s, have the ceiling's
+    order 360; the interval above the fixed Sylow 2-subgroup is the A_7
+    census; P(2) is the tuple oracle's 229/315."""
     monkeypatch.setattr(lattice, "LATTICE_ORDER_BOUND", 2520)
     env = a7.build_environment()
     G = env.A7
     lat = SubgroupLattice(G)
     assert len(lat) == 3786
+    assert lat.subgroups[-2].order == lat.ceiling == 360
     unclassed = set(lat.subgroup_index)
     classes = 0
     while unclassed:
@@ -178,11 +266,13 @@ def test_a7_lattice_certificates(monkeypatch):
 def test_s7_lattice_interval_matches_overgroup_census(monkeypatch):
     """The S7 lattice (11,300 subgroups) certifies the S_7 census from an
     independent search: the interval above the fixed Sylow 2-subgroup is
-    the census's 20 records."""
+    the census's 20 records. S_7 is not simple, and A_7 has the ceiling's
+    order |S_7| // 2."""
     monkeypatch.setattr(lattice, "LATTICE_ORDER_BOUND", 5040)
     env = a7.build_environment()
     lat = SubgroupLattice(env.S7)
     assert len(lat) == 11300
+    assert lat.subgroups[-2].order == lat.ceiling == 2520
     census = env.overgroups("S7")
     assert len(census) == 20
     assert _interval_above(lat, env.P) == {r.elements for r in census}
