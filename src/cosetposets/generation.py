@@ -40,15 +40,17 @@ class GenerationReport:
 
 
 def _conjugate_sweep(G: PermutationGroup, K: PermutationGroup,
-                     p_gens: list[bytes]) -> GenerationReport:
+                     P: PermutationGroup) -> GenerationReport:
     """Test <K^g, P> = G once per conjugate K^g, from the generators that
-    ``conjugacy_orbit_of_subgroup`` carries; the first four failures are witnesses."""
+    ``conjugacy_orbit_of_subgroup`` carries, each test extending P's own
+    chain; the first four failures are witnesses."""
     report = GenerationReport(verdict=True)
     elems, index = G.element_bytes(), G.element_index()
     k_gens = [index[x] for x in K._gens_bytes()]
     for _, gens, g in conjugacy_orbit_of_subgroup(G, _closure(G, k_gens), k_gens):
         report.tests += 1
-        got = _generated_order([elems[x] for x in gens] + p_gens, G.degree, stop_at=G.order)
+        got = _generated_order([elems[x] for x in gens], G.degree, stop_at=G.order,
+                               start=P._levels)
         if got != G.order:
             report.verdict = False
             if len(report.witnesses) < 4:
@@ -69,7 +71,7 @@ def universally_p_generates(G: PermutationGroup, K: PermutationGroup,
         raise ValueError("K is not a subgroup of G")
     if G.order % p != 0:
         raise ValueError(f"{p} does not divide |G| = {G.order}")
-    return _conjugate_sweep(G, K, sylow_subgroup(G, p)._gens_bytes())
+    return _conjugate_sweep(G, K, sylow_subgroup(G, p))
 
 
 def univ_gen_via_maximal_indices(G: PermutationGroup, r: int, p: int,
@@ -149,6 +151,7 @@ class _CycleGenerators:
 def check_alternating_claims(n: int) -> GenerationReport:
     """Sweep all n-cycles (n odd) or (n-1)-cycles (n even) of A_n against
     one fixed Sylow 2-subgroup P; report whether every pair generates A_n.
+    Each test <c, P> extends P's own stabilizer chain by c.
 
     <c^g, P> = <c, P>^g for g in P, and <c^u, P> = <c, P> for u prime to
     the cycle length m, so one test decides each orbit of P x Aut(<c>) on
@@ -179,7 +182,6 @@ def check_alternating_claims(n: int) -> GenerationReport:
     L = alternating_group(n)
     target = L.order
     P = sylow_subgroup(L, 2)
-    p_gens = [g._b for g in P.generators]
     report = GenerationReport(verdict=True)
     conjugations = [g + _ID256[n:] for g in P.element_bytes()]
     is_canonical = gens.is_canonical
@@ -201,7 +203,8 @@ def check_alternating_claims(n: int) -> GenerationReport:
                 seen[k] = 1
             report.tests += 1
             report.cycles += gens.count * len(members)
-            got = _generated_order([_cycle_permutation(rep, n)._b] + p_gens, n, stop_at=target)
+            got = _generated_order([_cycle_permutation(rep, n)._b], n, stop_at=target,
+                                   start=P._levels)
             if got != target:
                 report.verdict = False
                 failing += [(_long_cycle_rank(g, n), g, got)
@@ -238,7 +241,7 @@ def check_diagonal_universal(L: PermutationGroup, K: PermutationGroup,
     report = universally_p_generates(L, K, p)
     if report.verdict and t > 1:
         return _conjugate_sweep(direct_power(L, t), diagonal_embedding(K, t),
-                                direct_power(sylow_subgroup(L, p), t)._gens_bytes())
+                                direct_power(sylow_subgroup(L, p), t))
     return report
 
 

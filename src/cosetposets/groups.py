@@ -42,38 +42,49 @@ def _min_moved(g: bytes) -> int:
 class _Level:
     """One level of a stabilizer chain: a base point, its generators ``gens``
     beside their 256-entry padded tables ``pads`` and padded inverses
-    ``inverse_pads`` (appended once each, by ``add``), and the transversal
-    ``orbit`` (point p -> u_p with base^u_p = p) beside its inverses
-    ``inverse`` (p -> u_p^-1, padded), so ``g.translate(inverse[p])`` is
-    g u_p^-1 with no table built per product."""
+    ``inverse_pads``, the transversal ``orbit`` (point p -> u_p with
+    base^u_p = p) beside its inverses ``inverse`` (p -> u_p^-1, padded), so
+    ``g.translate(inverse[p])`` is g u_p^-1 with no table built per product,
+    and the cursor ``checked`` (p -> how many of ``gens`` the Schreier loop
+    has checked p against). ``add`` extends the orbit in place: the new
+    generator is applied to the old points, then every generator to each new
+    point, so an old point's u_p and u_p^-1 never change."""
 
-    __slots__ = ("base", "gens", "pads", "inverse_pads", "orbit", "inverse")
+    __slots__ = ("base", "gens", "pads", "inverse_pads", "orbit", "inverse", "checked")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, degree: int):
         self.base = base
         self.gens: list[bytes] = []
         self.pads: list[bytes] = []
         self.inverse_pads: list[bytes] = []
-        self.orbit: dict[int, bytes] = {}
-        self.inverse: dict[int, bytes] = {}
+        self.orbit: dict[int, bytes] = {base: _ID256[:degree]}
+        self.inverse: dict[int, bytes] = {base: _ID256}
+        self.checked: dict[int, int] = {base: 0}
 
-    def add(self, gen: bytes, degree: int) -> None:
-        tail = _ID256[degree:]
-        self.gens.append(gen)
-        self.pads.append(gen + tail)
-        self.inverse_pads.append(_inv_bytes(gen) + tail)
+    def copy(self) -> "_Level":
+        """A copy to extend, with every (point, generator) pair checked."""
+        lv = _Level.__new__(_Level)
+        lv.base, lv.orbit, lv.inverse = self.base, {**self.orbit}, {**self.inverse}
+        lv.gens, lv.pads, lv.inverse_pads = self.gens[:], self.pads[:], self.inverse_pads[:]
+        lv.checked = dict.fromkeys(self.orbit, len(self.gens))
+        return lv
 
-    def recompute_orbit(self, degree: int) -> None:
-        pads, inverse_pads = self.pads, self.inverse_pads
-        orbit, inverse = {self.base: _ID256[:degree]}, {self.base: _ID256}
-        walk = _orbit(self.base, [*zip(*self.gens)].__getitem__)  # p -> (s[p] for each s)
-        for q, parent, r in walk[1:]:
-            p = walk[parent][0]
-            # u_q = u_p s and u_q^-1 = s^-1 u_p^-1
-            orbit[q] = orbit[p].translate(pads[r])
-            inverse[q] = inverse_pads[r].translate(inverse[p])
-        self.orbit = orbit
-        self.inverse = inverse
+    def add(self, gen: bytes, pad: bytes, inverse_pad: bytes) -> None:
+        gens, pads, inverse_pads = self.gens, self.pads, self.inverse_pads
+        gens.append(gen)
+        pads.append(pad)
+        inverse_pads.append(inverse_pad)
+        orbit, inverse = self.orbit, self.inverse
+        walk = [(p, len(gens) - 1) for p in orbit]  # old points: the new generator only
+        for p, first in walk:  # grows while it is walked
+            for r in range(first, len(gens)):
+                q = gens[r][p]
+                if q not in orbit:
+                    # u_q = u_p s and u_q^-1 = s^-1 u_p^-1
+                    orbit[q] = orbit[p].translate(pads[r])
+                    inverse[q] = inverse_pads[r].translate(inverse[p])
+                    self.checked[q] = 0
+                    walk.append((q, 0))
 
 
 def _strip(g: bytes, levels: list[_Level], start: int) -> tuple[bytes, int]:
@@ -96,16 +107,21 @@ def _chain_order(levels: list[_Level]) -> int:
     return order
 
 
-def _build_chain(raw_gens: Iterable[bytes], degree: int,
-                 stop_at: int | None = None) -> list[_Level]:
-    """Deterministic Schreier-Sims.
+def _build_chain(raw_gens: Iterable[bytes], degree: int, stop_at: int | None = None,
+                 start: Sequence[_Level] = ()) -> list[_Level]:
+    """Deterministic Schreier-Sims that extends its chain, never rebuilds it.
 
-    With ``stop_at`` set, construction returns as soon as the transversal
-    product reaches that value; the partial chain then certifies the order
-    (the product only counts distinct elements of the generated group) but
-    must not be used for membership.
+    Each level's Schreier loop resumes from its points' cursors: a pair
+    checked once stays checked, since orbits grow in place and old
+    transversals never change. A sifted residue's inverse is computed once
+    for every level it joins. With ``start``, the complete chain of a
+    subgroup, its levels are copied (never mutated) with every pair checked,
+    and ``raw_gens`` join level 0. With ``stop_at`` set, construction returns
+    as soon as the transversal product reaches that value; the partial chain
+    then certifies the order (the product only counts distinct elements of
+    the generated group) but must not be used for membership.
     """
-    ident = _ID256[:degree]
+    ident, tail = _ID256[:degree], _ID256[degree:]
     gens: list[bytes] = []
     seen = set()
     for g in raw_gens:
@@ -114,14 +130,14 @@ def _build_chain(raw_gens: Iterable[bytes], degree: int,
         if g != ident and g not in seen:
             seen.add(g)
             gens.append(g)
-    levels: list[_Level] = []
+    levels = [lv.copy() for lv in start]
     if not gens:
         return levels
 
-    levels.append(_Level(min(_min_moved(g) for g in gens)))
+    if not levels:
+        levels.append(_Level(min(_min_moved(g) for g in gens), degree))
     for g in gens:
-        levels[0].add(g, degree)
-    levels[0].recompute_orbit(degree)
+        levels[0].add(g, g + tail, _inv_bytes(g) + tail)
     if stop_at is not None and _chain_order(levels) == stop_at:
         return levels
 
@@ -131,18 +147,19 @@ def _build_chain(raw_gens: Iterable[bytes], degree: int,
         added_at = -1
         for p in sorted(lv.orbit):
             u_p = lv.orbit[p]
-            for s, pad in zip(lv.gens, lv.pads):
-                schreier = u_p.translate(pad).translate(lv.inverse[s[p]])
+            for r in range(lv.checked[p], len(lv.gens)):
+                lv.checked[p] = r + 1
+                schreier = u_p.translate(lv.pads[r]).translate(lv.inverse[lv.gens[r][p]])
                 if schreier == ident:
                     continue
                 h, j = _strip(schreier, levels, i + 1)
                 if h == ident:
                     continue
                 if j == len(levels):
-                    levels.append(_Level(_min_moved(h)))
+                    levels.append(_Level(_min_moved(h), degree))
+                pad, inverse_pad = h + tail, _inv_bytes(h) + tail
                 for l in range(i + 1, j + 1):
-                    levels[l].add(h, degree)
-                    levels[l].recompute_orbit(degree)
+                    levels[l].add(h, pad, inverse_pad)
                 if stop_at is not None and _chain_order(levels) == stop_at:
                     return levels
                 added_at = j
@@ -153,9 +170,9 @@ def _build_chain(raw_gens: Iterable[bytes], degree: int,
     return levels
 
 
-def _generated_order(raw_gens: Iterable[bytes], degree: int,
-                     stop_at: int | None = None) -> int:
-    return _chain_order(_build_chain(raw_gens, degree, stop_at=stop_at))
+def _generated_order(raw_gens: Iterable[bytes], degree: int, stop_at: int | None = None,
+                     start: Sequence[_Level] = ()) -> int:
+    return _chain_order(_build_chain(raw_gens, degree, stop_at=stop_at, start=start))
 
 
 class PermutationGroup:

@@ -62,11 +62,14 @@ class of double cosets under g -> g^e (e prime to |g|), which the oracle
 counts on its own from its marking.
 
 The reference stabilizer chain here is the Schreier-Sims build with
-unpadded transversal inverses, every generator inverse recomputed on each
-orbit pass and every product through ``_mul_bytes``; ``groups._build_chain``
-keeps each generator's padded table and inverse on its level, appended
-once, and stores the transversal inverses padded. Both walk the orbits,
-choose base points and add strong generators in the same order.
+unpadded transversal inverses, a generator's inverse recomputed for each
+orbit point it reaches and every product through ``_mul_bytes``;
+``groups._build_chain`` keeps each generator's padded table and inverse on
+its level, computed once for every level a strong generator joins, and
+stores the transversal inverses padded. Both grow orbits in place, resume
+each orbit point's Schreier generators from its cursor, copy a start chain
+with every pair checked, and so walk the orbits, choose base points and add
+strong generators in the same order.
 
 The Sylow scan here computes the p-part of every element before it extends
 P; ``groups.sylow_subgroup`` computes them as far as its scans need.
@@ -362,25 +365,39 @@ def generator_walk_p_orbits(n: int) -> list[list[bytes]]:
 
 @dataclass
 class ReferenceLevel:
-    """A level of ``reference_build_chain``: base point, generators, and the
-    transversal ``orbit`` beside its unpadded inverses ``inverse``."""
+    """A level of ``reference_build_chain``: base point, generators, the
+    transversal ``orbit`` beside its unpadded inverses ``inverse``, and the
+    cursor ``checked`` (point -> how many generators it was checked against)."""
     base: int
     gens: list[bytes]
     orbit: dict[int, bytes]
     inverse: dict[int, bytes]
+    checked: dict[int, int]
 
-    def recompute_orbit(self, degree: int) -> None:
-        ident, tail = _ID256[:degree], _ID256[degree:]
-        pads = [s + tail for s in self.gens]
-        inverses = [_inv_bytes(s) for s in self.gens]
-        orbit, inverse = {self.base: ident}, {self.base: ident}
-        walk = _orbit(self.base, [*zip(*self.gens)].__getitem__)
-        for q, parent, r in walk[1:]:
-            p = walk[parent][0]
-            orbit[q] = orbit[p].translate(pads[r])
-            inverse[q] = inverses[r].translate(inverse[p] + tail)
-        self.orbit = orbit
-        self.inverse = inverse
+    @classmethod
+    def empty(cls, base: int, degree: int) -> "ReferenceLevel":
+        ident = _ID256[:degree]
+        return cls(base, [], {base: ident}, {base: ident}, {base: 0})
+
+    def copy(self) -> "ReferenceLevel":
+        """A copy with every (point, generator) pair checked."""
+        return ReferenceLevel(self.base, list(self.gens), dict(self.orbit), dict(self.inverse),
+                              {p: len(self.gens) for p in self.orbit})
+
+    def extend(self, gen: bytes) -> None:
+        """Add ``gen`` and grow the orbit in place: the old points under
+        ``gen``, then each new point under every generator."""
+        self.gens.append(gen)
+        pending = [(p, [gen]) for p in self.orbit]
+        while pending:
+            p, images = pending.pop(0)
+            for s in images:
+                q = s[p]
+                if q not in self.orbit:
+                    self.orbit[q] = _mul_bytes(self.orbit[p], s)
+                    self.inverse[q] = _mul_bytes(_inv_bytes(s), self.inverse[p])
+                    self.checked[q] = 0
+                    pending.append((q, list(self.gens)))
 
 
 def _reference_strip(g: bytes, levels: list[ReferenceLevel], start: int) -> tuple[bytes, int]:
@@ -396,14 +413,18 @@ def _reference_strip(g: bytes, levels: list[ReferenceLevel], start: int) -> tupl
     return g, len(levels)
 
 
-def reference_build_chain(raw_gens, degree: int,
-                          stop_at: int | None = None) -> list[ReferenceLevel]:
+def reference_build_chain(raw_gens, degree: int, stop_at: int | None = None,
+                          start=()) -> list[ReferenceLevel]:
     """Deterministic Schreier-Sims with smallest-moved-point bases, stopped
-    as soon as the transversal product reaches ``stop_at``."""
+    as soon as the transversal product reaches ``stop_at``. Orbits grow in
+    place and each point's cursor skips the generators it was checked
+    against; with ``start``, a complete chain, its levels are copied with
+    every pair checked and ``raw_gens`` join level 0."""
     ident = _ID256[:degree]
     gens = list(dict.fromkeys(g for g in raw_gens if g != ident))
+    levels = [lv.copy() for lv in start]
     if not gens:
-        return []
+        return levels
 
     def min_moved(g: bytes) -> int:
         return next(i for i, x in enumerate(g) if x != i)
@@ -414,8 +435,10 @@ def reference_build_chain(raw_gens, degree: int,
             order *= len(lv.orbit)
         return stop_at is not None and order == stop_at
 
-    levels = [ReferenceLevel(min(map(min_moved, gens)), list(gens), {}, {})]
-    levels[0].recompute_orbit(degree)
+    if not levels:
+        levels.append(ReferenceLevel.empty(min(map(min_moved, gens)), degree))
+    for g in gens:
+        levels[0].extend(g)
     if reached(levels):
         return levels
     i = 0
@@ -423,7 +446,9 @@ def reference_build_chain(raw_gens, degree: int,
         lv = levels[i]
         added_at = -1
         for p in sorted(lv.orbit):
-            for s in lv.gens:
+            while lv.checked[p] < len(lv.gens):
+                s = lv.gens[lv.checked[p]]
+                lv.checked[p] += 1
                 schreier = _mul_bytes(_mul_bytes(lv.orbit[p], s), lv.inverse[s[p]])
                 if schreier == ident:
                     continue
@@ -431,10 +456,9 @@ def reference_build_chain(raw_gens, degree: int,
                 if h == ident:
                     continue
                 if j == len(levels):
-                    levels.append(ReferenceLevel(min_moved(h), [], {}, {}))
+                    levels.append(ReferenceLevel.empty(min_moved(h), degree))
                 for l in range(i + 1, j + 1):
-                    levels[l].gens.append(h)
-                    levels[l].recompute_orbit(degree)
+                    levels[l].extend(h)
                 if reached(levels):
                     return levels
                 added_at = j

@@ -397,9 +397,9 @@ def test_diagonal_power_past_the_element_table_is_refused_before_any_test(monkey
     tests on A5, none on the power."""
     degrees = []
 
-    def counting_order(gens, degree, stop_at=None):
+    def counting_order(gens, degree, stop_at=None, start=()):
         degrees.append(degree)
-        return _generated_order(gens, degree, stop_at=stop_at)
+        return _generated_order(gens, degree, stop_at=stop_at, start=start)
 
     monkeypatch.setattr(generation, "_generated_order", counting_order)
     A5 = alternating_group(5)

@@ -596,33 +596,46 @@ def test_generated_order_matches_closure(case):
     assert _closure(Sn, [index[g] for g in gens]) == {index[b] for b in expected}
 
 
-def _chain_order_matching_reference(gens, degree, stop_at=None):
-    """``_build_chain``'s order after checking its chain, level by level,
-    against ``reference_build_chain``: base, generators, transversal and
-    inverses in walk order, the inverses with their padding removed; and
-    each level's padded tables against its generators."""
-    levels = groups._build_chain(gens, degree, stop_at=stop_at)
-    reference = reference_build_chain(gens, degree, stop_at=stop_at)
+def _assert_chain_matches_reference(levels, reference, degree):
+    """Level by level: base, generators, transversal, inverses and cursors
+    in walk order, the inverses with their padding removed; and each
+    level's padded tables against its generators."""
     tail = _ID256[degree:]
     unpadded = [{p: u[:degree] for p, u in lv.inverse.items()} for lv in levels]
-    assert [(lv.base, lv.gens, [*lv.orbit.items()], [*inverse.items()])
+    assert [(lv.base, lv.gens, [*lv.orbit.items()], [*inverse.items()], [*lv.checked.items()])
             for lv, inverse in zip(levels, unpadded)] == [
-        (lv.base, lv.gens, [*lv.orbit.items()], [*lv.inverse.items()]) for lv in reference]
+        (lv.base, lv.gens, [*lv.orbit.items()], [*lv.inverse.items()], [*lv.checked.items()])
+        for lv in reference]
     for lv in levels:
         assert all(u[degree:] == tail for u in lv.inverse.values())
         assert lv.pads == [g + tail for g in lv.gens]
         assert lv.inverse_pads == [_inv_bytes(g) + tail for g in lv.gens]
+
+
+def _chain_order_matching_reference(gens, degree, stop_at=None, start=()):
+    """``_build_chain``'s order after checking its chain against
+    ``reference_build_chain``'s. A start chain is first checked against the
+    reference chain of its level-0 generators, which the reference then
+    extends."""
+    reference_start = reference_build_chain(start[0].gens, degree) if start else []
+    _assert_chain_matches_reference(start, reference_start, degree)
+    levels = groups._build_chain(gens, degree, stop_at=stop_at, start=start)
+    reference = reference_build_chain(gens, degree, stop_at=stop_at, start=reference_start)
+    _assert_chain_matches_reference(levels, reference, degree)
     return groups._chain_order(levels)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_chain_matches_reference_on_catalog_generators(name):
-    """Every catalog group's chain, and a chain stopped at each divisor of its
+    """Every catalog group's chain, the chain grown by its other generators
+    from the chain of its first, and a chain stopped at each divisor of its
     order: the divisors the transversal product passes through return there,
     the others return the true order."""
     G = _catalog_group(name)
     gens = G._gens_bytes()
     assert _chain_order_matching_reference(gens, G.degree) == G.order
+    start = PermutationGroup(G.generators[:1], G.degree)._levels
+    assert _chain_order_matching_reference(gens[1:], G.degree, start=start) == G.order
     for d in (d for d in range(1, G.order + 1) if G.order % d == 0):
         assert _chain_order_matching_reference(gens, G.degree, stop_at=d) in (d, G.order)
 
@@ -640,12 +653,12 @@ def test_chain_stop_at_passed_through_and_jumped_over():
 
 def _order_tests(module, call, monkeypatch):
     """The arguments of every ``_generated_order`` call that ``call()`` makes
-    through ``module``."""
+    through ``module``, the start chain included."""
     tests, order = [], module._generated_order
 
-    def captured(gens, degree, stop_at=None):
-        tests.append((list(gens), degree, stop_at))
-        return order(gens, degree, stop_at=stop_at)
+    def captured(gens, degree, stop_at=None, start=()):
+        tests.append((list(gens), degree, stop_at, start))
+        return order(gens, degree, stop_at=stop_at, start=start)
 
     monkeypatch.setattr(module, "_generated_order", captured)
     call()
@@ -660,22 +673,82 @@ def test_chain_matches_reference_on_census_order_tests(case, monkeypatch):
     G, H = _census_case(case)
     tests = _order_tests(groups, lambda: intermediate_subgroups(G, H), monkeypatch)
     assert len(tests) == {"A7/P": 72, "S7/P": 212}[case]
-    for gens, degree, stop_at in tests:
+    for gens, degree, stop_at, start in tests:
+        assert start == ()
         _chain_order_matching_reference(gens, degree, stop_at)
 
 
 @pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
 def test_chain_matches_reference_at_size(monkeypatch):
-    """A_n and S_n for n = 8..10 from their generators, and the 122 order
-    tests of the A_9 long-cycle sweep."""
+    """A_n and S_n for n = 8..10 from their generators, and the 122 and 554
+    order tests of the A_9 and A_10 long-cycle sweeps, each extending the
+    chain of P."""
     for n in range(8, 11):
         for G in (alternating_group(n), symmetric_group(n)):
             assert _chain_order_matching_reference(G._gens_bytes(), n) == G.order
-    tests = _order_tests(generation, lambda: generation.check_alternating_claims(9),
+    for n, count in ((9, 122), (10, 554)):
+        tests = _order_tests(generation, lambda: generation.check_alternating_claims(n),
+                             monkeypatch)
+        assert len(tests) == count
+        for gens, degree, stop_at, start in tests:
+            assert len(gens) == 1 and start
+            assert _chain_order_matching_reference(gens, degree, stop_at, start) == stop_at
+
+
+def _assert_chain_invariants(levels, degree):
+    """What any Schreier-Sims walk leaves on every level: base^u_p = p and
+    u_p u_p^-1 = 1 for each orbit point p, an orbit closed under the
+    level's generators, and generators that fix every earlier base point."""
+    ident = _ID256[:degree]
+    for k, lv in enumerate(levels):
+        assert lv.orbit.keys() == lv.inverse.keys() == lv.checked.keys()
+        for p, u in lv.orbit.items():
+            assert u[lv.base] == p
+            assert _mul_bytes(u, lv.inverse[p][:degree]) == ident
+        assert all(g[p] in lv.orbit for g in lv.gens for p in lv.orbit)
+        assert all(g[earlier.base] == earlier.base for g in lv.gens for earlier in levels[:k])
+
+
+def _chain_snapshot(levels):
+    return [(lv.base, lv.gens[:], lv.pads[:], lv.inverse_pads[:], [*lv.orbit.items()],
+             [*lv.inverse.items()], [*lv.checked.items()]) for lv in levels]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_chain_invariants_on_catalog_generators(name):
+    """Each catalog group's chain, and its chain grown from the chain of its
+    first generator by the others: the invariants hold on both, both have
+    G's order and hold G's generators, and the start chain is untouched."""
+    G = _catalog_group(name)
+    gens = G._gens_bytes()
+    _assert_chain_invariants(G._levels, G.degree)
+    start = PermutationGroup(G.generators[:1], G.degree)._levels
+    before = _chain_snapshot(start)
+    levels = groups._build_chain(gens[1:], G.degree, start=start)
+    _assert_chain_invariants(levels, G.degree)
+    assert groups._chain_order(levels) == G.order
+    assert all(groups._strip(g, levels, 0)[0] == _ID256[:G.degree] for g in gens)
+    assert _chain_snapshot(start) == before
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_sweep_order_tests_seeded_from_p_match_unseeded(n, monkeypatch):
+    """The 15, 15 and 122 order tests of the A_7, A_8 and A_9 long-cycle
+    sweeps each extend P's chain by one cycle c: the invariants hold, the
+    order is that of <c, P> built from no start chain, and P's chain is
+    the one a fresh P builds."""
+    tests = _order_tests(generation, lambda: generation.check_alternating_claims(n),
                          monkeypatch)
-    assert len(tests) == 122
-    for gens, degree, stop_at in tests:
-        assert _chain_order_matching_reference(gens, degree, stop_at) == stop_at
+    assert len(tests) == {7: 15, 8: 15, 9: 122}[n]
+    P = sylow_subgroup(alternating_group(n), 2)
+    start = tests[0][3]
+    assert all(t[3] is start for t in tests)
+    for gens, degree, stop_at, _ in tests:
+        levels = groups._build_chain(gens, degree, stop_at=stop_at, start=start)
+        _assert_chain_invariants(levels, degree)
+        assert groups._chain_order(levels) == groups._generated_order(
+            [*gens, *P._gens_bytes()], degree)
+    assert _chain_snapshot(start) == _chain_snapshot(P._levels)
 
 
 def _bfs_closure(gens, degree):

@@ -107,9 +107,11 @@ def _relabelled(G, seed):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", [e.name for e in CATALOG.values() if e.expected_order <= 360])
 def test_lattice_matches_flat_enumeration_and_pairwise_inclusion(name, seed):
-    """Joins by normalizer orbits, stopped at half of G, give the records of
-    joining every cyclic subgroup to the end, generators included; the
-    inclusion masks give the relation of the pairwise subset test."""
+    """Joins by normalizer orbits, stopped at the proper-order ceiling
+    (|G| // k for a simple G, k the least integer with |G| dividing k!;
+    half of G otherwise), give the records of joining every cyclic subgroup
+    to the end, generators included; the inclusion masks give the relation
+    of the pairwise subset test."""
     G = _relabelled(CATALOG[name].build(), seed)
     lat = enumerate_subgroups(G)
     assert lat.subgroups == flat_subgroup_records(G)
