@@ -23,8 +23,8 @@ tuple. A face H0x < ... < Hkx is fixed by its subgroup chain and the coset
 H0x, so dimension k is one block of [G : H0] faces per chain H0 < ... < Hk,
 in the order of H0's cosets. Each coface of face t that inserts a subgroup
 above H0 is face t of its own block, and those that put K < H0 first are
-the cosets of K inside H0x. A GF(2) row is then one shifted mask, S << t,
-and one mask of K-cosets for each K < H0.
+the cosets of K inside H0x (``CosetPoset.cosets_inside``). A GF(2) row is
+then one shifted mask, S << t, and one mask of K-cosets for each K < H0.
 
 The blocks follow their chains from the largest subgroup down, in
 decreasing lexicographic order, so a row's pivot, its highest column, is
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, lshift
 from typing import Iterable, Iterator, Mapping
 
@@ -57,13 +57,17 @@ class CosetComplex:
     tuple. ``blocks[k]`` maps each chain H0 < ... < Hk, a tuple of positions
     in ``poset.subgroup_ids``, to the offset of its block: its
     ``block_size[H0]`` = [G : H0] faces, in the order of H0's cosets. The
-    face count is checked against FACE_BUDGET when the complex is made; the
-    blocks and the coset labels are read only when rows are.
+    face count is checked against FACE_BUDGET when the complex is made,
+    before any coset is labelled; the blocks and the coset tables are read
+    only when rows are.
     """
 
     def __init__(self, poset: CosetPoset):
         self._counts = poset.chain_counts()
-        check_face_budget(sum(self._counts))
+        faces = sum(self._counts)
+        if faces > FACE_BUDGET:
+            raise BudgetExceededError(f"the order complex has {faces} nonempty faces, "
+                                      f"over the face budget {FACE_BUDGET}")
         self._chains, self.block_size = poset.subgroup_chains
         self.poset = poset
         self._preimages: dict[tuple[int, int, bool], list] = {}
@@ -97,32 +101,17 @@ class CosetComplex:
                                f"{core_chi}, the order complex {chi}")
         return core
 
-    @cached_property
-    def _cosets(self) -> list[tuple[list[int], list[int]]]:
-        """For each subgroup, its coset representatives (least elements) in
-        the order of its cosets, and the position of each element's coset."""
-        out = []
-        for h in self.poset.subgroup_ids:
-            label = self.poset.coset_rep[h]
-            reps = [x for x, r in enumerate(label) if r == x]
-            out.append((reps, list(map(dict(zip(reps, count())).__getitem__, label))))
-        return out
-
     def _preimage(self, k: int, h: int, bitsets: bool) -> list:
         """For each coset H x of H = position h, the positions among the
-        cosets of K = position k < h of those inside it: a list each, or one
-        int bitset each. Made once per pair and complex."""
+        cosets of K = position k < h of those inside it
+        (``CosetPoset.cosets_inside``): a list each, or one int bitset each.
+        Made once per pair and complex."""
         table = self._preimages.get((k, h, bitsets))
         if table is None:
-            where = map(self._cosets[h][1].__getitem__, self._cosets[k][0])
+            ids = self.poset.subgroup_ids
+            table = self.poset.cosets_inside(ids[k], ids[h])
             if bitsets:
-                table = [0] * self.block_size[h]
-                for s, t in enumerate(where):
-                    table[t] |= 1 << s
-            else:
-                table = [[] for _ in range(self.block_size[h])]
-                for s, t in enumerate(where):
-                    table[t].append(s)
+                table = [sum(map(lshift, repeat(1), pre)) for pre in table]
             self._preimages[k, h, bitsets] = table
         return table
 
@@ -182,14 +171,6 @@ def _dict_rows(ts: Iterable[int], inserted: list[tuple[int, int]],
         for q, pre in firsts:
             row.update(zip(map(add, repeat(q), pre[t]), repeat(1)))
         yield row
-
-
-def check_face_budget(faces: int) -> None:
-    """Raise BudgetExceededError for an order complex past FACE_BUDGET
-    nonempty faces."""
-    if faces > FACE_BUDGET:
-        raise BudgetExceededError(
-            f"the order complex has {faces} nonempty faces, over the face budget {FACE_BUDGET}")
 
 
 def order_complex(poset: CosetPoset) -> CosetComplex:

@@ -3,11 +3,12 @@ C(G, N) fixed by P x K acting by left and right translation.
 
 Vertices are right cosets Hx of proper subgroups, keyed by the lattice
 index of H and the minimal element id of the coset. Hx <= Ky holds iff
-H <= K in the lattice and x y^-1 lies in K; both tests are index lookups.
-Chains of cosets are read off chains of subgroups, each weighted by the
-index of its least subgroup (Brown, 2000), and so is the beat-point core;
-a subgroup's cosets are labelled only when read, and the vertex relation
-is built only to be printed.
+H <= K in the lattice and x y^-1 lies in K, so the cosets above Hx are the
+Kx for the included K above H. Chains of cosets are read off chains of
+subgroups, each weighted by the index of its least subgroup (Brown, 2000),
+and so are the beat-point core and the cover pairs of ``dump``. This module
+alone lays out a subgroup's cosets: ``CosetPoset.coset_table`` labels them
+when first read, and no relation on the cosets themselves is built.
 
 The fixed cosets are found without a poset or a coset labelling of G:
 Hx is fixed by P x K iff P <= H and x k x^-1 lies in H for each generator
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, compress, count, groupby, repeat
+from operator import itemgetter
+from typing import Iterable
 
 from .groups import (
     PermutationGroup,
@@ -61,24 +63,10 @@ class OvergroupAutomorphism:
         return all(self.apply(self.apply(g)) == g for g in self.group.generators)
 
 
-class _CosetLabels(dict):
-    """Each subgroup's right coset labels, ``right_coset_reps`` of its
-    elements, made on first read: ``labels[h][x]`` is the least element of
-    the coset of subgroup h that holds element x."""
-
-    def __init__(self, lattice: SubgroupLattice):
-        super().__init__()
-        self.lattice = lattice
-
-    def __missing__(self, h: int) -> list[int]:
-        labels = self[h] = right_coset_reps(self.lattice.group, self.lattice.subgroups[h].elements)
-        return labels
-
-
 class CosetPoset:
     """Cosets Hx of the included proper subgroups, ordered by inclusion, held
-    as the subgroups; a subgroup's cosets are labelled when first read, and
-    ``vertices`` and ``relation`` are built on read."""
+    as the subgroups; a subgroup's cosets are laid out by ``coset_table``
+    when first read, and ``vertices`` is built on read."""
 
     def __init__(self, lattice: SubgroupLattice, subgroup_ids: Iterable[int]):
         self.lattice = lattice
@@ -90,7 +78,7 @@ class CosetPoset:
                 raise ValueError(f"subgroup id {h} is the whole group, not a proper subgroup")
             if h == prev:
                 raise ValueError(f"subgroup id {h} is repeated")
-        self.coset_rep = _CosetLabels(lattice)
+        self._coset_tables: dict[int, tuple[list[int], list[int]]] = {}
 
     def __len__(self) -> int:
         return self.n
@@ -101,20 +89,50 @@ class CosetPoset:
         without labelling any."""
         return sum(self.subgroup_chains[1])
 
+    def coset_table(self, h: int) -> tuple[list[int], list[int]]:
+        """``reps, where`` for the subgroup of lattice id h: the least
+        element of each of its right cosets, in increasing order, and for
+        each element x the position in ``reps`` of the coset that holds x.
+        Made from ``groups.right_coset_reps`` on first read and shared with
+        the beat-point core."""
+        table = self._coset_tables.get(h)
+        if table is None:
+            label = right_coset_reps(self.lattice.group, self.lattice.subgroups[h].elements)
+            reps = [x for x, r in enumerate(label) if r == x]
+            where = list(map(dict(zip(reps, count())).__getitem__, label))
+            table = self._coset_tables[h] = reps, where
+        return table
+
+    def cosets_inside(self, k: int, h: int) -> list[list[int]]:
+        """For each coset of the subgroup of lattice id h, in table order,
+        the positions of the cosets of the subgroup k <= h inside it."""
+        reps, _ = self.coset_table(k)
+        _, where = self.coset_table(h)
+        inside: list[list[int]] = [[] for _ in range(self.lattice.index_in_group(h))]
+        for s, r in enumerate(reps):
+            inside[where[r]].append(s)
+        return inside
+
     @cached_property
     def vertices(self) -> list[tuple[int, int]]:
         """(subgroup id, least element) of each coset, by subgroup id, then
         by least element."""
-        return [(hi, x) for hi in self.subgroup_ids
-                for x, r in enumerate(self.coset_rep[hi]) if r == x]
-
-    @cached_property
-    def vertex_index(self) -> dict[tuple[int, int], int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+        return [(h, x) for h in self.subgroup_ids for x in self.coset_table(h)[0]]
 
     @cached_property
     def subgroup_chains(self) -> tuple[FinitePoset, list[int]]:
-        return subgroup_chain_poset(self.lattice, self.subgroup_ids)
+        """The included subgroups ordered by inclusion, as a poset on their
+        positions in ``subgroup_ids``, and the index [G : H] of each.
+
+        A chain of cosets H0x < ... < Hkx is fixed by its subgroup chain
+        H0 < ... < Hk and by H0x, so the chains of this poset, each weighted
+        by the index of its least subgroup, count the chains of the coset
+        poset.
+        """
+        lat, position = self.lattice, {h: i for i, h in enumerate(self.subgroup_ids)}
+        above = [tuple(position[k] for k in lat.above[h] if k in position)
+                 for h in self.subgroup_ids]
+        return FinitePoset(above), [lat.index_in_group(h) for h in self.subgroup_ids]
 
     def chain_counts(self) -> list[int]:
         """Number of chains of cosets of each size >= 1."""
@@ -128,7 +146,7 @@ class CosetPoset:
 
     def beat_point_core(self) -> CosetPoset:
         """The poset left when beat points are removed until none is left,
-        read off the subgroups alone; it shares this poset's coset labels.
+        read off the subgroups alone; it shares this poset's coset tables.
 
         The cosets above Hx are the Kx for the included K > H, so Hx is an up
         beat point exactly when H's included overgroups have a least element,
@@ -145,26 +163,23 @@ class CosetPoset:
             if up and set(up[1:]) <= set(chains.above[up[0]]):  # up[0], if any, is least
                 kept[h] = False
         core = CosetPoset(self.lattice, compress(self.subgroup_ids, kept))
-        core.coset_rep = self.coset_rep
+        core._coset_tables = self._coset_tables
         return core
 
-    @cached_property
-    def relation(self) -> FinitePoset:
-        """The strict order on the vertices: the cosets above Hx are Kx for
-        the included K above H. Vertex ids grow with the subgroup id, so each
-        tuple comes out sorted."""
-        index, rep, ids = self.vertex_index, self.coset_rep, set(self.subgroup_ids)
-        return FinitePoset([
-            tuple(index[(kj, rep[kj][x])] for kj in self.lattice.above[hi] if kj in ids)
-            for hi, x in self.vertices])
-
     def dump(self) -> str:
-        """One vertex per line, then cover pairs; stable ordering."""
-        lat, element = self.lattice, Permutation._from_bytes
+        """One vertex per line, numbered as in ``vertices``, then the cover
+        pairs u<v, by v, then by u. Hx is covered by Kx exactly when H is
+        covered by K among the included subgroups."""
+        lat, element, ids = self.lattice, Permutation._from_bytes, self.subgroup_ids
+        chains, index = self.subgroup_chains
+        offset = list(accumulate(index, initial=0))
         lines = [f"{lat.subgroups[h].order}:{cycle_string(element(lat.elements[r]))}"
                  for h, r in self.vertices]
         lines.append("--covers--")
-        lines.extend(f"{u}<{v}" for u, v in self.relation.cover_pairs())
+        for h, covers in groupby(chains.cover_pairs(), itemgetter(1)):  # by h, then by k
+            inside = [(offset[k], self.cosets_inside(ids[k], ids[h])) for k, _ in covers]
+            for t in range(index[h]):
+                lines.extend(f"{o + s}<{offset[h] + t}" for o, pre in inside for s in pre[t])
         return "\n".join(lines) + "\n"
 
 
@@ -201,26 +216,6 @@ def build_relative_poset(G: PermutationGroup, N: PermutationGroup,
                          lat: SubgroupLattice) -> CosetPoset:
     """C(G, N): cosets Hx of proper subgroups with HN = G, for N normal in G."""
     return CosetPoset(lat, supplement_ids(G, N, lat))
-
-
-def subgroup_chain_poset(lat: SubgroupLattice,
-                         subgroup_ids: Sequence[int]) -> tuple[FinitePoset, list[int]]:
-    """The subgroups ``subgroup_ids`` ordered by inclusion, as a poset on
-    their positions in ``subgroup_ids``, and the index [G : H] of each.
-
-    A chain of cosets H0x < ... < Hkx is fixed by its subgroup chain
-    H0 < ... < Hk and by H0x, so the chains of this poset, each weighted by
-    the index of its least subgroup, count the chains of the coset poset.
-    """
-    position = {h: i for i, h in enumerate(subgroup_ids)}
-    above = [tuple(position[k] for k in lat.above[h] if k in position) for h in subgroup_ids]
-    return FinitePoset(above), [lat.index_in_group(h) for h in subgroup_ids]
-
-
-def coset_chain_counts(lat: SubgroupLattice, subgroup_ids: Sequence[int]) -> list[int]:
-    """``CosetPoset(lat, subgroup_ids).chain_counts()``, without building it."""
-    chains, weights = subgroup_chain_poset(lat, subgroup_ids)
-    return chains.chain_counts(weights)
 
 
 def fixed_cosets(G: PermutationGroup, N: PermutationGroup,

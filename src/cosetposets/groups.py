@@ -559,12 +559,9 @@ def is_normal_subgroup(G: PermutationGroup, N: PermutationGroup) -> bool:
 class QuotientRepresentation:
     """G acting on the right cosets of a normal subgroup N.
 
-    ``group.generators[i]`` is the image of ``G.generators[i]``, and
-    ``coset_reps[j]`` is the least element, in G's element table, of the
-    coset labelled j.
+    ``group.generators[i]`` is the image of ``G.generators[i]``.
     """
     group: PermutationGroup
-    coset_reps: tuple[Permutation, ...]
 
 
 def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> QuotientRepresentation:
@@ -572,7 +569,7 @@ def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> Quotien
     in the order a breadth-first walk from N under G's generators meets them."""
     if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
-    elems, index = G.element_bytes(), G.element_index()
+    index = G.element_index()
     label = right_coset_reps(G, subgroup_indices(G, N))
     step = _on_cosets(G, label, [index[g] for g in G._gens_bytes()])
     reps = [x for x, _, _ in _orbit(0, step)]
@@ -584,7 +581,7 @@ def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> Quotien
     Q = PermutationGroup(images, len(reps))
     if Q.order * N.order != G.order:
         raise RuntimeError(f"|G/N| |N| = {Q.order} * {N.order} is not |G| = {G.order}")
-    return QuotientRepresentation(Q, tuple(Permutation._from_bytes(elems[x]) for x in reps))
+    return QuotientRepresentation(Q)
 
 
 def _normal_closure(G: PermutationGroup, gens: list[int]) -> tuple[frozenset[int], list[int]]:

@@ -363,10 +363,11 @@ def _identities_records(ws: _Workspace, config: SuiteConfig) -> list[dict]:
             G = lat.group
             primes = [p for p in range(2, G.order + 1)
                       if G.order % p == 0 and _is_prime(p)]
+            sylows = {r: sylow_subgroup(G, r) for r in primes}
             pairs = 0
             for p in primes:
                 for r in primes:
-                    direct = universally_p_generates(G, sylow_subgroup(G, r), p).verdict
+                    direct = universally_p_generates(G, sylows[r], p).verdict
                     via_indices = univ_gen_via_maximal_indices(G, r, p, lat)
                     if direct != via_indices:
                         return False, {"p": p, "r": r}, []

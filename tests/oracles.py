@@ -1,8 +1,9 @@
 """Slow reference paths the tests compare the library against.
 
 The dense boundary ranks here reduce every boundary map bottom-up, row by
-dense row, with no clearing; ``complexes._boundary_ranks`` reduces sparse
-rows from the top dimension down and skips the cleared ones.
+dense row, with no clearing; ``complexes._boundary_ranks`` reduces the
+coboundary maps from dimension -1 up, as int-bitset or sparse rows, and
+skips the rows that clearing marks.
 
 The action engine here applies a group action to every vertex of a
 materialized coset poset and reads off the fixed vertices by definition;
@@ -75,8 +76,12 @@ The Sylow scan here computes the p-part of every element before it extends
 P; ``groups.sylow_subgroup`` computes them as far as its scans need.
 
 The coset inclusion here compares the element sets of every pair of
-cosets, each read off the product table; ``cosets.CosetPoset`` takes the
-cosets above Hx to be Kx for K above H in the subgroup lattice.
+cosets, each read off the product table. The vertex relation here
+(``vertex_relation``) takes the cosets above Hx to be Kx for K above H in
+the subgroup lattice, each coset labelled by its least element, read off
+the product table; ``cosets.CosetPoset`` builds no relation on its cosets:
+it lays out each subgroup's cosets once (``CosetPoset.coset_table``) and
+reads the cover pairs of ``dump`` off the covers among its subgroups.
 
 The order complex here is walked chain by chain, depth first, into vertex
 tuples (``FaceComplex``); ``complexes.order_complex`` reads a coset poset's
@@ -168,7 +173,7 @@ def action_fixed_points(poset: CosetPoset, action: ActionGroup) -> list[int]:
 
     Raises ValueError if some generator does not map the poset to itself.
     """
-    fixed = list(range(len(poset.vertices)))
+    fixed = list(range(len(poset)))
     for triple in action.generators:
         mapping = vertex_action_map(poset, triple)
         fixed = [v for v in fixed if mapping[v] == v]
@@ -552,11 +557,57 @@ def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
             raise ValueError("action does not preserve the poset")
         sub_image[si] = target
 
-    out = []
-    for (si, r) in poset.vertices:
-        ti = sub_image[si]
-        out.append(poset.vertex_index[(ti, poset.coset_rep[ti][elem_map(r)])])
-    return out
+    labels = coset_labels(poset)
+    index = vertex_index(poset, labels)
+    return [index[sub_image[si], labels[sub_image[si]][elem_map(r)]] for si, r in index]
+
+
+def quotient_coset_reps(G: PermutationGroup, N: PermutationGroup) -> list[int]:
+    """The least element of each right coset of a normal N, as indices into
+    G's element table, in the order a breadth-first walk from N under G's
+    generators meets the cosets, each coset an element set read off the
+    product table."""
+    mul, _ = product_table(G)
+    index = G.element_index()
+    gens = [index[g._b] for g in G.generators]
+    walk = [frozenset(index[m._b] for m in N.elements())]
+    seen = set(walk)
+    for coset in walk:  # grows while it is walked
+        for g in gens:
+            image = frozenset(mul[x][g] for x in coset)
+            if image not in seen:
+                seen.add(image)
+                walk.append(image)
+    return [min(coset) for coset in walk]
+
+
+def coset_labels(poset: CosetPoset) -> dict[int, list[int]]:
+    """For each included subgroup H, by lattice id, the least element of the
+    coset Hx that holds each element x, read off the product table."""
+    lat = poset.lattice
+    mul, _ = product_table(lat.group)
+    return {h: [min(mul[g][x] for g in lat.subgroups[h].elements) for x in range(len(mul))]
+            for h in poset.subgroup_ids}
+
+
+def vertex_index(poset: CosetPoset,
+                 labels: dict[int, list[int]] | None = None) -> dict[tuple[int, int], int]:
+    """The number of each vertex (subgroup id, least element): by subgroup id,
+    then by least element, the order ``dump`` prints them in."""
+    labels = labels or coset_labels(poset)
+    vertices = [(h, x) for h in poset.subgroup_ids for x in sorted(set(labels[h]))]
+    return {v: i for i, v in enumerate(vertices)}
+
+
+def vertex_relation(poset: CosetPoset) -> FinitePoset:
+    """The strict order on a coset poset's vertices, numbered by
+    ``vertex_index``: the cosets above Hx are the Kx for the included K
+    above H."""
+    labels = coset_labels(poset)
+    index = vertex_index(poset, labels)
+    above = poset.lattice.above
+    return FinitePoset([tuple(index[k, labels[k][x]] for k in above[h] if k in labels)
+                        for h, x in index])
 
 
 def relation_pairs(poset) -> list[tuple[int, int]]:
@@ -582,9 +633,9 @@ def vertex_chi_and_hat(poset: CosetPoset) -> tuple[int, int]:
     top vertex and length, and its mu(0-hat, 1-hat), from mu(0-hat, v) =
     -sum of mu(0-hat, u) over 0-hat <= u < v. The strict pairs are its nested
     cosets up to |G| = 60, and past that, where comparing every two cosets is
-    slow, its on-demand ``relation``."""
+    slow, its ``vertex_relation``."""
     pairs = (coset_inclusion_pairs(poset) if poset.lattice.group.order <= 60
-             else relation_pairs(poset.relation))
+             else relation_pairs(vertex_relation(poset)))
     below: list[list[int]] = [[] for _ in range(poset.n)]
     for u, v in pairs:
         below[v].append(u)
@@ -653,10 +704,12 @@ def coset_complex_faces(X: CosetComplex) -> FaceComplex:
     """A coset complex's faces in its own order, block by block: face t of
     the block of H0 < ... < Hk is H0x < ... < Hkx, H0x the t-th coset of H0."""
     P, ids = X.poset, X.poset.subgroup_ids
+    labels = coset_labels(P)
+    index = vertex_index(P, labels)
     reps: dict[int, list[int]] = {}
-    for h, r in P.vertices:
+    for h, r in index:
         reps.setdefault(h, []).append(r)
-    return FaceComplex({k: [tuple(P.vertex_index[ids[h], P.coset_rep[ids[h]][x]] for h in c)
+    return FaceComplex({k: [tuple(index[ids[h], labels[ids[h]][x]] for h in c)
                             for c in blocks for x in reps[ids[c[0]]]]
                         for k, blocks in enumerate(X.blocks)}, P.n)
 

@@ -29,7 +29,6 @@ from cosetposets.cosets import (
     CosetPoset,
     build_coset_poset,
     build_relative_poset,
-    coset_chain_counts,
     proper_subgroup_ids,
 )
 from cosetposets.groups import (
@@ -57,6 +56,7 @@ from oracles import (
     reduced_euler_characteristic,
     stong_core,
     transposed_boundary_rows,
+    vertex_relation,
 )
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
@@ -170,7 +170,7 @@ def test_poset_f_vector_matches_materialized():
              FinitePoset.from_pairs(5, [(i, j) for j in range(5) for i in range(j)])]
     cosets = [build_coset_poset(G, enumerate_subgroups(G)) for G in
               [symmetric_group(3), symmetric_group(4), cyclic_group(8), _klein_four()]]
-    for poset, relation in [(P, P) for P in small] + [(P, P.relation) for P in cosets]:
+    for poset, relation in [(P, P) for P in small] + [(P, vertex_relation(P)) for P in cosets]:
         walked = recursive_order_complex(relation)
         assert poset_f_vector(poset) == walked.f_vector()
         assert poset_reduced_euler_characteristic(poset) == reduced_euler_characteristic(walked)
@@ -396,7 +396,7 @@ def test_order_complex_matches_recursive_walk():
     catalog C(G) and C(G, N) of order 2..60."""
     for name, poset in _order_complex_cases():
         got = coset_complex_faces(order_complex(poset))
-        assert got == recursive_order_complex(poset.relation), name
+        assert got == recursive_order_complex(vertex_relation(poset)), name
         assert got.f_vector() == poset_f_vector(poset), name
 
 
@@ -406,8 +406,8 @@ def test_coset_chain_counts_match_the_coset_poset():
     the coset complex hold that many faces: on every catalog C(G) and
     C(G, N) of order 2..60."""
     for name, poset in _order_complex_cases():
-        counts = coset_chain_counts(poset.lattice, list(poset.subgroup_ids))
-        assert counts == poset.chain_counts() == poset.relation.chain_counts(), name
+        counts = poset.chain_counts()
+        assert counts == vertex_relation(poset).chain_counts(), name
         X = order_complex(poset)
         sizes = [sum(X.block_size[c[0]] for c in blocks) for blocks in X.blocks]
         assert sizes == counts == X.f_vector()[1:], name
@@ -423,8 +423,9 @@ def test_beat_point_core_matches_the_vertex_stong_core():
     2..60."""
     for name, poset in _order_complex_cases():
         core = poset.beat_point_core()
-        assert {poset.vertices[v] for v in stong_core(poset.relation)} == set(core.vertices), name
-        assert stong_core(core.relation) == set(range(len(core))), name
+        kept = stong_core(vertex_relation(poset))
+        assert {poset.vertices[v] for v in kept} == set(core.vertices), name
+        assert stong_core(vertex_relation(core)) == set(range(len(core))), name
 
 
 def _unlabelled(*args):
@@ -444,18 +445,27 @@ def test_beat_point_core_is_read_off_the_subgroups(name, faces, core_faces, monk
         faces, core_faces)
 
 
-def test_betti_numbers_label_and_block_only_the_core():
+def test_betti_numbers_label_and_block_only_the_core(monkeypatch):
     """``reduced_betti`` builds no block of the full complex and labels the
-    cosets of the core's subgroups only: C(S4) keeps 20 of its 29 proper
-    subgroups."""
+    cosets of the core's subgroups only, each once: C(S4) keeps 20 of its 29
+    proper subgroups."""
     S4 = symmetric_group(4)
-    poset = build_coset_poset(S4, enumerate_subgroups(S4))
+    lat = enumerate_subgroups(S4)
+    poset = build_coset_poset(S4, lat)
+    labelled = []
+    label = cosets.right_coset_reps
+
+    def recording(G, elements):
+        labelled.append(lat.subgroup_index[elements])
+        return label(G, elements)
+
+    monkeypatch.setattr(cosets, "right_coset_reps", recording)
     X = order_complex(poset)
     assert reduced_betti(X, 2).as_dict() == {2: 120}
     assert "blocks" not in vars(X)
     core = poset.beat_point_core()
     assert (len(core.subgroup_ids), len(poset.subgroup_ids)) == (20, 29)
-    assert set(poset.coset_rep) == set(core.subgroup_ids)
+    assert sorted(labelled) == list(core.subgroup_ids)
 
 
 def test_reduced_betti_refuses_a_core_of_another_euler_characteristic(monkeypatch):

@@ -35,12 +35,15 @@ from oracles import (
     action_fixed_points,
     conj_element,
     coset_inclusion_pairs,
+    coset_labels,
     labelled_fixed_cosets,
     relation_pairs,
     subgroup_as_group,
     translation_action_group,
     vertex_action_map,
     vertex_chi_and_hat,
+    vertex_index,
+    vertex_relation,
 )
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
@@ -57,20 +60,20 @@ def _poset(G):
 def test_coset_poset_z2():
     poset = _poset(cyclic_group(2))
     assert len(poset) == 2
-    assert relation_pairs(poset.relation) == []
+    assert relation_pairs(vertex_relation(poset)) == []
 
 
 def test_coset_poset_klein_four():
     poset = _poset(_group("(1,2)(3,4)", "(1,3)(2,4)", degree=4))
     assert len(poset) == 10
-    assert len(poset.relation.cover_pairs()) == 12
-    assert len(relation_pairs(poset.relation)) == 12
+    assert len(vertex_relation(poset).cover_pairs()) == 12
+    assert len(relation_pairs(vertex_relation(poset))) == 12
 
 
 def test_coset_poset_s3():
     poset = _poset(symmetric_group(3))
     assert len(poset) == 17
-    assert len(relation_pairs(poset.relation)) == 24
+    assert len(relation_pairs(vertex_relation(poset))) == 24
     # no C2-coset sits inside a C3-coset, so there are no 2-chains of cosets
     assert poset.chain_counts() == [17, 24]
 
@@ -88,12 +91,18 @@ def test_vertex_count_is_sum_of_indices():
 
 
 def test_cosets_partition_and_are_unique():
-    G = symmetric_group(3)
-    poset = _poset(G)
-    assert len(set(poset.vertices)) == len(poset.vertices)
-    for hi in poset.subgroup_ids:
-        rep = poset.coset_rep[hi]
-        assert all(rep[rep[x]] == rep[x] for x in range(G.order))
+    """Each subgroup's coset table lists the least element of each coset,
+    increasing, and places each element in the coset that holds it, as the
+    product table says; the vertices are those of the oracle, in its order."""
+    for G in [symmetric_group(3), symmetric_group(4), cyclic_group(8)]:
+        poset = _poset(G)
+        assert len(set(poset.vertices)) == len(poset.vertices)
+        labels = coset_labels(poset)
+        for hi in poset.subgroup_ids:
+            reps, where = poset.coset_table(hi)
+            assert reps == sorted(set(labels[hi]))
+            assert [reps[w] for w in where] == labels[hi]
+        assert poset.vertices == list(vertex_index(poset))
 
 
 def _coset_posets(G):
@@ -109,7 +118,19 @@ def test_relation_is_coset_inclusion(entry):
     """u < v in C(G), and in C(G, N) for each minimal normal N, exactly when
     coset u is a proper subset of coset v as sets of elements."""
     for poset in _coset_posets(entry.build()):
-        assert relation_pairs(poset.relation) == coset_inclusion_pairs(poset)
+        assert relation_pairs(vertex_relation(poset)) == coset_inclusion_pairs(poset)
+
+
+@pytest.mark.parametrize("entry", [e for e in load_catalog(verify=False)
+                                   if 1 < e.expected_order <= 60], ids=lambda e: e.name)
+def test_dump_covers_are_the_vertex_relation_covers(entry):
+    """The cover lines of ``dump()``, read off the covers among the included
+    subgroups, are the cover pairs of the vertex relation, in its order:
+    on C(G) and on C(G, N) for each minimal normal N."""
+    for poset in _coset_posets(entry.build()):
+        lines = poset.dump().splitlines()
+        covers = lines[lines.index("--covers--") + 1:]
+        assert covers == [f"{u}<{v}" for u, v in vertex_relation(poset).cover_pairs()]
 
 
 @pytest.mark.parametrize("case", ["repeated", "parent", "unknown"])
@@ -162,7 +183,7 @@ def test_relative_poset_s3():
     A3 = _group("(1,2,3)", degree=3)
     rel = build_relative_poset(S3, A3, lat)
     assert len(rel) == 9
-    assert relation_pairs(rel.relation) == []
+    assert relation_pairs(vertex_relation(rel)) == []
     # all nine vertices are cosets of the three order-2 subgroups
     assert all(lat.subgroups[hi].order == 2 for hi, _ in rel.vertices)
 
@@ -173,7 +194,7 @@ def test_relative_poset_z4_is_empty():
     Z2 = _group("(1,3)(2,4)", degree=4)
     rel = build_relative_poset(Z4, Z2, lat)
     assert len(rel) == 0
-    assert relation_pairs(rel.relation) == []
+    assert relation_pairs(vertex_relation(rel)) == []
 
 
 def test_relative_poset_with_n_equal_g_is_full_poset():
@@ -208,7 +229,8 @@ def test_relative_membership_is_conjugation_invariant():
 def _fixed_vertices(poset, fixed):
     """Poset vertex ids of the (SubgroupRecord, r) pairs from fixed_cosets."""
     lat = poset.lattice
-    return [poset.vertex_index[(lat.subgroup_index[rec.elements], r)] for rec, r in fixed]
+    index = vertex_index(poset)
+    return [index[lat.subgroup_index[rec.elements], r] for rec, r in fixed]
 
 
 def test_fixed_cosets_z2():
@@ -364,7 +386,7 @@ def test_action_preserves_order_relation():
     triple = ActionTriple(left=parse_permutation("(1,2,3)", 4),
                           right=parse_permutation("(1,3)(2,4)", 4))
     mapping = vertex_action_map(poset, triple)
-    rel = set(relation_pairs(poset.relation))
+    rel = set(relation_pairs(vertex_relation(poset)))
     assert all((mapping[u], mapping[v]) in rel for u, v in rel)
     assert sorted(mapping) == list(range(len(poset)))
 
@@ -400,13 +422,13 @@ def test_overgroup_automorphism_validation():
 def test_antichain_flags():
     S3 = symmetric_group(3)
     lat = enumerate_subgroups(S3)
-    assert relation_pairs(build_coset_poset(S3, lat).relation)
-    assert not relation_pairs(
-        build_relative_poset(S3, _group("(1,2,3)", degree=3), lat).relation)
+    assert relation_pairs(vertex_relation(build_coset_poset(S3, lat)))
+    assert not relation_pairs(vertex_relation(
+        build_relative_poset(S3, _group("(1,2,3)", degree=3), lat)))
     Z4 = cyclic_group(4)
     lat4 = enumerate_subgroups(Z4)
-    assert not relation_pairs(
-        build_relative_poset(Z4, _group("(1,3)(2,4)", degree=4), lat4).relation)
+    assert not relation_pairs(vertex_relation(
+        build_relative_poset(Z4, _group("(1,3)(2,4)", degree=4), lat4)))
 
 
 def test_abelian_minimal_normal_antichain_size_divisible():
@@ -417,7 +439,7 @@ def test_abelian_minimal_normal_antichain_size_divisible():
     for G, N in cases:
         lat = enumerate_subgroups(G)
         rel = build_relative_poset(G, N, lat)
-        assert relation_pairs(rel.relation) == []
+        assert relation_pairs(vertex_relation(rel)) == []
         assert len(rel) % N.order == 0
 
 

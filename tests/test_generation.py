@@ -38,7 +38,7 @@ from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, cycle_string, parse_permutation
 from oracles import (_long_cycle_unrank, action_fixed_points, cycle_flood_sweep,
                      full_scan_sylow_subgroup, generator_walk_p_orbits, scan_conjugate_sweep,
-                     translation_action_group)
+                     translation_action_group, vertex_index)
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
@@ -489,6 +489,7 @@ def test_universal_generation_forces_empty_fixed_sets_on_posets():
         lat = enumerate_subgroups(G)
         rel = build_relative_poset(G, N, lat)
         by_action = action_fixed_points(rel, translation_action_group(P, K))
-        by_criterion = [rel.vertex_index[(lat.subgroup_index[rec.elements], r)]
+        index = vertex_index(rel)
+        by_criterion = [index[lat.subgroup_index[rec.elements], r]
                         for rec, r in fixed_cosets(G, N, intermediate_subgroups(G, P), K)]
         assert by_criterion == by_action == []

@@ -230,20 +230,21 @@ def test_quotient_requires_normality():
 
 def test_quotient_generator_images_respect_multiplication():
     """For each catalog group of order <= 60 and each minimal normal N != G:
-    coset_reps[j] is the least element of the coset labelled j, and the image
+    with the cosets labelled in the order a breadth-first walk from N under
+    G's generators meets them (``oracles.quotient_coset_reps``), the image
     of each generator, and of each product of two, maps N r to N r g."""
     for entry in SMALL_CATALOG.values():
         G = _catalog_group(entry.name)
         if G.order == 1:
             continue
-        index = G.element_index()
+        elems, index = G.element_bytes(), G.element_index()
         for N in minimal_normal_subgroups(G):
             if N.order == G.order:
                 continue
             q = quotient_representation(G, N)
             # same deterministic labelling
             assert quotient_representation(G, N).group.generators == q.group.generators
-            reps = q.coset_reps
+            reps = [Permutation._from_bytes(elems[x]) for x in oracles.quotient_coset_reps(G, N)]
             cosets = [{index[(m * r)._b] for m in N.elements()} for r in reps]
             assert len({frozenset(c) for c in cosets}) == G.order // N.order
             assert [index[r._b] for r in reps] == [min(c) for c in cosets], entry.name

@@ -11,9 +11,10 @@ import pytest
 
 from cosetposets import cli, cosets
 from cosetposets.cli import main
-from cosetposets.cosets import CosetPoset, build_coset_poset
+from cosetposets.cosets import build_coset_poset
 from cosetposets.groups import symmetric_group
 from cosetposets.lattice import enumerate_subgroups
+from cosetposets.posets import FinitePoset
 from cosetposets.suite import SuiteConfig, VerificationReport, run_suite
 from normalize_report import normalize
 
@@ -222,12 +223,12 @@ def test_cli_degree_beside_group_is_refused_before_the_catalog(degree, capsys):
 
 
 def test_cli_homology_past_the_face_budget_is_refused(capsys, monkeypatch):
-    """C(A6) has 5,456,457 chains; the CLI counts them from A6's subgroup
-    chains and refuses before it builds the coset poset."""
-    def unbuilt(*args, **kwargs):  # build_coset_poset builds through it too
-        raise AssertionError("the coset poset was built")
+    """C(A6) has 5,456,457 chains; the order complex counts them from A6's
+    subgroup chains and refuses before any coset is labelled."""
+    def unlabelled(*args):
+        raise AssertionError("a coset was labelled")
 
-    monkeypatch.setattr(CosetPoset, "__init__", unbuilt)
+    monkeypatch.setattr(cosets, "right_coset_reps", unlabelled)
     assert main(["compute", "homology", "--group", "A6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -236,14 +237,19 @@ def test_cli_homology_past_the_face_budget_is_refused(capsys, monkeypatch):
 
 
 def test_homology_path_builds_no_vertex_relation(small_catalog, capsys, monkeypatch):
-    """The homology, join and reciprocity suites, `compute homology` and
-    `compute zeta` read coset posets off their subgroup chains; only
-    `compute poset` and `dump()` build the vertex relation."""
-    def unbuilt(self):
-        raise AssertionError("the vertex relation was built")
+    """The homology, join and reciprocity suites and `compute homology`,
+    `zeta` and `poset` read coset posets off their subgroup chains: no
+    poset they build has more elements than the group has subgroups (S4
+    has 30, C(S4) 233 cosets; S3 has 6, C(S3) 17)."""
+    sizes = []
+    build = FinitePoset.__init__
+
+    def recording(self, above):
+        sizes.append(len(above))
+        build(self, above)
 
     with monkeypatch.context() as patch:
-        patch.setattr(CosetPoset, "relation", property(unbuilt))
+        patch.setattr(FinitePoset, "__init__", recording)
         report = run_suite(SuiteConfig(catalog_path=small_catalog,
                                        suites=("homology", "join", "reciprocity")))
         assert report.overall == "pass"  # a record that raised would fail
@@ -251,10 +257,11 @@ def test_homology_path_builds_no_vertex_relation(small_catalog, capsys, monkeypa
         assert main(["compute", "homology", "--group", "S4"]) == 0
         assert main(["compute", "zeta", "--group", "S4",
                      "--relative-to", "(1,2)(3,4),(1,3)(2,4)"]) == 0
-        with pytest.raises(AssertionError, match="the vertex relation was built"):
-            main(["compute", "poset", "--group", "S3"])
-    capsys.readouterr()
-    assert main(["compute", "poset", "--group", "S3"]) == 0
+        assert sizes and max(sizes) <= 30
+        sizes.clear()
+        capsys.readouterr()
+        assert main(["compute", "poset", "--group", "S3"]) == 0
+        assert sizes and max(sizes) <= 6
     S3 = symmetric_group(3)
     dump = build_coset_poset(S3, enumerate_subgroups(S3)).dump()
     assert capsys.readouterr().out == dump and dump.count("<") == 24
