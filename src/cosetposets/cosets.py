@@ -3,8 +3,9 @@ C(G, N) fixed by P x K acting by left and right translation.
 
 Vertices are right cosets Hx of proper subgroups, keyed by the lattice
 index of H and the minimal element id of the coset. Hx <= Ky holds iff
-H <= K in the lattice and x y^-1 lies in K, so the cosets above Hx are the
-Kx for the included K above H. Chains of cosets are read off chains of
+H <= K and x y^-1 lies in K, so the cosets above Hx are the Kx for the
+included K above H, which ``SubgroupLattice.overgroups`` finds among the
+included subgroups alone. Chains of cosets are read off chains of
 subgroups, each weighted by the index of its least subgroup (Brown, 2000),
 and so are the beat-point core and the cover pairs of ``dump``. This module
 alone lays out a subgroup's cosets: ``CosetPoset.coset_table`` labels them
@@ -129,10 +130,11 @@ class CosetPoset:
         by the index of its least subgroup, count the chains of the coset
         poset.
         """
-        lat, position = self.lattice, {h: i for i, h in enumerate(self.subgroup_ids)}
-        above = [tuple(position[k] for k in lat.above[h] if k in position)
-                 for h in self.subgroup_ids]
-        return FinitePoset(above), [lat.index_in_group(h) for h in self.subgroup_ids]
+        lat, ids = self.lattice, self.subgroup_ids
+        position = {h: i for i, h in enumerate(ids)}
+        above = [tuple(map(position.__getitem__, lat.overgroups(h, ids[i + 1:])))
+                 for i, h in enumerate(ids)]
+        return FinitePoset(above), [lat.index_in_group(h) for h in ids]
 
     def chain_counts(self) -> list[int]:
         """Number of chains of cosets of each size >= 1."""
@@ -173,8 +175,9 @@ class CosetPoset:
         lat, element, ids = self.lattice, Permutation._from_bytes, self.subgroup_ids
         chains, index = self.subgroup_chains
         offset = list(accumulate(index, initial=0))
-        lines = [f"{lat.subgroups[h].order}:{cycle_string(element(lat.elements[r]))}"
-                 for h, r in self.vertices]
+        cycles = {r: cycle_string(element(lat.elements[r]))
+                  for r in set(map(itemgetter(1), self.vertices))}
+        lines = [f"{lat.subgroups[h].order}:{cycles[r]}" for h, r in self.vertices]
         lines.append("--covers--")
         for h, covers in groupby(chains.cover_pairs(), itemgetter(1)):  # by h, then by k
             inside = [(offset[k], self.cosets_inside(ids[k], ids[h])) for k, _ in covers]

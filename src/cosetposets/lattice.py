@@ -18,14 +18,17 @@ trivial kernel, so G embeds in S_k (the index argument; Dixon and Mortimer,
 join at all when |H| p passes the ceiling, p the least prime dividing
 |G : H|: every proper overgroup of H would have order at least |H| p.
 Subgroups are stored as frozensets of indices into the canonical (sorted)
-element enumeration of the parent group, which makes identity canonical;
-inclusion is read off one int mask per element, the set of subgroups that
-contain it, by ANDing the masks of a subgroup's generators.
+element enumeration of the parent group, which makes identity canonical.
+No inclusion relation is stored: ``overgroups`` tests one subgroup's
+generators against the candidates asked for. mu(H, G) and maximality are
+constant on conjugacy classes (P. Hall, "The Eulerian functions of a
+group", 1936), so each is read on the least member of each class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .groups import (
     BudgetExceededError,
@@ -42,13 +45,13 @@ from .groups import (
     conjugacy_orbit_of_subgroup,
     subgroup_indices,
 )
-from .posets import FinitePoset
 
 LATTICE_ORDER_BOUND = 1000
 
 
-class SubgroupLattice(FinitePoset):
-    """All subgroups of a small group, ordered by inclusion."""
+class SubgroupLattice:
+    """All subgroups of a small group, sorted by order, then by elements;
+    ``class_of[i]`` is the id of the least member of subgroup i's class."""
 
     def __init__(self, group: PermutationGroup):
         if group.order > LATTICE_ORDER_BOUND:
@@ -59,12 +62,14 @@ class SubgroupLattice(FinitePoset):
         self.elements: tuple[bytes, ...] = group.element_bytes()
         if self.elements[0] != bytes(range(group.degree)):
             raise RuntimeError("the identity does not sort first in the element table")
-        self.subgroups: list[SubgroupRecord] = self._enumerate()
+        self.subgroups, self.class_of = self._enumerate()
         self.subgroup_index: dict[frozenset[int], int] = {
             e.elements: i for i, e in enumerate(self.subgroups)
         }
         self.index_of_parent = len(self.subgroups) - 1  # the one largest
-        super().__init__(self._inclusion())
+
+    def __len__(self) -> int:
+        return len(self.subgroups)
 
     # -- construction -----------------------------------------------------
 
@@ -74,7 +79,7 @@ class SubgroupLattice(FinitePoset):
         closure past ``self.ceiling`` is G. The one entry point of joins."""
         return _closure(self.group, gens, start, self.ceiling)
 
-    def _enumerate(self) -> list[SubgroupRecord]:
+    def _enumerate(self) -> tuple[list[SubgroupRecord], list[int]]:
         G = self.group
         n = len(self.elements)
         conj_rows = _conjugation_rows(G)
@@ -84,7 +89,8 @@ class SubgroupLattice(FinitePoset):
         zs = [gens[0] for fs, gens in subgroups.items()
               if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
                      for p in range(2, len(fs) + 1))]
-        found: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
+        # each subgroup's generators and the number of its class in ``reps``
+        found: dict[frozenset[int], tuple[tuple[int, ...], int]] = {frozenset({0}): ((), 0)}
         reps = [(frozenset({0}), 1)]  # class representatives and class sizes
         for H, size in reps:  # grows while it is walked
             # a proper overgroup of H has order |H| d, d > 1 dividing |G : H|;
@@ -94,7 +100,7 @@ class SubgroupLattice(FinitePoset):
             if G._full_set() in found and not any(
                     (n // len(H)) % d == 0 for d in range(2, self.ceiling // len(H) + 1)):
                 continue
-            h_gens = found[H]
+            h_gens = found[H][0]
             N, n_gens = _normalizer(G, H, h_gens, n // size)
             if len(N) == n:
                 conjugators = [row.__getitem__ for row in conj_rows]
@@ -117,38 +123,16 @@ class SubgroupLattice(FinitePoset):
                     continue
                 # K's class is new as a whole: found holds whole classes only
                 orbit = conjugacy_orbit_of_subgroup(G, K, gens)
+                found.update((image, (image_gens, len(reps))) for image, image_gens, _ in orbit)
                 reps.append((K, len(orbit)))
-                found.update((image, image_gens) for image, image_gens, _ in orbit)
                 if (n // len(K)) % len(orbit):  # |class| = |G : N_G(K)|, K <= N_G(K)
                     raise RuntimeError(
                         f"class of a subgroup of order {len(K)} has {len(orbit)} "
                         f"members, which does not divide |G : K| = {n // len(K)}")
         records = sorted(found.items(), key=lambda r: (len(r[0]), sorted(r[0])))
-        return [SubgroupRecord(len(fs), fs, gens) for fs, gens in records]
-
-    def _inclusion(self) -> list[tuple[int, ...]]:
-        """above from one mask per element: bit j of ``masks[x]`` says that
-        subgroup j contains x, so the subgroups containing H are the AND of
-        the masks of H's generators."""
-        count = len(self.subgroups)
-        masks = [0] * len(self.elements)
-        for j, rec in enumerate(self.subgroups):
-            bit = 1 << j
-            for x in rec.elements:
-                masks[x] |= bit
-        above = []
-        for i, rec in enumerate(self.subgroups):
-            m = (1 << count) - 1 - (1 << i)
-            for g in rec.generators:
-                m &= masks[g]
-            bits = bin(m)[:1:-1]  # bit j at position j
-            js = []
-            j = bits.find("1")
-            while j >= 0:
-                js.append(j)
-                j = bits.find("1", j + 1)
-            above.append(tuple(js))
-        return above
+        least: dict[int, int] = {}  # class number -> lattice id of its least member
+        class_of = [least.setdefault(c, i) for i, (_, (_, c)) in enumerate(records)]
+        return [SubgroupRecord(len(fs), fs, gens) for fs, (gens, _) in records], class_of
 
     # -- queries -----------------------------------------------------------
 
@@ -169,6 +153,15 @@ class SubgroupLattice(FinitePoset):
 
     def index_in_group(self, i: int) -> int:
         return self.group.order // self.subgroups[i].order
+
+    def overgroups(self, i: int, among: Iterable[int] | None = None) -> list[int]:
+        """Ids of the records strictly above record i, in the order of
+        ``among`` (by default every id after i): those of larger order,
+        divisible by |H|, that hold H's generators."""
+        order, gens = self.subgroups[i].order, self.subgroups[i].generators
+        return [j for j in (range(i + 1, len(self.subgroups)) if among is None else among)
+                if (rec := self.subgroups[j]).order > order and rec.order % order == 0
+                and rec.elements.issuperset(gens)]
 
 
 def _is_simple(G: PermutationGroup) -> bool:
@@ -207,23 +200,22 @@ class MoebiusTable:
 
 
 def moebius_to_top(lat: SubgroupLattice) -> MoebiusTable:
-    """mu(H, G) for every H, via mu(H,G) = -sum of mu(K,G) over K with H < K <= G."""
-    count = len(lat.subgroups)
-    mu = [0] * count
-    order_desc = sorted(range(count), key=lambda i: -lat.subgroups[i].order)
-    for i in order_desc:
-        if i == lat.index_of_parent:
-            mu[i] = 1
-        else:
-            mu[i] = -sum(mu[k] for k in lat.above[i])
-    return MoebiusTable(lat, tuple(mu))
+    """mu(H, G) for every H, via mu(H,G) = -sum of mu(K,G) over K with H < K <= G,
+    on the least member of each class, largest first; mu is constant on
+    classes."""
+    mu = [0] * len(lat.subgroups)
+    for h in sorted(set(lat.class_of), reverse=True):  # ids grow with the order
+        mu[h] = 1 if h == lat.index_of_parent else -sum(
+            mu[lat.class_of[k]] for k in lat.overgroups(h))
+    return MoebiusTable(lat, tuple(mu[h] for h in lat.class_of))
 
 
 def maximal_subgroups(lat: SubgroupLattice) -> list[int]:
-    """Indices of the subgroups whose only proper overgroup is the group itself."""
+    """Indices of the subgroups whose only proper overgroup is the group
+    itself, read on the least member of each class."""
     top = lat.index_of_parent
-    return [i for i in range(len(lat.subgroups))
-            if i != top and lat.above[i] == (top,)]
+    maximal = {h for h in set(lat.class_of) if h != top and lat.overgroups(h) == [top]}
+    return [i for i, h in enumerate(lat.class_of) if h in maximal]
 
 
 def lattice_dump(lat: SubgroupLattice, mu: MoebiusTable) -> str:

@@ -51,8 +51,11 @@ The flat lattice enumeration here joins each class representative with
 every prime-power cyclic subgroup; the library joins one cyclic subgroup
 per orbit of the representative's normalizer. Both fill each new class,
 with its members' generators, by ``groups.conjugacy_orbit_of_subgroup``.
-The pairwise inclusion here tests every pair of subgroups; the library
-ANDs one mask per element.
+The pairwise inclusion here tests every pair of subgroups, and
+``relation_moebius`` reads mu off that relation subgroup by subgroup; the
+library stores no relation: ``SubgroupLattice.overgroups`` tests one
+subgroup's generators against the candidates asked for, and mu and the
+maximal subgroups are read on one member of each conjugacy class.
 
 The double-coset marking here walks each double coset K g K element by
 element, under left and right multiplication by K's generators;
@@ -77,11 +80,12 @@ P; ``groups.sylow_subgroup`` computes them as far as its scans need.
 
 The coset inclusion here compares the element sets of every pair of
 cosets, each read off the product table. The vertex relation here
-(``vertex_relation``) takes the cosets above Hx to be Kx for K above H in
-the subgroup lattice, each coset labelled by its least element, read off
-the product table; ``cosets.CosetPoset`` builds no relation on its cosets:
-it lays out each subgroup's cosets once (``CosetPoset.coset_table``) and
-reads the cover pairs of ``dump`` off the covers among its subgroups.
+(``vertex_relation``) takes the cosets above Hx to be Kx for the included
+K above H in the pairwise inclusion, each coset labelled by its least
+element, read off the product table; ``cosets.CosetPoset`` builds no
+relation on its cosets: it lays out each subgroup's cosets once
+(``CosetPoset.coset_table``) and reads the cover pairs of ``dump`` off the
+covers among its subgroups.
 
 The order complex here is walked chain by chain, depth first, into vertex
 tuples (``FaceComplex``); ``complexes.order_complex`` reads a coset poset's
@@ -602,11 +606,13 @@ def vertex_index(poset: CosetPoset,
 def vertex_relation(poset: CosetPoset) -> FinitePoset:
     """The strict order on a coset poset's vertices, numbered by
     ``vertex_index``: the cosets above Hx are the Kx for the included K
-    above H."""
+    above H, by ``pairwise_inclusion`` on the included subgroups."""
     labels = coset_labels(poset)
     index = vertex_index(poset, labels)
-    above = poset.lattice.above
-    return FinitePoset([tuple(index[k, labels[k][x]] for k in above[h] if k in labels)
+    ids = poset.subgroup_ids
+    _, above = pairwise_inclusion([poset.lattice.subgroups[h] for h in ids])
+    position = {h: i for i, h in enumerate(ids)}
+    return FinitePoset([tuple(index[ids[k], labels[ids[k]][x]] for k in above[position[h]])
                         for h, x in index])
 
 
@@ -914,6 +920,17 @@ def pairwise_inclusion(subgroups) -> tuple[list[tuple[int, ...]], list[tuple[int
                 below[j].append(i)
                 above[i].append(j)
     return ([tuple(b) for b in below], [tuple(a) for a in above])
+
+
+def relation_moebius(above) -> tuple[int, ...]:
+    """mu(H, G) for subgroup records sorted by order, the last one G, from
+    their strict relation ``above``: mu(G, G) = 1 and mu(H, G) = -sum of
+    mu(K, G) over K above H."""
+    mu = [0] * len(above)
+    mu[-1] = 1
+    for i in reversed(range(len(above) - 1)):
+        mu[i] = -sum(mu[k] for k in above[i])
+    return tuple(mu)
 
 
 def translate_intermediate_subgroups(

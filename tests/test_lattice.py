@@ -30,7 +30,8 @@ from cosetposets.lattice import (
 from cosetposets.perm import Permutation, parse_permutation
 from cosetposets.zeta import brute_force_generation_probability, hall_polynomial
 from oracles import (conj_element, flat_enumeration, flat_subgroup_records,
-                     normalizer_orbit_count, pairwise_inclusion, product_table)
+                     normalizer_orbit_count, pairwise_inclusion, product_table,
+                     relation_moebius)
 
 CATALOG = {e.name: e for e in load_catalog(verify=False)}
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
@@ -110,12 +111,17 @@ def test_lattice_matches_flat_enumeration_and_pairwise_inclusion(name, seed):
     """Joins by normalizer orbits, stopped at the proper-order ceiling
     (|G| // k for a simple G, k the least integer with |G| dividing k!;
     half of G otherwise), give the records of joining every cyclic subgroup
-    to the end, generators included; the inclusion masks give the relation
-    of the pairwise subset test."""
+    to the end, generators included; ``overgroups`` gives the relation of
+    the pairwise subset test, and the Moebius values and the maximal
+    subgroups, read one class at a time, are that relation's."""
     G = _relabelled(CATALOG[name].build(), seed)
     lat = enumerate_subgroups(G)
     assert lat.subgroups == flat_subgroup_records(G)
-    assert (lat.below, lat.above) == pairwise_inclusion(lat.subgroups)
+    _, above = pairwise_inclusion(lat.subgroups)
+    assert [tuple(lat.overgroups(i)) for i in range(len(lat))] == above
+    assert moebius_to_top(lat).mu_to_top == relation_moebius(above)
+    assert maximal_subgroups(lat) == [i for i, up in enumerate(above)
+                                      if up == (lat.index_of_parent,)]
 
 
 def _record_joins(monkeypatch) -> list[tuple[tuple[int, ...], frozenset[int], frozenset[int]]]:
@@ -219,7 +225,7 @@ def test_bounded_joins_match_unbounded_closures(name, monkeypatch):
 
 def _interval_above(lat, H):
     i = lat.find(H)
-    return {lat.subgroups[j].elements for j in (i, *lat.above[i])}
+    return {lat.subgroups[j].elements for j in (i, *lat.overgroups(i))}
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "S5", "PSL(2,7)", "A6"])
@@ -239,8 +245,10 @@ def test_interval_above_sylow_matches_overgroup_census(name):
 def test_a7_lattice_certificates(monkeypatch):
     """The A7 lattice: 3,786 subgroups in 40 classes, each class size
     dividing |G : K|; the largest proper ones, the A6s, have the ceiling's
-    order 360; the interval above the fixed Sylow 2-subgroup is the A_7
-    census; P(2) is the tuple oracle's 229/315."""
+    order 360; its 93 maximal subgroups are the members of the ATLAS's five
+    classes (7 A6, 15 and 15 PSL(2,7), 21 S5, 35 (A4 x 3):2); the interval
+    above the fixed Sylow 2-subgroup is the A_7 census; P(2) is the tuple
+    oracle's 229/315."""
     monkeypatch.setattr(lattice, "LATTICE_ORDER_BOUND", 2520)
     env = a7.build_environment()
     G = env.A7
@@ -255,7 +263,8 @@ def test_a7_lattice_certificates(monkeypatch):
         assert (G.order // rec.order) % len(orbit) == 0
         unclassed -= orbit
         classes += 1
-    assert classes == 40
+    assert classes == len(set(lat.class_of)) == 40
+    assert len(maximal_subgroups(lat)) == 93
     census = env.overgroups("A7")
     assert len(census) == 12
     assert _interval_above(lat, env.P) == {r.elements for r in census}
@@ -269,7 +278,9 @@ def test_s7_lattice_interval_matches_overgroup_census(monkeypatch):
     """The S7 lattice (11,300 subgroups) certifies the S_7 census from an
     independent search: the interval above the fixed Sylow 2-subgroup is
     the census's 20 records. S_7 is not simple, and A_7 has the ceiling's
-    order |S_7| // 2."""
+    order |S_7| // 2. Its 184 maximal subgroups are the members of the
+    ATLAS's five classes (1 A7, 7 S6, 21 S5 x 2, 35 S4 x S3, 120 7:6), and
+    P(-1) = 2,662,800."""
     monkeypatch.setattr(lattice, "LATTICE_ORDER_BOUND", 5040)
     env = a7.build_environment()
     lat = SubgroupLattice(env.S7)
@@ -278,6 +289,8 @@ def test_s7_lattice_interval_matches_overgroup_census(monkeypatch):
     census = env.overgroups("S7")
     assert len(census) == 20
     assert _interval_above(lat, env.P) == {r.elements for r in census}
+    assert len(maximal_subgroups(lat)) == 184
+    assert hall_polynomial(lat, moebius_to_top(lat)).evaluate(-1) == 2662800
 
 
 @pytest.mark.parametrize("relabel", [False, True])
@@ -289,15 +302,12 @@ def test_known_subgroup_and_class_counts(name, subgroups, classes, relabel):
         G = _relabelled(G, seed=7)
     lat = enumerate_subgroups(G)
     assert len(lat) == subgroups
-    unclassed = set(lat.subgroup_index)
-    orbits = 0
-    while unclassed:
-        rec = lat.subgroups[lat.subgroup_index[next(iter(unclassed))]]
+    assert len(set(lat.class_of)) == classes
+    for h in set(lat.class_of):  # each class is its least member's conjugacy orbit
+        ids = [i for i, c in enumerate(lat.class_of) if c == h]
+        rec = lat.subgroups[h]
         orbit = {fs for fs, _, _ in conjugacy_orbit_of_subgroup(G, rec.elements, rec.generators)}
-        assert orbit <= unclassed
-        unclassed -= orbit
-        orbits += 1
-    assert orbits == classes
+        assert ids[0] == h and {lat.subgroups[i].elements for i in ids} == orbit
 
 
 def test_conjugacy_orbit_matches_conjugation_by_every_element():
@@ -378,8 +388,9 @@ def test_moebius_defining_identity():
               alternating_group(4)]:
         lat = enumerate_subgroups(G)
         mu = moebius_to_top(lat)
+        _, above = pairwise_inclusion(lat.subgroups)
         for h in range(len(lat.subgroups)):
-            interval = [k for k in lat.above[h]] + [h]
+            interval = [*above[h], h]
             total = sum(mu[k] for k in interval)
             assert total == (1 if h == lat.index_of_parent else 0)
 
@@ -430,11 +441,15 @@ def _cyclic_span_size(lat, x):
 
 
 def test_inclusion_respects_lagrange():
+    """Each overgroup is a proper superset of order divisible by |H|; among
+    given ids, ``overgroups`` keeps those of the full query, in their order."""
     lat = enumerate_subgroups(symmetric_group(4))
-    for j, entry in enumerate(lat.subgroups):
-        for i in lat.below[j]:
-            assert entry.order % lat.subgroups[i].order == 0
-            assert lat.subgroups[i].elements < entry.elements
+    evens = range(0, len(lat), 2)[::-1]
+    for i, entry in enumerate(lat.subgroups):
+        for j in lat.overgroups(i):
+            assert lat.subgroups[j].order % entry.order == 0
+            assert entry.elements < lat.subgroups[j].elements
+        assert lat.overgroups(i, evens) == [j for j in evens if j in lat.overgroups(i)]
 
 
 def test_order_bound_enforced():

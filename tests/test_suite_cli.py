@@ -238,9 +238,10 @@ def test_cli_homology_past_the_face_budget_is_refused(capsys, monkeypatch):
 
 def test_homology_path_builds_no_vertex_relation(small_catalog, capsys, monkeypatch):
     """The homology, join and reciprocity suites and `compute homology`,
-    `zeta` and `poset` read coset posets off their subgroup chains: no
-    poset they build has more elements than the group has subgroups (S4
-    has 30, C(S4) 233 cosets; S3 has 6, C(S3) 17)."""
+    `zeta` and `poset` read coset posets off their subgroup chains, and
+    the lattice is no poset: the largest poset they build is the chains of
+    the proper subgroups (S4 has 29 of its 30 subgroups, against 233
+    cosets in C(S4); S3 has 5 of 6, against 17 in C(S3))."""
     sizes = []
     build = FinitePoset.__init__
 
@@ -257,11 +258,11 @@ def test_homology_path_builds_no_vertex_relation(small_catalog, capsys, monkeypa
         assert main(["compute", "homology", "--group", "S4"]) == 0
         assert main(["compute", "zeta", "--group", "S4",
                      "--relative-to", "(1,2)(3,4),(1,3)(2,4)"]) == 0
-        assert sizes and max(sizes) <= 30
+        assert sizes and max(sizes) < 30
         sizes.clear()
         capsys.readouterr()
         assert main(["compute", "poset", "--group", "S3"]) == 0
-        assert sizes and max(sizes) <= 6
+        assert sizes and max(sizes) < 6
     S3 = symmetric_group(3)
     dump = build_coset_poset(S3, enumerate_subgroups(S3)).dump()
     assert capsys.readouterr().out == dump and dump.count("<") == 24
