@@ -24,7 +24,6 @@ from .groups import (
     sylow_subgroup,
 )
 from .lattice import (
-    MoebiusTable,
     SubgroupLattice,
     enumerate_subgroups,
     lattice_dump,

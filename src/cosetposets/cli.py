@@ -10,7 +10,7 @@ from .catalog import catalog_group
 from .complexes import order_complex, reduced_betti
 from .cosets import CosetPoset, proper_subgroup_ids, supplement_ids
 from .groups import BudgetExceededError, PermutationGroup, _is_prime, is_normal_subgroup
-from .lattice import MoebiusTable, enumerate_subgroups, lattice_dump, moebius_to_top
+from .lattice import enumerate_subgroups, lattice_dump, moebius_to_top
 from .perm import parse_permutation_list
 from .suite import ALL_SUITES, SuiteConfig, run_suite
 from .zeta import evaluate, hall_polynomial
@@ -132,9 +132,8 @@ def _run(args) -> int:
         # the terms of G and of the subgroups whose cosets make the poset:
         # P_G, or with --relative-to Brown's P_{G,N}, so that P(-1) = -hat
         kept = {*ids, lat.index_of_parent}
-        mu = moebius_to_top(lat).mu_to_top
-        poly = hall_polynomial(lat, MoebiusTable(lat, tuple(
-            m if i in kept else 0 for i, m in enumerate(mu))))
+        poly = hall_polynomial(lat, tuple(
+            m if i in kept else 0 for i, m in enumerate(moebius_to_top(lat))))
         print("coefficients (index: value):")
         for n, a in poly.coefficients:
             print(f"  {n}: {a}")

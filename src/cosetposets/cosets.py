@@ -172,10 +172,10 @@ class CosetPoset:
         """One vertex per line, numbered as in ``vertices``, then the cover
         pairs u<v, by v, then by u. Hx is covered by Kx exactly when H is
         covered by K among the included subgroups."""
-        lat, element, ids = self.lattice, Permutation._from_bytes, self.subgroup_ids
+        lat, ids, elements = self.lattice, self.subgroup_ids, self.lattice.group.element_bytes()
         chains, index = self.subgroup_chains
         offset = list(accumulate(index, initial=0))
-        cycles = {r: cycle_string(element(lat.elements[r]))
+        cycles = {r: cycle_string(Permutation._from_bytes(elements[r]))
                   for r in set(map(itemgetter(1), self.vertices))}
         lines = [f"{lat.subgroups[h].order}:{cycles[r]}" for h, r in self.vertices]
         lines.append("--covers--")
@@ -207,10 +207,9 @@ def supplement_ids(G: PermutationGroup, N: PermutationGroup,
     """Lattice ids of the proper subgroups H with HN = G, whose cosets make
     C(G, N), for N normal in G."""
     lat.check_group(G)
-    ni = lat.find(N)
     if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
-    n_set = lat.subgroups[ni].elements
+    n_set = subgroup_indices(G, N)
     return [i for i, rec in enumerate(lat.subgroups)
             if _proper_supplement(rec, n_set, G.order)]
 

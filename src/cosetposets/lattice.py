@@ -17,17 +17,16 @@ trivial kernel, so G embeds in S_k (the index argument; Dixon and Mortimer,
 *Permutation Groups*, 1996). Once G is found, a representative H gets no
 join at all when |H| p passes the ceiling, p the least prime dividing
 |G : H|: every proper overgroup of H would have order at least |H| p.
-Subgroups are stored as frozensets of indices into the canonical (sorted)
-element enumeration of the parent group, which makes identity canonical.
-No inclusion relation is stored: ``overgroups`` tests one subgroup's
-generators against the candidates asked for. mu(H, G) and maximality are
-constant on conjugacy classes (P. Hall, "The Eulerian functions of a
-group", 1936), so each is read on the least member of each class.
+Subgroups are stored as frozensets of indices into the group's one element
+table, ``group.element_bytes()``, and no relation or second index is kept:
+``overgroups`` tests one subgroup's generators against the candidates asked
+for. mu(H, G) and maximality are constant on conjugacy classes (P. Hall,
+"The Eulerian functions of a group", 1936), so each is read on the least
+member of each class; ``moebius_to_top`` gives mu by lattice id, a tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .groups import (
@@ -43,7 +42,6 @@ from .groups import (
     _orbit,
     _p_part,
     conjugacy_orbit_of_subgroup,
-    subgroup_indices,
 )
 
 LATTICE_ORDER_BOUND = 1000
@@ -59,13 +57,9 @@ class SubgroupLattice:
                 f"subgroup lattice needs |G| <= {LATTICE_ORDER_BOUND}, got {group.order}")
         self.group = group
         self.ceiling = proper_order_ceiling(group)
-        self.elements: tuple[bytes, ...] = group.element_bytes()
-        if self.elements[0] != bytes(range(group.degree)):
+        if group.element_bytes()[0] != bytes(range(group.degree)):
             raise RuntimeError("the identity does not sort first in the element table")
         self.subgroups, self.class_of = self._enumerate()
-        self.subgroup_index: dict[frozenset[int], int] = {
-            e.elements: i for i, e in enumerate(self.subgroups)
-        }
         self.index_of_parent = len(self.subgroups) - 1  # the one largest
 
     def __len__(self) -> int:
@@ -81,7 +75,8 @@ class SubgroupLattice:
 
     def _enumerate(self) -> tuple[list[SubgroupRecord], list[int]]:
         G = self.group
-        n = len(self.elements)
+        elements = G.element_bytes()
+        n = len(elements)
         conj_rows = _conjugation_rows(G)
         # the least generator of each cyclic subgroup; joins try prime-power ones
         subgroups, position, _ = G._cyclic_table()
@@ -105,7 +100,7 @@ class SubgroupLattice:
             if len(N) == n:
                 conjugators = [row.__getitem__ for row in conj_rows]
             else:
-                conjugators = [_conjugator(G, self.elements[g]) for g in n_gens]
+                conjugators = [_conjugator(G, elements[g]) for g in n_gens]
             # each z not in H, mapped to its images under the generators of
             # N_G(H); N_G(H) fixes H, so they are again not in H
             step = {z: [least[position[conj(z)]] for conj in conjugators]
@@ -135,16 +130,6 @@ class SubgroupLattice:
         return [SubgroupRecord(len(fs), fs, gens) for fs, (gens, _) in records], class_of
 
     # -- queries -----------------------------------------------------------
-
-    def find(self, H: PermutationGroup) -> int:
-        """Lattice index of a subgroup given as a group."""
-        if H.degree != self.group.degree:
-            raise ValueError("degree mismatch")
-        try:
-            fs = subgroup_indices(self.group, H)
-        except KeyError:
-            raise ValueError("H is not a subgroup of the lattice's group") from None
-        return self.subgroup_index[fs]
 
     def check_group(self, G: PermutationGroup) -> None:
         """Raise ValueError unless this is the lattice of G."""
@@ -189,25 +174,15 @@ def enumerate_subgroups(G: PermutationGroup) -> SubgroupLattice:
     return SubgroupLattice(G)
 
 
-@dataclass(frozen=True)
-class MoebiusTable:
-    """Moebius values mu(H, G) on a subgroup lattice."""
-    lattice: SubgroupLattice
-    mu_to_top: tuple[int, ...]
-
-    def __getitem__(self, i: int) -> int:
-        return self.mu_to_top[i]
-
-
-def moebius_to_top(lat: SubgroupLattice) -> MoebiusTable:
-    """mu(H, G) for every H, via mu(H,G) = -sum of mu(K,G) over K with H < K <= G,
-    on the least member of each class, largest first; mu is constant on
-    classes."""
+def moebius_to_top(lat: SubgroupLattice) -> tuple[int, ...]:
+    """mu(H, G) for every H, indexed by lattice id, via mu(H,G) = -sum of
+    mu(K,G) over K with H < K <= G, on the least member of each class,
+    largest first; mu is constant on classes."""
     mu = [0] * len(lat.subgroups)
     for h in sorted(set(lat.class_of), reverse=True):  # ids grow with the order
         mu[h] = 1 if h == lat.index_of_parent else -sum(
             mu[lat.class_of[k]] for k in lat.overgroups(h))
-    return MoebiusTable(lat, tuple(mu[h] for h in lat.class_of))
+    return tuple(mu[h] for h in lat.class_of)
 
 
 def maximal_subgroups(lat: SubgroupLattice) -> list[int]:
@@ -218,7 +193,7 @@ def maximal_subgroups(lat: SubgroupLattice) -> list[int]:
     return [i for i, h in enumerate(lat.class_of) if h in maximal]
 
 
-def lattice_dump(lat: SubgroupLattice, mu: MoebiusTable) -> str:
+def lattice_dump(lat: SubgroupLattice, mu: tuple[int, ...]) -> str:
     """One subgroup per line: order;sorted element indices;mu. Stable ordering."""
     lines = []
     for i, entry in enumerate(lat.subgroups):

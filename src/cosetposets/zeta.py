@@ -20,7 +20,7 @@ from math import prod
 
 from .groups import (BudgetExceededError, PermutationGroup, _conjugator, _generated_order,
                      _normalizer, _orbit)
-from .lattice import MoebiusTable, SubgroupLattice
+from .lattice import SubgroupLattice
 
 TUPLE_BUDGET = 10**7
 
@@ -46,10 +46,12 @@ class DirichletPolynomial:
         return f"<DirichletPolynomial {body}>"
 
 
-def hall_polynomial(lat: SubgroupLattice, mu: MoebiusTable) -> DirichletPolynomial:
-    """a_n = sum of mu(H, G) over subgroups of index n."""
-    if mu.lattice is not lat:
-        raise ValueError("Moebius table does not belong to the lattice")
+def hall_polynomial(lat: SubgroupLattice, mu: tuple[int, ...]) -> DirichletPolynomial:
+    """a_n = sum of mu(H, G) over subgroups of index n; ``mu`` holds one
+    value per lattice id, as ``moebius_to_top`` gives it."""
+    if len(mu) != len(lat.subgroups):
+        raise ValueError(
+            f"mu has {len(mu)} values for a lattice of {len(lat.subgroups)} subgroups")
     coeffs: dict[int, int] = {}
     for i, entry in enumerate(lat.subgroups):
         n = lat.group.order // entry.order

@@ -536,7 +536,7 @@ def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
     if triple.automorphism is not None:
         conj = triple.automorphism.conjugator
         alpha = []
-        for b in lat.elements:
+        for b in lat.group.element_bytes():
             img = Permutation._from_bytes(b) ** conj
             j = index.get(img._b)
             if j is None:
@@ -553,10 +553,11 @@ def vertex_action_map(poset: CosetPoset, triple: ActionTriple) -> list[int]:
         y = mul[mul[g_inv][x]][gi]
         return alpha[y] if alpha is not None else y
 
+    ids = lattice_ids(lat)
     sub_image: dict[int, int] = {}
     for si in poset.subgroup_ids:
         fs = frozenset(subgroup_conj(x) for x in lat.subgroups[si].elements)
-        target = lat.subgroup_index[fs]
+        target = ids[fs]
         if target not in poset.subgroup_ids:
             raise ValueError("action does not preserve the poset")
         sub_image[si] = target
@@ -659,7 +660,8 @@ def vertex_chi_and_hat(poset: CosetPoset) -> tuple[int, int]:
 
 def subgroup_as_group(lat, i: int) -> PermutationGroup:
     """The i-th subgroup of a lattice, rebuilt from its generator indices."""
-    gens = [Permutation._from_bytes(lat.elements[g]) for g in lat.subgroups[i].generators]
+    elems = lat.group.element_bytes()
+    gens = [Permutation._from_bytes(elems[g]) for g in lat.subgroups[i].generators]
     return PermutationGroup(gens, lat.group.degree)
 
 
@@ -902,6 +904,12 @@ def normalizer_orbit_count(G: PermutationGroup, H: frozenset[int]) -> int:
     orbits = {frozenset(frozenset(conj_element(G, x, g) for x in C) for g in normalizer)
               for C in cyclic}
     return len(orbits)
+
+
+def lattice_ids(lat) -> dict[frozenset[int], int]:
+    """Each subgroup's lattice id, keyed by its element set: the lattice
+    keeps no such index, so tests that meet a subgroup as a set read it here."""
+    return {rec.elements: i for i, rec in enumerate(lat.subgroups)}
 
 
 def pairwise_inclusion(subgroups) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:

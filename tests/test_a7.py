@@ -379,7 +379,7 @@ def test_smith_criterion_agrees_with_poset_action_on_small_group():
     fixed = action_fixed_points(poset, smith_action_group(spec))
     by_action = sorted(
         (lat.subgroups[hi].order,
-         cycle_string(Permutation._from_bytes(lat.elements[r])))
+         cycle_string(Permutation._from_bytes(lat.group.element_bytes()[r])))
         for hi, r in (poset.vertices[v] for v in fixed))
     assert by_action == by_criterion["fully_fixed"]
     assert len(by_criterion["translation_fixed"]) == 2

@@ -52,6 +52,7 @@ from oracles import (
     coset_complex_faces,
     dense_boundary_ranks,
     join,
+    lattice_ids,
     recursive_order_complex,
     reduced_euler_characteristic,
     stong_core,
@@ -452,11 +453,11 @@ def test_betti_numbers_label_and_block_only_the_core(monkeypatch):
     S4 = symmetric_group(4)
     lat = enumerate_subgroups(S4)
     poset = build_coset_poset(S4, lat)
-    labelled = []
+    labelled, ids = [], lattice_ids(lat)
     label = cosets.right_coset_reps
 
     def recording(G, elements):
-        labelled.append(lat.subgroup_index[elements])
+        labelled.append(ids[elements])
         return label(G, elements)
 
     monkeypatch.setattr(cosets, "right_coset_reps", recording)

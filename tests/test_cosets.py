@@ -15,6 +15,7 @@ from cosetposets.cosets import (
     build_coset_poset,
     build_relative_poset,
     fixed_cosets,
+    supplement_ids,
 )
 from cosetposets.groups import (
     PermutationGroup,
@@ -37,6 +38,7 @@ from oracles import (
     coset_inclusion_pairs,
     coset_labels,
     labelled_fixed_cosets,
+    lattice_ids,
     relation_pairs,
     subgroup_as_group,
     translation_action_group,
@@ -212,25 +214,38 @@ def test_relative_poset_requires_normal():
         build_relative_poset(S3, _group("(1,2)", degree=3), lat)
 
 
+@pytest.mark.parametrize("build", [build_relative_poset, supplement_ids])
+@pytest.mark.parametrize("N, message", [
+    (_group("(1,2)(3,4)", "(1,3)(2,4)", degree=5), "degree mismatch"),
+    (_group("(1,2)", degree=4), "N is not a subgroup of G"),
+    (_group("(1,2)(3,4)", degree=4), "N is not normal in G"),
+], ids=["other-degree", "outside-G", "not-normal"])
+def test_relative_poset_refuses_n_not_normal_in_g(build, N, message):
+    """An N of another degree, an N outside G and an N not normal in G are
+    each refused with ``is_normal_subgroup``'s or the normality message."""
+    A4 = alternating_group(4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(A4, N, enumerate_subgroups(A4))
+
+
 def test_relative_membership_is_conjugation_invariant():
     S4 = symmetric_group(4)
     lat = enumerate_subgroups(S4)
     V4 = _group("(1,2)(3,4)", "(1,3)(2,4)", degree=4)
     rel = build_relative_poset(S4, V4, lat)
-    qualifying = set(rel.subgroup_ids)
+    qualifying, ids = set(rel.subgroup_ids), lattice_ids(lat)
     for g in S4.generators:
         gi = S4.element_index()[g._b]
         for hi in qualifying:
             image = frozenset(conj_element(S4, x, gi)
                               for x in lat.subgroups[hi].elements)
-            assert lat.subgroup_index[image] in qualifying
+            assert ids[image] in qualifying
 
 
 def _fixed_vertices(poset, fixed):
     """Poset vertex ids of the (SubgroupRecord, r) pairs from fixed_cosets."""
-    lat = poset.lattice
-    index = vertex_index(poset)
-    return [index[lat.subgroup_index[rec.elements], r] for rec, r in fixed]
+    index, ids = vertex_index(poset), lattice_ids(poset.lattice)
+    return [index[ids[rec.elements], r] for rec, r in fixed]
 
 
 def test_fixed_cosets_z2():

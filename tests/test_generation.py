@@ -37,8 +37,8 @@ from cosetposets.catalog import load_catalog
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, cycle_string, parse_permutation
 from oracles import (_long_cycle_unrank, action_fixed_points, cycle_flood_sweep,
-                     full_scan_sylow_subgroup, generator_walk_p_orbits, scan_conjugate_sweep,
-                     translation_action_group, vertex_index)
+                     full_scan_sylow_subgroup, generator_walk_p_orbits, lattice_ids,
+                     scan_conjugate_sweep, translation_action_group, vertex_index)
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
@@ -490,6 +490,6 @@ def test_universal_generation_forces_empty_fixed_sets_on_posets():
         rel = build_relative_poset(G, N, lat)
         by_action = action_fixed_points(rel, translation_action_group(P, K))
         index = vertex_index(rel)
-        by_criterion = [index[lat.subgroup_index[rec.elements], r]
+        by_criterion = [index[lattice_ids(lat)[rec.elements], r]
                         for rec, r in fixed_cosets(G, N, intermediate_subgroups(G, P), K)]
         assert by_criterion == by_action == []

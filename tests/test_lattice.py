@@ -9,13 +9,13 @@ from cosetposets import a7, groups, lattice
 from cosetposets.catalog import load_catalog
 from cosetposets.groups import (
     BudgetExceededError,
-    PermutationGroup,
     alternating_group,
     conjugacy_orbit_of_subgroup,
     conjugate_indices,
     cyclic_group,
     intermediate_subgroups,
     minimal_normal_subgroups,
+    subgroup_indices,
     symmetric_group,
     sylow_subgroup,
 )
@@ -27,9 +27,9 @@ from cosetposets.lattice import (
     moebius_to_top,
     proper_order_ceiling,
 )
-from cosetposets.perm import Permutation, parse_permutation
+from cosetposets.perm import Permutation
 from cosetposets.zeta import brute_force_generation_probability, hall_polynomial
-from oracles import (conj_element, flat_enumeration, flat_subgroup_records,
+from oracles import (conj_element, flat_enumeration, flat_subgroup_records, lattice_ids,
                      normalizer_orbit_count, pairwise_inclusion, product_table,
                      relation_moebius)
 
@@ -94,7 +94,7 @@ def pairwise_join_subgroups(lat):
                          + ["S5", "PSL(2,7)"])
 def test_class_enumeration_matches_pairwise_join_oracle(name):
     lat = enumerate_subgroups(CATALOG[name].build())
-    assert set(lat.subgroup_index) == pairwise_join_subgroups(lat)
+    assert set(lattice_ids(lat)) == pairwise_join_subgroups(lat)
     for e in lat.subgroups:
         assert lat._span(e.generators) == e.elements
 
@@ -119,7 +119,7 @@ def test_lattice_matches_flat_enumeration_and_pairwise_inclusion(name, seed):
     assert lat.subgroups == flat_subgroup_records(G)
     _, above = pairwise_inclusion(lat.subgroups)
     assert [tuple(lat.overgroups(i)) for i in range(len(lat))] == above
-    assert moebius_to_top(lat).mu_to_top == relation_moebius(above)
+    assert moebius_to_top(lat) == relation_moebius(above)
     assert maximal_subgroups(lat) == [i for i, up in enumerate(above)
                                       if up == (lat.index_of_parent,)]
 
@@ -209,10 +209,11 @@ def test_bounded_joins_match_unbounded_closures(name, monkeypatch):
         assert groups._closure(G, gens, start) == K
     full = G._full_set()
     starts = {start for _, start, _ in joins}
-    unclassed = set(lat.subgroup_index) - {full}
+    ids = lattice_ids(lat)
+    unclassed = set(ids) - {full}
     passed_over = 0
     while unclassed:
-        rec = lat.subgroups[lat.subgroup_index[next(iter(unclassed))]]
+        rec = lat.subgroups[ids[next(iter(unclassed))]]
         orbit = {fs for fs, _, _ in conjugacy_orbit_of_subgroup(G, rec.elements, rec.generators)}
         unclassed -= orbit
         if orbit.isdisjoint(starts):
@@ -224,7 +225,7 @@ def test_bounded_joins_match_unbounded_closures(name, monkeypatch):
 
 
 def _interval_above(lat, H):
-    i = lat.find(H)
+    i = lattice_ids(lat)[subgroup_indices(lat.group, H)]
     return {lat.subgroups[j].elements for j in (i, *lat.overgroups(i))}
 
 
@@ -255,10 +256,11 @@ def test_a7_lattice_certificates(monkeypatch):
     lat = SubgroupLattice(G)
     assert len(lat) == 3786
     assert lat.subgroups[-2].order == lat.ceiling == 360
-    unclassed = set(lat.subgroup_index)
+    ids = lattice_ids(lat)
+    unclassed = set(ids)
     classes = 0
     while unclassed:
-        rec = lat.subgroups[lat.subgroup_index[next(iter(unclassed))]]
+        rec = lat.subgroups[ids[next(iter(unclassed))]]
         orbit = {fs for fs, _, _ in conjugacy_orbit_of_subgroup(G, rec.elements, rec.generators)}
         assert (G.order // rec.order) % len(orbit) == 0
         unclassed -= orbit
@@ -377,7 +379,7 @@ def test_moebius_values_s3():
     lat = enumerate_subgroups(symmetric_group(3))
     mu = moebius_to_top(lat)
     assert mu[lat.index_of_parent] == 1
-    assert mu[lat.subgroup_index[frozenset({0})]] == 3
+    assert mu[lattice_ids(lat)[frozenset({0})]] == 3
     for i, e in enumerate(lat.subgroups):
         if e.order == 2:
             assert mu[i] == -1
@@ -397,17 +399,17 @@ def test_moebius_defining_identity():
 
 def test_join_closure_invariant():
     lat = enumerate_subgroups(symmetric_group(4))
-    subs = lat.subgroups
+    subs, ids = lat.subgroups, lattice_ids(lat)
     for i in range(0, len(subs), 3):
         for j in range(0, len(subs), 5):
             gens = subs[i].generators + subs[j].generators
-            assert lat._span(gens) in lat.subgroup_index
+            assert lat._span(gens) in ids
 
 
 def test_conjugation_permutes_subgroup_list():
     G = alternating_group(5)
     lat = enumerate_subgroups(G)
-    all_sets = set(lat.subgroup_index)
+    all_sets = set(lattice_ids(lat))
     for g in G.generators:
         gi = G.element_index()[g._b]
         for fs in all_sets:
@@ -465,13 +467,3 @@ def test_lattice_dump_is_stable():
     assert d1 == d2
     assert d1.splitlines()[0] == "1;0;3"
 
-
-def test_find_subgroup():
-    S4 = symmetric_group(4)
-    lat = enumerate_subgroups(S4)
-    V4 = PermutationGroup([parse_permutation("(1,2)(3,4)", 4),
-                           parse_permutation("(1,3)(2,4)", 4)])
-    i = lat.find(V4)
-    assert lat.subgroups[i].order == 4
-    with pytest.raises(ValueError):
-        lat.find(PermutationGroup([parse_permutation("(1,2)", 2)]))

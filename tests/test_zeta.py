@@ -7,7 +7,7 @@ import pytest
 from cosetposets import zeta
 from cosetposets.catalog import load_catalog
 from cosetposets.complexes import poset_reduced_euler_characteristic
-from cosetposets.cosets import build_coset_poset
+from cosetposets.cosets import build_coset_poset, supplement_ids
 from cosetposets.groups import (
     BudgetExceededError,
     PermutationGroup,
@@ -46,6 +46,28 @@ def test_hall_polynomial_klein_four():
                            parse_permutation("(1,3)(2,4)", 4)])
     poly, _ = _hall(V4)
     assert poly.as_dict() == {1: 1, 2: -3, 4: 2}
+
+
+def test_hall_polynomial_takes_one_mu_per_lattice_id():
+    """``hall_polynomial`` sums a mu tuple indexed by lattice id: the one
+    ``moebius_to_top`` returns, and one masked to G and the supplements of
+    V4 as ``compute zeta --relative-to`` builds it (Brown's P_{S4,V4},
+    P(-1) = -15); a tuple shorter or longer than the lattice is refused."""
+    S4 = symmetric_group(4)
+    lat = enumerate_subgroups(S4)
+    mu = moebius_to_top(lat)
+    assert type(mu) is tuple and len(mu) == len(lat) == 30
+    assert hall_polynomial(lat, mu).as_dict() == {
+        1: 1, 2: -1, 3: -3, 4: -4, 6: 3, 8: 4, 12: 12, 24: -12}
+    V4 = PermutationGroup([parse_permutation("(1,2)(3,4)", 4),
+                           parse_permutation("(1,3)(2,4)", 4)])
+    kept = {*supplement_ids(S4, V4, lat), lat.index_of_parent}
+    poly = hall_polynomial(lat, tuple(m if i in kept else 0 for i, m in enumerate(mu)))
+    assert poly.as_dict() == {1: 1, 4: -4}
+    assert evaluate(poly, -1) == -15
+    for wrong in (mu[:-1], mu + (0,), ()):
+        with pytest.raises(ValueError, match=f"^mu has {len(wrong)} values for a lattice of 30 "):
+            hall_polynomial(lat, wrong)
 
 
 def test_evaluate_s3():
