@@ -19,7 +19,7 @@ so no coset of A_7 or S_7 is labelled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cosets import OvergroupAutomorphism, fixed_cosets
 from .groups import (
@@ -29,6 +29,7 @@ from .groups import (
     conjugacy_orbit_of_subgroup,
     conjugate_indices,
     diagonal_embedding,
+    direct_power,
     embed_in_power,
     generated_order,
     intermediate_subgroups,
@@ -54,7 +55,7 @@ class A7Environment:
     censuses: dict[str, list[SubgroupRecord]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
-    @property
+    @cached_property
     def K(self) -> PermutationGroup:
         return PermutationGroup([self.seven_cycle], 7)
 
@@ -179,12 +180,7 @@ def check_rho_on_power(t: int) -> dict:
     factors = [PermutationGroup([embed_in_power(g, b, t) for g in env.A7.generators])
                for b in range(t)]
     report["normalizes_factors"] = all(Li.is_normalized_by(rho) for Li in factors)
-    P_prod = PermutationGroup(
-        [embed_in_power(g, b, t) for b in range(t) for g in env.P.generators])
-    if P_prod.order != env.P.order ** t:
-        raise RuntimeError(f"the product of the factors' P has order {P_prod.order}, "
-                           f"not |P|^{t} = {env.P.order ** t}")
-    report["normalizes_P_product"] = P_prod.is_normalized_by(rho)
+    report["normalizes_P_product"] = direct_power(env.P, t).is_normalized_by(rho)
     K_diag = diagonal_embedding(env.K, t)
     report["normalizes_K"] = K_diag.is_normalized_by(rho)
     per_factor = []

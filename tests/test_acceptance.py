@@ -84,8 +84,7 @@ def test_criterion_1_reciprocity(ws):
     for entry in ws.entries:
         if entry.expected_order > 120:
             continue
-        lat, mu = ws.lattice(entry.name)
-        poly = hall_polynomial(lat, mu)
+        poly = hall_polynomial(ws.lattice(entry.name), ws.mu(entry.name))
         poset = ws.coset_poset(entry.name)
         chi = poset_reduced_euler_characteristic(poset)
         hat = poset.moebius_bottom_to_top()
@@ -104,8 +103,7 @@ def test_criterion_1_reciprocity(ws):
 def test_criterion_2_worked_values(ws):
     s3_chi = poset_reduced_euler_characteristic(ws.coset_poset("S3"))
     s3_betti = _betti(ws, "S3")
-    lat3, mu3 = ws.lattice("S3")
-    s3_p = evaluate(hall_polynomial(lat3, mu3), -1)
+    s3_p = evaluate(hall_polynomial(ws.lattice("S3"), ws.mu("S3")), -1)
 
     v4_chi = poset_reduced_euler_characteristic(ws.coset_poset("C2xC2"))
     v4_betti = _betti(ws, "C2xC2")
@@ -113,9 +111,8 @@ def test_criterion_2_worked_values(ws):
     z4_chi = poset_reduced_euler_characteristic(ws.coset_poset("C4"))
     z4_betti = _betti(ws, "C4")
     Z4 = ws.group("C4")
-    lat4, _ = ws.lattice("C4")
     Z2 = PermutationGroup(parse_permutation_list("(1,3)(2,4)", 4), 4)
-    rel = build_relative_poset(Z4, Z2, lat4)
+    rel = build_relative_poset(Z4, Z2, ws.lattice("C4"))
     rel_complex = order_complex(rel)
 
     ok = (s3_chi == -8 and s3_betti.as_dict() == {1: 8} and s3_p == 8
@@ -139,7 +136,7 @@ def test_criterion_3_main_theorem_desk_scale(ws):
         betti = _betti(ws, entry.name)
         assert not betti.is_zero(), f"{entry.name}: C(G) is GF(2)-acyclic"
         G = ws.group(entry.name)
-        lat, _ = ws.lattice(entry.name)
+        lat = ws.lattice(entry.name)
         for N in minimal_normal_subgroups(G):
             rel = build_relative_poset(G, N, lat)
             assert not reduced_betti(order_complex(rel), 2).is_zero(), \
@@ -161,8 +158,8 @@ def test_criterion_3_main_theorem_every_prime(ws):
     for entry in ws.entries:
         if not 1 < entry.expected_order <= 60:
             continue
-        lat, mu = ws.lattice(entry.name)
-        p_at_minus_one = evaluate(hall_polynomial(lat, mu), -1)
+        poly = hall_polynomial(ws.lattice(entry.name), ws.mu(entry.name))
+        p_at_minus_one = evaluate(poly, -1)
         order = entry.expected_order
         for p in (q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)):
             betti = _betti(ws, entry.name, p)
@@ -183,7 +180,7 @@ def test_criterion_4_brown_join_kunneth(ws):
     ok = True
     for name, normal_text in pairs:
         G = ws.group(name)
-        lat, _ = ws.lattice(name)
+        lat = ws.lattice(name)
         N = PermutationGroup(parse_permutation_list(normal_text, G.degree), G.degree)
         whole = _betti(ws, name)
         rel = reduced_betti(order_complex(build_relative_poset(G, N, lat)), 2)
@@ -201,8 +198,7 @@ def test_criterion_5_oracle_equivalence(ws):
     for entry in ws.entries:
         if entry.expected_order > LATTICE_ORDER_BOUND:
             continue
-        lat, mu = ws.lattice(entry.name)
-        poly = hall_polynomial(lat, mu)
+        poly = hall_polynomial(ws.lattice(entry.name), ws.mu(entry.name))
         for k in (1, 2):
             formula = evaluate(poly, k)
             oracle = brute_force_generation_probability(ws.group(entry.name), k)
@@ -304,7 +300,7 @@ def test_criterion_10_universal_generation_instances(ws):
     for entry in ws.entries:
         if entry.expected_order < 2 or entry.expected_order > LATTICE_ORDER_BOUND:
             continue
-        lat, _ = ws.lattice(entry.name)
+        lat = ws.lattice(entry.name)
         G = ws.group(entry.name)
         primes = [p for p in range(2, G.order + 1)
                   if G.order % p == 0 and _is_prime(p)]

@@ -5,11 +5,13 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from cosetposets import cli, cosets
+from cosetposets import cli, cosets, suite
+from cosetposets.catalog import load_catalog
 from cosetposets.cli import main
 from cosetposets.cosets import build_coset_poset
 from cosetposets.groups import symmetric_group
@@ -124,6 +126,73 @@ def test_report_deterministic_modulo_timestamp(small_catalog):
     strip = lambda s: re.sub(r'"timestamp": "[^"]*"', '"timestamp": "-"', s)
     strip_ms = lambda s: re.sub(r'"millis": [0-9.]+', '"millis": 0', s)
     assert strip_ms(strip(a)) == strip_ms(strip(b))
+
+
+def test_join_group_missing_from_the_catalog_is_named(tmp_path, capsys):
+    """A join group the catalog lacks fails its record with the error that
+    names it; the others still run."""
+    path = tmp_path / "catalog.txt"
+    path.write_text("C4;4;(1,2,3,4);4\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--catalog", str(path), "--suite", "join", "--out", str(out)]) == 1
+    capsys.readouterr()
+    records = {r["subject"].split()[0]: r for r in json.loads(out.read_text())["records"]}
+    assert list(records) == ["S3", "C4", "S4", "Q8", "C6"]
+    assert records.pop("C4")["verdict"] is True
+    for name, r in records.items():
+        assert r["verdict"] is False
+        assert f"no catalog entry named {name!r}" in r["values"]["error"]
+
+
+def test_homology_suite_computes_no_moebius(monkeypatch):
+    """Only the records that print mu read it from the workspace, so the
+    homology suite builds lattices and coset posets but no mu."""
+    calls = []
+    moebius = suite.moebius_to_top
+
+    def counting(lat):
+        calls.append(lat)
+        return moebius(lat)
+
+    monkeypatch.setattr(suite, "moebius_to_top", counting)
+    report = run_suite(SuiteConfig(suites=("homology",)))
+    assert report.overall == "pass" and len(report.records) == 44
+    assert calls == []
+
+
+def test_default_run_builds_each_lattice_and_moebius_at_most_once(monkeypatch):
+    """Every suite reads a catalog group's lattice and mu from the run's
+    workspace, so a default run builds each at most once per group. The
+    join suite's quotient lattices are built outside the workspace and are
+    not counted."""
+    quotients, calls = [], Counter()
+    real = {name: getattr(suite, name)
+            for name in ("enumerate_subgroups", "moebius_to_top", "quotient_representation")}
+
+    def quotient(G, N):
+        rep = real["quotient_representation"](G, N)
+        quotients.append(rep.group)
+        return rep
+
+    def counting(name, group_of):
+        def call(arg):
+            G = group_of(arg)
+            if not any(G is Q for Q in quotients):
+                calls[name, G.degree, tuple(G._gens_bytes())] += 1
+            return real[name](arg)
+        return call
+
+    monkeypatch.setattr(suite, "quotient_representation", quotient)
+    monkeypatch.setattr(suite, "enumerate_subgroups",
+                        counting("enumerate_subgroups", lambda G: G))
+    monkeypatch.setattr(suite, "moebius_to_top",
+                        counting("moebius_to_top", lambda lat: lat.group))
+    report = run_suite(SuiteConfig())
+    assert report.overall == "pass"
+    assert len(quotients) == 5
+    assert calls and max(calls.values()) == 1
+    built = Counter(name for name, *_ in calls)
+    assert 0 < built["moebius_to_top"] <= built["enumerate_subgroups"] <= len(load_catalog())
 
 
 def test_unknown_suite_rejected(small_catalog):
