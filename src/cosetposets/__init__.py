@@ -62,6 +62,16 @@ from .generation import (
     universally_p_generates,
 )
 from .catalog import GroupCatalogEntry, catalog_group, load_catalog
-from .suite import SuiteConfig, VerificationReport, run_suite
 
 __version__ = "0.1.0"
+
+# the verification suites are loaded on first access: no library call needs them
+_SUITE_NAMES = ("SuiteConfig", "VerificationReport", "run_suite")
+
+
+def __getattr__(name: str):
+    if name in _SUITE_NAMES:
+        from . import suite
+
+        return getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,8 +18,8 @@ so no coset of A_7 or S_7 is labelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .cosets import OvergroupAutomorphism, fixed_cosets
 from .groups import (
@@ -45,15 +45,17 @@ SYLOW2_GENERATORS = ("(3,4)(5,6)", "(3,5)(4,6)", "(1,2)(5,6)")
 SEVEN_CYCLE = "(1,2,3,5,7,6,4)"
 
 
-@dataclass(frozen=True)
 class A7Environment:
-    A7: PermutationGroup
-    S7: PermutationGroup
-    P: PermutationGroup            # Sylow 2-subgroup of A_7, normalized by phi
-    seven_cycle: Permutation       # generates a Sylow 7-subgroup normalized by phi
-    phi: OvergroupAutomorphism     # conjugation by PHI in S_7
-    censuses: dict[str, list[SubgroupRecord]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    """The witnesses on 7 points, and the overgroup censuses of P built from them."""
+
+    def __init__(self, A7: PermutationGroup, S7: PermutationGroup, P: PermutationGroup,
+                 seven_cycle: Permutation, phi: OvergroupAutomorphism):
+        self.A7 = A7
+        self.S7 = S7
+        self.P = P                      # Sylow 2-subgroup of A_7, normalized by phi
+        self.seven_cycle = seven_cycle  # generates a Sylow 7-subgroup normalized by phi
+        self.phi = phi                  # conjugation by PHI in S_7
+        self.censuses: dict[str, list[SubgroupRecord]] = {}
 
     @cached_property
     def K(self) -> PermutationGroup:
@@ -191,15 +193,18 @@ def check_rho_on_power(t: int) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class SmithActionSpec:
+class SmithActionSpec(NamedTuple):
     """The extended action (P x K) with theta adjoined, on C(G, N), and P's overgroups in G."""
     G: PermutationGroup
     N: PermutationGroup
     P: PermutationGroup
     K: PermutationGroup
     theta: OvergroupAutomorphism
-    overgroups: tuple[SubgroupRecord, ...] = field(repr=False)
+    overgroups: tuple[SubgroupRecord, ...]
+
+    def __repr__(self) -> str:  # without the overgroups, thousands of element indices
+        return (f"SmithActionSpec(G={self.G!r}, N={self.N!r}, P={self.P!r}, "
+                f"K={self.K!r}, theta={self.theta!r})")
 
     def shape_report(self) -> dict:
         """Structural facts putting the action group in Smith-theory shape:

@@ -8,9 +8,8 @@ expected order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .groups import PermutationGroup
 from .perm import Permutation, parse_permutation_list
@@ -20,8 +19,7 @@ class CatalogError(ValueError):
     """A catalog line failed to parse or verify; carries the line number."""
 
 
-@dataclass(frozen=True)
-class GroupCatalogEntry:
+class GroupCatalogEntry(NamedTuple):
     name: str
     degree: int
     generators: tuple[Permutation, ...]
@@ -77,9 +75,8 @@ def load_catalog(path: str | Path | None = None,
     With ``verify`` set, every entry is built and its order checked.
     """
     if path is None:
-        text = resources.files("cosetposets").joinpath("data/catalog.txt").read_text()
-    else:
-        text = Path(path).read_text()
+        path = Path(__file__).with_name("data") / "catalog.txt"
+    text = Path(path).read_text()
     entries = parse_catalog(text)
     if verify:
         for entry in entries:

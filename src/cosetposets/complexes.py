@@ -38,11 +38,10 @@ boundaries are reduced from the top down (C(A5): 3,203, 2,252, 3,377 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from operator import add, lshift
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .cosets import CosetPoset
 from .groups import BudgetExceededError, _is_prime
@@ -239,8 +238,7 @@ def rank_gfp(rows: Iterable[dict[int, int]], p: int) -> set[int]:
     return set(pivots)
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(NamedTuple):
     """Reduced Betti numbers over GF(prime); absent dimensions are zero."""
     prime: int
     values: tuple[tuple[int, int], ...]

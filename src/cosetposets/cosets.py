@@ -18,7 +18,6 @@ k of K, and those x are read off k's conjugacy class and its centralizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from operator import itemgetter
@@ -39,20 +38,20 @@ from .perm import _ID256, Permutation, _inv_bytes, cycle_string
 from .posets import FinitePoset
 
 
-@dataclass(frozen=True)
 class OvergroupAutomorphism:
     """An automorphism of `group` realized as conjugation inside an overgroup."""
-    group: PermutationGroup
-    overgroup: PermutationGroup
-    conjugator: Permutation
 
-    def __post_init__(self):
-        if not self.group.is_subgroup_of(self.overgroup):
+    def __init__(self, group: PermutationGroup, overgroup: PermutationGroup,
+                 conjugator: Permutation):
+        if not group.is_subgroup_of(overgroup):
             raise ValueError("group is not inside the overgroup")
-        if self.conjugator not in self.overgroup:
+        if conjugator not in overgroup:
             raise ValueError("conjugator is not in the overgroup")
-        if not self.group.is_normalized_by(self.conjugator):
+        if not group.is_normalized_by(conjugator):
             raise ValueError("conjugator does not normalize the group")
+        self.group = group
+        self.overgroup = overgroup
+        self.conjugator = conjugator
 
     def apply(self, p: Permutation) -> Permutation:
         return p ** self.conjugator

@@ -9,7 +9,6 @@ is certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb, factorial, gcd
 from operator import itemgetter
@@ -31,12 +30,15 @@ from .lattice import SubgroupLattice, maximal_subgroups
 from .perm import _ID256, Permutation, cycle_string
 
 
-@dataclass
 class GenerationReport:
-    verdict: bool
-    witnesses: list[dict] = field(default_factory=list)
-    tests: int = 0
-    cycles: int = 0
+    """A sweep's verdict, its first witnesses, and how many tests and cycles it ran."""
+
+    def __init__(self, verdict: bool, witnesses: list[dict] | None = None,
+                 tests: int = 0, cycles: int = 0):
+        self.verdict = verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.tests = tests
+        self.cycles = cycles
 
 
 def _conjugate_sweep(G: PermutationGroup, K: PermutationGroup,

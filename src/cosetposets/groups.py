@@ -14,12 +14,11 @@ that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from math import factorial, gcd
 from operator import mul
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .perm import Permutation, _ID256, _check_degree, _conj_bytes, _inv_bytes, _mul_bytes
 
@@ -555,8 +554,7 @@ def is_normal_subgroup(G: PermutationGroup, N: PermutationGroup) -> bool:
     return all(N.is_normalized_by(g) for g in G.generators)
 
 
-@dataclass(frozen=True)
-class QuotientRepresentation:
+class QuotientRepresentation(NamedTuple):
     """G acting on the right cosets of a normal subgroup N.
 
     ``group.generators[i]`` is the image of ``G.generators[i]``.
@@ -803,13 +801,42 @@ def conjugacy_orbit_of_subgroup(
     return out
 
 
-@dataclass(frozen=True)
 class SubgroupRecord:
     """A subgroup of an ambient group: its elements and generators that
-    witness it, both as indices into the ambient group's element table."""
-    order: int
-    elements: frozenset[int]
-    generators: tuple[int, ...]
+    witness it, both as indices into the ambient group's element table.
+
+    Immutable, equal and hashed by its three fields. Its fields are slots,
+    which the census and lattice scans read faster than a tuple's."""
+    __slots__ = ("order", "elements", "generators")
+
+    def __init__(self, order: int, elements: frozenset[int], generators: tuple[int, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a SubgroupRecord")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a SubgroupRecord")
+
+    def _key(self) -> tuple:
+        return self.order, self.elements, self.generators
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return SubgroupRecord, self._key()
+
+    def __eq__(self, other):
+        if other.__class__ is not SubgroupRecord:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"SubgroupRecord(order={self.order!r}, elements={self.elements!r}, "
+                f"generators={self.generators!r})")
 
 
 def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[SubgroupRecord]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
 from math import comb, factorial
+from typing import NamedTuple
 
 from . import a7 as a7mod
 from .catalog import GroupCatalogEntry, load_catalog
@@ -99,7 +99,9 @@ def _record(suite: str, subject: str, fn) -> dict:
     try:
         verdict, values, witnesses = fn()
     except Exception as exc:  # a failing record must not abort the run
-        verdict, values, witnesses = False, {"error": f"{type(exc).__name__}: {exc}"}, []
+        # KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        verdict, values, witnesses = False, {"error": f"{type(exc).__name__}: {message}"}, []
     return {
         "suite": suite,
         "subject": subject,
@@ -345,8 +347,7 @@ _SUITE_FUNCTIONS = {
 ALL_SUITES = tuple(_SUITE_FUNCTIONS)
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     catalog_path: str | None = None
     suites: tuple[str, ...] = ALL_SUITES
     max_order: int | None = None
@@ -363,12 +364,15 @@ class SuiteConfig:
         }
 
 
-@dataclass
 class VerificationReport:
-    version: str
-    timestamp: str
-    config: dict
-    records: list[dict] = field(default_factory=list)
+    """A run's records, with the version, time and configuration they ran under."""
+
+    def __init__(self, version: str, timestamp: str, config: dict,
+                 records: list[dict] | None = None):
+        self.version = version
+        self.timestamp = timestamp
+        self.config = config
+        self.records = [] if records is None else records
 
     @property
     def overall(self) -> str:
@@ -402,7 +406,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     if config.max_order is not None and config.max_order < 1:
         raise ValueError(f"--max-order must be at least 1, got {config.max_order}")
     # a suite named twice runs once, in first-seen order
-    config = replace(config, suites=tuple(dict.fromkeys(config.suites)))
+    config = config._replace(suites=tuple(dict.fromkeys(config.suites)))
     for name in config.suites:
         if name not in _SUITE_FUNCTIONS:
             raise ValueError(f"unknown suite {name!r}; choose from {ALL_SUITES}")

@@ -13,10 +13,10 @@ classes it reads from the group's cached table (``G._cyclic_table()``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
+from typing import NamedTuple
 
 from .groups import (BudgetExceededError, PermutationGroup, _conjugator, _generated_order,
                      _normalizer, _orbit)
@@ -25,8 +25,7 @@ from .lattice import SubgroupLattice
 TUPLE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class DirichletPolynomial:
+class DirichletPolynomial(NamedTuple):
     """sum of a_n * n^(-s), stored as sorted (n, a_n) pairs with a_n != 0."""
     coefficients: tuple[tuple[int, int], ...]
 

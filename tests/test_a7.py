@@ -1,10 +1,10 @@
-import dataclasses
 import sys
 
 import pytest
 
 from cosetposets import a7, cosets, groups
 from cosetposets.a7 import (
+    A7Environment,
     build_environment,
     build_smith_spec,
     check_pgl_strong_generation,
@@ -99,7 +99,7 @@ def test_environment_with_another_p_gets_its_own_census(env):
     the census of env as it was."""
     before = list(overgroups_of_sylow2(env))
     Pc = _conjugate_of_p(env)
-    other = dataclasses.replace(env, P=Pc)
+    other = A7Environment(A7=env.A7, S7=env.S7, P=Pc, seven_cycle=env.seven_cycle, phi=env.phi)
     assert other.censuses == {} and other.censuses is not env.censuses
     census = overgroups_of_sylow2(other)
     assert census == intermediate_subgroups(env.A7, Pc)

@@ -220,6 +220,11 @@ def test_projective_plane_distinguishes_characteristic():
     assert not reduced_betti(rp2, 2).is_zero()
 
 
+def test_betti_vector_repr_lists_the_nonzero_numbers():
+    assert repr(BettiVector.from_dict(2, {1: 2, 0: 3, 4: 0})) == "<Betti GF(2): b0=3, b1=2>"
+    assert repr(BettiVector.from_dict(3, {})) == "<Betti GF(3): 0>"
+
+
 def test_kunneth_identity_element():
     delta = BettiVector.from_dict(2, {-1: 1})
     b = BettiVector.from_dict(2, {0: 3, 1: 2})

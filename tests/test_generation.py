@@ -8,6 +8,7 @@ import pytest
 
 from cosetposets import generation
 from cosetposets.generation import (
+    GenerationReport,
     _CycleGenerators,
     _long_cycle_rank,
     check_alternating_claims,
@@ -174,6 +175,12 @@ def test_remark_equivalence_sweep():
             for r in primes:
                 direct = universally_p_generates(G, sylow_subgroup(G, r), p).verdict
                 assert univ_gen_via_maximal_indices(G, r, p, lat) == direct
+
+
+def test_generation_reports_do_not_share_witnesses():
+    a, b = GenerationReport(True), GenerationReport(True)
+    a.witnesses.append({"conjugator": "()", "generated_order": 1})
+    assert b.witnesses == [] and (b.tests, b.cycles) == (0, 0)
 
 
 def test_alternating_claims_small():

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 from functools import lru_cache
 from itertools import product
@@ -201,6 +202,24 @@ def test_diagonal_inside_direct_power():
     power = direct_power(A5, 2)
     diag = diagonal_embedding(K, 2)
     assert diag.is_subgroup_of(power)
+
+
+def test_subgroup_record_is_a_value_of_its_three_fields():
+    """Census comparisons (``lift_census``, the A_7 census) read records as
+    values: equal and hashed by order, elements and generators, immutable,
+    and shown field by field."""
+    rec = SubgroupRecord(2, frozenset({0, 1}), (1,))
+    same = SubgroupRecord(2, frozenset({1, 0}), (1,))
+    assert rec == same and hash(rec) == hash(same) and len({rec, same}) == 1
+    for other in (SubgroupRecord(3, frozenset({0, 1}), (1,)),
+                  SubgroupRecord(2, frozenset({0, 2}), (1,)),
+                  SubgroupRecord(2, frozenset({0, 1}), (1, 1))):
+        assert rec != other
+    assert rec != (2, frozenset({0, 1}), (1,))
+    assert repr(rec) == "SubgroupRecord(order=2, elements=frozenset({0, 1}), generators=(1,))"
+    with pytest.raises(AttributeError):
+        rec.order = 3
+    assert pickle.loads(pickle.dumps(rec)) == rec
 
 
 def test_quotient_representation():

@@ -141,7 +141,7 @@ def test_join_group_missing_from_the_catalog_is_named(tmp_path, capsys):
     assert records.pop("C4")["verdict"] is True
     for name, r in records.items():
         assert r["verdict"] is False
-        assert f"no catalog entry named {name!r}" in r["values"]["error"]
+        assert r["values"]["error"] == f"KeyError: no catalog entry named {name!r}"
 
 
 def test_homology_suite_computes_no_moebius(monkeypatch):

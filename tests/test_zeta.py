@@ -18,7 +18,8 @@ from cosetposets.groups import (
 from cosetposets.lattice import enumerate_subgroups, moebius_to_top
 from cosetposets.perm import parse_permutation
 from cosetposets.posets import FinitePoset
-from cosetposets.zeta import brute_force_generation_probability, evaluate, hall_polynomial
+from cosetposets.zeta import (DirichletPolynomial, brute_force_generation_probability, evaluate,
+                              hall_polynomial)
 from oracles import (conj_element, product_table, tuple_generation_probability,
                      vertex_chi_and_hat)
 
@@ -201,3 +202,8 @@ def test_s3_hat_moebius_is_minus_eight():
     S3 = symmetric_group(3)
     poset = build_coset_poset(S3, enumerate_subgroups(S3))
     assert poset.moebius_bottom_to_top() == -8
+
+
+def test_dirichlet_polynomial_repr_lists_its_terms():
+    poly = DirichletPolynomial.from_dict({2: -3, 1: 1, 6: 0})
+    assert repr(poly) == "<DirichletPolynomial 1*1^-s + -3*2^-s>"
