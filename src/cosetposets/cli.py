@@ -12,7 +12,6 @@ from .cosets import CosetPoset, proper_subgroup_ids, supplement_ids
 from .groups import BudgetExceededError, PermutationGroup, _is_prime, is_normal_subgroup
 from .lattice import enumerate_subgroups, lattice_dump, moebius_to_top
 from .perm import parse_permutation_list
-from .suite import ALL_SUITES, SuiteConfig, run_suite
 from .zeta import evaluate, hall_polynomial
 
 
@@ -42,6 +41,16 @@ def _resolve_group(args) -> PermutationGroup:
     raise ValueError("specify --group NAME or --gens CYCLES [--degree N]")
 
 
+def _suite_name(name: str) -> str:
+    """A ``--suite`` value, checked against ``suite.ALL_SUITES``. The suites
+    load on first use, so a ``compute`` command never imports them."""
+    from .suite import ALL_SUITES
+    if name not in ALL_SUITES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, ALL_SUITES))})")
+    return name
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cosetposets",
@@ -50,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run verification suites")
-    verify.add_argument("--suite", action="append", choices=ALL_SUITES,
+    verify.add_argument("--suite", action="append", type=_suite_name,
                         help="suite to run (repeatable; default: all)")
     verify.add_argument("--catalog", help="path to a catalog file")
     verify.add_argument("--max-order", type=int, default=None)
@@ -88,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args) -> int:
     if args.command == "verify":
+        from .suite import ALL_SUITES, SuiteConfig, run_suite
         config = SuiteConfig(
             catalog_path=args.catalog,
             suites=tuple(args.suite) if args.suite else ALL_SUITES,

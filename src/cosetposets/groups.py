@@ -399,27 +399,30 @@ def _is_prime(p: int) -> bool:
 def _sylow2_wreath_gens(n: int) -> list[bytes]:
     """Generators of a Sylow 2-subgroup of S_n on 0-based points.
 
-    Dyadic blocks in decreasing size, placed from point 0 up; on a block of
-    size 2^k the generators are the pointwise swaps of the two halves of each
-    initial 2^j segment, giving the iterated wreath product of copies of C2.
-    ``sylow_subgroup`` uses it from degree 8, where one block covers every
-    point and the subgroup equals the element scan's.
+    Dyadic blocks in decreasing size; on a block of size 2^k the generators
+    are the pointwise swaps of the two halves of each initial 2^j segment,
+    giving the iterated wreath product of copies of C2. Below degree 8 the
+    blocks are placed from the top point down. The element scan reads the
+    sorted element table, where the permutations that move only the highest
+    points come first, so it grows P from the top points down, and this
+    placement gives its P as a set: the P that fixes the witnesses of the
+    A_7 long-cycle sweep in the golden report. From degree 8 up the blocks
+    are placed from point 0 up, the P that the A_8 to A_11 sweeps in the
+    goldens read; at degree 8 one block covers every point, so the two
+    placements agree.
     """
     gens: list[bytes] = []
-    offset = 0
-    remaining = n
-    while remaining:
-        size = 1 << (remaining.bit_length() - 1)
-        k = size.bit_length() - 1
-        for j in range(1, k + 1):
+    placed = 0
+    while placed < n:
+        size = 1 << ((n - placed).bit_length() - 1)
+        offset = placed if n >= 8 else n - placed - size
+        for j in range(1, size.bit_length()):
             half = 1 << (j - 1)
             images = list(range(n))
-            for i in range(half):
-                a, b = offset + i, offset + half + i
-                images[a], images[b] = images[b], images[a]
+            for a in range(offset, offset + half):
+                images[a], images[a + half] = images[a + half], images[a]
             gens.append(bytes(images))
-        offset += size
-        remaining -= size
+        placed += size
     return gens
 
 
@@ -454,12 +457,10 @@ def _even_part_gens(gens: list[bytes]) -> list[bytes]:
 def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
     """One Sylow p-subgroup, deterministic for a fixed group presentation.
 
-    Uses the explicit wreath-product construction for full symmetric and
-    alternating groups at p = 2 and degree >= 8; otherwise extends a cyclic
-    p-subgroup by normalizing p-elements found in the element enumeration.
-    Below degree 8 that scan's P is the dyadic wreath with its blocks placed
-    from the top point down; as a set, it fixes the witnesses of the A_7
-    long-cycle sweep in the golden report.
+    For S_n and A_n at p = 2 it is the dyadic wreath of
+    ``_sylow2_wreath_gens`` (its even part for A_n), at every degree, built
+    from generators alone: G's element table is never listed. Every other
+    group goes to the element scan ``_scan_sylow_subgroup``.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -467,7 +468,7 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
     if pe == 1:
         return PermutationGroup([], degree=G.degree)
     n = G.degree
-    if p == 2 and n >= 8 and G.order in (factorial(n), factorial(n) // 2):
+    if p == 2 and G.order in (factorial(n), factorial(n) // 2):
         gens = _sylow2_wreath_gens(n)
         if G.order == factorial(n) // 2:
             gens = _even_part_gens(gens)
@@ -476,6 +477,17 @@ def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
             raise RuntimeError(f"the wreath Sylow {p}-subgroup of degree {n} has order "
                                f"{P.order}, not |G|_{p} = {pe}")
         return P
+    return _scan_sylow_subgroup(G, p)
+
+
+def _scan_sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
+    """A Sylow p-subgroup of G, for a prime p dividing |G|, from G's element
+    table: start from the p-part of the first element of order divisible by
+    p, and extend by the first p-element in table order that normalizes the
+    current group without lying in it, rescanning each time. The p-parts are
+    computed as far as the scans need."""
+    pe = _p_part(G.order, p)
+    n = G.degree
     rest = iter(G.element_bytes())
     # deduplicated p-elements, in canonical order, found as far as a scan needs
     p_elems: list[bytes] = []

@@ -76,7 +76,7 @@ with every pair checked, and so walk the orbits, choose base points and add
 strong generators in the same order.
 
 The Sylow scan here computes the p-part of every element before it extends
-P; ``groups.sylow_subgroup`` computes them as far as its scans need.
+P; ``groups._scan_sylow_subgroup`` computes them as far as its scans need.
 
 The coset inclusion here compares the element sets of every pair of
 cosets, each read off the product table. The vertex relation here
@@ -112,10 +112,10 @@ read off the subgroups' inclusions alone.
 
 The witnesses that ``a7`` states as constants and ``a7.build_environment``
 certifies are derived here: the phi-invariant Sylow 2-subgroup by
-conjugating the library's P0 by each element of A_7 in table order until a
-conjugate is phi-invariant, and the phi-invariant 7-cycle as the least
-generator of the first phi-invariant cyclic subgroup of order 7 in a scan
-of all of A_7's cyclic subgroups.
+conjugating the element scan's P0 by each element of A_7 in table order
+until a conjugate is phi-invariant, and the phi-invariant 7-cycle as the
+least generator of the first phi-invariant cyclic subgroup of order 7 in a
+scan of all of A_7's cyclic subgroups.
 
 The PGL(2,7) overgroups here are the proper overgroups of P that contain a
 7-cycle, found by scanning A_7's element table for them;
@@ -138,6 +138,7 @@ from cosetposets.generation import (GenerationReport, _CycleGenerators, _cycle_p
                                     _long_cycle_rank)
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _generated_order,
                                 _is_prime, _normal_closure, _orbit, _p_part,
+                                _scan_sylow_subgroup,
                                 conjugacy_orbit_of_subgroup, conjugate_indices,
                                 is_normal_subgroup, right_coset_reps, subgroup_indices,
                                 alternating_group, sylow_subgroup)
@@ -370,6 +371,25 @@ def generator_walk_p_orbits(n: int) -> list[list[bytes]]:
             orbits.append([c for c, _, _ in _orbit(cyc, step)])
             seen.update(orbits[-1])
     return orbits
+
+
+def every_generator_witnesses(n: int) -> list[dict]:
+    """The witnesses of ``check_alternating_claims``, from ranking every
+    generator of every failing cyclic subgroup: one test <c, P> per P-orbit
+    of ``generator_walk_p_orbits``, and the first four generators of the
+    failing orbits' members in enumeration order."""
+    L = alternating_group(n)
+    p_gens = [g._b for g in sylow_subgroup(L, 2).generators]
+    gens = _CycleGenerators(n if n % 2 == 1 else n - 1)
+    failing = []
+    for orbit in generator_walk_p_orbits(n):
+        got = _generated_order([_cycle_permutation(orbit[0], n)._b] + p_gens, n,
+                               stop_at=L.order)
+        if got != L.order:
+            failing += [(_long_cycle_rank(g, n), g, got) for cyc in orbit for g in gens.all(cyc)]
+    failing.sort()
+    return [{"cycle": cycle_string(_cycle_permutation(cyc, n)), "generated_order": got}
+            for _, cyc, got in failing[:4]]
 
 
 @dataclass
@@ -1053,10 +1073,10 @@ def recursive_order_complex(poset: FinitePoset) -> FaceComplex:
 
 
 def scan_phi_invariant_sylow2(A7: PermutationGroup, x: Permutation) -> PermutationGroup:
-    """P0^g for the library's Sylow 2-subgroup P0 of A_7 and the first g in
-    A_7's element table that makes P0^g invariant under conjugation by x,
+    """P0^g for the element scan's Sylow 2-subgroup P0 of A_7 and the first g
+    in A_7's element table that makes P0^g invariant under conjugation by x,
     each distinct conjugate tested once."""
-    P0 = sylow_subgroup(A7, 2)
+    P0 = _scan_sylow_subgroup(A7, 2)
     p_set = subgroup_indices(A7, P0)
     seen: set[frozenset[int]] = set()
     for g in A7.element_bytes():

@@ -38,8 +38,9 @@ from cosetposets.catalog import load_catalog
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, cycle_string, parse_permutation
 from oracles import (_long_cycle_unrank, action_fixed_points, cycle_flood_sweep,
-                     full_scan_sylow_subgroup, generator_walk_p_orbits, lattice_ids,
-                     scan_conjugate_sweep, translation_action_group, vertex_index)
+                     every_generator_witnesses, full_scan_sylow_subgroup,
+                     generator_walk_p_orbits, lattice_ids, scan_conjugate_sweep,
+                     translation_action_group, vertex_index)
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
@@ -244,10 +245,18 @@ def test_subgroup_flood_matches_cycle_flood(n):
         flood.verdict, flood.tests, flood.cycles, flood.witnesses)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_witnesses_match_ranking_every_failing_generator(n):
+    """Ranking the generators of the four least-ranked failing subgroups
+    finds the witnesses that ranking every failing generator finds."""
+    assert check_alternating_claims(n).witnesses == every_generator_witnesses(n)
+
+
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_flood_ranks_each_cyclic_subgroup_once(n, monkeypatch):
     """One rank per cyclic subgroup <c> in the flood (A_9: 40,320 / phi(9) =
-    6,720), and one per cycle of a failing orbit for the witnesses."""
+    6,720), and for the witnesses one per generator of each of the four
+    least-ranked failing subgroups, or of every failing one if fewer."""
     ranked = []
 
     def counting_rank(cyc, n):
@@ -257,7 +266,8 @@ def test_flood_ranks_each_cyclic_subgroup_once(n, monkeypatch):
     monkeypatch.setattr(generation, "_long_cycle_rank", counting_rank)
     report = check_alternating_claims(n)
     assert report.cycles == {7: 720, 8: 5760, 9: 40320}[n]
-    assert len(ranked) == report.cycles // 6 + FAILING_CYCLES[n]  # phi(7) = phi(9) = 6
+    # phi(7) = phi(9) = 6 generators per cyclic subgroup
+    assert len(ranked) == report.cycles // 6 + 6 * min(4, FAILING_CYCLES[n] // 6)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])

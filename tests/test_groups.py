@@ -166,9 +166,9 @@ def test_sylow_wreath_construction_for_large_alternating():
 
 @pytest.mark.parametrize("build", [alternating_group, symmetric_group], ids=["A8", "S8"])
 def test_degree_8_sylow2_is_the_scanned_subgroup_on_other_generators(build):
-    """From degree 8 the wreath construction answers at p = 2: one dyadic
-    block covers every point, so it builds the element scan's subgroup, but
-    not on the scan's generators."""
+    """At degree 8 one dyadic block covers every point, so the wreath
+    construction builds the element scan's subgroup, but not on the scan's
+    generators."""
     G = build(8)
     P, Q = sylow_subgroup(G, 2), full_scan_sylow_subgroup(G, 2)
     assert P == Q
@@ -576,7 +576,24 @@ def test_sylow_subgroup_matches_full_scan(name):
     the p-parts of the whole element table, for every prime of |G|."""
     G = CATALOG[name].build()
     for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and _prime(q)):
-        assert sylow_subgroup(G, p).generators == full_scan_sylow_subgroup(G, p).generators
+        assert (groups._scan_sylow_subgroup(G, p).generators
+                == full_scan_sylow_subgroup(G, p).generators)
+
+
+@pytest.mark.parametrize("build", [symmetric_group, alternating_group], ids=["S", "A"])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_wreath_sylow2_of_symmetric_and_alternating_groups(build, n):
+    """The wreath Sylow 2-subgroup of S_n and A_n has order |G|_2 and lies in
+    G, and G's element table is never listed; up to degree 8 it is, as a
+    set, the element scan's P."""
+    G = build(n)
+    P = sylow_subgroup(G, 2)
+    assert P.order == groups._p_part(G.order, 2)
+    assert P.is_subgroup_of(G)
+    assert G._elements is None
+    if n <= 8 and P.order > 1:
+        scanned = groups._scan_sylow_subgroup(G, 2)
+        assert set(P.element_bytes()) == set(scanned.element_bytes())
 
 
 def test_element_budget_guard():

@@ -200,6 +200,17 @@ def test_unknown_suite_rejected(small_catalog):
         run_suite(SuiteConfig(catalog_path=small_catalog, suites=("nope",)))
 
 
+def test_cli_unknown_suite_is_an_invalid_choice(capsys):
+    """``verify --suite`` names every suite when it refuses a name, as
+    argparse's own choice check did."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nosuch"])
+    assert exc.value.code == 2
+    names = ", ".join(map(repr, suite.ALL_SUITES))
+    assert (f"error: argument --suite: invalid choice: 'nosuch' (choose from {names})"
+            in capsys.readouterr().err)
+
+
 def test_composite_prime_rejected(small_catalog):
     with pytest.raises(ValueError, match="prime"):
         run_suite(SuiteConfig(catalog_path=small_catalog, suites=("homology",),
