@@ -6,42 +6,37 @@ one-face complex {0} (written {emptyset}) has Betti number 1 in dimension
 -1 and is not acyclic. Ranks come from the coboundary maps, reduced from
 dimension -1 up with clearing: int-bitset rows over GF(2) up to
 GF2_BITSET_COLUMNS columns, sparse {column: value} rows past it and over
-odd primes, streamed into the rank kernels. ``reduced_betti`` reduces the
-order complex of the poset's beat-point core, which has the same Betti
-numbers and, on C(S5), 202,449 of its 320,283 faces.
+odd primes. ``reduced_betti`` reduces the order complex of the poset's
+beat-point core, which has the same Betti numbers and, on C(S5), 202,449 of
+its 320,283 faces.
 
-Int rows reduce 2.6-5x faster than dict rows up to 11,100 columns (every
-complex of the catalog up to order 60), 0.85-1.4x as fast at 40,804-66,906
-(C(S5) and C(PSL(2,7))) and half as fast at 96,840. But a bitset costs its
-column span in memory: C(S5) peaks at 284 MB with bitsets up to 70,000
-columns against 50 MB with none, and C(PSL(2,7)) at 175 MB with bitsets up
-to 50,000 against 80 MB. So GF2_BITSET_COLUMNS is 20,000, where n pivot
-rows of n columns hold at most n^2 / 8 bytes, 50 MB.
+A row's pivot is read off its block; on the cores 85-92% are emergent (the
+column is unclaimed) and keep their face alone, and a row is built only if
+its pivot is taken or a later row meets it. At p = 2, C(S5) then peaks at
+32 MB, C(PSL(2,7)) at 43 and C(A6) at 380, against 49, 79 and 738 with
+every kept row built and stored. A stored bitset row costs its column span,
+so GF2_BITSET_COLUMNS = 20,000 bounds n rows of n columns to n^2 / 8 = 50 MB.
 
 The order complex of a coset poset (``CosetComplex``) stores no face
-tuple. A face H0x < ... < Hkx is fixed by its subgroup chain and the coset
+tuple: a face H0x < ... < Hkx is fixed by its subgroup chain and the coset
 H0x, so dimension k is one block of [G : H0] faces per chain H0 < ... < Hk,
-in the order of H0's cosets. Each coface of face t that inserts a subgroup
-above H0 is face t of its own block, and those that put K < H0 first are
-the cosets of K inside H0x (``CosetPoset.cosets_inside``). A GF(2) row is
-then one shifted mask, S << t, and one mask of K-cosets for each K < H0.
-
-The blocks follow their chains from the largest subgroup down, in
-decreasing lexicographic order, so a row's pivot, its highest column, is
-the coface that inserts the least subgroup as low in the chain as it goes.
-Over the catalog's C(G) and C(G, N) of order 2..60, the GF(2) reduction of
-the full complexes then makes 13,245 XORs, against 16,841 with the chains
-in increasing order, 17,387 on the sorted face tuples and 95,880 when the
-boundaries are reduced from the top down (C(A5): 3,203, 2,252, 3,377 and
-29,440). On the beat-point cores it makes 8,476 (C(A5): 2,960).
+in the order of H0's cosets. The blocks follow their chains from the
+largest subgroup down, in decreasing lexicographic order, so a row's pivot,
+its highest column, is the coface that inserts the least subgroup as low in
+the chain as it goes. Over the catalog's C(G) and C(G, N) of order 2..60,
+the GF(2) reduction of the full complexes then makes 13,245 XORs, against
+16,841 with the chains in increasing order, 17,387 on the sorted face
+tuples and 95,880 when the boundaries are reduced from the top down (C(A5):
+3,203, 2,252, 3,377 and 29,440); 8,476 on the cores (C(A5): 2,960).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import add, lshift
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from operator import add, itemgetter, lshift
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .cosets import CosetPoset
 from .groups import BudgetExceededError, _is_prime
@@ -56,10 +51,8 @@ class CosetComplex:
     tuple. ``blocks[k]`` maps each chain H0 < ... < Hk, a tuple of positions
     in ``poset.subgroup_ids``, to the offset of its block: its
     ``block_size[H0]`` = [G : H0] faces, in the order of H0's cosets. The
-    face count is checked against FACE_BUDGET when the complex is made,
-    before any coset is labelled; the blocks and the coset tables are read
-    only when rows are.
-    """
+    face count is checked against FACE_BUDGET when the complex is made; the
+    blocks and the coset tables are read only when pivots or rows are."""
 
     def __init__(self, poset: CosetPoset):
         self._counts = poset.chain_counts()
@@ -70,6 +63,7 @@ class CosetComplex:
         self._chains, self.block_size = poset.subgroup_chains
         self.poset = poset
         self._preimages: dict[tuple[int, int, bool], list] = {}
+        self._cofaces_of: dict[tuple[int, int, bool], tuple] = {}
 
     @property
     def dimension(self) -> int:
@@ -100,76 +94,77 @@ class CosetComplex:
                                f"{core_chi}, the order complex {chi}")
         return core
 
+    @cached_property
+    def _offsets(self) -> list[tuple[list[tuple[int, ...]], list[int]]]:
+        """Each dimension's chains and their block offsets, then its size."""
+        return [(list(b), [*b.values(), n]) for b, n in zip(self.blocks, self._counts)]
+
     def _preimage(self, k: int, h: int, bitsets: bool) -> list:
-        """For each coset H x of H = position h, the positions among the
-        cosets of K = position k < h of those inside it
-        (``CosetPoset.cosets_inside``): a list each, or one int bitset each.
-        Made once per pair and complex."""
+        """For each coset of H = position h, the positions of the cosets of
+        K = position k < h inside it, increasing: a list, or an int bitset."""
         table = self._preimages.get((k, h, bitsets))
         if table is None:
             ids = self.poset.subgroup_ids
-            table = self.poset.cosets_inside(ids[k], ids[h])
-            if bitsets:
-                table = [sum(map(lshift, repeat(1), pre)) for pre in table]
-            self._preimages[k, h, bitsets] = table
+            table = self._preimages[k, h, bitsets] = (
+                [sum(map(lshift, repeat(1), pre)) for pre in self._preimage(k, h, False)]
+                if bitsets else self.poset.cosets_inside(ids[k], ids[h]))
         return table
 
-    def _coboundary_rows(self, k: int, p: int, cleared: set[int], bitsets: bool) -> Iterator:
-        """Rows of the coboundary map C^k -> C^(k+1) over GF(p), one per
-        k-face outside ``cleared`` (face indices), in block order: int
-        bitsets if ``bitsets`` (at p = 2), else ``{column: sign}`` dicts.
+    def _cofaces(self, k: int, b: int, bitsets: bool) -> tuple:
+        """The cofaces of face t of block b of dimension k, H0 < ... < Hk,
+        made once. K inserted at i >= 1 keeps H0x: face t of the block at
+        offset q, sign (-1)^i, listed as (q, i & 1), or as S, the bits of the
+        q, if ``bitsets``. K < H0 put first gives the cosets of K inside H0x,
+        sign +1, at the positions table[t] (``_preimage``) of the block at
+        offset q, listed as (q, table). The least coface chain comes first."""
+        cofaces = self._cofaces_of.get((k, b, bitsets))
+        if cofaces is None:
+            c, upper = self._offsets[k][0][b], self.blocks[k + 1]
+            above, below = self._chains.above, self._chains.below
+            inserted = [(upper[c[:i] + (h,) + c[i:]], i & 1) for i in range(1, k + 2)
+                        for h in above[c[i - 1]] if i > k or h in below[c[i]]]
+            cofaces = self._cofaces_of[k, b, bitsets] = (
+                sum(1 << q for q, _ in inserted) if bitsets else inserted,
+                [(upper[(h,) + c], self._preimage(h, c[0], bitsets)) for h in below[c[0]]])
+        return cofaces
 
-        Face t of the block of H0 < ... < Hk, the chain of H0x, has two kinds
-        of cofaces. K inserted at position i >= 1 keeps H0x: the coface is
-        face t of the longer chain's block, with sign (-1)^i. K < H0 put
-        first gives the [H0 : K] cosets of K inside H0x, with sign +1, at the
-        positions ``_preimage`` lists in the block of K < H0 < ... < Hk. So
-        over GF(2) the row is (S << t) | sum over K of (mask_K[t] << q_K),
-        with S the OR of 1 << offset over the blocks of the insertions and
-        q_K the offset of K's block.
-        """
-        if k == -1:  # the empty face, whose cofaces are the vertices
-            f0 = self._counts[0]
-            return iter([] if cleared else [
-                (1 << f0) - 1 if bitsets else dict.fromkeys(range(f0), 1)])
-        keep = bytearray(b"\x01") * self._counts[k]
-        for j in cleared:
-            keep[j] = 0
-        upper = self.blocks[k + 1]
-        above, below = self._chains.above, self._chains.below
-        signs = (1, p - 1)
-        rows = []
-        for c, o in self.blocks[k].items():
-            m = self.block_size[c[0]]
-            kept = keep[o:o + m]
+    def _pivots(self, k: int, keep: bytes) -> Iterator[tuple[int, int]]:
+        """(face, pivot) for each k-face (k >= 0) marked in ``keep`` whose row
+        is nonzero, in face order, with no row built: the highest column, the
+        last coset of the least K < H0 inside H0x, else the first insertion."""
+        (chains, starts), below, upper = self._offsets[k], self._chains.below, self.blocks[k + 1]
+        pairs = []
+        for b, (c, o, end) in enumerate(zip(chains, starts, starts[1:])):
+            kept = keep[o:end]
             if 1 not in kept:  # cleared whole, as blocks often are
                 continue
-            ts = list(compress(range(m), kept)) if 0 in kept else range(m)
-            inserted = [(upper[c[:i] + (h,) + c[i:]], i & 1) for i in range(1, k + 1)
-                        for h in set(above[c[i - 1]]).intersection(below[c[i]])]
-            inserted += [(upper[c + (h,)], (k + 1) & 1) for h in above[c[-1]]]
-            firsts = [(upper[(h,) + c], self._preimage(h, c[0], bitsets)) for h in below[c[0]]]
-            if bitsets:
-                S = sum(1 << q for q, _ in inserted)
-                block = map(lshift, repeat(S), ts)
-                if firsts:
-                    block = map(sum, zip(block, *(map(lshift, map(pre.__getitem__, ts), repeat(q))
-                                                  for q, pre in firsts)))
-            else:
-                block = _dict_rows(ts, inserted, firsts, signs)
-            rows.append(block)
-        return chain.from_iterable(rows)
+            ts = list(compress(range(end - o), kept)) if 0 in kept else range(end - o)
+            if below[c[0]]:
+                h = below[c[0]][0]
+                pre = map(self._preimage(h, c[0], False).__getitem__, ts)
+                pivots = map(add, repeat(upper[(h,) + c]), map(itemgetter(-1), pre))
+            elif inserted := self._cofaces(k, b, False)[0]:
+                pivots = map(add, repeat(inserted[0][0]), ts)
+            else:  # a maximal chain, with no coface
+                continue
+            pairs.append(zip(map(add, repeat(o), ts), pivots))
+        return chain.from_iterable(pairs)
 
-
-def _dict_rows(ts: Iterable[int], inserted: list[tuple[int, int]],
-               firsts: list[tuple[int, list[list[int]]]], signs: tuple[int, int]) -> Iterator:
-    """The ``{column: sign}`` rows of ``CosetComplex._coboundary_rows`` for
-    the faces ``ts`` of one block."""
-    for t in ts:
-        row = {q + t: signs[odd] for q, odd in inserted}
-        for q, pre in firsts:
-            row.update(zip(map(add, repeat(q), pre[t]), repeat(1)))
-        yield row
+    def _coboundary_row(self, k: int, face: int, p: int, bitsets: bool) -> int | dict[int, int]:
+        """The row of a k-face (k >= 0) in C^k -> C^(k+1) over GF(p), its
+        block found by bisecting the offsets: (S << t) + the sum of
+        (table[t] << q) as an int bitset if ``bitsets``, else a dict."""
+        starts = self._offsets[k][1]
+        b = bisect_right(starts, face) - 1
+        t, (inserted, firsts) = face - starts[b], self._cofaces(k, b, bitsets)
+        if bitsets:  # inserted is S
+            row = inserted << t
+            for q, pre in firsts:
+                row += pre[t] << q
+            return row
+        row = {q + t: (1, p - 1)[odd] for q, odd in inserted}
+        row.update((q + s, 1) for q, pre in firsts for s in pre[t])
+        return row
 
 
 def order_complex(poset: CosetPoset) -> CosetComplex:
@@ -194,48 +189,59 @@ def _reduced_euler(f: list[int]) -> int:
     return sum(x if k % 2 else -x for k, x in enumerate(f))  # f[k]: dim k - 1
 
 
-def rank_gf2(rows: Iterable[int]) -> set[int]:
-    """Pivot columns of rows given as int bitsets, reduced over GF(2).
-
-    A row's pivot is its highest set bit; the number of pivots is the rank.
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            bit = row.bit_length() - 1
-            pivot = pivots.get(bit)
-            if pivot is None:
-                pivots[bit] = row
+def rank_gf2(pivots: Iterable[tuple[int, int]], row: Callable[[int], int],
+             columns: int) -> bytearray:
+    """The pivot columns, marked 1 in a bytearray over ``columns``, of int
+    bitset rows over GF(2), given as (face, pivot) in turn by ``pivots``
+    and built by ``row(face)``. A row whose pivot is unclaimed is emergent:
+    it claims it and keeps only its face (Bauer's Ripser, 2021). The others
+    are built and reduced, and each emergent row they meet is built once."""
+    claimed, faces = bytearray(columns), memoryview(bytearray(4 * columns)).cast("i")
+    rows: dict[int, int] = {}
+    for face, bit in pivots:
+        if not claimed[bit]:  # emergent
+            claimed[bit], faces[bit] = 1, face
+            continue
+        r = row(face)
+        while r:
+            bit = r.bit_length() - 1
+            if not claimed[bit]:
+                claimed[bit], rows[bit] = 1, r
                 break
-            row ^= pivot
-    return set(pivots)
-
-
-def rank_gfp(rows: Iterable[dict[int, int]], p: int) -> set[int]:
-    """Pivot columns of sparse rows {column: value}, reduced over GF(p).
-
-    Values lie in 1..p-1 and each row is reduced in place. A row's pivot is
-    its largest column; the number of pivots is the rank.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
+            pivot = rows.get(bit)
             if pivot is None:
-                inv = pow(row[lead], -1, p)
-                for col in row:
-                    row[col] = row[col] * inv % p
-                pivots[lead] = row
+                pivot = rows[bit] = row(faces[bit])
+            r ^= pivot
+    return claimed
+
+
+def rank_gfp(pivots: Iterable[tuple[int, int]], row: Callable[[int], dict[int, int]],
+             columns: int, p: int) -> bytearray:
+    """``rank_gf2`` over GF(p), on sparse rows {column: value} with values
+    in 1..p-1, each reduced in place; a row's pivot is its largest column."""
+    claimed, faces = bytearray(columns), memoryview(bytearray(4 * columns)).cast("i")
+    rows: dict[int, dict[int, int]] = {}
+    for face, lead in pivots:
+        if not claimed[lead]:  # emergent
+            claimed[lead], faces[lead] = 1, face
+            continue
+        r = row(face)
+        while r:
+            lead = max(r)
+            if not claimed[lead]:
+                claimed[lead], rows[lead] = 1, r
                 break
-            c = row[lead]
+            pivot = rows.get(lead)
+            if pivot is None:
+                pivot = rows[lead] = row(faces[lead])
+            c = r[lead] * pow(pivot[lead], -1, p) % p
             for col, y in pivot.items():
-                x = (row.get(col, 0) - c * y) % p
+                x = (r.get(col, 0) - c * y) % p
                 if x:
-                    row[col] = x
+                    r[col] = x
                 else:
-                    row.pop(col, None)
-    return set(pivots)
+                    r.pop(col, None)
+    return claimed
 
 
 class BettiVector(NamedTuple):
@@ -269,25 +275,24 @@ class BettiVector(NamedTuple):
 
 def _boundary_ranks(X: CosetComplex, p: int) -> dict[int, int]:
     """rank of the boundary map C_k -> C_{k-1} for k = 0..dim, read as the
-    rank of the coboundary map C^{k-1} -> C^k.
+    rank of the coboundary map C^{k-1} -> C^k. The empty face's row, every
+    vertex, has rank 1 and the last vertex as its pivot; the maps from
+    dimension 0 up are reduced by ``rank_gf2`` (at p = 2 up to
+    GF2_BITSET_COLUMNS columns) or ``rank_gfp`` on the complex's
+    ``_pivots`` and ``_coboundary_row``.
 
-    The coboundary maps are reduced from dimension -1 up, on rows streamed
-    by the complex's ``_coboundary_rows`` into ``rank_gf2`` (int bitsets, at
-    p = 2 up to GF2_BITSET_COLUMNS columns) or ``rank_gfp``. Each pivot
-    column of the reduced map C^{k-1} -> C^k is a k-face that leads a
-    coboundary, and a coboundary is a cocycle, so that face's row in the
-    next map is a combination of the rows of lower k-faces. Those rows are
-    skipped ("clearing", Chen and Kerber, 2011, on coboundaries as in
-    Bauer's Ripser, 2021), which leaves every rank unchanged.
-    """
-    f = X.f_vector()
-    ranks: dict[int, int] = {}
-    cleared: set[int] = set()
-    for k in range(-1, X.dimension):
+    Each pivot column of C^{k-1} -> C^k is a k-face that leads a coboundary,
+    a cocycle, so that face's row in the next map is a combination of the
+    rows of lower k-faces. Those rows are skipped ("clearing", Chen and
+    Kerber, 2011, on coboundaries as in Bauer's Ripser, 2021)."""
+    f = X.f_vector()  # {emptyset} has no map; else the last vertex is claimed
+    ranks, keep = ({0: 1}, b"\x01" * (f[1] - 1) + b"\x00") if len(f) > 1 else ({}, b"")
+    for k in range(X.dimension):
         bitsets = p == 2 and f[k + 2] <= GF2_BITSET_COLUMNS  # f[k + 2]: the (k+1)-faces
-        rows = X._coboundary_rows(k, p, cleared, bitsets)
-        cleared = rank_gf2(rows) if bitsets else rank_gfp(rows, p)
-        ranks[k + 1] = len(cleared)
+        pivots, row = X._pivots(k, keep), lambda face, k=k: X._coboundary_row(k, face, p, bitsets)
+        claimed = rank_gf2(pivots, row, f[k + 2]) if bitsets else rank_gfp(pivots, row, f[k + 2], p)
+        ranks[k + 1] = claimed.count(1)
+        keep = claimed.translate(b"\x01" + bytes(255))  # the unclaimed (k+1)-faces
     return ranks
 
 
@@ -299,22 +304,17 @@ def reduced_betti(X: CosetComplex, p: int) -> BettiVector:
     Removing a beat point, an element whose upper set has a least element
     or whose lower set a greatest, is a strong deformation retraction of the
     order complex (Stong, "Finite topological spaces", 1966), so the core's
-    order complex is homotopy equivalent to X and has its Betti numbers over
-    every field. A coset poset has no down beat point: below Hx lie the
-    [H : L] >= 2 cosets of each included L < H inside Hx, pairwise
-    incomparable, so what lies below Hx has no greatest element. Its up beat
-    points are read off the subgroups (``CosetPoset.beat_point_core``), and
-    ``X.core()`` raises RuntimeError unless the core's reduced Euler
-    characteristic equals X's.
-    """
+    order complex has X's Betti numbers over every field. A coset poset has
+    no down beat point: below Hx lie the [H : L] >= 2 pairwise incomparable
+    cosets of each included L < H inside Hx. Its up beat points are read off
+    the subgroups (``CosetPoset.beat_point_core``), and ``X.core()`` raises
+    RuntimeError unless the core's reduced Euler characteristic is X's."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     core = X.core()
     ranks = _boundary_ranks(core, p)
-    out: dict[int, int] = {}
-    for k, f_k in enumerate(core.f_vector(), -1):
-        out[k] = f_k - ranks.get(k, 0) - ranks.get(k + 1, 0)
-    return BettiVector.from_dict(p, out)
+    return BettiVector.from_dict(p, {k: f_k - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                                     for k, f_k in enumerate(core.f_vector(), -1)})
 
 
 def kunneth_join_betti(bX: BettiVector, bY: BettiVector) -> BettiVector:

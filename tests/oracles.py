@@ -3,7 +3,10 @@
 The dense boundary ranks here reduce every boundary map bottom-up, row by
 dense row, with no clearing; ``complexes._boundary_ranks`` reduces the
 coboundary maps from dimension -1 up, as int-bitset or sparse rows, and
-skips the rows that clearing marks.
+skips the rows that clearing marks. The full-row pivots here clear as the
+library does, but build every kept row and store every pivot row;
+``complexes._boundary_ranks`` reads each row's pivot off its block, and
+builds a row only when its pivot is taken or a later row meets it.
 
 The action engine here applies a group action to every vertex of a
 materialized coset poset and reads off the fixed vertices by definition;
@@ -103,8 +106,8 @@ its subgroup chains, each subgroup weighted by its index.
 
 The sliced boundary rows here are built one face at a time, each facet a
 tuple slice looked up in a dict, and a ``FaceComplex``'s coboundary rows
-are those rows transposed; ``CosetComplex._coboundary_rows`` builds the
-coboundary rows from the offsets of blocks.
+are those rows transposed; ``CosetComplex._coboundary_row`` builds one
+coboundary row from the offsets of blocks.
 
 The beat-point core here is found vertex by vertex on a coset poset's
 vertex relation; ``CosetPoset.beat_point_core`` drops whole subgroups,
@@ -127,10 +130,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat
 from math import comb, factorial, gcd
 from operator import itemgetter
 
+from cosetposets import complexes
 from cosetposets.a7 import A7Environment, overgroups_of_sylow2
 from cosetposets.complexes import CosetComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism, _proper_supplement
@@ -695,6 +699,7 @@ class FaceComplex:
                                    if k != -1 and f}}
         self.n_vertices = n_vertices
         self.dimension = max(self.faces)
+        self._rows: dict[tuple[int, int], list[dict[int, int]]] = {}
 
     def f_vector(self) -> list[int]:
         return [len(self.faces.get(k, ())) for k in range(-1, self.dimension + 1)]
@@ -706,8 +711,20 @@ class FaceComplex:
     def core(self) -> FaceComplex:
         return self
 
-    def _coboundary_rows(self, k: int, p: int, cleared: set[int], bitsets: bool):
-        return transposed_boundary_rows(self, k, p, cleared, bitsets)
+    def _pivots(self, k: int, keep: bytes):
+        """(face, highest column) of each nonzero coboundary row of a k-face
+        marked in ``keep``, in face order."""
+        return [(i, max(row)) for i, row in enumerate(self._transposed(k, 2)) if keep[i] and row]
+
+    def _coboundary_row(self, k: int, face: int, p: int, bitsets: bool):
+        row = self._transposed(k, p)[face]
+        return sum(1 << j for j in row) if bitsets else dict(row)
+
+    def _transposed(self, k: int, p: int) -> list[dict[int, int]]:
+        """Every coboundary row of dimension k as a dict, made once."""
+        if (k, p) not in self._rows:
+            self._rows[k, p] = list(transposed_boundary_rows(self, k, p, None, False))
+        return self._rows[k, p]
 
 
 def complex_from_faces(faces, n_vertices: int | None = None) -> FaceComplex:
@@ -795,17 +812,18 @@ def sliced_boundary_rows(X: FaceComplex, k: int, p: int, cleared: set[int]):
             for f in kept)
 
 
-def transposed_boundary_rows(X: FaceComplex, k: int, p: int, cleared: set[int],
+def transposed_boundary_rows(X: FaceComplex, k: int, p: int, keep: bytes | None,
                              bitsets: bool):
     """Rows of the coboundary map C^k -> C^(k+1) over GF(p) for the k-faces
-    outside ``cleared``: the ``sliced_boundary_rows`` of every (k+1)-face,
-    transposed, as {column: sign} dicts, or as int bitsets if ``bitsets``."""
+    marked in ``keep`` (every one if None): the ``sliced_boundary_rows`` of
+    every (k+1)-face, transposed, as {column: sign} dicts, or as int bitsets
+    if ``bitsets``."""
     out: list[dict[int, int]] = [{} for _ in X.faces.get(k, ())]
     for j, row in enumerate(sliced_boundary_rows(X, k + 1, p, set())):
         entries = _set_bits(row) if p == 2 else row.items()
         for i, sign in entries:
             out[i][j] = sign
-    kept = (row for i, row in enumerate(out) if i not in cleared)
+    kept = out if keep is None else compress(out, keep)
     if bitsets:
         return (sum(1 << j for j in row) for row in kept)
     return kept
@@ -838,6 +856,66 @@ def stong_core(poset: FinitePoset) -> set[int]:
                 alive.remove(v)
                 removed = True
     return alive
+
+
+def full_row_pivots(X, p: int) -> dict[int, set[int]]:
+    """The pivot columns of each coboundary map C^(k-1) -> C^k, by k, with
+    the rows cleared as ``complexes._boundary_ranks`` clears them but the
+    empty face's row reduced too and every kept row of a nonempty face
+    built by the complex's ``_coboundary_row``, as int bitsets where the
+    library takes them, and reduced on full rows, each pivot row stored as
+    it is reduced."""
+    f = X.f_vector()
+    out: dict[int, set[int]] = {}
+    cleared: set[int] = set()
+    for k in range(-1, X.dimension):
+        bitsets = p == 2 and f[k + 2] <= complexes.GF2_BITSET_COLUMNS
+        if k == -1:  # the empty face, whose row holds every vertex
+            rows = iter([(1 << f[1]) - 1 if bitsets else dict.fromkeys(range(f[1]), 1)])
+        else:
+            rows = (X._coboundary_row(k, face, p, bitsets) for face in range(f[k + 1])
+                    if face not in cleared)
+        out[k + 1] = cleared = full_rank_gf2(rows) if bitsets else full_rank_gfp(rows, p)
+    return out
+
+
+def full_rank_gf2(rows) -> set[int]:
+    """Pivot columns of rows given as int bitsets, reduced over GF(2); a
+    row's pivot is its highest set bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            bit = row.bit_length() - 1
+            pivot = pivots.get(bit)
+            if pivot is None:
+                pivots[bit] = row
+                break
+            row ^= pivot
+    return set(pivots)
+
+
+def full_rank_gfp(rows, p: int) -> set[int]:
+    """Pivot columns of sparse rows {column: value}, reduced over GF(p),
+    each in place; a row's pivot is its largest column."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                for col in row:
+                    row[col] = row[col] * inv % p
+                pivots[lead] = row
+                break
+            c = row[lead]
+            for col, y in pivot.items():
+                x = (row.get(col, 0) - c * y) % p
+                if x:
+                    row[col] = x
+                else:
+                    row.pop(col, None)
+    return set(pivots)
 
 
 def dense_rank_gfp(rows: list[list[int]], p: int) -> int:

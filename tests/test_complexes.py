@@ -4,8 +4,8 @@ import resource
 import subprocess
 import sys
 import time
-from functools import lru_cache
-from itertools import zip_longest
+from functools import lru_cache, partial
+from itertools import compress, count
 from pathlib import Path
 
 import pytest
@@ -51,6 +51,7 @@ from oracles import (
     complex_from_faces,
     coset_complex_faces,
     dense_boundary_ranks,
+    full_row_pivots,
     join,
     lattice_ids,
     recursive_order_complex,
@@ -286,12 +287,31 @@ def test_join_betti_matches_kunneth_on_samples():
         assert direct == via_formula
 
 
+def _kernel_claims(rows, p=2, columns=3):
+    """The pivot columns a rank kernel claims on ``rows`` (int bitsets at
+    p = 2, else dicts), each row's pivot given with its index, and the
+    indices of the rows it built, in the order it built them."""
+    built = []
+
+    def row(face):
+        built.append(face)
+        return rows[face] if p == 2 else dict(rows[face])
+
+    pivots = [(i, r.bit_length() - 1 if p == 2 else max(r)) for i, r in enumerate(rows)]
+    claimed = (rank_gf2(pivots, row, columns) if p == 2
+               else rank_gfp(pivots, row, columns, p))
+    assert len(claimed) == columns
+    return set(compress(count(), claimed)), built
+
+
 def test_rank_helpers():
-    assert rank_gf2([0b011, 0b110, 0b101]) == {1, 2}
-    assert rank_gf2([]) == set()
-    assert rank_gfp([{0: 1, 1: 2}, {0: 2, 1: 4}], 5) == {1}
-    assert rank_gfp([{0: 1, 1: 2}, {0: 2, 1: 1}], 3) == {1}
-    assert rank_gfp([{0: 1, 1: 1}, {0: 1, 1: 2}], 3) == {0, 1}
+    """Emergent rows are built only when a later row meets their pivot."""
+    assert _kernel_claims([0b011, 0b110, 0b101]) == ({1, 2}, [2, 1, 0])
+    assert _kernel_claims([0b011, 0b100]) == ({1, 2}, [])
+    assert _kernel_claims([]) == (set(), [])
+    assert _kernel_claims([{0: 1, 1: 2}, {0: 2, 1: 4}], 5, 2) == ({1}, [1, 0])
+    assert _kernel_claims([{0: 1, 1: 2}, {0: 2, 1: 1}], 3, 2) == ({1}, [1, 0])
+    assert _kernel_claims([{0: 1, 1: 1}, {0: 1, 1: 2}], 3, 2) == ({0, 1}, [1, 0])
 
 
 def _coset_poset_cases(G, name):
@@ -333,19 +353,26 @@ def test_boundary_ranks_match_dense_oracle_on_random_complexes(faces, p):
 def _assert_rows_match_sliced_oracle(X, p, bitsets):
     """A coset complex's coboundary rows equal the transposed sliced
     boundary rows of its faces listed block by block, in the same order and
-    entry for entry, sign for sign, in every dimension, cleared as
-    ``_boundary_ranks`` clears them."""
-    def checked(rows, expected):
-        for row, exp in zip_longest(rows, expected):
-            assert row == exp
-            yield row
-
+    entry for entry, sign for sign, in every dimension, for the faces that
+    ``_boundary_ranks`` keeps; and the pivot that ``_pivots`` reads off a
+    block is the highest column of the oracle's row, for every nonzero
+    row. The empty face's row, which ``_boundary_ranks`` does not build,
+    holds every vertex."""
     T = coset_complex_faces(X)
-    cleared = set()
-    for k in range(-1, X.dimension):
-        rows = checked(X._coboundary_rows(k, p, cleared, bitsets),
-                       transposed_boundary_rows(T, k, p, cleared, bitsets))
-        cleared = rank_gf2(rows) if bitsets else rank_gfp(rows, p)
+    (empty,) = transposed_boundary_rows(T, -1, p, None, False)
+    assert empty == dict.fromkeys(range(sum(X.f_vector()[1:2])), 1)  # no vertex: {emptyset}
+    keep = b"\x01" * (len(empty) - 1) + b"\x00"  # the last vertex, its pivot, is cleared
+    for k in range(X.dimension):
+        faces = list(compress(count(), keep))
+        expected = list(transposed_boundary_rows(T, k, p, keep, bitsets))
+        assert [X._coboundary_row(k, face, p, bitsets) for face in faces] == expected
+        highest = (lambda r: r.bit_length() - 1) if bitsets else max
+        assert list(X._pivots(k, keep)) == [
+            (face, highest(r)) for face, r in zip(faces, expected) if r]
+        row, columns = partial(X._coboundary_row, k, p=p, bitsets=bitsets), X.f_vector()[k + 2]
+        claimed = (rank_gf2(X._pivots(k, keep), row, columns) if bitsets
+                   else rank_gfp(X._pivots(k, keep), row, columns, p))
+        keep = claimed.translate(b"\x01" + bytes(255))
 
 
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
@@ -356,6 +383,46 @@ def test_boundary_rows_match_sliced_oracle_on_catalog(name):
     for _, poset in _coset_poset_cases(catalog_group(name), name):
         for p, bitsets in ((2, True), (2, False), (3, False)):
             _assert_rows_match_sliced_oracle(order_complex(poset), p, bitsets)
+
+
+def _assert_pivots_match_full_rows(X, monkeypatch):
+    """``_boundary_ranks`` claims the same pivot columns, map by map, as the
+    full-row reduction, at p = 2 on int bitsets and on dict rows, and at
+    p = 3; the claims are read off the kernels' bytearrays."""
+    claims = []
+    for name in ("rank_gf2", "rank_gfp"):
+        def recording(*args, kernel=getattr(complexes, name)):
+            claims.append(kernel(*args))
+            return claims[-1]
+        monkeypatch.setattr(complexes, name, recording)
+    for p, columns in ((2, complexes.GF2_BITSET_COLUMNS), (2, 0), (3, 0)):
+        monkeypatch.setattr(complexes, "GF2_BITSET_COLUMNS", columns)
+        claims.clear()
+        ranks, expected = _boundary_ranks(X, p), full_row_pivots(X, p)
+        if expected:  # the empty face's row, built by neither kernel, claims the last vertex
+            assert (ranks.pop(0), expected.pop(0)) == (1, {X.f_vector()[1] - 1})
+        assert [c.count(1) for c in claims] == list(ranks.values())
+        assert {k: set(compress(count(), c)) for k, c in zip(ranks, claims)} == expected, (
+            p, columns)
+
+
+@pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
+                                  if 2 <= e.expected_order <= 60])
+def test_pivots_match_full_row_reduction_on_catalog(name, monkeypatch):
+    """C(G) and every C(G, N), N minimal normal, and their beat-point
+    cores."""
+    for _, poset in _coset_poset_cases(catalog_group(name), name):
+        X = order_complex(poset)
+        for Y in (X, X.core()):
+            _assert_pivots_match_full_rows(Y, monkeypatch)
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+@pytest.mark.parametrize("name", ["S5", "PSL(2,7)"])
+def test_pivots_match_full_row_reduction_at_size(name, monkeypatch):
+    """The beat-point cores of C(S5) and C(PSL(2,7)), whose maps past
+    GF2_BITSET_COLUMNS columns take dict rows at p = 2."""
+    _assert_pivots_match_full_rows(_coset_complex(catalog_group(name)).core(), monkeypatch)
 
 
 def test_join_with_a_coset_complex_matches_kunneth():

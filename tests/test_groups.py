@@ -247,6 +247,18 @@ def test_quotient_requires_normality():
         quotient_representation(S3, C2)
 
 
+def test_quotient_refuses_an_order_that_is_not_the_index(monkeypatch):
+    """A quotient of S4 by V4 built on its first generator's image alone,
+    the image of (1,2) in S3, a transposition, has order 2, not 6."""
+    S4 = symmetric_group(4)
+    V4 = PermutationGroup(perms("(1,2)(3,4)", "(1,3)(2,4)", degree=4))
+    whole = groups.PermutationGroup
+    monkeypatch.setattr(groups, "PermutationGroup",
+                        lambda gens, degree: whole(gens[:1], degree))
+    with pytest.raises(RuntimeError, match=r"^\|G/N\| \|N\| = 2 \* 4 is not \|G\| = 24$"):
+        quotient_representation(S4, V4)
+
+
 def test_quotient_generator_images_respect_multiplication():
     """For each catalog group of order <= 60 and each minimal normal N != G:
     with the cosets labelled in the order a breadth-first walk from N under

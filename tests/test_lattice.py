@@ -242,6 +242,21 @@ def test_interval_above_sylow_matches_overgroup_census(name):
             r.elements for r in intermediate_subgroups(G, P)}, (name, p)
 
 
+def test_lattice_refuses_a_class_that_does_not_divide_the_index(monkeypatch):
+    """A class walk that drops one of S4's six subgroups generated by a
+    transposition leaves a class of 5, which does not divide |S4 : K| = 12."""
+    walk = lattice.conjugacy_orbit_of_subgroup
+
+    def dropping(G, K, gens):
+        orbit = walk(G, K, gens)
+        return orbit[:-1] if (len(K), len(orbit)) == (2, 6) else orbit
+
+    monkeypatch.setattr(lattice, "conjugacy_orbit_of_subgroup", dropping)
+    with pytest.raises(RuntimeError, match=r"^class of a subgroup of order 2 has 5 members, "
+                                           r"which does not divide \|G : K\| = 12$"):
+        SubgroupLattice(symmetric_group(4))
+
+
 @pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
 def test_a7_lattice_certificates(monkeypatch):
     """The A7 lattice: 3,786 subgroups in 40 classes, each class size

@@ -103,6 +103,22 @@ def test_brute_force_budget():
         brute_force_generation_probability(symmetric_group(6), 3)
 
 
+def test_tuple_budget_admits_its_boundary(monkeypatch):
+    """|C10|^7 is exactly TUPLE_BUDGET: admitted, with the Hall polynomial's
+    P(7) = (1 - 2^-7)(1 - 5^-7); at k = 8 the budget refuses before any
+    chain test."""
+    C10 = cyclic_group(10)
+    assert C10.order**7 == zeta.TUPLE_BUDGET
+    hall, _ = _hall(C10)
+    assert brute_force_generation_probability(C10, 7) == evaluate(hall, 7) == Fraction(
+        2480437, 2500000)
+    calls = []
+    monkeypatch.setattr(zeta, "_generated_order", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(BudgetExceededError, match=r"^\|G\|\^k = 100000000 exceeds"):
+        brute_force_generation_probability(C10, 8)
+    assert calls == []
+
+
 def test_formula_matches_brute_force():
     groups = [cyclic_group(4), cyclic_group(6), symmetric_group(3),
               PermutationGroup([parse_permutation("(1,2)(3,4)", 4),
