@@ -63,7 +63,6 @@ class CosetComplex:
         self._chains, self.block_size = poset.subgroup_chains
         self.poset = poset
         self._preimages: dict[tuple[int, int, bool], list] = {}
-        self._cofaces_of: dict[tuple[int, int, bool], tuple] = {}
 
     @property
     def dimension(self) -> int:
@@ -111,22 +110,18 @@ class CosetComplex:
         return table
 
     def _cofaces(self, k: int, b: int, bitsets: bool) -> tuple:
-        """The cofaces of face t of block b of dimension k, H0 < ... < Hk,
-        made once. K inserted at i >= 1 keeps H0x: face t of the block at
+        """The cofaces of face t of block b of dimension k, H0 < ... < Hk.
+        K inserted at i >= 1 keeps H0x: face t of the block at
         offset q, sign (-1)^i, listed as (q, i & 1), or as S, the bits of the
         q, if ``bitsets``. K < H0 put first gives the cosets of K inside H0x,
         sign +1, at the positions table[t] (``_preimage``) of the block at
         offset q, listed as (q, table). The least coface chain comes first."""
-        cofaces = self._cofaces_of.get((k, b, bitsets))
-        if cofaces is None:
-            c, upper = self._offsets[k][0][b], self.blocks[k + 1]
-            above, below = self._chains.above, self._chains.below
-            inserted = [(upper[c[:i] + (h,) + c[i:]], i & 1) for i in range(1, k + 2)
-                        for h in above[c[i - 1]] if i > k or h in below[c[i]]]
-            cofaces = self._cofaces_of[k, b, bitsets] = (
-                sum(1 << q for q, _ in inserted) if bitsets else inserted,
+        c, upper = self._offsets[k][0][b], self.blocks[k + 1]
+        above, below = self._chains.above, self._chains.below
+        inserted = [(upper[c[:i] + (h,) + c[i:]], i & 1) for i in range(1, k + 2)
+                    for h in above[c[i - 1]] if i > k or h in below[c[i]]]
+        return (sum(1 << q for q, _ in inserted) if bitsets else inserted,
                 [(upper[(h,) + c], self._preimage(h, c[0], bitsets)) for h in below[c[0]]])
-        return cofaces
 
     def _pivots(self, k: int, keep: bytes) -> Iterator[tuple[int, int]]:
         """(face, pivot) for each k-face (k >= 0) marked in ``keep`` whose row
@@ -150,20 +145,26 @@ class CosetComplex:
             pairs.append(zip(map(add, repeat(o), ts), pivots))
         return chain.from_iterable(pairs)
 
-    def _coboundary_row(self, k: int, face: int, p: int, bitsets: bool) -> int | dict[int, int]:
-        """The row of a k-face (k >= 0) in C^k -> C^(k+1) over GF(p), its
-        block found by bisecting the offsets: (S << t) + the sum of
-        (table[t] << q) as an int bitset if ``bitsets``, else a dict."""
+    def _coboundary_rows(self, k: int, p: int, bitsets: bool) -> Callable[[int], int | dict]:
+        """A k-face's row in C^k -> C^(k+1) over GF(p), k >= 0, by face: its
+        block b bisected from the offsets, b's ``_cofaces`` made on b's first
+        row, then (S << t) + the sum of (table[t] << q), bitset or dict."""
         starts = self._offsets[k][1]
-        b = bisect_right(starts, face) - 1
-        t, (inserted, firsts) = face - starts[b], self._cofaces(k, b, bitsets)
-        if bitsets:  # inserted is S
-            row = inserted << t
-            for q, pre in firsts:
-                row += pre[t] << q
-            return row
-        row = {q + t: (1, p - 1)[odd] for q, odd in inserted}
-        row.update((q + s, 1) for q, pre in firsts for s in pre[t])
+        made = [None] * len(starts)
+
+        def row(face: int) -> int | dict[int, int]:
+            b = bisect_right(starts, face) - 1
+            if made[b] is None:
+                made[b] = self._cofaces(k, b, bitsets)
+            t, (inserted, firsts) = face - starts[b], made[b]
+            if bitsets:  # inserted is S
+                r = inserted << t
+                for q, pre in firsts:
+                    r += pre[t] << q
+                return r
+            r = {q + t: (1, p - 1)[odd] for q, odd in inserted}
+            r.update((q + s, 1) for q, pre in firsts for s in pre[t])
+            return r
         return row
 
 
@@ -261,9 +262,8 @@ class BettiVector(NamedTuple):
 
     def as_array(self) -> list[int]:
         """Betti numbers as a list indexed from dimension -1."""
-        top = max((k for k, _ in self.values), default=-1)
         d = dict(self.values)
-        return [d.get(k, 0) for k in range(-1, top + 1)]
+        return [d.get(k, 0) for k in range(-1, max(d, default=-1) + 1)]
 
     def is_zero(self) -> bool:
         return not self.values
@@ -279,7 +279,7 @@ def _boundary_ranks(X: CosetComplex, p: int) -> dict[int, int]:
     vertex, has rank 1 and the last vertex as its pivot; the maps from
     dimension 0 up are reduced by ``rank_gf2`` (at p = 2 up to
     GF2_BITSET_COLUMNS columns) or ``rank_gfp`` on the complex's
-    ``_pivots`` and ``_coboundary_row``.
+    ``_pivots`` and ``_coboundary_rows``.
 
     Each pivot column of C^{k-1} -> C^k is a k-face that leads a coboundary,
     a cocycle, so that face's row in the next map is a combination of the
@@ -289,7 +289,7 @@ def _boundary_ranks(X: CosetComplex, p: int) -> dict[int, int]:
     ranks, keep = ({0: 1}, b"\x01" * (f[1] - 1) + b"\x00") if len(f) > 1 else ({}, b"")
     for k in range(X.dimension):
         bitsets = p == 2 and f[k + 2] <= GF2_BITSET_COLUMNS  # f[k + 2]: the (k+1)-faces
-        pivots, row = X._pivots(k, keep), lambda face, k=k: X._coboundary_row(k, face, p, bitsets)
+        pivots, row = X._pivots(k, keep), X._coboundary_rows(k, p, bitsets)
         claimed = rank_gf2(pivots, row, f[k + 2]) if bitsets else rank_gfp(pivots, row, f[k + 2], p)
         ranks[k + 1] = claimed.count(1)
         keep = claimed.translate(b"\x01" + bytes(255))  # the unclaimed (k+1)-faces

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import repeat
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -386,14 +386,7 @@ def _p_part(n: int, p: int) -> int:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _sylow2_wreath_gens(n: int) -> list[bytes]:
@@ -444,14 +437,7 @@ def _even_part_gens(gens: list[bytes]) -> list[bytes]:
     out.extend(_mul_bytes(g, ti) for g in odds)
     out.extend(_conj_bytes(g, ti) for g in evens)  # t g t^-1 = g^(t^-1)
     out.extend(_mul_bytes(t, g) for g in odds)
-    ident = _ID256[: len(t)]
-    deduped: list[bytes] = []
-    seen: set[bytes] = set()
-    for g in out:
-        if g != ident and g not in seen:
-            seen.add(g)
-            deduped.append(g)
-    return deduped
+    return [g for g in dict.fromkeys(out) if g != _ID256[:len(t)]]  # each once, in order
 
 
 def sylow_subgroup(G: PermutationGroup, p: int) -> PermutationGroup:
@@ -567,10 +553,8 @@ def is_normal_subgroup(G: PermutationGroup, N: PermutationGroup) -> bool:
 
 
 class QuotientRepresentation(NamedTuple):
-    """G acting on the right cosets of a normal subgroup N.
-
-    ``group.generators[i]`` is the image of ``G.generators[i]``.
-    """
+    """G acting on the right cosets of a normal subgroup N; ``group.generators[i]``
+    is the image of ``G.generators[i]``."""
     group: PermutationGroup
 
 
@@ -581,7 +565,7 @@ def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> Quotien
         raise ValueError("N is not normal in G")
     index = G.element_index()
     label = right_coset_reps(G, subgroup_indices(G, N))
-    step = _on_cosets(G, label, [index[g] for g in G._gens_bytes()])
+    step = _on_cosets(G, label, range(len(label)), [index[g] for g in G._gens_bytes()])
     reps = [x for x, _, _ in _orbit(0, step)]
     if len(reps) != G.order // N.order:
         raise RuntimeError(f"the coset walk meets {len(reps)} cosets, not |G:N| = "
@@ -689,18 +673,24 @@ def _closure(G: PermutationGroup, gens: Sequence[int],
     return frozenset(seen)
 
 
-def right_coset_reps(G: PermutationGroup, members: Iterable[int]) -> list[int]:
+def right_coset_reps(G: PermutationGroup, members: Iterable[int],
+                     finer: Sequence[int] | None = None) -> list[int]:
     """For each index x into G's element table, the least index in the right
-    coset Hx, with the subgroup H given by its element indices."""
+    coset Hx, with the subgroup H given by its element indices. With
+    ``finer``, this function's labels for a subgroup B of H, only B's coset
+    representatives y get a label, and x's is ``rep[finer[x]]``: Hx is the
+    union of the B r x, r over H's B-coset representatives, so H's cosets
+    cost |G : B| translates, not |G| (coset enumeration along a chain)."""
     elems, index = G.element_bytes(), G.element_index()
     tail = _ID256[G._degree:]
-    base = [elems[h] for h in members]
+    fine = range(len(elems)) if finer is None else finer  # B = 1 by default
+    base = [elems[h] for h in members if fine[h] == h]
     rep = [-1] * len(elems)
-    for x, xb in enumerate(elems):
-        if rep[x] < 0:
-            # x is the least index not yet labelled, hence the least in Hx
-            for y in map(index.__getitem__, map(bytes.translate, base, repeat(xb + tail))):
-                rep[y] = x
+    for x in sorted(set(fine)):
+        if rep[x] < 0:  # x is the least representative not yet labelled: the least in Hx
+            pad = elems[x] + tail
+            for r in base:
+                rep[fine[index[r.translate(pad)]]] = x
     return rep
 
 
@@ -740,14 +730,14 @@ def _orbit(seed: _Point,
     return orbit
 
 
-def _on_cosets(G: PermutationGroup, label: Sequence[int],
+def _on_cosets(G: PermutationGroup, label: Sequence[int], finer: Sequence[int],
                gens: Sequence[int]) -> Callable[[int], list[int]]:
     """The step for ``_orbit`` on right cosets Hx, each given by its label
-    from ``right_coset_reps``: the label of Hxg for each g in ``gens``, as
-    indices into G's element table."""
+    ``label[finer[x]]`` from ``right_coset_reps`` (``finer`` ``range(|G|)``
+    for labels of every element): the label of Hxg for each g in ``gens``."""
     elems, index = G.element_bytes(), G.element_index()
     pads = [elems[g] + _ID256[G._degree:] for g in gens]
-    return lambda x: [label[index[elems[x].translate(pad)]] for pad in pads]
+    return lambda x: [label[finer[index[elems[x].translate(pad)]]] for pad in pads]
 
 
 def conjugate_indices(G: PermutationGroup, members: Iterable[int], g: bytes) -> frozenset[int]:
@@ -858,8 +848,9 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     with g ranging over representatives of the double cosets K\\G/K; any
     subgroup between H and G is reached through a chain of such extensions.
     A double coset K g K is the orbit of the right coset K g under K acting
-    by right multiplication, so each is found on the labels of
-    ``right_coset_reps``, and its representative g is its least element.
+    by right multiplication, so each is found on K's labels, read off those
+    of the start record B (``right_coset_reps``, with G labelled once), and
+    its representative g, its least element, is among B's |G : B| ones.
     As <K, g> = <K, g^e> for every e prime to |g|, the double cosets of
     those powers are marked with g's and get no join of their own: each
     comes later in table order and would give the record g's join gives.
@@ -884,6 +875,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
 
     start = record_from(tuple(index[g._b] for g in H.generators))
     found: dict[frozenset[int], SubgroupRecord] = {start.elements: start}
+    fine = right_coset_reps(G, start.elements)  # every record holds the start
 
     def join(rec: SubgroupRecord, g: int) -> SubgroupRecord:
         gens = rec.generators + (g,)
@@ -903,19 +895,19 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
         if len(K) == n_g:
             return []
         rec = found[K]
-        label = right_coset_reps(G, K)
-        step = _on_cosets(G, label, rec.generators)
+        label = right_coset_reps(G, K, fine)
+        step = _on_cosets(G, label, fine, rec.generators)
         marked = {0}  # coset labels already in a double coset walked
         out = []
-        for g, least in enumerate(label):
-            if least != g or g in marked:
+        for g in sorted(set(label) - {-1}):  # K's coset representatives, increasing
+            if g in marked:
                 continue
             # Kg is the first coset of K g K in table order, so g is its least
             # element and the representative; <K, g^e> = <K, g> for e prime
             # to |g|, so the orbits of the cosets K g^e are marked with it
             powers, x, pad = [], elems[g], elems[g] + tail
             while x != elems[0]:
-                powers.append(label[index[x]])  # K g^e at e - 1
+                powers.append(label[fine[index[x]]])  # K g^e at e - 1
                 x = x.translate(pad)
             for e, y in enumerate(powers, 1):
                 if y not in marked and gcd(e, len(powers) + 1) == 1:
@@ -940,8 +932,9 @@ def lift_census(G: PermutationGroup, G0: PermutationGroup,
     and one record per passing coset Lt, generated by L's generators and
     the least element of Lt. The cosets outside G0 are the Lxs, for Lx the
     right cosets of L in G0 and s the least element of G outside G0, so
-    only G0's table is labelled. Given H's census over G0, the result is
-    H's census over G.
+    only G0's table is labelled, once, by the cosets of the records'
+    intersection B (H for H's census); L's labels are read off B's. Given
+    H's census over G0, the result is H's census over G.
     """
     if G.order != 2 * G0.order:
         raise ValueError(f"G0 of order {G0.order} is not of index 2 in G of order {G.order}")
@@ -952,17 +945,17 @@ def lift_census(G: PermutationGroup, G0: PermutationGroup,
     to_g = [index[b] for b in G0.element_bytes()]
     inside = frozenset(to_g)
     s_pad = elems[next(x for x in range(len(elems)) if x not in inside)] + tail
+    records0 = list(records0)
+    if not all(rec.elements <= G0._full_set() for rec in records0):
+        raise ValueError("a record of records0 does not lie inside G0")
+    fine = right_coset_reps(G0, G0._full_set().intersection(*(r.elements for r in records0)))
     out = []
     for rec in records0:
-        if not rec.elements <= G0._full_set():
-            raise ValueError("a record of records0 does not lie inside G0")
         L = frozenset(map(to_g.__getitem__, rec.elements))
         gens = tuple(map(to_g.__getitem__, rec.generators))
         out.append(SubgroupRecord(rec.order, L, gens))
-        label = right_coset_reps(G0, rec.elements)
-        for x, least in enumerate(label):
-            if least != x:
-                continue
+        label = right_coset_reps(G0, rec.elements, fine)
+        for x in sorted(set(label) - {-1}):  # L's coset representatives, increasing
             t = elems[to_g[x]].translate(s_pad)  # xs, in the coset Lxs
             t_pad = t + tail
             if (index[t.translate(t_pad)] not in L

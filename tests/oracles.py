@@ -106,8 +106,8 @@ its subgroup chains, each subgroup weighted by its index.
 
 The sliced boundary rows here are built one face at a time, each facet a
 tuple slice looked up in a dict, and a ``FaceComplex``'s coboundary rows
-are those rows transposed; ``CosetComplex._coboundary_row`` builds one
-coboundary row from the offsets of blocks.
+are those rows transposed; ``CosetComplex._coboundary_rows`` builds one
+coboundary row at a time from the offsets of blocks.
 
 The beat-point core here is found vertex by vertex on a coset poset's
 vertex relation; ``CosetPoset.beat_point_core`` drops whole subgroups,
@@ -716,9 +716,10 @@ class FaceComplex:
         marked in ``keep``, in face order."""
         return [(i, max(row)) for i, row in enumerate(self._transposed(k, 2)) if keep[i] and row]
 
-    def _coboundary_row(self, k: int, face: int, p: int, bitsets: bool):
-        row = self._transposed(k, p)[face]
-        return sum(1 << j for j in row) if bitsets else dict(row)
+    def _coboundary_rows(self, k: int, p: int, bitsets: bool):
+        """The row builder of dimension k, as ``CosetComplex``'s: face -> row."""
+        rows = self._transposed(k, p)
+        return lambda face: sum(1 << j for j in rows[face]) if bitsets else dict(rows[face])
 
     def _transposed(self, k: int, p: int) -> list[dict[int, int]]:
         """Every coboundary row of dimension k as a dict, made once."""
@@ -862,7 +863,7 @@ def full_row_pivots(X, p: int) -> dict[int, set[int]]:
     """The pivot columns of each coboundary map C^(k-1) -> C^k, by k, with
     the rows cleared as ``complexes._boundary_ranks`` clears them but the
     empty face's row reduced too and every kept row of a nonempty face
-    built by the complex's ``_coboundary_row``, as int bitsets where the
+    built by the complex's ``_coboundary_rows``, as int bitsets where the
     library takes them, and reduced on full rows, each pivot row stored as
     it is reduced."""
     f = X.f_vector()
@@ -873,8 +874,8 @@ def full_row_pivots(X, p: int) -> dict[int, set[int]]:
         if k == -1:  # the empty face, whose row holds every vertex
             rows = iter([(1 << f[1]) - 1 if bitsets else dict.fromkeys(range(f[1]), 1)])
         else:
-            rows = (X._coboundary_row(k, face, p, bitsets) for face in range(f[k + 1])
-                    if face not in cleared)
+            rows = map(X._coboundary_rows(k, p, bitsets),
+                       (face for face in range(f[k + 1]) if face not in cleared))
         out[k + 1] = cleared = full_rank_gf2(rows) if bitsets else full_rank_gfp(rows, p)
     return out
 

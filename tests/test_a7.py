@@ -283,6 +283,28 @@ def test_each_overgroup_census_runs_once(monkeypatch):
     assert lifts[0][:2] == (5040, 2520) and lifts[0][2] is env.censuses["A7"]
 
 
+def test_census_and_lift_each_label_a7_once(monkeypatch):
+    """The A_7 census over P and its S_7 lift each label A_7's whole table
+    once, by P's cosets, and read every record's right cosets off P's: one
+    full labelling each, and one labelling of P's 315 cosets per record
+    they scan (11 by the census, whose record A_7 needs none, and 12 by
+    the lift), where each of those 23 labelled all 2,520 elements."""
+    calls = []
+
+    def counting(G, members, finer=None):
+        calls.append((G.order, finer is None))
+        return label(G, members, finer)
+
+    label = groups.right_coset_reps
+    monkeypatch.setattr(groups, "right_coset_reps", counting)
+    env = build_environment.__wrapped__()  # an environment with no census yet
+    env.overgroups("A7")
+    assert calls == [(2520, True)] + [(2520, False)] * 11
+    calls.clear()
+    assert len(env.overgroups("S7")) == 20
+    assert calls == [(2520, True)] + [(2520, False)] * 12
+
+
 def test_smith_fixed_set_invariant_under_conjugate_spec(env):
     """Replacing P, K, theta by a conjugate triple gives the same counts."""
     from cosetposets.cosets import OvergroupAutomorphism

@@ -555,7 +555,8 @@ def test_lift_census_certifies_each_lift(monkeypatch):
     V4 = intermediate_subgroups(G0, H)[0]
     with pytest.raises(RuntimeError, match="does not double it"):
         groups.lift_census(G, G0, [SubgroupRecord(8, V4.elements, V4.generators)])
-    monkeypatch.setattr(groups, "right_coset_reps", lambda G, members: range(G.order))
+    monkeypatch.setattr(groups, "right_coset_reps",
+                        lambda G, members, finer=None: range(G.order))
     with pytest.raises(RuntimeError, match="repeats a record"):
         groups.lift_census(G, G0, [V4])
 
@@ -912,6 +913,23 @@ def test_right_coset_reps_match_sorted_cosets():
         for rec in enumerate_subgroups(G).subgroups:
             expected = [sorted(mul[h][x] for h in rec.elements)[0] for x in range(G.order)]
             assert right_coset_reps(G, rec.elements) == expected, (entry.name, rec.order)
+
+
+@pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
+                                  if e.expected_order <= 60])
+def test_right_coset_reps_read_off_a_finer_labelling(name):
+    """For every pair of subgroups H <= K of a catalog group of order <= 60,
+    H = 1 and H = K included, K's labels read off H's, label[fine[x]],
+    equal K's labels made over the whole table."""
+    G = CATALOG[name].build()
+    records = enumerate_subgroups(G).subgroups
+    for H in records:
+        fine = right_coset_reps(G, H.elements)
+        for K in records:
+            if H.elements <= K.elements:
+                coarse = right_coset_reps(G, K.elements, fine)
+                assert [coarse[f] for f in fine] == right_coset_reps(G, K.elements), \
+                    (name, H.order, K.order)
 
 
 def test_element_table_is_built_once():
