@@ -20,6 +20,7 @@ from .groups import (
     PermutationGroup,
     _closure,
     _generated_order,
+    _sylow2_wreath_gens,
     alternating_group,
     conjugacy_orbit_of_subgroup,
     direct_power,
@@ -31,13 +32,16 @@ from .perm import _ID256, Permutation, cycle_string
 
 
 class GenerationReport:
-    """A sweep's verdict, its first witnesses, and how many tests and cycles it ran."""
+    """A sweep's verdict, its first witnesses, and its counts: ``tests`` the
+    conjugates or P-orbits it decided, ``order_tests`` the order tests it
+    ran to decide them, and ``cycles`` the cycles they cover."""
 
     def __init__(self, verdict: bool, witnesses: list[dict] | None = None,
-                 tests: int = 0, cycles: int = 0):
+                 tests: int = 0, cycles: int = 0, order_tests: int = 0):
         self.verdict = verdict
         self.witnesses = [] if witnesses is None else witnesses
         self.tests = tests
+        self.order_tests = order_tests
         self.cycles = cycles
 
 
@@ -51,6 +55,7 @@ def _conjugate_sweep(G: PermutationGroup, K: PermutationGroup,
     k_gens = [index[x] for x in K._gens_bytes()]
     for _, gens, g in conjugacy_orbit_of_subgroup(G, _closure(G, k_gens), k_gens):
         report.tests += 1
+        report.order_tests += 1
         got = _generated_order([elems[x] for x in gens], G.degree, stop_at=G.order,
                                start=P._levels)
         if got != G.order:
@@ -169,12 +174,18 @@ def check_alternating_claims(n: int) -> GenerationReport:
     subgroups <c>. So the sweep walks cyclic subgroups, each written as its
     canonical generator: cycles are scanned in rank order, skipping those
     seen or not canonical, and each P-orbit is read from its first such
-    cycle c as {canonical(c^g) : g in P}, over P's element table. Each
-    member is ranked once into a seen-table, and a member already seen
-    raises RuntimeError: the orbits are disjoint. Disjoint orbits whose
-    sizes times phi(m) add up to the number of cycles cover every cyclic
-    subgroup, so the scan stops there, and a shortfall at the end raises
-    RuntimeError. The witnesses are the first four failing cycles in
+    cycle c as {canonical(c^g) : g in P}, over P's element table. P has
+    index 2 in the Sylow 2-subgroup <P, t> of S_n, t the wreath's first
+    generator, a transposition, which is certified to normalize P (else
+    RuntimeError), so <c^t, P> = <c, P>^t: when canonical(c^t) is not in
+    c's P-orbit, the members' t-images are a second P-orbit, decided by
+    the same test. Each member is ranked once into a seen-table, and a
+    member already seen raises RuntimeError: the orbits are disjoint.
+    Disjoint orbits whose sizes times phi(m) add up to the number of
+    cycles cover every cyclic subgroup, so the scan stops there, and a
+    shortfall at the end raises RuntimeError. ``tests`` counts the P-orbits
+    decided and ``order_tests`` the order tests run, one per orbit of
+    <P, t>. The witnesses are the first four failing cycles in
     enumeration order. A cyclic subgroup's canonical generator ranks least
     among its generators, so they all lie in the four failing subgroups
     whose canonical generators rank least, read off the ranks the sweep
@@ -195,6 +206,10 @@ def check_alternating_claims(n: int) -> GenerationReport:
     L = alternating_group(n)
     target = L.order
     P = sylow_subgroup(L, 2)
+    t = _sylow2_wreath_gens(n)[0]
+    if not P.is_normalized_by(Permutation._from_bytes(t)):
+        raise RuntimeError(f"the first wreath generator of degree {n} does not normalize P")
+    t += _ID256[n:]
     report = GenerationReport(verdict=True)
     conjugations = [g + _ID256[n:] for g in P.element_bytes()]
     is_canonical = gens.is_canonical
@@ -207,6 +222,9 @@ def check_alternating_claims(n: int) -> GenerationReport:
                 continue
             rep = bytes(anchor + tail)
             members = gens.orbit(rep, conjugations)
+            paired = gens.canonical(rep.translate(t)) not in members
+            if paired:  # the second P-orbit, <c^t>'s
+                members += [gens.canonical(cyc.translate(t)) for cyc in members]
             ranks = [_long_cycle_rank(cyc, n) for cyc in members]
             for k in ranks:
                 if seen[k]:
@@ -214,7 +232,8 @@ def check_alternating_claims(n: int) -> GenerationReport:
                         f"the P-orbit of {cycle_string(_cycle_permutation(rep, n))} "
                         f"meets an earlier orbit")
                 seen[k] = 1
-            report.tests += 1
+            report.tests += 1 + paired
+            report.order_tests += 1
             report.cycles += gens.count * len(members)
             got = _generated_order([_cycle_permutation(rep, n)._b], n, stop_at=target,
                                    start=P._levels)

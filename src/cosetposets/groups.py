@@ -674,19 +674,23 @@ def _closure(G: PermutationGroup, gens: Sequence[int],
 
 
 def right_coset_reps(G: PermutationGroup, members: Iterable[int],
-                     finer: Sequence[int] | None = None) -> list[int]:
+                     finer: Sequence[int] | None = None,
+                     finer_reps: Sequence[int] | None = None) -> list[int]:
     """For each index x into G's element table, the least index in the right
     coset Hx, with the subgroup H given by its element indices. With
     ``finer``, this function's labels for a subgroup B of H, only B's coset
     representatives y get a label, and x's is ``rep[finer[x]]``: Hx is the
     union of the B r x, r over H's B-coset representatives, so H's cosets
-    cost |G : B| translates, not |G| (coset enumeration along a chain)."""
+    cost |G : B| translates, not |G| (coset enumeration along a chain).
+    ``finer_reps``, B's representatives in increasing order, is read off
+    ``finer`` when not given; a caller that labels many H over one B
+    passes it."""
     elems, index = G.element_bytes(), G.element_index()
     tail = _ID256[G._degree:]
     fine = range(len(elems)) if finer is None else finer  # B = 1 by default
     base = [elems[h] for h in members if fine[h] == h]
     rep = [-1] * len(elems)
-    for x in sorted(set(fine)):
+    for x in sorted(set(fine)) if finer_reps is None else finer_reps:
         if rep[x] < 0:  # x is the least representative not yet labelled: the least in Hx
             pad = elems[x] + tail
             for r in base:
@@ -876,6 +880,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     start = record_from(tuple(index[g._b] for g in H.generators))
     found: dict[frozenset[int], SubgroupRecord] = {start.elements: start}
     fine = right_coset_reps(G, start.elements)  # every record holds the start
+    fine_reps = sorted(set(fine))
 
     def join(rec: SubgroupRecord, g: int) -> SubgroupRecord:
         gens = rec.generators + (g,)
@@ -895,7 +900,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
         if len(K) == n_g:
             return []
         rec = found[K]
-        label = right_coset_reps(G, K, fine)
+        label = right_coset_reps(G, K, fine, fine_reps)
         step = _on_cosets(G, label, fine, rec.generators)
         marked = {0}  # coset labels already in a double coset walked
         out = []
@@ -949,12 +954,13 @@ def lift_census(G: PermutationGroup, G0: PermutationGroup,
     if not all(rec.elements <= G0._full_set() for rec in records0):
         raise ValueError("a record of records0 does not lie inside G0")
     fine = right_coset_reps(G0, G0._full_set().intersection(*(r.elements for r in records0)))
+    fine_reps = sorted(set(fine))
     out = []
     for rec in records0:
         L = frozenset(map(to_g.__getitem__, rec.elements))
         gens = tuple(map(to_g.__getitem__, rec.generators))
         out.append(SubgroupRecord(rec.order, L, gens))
-        label = right_coset_reps(G0, rec.elements, fine)
+        label = right_coset_reps(G0, rec.elements, fine, fine_reps)
         for x in sorted(set(label) - {-1}):  # L's coset representatives, increasing
             t = elems[to_g[x]].translate(s_pad)  # xs, in the coset Lxs
             t_pad = t + tail

@@ -30,10 +30,8 @@ def _mul_bytes(p: bytes, q: bytes) -> bytes:
 
 
 def _inv_bytes(p: bytes) -> bytes:
-    out = bytearray(len(p))
-    for i, x in enumerate(p):
-        out[x] = i
-    return bytes(out)
+    # the table that sends p[i] to i; entries past len(p) are the identity's
+    return bytes.maketrans(p, _ID256[:len(p)])[:len(p)]
 
 
 def _conj_bytes(x: bytes, g: bytes) -> bytes:

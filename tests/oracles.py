@@ -142,7 +142,7 @@ from cosetposets.generation import (GenerationReport, _CycleGenerators, _cycle_p
                                     _long_cycle_rank)
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _generated_order,
                                 _is_prime, _normal_closure, _orbit, _p_part,
-                                _scan_sylow_subgroup,
+                                _scan_sylow_subgroup, _sylow2_wreath_gens,
                                 conjugacy_orbit_of_subgroup, conjugate_indices,
                                 is_normal_subgroup, right_coset_reps, subgroup_indices,
                                 alternating_group, sylow_subgroup)
@@ -355,14 +355,27 @@ def cycle_flood_sweep(n: int) -> GenerationReport:
     return report
 
 
-def generator_walk_p_orbits(n: int) -> list[list[bytes]]:
+def normalizing_transposition(n: int) -> bytes:
+    """The first generator t of ``groups._sylow2_wreath_gens(n)``, padded to
+    256 entries, checked on P's element table to be a transposition that
+    conjugates A_n's Sylow 2-subgroup P onto itself and lies outside it."""
+    t = _sylow2_wreath_gens(n)[0]
+    P = set(sylow_subgroup(alternating_group(n), 2).element_bytes())
+    assert sum(t[x] != x for x in range(n)) == 2 and t not in P
+    assert {_mul_bytes(_mul_bytes(t, g), t) for g in P} == P  # t is an involution
+    return t + _ID256[n:]
+
+
+def generator_walk_p_orbits(n: int, extra: tuple[bytes, ...] = ()) -> list[list[bytes]]:
     """The P-orbits on the cyclic subgroups <c> of A_n's long cycles, each
     subgroup written as its canonical generator, in rank order of their
     least-ranked members; each is walked by ``_orbit`` under P's generators
-    from that member, breadth first."""
+    from that member, breadth first. With ``extra`` padded image tables,
+    the orbits of the group P and they generate."""
     length = n if n % 2 == 1 else n - 1
     gens = _CycleGenerators(length)
     conjugations = [g._b + _ID256[n:] for g in sylow_subgroup(alternating_group(n), 2).generators]
+    conjugations += extra
 
     def step(cyc: bytes) -> list[bytes]:
         return [gens.canonical(cyc.translate(t)) for t in conjugations]

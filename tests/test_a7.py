@@ -288,21 +288,27 @@ def test_census_and_lift_each_label_a7_once(monkeypatch):
     once, by P's cosets, and read every record's right cosets off P's: one
     full labelling each, and one labelling of P's 315 cosets per record
     they scan (11 by the census, whose record A_7 needs none, and 12 by
-    the lift), where each of those 23 labelled all 2,520 elements."""
+    the lift), where each of those 23 labelled all 2,520 elements. Each
+    labelling over P's cosets is given P's 315 representatives, sorted once
+    per census or lift."""
     calls = []
 
-    def counting(G, members, finer=None):
+    def counting(G, members, finer=None, finer_reps=None):
         calls.append((G.order, finer is None))
-        return label(G, members, finer)
+        if finer is not None:
+            assert finer_reps == sorted(set(finer)) and len(finer_reps) == 315
+            reps.append(finer_reps)  # held, so their ids stay distinct
+        return label(G, members, finer, finer_reps)
 
     label = groups.right_coset_reps
+    reps = []
     monkeypatch.setattr(groups, "right_coset_reps", counting)
     env = build_environment.__wrapped__()  # an environment with no census yet
     env.overgroups("A7")
-    assert calls == [(2520, True)] + [(2520, False)] * 11
+    assert calls == [(2520, True)] + [(2520, False)] * 11 and len(set(map(id, reps))) == 1
     calls.clear()
     assert len(env.overgroups("S7")) == 20
-    assert calls == [(2520, True)] + [(2520, False)] * 12
+    assert calls == [(2520, True)] + [(2520, False)] * 12 and len(set(map(id, reps))) == 2
 
 
 def test_smith_fixed_set_invariant_under_conjugate_spec(env):

@@ -10,6 +10,7 @@ from cosetposets import generation
 from cosetposets.generation import (
     GenerationReport,
     _CycleGenerators,
+    _cycle_permutation,
     _long_cycle_rank,
     check_alternating_claims,
     check_diagonal_universal,
@@ -36,11 +37,11 @@ from cosetposets.groups import (
 )
 from cosetposets.catalog import load_catalog
 from cosetposets.lattice import enumerate_subgroups
-from cosetposets.perm import Permutation, cycle_string, parse_permutation
+from cosetposets.perm import Permutation, _mul_bytes, cycle_string, parse_permutation
 from oracles import (_long_cycle_unrank, action_fixed_points, cycle_flood_sweep,
                      every_generator_witnesses, full_scan_sylow_subgroup,
-                     generator_walk_p_orbits, lattice_ids, scan_conjugate_sweep,
-                     translation_action_group, vertex_index)
+                     generator_walk_p_orbits, lattice_ids, normalizing_transposition,
+                     scan_conjugate_sweep, translation_action_group, vertex_index)
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
 
@@ -93,7 +94,7 @@ def test_five_cycle_universally_2_generates_a5():
     K = _group("(1,2,3,4,5)", degree=5)
     report = universally_p_generates(A5, K, 2)
     assert report.verdict
-    assert report.tests == 6  # six Sylow 5-subgroups of A5
+    assert report.tests == report.order_tests == 6  # six Sylow 5-subgroups of A5
 
 
 def test_seven_cycle_fails_in_a7():
@@ -272,22 +273,115 @@ def test_flood_ranks_each_cyclic_subgroup_once(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_table_orbits_match_generator_walk(n, monkeypatch):
-    """Each P-orbit the sweep reads off P's element table, from the least
-    ranked canonical cycle not yet covered, is the orbit that a breadth
-    first walk under P's generators reaches from the same cycle."""
+    """Each orbit the sweep reads off P's element table, from the least
+    ranked canonical cycle not yet covered, and extends by its t-image
+    when that is a second P-orbit, is the orbit of <P, t> that a breadth
+    first walk under P's generators and t reaches from the same cycle, and
+    the union of the walked P-orbits it meets."""
     read = []
     table_orbit = _CycleGenerators.orbit
 
     def recording(self, cyc, tables):
-        read.append(table_orbit(self, cyc, tables))
+        read.append(table_orbit(self, cyc, tables))  # the sweep extends this list
         return read[-1]
 
     monkeypatch.setattr(_CycleGenerators, "orbit", recording)
     report = check_alternating_claims(n)
-    walked = generator_walk_p_orbits(n)
-    assert len(read) == report.tests == len(walked)
+    walked = generator_walk_p_orbits(n, (normalizing_transposition(n),))
+    p_orbits = generator_walk_p_orbits(n)
+    p_orbit_of = {cyc: i for i, orbit in enumerate(p_orbits) for cyc in orbit}
+    assert len(read) == report.order_tests == len(walked)
     for got, want in zip(read, walked):
         assert got[0] == want[0] and sorted(got) == sorted(want)
+        met = {p_orbit_of[cyc] for cyc in want}
+        assert sorted(want) == sorted(cyc for i in met for cyc in p_orbits[i])
+
+
+# (P-orbits decided, order tests) of the A_n sweeps
+SWEEP_COUNTS = {5: (3, 2), 6: (7, 4), 7: (15, 9), 8: (15, 9), 9: (122, 61)}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_sweep_reads_a_p_orbit_or_a_pair(n, monkeypatch):
+    """Each orbit the sweep reads is one P-orbit of the generator walk, read
+    from its least-ranked member, or two, the second the t-image of the
+    first; every P-orbit is read once, and each orbit read takes one order
+    test: 2, 4, 9, 9 and 61 for A_5 to A_9, which decide 3, 7, 15, 15
+    and 122 P-orbits."""
+    read = []
+    table_orbit = _CycleGenerators.orbit
+
+    def recording(self, cyc, tables):
+        members = table_orbit(self, cyc, tables)
+        read.append((members[:], members))  # the sweep extends members by the pair
+        return members
+
+    monkeypatch.setattr(_CycleGenerators, "orbit", recording)
+    report = check_alternating_claims(n)
+    gens = _CycleGenerators(n if n % 2 == 1 else n - 1)
+    t = normalizing_transposition(n)
+    walked = generator_walk_p_orbits(n)
+    index = {frozenset(orbit): i for i, orbit in enumerate(walked)}
+    decided = []
+    for first, members in read:
+        assert members[:len(first)] == first and frozenset(first) in index
+        decided.append(index[frozenset(first)])
+        assert first[0] == walked[decided[-1]][0]
+        images = {gens.canonical(cyc.translate(t)) for cyc in first}
+        second = members[len(first):]
+        if second:
+            assert set(second) == images != set(first) and frozenset(second) in index
+            decided.append(index[frozenset(second)])
+        else:
+            assert images == set(first)
+    assert sorted(decided) == list(range(len(walked)))
+    assert (report.tests, report.order_tests) == (len(decided), len(read)) == SWEEP_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, pytest.param(
+    10, marks=pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1"))])
+def test_paired_p_orbits_give_the_paired_order(n, monkeypatch):
+    """Every order test is on the least cycle of a walked P-orbit, and every
+    P-orbit the sweep settles without one of its own is the t-image of a
+    tested one: an order test on its least cycle, from P's chain, gives
+    the order the tested one gave."""
+    tested = {}
+
+    def recording(gens, degree, stop_at=None, start=()):
+        tested[gens[0]] = _generated_order(gens, degree, stop_at=stop_at, start=start)
+        return tested[gens[0]]
+
+    monkeypatch.setattr(generation, "_generated_order", recording)
+    report = check_alternating_claims(n)
+    L = alternating_group(n)
+    P = sylow_subgroup(L, 2)
+    gens = _CycleGenerators(n if n % 2 == 1 else n - 1)
+    t = normalizing_transposition(n)
+    walked = generator_walk_p_orbits(n)
+    orbit_of = {cyc: i for i, orbit in enumerate(walked) for cyc in orbit}
+    least = [_cycle_permutation(orbit[0], n)._b for orbit in walked]
+    order = {i: tested[b] for i, b in enumerate(least) if b in tested}
+    assert len(order) == len(tested) == report.order_tests
+    untested = [i for i in range(len(walked)) if i not in order]
+    assert len(untested) == report.tests - report.order_tests
+    for i in untested:
+        pair = orbit_of[gens.canonical(walked[i][0].translate(t))]
+        got = _generated_order([least[i]], n, stop_at=L.order, start=P._levels)
+        assert got == order[pair], (i, pair)
+
+
+def test_sweep_refuses_a_t_that_does_not_normalize_p(monkeypatch):
+    """A first wreath generator that does not normalize P makes the sweep
+    raise before its first order test."""
+    P = set(sylow_subgroup(alternating_group(7), 2).element_bytes())
+    t = bytes([1, 0, 2, 3, 4, 5, 6])  # (1,2), which does not keep P's orbit {2, 3}
+    assert {_mul_bytes(_mul_bytes(t, g), t) for g in P} != P
+    calls = []
+    monkeypatch.setattr(generation, "_sylow2_wreath_gens", lambda n: [t])
+    monkeypatch.setattr(generation, "_generated_order", lambda *args, **kw: calls.append(args))
+    with pytest.raises(RuntimeError, match="does not normalize P"):
+        check_alternating_claims(7)
+    assert calls == []
 
 
 def test_sweep_refuses_orbits_that_meet(monkeypatch):
@@ -308,9 +402,10 @@ def test_sweep_refuses_orbits_that_meet(monkeypatch):
 
 
 def test_a9_scan_stops_once_the_orbits_cover_every_cycle(monkeypatch):
-    """The 122 orbits of A_9 cover its 40,320 9-cycles once the last one
-    starts, at rank 1,832, so the scan tests 122 tails for canonicity, one
-    per orbit; scanning all 40,320 tails tested the 33,722 unseen ones."""
+    """The 122 P-orbits of A_9, read in 61 pairs, cover its 40,320 9-cycles
+    once the last pair starts, at rank 1,808, so the scan tests 61 tails
+    for canonicity, one per pair; scanning all 40,320 tails tested the
+    33,722 unseen ones."""
     tested = []
     is_canonical = _CycleGenerators.is_canonical
 
@@ -320,9 +415,9 @@ def test_a9_scan_stops_once_the_orbits_cover_every_cycle(monkeypatch):
 
     monkeypatch.setattr(_CycleGenerators, "is_canonical", counting)
     report = check_alternating_claims(9)
-    assert (report.tests, report.cycles) == (122, 40320)
-    assert len(tested) == 122
-    assert _long_cycle_rank(bytes([0, *tested[-1]]), 9) == 1832
+    assert (report.tests, report.order_tests, report.cycles) == (122, 61, 40320)
+    assert len(tested) == 61
+    assert _long_cycle_rank(bytes([0, *tested[-1]]), 9) == 1808
 
 
 class _SweepStarted(Exception):

@@ -556,7 +556,7 @@ def test_lift_census_certifies_each_lift(monkeypatch):
     with pytest.raises(RuntimeError, match="does not double it"):
         groups.lift_census(G, G0, [SubgroupRecord(8, V4.elements, V4.generators)])
     monkeypatch.setattr(groups, "right_coset_reps",
-                        lambda G, members, finer=None: range(G.order))
+                        lambda G, members, finer=None, finer_reps=None: range(G.order))
     with pytest.raises(RuntimeError, match="repeats a record"):
         groups.lift_census(G, G0, [V4])
 
@@ -730,13 +730,13 @@ def test_chain_matches_reference_on_census_order_tests(case, monkeypatch):
 
 @pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
 def test_chain_matches_reference_at_size(monkeypatch):
-    """A_n and S_n for n = 8..10 from their generators, and the 122 and 554
+    """A_n and S_n for n = 8..10 from their generators, and the 61 and 277
     order tests of the A_9 and A_10 long-cycle sweeps, each extending the
     chain of P."""
     for n in range(8, 11):
         for G in (alternating_group(n), symmetric_group(n)):
             assert _chain_order_matching_reference(G._gens_bytes(), n) == G.order
-    for n, count in ((9, 122), (10, 554)):
+    for n, count in ((9, 61), (10, 277)):
         tests = _order_tests(generation, lambda: generation.check_alternating_claims(n),
                              monkeypatch)
         assert len(tests) == count
@@ -783,13 +783,13 @@ def test_chain_invariants_on_catalog_generators(name):
 
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_sweep_order_tests_seeded_from_p_match_unseeded(n, monkeypatch):
-    """The 15, 15 and 122 order tests of the A_7, A_8 and A_9 long-cycle
+    """The 9, 9 and 61 order tests of the A_7, A_8 and A_9 long-cycle
     sweeps each extend P's chain by one cycle c: the invariants hold, the
     order is that of <c, P> built from no start chain, and P's chain is
     the one a fresh P builds."""
     tests = _order_tests(generation, lambda: generation.check_alternating_claims(n),
                          monkeypatch)
-    assert len(tests) == {7: 15, 8: 15, 9: 122}[n]
+    assert len(tests) == {7: 9, 8: 9, 9: 61}[n]
     P = sylow_subgroup(alternating_group(n), 2)
     start = tests[0][3]
     assert all(t[3] is start for t in tests)
@@ -920,16 +920,19 @@ def test_right_coset_reps_match_sorted_cosets():
 def test_right_coset_reps_read_off_a_finer_labelling(name):
     """For every pair of subgroups H <= K of a catalog group of order <= 60,
     H = 1 and H = K included, K's labels read off H's, label[fine[x]],
-    equal K's labels made over the whole table."""
+    equal K's labels made over the whole table, and passing H's sorted
+    representatives gives the labels that reading them off ``fine`` gives."""
     G = CATALOG[name].build()
     records = enumerate_subgroups(G).subgroups
     for H in records:
         fine = right_coset_reps(G, H.elements)
+        fine_reps = sorted(set(fine))
         for K in records:
             if H.elements <= K.elements:
                 coarse = right_coset_reps(G, K.elements, fine)
                 assert [coarse[f] for f in fine] == right_coset_reps(G, K.elements), \
                     (name, H.order, K.order)
+                assert right_coset_reps(G, K.elements, fine, fine_reps) == coarse
 
 
 def test_element_table_is_built_once():

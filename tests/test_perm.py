@@ -10,6 +10,7 @@ from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import (
     Permutation,
     _conj_bytes,
+    _inv_bytes,
     cycle_string,
     extend_degree,
     parse_permutation,
@@ -205,6 +206,27 @@ def test_conj_bytes_matches_pow_and_the_product_table(G):
             conj = _conj_bytes(xb, gb)
             assert conj == (Permutation._from_bytes(xb) ** Permutation._from_bytes(gb))._b
             assert conj == elems[conj_element(G, x, g)]
+
+
+def _loop_inverse(p: bytes) -> bytes:
+    """Oracle: the inverse image table, one point at a time."""
+    out = bytearray(len(p))
+    for i, x in enumerate(p):
+        out[x] = i
+    return bytes(out)
+
+
+def test_inv_bytes_matches_the_loop():
+    """On every element of S_5 and A_6, and on seeded permutations of
+    degree 255 and of lower degrees."""
+    tables = [*symmetric_group(5).element_bytes(), *alternating_group(6).element_bytes()]
+    rng = random.Random(255)
+    for degree in (255, 255, 255, 1, 2, 120):
+        points = list(range(degree))
+        rng.shuffle(points)
+        tables.append(bytes(points))
+    for p in tables:
+        assert _inv_bytes(p) == _loop_inverse(p), p
 
 
 def test_is_normalized_by_agrees_with_conjugate_indices_on_s4():
