@@ -93,32 +93,10 @@ def univ_gen_via_maximal_indices(G: PermutationGroup, r: int, p: int,
     return True
 
 
-# the bit of each point x < 64, and the bits of the points below it; the sweeps
-# stop at degree 11, and tables over all 256 byte values held about 0.1 MB
-# more peak memory in a process that never sweeps
-_BIT = [1 << x for x in range(64)]
-_BELOW = [(1 << x) - 1 for x in range(64)]
-
-
-def _long_cycle_rank(cyc: bytes, n: int) -> int:
-    """Position of a cycle on 0-based points, of length n or n - 1, in the
-    enumeration order of all such cycles: the point set (by the omitted
-    point, n - 1 first), then the Lehmer code of the tail that follows the
-    smallest point. The cycle must be written from its least point, on
-    fewer than 64 points."""
-    m = len(cyc)
-    points = (1 << n) - 1
-    rank = 0
-    if m < n:
-        omitted = n * (n - 1) // 2 - sum(cyc)
-        rank, points = n - 1 - omitted, points ^ _BIT[omitted]
-    mask = points ^ _BIT[cyc[0]]  # the tail's points, as bits
-    radix = m - 1
-    for x in cyc[1:]:
-        rank = rank * radix + (mask & _BELOW[x]).bit_count()
-        mask ^= _BIT[x]
-        radix -= 1
-    return rank
+def _enumeration_key(cyc: bytes) -> tuple[bytes, bytes]:
+    """Orders the cycles of one length, each written from its least point,
+    as the sweep enumerates them: by point set, then by tail."""
+    return bytes(sorted(cyc)), cyc
 
 
 def _cycle_permutation(cyc: bytes, n: int) -> Permutation:
@@ -129,8 +107,8 @@ class _CycleGenerators:
     """The generators c^u of <c>, for u prime to m, of cycles c of length m.
     Written from c's least point, c^u lists c's points at positions 0, u,
     2u, ... mod m, so it starts at the same point. Their second points c[u]
-    differ, and the one whose second point is least has the least rank:
-    <c>'s canonical generator."""
+    differ, and the one whose second point is least comes first in the
+    sweep's enumeration order: <c>'s canonical generator."""
 
     def __init__(self, m: int):
         units = [u for u in range(1, m) if gcd(u, m) == 1]
@@ -172,24 +150,25 @@ def check_alternating_claims(n: int) -> GenerationReport:
     the cycle length m, so one test decides each orbit of P x Aut(<c>) on
     the cycles, which is the set of generators of one P-orbit of cyclic
     subgroups <c>. So the sweep walks cyclic subgroups, each written as its
-    canonical generator: cycles are scanned in rank order, skipping those
-    seen or not canonical, and each P-orbit is read from its first such
-    cycle c as {canonical(c^g) : g in P}, over P's element table. P has
-    index 2 in the Sylow 2-subgroup <P, t> of S_n, t the wreath's first
-    generator, a transposition, which is certified to normalize P (else
-    RuntimeError), so <c^t, P> = <c, P>^t: when canonical(c^t) is not in
-    c's P-orbit, the members' t-images are a second P-orbit, decided by
-    the same test. Each member is ranked once into a seen-table, and a
-    member already seen raises RuntimeError: the orbits are disjoint.
-    Disjoint orbits whose sizes times phi(m) add up to the number of
-    cycles cover every cyclic subgroup, so the scan stops there, and a
-    shortfall at the end raises RuntimeError. ``tests`` counts the P-orbits
-    decided and ``order_tests`` the order tests run, one per orbit of
-    <P, t>. The witnesses are the first four failing cycles in
-    enumeration order. A cyclic subgroup's canonical generator ranks least
-    among its generators, so they all lie in the four failing subgroups
-    whose canonical generators rank least, read off the ranks the sweep
-    took; only those four subgroups have their generators ranked.
+    canonical generator: cycles are scanned in enumeration order (point
+    sets, then tails, lexicographic), skipping those not canonical or seen,
+    and each P-orbit is read from its first such cycle c as
+    {canonical(c^g) : g in P}, over P's element table. P has index 2 in the
+    Sylow 2-subgroup <P, t> of S_n, t the wreath's first generator, a
+    transposition, which is certified to normalize P (else RuntimeError),
+    so <c^t, P> = <c, P>^t: when canonical(c^t) is not in c's P-orbit, the
+    members' t-images are a second P-orbit, decided by the same test. The
+    members join a dict of the canonical generators seen, and an orbit that
+    meets it raises RuntimeError: the orbits are disjoint. Disjoint orbits
+    whose sizes times phi(m) add up to the number of cycles cover every
+    cyclic subgroup, so the scan stops there, and a shortfall at the end
+    raises RuntimeError. ``tests`` counts the P-orbits decided and
+    ``order_tests`` the order tests run, one per orbit of <P, t>. The
+    witnesses are the first four failing cycles in enumeration order, as
+    ``_enumeration_key`` sorts them. A cyclic subgroup's canonical
+    generator comes first among its generators, so they all lie in the four
+    failing subgroups whose canonical generators come first; only those
+    four subgroups have their generators listed.
     Raises BudgetExceededError, before any work, past ENUMERATION_BOUND
     cyclic subgroups.
     """
@@ -197,8 +176,7 @@ def check_alternating_claims(n: int) -> GenerationReport:
         raise ValueError("n must be at least 5")
     length = n if n % 2 == 1 else n - 1
     gens = _CycleGenerators(length)
-    block = factorial(length - 1)
-    total = comb(n, length) * block
+    total = comb(n, length) * factorial(length - 1)
     if total // gens.count > ENUMERATION_BOUND:
         raise BudgetExceededError(
             f"A_{n} has {total // gens.count} cyclic subgroups of {length}-cycles, "
@@ -213,25 +191,25 @@ def check_alternating_claims(n: int) -> GenerationReport:
     report = GenerationReport(verdict=True)
     conjugations = [g + _ID256[n:] for g in P.element_bytes()]
     is_canonical = gens.is_canonical
-    seen = bytearray(total)
-    failing: list[tuple[int, bytes, int]] = []  # (rank, canonical generator, order)
-    for s, points in enumerate(combinations(range(n), length)):
+    seen: dict[bytes, None] = {}  # canonical generators; peaks lower than a set
+    failing: list[tuple[bytes, int]] = []  # (canonical generator, order)
+    for points in combinations(range(n), length):
         anchor = points[:1]
-        for r, tail in enumerate(permutations(points[1:]), s * block):
-            if seen[r] or not is_canonical(tail):
+        for tail in permutations(points[1:]):
+            if not is_canonical(tail):
                 continue
             rep = bytes(anchor + tail)
+            if rep in seen:
+                continue
             members = gens.orbit(rep, conjugations)
             paired = gens.canonical(rep.translate(t)) not in members
             if paired:  # the second P-orbit, <c^t>'s
                 members += [gens.canonical(cyc.translate(t)) for cyc in members]
-            ranks = [_long_cycle_rank(cyc, n) for cyc in members]
-            for k in ranks:
-                if seen[k]:
-                    raise RuntimeError(
-                        f"the P-orbit of {cycle_string(_cycle_permutation(rep, n))} "
-                        f"meets an earlier orbit")
-                seen[k] = 1
+            if not seen.keys().isdisjoint(members):
+                raise RuntimeError(
+                    f"the P-orbit of {cycle_string(_cycle_permutation(rep, n))} "
+                    f"meets an earlier orbit")
+            seen.update(dict.fromkeys(members))
             report.tests += 1 + paired
             report.order_tests += 1
             report.cycles += gens.count * len(members)
@@ -239,19 +217,19 @@ def check_alternating_claims(n: int) -> GenerationReport:
                                    start=P._levels)
             if got != target:
                 report.verdict = False
-                failing += zip(ranks, members, repeat(got))
+                failing += zip(members, repeat(got))
             if report.cycles == total:
                 break
         if report.cycles == total:
             break
     if report.cycles != total:
         raise RuntimeError(f"orbit sizes add up to {report.cycles}, not {total} cycles")
-    failing.sort()
-    first = sorted((_long_cycle_rank(g, n), g, got)
-                   for _, cyc, got in failing[:4] for g in gens.all(cyc))
+    failing.sort(key=lambda f: _enumeration_key(f[0]))
+    first = sorted(((g, got) for cyc, got in failing[:4] for g in gens.all(cyc)),
+                   key=lambda f: _enumeration_key(f[0]))
     report.witnesses = [
         {"cycle": cycle_string(_cycle_permutation(cyc, n)), "generated_order": got}
-        for _, cyc, got in first[:4]]
+        for cyc, got in first[:4]]
     return report
 
 

@@ -688,9 +688,11 @@ def right_coset_reps(G: PermutationGroup, members: Iterable[int],
     elems, index = G.element_bytes(), G.element_index()
     tail = _ID256[G._degree:]
     fine = range(len(elems)) if finer is None else finer  # B = 1 by default
+    if finer_reps is None:  # with B = 1, every element in table order
+        finer_reps = fine if finer is None else sorted(set(fine))
     base = [elems[h] for h in members if fine[h] == h]
     rep = [-1] * len(elems)
-    for x in sorted(set(fine)) if finer_reps is None else finer_reps:
+    for x in finer_reps:
         if rep[x] < 0:  # x is the least representative not yet labelled: the least in Hx
             pad = elems[x] + tail
             for r in base:
@@ -904,7 +906,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
         step = _on_cosets(G, label, fine, rec.generators)
         marked = {0}  # coset labels already in a double coset walked
         out = []
-        for g in sorted(set(label) - {-1}):  # K's coset representatives, increasing
+        for g in [x for x in fine_reps if label[x] == x]:  # K's coset representatives, increasing
             if g in marked:
                 continue
             # Kg is the first coset of K g K in table order, so g is its least
@@ -961,7 +963,7 @@ def lift_census(G: PermutationGroup, G0: PermutationGroup,
         gens = tuple(map(to_g.__getitem__, rec.generators))
         out.append(SubgroupRecord(rec.order, L, gens))
         label = right_coset_reps(G0, rec.elements, fine, fine_reps)
-        for x in sorted(set(label) - {-1}):  # L's coset representatives, increasing
+        for x in [y for y in fine_reps if label[y] == y]:  # L's coset representatives, increasing
             t = elems[to_g[x]].translate(s_pad)  # xs, in the coset Lxs
             t_pad = t + tail
             if (index[t.translate(t_pad)] not in L

@@ -47,8 +47,10 @@ The long-cycle flood here walks the orbits of P x Aut(<c>) on the cycles
 themselves, under P's conjugations and a generating set of (Z/m)^*, and
 ranks every cycle; ``generation.check_alternating_claims`` reads P-orbits
 of cyclic subgroups <c>, each written as its canonical generator, off P's
-element table, and ranks one cycle per subgroup. The P-orbits of cyclic
-subgroups here are walked breadth first under P's generators instead.
+element table, keeps those generators in a dict and ranks none. The
+P-orbits of cyclic subgroups here are walked breadth first under P's
+generators instead, and ``_long_cycle_rank`` is the enumeration order that
+``generation._enumeration_key`` sorts by.
 
 The flat lattice enumeration here joins each class representative with
 every prime-power cyclic subgroup; the library joins one cyclic subgroup
@@ -138,8 +140,7 @@ from cosetposets import complexes
 from cosetposets.a7 import A7Environment, overgroups_of_sylow2
 from cosetposets.complexes import CosetComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism, _proper_supplement
-from cosetposets.generation import (GenerationReport, _CycleGenerators, _cycle_permutation,
-                                    _long_cycle_rank)
+from cosetposets.generation import GenerationReport, _CycleGenerators, _cycle_permutation
 from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _generated_order,
                                 _is_prime, _normal_closure, _orbit, _p_part,
                                 _scan_sylow_subgroup, _sylow2_wreath_gens,
@@ -284,8 +285,34 @@ def scan_conjugate_sweep(G: PermutationGroup, K: PermutationGroup,
     return report
 
 
+# the bit of each point x < 64, and the bits of the points below it
+_BIT = [1 << x for x in range(64)]
+_BELOW = [(1 << x) - 1 for x in range(64)]
+
+
+def _long_cycle_rank(cyc: bytes, n: int) -> int:
+    """Position of a cycle on 0-based points, of length n or n - 1, in the
+    enumeration order of all such cycles: the point set (by the omitted
+    point, n - 1 first), then the Lehmer code of the tail that follows the
+    smallest point. The cycle must be written from its least point, on
+    fewer than 64 points. The oracle for ``generation._enumeration_key``."""
+    m = len(cyc)
+    points = (1 << n) - 1
+    rank = 0
+    if m < n:
+        omitted = n * (n - 1) // 2 - sum(cyc)
+        rank, points = n - 1 - omitted, points ^ _BIT[omitted]
+    mask = points ^ _BIT[cyc[0]]  # the tail's points, as bits
+    radix = m - 1
+    for x in cyc[1:]:
+        rank = rank * radix + (mask & _BELOW[x]).bit_count()
+        mask ^= _BIT[x]
+        radix -= 1
+    return rank
+
+
 def _long_cycle_unrank(rank: int, n: int, m: int) -> bytes:
-    """Inverse of ``generation._long_cycle_rank`` for cycles of length m."""
+    """Inverse of ``_long_cycle_rank`` for cycles of length m."""
     set_index, code = divmod(rank, factorial(m - 1))
     points = [x for x in range(n) if m == n or x != n - 1 - set_index]
     digits = []

@@ -311,6 +311,27 @@ def test_census_and_lift_each_label_a7_once(monkeypatch):
     assert calls == [(2520, True)] + [(2520, False)] * 12 and len(set(map(id, reps))) == 2
 
 
+def test_census_and_lift_coset_representatives_match_the_sorted_labels(monkeypatch):
+    """For every record the A_7 census and its S_7 lift label over P's
+    cosets, the record's coset representatives read off P's, those labelled
+    with themselves, are the sorted distinct labels."""
+    checked = []
+
+    def checking(G, members, finer=None, finer_reps=None):
+        got = label(G, members, finer, finer_reps)
+        if finer is not None:
+            assert [x for x in finer_reps if got[x] == x] == sorted(set(got) - {-1})
+            checked.append(G.order)
+        return got
+
+    label = groups.right_coset_reps
+    monkeypatch.setattr(groups, "right_coset_reps", checking)
+    env = build_environment.__wrapped__()  # an environment with no census yet
+    env.overgroups("A7")
+    env.overgroups("S7")
+    assert checked == [2520] * (11 + 12)
+
+
 def test_smith_fixed_set_invariant_under_conjugate_spec(env):
     """Replacing P, K, theta by a conjugate triple gives the same counts."""
     from cosetposets.cosets import OvergroupAutomorphism

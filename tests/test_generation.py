@@ -1,8 +1,12 @@
+import json
 import os
+import subprocess
+import sys
 from functools import reduce
 from itertools import combinations, permutations
 from math import factorial
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,7 @@ from cosetposets.generation import (
     GenerationReport,
     _CycleGenerators,
     _cycle_permutation,
-    _long_cycle_rank,
+    _enumeration_key,
     check_alternating_claims,
     check_diagonal_universal,
     imprimitive_parity_identity,
@@ -38,7 +42,7 @@ from cosetposets.groups import (
 from cosetposets.catalog import load_catalog
 from cosetposets.lattice import enumerate_subgroups
 from cosetposets.perm import Permutation, _mul_bytes, cycle_string, parse_permutation
-from oracles import (_long_cycle_unrank, action_fixed_points, cycle_flood_sweep,
+from oracles import (_long_cycle_rank, _long_cycle_unrank, action_fixed_points, cycle_flood_sweep,
                      every_generator_witnesses, full_scan_sylow_subgroup,
                      generator_walk_p_orbits, lattice_ids, normalizing_transposition,
                      scan_conjugate_sweep, translation_action_group, vertex_index)
@@ -254,21 +258,38 @@ def test_witnesses_match_ranking_every_failing_generator(n):
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
-def test_flood_ranks_each_cyclic_subgroup_once(n, monkeypatch):
-    """One rank per cyclic subgroup <c> in the flood (A_9: 40,320 / phi(9) =
-    6,720), and for the witnesses one per generator of each of the four
-    least-ranked failing subgroups, or of every failing one if fewer."""
-    ranked = []
+def test_flood_enters_each_cyclic_subgroup_once(n, monkeypatch):
+    """The orbits the flood reads hold each cyclic subgroup <c> once, so
+    the seen dict takes one entry per subgroup (A_9: 40,320 / phi(9) =
+    6,720); the witnesses take one sort key per failing subgroup, and one
+    per generator of each of the first four failing subgroups, or of every
+    failing one if fewer."""
+    read, keyed, listed = [], [], []
+    table_orbit, all_generators = _CycleGenerators.orbit, _CycleGenerators.all
 
-    def counting_rank(cyc, n):
-        ranked.append(cyc)
-        return _long_cycle_rank(cyc, n)
+    def recording(self, cyc, tables):
+        read.append(table_orbit(self, cyc, tables))  # the sweep extends this list
+        return read[-1]
 
-    monkeypatch.setattr(generation, "_long_cycle_rank", counting_rank)
+    def listing(self, cyc):
+        listed.append(cyc)
+        return all_generators(self, cyc)
+
+    def counting_key(cyc):
+        keyed.append(cyc)
+        return _enumeration_key(cyc)
+
+    monkeypatch.setattr(_CycleGenerators, "orbit", recording)
+    monkeypatch.setattr(_CycleGenerators, "all", listing)
+    monkeypatch.setattr(generation, "_enumeration_key", counting_key)
     report = check_alternating_claims(n)
     assert report.cycles == {7: 720, 8: 5760, 9: 40320}[n]
+    entered = [cyc for members in read for cyc in members]
     # phi(7) = phi(9) = 6 generators per cyclic subgroup
-    assert len(ranked) == report.cycles // 6 + 6 * min(4, FAILING_CYCLES[n] // 6)
+    assert len(entered) == len(set(entered)) == report.cycles // 6
+    failing = FAILING_CYCLES[n] // 6
+    assert len(listed) == min(4, failing)
+    assert len(keyed) == failing + 6 * min(4, failing)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
@@ -386,8 +407,8 @@ def test_sweep_refuses_a_t_that_does_not_normalize_p(monkeypatch):
 
 def test_sweep_refuses_orbits_that_meet(monkeypatch):
     """A canonical form that sends each member of every orbit after the
-    first onto the rank-0 cycle, which the first orbit marked, makes the
-    sweep's disjointness certificate raise."""
+    first onto the first cycle in enumeration order, which the first orbit
+    holds, makes the sweep's disjointness certificate raise."""
     canonical = _CycleGenerators.canonical
     first_orbit = sylow_subgroup(alternating_group(7), 2).order  # one call per element of P
     calls = []
@@ -403,9 +424,9 @@ def test_sweep_refuses_orbits_that_meet(monkeypatch):
 
 def test_a9_scan_stops_once_the_orbits_cover_every_cycle(monkeypatch):
     """The 122 P-orbits of A_9, read in 61 pairs, cover its 40,320 9-cycles
-    once the last pair starts, at rank 1,808, so the scan tests 61 tails
-    for canonicity, one per pair; scanning all 40,320 tails tested the
-    33,722 unseen ones."""
+    once the last pair starts, at position 1,808 in enumeration order, so
+    the scan tests the first 1,809 tails for canonicity and no more;
+    scanning all 40,320 tails tested every one."""
     tested = []
     is_canonical = _CycleGenerators.is_canonical
 
@@ -416,8 +437,7 @@ def test_a9_scan_stops_once_the_orbits_cover_every_cycle(monkeypatch):
     monkeypatch.setattr(_CycleGenerators, "is_canonical", counting)
     report = check_alternating_claims(9)
     assert (report.tests, report.order_tests, report.cycles) == (122, 61, 40320)
-    assert len(tested) == 61
-    assert _long_cycle_rank(bytes([0, *tested[-1]]), 9) == 1808
+    assert [_long_cycle_rank(bytes([0, *tail]), 9) for tail in tested] == list(range(1809))
 
 
 class _SweepStarted(Exception):
@@ -441,8 +461,8 @@ def test_sweep_budget_admits_a11_and_refuses_a12(monkeypatch):
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_canonical_generator_is_least_ranked(n):
     """Each of <c>'s phi(m) generators gives the same canonical generator,
-    the one _long_cycle_rank ranks least, and the scan's skip test keeps
-    exactly that one."""
+    the one the oracle _long_cycle_rank ranks least and _enumeration_key
+    sorts first, and the scan's skip test keeps exactly that one."""
     length = n if n % 2 == 1 else n - 1
     gens = _CycleGenerators(length)
     kept = 0
@@ -450,6 +470,7 @@ def test_canonical_generator_is_least_ranked(n):
         generators = gens.all(cyc)
         assert len(set(generators)) == gens.count and cyc in generators
         least = min(generators, key=lambda g: _long_cycle_rank(g, n))
+        assert min(generators, key=_enumeration_key) == least
         assert {gens.canonical(g) for g in generators} == {least}
         assert gens.canonical(cyc[3:] + cyc[:3]) == least  # any rotation
         assert gens.is_canonical(cyc[1:]) == (cyc == least)
@@ -466,6 +487,61 @@ def test_long_cycle_rank_is_enumeration_order(n):
         assert _long_cycle_rank(cyc, n) == rank
         assert _long_cycle_unrank(rank, n, length) == cyc
     assert rank + 1 == factorial(length - 1) * (n if length < n else 1)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_enumeration_key_orders_as_the_rank_does(n):
+    """The sweep's sort key puts every long cycle, written from its least
+    point, at the position the oracle _long_cycle_rank gives it, from any
+    starting order."""
+    length = n if n % 2 == 1 else n - 1
+    cycles = sorted(map(bytes, all_cycles_of_length(range(n), length)),
+                    key=lambda cyc: _long_cycle_rank(cyc, n))
+    assert [_long_cycle_rank(cyc, n) for cyc in cycles] == list(range(len(cycles)))
+    assert sorted(reversed(cycles), key=_enumeration_key) == cycles
+    assert sorted(cycles[1::2] + cycles[::2], key=_enumeration_key) == cycles
+
+
+def test_sweep_refuses_orbits_that_fall_short(monkeypatch):
+    """A skip test that keeps none of the last orbit of <P, t>'s cycles
+    leaves that orbit unread, and the cover certificate names the count
+    the read orbits reach."""
+    last = set(generator_walk_p_orbits(7, (normalizing_transposition(7),))[-1])
+    is_canonical = _CycleGenerators.is_canonical
+    monkeypatch.setattr(_CycleGenerators, "is_canonical", lambda self, tail: (
+        bytes([0, *tail]) not in last and is_canonical(self, tail)))
+    with pytest.raises(RuntimeError, match=f"add up to {720 - 6 * len(last)}, not 720 cycles"):
+        check_alternating_claims(7)
+
+
+# runs the A_n sweep for n = argv[1] and prints its report as JSON; at exit,
+# writes the process's own peak RSS (VmHWM, which starts afresh at exec) to
+# stderr
+_SWEEP_REPORTING_PEAK = """
+import atexit, json, sys
+from cosetposets.generation import check_alternating_claims
+atexit.register(lambda: sys.stderr.write(
+    next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))))
+print(json.dumps(vars(check_alternating_claims(int(sys.argv[1])))))
+"""
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+def test_a11_sweep_in_a_child_process_within_96_mb():
+    """The A_11 sweep in a fresh process: every 11-cycle generates A_11 with
+    P, over 2,835 P-orbits in 1,443 order tests that cover all 3,628,800
+    cycles, within 96 MB of the child's own peak RSS, which its seen dict
+    of 362,880 canonical generators dominates."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("the child reads its peak RSS from /proc/self/status, absent here")
+    run = subprocess.run(
+        [sys.executable, "-c", _SWEEP_REPORTING_PEAK, "11"], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(Path(generation.__file__).parents[1])})
+    peak_mb = int(run.stderr.split("VmHWM:")[1].split()[0]) / 1024  # kB
+    print(f"A_11 sweep: the child's peak RSS {peak_mb:.0f} MB")
+    assert json.loads(run.stdout) == {"verdict": True, "witnesses": [], "tests": 2835,
+                                      "order_tests": 1443, "cycles": 3628800}
+    assert peak_mb <= 96
 
 
 def test_diagonal_universal_a5():
