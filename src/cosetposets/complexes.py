@@ -235,6 +235,11 @@ def rank_gfp(pivots: Iterable[tuple[int, int]], row: Callable[[int], dict[int, i
             pivot = rows.get(lead)
             if pivot is None:
                 pivot = rows[lead] = row(faces[lead])
+            if p == 2:  # every value is 1: adding the pivot row is a symmetric difference
+                for col in pivot:
+                    if r.pop(col, None) is None:
+                        r[col] = 1
+                continue
             c = r[lead] * pow(pivot[lead], -1, p) % p
             for col, y in pivot.items():
                 x = (r.get(col, 0) - c * y) % p

@@ -19,7 +19,7 @@ k of K, and those x are read off k's conjugacy class and its centralizer.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from operator import itemgetter
 from typing import Iterable
 
@@ -90,17 +90,14 @@ class CosetPoset:
         return sum(self.subgroup_chains[1])
 
     def coset_table(self, h: int) -> tuple[list[int], list[int]]:
-        """``reps, where`` for the subgroup of lattice id h: the least
-        element of each of its right cosets, in increasing order, and for
-        each element x the position in ``reps`` of the coset that holds x.
-        Made from ``groups.right_coset_reps`` on first read and shared with
+        """``reps, where = groups.right_coset_reps`` of the subgroup of lattice
+        id h: the least element of each right coset, increasing, and each
+        element's position in ``reps``. Made on first read and shared with
         the beat-point core."""
         table = self._coset_tables.get(h)
         if table is None:
-            label = right_coset_reps(self.lattice.group, self.lattice.subgroups[h].elements)
-            reps = [x for x, r in enumerate(label) if r == x]
-            where = list(map(dict(zip(reps, count())).__getitem__, label))
-            table = self._coset_tables[h] = reps, where
+            table = self._coset_tables[h] = right_coset_reps(
+                self.lattice.group, self.lattice.subgroups[h].elements)
         return table
 
     def cosets_inside(self, k: int, h: int) -> list[list[int]]:

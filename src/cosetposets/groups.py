@@ -7,9 +7,9 @@ the same generator sequence is identical, byte for byte.
 
 Internally permutations are image tables of type ``bytes`` (0-based);
 the public surface speaks :class:`~cosetposets.perm.Permutation`. Subgroups
-and cosets are index sets into a group's element table (``_closure``,
-``right_coset_reps``), and ``_closure`` is the only way a subgroup reaches
-that table.
+are index sets into a group's element table, reached only by ``_closure``;
+a right coset is named by its position among the cosets' least elements,
+in increasing order (``right_coset_reps``).
 """
 
 from __future__ import annotations
@@ -564,15 +564,15 @@ def quotient_representation(G: PermutationGroup, N: PermutationGroup) -> Quotien
     if not is_normal_subgroup(G, N):
         raise ValueError("N is not normal in G")
     index = G.element_index()
-    label = right_coset_reps(G, subgroup_indices(G, N))
-    step = _on_cosets(G, label, range(len(label)), [index[g] for g in G._gens_bytes()])
-    reps = [x for x, _, _ in _orbit(0, step)]
-    if len(reps) != G.order // N.order:
-        raise RuntimeError(f"the coset walk meets {len(reps)} cosets, not |G:N| = "
+    cosets = right_coset_reps(G, subgroup_indices(G, N))
+    step = _on_cosets(G, cosets, range(G.order), [index[g] for g in G._gens_bytes()])
+    walk = [j for j, _, _ in _orbit(0, step)]  # N is the coset at position 0
+    if len(walk) != G.order // N.order:
+        raise RuntimeError(f"the coset walk meets {len(walk)} cosets, not |G:N| = "
                            f"{G.order // N.order}")
-    position = {x: j for j, x in enumerate(reps)}
-    images = [Permutation([position[y] for y in column]) for column in zip(*map(step, reps))]
-    Q = PermutationGroup(images, len(reps))
+    label = {j: i for i, j in enumerate(walk)}
+    images = [Permutation([label[y] for y in column]) for column in zip(*map(step, walk))]
+    Q = PermutationGroup(images, len(walk))
     if Q.order * N.order != G.order:
         raise RuntimeError(f"|G/N| |N| = {Q.order} * {N.order} is not |G| = {G.order}")
     return QuotientRepresentation(Q)
@@ -674,30 +674,28 @@ def _closure(G: PermutationGroup, gens: Sequence[int],
 
 
 def right_coset_reps(G: PermutationGroup, members: Iterable[int],
-                     finer: Sequence[int] | None = None,
-                     finer_reps: Sequence[int] | None = None) -> list[int]:
-    """For each index x into G's element table, the least index in the right
-    coset Hx, with the subgroup H given by its element indices. With
-    ``finer``, this function's labels for a subgroup B of H, only B's coset
-    representatives y get a label, and x's is ``rep[finer[x]]``: Hx is the
-    union of the B r x, r over H's B-coset representatives, so H's cosets
-    cost |G : B| translates, not |G| (coset enumeration along a chain).
-    ``finer_reps``, B's representatives in increasing order, is read off
-    ``finer`` when not given; a caller that labels many H over one B
-    passes it."""
+                     finer: tuple[Sequence[int], Sequence[int]] | None = None
+                     ) -> tuple[list[int], list[int]]:
+    """The right cosets Hx of the subgroup H of G given by its element
+    indices, as ``(reps, where)``: ``reps`` the least index of each coset,
+    increasing, and ``where[x]`` the position in ``reps`` of Hx for each
+    index x into G's element table. With ``finer``, a subgroup B of H's own
+    ``(reps, where)``, ``where`` has one entry per coset of B instead, the
+    position of the coset of H that holds it: Hx is the union of the B r x,
+    r over H's B-coset representatives, so H's cosets cost |G : B|
+    translates, not |G| (coset enumeration along a chain)."""
     elems, index = G.element_bytes(), G.element_index()
     tail = _ID256[G._degree:]
-    fine = range(len(elems)) if finer is None else finer  # B = 1 by default
-    if finer_reps is None:  # with B = 1, every element in table order
-        finer_reps = fine if finer is None else sorted(set(fine))
-    base = [elems[h] for h in members if fine[h] == h]
-    rep = [-1] * len(elems)
-    for x in finer_reps:
-        if rep[x] < 0:  # x is the least representative not yet labelled: the least in Hx
+    fine_reps, fine = finer or (range(len(elems)),) * 2  # B = 1 by default
+    base = [elems[h] for h in members if fine_reps[fine[h]] == h]  # one per coset of B in H
+    reps, where = [], [-1] * len(fine_reps)
+    for j, x in enumerate(fine_reps):
+        if where[j] < 0:  # x is the least representative not yet placed: the least in Hx
             pad = elems[x] + tail
             for r in base:
-                rep[fine[index[r.translate(pad)]]] = x
-    return rep
+                where[fine[index[r.translate(pad)]]] = len(reps)
+            reps.append(x)
+    return reps, where
 
 
 def _conjugation_rows(G: PermutationGroup) -> list[list[int]]:
@@ -722,7 +720,7 @@ def _orbit(seed: _Point,
            step: Callable[[_Point], Sequence[_Point]]) -> list[tuple[_Point, int, int]]:
     """The orbit of a point under some maps, breadth first; ``step(x)`` lists
     x's image under each map, in a fixed order of the maps. Points are any
-    hashable values: base points, coset labels, cycles, index sets. Each
+    hashable values: base points, coset positions, cycles, index sets. Each
     image comes once, as (image, position of the member it was first reached
     from, index of the map that reached it), starting with (seed, -1, -1),
     so a word in the maps that carries the seed to each member is read back
@@ -736,14 +734,15 @@ def _orbit(seed: _Point,
     return orbit
 
 
-def _on_cosets(G: PermutationGroup, label: Sequence[int], finer: Sequence[int],
-               gens: Sequence[int]) -> Callable[[int], list[int]]:
-    """The step for ``_orbit`` on right cosets Hx, each given by its label
-    ``label[finer[x]]`` from ``right_coset_reps`` (``finer`` ``range(|G|)``
-    for labels of every element): the label of Hxg for each g in ``gens``."""
+def _on_cosets(G: PermutationGroup, cosets: tuple[Sequence[int], Sequence[int]],
+               fine: Sequence[int], gens: Sequence[int]) -> Callable[[int], list[int]]:
+    """The ``_orbit`` step on the right cosets Hx of ``right_coset_reps``'s
+    ``reps, where = cosets``, by position in ``reps``: Hxg's, where[fine[y]]
+    for y = xg, per g in ``gens`` (``fine`` the finer where, or range(|G|))."""
     elems, index = G.element_bytes(), G.element_index()
+    reps, where = cosets
     pads = [elems[g] + _ID256[G._degree:] for g in gens]
-    return lambda x: [label[finer[index[elems[x].translate(pad)]]] for pad in pads]
+    return lambda j: [where[fine[index[elems[reps[j]].translate(pad)]]] for pad in pads]
 
 
 def conjugate_indices(G: PermutationGroup, members: Iterable[int], g: bytes) -> frozenset[int]:
@@ -854,7 +853,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     with g ranging over representatives of the double cosets K\\G/K; any
     subgroup between H and G is reached through a chain of such extensions.
     A double coset K g K is the orbit of the right coset K g under K acting
-    by right multiplication, so each is found on K's labels, read off those
+    by right multiplication, so each is found on K's cosets, read off those
     of the start record B (``right_coset_reps``, with G labelled once), and
     its representative g, its least element, is among B's |G : B| ones.
     As <K, g> = <K, g^e> for every e prime to |g|, the double cosets of
@@ -882,7 +881,7 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
     start = record_from(tuple(index[g._b] for g in H.generators))
     found: dict[frozenset[int], SubgroupRecord] = {start.elements: start}
     fine = right_coset_reps(G, start.elements)  # every record holds the start
-    fine_reps = sorted(set(fine))
+    on_fine = fine[1]  # each element's coset of the start record, by position
 
     def join(rec: SubgroupRecord, g: int) -> SubgroupRecord:
         gens = rec.generators + (g,)
@@ -902,19 +901,19 @@ def intermediate_subgroups(G: PermutationGroup, H: PermutationGroup) -> list[Sub
         if len(K) == n_g:
             return []
         rec = found[K]
-        label = right_coset_reps(G, K, fine, fine_reps)
-        step = _on_cosets(G, label, fine, rec.generators)
-        marked = {0}  # coset labels already in a double coset walked
+        cosets = reps, where = right_coset_reps(G, K, fine)
+        step = _on_cosets(G, cosets, on_fine, rec.generators)
+        marked = {0}  # positions of the cosets already in a double coset walked
         out = []
-        for g in [x for x in fine_reps if label[x] == x]:  # K's coset representatives, increasing
-            if g in marked:
+        for j, g in enumerate(reps):  # K's coset representatives, increasing
+            if j in marked:
                 continue
             # Kg is the first coset of K g K in table order, so g is its least
             # element and the representative; <K, g^e> = <K, g> for e prime
             # to |g|, so the orbits of the cosets K g^e are marked with it
             powers, x, pad = [], elems[g], elems[g] + tail
             while x != elems[0]:
-                powers.append(label[fine[index[x]]])  # K g^e at e - 1
+                powers.append(where[on_fine[index[x]]])  # K g^e at e - 1
                 x = x.translate(pad)
             for e, y in enumerate(powers, 1):
                 if y not in marked and gcd(e, len(powers) + 1) == 1:
@@ -940,7 +939,7 @@ def lift_census(G: PermutationGroup, G0: PermutationGroup,
     the least element of Lt. The cosets outside G0 are the Lxs, for Lx the
     right cosets of L in G0 and s the least element of G outside G0, so
     only G0's table is labelled, once, by the cosets of the records'
-    intersection B (H for H's census); L's labels are read off B's. Given
+    intersection B (H for H's census); L's cosets are read off B's. Given
     H's census over G0, the result is H's census over G.
     """
     if G.order != 2 * G0.order:
@@ -956,14 +955,12 @@ def lift_census(G: PermutationGroup, G0: PermutationGroup,
     if not all(rec.elements <= G0._full_set() for rec in records0):
         raise ValueError("a record of records0 does not lie inside G0")
     fine = right_coset_reps(G0, G0._full_set().intersection(*(r.elements for r in records0)))
-    fine_reps = sorted(set(fine))
     out = []
     for rec in records0:
         L = frozenset(map(to_g.__getitem__, rec.elements))
         gens = tuple(map(to_g.__getitem__, rec.generators))
         out.append(SubgroupRecord(rec.order, L, gens))
-        label = right_coset_reps(G0, rec.elements, fine, fine_reps)
-        for x in [y for y in fine_reps if label[y] == y]:  # L's coset representatives, increasing
+        for x in right_coset_reps(G0, rec.elements, fine)[0]:  # L's coset representatives
             t = elems[to_g[x]].translate(s_pad)  # xs, in the coset Lxs
             t_pad = t + tail
             if (index[t.translate(t_pad)] not in L

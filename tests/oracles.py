@@ -64,7 +64,7 @@ maximal subgroups are read on one member of each conjugacy class.
 
 The double-coset marking here walks each double coset K g K element by
 element, under left and right multiplication by K's generators;
-``groups.intermediate_subgroups`` walks right-coset labels of
+``groups.intermediate_subgroups`` walks right-coset positions of
 ``groups.right_coset_reps`` under right multiplication, with ``groups._orbit``.
 The census oracle closes every double coset; the library joins once per
 class of double cosets under g -> g^e (e prime to |g|), which the oracle
@@ -206,9 +206,9 @@ def labelled_fixed_cosets(G: PermutationGroup, N: PermutationGroup, overgroups,
     for rec in overgroups:
         if not _proper_supplement(rec, n_set, G.order):
             continue
-        for r, rep in enumerate(right_coset_reps(G, rec.elements)):
+        for r in right_coset_reps(G, rec.elements)[0]:
             # K^(r^-1) = r K r^-1
-            if rep == r and conjugate_indices(G, k_gens, _inv_bytes(elems[r])) <= rec.elements:
+            if conjugate_indices(G, k_gens, _inv_bytes(elems[r])) <= rec.elements:
                 out.append((rec, r))
     return out
 

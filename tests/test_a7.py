@@ -18,6 +18,7 @@ from cosetposets.complexes import order_complex, reduced_betti
 from cosetposets.cosets import build_relative_poset
 from cosetposets.groups import (
     PermutationGroup,
+    SubgroupRecord,
     alternating_group,
     conjugacy_orbit_of_subgroup,
     cyclic_group,
@@ -119,6 +120,10 @@ def _seven_cycle_phi_does_not_normalize(env):
     return str(h)
 
 
+def _phi_of_order_three(env):
+    return "(1,2,3)"  # normalizes A_7, but is no involution
+
+
 def _order_four_subgroup_of_p(env):
     gens = a7.SYLOW2_GENERATORS[:2]
     Q = PermutationGroup([parse_permutation(g, 7) for g in gens])
@@ -130,7 +135,9 @@ def _order_four_subgroup_of_p(env):
     ("SYLOW2_GENERATORS", _conjugate_of_p_gens),
     ("SYLOW2_GENERATORS", _order_four_subgroup_of_p),
     ("SEVEN_CYCLE", _seven_cycle_phi_does_not_normalize),
-], ids=["P-conjugate-not-phi-invariant", "P-of-order-4", "seven-cycle-not-phi-invariant"])
+    ("PHI", _phi_of_order_three),
+], ids=["P-conjugate-not-phi-invariant", "P-of-order-4", "seven-cycle-not-phi-invariant",
+        "phi-not-an-involution"])
 def test_build_environment_refuses_a_failing_witness(env, monkeypatch, name, bad):
     """Each stated witness is certified on every build: one replaced by a
     value that fails one check is named in a RuntimeError."""
@@ -181,6 +188,17 @@ def test_each_class_has_fifteen_members(env):
 def test_strong_generation_for_both_pgls(env):
     for rec in pgl_overgroups(env):
         assert check_pgl_strong_generation(env, rec)
+
+
+def test_strong_generation_refuses_generators_of_another_order(env):
+    """A PGL(2,7) record cut down to its first generator gives the cyclic
+    group of that generator's order, not 168."""
+    rec = pgl_overgroups(env)[0]
+    g = Permutation._from_bytes(env.A7.element_bytes()[rec.generators[0]])
+    cut = SubgroupRecord(rec.order, rec.elements, rec.generators[:1])
+    with pytest.raises(RuntimeError,
+                       match=f"^the record's generators give order {g.order()}, not 168$"):
+        check_pgl_strong_generation(env, cut)
 
 
 def test_strong_generation_negative_control():
@@ -289,38 +307,45 @@ def test_census_and_lift_each_label_a7_once(monkeypatch):
     full labelling each, and one labelling of P's 315 cosets per record
     they scan (11 by the census, whose record A_7 needs none, and 12 by
     the lift), where each of those 23 labelled all 2,520 elements. Each
-    labelling over P's cosets is given P's 315 representatives, sorted once
-    per census or lift."""
+    labelling over P's cosets is given P's one labelling of the census or
+    lift, 315 representatives, and gives a position for each of P's 315
+    cosets."""
     calls = []
 
-    def counting(G, members, finer=None, finer_reps=None):
+    def counting(G, members, finer=None):
         calls.append((G.order, finer is None))
+        got = label(G, members, finer)
         if finer is not None:
-            assert finer_reps == sorted(set(finer)) and len(finer_reps) == 315
-            reps.append(finer_reps)  # held, so their ids stay distinct
-        return label(G, members, finer, finer_reps)
+            assert len(finer[0]) == len(got[1]) == 315
+            fines.append(finer)  # held, so their ids stay distinct
+        return got
 
     label = groups.right_coset_reps
-    reps = []
+    fines = []
     monkeypatch.setattr(groups, "right_coset_reps", counting)
     env = build_environment.__wrapped__()  # an environment with no census yet
     env.overgroups("A7")
-    assert calls == [(2520, True)] + [(2520, False)] * 11 and len(set(map(id, reps))) == 1
+    assert calls == [(2520, True)] + [(2520, False)] * 11 and len(set(map(id, fines))) == 1
     calls.clear()
     assert len(env.overgroups("S7")) == 20
-    assert calls == [(2520, True)] + [(2520, False)] * 12 and len(set(map(id, reps))) == 2
+    assert calls == [(2520, True)] + [(2520, False)] * 12 and len(set(map(id, fines))) == 2
 
 
 def test_census_and_lift_coset_representatives_match_the_sorted_labels(monkeypatch):
     """For every record the A_7 census and its S_7 lift label over P's
-    cosets, the record's coset representatives read off P's, those labelled
-    with themselves, are the sorted distinct labels."""
+    cosets, the record's coset representatives are increasing, each lies in
+    the coset at its own position, and none is above an element of its
+    coset, each element's coset read off its P-coset."""
     checked = []
 
-    def checking(G, members, finer=None, finer_reps=None):
-        got = label(G, members, finer, finer_reps)
+    def checking(G, members, finer=None):
+        got = label(G, members, finer)
         if finer is not None:
-            assert [x for x in finer_reps if got[x] == x] == sorted(set(got) - {-1})
+            reps, where = got
+            position = [where[f] for f in finer[1]]
+            assert reps == sorted(set(reps))
+            assert [position[x] for x in reps] == list(range(len(reps)))
+            assert all(reps[position[x]] <= x for x in range(G.order))
             checked.append(G.order)
         return got
 

@@ -259,6 +259,16 @@ def test_quotient_refuses_an_order_that_is_not_the_index(monkeypatch):
         quotient_representation(S4, V4)
 
 
+def test_quotient_refuses_a_walk_that_misses_a_coset(monkeypatch):
+    """A coset walk whose every step stays at V4 meets 1 of its 6 cosets in S4."""
+    S4 = symmetric_group(4)
+    V4 = PermutationGroup(perms("(1,2)(3,4)", "(1,3)(2,4)", degree=4))
+    monkeypatch.setattr(groups, "_on_cosets",
+                        lambda G, cosets, fine, gens: lambda j: [j] * len(gens))
+    with pytest.raises(RuntimeError, match=r"^the coset walk meets 1 cosets, not \|G:N\| = 6$"):
+        quotient_representation(S4, V4)
+
+
 def test_quotient_generator_images_respect_multiplication():
     """For each catalog group of order <= 60 and each minimal normal N != G:
     with the cosets labelled in the order a breadth-first walk from N under
@@ -549,14 +559,14 @@ def test_lift_census_matches_census(case):
 
 def test_lift_census_certifies_each_lift(monkeypatch):
     """A record that misstates its order lifts to a K of less than twice
-    that order; with every element labelled as its own coset, each lift comes
-    once per element of its coset, and the census repeats a record."""
+    that order; with every element its own coset's representative, each lift
+    comes once per element of its coset, and the census repeats a record."""
     G, G0, H = _lift_case("S4/V4")
     V4 = intermediate_subgroups(G0, H)[0]
     with pytest.raises(RuntimeError, match="does not double it"):
         groups.lift_census(G, G0, [SubgroupRecord(8, V4.elements, V4.generators)])
     monkeypatch.setattr(groups, "right_coset_reps",
-                        lambda G, members, finer=None, finer_reps=None: range(G.order))
+                        lambda G, members, finer=None: (range(G.order),) * 2)
     with pytest.raises(RuntimeError, match="repeats a record"):
         groups.lift_census(G, G0, [V4])
 
@@ -903,8 +913,10 @@ def test_subgroup_indices_of_g_order_outside_g_raises():
 
 
 def test_right_coset_reps_match_sorted_cosets():
-    """Each element's label is the first entry of its sorted coset Hx, for
-    every subgroup of every catalog group of order <= 24."""
+    """The representative at each element's position is the first entry of
+    its sorted coset Hx, and the representatives are those first entries in
+    increasing order, for every subgroup of every catalog group of order
+    <= 24."""
     for entry in SMALL_CATALOG.values():
         if entry.expected_order > 24:
             continue
@@ -912,27 +924,29 @@ def test_right_coset_reps_match_sorted_cosets():
         mul = product_table(G)[0]
         for rec in enumerate_subgroups(G).subgroups:
             expected = [sorted(mul[h][x] for h in rec.elements)[0] for x in range(G.order)]
-            assert right_coset_reps(G, rec.elements) == expected, (entry.name, rec.order)
+            reps, where = right_coset_reps(G, rec.elements)
+            assert [reps[w] for w in where] == expected, (entry.name, rec.order)
+            assert reps == sorted(set(expected)), (entry.name, rec.order)
 
 
 @pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
                                   if e.expected_order <= 60])
 def test_right_coset_reps_read_off_a_finer_labelling(name):
     """For every pair of subgroups H <= K of a catalog group of order <= 60,
-    H = 1 and H = K included, K's labels read off H's, label[fine[x]],
-    equal K's labels made over the whole table, and passing H's sorted
-    representatives gives the labels that reading them off ``fine`` gives."""
+    H = 1 and H = K included, K's cosets read off H's give the
+    representatives made over the whole table, and K's positions by H's
+    cosets, read at each element's H-coset, ``where[fine[x]]``, equal K's
+    positions made over the whole table."""
     G = CATALOG[name].build()
     records = enumerate_subgroups(G).subgroups
     for H in records:
-        fine = right_coset_reps(G, H.elements)
-        fine_reps = sorted(set(fine))
+        fine = fine_reps, fine_where = right_coset_reps(G, H.elements)
         for K in records:
             if H.elements <= K.elements:
-                coarse = right_coset_reps(G, K.elements, fine)
-                assert [coarse[f] for f in fine] == right_coset_reps(G, K.elements), \
+                reps, where = right_coset_reps(G, K.elements, fine)
+                assert len(where) == len(fine_reps), (name, H.order, K.order)
+                assert (reps, [where[f] for f in fine_where]) == right_coset_reps(G, K.elements), \
                     (name, H.order, K.order)
-                assert right_coset_reps(G, K.elements, fine, fine_reps) == coarse
 
 
 def test_element_table_is_built_once():
