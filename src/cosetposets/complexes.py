@@ -109,26 +109,29 @@ class CosetComplex:
                 if bitsets else self.poset.cosets_inside(ids[k], ids[h]))
         return table
 
-    def _cofaces(self, k: int, b: int, bitsets: bool) -> tuple:
-        """The cofaces of face t of block b of dimension k, H0 < ... < Hk.
-        K inserted at i >= 1 keeps H0x: face t of the block at
-        offset q, sign (-1)^i, listed as (q, i & 1), or as S, the bits of the
-        q, if ``bitsets``. K < H0 put first gives the cosets of K inside H0x,
-        sign +1, at the positions table[t] (``_preimage``) of the block at
-        offset q, listed as (q, table). The least coface chain comes first."""
-        c, upper = self._offsets[k][0][b], self.blocks[k + 1]
-        above, below = self._chains.above, self._chains.below
-        inserted = [(upper[c[:i] + (h,) + c[i:]], i & 1) for i in range(1, k + 2)
-                    for h in above[c[i - 1]] if i > k or h in below[c[i]]]
-        return (sum(1 << q for q, _ in inserted) if bitsets else inserted,
-                [(upper[(h,) + c], self._preimage(h, c[0], bitsets)) for h in below[c[0]]])
+    @cached_property
+    def _cofaces(self) -> list[list[list[tuple[int, int]]]]:
+        """For each dimension k and each of its blocks, H0 < ... < Hk, the
+        cofaces that insert K at i >= 1 and so keep H0x: face t of the block
+        at offset q, sign (-1)^i, as (q, i & 1), by increasing q. Built once,
+        from the (k+1)-chains: each is listed under each of its k+1 faces
+        that drop a subgroup other than the least one."""
+        out = []
+        for k, upper in enumerate(self.blocks[1:]):
+            lists: dict[tuple[int, ...], list[tuple[int, int]]] = {c: [] for c in self.blocks[k]}
+            for d, q in upper.items():
+                for i in range(1, k + 2):
+                    lists[d[:i] + d[i + 1:]].append((q, i & 1))
+            out.append(list(lists.values()))
+        return out
 
     def _pivots(self, k: int, keep: bytes) -> Iterator[tuple[int, int]]:
         """(face, pivot) for each k-face (k >= 0) marked in ``keep`` whose row
         is nonzero, in face order, with no row built: the highest column, the
-        last coset of the least K < H0 inside H0x, else the first insertion."""
+        last coset of the least K < H0 inside H0x, else the highest column
+        of the block's ``_cofaces`` list, its last."""
         (chains, starts), below, upper = self._offsets[k], self._chains.below, self.blocks[k + 1]
-        pairs = []
+        cofaces, pairs = self._cofaces[k], []
         for b, (c, o, end) in enumerate(zip(chains, starts, starts[1:])):
             kept = keep[o:end]
             if 1 not in kept:  # cleared whole, as blocks often are
@@ -138,8 +141,8 @@ class CosetComplex:
                 h = below[c[0]][0]
                 pre = map(self._preimage(h, c[0], False).__getitem__, ts)
                 pivots = map(add, repeat(upper[(h,) + c]), map(itemgetter(-1), pre))
-            elif inserted := self._cofaces(k, b, False)[0]:
-                pivots = map(add, repeat(inserted[0][0]), ts)
+            elif cofaces[b]:
+                pivots = map(add, repeat(cofaces[b][-1][0]), ts)
             else:  # a maximal chain, with no coface
                 continue
             pairs.append(zip(map(add, repeat(o), ts), pivots))
@@ -147,15 +150,23 @@ class CosetComplex:
 
     def _coboundary_rows(self, k: int, p: int, bitsets: bool) -> Callable[[int], int | dict]:
         """A k-face's row in C^k -> C^(k+1) over GF(p), k >= 0, by face: its
-        block b bisected from the offsets, b's ``_cofaces`` made on b's first
-        row, then (S << t) + the sum of (table[t] << q), bitset or dict."""
-        starts = self._offsets[k][1]
+        block b bisected from the offsets and, made on b's first row, b's
+        ``_cofaces`` list, or S, the bits of its q, if ``bitsets``, and the
+        cofaces that put K < H0 first: the cosets of K inside H0x, sign +1,
+        at the positions table[t] (``_preimage``) of the block at offset q,
+        as (q, table), the least K first. The row is then (S << t) + the sum
+        of (table[t] << q), bitset or dict."""
+        (chains, starts), cofaces = self._offsets[k], self._cofaces[k]
+        below, upper = self._chains.below, self.blocks[k + 1]
         made = [None] * len(starts)
 
         def row(face: int) -> int | dict[int, int]:
             b = bisect_right(starts, face) - 1
             if made[b] is None:
-                made[b] = self._cofaces(k, b, bitsets)
+                c = chains[b]
+                made[b] = (sum(1 << q for q, _ in cofaces[b]) if bitsets else cofaces[b],
+                           [(upper[(h,) + c], self._preimage(h, c[0], bitsets))
+                            for h in below[c[0]]])
             t, (inserted, firsts) = face - starts[b], made[b]
             if bitsets:  # inserted is S
                 r = inserted << t

@@ -152,9 +152,11 @@ class CosetPoset:
         (``complexes.reduced_betti`` says why). Dropping H leaves the
         overgroups of larger subgroups as they were, so one pass from the
         largest subgroup down, dropping each H whose kept overgroups have a
-        least element, leaves no beat point.
+        least element, leaves no beat point. The core's ``subgroup_chains``
+        is this poset's restricted to the kept subgroups, with no second
+        overgroup test.
         """
-        chains, _ = self.subgroup_chains
+        chains, index = self.subgroup_chains
         kept = [True] * chains.n
         for h in reversed(range(chains.n)):  # positions grow with the order
             up = [k for k in chains.above[h] if kept[k]]
@@ -162,6 +164,11 @@ class CosetPoset:
                 kept[h] = False
         core = CosetPoset(self.lattice, compress(self.subgroup_ids, kept))
         core._coset_tables = self._coset_tables
+        position = list(accumulate(kept, initial=0))  # a kept one's position in the core
+        core.subgroup_chains = (
+            FinitePoset([tuple(position[k] for k in up if kept[k])
+                         for up in compress(chains.above, kept)]),
+            list(compress(index, kept)))
         return core
 
     def dump(self) -> str:

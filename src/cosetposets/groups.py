@@ -179,11 +179,12 @@ class PermutationGroup:
 
     Immutable after construction; the stabilizer chain gives exact order
     and membership. The sorted element table, its index, the full index set,
-    the conjugation rows and the cyclic table are built once, on first use.
+    the conjugation rows and the cyclic table are built once, on first use,
+    and the normal closures of the cyclic classes each when first read.
     """
 
     __slots__ = ("_degree", "_gens", "_levels", "_order", "_elements", "_index", "_full",
-                 "_conj_rows", "_cyclic")
+                 "_conj_rows", "_cyclic", "_closures")
 
     def __init__(self, generators: Sequence[Permutation], degree: int | None = None):
         gens = list(generators)
@@ -203,6 +204,7 @@ class PermutationGroup:
         self._full: frozenset[int] | None = None
         self._conj_rows: list[list[int]] | None = None
         self._cyclic: tuple | None = None
+        self._closures: list[tuple[frozenset[int], list[int]]] = []
 
     @property
     def degree(self) -> int:
@@ -608,11 +610,14 @@ def normal_closure(G: PermutationGroup, seeds: Sequence[Permutation]) -> Permuta
 
 
 def _cyclic_normal_closures(G: PermutationGroup) -> Iterator[tuple[frozenset[int], list[int]]]:
-    """``_normal_closure`` of one cyclic subgroup per nontrivial class, made when read."""
+    """``_normal_closure`` of one cyclic subgroup per nontrivial class, in
+    class order, each made when first read and kept on G; read-only."""
     subgroups, _, classes = G._cyclic_table()
-    generators = list(subgroups.values())
-    for j, _ in classes[1:]:  # classes[0] is the trivial subgroup's
-        yield _normal_closure(G, [generators[j][0]])
+    generators, made = list(subgroups.values()), G._closures
+    for i, (j, _) in enumerate(classes[1:]):  # classes[0] is the trivial subgroup's
+        if i == len(made):
+            made.append(_normal_closure(G, [generators[j][0]]))
+        yield made[i]
 
 
 def minimal_normal_subgroups(G: PermutationGroup) -> list[PermutationGroup]:

@@ -7,14 +7,17 @@ representative H is joined with prime-power cyclic subgroups <z> not in H,
 <H, z> is grown from H as a union of right cosets of H (Dimino's
 algorithm), and each new class is filled at once, generators included, by
 ``groups.conjugacy_orbit_of_subgroup``. No join is made whose result is
-already known: <H, z^m> = <H, z>^m for m in N_G(H), so only the first z of
-each orbit of N_G(H) is joined (``groups._normalizer`` grows N_G(H) to the
-order the class size gives). Every closure stops at the ceiling, the largest
-order a proper subgroup of G can have, past which it is G: |G| // 2 by
-Lagrange, and for G simple |G| // k with k the least integer such that |G|
-divides k!, since a subgroup of index k makes G act on its k cosets with
-trivial kernel, so G embeds in S_k (the index argument; Dixon and Mortimer,
-*Permutation Groups*, 1996). Once G is found, a representative H gets no
+already known: <H, (hz)^m> = <H, z>^m for h in H and m in N_G(H), so H is
+joined once per orbit of N_G(H) on the right cosets Hz, and each join marks
+every prime-power <hz>, with its orbit, as tried (|H| products per join;
+``groups._normalizer`` grows N_G(H) to the order the class size gives).
+A z passed over comes after the z that marked it and gives a conjugate of
+its join, so each class is still first found by the same join. Every
+closure stops at the ceiling, the largest order a proper subgroup of G can
+have, past which it is G: |G| // 2 by Lagrange, and for G simple |G| // k
+with k the least integer such that |G| divides k!, since a subgroup of
+index k makes G act on its k cosets with trivial kernel, so G embeds in
+S_k (the index argument; Dixon and Mortimer, *Permutation Groups*, 1996). Once G is found, a representative H gets no
 join at all when |H| p passes the ceiling, p the least prime dividing
 |G : H|: every proper overgroup of H would have order at least |H| p.
 Subgroups are stored as frozensets of indices into the group's one element
@@ -43,6 +46,7 @@ from .groups import (
     _p_part,
     conjugacy_orbit_of_subgroup,
 )
+from .perm import _ID256
 
 LATTICE_ORDER_BOUND = 1000
 
@@ -75,7 +79,8 @@ class SubgroupLattice:
 
     def _enumerate(self) -> tuple[list[SubgroupRecord], list[int]]:
         G = self.group
-        elements = G.element_bytes()
+        elements, index = G.element_bytes(), G.element_index()
+        tail = _ID256[G.degree:]
         n = len(elements)
         conj_rows = _conjugation_rows(G)
         # the least generator of each cyclic subgroup; joins try prime-power ones
@@ -103,15 +108,21 @@ class SubgroupLattice:
                 conjugators = [_conjugator(G, elements[g]) for g in n_gens]
             # each z not in H, mapped to its images under the generators of
             # N_G(H); N_G(H) fixes H, so they are again not in H
-            step = {z: [least[position[conj(z)]] for conj in conjugators]
-                    for z in zs if z not in H}.__getitem__
+            steps = {z: [least[position[conj(z)]] for conj in conjugators]
+                     for z in zs if z not in H}
+            step, base = steps.__getitem__, [elements[h] for h in H]
             tried: set[int] = set()
             for z in zs:
                 if z in H or z in tried:
                     continue
-                # <H, z^m> = <H, z>^m for m in N_G(H): its class is found
-                # with that of <H, z>, so one z per orbit of N_G(H) is joined
-                tried.update(c for c, _, _ in _orbit(z, step))
+                # <H, (hz)^m> = <H, z>^m for h in H and m in N_G(H): its class
+                # is found with that of <H, z>, so one coset Hz per orbit of
+                # N_G(H) is joined, and each cyclic subgroup <hz> is tried
+                pad = elements[z] + tail
+                for y in base:
+                    c = least[position[index[y.translate(pad)]]]
+                    if c in steps and c not in tried:
+                        tried.update(w for w, _, _ in _orbit(c, step))
                 gens = h_gens + (z,)
                 K = self._span(gens, H)
                 if K in found:

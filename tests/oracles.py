@@ -53,9 +53,11 @@ generators instead, and ``_long_cycle_rank`` is the enumeration order that
 ``generation._enumeration_key`` sorts by.
 
 The flat lattice enumeration here joins each class representative with
-every prime-power cyclic subgroup; the library joins one cyclic subgroup
-per orbit of the representative's normalizer. Both fill each new class,
-with its members' generators, by ``groups.conjugacy_orbit_of_subgroup``.
+every prime-power cyclic subgroup, and the normalizer-orbit lattice one
+cyclic subgroup per orbit of the representative's normalizer; the library
+joins one coset Hz per orbit of the normalizer and, each time, marks every
+cyclic subgroup <hz> as tried. All fill each new class, with its members'
+generators, by ``groups.conjugacy_orbit_of_subgroup``.
 The pairwise inclusion here tests every pair of subgroups, and
 ``relation_moebius`` reads mu off that relation subgroup by subgroup; the
 library stores no relation: ``SubgroupLattice.overgroups`` tests one
@@ -141,12 +143,14 @@ from cosetposets.a7 import A7Environment, overgroups_of_sylow2
 from cosetposets.complexes import CosetComplex
 from cosetposets.cosets import CosetPoset, OvergroupAutomorphism, _proper_supplement
 from cosetposets.generation import GenerationReport, _CycleGenerators, _cycle_permutation
-from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _generated_order,
-                                _is_prime, _normal_closure, _orbit, _p_part,
+from cosetposets.groups import (PermutationGroup, SubgroupRecord, _closure, _conjugation_rows,
+                                _conjugator, _generated_order, _is_prime, _normal_closure,
+                                _normalizer, _orbit, _p_part,
                                 _scan_sylow_subgroup, _sylow2_wreath_gens,
                                 conjugacy_orbit_of_subgroup, conjugate_indices,
                                 is_normal_subgroup, right_coset_reps, subgroup_indices,
                                 alternating_group, sylow_subgroup)
+from cosetposets.lattice import proper_order_ceiling
 from cosetposets.perm import _ID256, Permutation, _inv_bytes, _mul_bytes, cycle_string
 from cosetposets.posets import FinitePoset
 
@@ -899,6 +903,16 @@ def stong_core(poset: FinitePoset) -> set[int]:
     return alive
 
 
+def inserted_cofaces(X: CosetComplex, k: int, b: int) -> list[tuple[int, int]]:
+    """The cofaces of block b of dimension k, H0 < ... < Hk, that insert K
+    at i >= 1, as (offset of the coface's block, i & 1), made for the one
+    block by testing each K above H_(i-1) for being below H_i."""
+    c, upper = list(X.blocks[k])[b], X.blocks[k + 1]
+    above, below = X._chains.above, X._chains.below
+    return [(upper[c[:i] + (h,) + c[i:]], i & 1) for i in range(1, k + 2)
+            for h in above[c[i - 1]] if i > k or h in below[c[i]]]
+
+
 def full_row_pivots(X, p: int) -> dict[int, set[int]]:
     """The pivot columns of each coboundary map C^(k-1) -> C^k, by k, with
     the rows cleared as ``complexes._boundary_ranks`` clears them but the
@@ -1043,6 +1057,71 @@ def normalizer_orbit_count(G: PermutationGroup, H: frozenset[int]) -> int:
     orbits = {frozenset(frozenset(conj_element(G, x, g) for x in C) for g in normalizer)
               for C in cyclic}
     return len(orbits)
+
+
+def coset_orbit_count(G: PermutationGroup, H: frozenset[int]) -> int:
+    """The number of orbits of N_G(H) = {g : H^g = H}, found by conjugating
+    H by every element of G, on the right cosets Hz that the lattice joins:
+    z runs through the least generators of the cyclic subgroups of
+    prime-power order not in H, in increasing order, and the orbit of Hz is
+    taken unless a generator of <z> lies in an orbit already taken."""
+    mul = product_table(G)[0]
+    normalizer = [g for g in range(G.order)
+                  if frozenset(conj_element(G, x, g) for x in H) == H]
+    cyclic = sorted((sorted(gens) for fs, gens in G._cyclic_table()[0].items()
+                     if len(fs) > 1 and not fs <= H
+                     and any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
+                             for p in range(2, len(fs) + 1))), key=itemgetter(0))
+    taken: set[int] = set()  # the elements of the cosets of the orbits taken
+    orbits = 0
+    for gens in cyclic:
+        if taken.isdisjoint(gens):
+            coset = [mul[h][gens[0]] for h in H]
+            taken.update(conj_element(G, x, g) for g in normalizer for x in coset)
+            orbits += 1
+    return orbits
+
+
+def normalizer_orbit_lattice(G: PermutationGroup) -> tuple[list[SubgroupRecord], list[int]]:
+    """The records and ``class_of`` of the lattice joined once per orbit of
+    N_G(H) on the prime-power cyclic subgroups not in H, each orbit walked
+    on its least generators; it joins each representative in the order and
+    with the skips of ``SubgroupLattice``, closed up to the same ceiling."""
+    elements = G.element_bytes()
+    n, ceiling = len(elements), proper_order_ceiling(G)
+    conj_rows = _conjugation_rows(G)
+    subgroups, position, _ = G._cyclic_table()
+    least = [gens[0] for gens in subgroups.values()]
+    zs = [gens[0] for fs, gens in subgroups.items()
+          if any(_is_prime(p) and _p_part(len(fs), p) == len(fs)
+                 for p in range(2, len(fs) + 1))]
+    found: dict[frozenset[int], tuple[tuple[int, ...], int]] = {frozenset({0}): ((), 0)}
+    reps = [(frozenset({0}), 1)]
+    for H, size in reps:  # grows while it is walked
+        if G._full_set() in found and not any(
+                (n // len(H)) % d == 0 for d in range(2, ceiling // len(H) + 1)):
+            continue
+        h_gens = found[H][0]
+        N, n_gens = _normalizer(G, H, h_gens, n // size)
+        conjugators = ([row.__getitem__ for row in conj_rows] if len(N) == n
+                       else [_conjugator(G, elements[g]) for g in n_gens])
+        step = {z: [least[position[conj(z)]] for conj in conjugators]
+                for z in zs if z not in H}.__getitem__
+        tried: set[int] = set()
+        for z in zs:
+            if z in H or z in tried:
+                continue
+            tried.update(c for c, _, _ in _orbit(z, step))
+            gens = h_gens + (z,)
+            K = _closure(G, gens, H, ceiling)
+            if K not in found:
+                orbit = conjugacy_orbit_of_subgroup(G, K, gens)
+                found.update((image, (image_gens, len(reps))) for image, image_gens, _ in orbit)
+                reps.append((K, len(orbit)))
+    records = sorted(found.items(), key=lambda r: (len(r[0]), sorted(r[0])))
+    first: dict[int, int] = {}
+    class_of = [first.setdefault(c, i) for i, (_, (_, c)) in enumerate(records)]
+    return [SubgroupRecord(len(fs), fs, gens) for fs, (gens, _) in records], class_of
 
 
 def lattice_ids(lat) -> dict[frozenset[int], int]:

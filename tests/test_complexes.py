@@ -51,6 +51,7 @@ from oracles import (
     coset_complex_faces,
     dense_boundary_ranks,
     full_row_pivots,
+    inserted_cofaces,
     join,
     lattice_ids,
     recursive_order_complex,
@@ -384,6 +385,36 @@ def test_boundary_rows_match_sliced_oracle_on_catalog(name):
             _assert_rows_match_sliced_oracle(order_complex(poset), p, bitsets)
 
 
+def _assert_cofaces_match_the_per_block_oracle(X):
+    """Each block's ``_cofaces`` list is the per-block oracle's as a multiset
+    of (column, sign); on each block with nothing below its least subgroup
+    the oracle's first coface is the list's highest column, and ``_pivots``
+    gives each row of the block that column."""
+    for k in range(X.dimension):
+        (chains, starts), cofaces = X._offsets[k], X._cofaces[k]
+        assert len(cofaces) == len(chains)
+        pivots = dict(X._pivots(k, b"\x01" * X.f_vector()[k + 1]))
+        for b, (c, o, listed) in enumerate(zip(chains, starts, cofaces)):
+            oracle = inserted_cofaces(X, k, b)
+            assert sorted(listed) == sorted(oracle)
+            if listed and not X._chains.below[c[0]]:
+                highest = max(q for q, _ in listed)
+                assert oracle[0][0] == highest
+                assert [pivots[o + t] for t in range(X.block_size[c[0]])] == [
+                    highest + t for t in range(X.block_size[c[0]])]
+
+
+@pytest.mark.parametrize("name", [e.name for e in load_catalog(verify=False)
+                                  if 2 <= e.expected_order <= 60])
+def test_coface_lists_match_the_per_block_oracle_on_catalog(name):
+    """C(G) and every C(G, N), N minimal normal, and their beat-point
+    cores."""
+    for _, poset in _coset_poset_cases(catalog_group(name), name):
+        X = order_complex(poset)
+        for Y in (X, X.core()):
+            _assert_cofaces_match_the_per_block_oracle(Y)
+
+
 def _assert_pivots_match_full_rows(X, monkeypatch):
     """``_boundary_ranks`` claims the same pivot columns, map by map, as the
     full-row reduction, at p = 2 on int bitsets and on dict rows, and at
@@ -452,6 +483,7 @@ def test_boundary_rows_match_sliced_oracle_on_random_complexes(name, picks, p):
     proper = proper_subgroup_ids(lat)
     X = order_complex(CosetPoset(lat, {proper[i % len(proper)] for i in picks}))
     _assert_rows_match_sliced_oracle(X, p, p == 2)
+    _assert_cofaces_match_the_per_block_oracle(X)
 
 
 def _order_complex_cases():
@@ -498,6 +530,17 @@ def test_beat_point_core_matches_the_vertex_stong_core():
         kept = stong_core(vertex_relation(poset))
         assert {poset.vertices[v] for v in kept} == set(core.vertices), name
         assert stong_core(vertex_relation(core)) == set(range(len(core))), name
+
+
+def test_beat_point_core_restricts_the_subgroup_chains():
+    """The core's subgroup chains, restricted from the poset's, are those a
+    fresh coset poset on the core's subgroups finds by overgroup tests: on
+    every catalog C(G) and C(G, N) of order 2..60."""
+    for name, poset in _order_complex_cases():
+        core = poset.beat_point_core()
+        (chains, index), (fresh, fresh_index) = (
+            core.subgroup_chains, CosetPoset(poset.lattice, core.subgroup_ids).subgroup_chains)
+        assert (chains.above, chains.below, index) == (fresh.above, fresh.below, fresh_index), name
 
 
 def _unlabelled(*args):

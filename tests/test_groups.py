@@ -355,16 +355,43 @@ def _count_normal_closures(monkeypatch) -> list[list[int]]:
 
 
 def test_minimal_normal_subgroups_close_one_cyclic_subgroup_per_class(monkeypatch):
+    """The first read makes one closure per nontrivial class of cyclic
+    subgroups, in class order; the closures are kept on the group, so a later
+    ``enumerate_subgroups`` or ``minimal_normal_subgroups`` makes none. Each
+    group is built here, as the shared catalog groups may hold closures."""
     calls = _count_normal_closures(monkeypatch)
-    for name in CATALOG:
-        G = _catalog_group(name)
-        if 1 < G.order < 2520:
+    for name, entry in CATALOG.items():
+        if 1 < entry.expected_order < 2520:
+            G = entry.build()
             calls.clear()
-            minimal_normal_subgroups(G)
+            minimal = minimal_normal_subgroups(G)
             subgroups, _, classes = G._cyclic_table()
             least = [gens[0] for gens in subgroups.values()]
             assert len(calls) == len(classes) - 1, name
             assert [seeds[0] for seeds in calls] == [least[j] for j, _ in classes[1:]], name
+            calls.clear()
+            assert minimal_normal_subgroups(G) == minimal, name
+            if G.order <= 360:
+                enumerate_subgroups(G)
+            assert calls == [], name
+
+
+def test_lattice_reads_closures_until_the_first_proper_one(monkeypatch):
+    """``enumerate_subgroups`` makes closures in class order up to the first
+    proper one, all of them on a simple group, and a later
+    ``minimal_normal_subgroups`` makes only the rest."""
+    calls = _count_normal_closures(monkeypatch)
+    for name in ("S4", "A5", "C2^4", "S5", "PSL(2,7)"):
+        G = CATALOG[name].build()
+        calls.clear()
+        enumerate_subgroups(G)
+        first = len(calls)
+        minimal_normal_subgroups(G)
+        orders = [len(members) for members, _ in G._closures]
+        assert len(calls) == len(orders) == len(G._cyclic_table()[2]) - 1, name
+        proper = [i for i, order in enumerate(orders) if order < G.order]
+        assert first == (proper[0] + 1 if proper else len(orders)), name
+        assert bool(proper) == (name not in ("A5", "PSL(2,7)")), name
 
 
 @pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")

@@ -1,7 +1,11 @@
 import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +33,9 @@ from cosetposets.lattice import (
 )
 from cosetposets.perm import Permutation
 from cosetposets.zeta import brute_force_generation_probability, hall_polynomial
-from oracles import (conj_element, flat_enumeration, flat_subgroup_records, lattice_ids,
-                     normalizer_orbit_count, pairwise_inclusion, product_table,
+from oracles import (conj_element, coset_orbit_count, flat_enumeration,
+                     flat_subgroup_records, lattice_ids, normalizer_orbit_count,
+                     normalizer_orbit_lattice, pairwise_inclusion, product_table,
                      relation_moebius)
 
 CATALOG = {e.name: e for e in load_catalog(verify=False)}
@@ -150,13 +155,14 @@ def _prime_power_generators(G):
 
 @pytest.mark.parametrize("name", [e.name for e in CATALOG.values() if e.expected_order <= 168])
 def test_one_join_per_normalizer_orbit(name, monkeypatch):
-    """The enumeration joins each class representative H with one cyclic
-    subgroup per orbit of N_G(H), the orbits counted by conjugating with
-    every element of G; it passes over, and joins nothing to, exactly the
-    representatives that come after the first one with a join equal to G
-    and have |H| p above the ceiling, p the least prime dividing |G : H|."""
+    """The enumeration joins each class representative H once per orbit of
+    N_G(H) on the cosets Hz of a prime-power z not in H that it takes, the
+    orbits found by conjugating with every element of G, and never more
+    often than once per orbit of N_G(H) on the prime-power cyclic subgroups;
+    it passes over, and joins nothing to, exactly the representatives that
+    come after the first one with a join equal to G and have |H| p above the
+    ceiling, p the least prime dividing |G : H|."""
     G = CATALOG[name].build()
-    n = G.order
     joins = _record_joins(monkeypatch)
     ceiling = enumerate_subgroups(G).ceiling
     records, reps = flat_enumeration(G)
@@ -167,10 +173,28 @@ def test_one_join_per_normalizer_orbit(name, monkeypatch):
                   if any(_closure(mul, gens[H] + (z,)) == full
                          for z in _prime_power_generators(G) if z not in H)), len(reps))
     passed_over = {H for H in reps[first + 1:]
-                   if H != full and len(H) * _least_prime(n // len(H)) > ceiling}
-    joined = {start for _, start, _ in joins}
-    assert joined == set(reps) - passed_over - {full}
-    assert len(joins) == sum(normalizer_orbit_count(G, H) for H in joined)
+                   if H != full and len(H) * _least_prime(G.order // len(H)) > ceiling}
+    per_start = Counter(start for _, start, _ in joins)
+    assert set(per_start) == set(reps) - passed_over - {full}
+    for H, count in per_start.items():
+        assert count == coset_orbit_count(G, H) <= normalizer_orbit_count(G, H), len(H)
+
+
+@pytest.mark.parametrize("name", [
+    *(e.name for e in CATALOG.values() if e.expected_order <= 168),
+    *(pytest.param(name, marks=pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1"))
+      for name in ("A7", "S7"))])
+def test_lattice_matches_the_normalizer_orbit_join_loop(name, monkeypatch):
+    """Joining once per orbit of cosets finds every class by the same join
+    as joining once per orbit of cyclic subgroups: the records, their
+    generators and ``class_of`` are equal."""
+    monkeypatch.setattr(lattice, "LATTICE_ORDER_BOUND", 5040)
+    G = CATALOG[name].build()
+    lat = enumerate_subgroups(G)
+    records, class_of = normalizer_orbit_lattice(G)
+    assert [(r.order, r.elements, r.generators) for r in lat.subgroups] == [
+        (r.order, r.elements, r.generators) for r in records]
+    assert lat.class_of == class_of
 
 
 @pytest.mark.parametrize("name", [e.name for e in CATALOG.values()
@@ -308,6 +332,38 @@ def test_s7_lattice_interval_matches_overgroup_census(monkeypatch):
     assert _interval_above(lat, env.P) == {r.elements for r in census}
     assert len(maximal_subgroups(lat)) == 184
     assert hall_polynomial(lat, moebius_to_top(lat)).evaluate(-1) == 2662800
+
+
+_A8_LATTICE_IN_A_CHILD = """
+import sys, time
+from cosetposets import lattice
+from cosetposets.groups import alternating_group
+from cosetposets.zeta import evaluate, hall_polynomial
+lattice.LATTICE_ORDER_BOUND = 20160
+started = time.process_time()
+lat = lattice.SubgroupLattice(alternating_group(8))
+seconds = time.process_time() - started
+p = evaluate(hall_polynomial(lat, lattice.moebius_to_top(lat)), -1)
+print(len(lat), len(set(lat.class_of)), p, f"{seconds:.1f}")
+sys.stderr.write(next(line for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not RUN_SLOW, reason="set RUN_SLOW=1")
+def test_a8_lattice_at_size():
+    """The A8 lattice, built in a fresh process with the order bound lifted
+    there: 48,337 subgroups in 137 classes, P(-1) = 51,073,680, and the
+    child's own peak RSS, which it reports itself, under 300 MB."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("the child reads its peak RSS from /proc/self/status, absent here")
+    run = subprocess.run(
+        [sys.executable, "-c", _A8_LATTICE_IN_A_CHILD], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(Path(lattice.__file__).parents[1])})
+    subgroups, classes, p, seconds = run.stdout.split()
+    peak_mb = int(run.stderr.split("VmHWM:")[1].split()[0]) / 1024  # kB
+    print(f"A8 lattice: {seconds} s of CPU, the child's peak RSS {peak_mb:.0f} MB")
+    assert (int(subgroups), int(classes), int(p)) == (48337, 137, 51073680)
+    assert peak_mb < 300
 
 
 @pytest.mark.parametrize("relabel", [False, True])
